@@ -274,3 +274,76 @@ def one_plus(G: FiniteGroup, g: int) -> AlgElem:
     nums[0] += 1
     nums[g] += 1
     return AlgElem(G, nums, 1)
+
+
+# ---------------------------------------------------------------------------
+# square-zero candidate families
+
+
+class SquareZeroFamily:
+    """The square-zero elements (1-y) g hat(Y) ("left") and hat(Y) g (1-y)
+    ("right") of Z[G], for a subgroup Y, y in Y - {1} and g in G, and their
+    products with central elements e, decided without multiplying.
+
+    With F = hat(Y) e, associativity and the centrality of e give
+    (1-y) g hat(Y) e = (1-y) g F and hat(Y) g (1-y) e = F g (1-y). The
+    first has coefficient F[z] - F[u z] at g z, where u = g^-1 y^-1 g; the
+    second has F[z] - F[z u] at z g, where u = g y^-1 g^-1. So a product is
+    zero iff F's numerators are invariant under that shift by u, and
+    integral iff their residues modulo F's denominator are. The answer
+    depends only on (e, side, u) and is memoized; F is computed on first
+    use. Callers must pass central idempotents.
+    """
+
+    def __init__(self, Y: Subgroup, idempotents: list[AlgElem],
+                 residues: bool):
+        self.Y = Y
+        self.group = Y.parent
+        self.idempotents = idempotents
+        self.residues = residues
+        self._hat = hat(Y)
+        self._vectors: list[Optional[list[int]]] = [None] * len(idempotents)
+        self._memo: dict[tuple[int, bool, int], bool] = {}
+
+    def candidates(self):
+        """Yield (y, g, left, u) for every nonzero candidate in search
+        order: y in Y, then g in G, the left element before the right one.
+        A candidate vanishes exactly when its shift u lies in Y."""
+        G, Y = self.group, self.Y
+        for y in Y.members:
+            if y == 0:
+                continue
+            y_inv = G.inverse[y]
+            for g in range(G.order):
+                u = G.conj(y_inv, g)
+                if not Y.contains(u):
+                    yield y, g, True, u
+                u = G.conj_left(y_inv, g)
+                if not Y.contains(u):
+                    yield y, g, False, u
+
+    def element(self, y: int, g: int, left: bool) -> AlgElem:
+        """The candidate itself, built with real products."""
+        G = self.group
+        omy, gb = one_minus(G, y), AlgElem.basis(G, g)
+        return omy * gb * self._hat if left else self._hat * gb * omy
+
+    def invariant(self, i: int, left: bool, u: int) -> bool:
+        """Whether candidate * idempotents[i] is zero (residues=False) or
+        integral (residues=True) for a candidate with this side and u."""
+        key = (i, left, u)
+        hit = self._memo.get(key)
+        if hit is None:
+            vec = self._vectors[i]
+            if vec is None:
+                F = self._hat * self.idempotents[i]
+                vec = [v % F.den for v in F.nums] if self.residues else F.nums
+                self._vectors[i] = vec
+            table = self.group.table
+            if left:
+                row = table[u]
+                hit = all(v == vec[row[z]] for z, v in enumerate(vec))
+            else:
+                hit = all(v == vec[table[z][u]] for z, v in enumerate(vec))
+            self._memo[key] = hit
+        return hit

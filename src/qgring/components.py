@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import AlgElem, hat, one_minus
+from .algebra import AlgElem, SquareZeroFamily
 from .errors import (
     InconsistentFamilyParams,
     NonIntegerDimension,
@@ -539,35 +539,17 @@ def nilpotent_probe(G: FiniteGroup, e: AlgElem, budget: int = 2000,
     Candidates are the square-zero elements (1-y) g hat(Y) and
     hat(Y) g (1-y) projected by e, then seeded pseudorandom integral
     elements projected by e and made traceless."""
+    if not e.is_central():
+        raise NotCentralIdempotent("the nilpotent probe needs a central idempotent")
     spent = 0
-    for Y in subgroups(G):
-        if Y.order == 1:
-            continue
-        hy = hat(Y)
-        for y in Y.members:
-            if y == 0:
-                continue
-            omy = one_minus(G, y)
-            for g in range(G.order):
-                # (1-y) g hat(Y) = 0 iff g^-1 y g in Y;
-                # hat(Y) g (1-y) = 0 iff g y g^-1 in Y
-                left_zero = Y.contains(G.conj(y, g))
-                right_zero = Y.contains(G.conj_left(y, g))
-                if left_zero and right_zero:
-                    continue
-                gb = AlgElem.basis(G, g)
-                cands = []
-                if not left_zero:
-                    cands.append(omy * gb * hy)
-                if not right_zero:
-                    cands.append(hy * gb * omy)
-                for alpha in cands:
-                    spent += 1
-                    cand = alpha * e
-                    if not cand.is_zero():
-                        return cand
-                    if spent >= budget:
-                        return None
+    for Y in subgroups(G)[1:-1]:
+        fam = SquareZeroFamily(Y, [e], residues=False)
+        for y, g, left, u in fam.candidates():
+            spent += 1
+            if not fam.invariant(0, left, u):
+                return fam.element(y, g, left) * e
+            if spent >= budget:
+                return None
     rng = random.Random(seed)
     e1 = e.coeff(0)
     while spent < budget:

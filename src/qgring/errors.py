@@ -71,3 +71,8 @@ class UnknownFamily(QGRingError):
 
 class InconsistentFamilyParams(QGRingError):
     """Family parameters fail their structural constraints."""
+
+
+class SoundnessError(QGRingError):
+    """A certificate failed its exact re-verification; the verdict it would
+    have supported is withheld."""
