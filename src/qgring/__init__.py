@@ -7,7 +7,7 @@ witnesses.
 """
 
 from .algebra import AlgElem, hat, one_minus, one_plus, tilde
-from .catalog import build_group, build_named, build_spec, catalog_names
+from .catalog import build_named, build_spec, catalog_names
 from .components import (
     AmitsurResult,
     ComponentDescriptor,
@@ -64,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgElem", "hat", "tilde", "one_minus", "one_plus",
-    "build_group", "build_named", "build_spec", "catalog_names",
+    "build_named", "build_spec", "catalog_names",
     "AmitsurResult", "ComponentDescriptor", "MatrixCount", "Prediction",
     "amitsur_division", "center_rank", "classify_component",
     "component_dimension", "count_matrix_components", "describe_component",

@@ -250,17 +250,6 @@ def tilde(H: Subgroup) -> AlgElem:
     return AlgElem(G, nums, H.order)
 
 
-def hat_elem(G: FiniteGroup, g: int) -> AlgElem:
-    """Sum over the cyclic group generated by g."""
-    from .groups import subgroup_generated
-    return hat(subgroup_generated(G, (g,)))
-
-
-def tilde_elem(G: FiniteGroup, g: int) -> AlgElem:
-    from .groups import subgroup_generated
-    return tilde(subgroup_generated(G, (g,)))
-
-
 def one_minus(G: FiniteGroup, g: int) -> AlgElem:
     """1 - g."""
     nums = [0] * G.order

@@ -312,13 +312,6 @@ def build_spec(spec: str, cap: Optional[int] = None) -> FiniteGroup:
     return _BUILT[key]
 
 
-def build_group(spec, cap: Optional[int] = None) -> FiniteGroup:
-    """Build from a spec string or pass through an existing group."""
-    if isinstance(spec, FiniteGroup):
-        return spec
-    return build_spec(str(spec), cap=cap)
-
-
 def quotient_of_spec(spec: str, generator_words: list[str],
                      cap: Optional[int] = None) -> FiniteGroup:
     """Quotient of a spec-built group by the normal closure-free subgroup

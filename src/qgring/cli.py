@@ -131,26 +131,20 @@ def cmd_analyze(args) -> int:
                         seed=seed)
     timing["nd_ms"] = int(1000 * (time.perf_counter() - t0))
 
+    cnt = report.matrix_count
     pcis_info = []
-    try:
-        t0 = time.perf_counter()
-        cnt, comps = count_matrix_components(G, probe_budget=cfg.probe_budget,
-                                             seed=seed)
-        for sp, desc in comps:
-            entry = {
-                "pair": sp.describe(),
-                "pair_kind": sp.kind,
-                "idempotent": _idem_hash(sp.e),
-                "dim": desc.dim_over_Q,
-                "center_rank": desc.center_rank,
-                "kind": desc.kind,
-            }
-            if args.json:
-                entry["descriptor"] = desc.to_dict()
-            pcis_info.append(entry)
-        timing["pcis_ms"] = int(1000 * (time.perf_counter() - t0))
-    except QGRingError:
-        cnt = report.matrix_count
+    for sp, desc in report.components:
+        entry = {
+            "pair": sp.describe(),
+            "pair_kind": sp.kind,
+            "idempotent": _idem_hash(sp.e),
+            "dim": desc.dim_over_Q,
+            "center_rank": desc.center_rank,
+            "kind": desc.kind,
+        }
+        if args.json:
+            entry["descriptor"] = desc.to_dict()
+        pcis_info.append(entry)
 
     pred = _prediction_for(G, cls)
     if pred is not None:

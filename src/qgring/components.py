@@ -23,6 +23,7 @@ from .errors import (
     NotCentralIdempotent,
     NotCoprime,
     NotStrongShodaPair,
+    SoundnessError,
     UnknownFamily,
 )
 from .groups import (
@@ -31,6 +32,7 @@ from .groups import (
     fingerprint,
     normalizer,
     quotient,
+    section_quotient,
     subgroup_from_mask,
     subgroups,
 )
@@ -181,15 +183,9 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
     n = G.order // N.order
     h = H.order // K.order
 
-    Ngrp, to_parent = N.induced()
-    pos = {g: i for i, g in enumerate(to_parent)}
-    kmask = 0
-    for g in K.members:
-        kmask |= 1 << pos[g]
-    Kloc = subgroup_from_mask(Ngrp, kmask)
-    NK, proj1 = quotient(Ngrp, Kloc)
+    NK, proj1 = section_quotient(N, K)
 
-    h_img = sorted({proj1[pos[g]] for g in H.members})
+    h_img = sorted({proj1[g] for g in H.members})
     # generator of the cyclic group H/K and its discrete log table
     xbar = min(g for g in h_img if NK.element_order(g) == h)
     dlog = {}
@@ -235,8 +231,9 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
             f"dim {dim} is not center_rank {rank} times a square")
     # dim Q[G]e = n^2 * dim(crossed product) = n^2 * |N/H| * phi(h)
     phi = sum(1 for k in range(1, h + 1) if math.gcd(k, h) == 1) if h > 1 else 1
-    assert dim == n * n * nh * phi, \
-        "crossed-product data inconsistent with the idempotent's dimension"
+    if dim != n * n * nh * phi:
+        raise SoundnessError(
+            "crossed-product data inconsistent with the idempotent's dimension")
     return ComponentDescriptor(
         group=G, H=H, K=K, e=e, matrix_size_n=n, cyclotomic_order_h=h,
         nh_order=nh, nh_cyclic=nh_cyclic, action=action, twisting=twisting,
@@ -431,8 +428,9 @@ def classify_component(desc: ComponentDescriptor) -> str:
     if trivial_twist:
         size = desc.matrix_size_n * desc.nh_order
         fdeg = _fixed_field_degree(h, list(desc.action.values()))
-        assert desc.degree == size and desc.center_rank == fdeg, \
-            "pair data inconsistent with the idempotent's dimension data"
+        if desc.degree != size or desc.center_rank != fdeg:
+            raise SoundnessError(
+                "pair data inconsistent with the idempotent's dimension data")
         desc.kind = MATRIX if size > 1 else COMMUTATIVE
         desc.shape = f"M_{size}(field of degree {fdeg} over Q)"
         desc.trace["branch"] = "trivial-twisting"
@@ -462,15 +460,17 @@ def classify_component(desc: ComponentDescriptor) -> str:
         if 0 in reachable:
             size = desc.matrix_size_n * desc.nh_order
             fdeg = _fixed_field_degree(h, list(desc.action.values()))
-            assert desc.degree == size and desc.center_rank == fdeg, \
-                "pair data inconsistent with the idempotent's dimension data"
+            if desc.degree != size or desc.center_rank != fdeg:
+                raise SoundnessError(
+                    "pair data inconsistent with the idempotent's dimension data")
             desc.kind = MATRIX if size > 1 else COMMUTATIVE
             desc.shape = f"M_{size}(field of degree {fdeg} over Q)"
             desc.trace["branch"] = "trivial-twisting-coboundary"
             return desc.kind
 
-        assert desc.degree == desc.matrix_size_n * desc.nh_order, \
-            "pair data inconsistent with the idempotent's dimension data"
+        if desc.degree != desc.matrix_size_n * desc.nh_order:
+            raise SoundnessError(
+                "pair data inconsistent with the idempotent's dimension data")
         amitsur_twist = next(
             (w2 for w2 in reachable if h // math.gcd(h, w2) == s), None)
         if amitsur_twist is not None:
@@ -614,7 +614,7 @@ def count_matrix_components(
             lo += 1
         elif kind == MATRIX and desc.degree == 1:
             # a classified Matrix must have degree > 1; degree 1 would be a bug
-            raise AssertionError("Matrix verdict with degree 1")
+            raise SoundnessError("Matrix verdict with degree 1")
         elif kind == UNKNOWN:
             unknown += 1
         out.append((sp, desc))

@@ -15,8 +15,6 @@ import math
 import re
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     BNotAbelian,
     InconsistentSpec,
@@ -25,9 +23,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 250
-
-# full associativity check up to this order, deterministic sampling above
-FULL_CHECK_ORDER = 64
 
 
 def _check_cap(order: int, cap: Optional[int]) -> None:
@@ -43,8 +38,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str],
-                 name: str = "G", letters: tuple[str, ...] = (),
-                 check: bool = True):
+                 name: str = "G", letters: tuple[str, ...] = ()):
         self.order = len(table)
         self.table: list[list[int]] = [list(map(int, row)) for row in table]
         self.names: list[str] = [str(s) for s in names]
@@ -59,41 +53,40 @@ class FiniteGroup:
             if nm in self._name_to_idx:
                 raise InconsistentSpec(f"duplicate element name {nm!r}")
             self._name_to_idx[nm] = i
-        if check:
-            self._validate()
+        self._validate()
         self.inverse: list[int] = self._compute_inverses()
 
     # -- construction checks ------------------------------------------------
 
     def _validate(self) -> None:
+        """Exact check that the table is a group with identity 0.
+
+        After the Latin-square and identity checks, Light's test checks
+        (x*g)*y = x*(g*y) for all x, y and each g of a generating set only:
+        the elements a with (x*a)*y = x*(a*y) for all x, y are closed under
+        the product, so they make up the whole table.
+        """
         n = self.order
-        t = np.array(self.table, dtype=np.int64)
-        if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+        table = self.table
+        if not n or any(len(row) != n or min(row) < 0 or max(row) >= n
+                        for row in table):
             raise InconsistentSpec("table entries out of range")
-        ar = np.arange(n)
-        if not (np.array_equal(t[0], ar) and np.array_equal(t[:, 0], ar)):
+        ident = list(range(n))
+        if table[0] != ident or [row[0] for row in table] != ident:
             raise InconsistentSpec("index 0 is not a two-sided identity")
-        for i in range(n):
-            if len(set(self.table[i])) != n:
+        for i, row in enumerate(table):
+            if len(set(row)) != n:
                 raise InconsistentSpec(f"row {i} is not a permutation")
-        for j in range(n):
-            if len({self.table[i][j] for i in range(n)}) != n:
+        for j, col in enumerate(zip(*table)):
+            if len(set(col)) != n:
                 raise InconsistentSpec(f"column {j} is not a permutation")
-        # associativity: full check for small groups, sampled deterministically above
-        if n <= FULL_CHECK_ORDER:
-            lhs = t[t, :]              # lhs[a,b,c] = t[t[a,b],c]
-            rhs = t[:, t]              # rhs[a,b,c] = t[a,t[b,c]]
-            if not np.array_equal(lhs, rhs):
-                raise InconsistentSpec("multiplication table is not associative")
-        else:
-            step = max(1, (n ** 3) // 200_000)
-            count = 0
-            for k in range(0, n ** 3, step):
-                a, rem = divmod(k, n * n)
-                b, c = divmod(rem, n)
-                if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
+        # not cached: a new group's _cache starts empty
+        gens, _ = _greedy_generators(self, ident)
+        for g in gens:
+            grow = table[g]
+            for row in table:
+                if table[row[g]] != [row[y] for y in grow]:
                     raise InconsistentSpec("multiplication table is not associative")
-                count += 1
 
     def _compute_inverses(self) -> list[int]:
         inv = [0] * self.order
@@ -177,16 +170,7 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         """A small generating set (greedy, deterministic)."""
         if "generators" not in self._cache:
-            gens: list[int] = []
-            have = _closure(self, ())
-            full = (1 << self.order) - 1
-            g = 1
-            while have != full:
-                while have >> g & 1:
-                    g += 1
-                gens.append(g)
-                have = _closure_mask(self, have, (g,))
-            self._cache["generators"] = tuple(gens)
+            self._cache["generators"] = _greedy_generators(self, range(self.order))[0]
         return self._cache["generators"]
 
     def is_abelian(self) -> bool:
@@ -235,49 +219,33 @@ class FiniteGroup:
 # closure helpers (bitmask based)
 
 
-def _closure_mask(G: FiniteGroup, start_mask: int, extra: Iterable[int]) -> int:
-    """Mask of the subgroup generated by the elements of start_mask plus extra.
-
-    start_mask must already contain the identity or be 0.
-    """
-    mask = start_mask | 1
-    members = [i for i in range(G.order) if mask >> i & 1]
-    gens = [g for g in extra if not mask >> g & 1]
-    for g in gens:
-        mask |= 1 << g
-        members.append(g)
-    # generated closure: right-multiply known members by all generators
-    # (plus the original member set, so 'join' of two subgroups works)
-    table = G.table
-    gens_all = list(dict.fromkeys(list(extra) + members))
-    queue = list(members)
-    while queue:
-        x = queue.pop()
-        row = table[x]
-        for g in gens_all:
-            y = row[g]
-            if not mask >> y & 1:
-                mask |= 1 << y
-                queue.append(y)
-    return mask
-
-
 def _closure(G: FiniteGroup, gens: Iterable[int]) -> int:
+    """Mask of the elements reached from the identity by right
+    multiplication with gens: the subgroup they generate."""
     gens = list(gens)
     mask = 1
-    members = [0]
     table = G.table
     queue = [0]
     while queue:
-        x = queue.pop()
-        row = table[x]
+        row = table[queue.pop()]
         for g in gens:
             y = row[g]
             if not mask >> y & 1:
                 mask |= 1 << y
-                members.append(y)
                 queue.append(y)
     return mask
+
+
+def _greedy_generators(G: FiniteGroup, members: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """Scan members in order, keeping each one not yet generated by those
+    kept; returns (kept, mask of their closure)."""
+    gens: list[int] = []
+    have = 1
+    for g in members:
+        if not have >> g & 1:
+            gens.append(g)
+            have = _closure(G, gens)
+    return tuple(gens), have
 
 
 class Subgroup:
@@ -360,21 +328,11 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 def subgroup_from_mask(G: FiniteGroup, mask: int) -> Subgroup:
     """Wrap a mask known to be closed; generators recovered greedily."""
-    members = [i for i in range(G.order) if mask >> i & 1]
-    gens: list[int] = []
-    have = 1
-    for g in members:
-        if not have >> g & 1:
-            gens.append(g)
-            have = _closure(G, gens)
-    sub = Subgroup(G, mask, tuple(gens))
+    gens, have = _greedy_generators(
+        G, (i for i in range(G.order) if mask >> i & 1))
     if have != mask:
         raise InconsistentSpec("mask is not closed under multiplication")
-    return sub
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, 1, ())
+    return Subgroup(G, mask, gens)
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
@@ -462,11 +420,19 @@ def center(G: FiniteGroup) -> Subgroup:
     return G._cache["center"]
 
 
+def commutator_subgroup(G: FiniteGroup, A: Iterable[int],
+                        B: Iterable[int]) -> Subgroup:
+    """<[a, b] : a in A, b in B>, generated by its sorted nontrivial
+    commutators."""
+    B = list(B)
+    comms = {G.commutator(a, b) for a in A for b in B}
+    comms.discard(0)
+    return subgroup_generated(G, sorted(comms))
+
+
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     if "derived" not in G._cache:
-        comms = {G.commutator(h, g) for h in range(G.order) for g in range(G.order)}
-        comms.discard(0)
-        G._cache["derived"] = subgroup_generated(G, sorted(comms))
+        G._cache["derived"] = commutator_subgroup(G, range(G.order), range(G.order))
     return G._cache["derived"]
 
 
@@ -519,6 +485,18 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     return Q, proj
 
 
+def section_quotient(H: Subgroup, K: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
+    """The quotient H/K for K normal in H, and the map from each element of
+    H (a parent index) to its coset index in H/K."""
+    Hgrp, to_parent = H.induced()
+    pos = {g: i for i, g in enumerate(to_parent)}
+    kmask = 0
+    for g in K.members:
+        kmask |= 1 << pos[g]
+    Q, proj = quotient(Hgrp, subgroup_from_mask(Hgrp, kmask))
+    return Q, {g: proj[i] for i, g in enumerate(to_parent)}
+
+
 def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:
     """Preimages of the minimal nontrivial normal subgroups of H/K.
 
@@ -533,38 +511,19 @@ def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:
         Hsub = H
     if not (K <= Hsub):
         raise NotNormal("K is not contained in H")
-    Hgrp, to_parent = Hsub.induced()
-    pos = {g: i for i, g in enumerate(to_parent)}
-    Kloc = subgroup_from_mask(Hgrp, _mask_map(K.members, pos))
-    Q, proj = quotient(Hgrp, Kloc)  # raises NotNormal if K not normal in H
+    Q, proj = section_quotient(Hsub, K)  # raises NotNormal if K not normal in H
     normals = [M for M in normal_subgroups(Q) if M.order > 1]
     out = []
     for M in normals:
         if any(P.order < M.order and P <= M for P in normals):
             continue
         mask = 0
-        for i in range(Hgrp.order):
-            if M.contains(proj[i]):
-                mask |= 1 << to_parent[i]
+        for g, c in proj.items():
+            if M.contains(c):
+                mask |= 1 << g
         out.append(subgroup_from_mask(G, mask))
     out.sort(key=lambda s: (s.order, s.mask))
     return out
-
-
-def _mask_map(members: Iterable[int], pos: dict[int, int]) -> int:
-    mask = 0
-    for g in members:
-        mask |= 1 << pos[g]
-    return mask
-
-
-def maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> Subgroup:
-    """A maximal abelian subgroup containing B (smallest mask tie-break)."""
-    if not B.is_abelian():
-        raise BNotAbelian("seed subgroup is not abelian")
-    cands = [H for H in subgroups(G) if B <= H and H.is_abelian()]
-    maxi = [H for H in cands if not any(H < C for C in cands)]
-    return min(maxi, key=lambda s: s.mask)
 
 
 def all_maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> list[Subgroup]:
@@ -574,8 +533,9 @@ def all_maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> list[Subgroup]:
     return [H for H in cands if not any(H < C for C in cands)]
 
 
-def is_metabelian(G: FiniteGroup) -> bool:
-    return derived_subgroup(G).is_abelian()
+def maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> Subgroup:
+    """A maximal abelian subgroup containing B (smallest mask tie-break)."""
+    return min(all_maximal_abelian_over(G, B), key=lambda s: s.mask)
 
 
 def is_nilpotent_group(G: FiniteGroup) -> bool:
@@ -583,9 +543,7 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
     if "nilpotent" not in G._cache:
         cur = full_subgroup(G)
         while True:
-            comms = sorted({G.commutator(h, g) for h in cur.members
-                            for g in range(G.order)} - {0})
-            nxt = subgroup_generated(G, comms)
+            nxt = commutator_subgroup(G, cur.members, range(G.order))
             if nxt.mask == cur.mask:
                 G._cache["nilpotent"] = cur.order == 1
                 break
@@ -596,17 +554,10 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
 def is_solvable_group(G: FiniteGroup) -> bool:
     cur = full_subgroup(G)
     while True:
-        members = cur.members
-        comms = sorted({G.commutator(h, g) for h in members for g in members} - {0})
-        nxt = subgroup_generated(G, comms)
+        nxt = commutator_subgroup(G, cur.members, cur.members)
         if nxt.mask == cur.mask:
             return cur.order == 1
         cur = nxt
-
-
-def is_dedekind(G: FiniteGroup) -> bool:
-    """All subgroups normal."""
-    return all(is_normal(G, H) for H in subgroups(G))
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +578,7 @@ def fingerprint(G: FiniteGroup) -> tuple:
             series.append(cur.order)
             if cur.order == 1 or cur.order == series[-2]:
                 break  # reached 1, or stabilized (perfect subgroup)
-            Hgrp, _ = cur.induced()
-            nxt_loc = derived_subgroup(Hgrp)
-            _, to_parent = cur.induced()
-            mask = 0
-            for i in nxt_loc.members:
-                mask |= 1 << to_parent[i]
-            cur = subgroup_from_mask(G, mask)
+            cur = commutator_subgroup(G, cur.members, cur.members)
         ab, proj = quotient(G, der)
         ab_profile = tuple(sorted((ab.element_order(g) for g in range(ab.order))))
         G._cache["fingerprint"] = (
@@ -831,8 +776,7 @@ def semidirect_cyclic(p: int, n: int, r0: int, cap: Optional[int] = None) -> Fin
 
 def cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
                      power_elem: int, new_letter: str,
-                     cap: Optional[int] = None, name: Optional[str] = None,
-                     images_are_right: bool = True) -> FiniteGroup:
+                     cap: Optional[int] = None, name: Optional[str] = None) -> FiniteGroup:
     """Extend base by a new generator c with c^n_ext = power_elem in base and
     x^c = c^-1 x c given on generators by conj_images.
 
@@ -846,15 +790,9 @@ def cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
     if img is None or len(set(img)) != base.order:
         raise InconsistentSpec("conjugation images do not extend to an automorphism")
     phi_r = img
-    if images_are_right:
-        phi_l = [0] * base.order
-        for x, y in enumerate(phi_r):
-            phi_l[y] = x
-    else:
-        phi_l = phi_r
-        phi_r = [0] * base.order
-        for x, y in enumerate(phi_l):
-            phi_r[y] = x
+    phi_l = [0] * base.order
+    for x, y in enumerate(phi_r):
+        phi_l[y] = x
     z = power_elem
     if phi_r[z] != z:
         raise InconsistentSpec("c^n must be fixed by conjugation by c")

@@ -323,7 +323,8 @@ def a5_shoda_idempotent(G: FiniteGroup) -> tuple[Subgroup, Subgroup, AlgElem, Al
     for i in range(5):
         e = e + eps.conjugate_left(G.power(a, i))
     e = Fraction(1, 2) * e
-    assert e.is_central() and e.is_idempotent()
+    if not (e.is_central() and e.is_idempotent()):
+        raise SoundnessError("the A5 Shoda-pair element is not a central idempotent")
     return A4, K, eps, e
 
 
@@ -370,8 +371,9 @@ def curated_witness(name: str, n: int = 3) -> Witness:
         alpha = Fraction(1, 2) * (r * omt + s_elem * omt * omt * omt)
         e = tilde(subgroup_generated(G, (t4,)))
         w = Witness(name, G, alpha, e, f"Q8 x C_{2 ** n}")
-        assert w.e * r == r and (w.e * s_elem).is_zero()
-        assert w.alpha * w.e == Fraction(1, 2) * (r * omt)
+        if not (w.e * r == r and (w.e * s_elem).is_zero()
+                and w.alpha * w.e == Fraction(1, 2) * (r * omt)):
+            raise SoundnessError("BJ3 witness parts do not project as constructed")
         return w
 
     if name == "BJ9":
@@ -505,7 +507,8 @@ def a5_special_pci(G: FiniteGroup):
     wit = curated_witness("A5")
     alpha = AlgElem(G, wit.alpha.nums, wit.alpha.den)  # same table as ref
     cert = alpha * e
-    assert not cert.is_zero() and cert.is_nilpotent()
+    if cert.is_zero() or not cert.is_nilpotent():
+        raise SoundnessError("A5 nilpotent certificate fails re-verification")
     desc = ComponentDescriptor(
         group=G, H=A4, K=K, e=e, matrix_size_n=5, cyclotomic_order_h=3,
         nh_order=1, nh_cyclic=True, action={}, twisting={},
@@ -590,6 +593,9 @@ class NDReport:
     witness: Optional[tuple[AlgElem, AlgElem]] = None
     budget: int = 0
     spent: int = 0
+    # the (ShodaPair, ComponentDescriptor) list behind matrix_count; not
+    # serialized
+    components: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self, spec: Optional[str] = None) -> dict:
         wit = None
@@ -677,32 +683,30 @@ def nd_verdict(G: FiniteGroup, budget: int = 10 ** 6, probe_budget: int = 2000,
     okp, _p = G.is_p_group()
     ncn = is_ncn(G) if okp and G.order > 1 else None
 
-    pcis_e: list[AlgElem] = []
     try:
         count, comps = count_matrix_components(G, probe_budget=probe_budget,
                                                seed=seed)
-        pcis_e = [sp.e for sp, _d in comps]
     except NotMetabelian:
-        count = MatrixCount(0, None)
+        count, comps = MatrixCount(0, None), []
 
     name = getattr(G, "spec", G.name)
     if count.hi is not None and count.hi <= 1:
         return NDReport(name, G.order, "HasND", "OneMatrixComponent",
-                        count, sn, ssn, ncn, budget=budget)
+                        count, sn, ssn, ncn, budget=budget, components=comps)
 
     wit = _curated_for_group(G)
     if wit is not None:
         _require_verified(wit)
         return NDReport(name, G.order, "NotND", "WitnessFound", count,
                         sn, ssn, ncn, witness=(wit.alpha, wit.e),
-                        budget=budget)
+                        budget=budget, components=comps)
 
-    found, spent = nd_witness_search(G, pcis_e, budget=budget)
+    found, spent = nd_witness_search(G, [sp.e for sp, _d in comps], budget=budget)
     if found is not None:
         alpha, e = found
         _require_verified(Witness("search", G, alpha, e))
         return NDReport(name, G.order, "NotND", "WitnessFound", count,
                         sn, ssn, ncn, witness=found, budget=budget,
-                        spent=spent)
+                        spent=spent, components=comps)
     return NDReport(name, G.order, "Unknown", "BudgetExhausted", count,
-                    sn, ssn, ncn, budget=budget, spent=spent)
+                    sn, ssn, ncn, budget=budget, spent=spent, components=comps)

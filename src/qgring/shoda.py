@@ -14,17 +14,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import AlgElem, tilde
-from .errors import NotMetabelian, NotNormalInH
+from .errors import NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _closure,
     centralizer,
+    commutator_subgroup,
     derived_subgroup,
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
-    quotient,
-    subgroup_from_mask,
+    section_quotient,
     subgroups,
 )
 
@@ -48,7 +49,8 @@ def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     for M in minimal_normal_subgroups_of_quotient(H, K):
         factor = tk - tilde(M)
         out = factor if out is None else out * factor
-    assert out is not None
+    if out is None:
+        raise SoundnessError("H/K is nontrivial but has no minimal normal subgroup")
     return out
 
 
@@ -76,12 +78,14 @@ def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
     out = AlgElem.zero(G)
     for t in _right_transversal(G, C):
         out = out + eps.conjugate(t)
-    assert out.is_central(), "e(G,H,K) must be central"
+    if not out.is_central():
+        raise SoundnessError("e(G,H,K) must be central")
     if check_transversal:
         alt = AlgElem.zero(G)
         for t in _right_transversal(G, C, reverse=True):
             alt = alt + eps.conjugate(t)
-        assert alt == out, "e(G,H,K) depends on the transversal"
+        if alt != out:
+            raise SoundnessError("e(G,H,K) depends on the transversal")
     return out
 
 
@@ -110,7 +114,6 @@ def _quotient_cyclic(H: Subgroup, K: Subgroup) -> bool:
     for h in H.members:
         if K.contains(h):
             continue
-        from .groups import _closure
         if _closure(G, kgens + (h,)) == H.mask:
             return True
     return False
@@ -127,11 +130,8 @@ def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     if not _quotient_cyclic(H, K):
         return False
     # H/K maximal abelian in N/K  <=>  centralizer of H/K in N/K is H/K
-    Ngrp, to_parent = N.induced()
-    pos = {g: i for i, g in enumerate(to_parent)}
-    Kloc = subgroup_from_mask(Ngrp, _local_mask(K, pos))
-    Q, proj = quotient(Ngrp, Kloc)
-    h_img = sorted({proj[pos[h]] for h in H.members})
+    Q, proj = section_quotient(N, K)
+    h_img = sorted({proj[h] for h in H.members})
     h_mask = 0
     for i in h_img:
         h_mask |= 1 << i
@@ -151,13 +151,6 @@ def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
         if not (eps * eps.conjugate(t)).is_zero():
             return False
     return True
-
-
-def _local_mask(K: Subgroup, pos: dict[int, int]) -> int:
-    mask = 0
-    for g in K.members:
-        mask |= 1 << pos[g]
-    return mask
 
 
 @dataclass
@@ -199,13 +192,12 @@ class SanityReport:
                 and self.commutative_dim_total == self.commutative_budget)
 
 
-def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None,
-                    check_strong: bool = True) -> list[ShodaPair]:
+def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaPair]:
     """All primitive central idempotents of Q[G] for metabelian G, as
     deduplicated e(G, H, K) over the maximal-abelian pair enumeration.
 
-    Postconditions asserted: the idempotents are central, pairwise
-    orthogonal and sum to 1.
+    Postconditions checked (SoundnessError otherwise): the idempotents are
+    central, pairwise orthogonal and sum to 1.
     """
     if "pcis" in G._cache and A is None:
         return G._cache["pcis"]
@@ -218,12 +210,8 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None,
     else:
         cache = False
     subs = subgroups(G)
-    derived_of: dict[int, int] = {}
-    for B in subs:
-        comms = {G.commutator(x, y) for x in B.members for y in B.members}
-        comms.discard(0)
-        from .groups import _closure
-        derived_of[B.mask] = _closure(G, tuple(sorted(comms)))
+    derived_of = {B.mask: commutator_subgroup(G, B.members, B.members).mask
+                  for B in subs}
     pairs: list[tuple[Subgroup, Subgroup]] = []
     for K in subs:
         # B ranges over subgroups with A <= B, B' <= K <= B
@@ -243,21 +231,23 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None,
             continue
         eps = epsilon(H, K)
         kind = "neither"
-        if check_strong:
-            if is_strong_shoda_pair(G, H, K):
-                kind = "strong-shoda"
-            elif is_shoda_pair(G, H, K):
-                kind = "plain-shoda"
+        if is_strong_shoda_pair(G, H, K):
+            kind = "strong-shoda"
+        elif is_shoda_pair(G, H, K):
+            kind = "plain-shoda"
         by_key[k] = ShodaPair(H, K, eps, e, kind)
     out = [by_key[k] for k in sorted(by_key)]
     total = AlgElem.zero(G)
     for sp in out:
-        assert sp.e.is_central()
+        if not sp.e.is_central():
+            raise SoundnessError("PCIs must be central")
         total = total + sp.e
-    assert total == AlgElem.one(G), "PCIs must sum to 1"
+    if total != AlgElem.one(G):
+        raise SoundnessError("PCIs must sum to 1")
     for i, sp in enumerate(out):
         for sq in out[i + 1:]:
-            assert (sp.e * sq.e).is_zero(), "PCIs must be pairwise orthogonal"
+            if not (sp.e * sq.e).is_zero():
+                raise SoundnessError("PCIs must be pairwise orthogonal")
     if cache:
         G._cache["pcis"] = out
     return out

@@ -1,5 +1,7 @@
 import json
 
+import qgring.cli
+import qgring.components
 from qgring.cli import main
 
 
@@ -128,3 +130,19 @@ def test_catalog(capsys):
     assert {"A4", "A5", "D12", "Q8", "C3C3rC8", "BJ9"} <= names
     orders = {g["name"]: g["order"] for g in data["groups"]}
     assert orders["D8cpD8"] == 32 and orders["BJ9"] == 64
+
+
+def test_analyze_runs_one_component_pass(capsys, monkeypatch):
+    calls = []
+    orig = qgring.components.count_matrix_components
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(qgring.components, "count_matrix_components", counting)
+    monkeypatch.setattr(qgring.cli, "count_matrix_components", counting)
+    code, out, _ = run_cli(capsys, "--json", "analyze", "A4")
+    assert code == 0
+    assert len(json.loads(out)["pcis"]) == 3
+    assert len(calls) == 1

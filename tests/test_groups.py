@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +20,14 @@ from qgring.groups import (
     center,
     conjugate_subgroup,
     derived_subgroup,
+    alternating5,
+    central_product,
+    cyclic,
     dihedral,
+    direct_product,
     find_isomorphism,
     fingerprint,
+    from_table,
     intersect,
     is_normal,
     join,
@@ -54,6 +63,37 @@ def test_table_validation_rejects_broken_tables():
     t[1][2] = 2  # keep rows permutations but break associativity
     with pytest.raises(InconsistentSpec):
         FiniteGroup(t, ["1", "a", "b"])
+    # C200 with the intercalate at rows 1, 101 and columns 2, 102 swapped:
+    # still a Latin square with identity 0, but not associative
+    n = 200
+    t = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i, j in ((1, 2), (1, 102), (101, 2), (101, 102)):
+        t[i][j] = (t[i][j] + 100) % n
+    assert all(len(set(row)) == n for row in t)
+    assert all(len(set(col)) == n for col in zip(*t))
+    with pytest.raises(InconsistentSpec):
+        FiniteGroup(t, ["1"] + [f"g{i}" for i in range(1, n)])
+
+
+def test_new_groups_start_with_an_empty_cache():
+    groups = [cyclic(200), dihedral(8), quaternion(16), alternating5(),
+              semidirect_vector(3, 2, [[0, 1], [1, 1]], 8),
+              direct_product(dihedral(8), cyclic(3)),
+              central_product(dihedral(8), quaternion(8)),
+              from_table(dihedral(8).table)]
+    for G in groups:
+        assert G._cache == {}, G.name
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(__file__).parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qgring; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_inverses_and_powers():

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from qgring.algebra import AlgElem, tilde
@@ -202,3 +208,26 @@ def test_pci_sanity_on_assorted_specs():
         G = build_spec(spec)
         rep = pci_sanity(G, metabelian_pcis(G))
         assert rep.ok and not rep.warnings, (spec, rep)
+
+
+def test_pci_sum_check_raises_under_optimize():
+    # doubled idempotents stay central but sum to 2; the check must
+    # survive python -O
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        import qgring.shoda
+        from qgring.catalog import build_named
+        from qgring.errors import SoundnessError
+        orig = qgring.shoda.e_idem
+        qgring.shoda.e_idem = lambda G, H, K: Fraction(2) * orig(G, H, K)
+        try:
+            qgring.shoda.metabelian_pcis(build_named("D12"))
+        except SoundnessError as exc:
+            print("raised", exc)
+    """)
+    src = str(Path(__file__).parent.parent / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised PCIs must sum to 1"
