@@ -203,11 +203,18 @@ class AlgElem:
         return x.is_zero()
 
     def centralizer_subgroup(self) -> Subgroup:
-        """Cen_G(alpha) = {g : g*alpha = alpha*g}."""
+        """Cen_G(alpha) = {g : g*alpha = alpha*g}.
+
+        Conjugation by g permutes G, so it fixes alpha iff it keeps the
+        coefficient of each element of the support: it then maps the
+        support onto itself and the zero coefficients onto zeros.
+        """
         G = self.group
+        nums = self.nums
+        support = self.support
         mask = 0
         for g in range(G.order):
-            if all(self.nums[G.conj(x, g)] == self.nums[x] for x in range(G.order)):
+            if all(nums[G.conj(x, g)] == nums[x] for x in support):
                 mask |= 1 << g
         return subgroup_from_mask(G, mask)
 

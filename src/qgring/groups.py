@@ -219,20 +219,32 @@ class FiniteGroup:
 # closure helpers (bitmask based)
 
 
-def _closure(G: FiniteGroup, gens: Iterable[int]) -> int:
-    """Mask of the elements reached from the identity by right
-    multiplication with gens: the subgroup they generate."""
+def _closure(G: FiniteGroup, gens: Iterable[int],
+             base: Optional[Subgroup] = None) -> int:
+    """Mask of the subgroup generated by base (trivial when None) and gens.
+
+    The set grows from base by whole left cosets y*base, so it stays
+    closed under right multiplication by base; each element reached is
+    right-multiplied by gens only. A set closed under both that contains
+    1 is the subgroup <base, gens>.
+    """
     gens = list(gens)
-    mask = 1
     table = G.table
-    queue = [0]
+    if base is None:
+        mask, coset = 1, (0,)
+    else:
+        mask, coset = base.mask, base.members
+    queue = list(coset)
     while queue:
         row = table[queue.pop()]
         for g in gens:
             y = row[g]
             if not mask >> y & 1:
-                mask |= 1 << y
-                queue.append(y)
+                yrow = table[y]
+                for h in coset:
+                    z = yrow[h]
+                    mask |= 1 << z
+                    queue.append(z)
     return mask
 
 
@@ -240,12 +252,12 @@ def _greedy_generators(G: FiniteGroup, members: Iterable[int]) -> tuple[tuple[in
     """Scan members in order, keeping each one not yet generated by those
     kept; returns (kept, mask of their closure)."""
     gens: list[int] = []
-    have = 1
+    have = Subgroup(G, 1)
     for g in members:
-        if not have >> g & 1:
+        if not have.mask >> g & 1:
             gens.append(g)
-            have = _closure(G, gens)
-    return tuple(gens), have
+            have = Subgroup(G, _closure(G, (g,), have))
+    return tuple(gens), have.mask
 
 
 class Subgroup:
@@ -348,10 +360,27 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 MAX_SUBGROUPS = 20_000
 
 
+def _check_subgroup_count(G: FiniteGroup, found: dict) -> None:
+    if len(found) > MAX_SUBGROUPS:
+        raise OrderCapExceeded(f"{G.name} has more than {MAX_SUBGROUPS} subgroups")
+
+
 def subgroups(G: FiniteGroup, cap: Optional[int] = None) -> list[Subgroup]:
     """All subgroups of G, each exactly once, sorted by (order, mask).
 
-    Seeds with the cyclic subgroups and closes under joins with them.
+    Seeds with the cyclic subgroups <c> and closes under the joins <H, c>,
+    one level at a time, H in the order found and c in seed order; a join
+    keeps the generators H.gens + (c,) of the first H and c that reach it.
+    The join grows H by whole left cosets (_closure with base H). Joins
+    known to be found already are skipped, which leaves the result, gens
+    included, unchanged:
+    - <1, c> = <c>;
+    - on the first level, <<a>, c> = <<c>, a> was reached from the
+      earlier of the two cyclic subgroups;
+    - c in a double coset Hc'H of a c' already joined with H: c = hc'h'
+      gives <H, c> = <H, c'>.
+    Raises OrderCapExceeded as soon as more than MAX_SUBGROUPS subgroups
+    are found.
     """
     _check_cap(G.order, cap)
     if "subgroups" not in G._cache:
@@ -360,27 +389,33 @@ def subgroups(G: FiniteGroup, cap: Optional[int] = None) -> list[Subgroup]:
             sub = subgroup_generated(G, (g,) if g else ())
             cyclic.setdefault(sub.mask, sub)
         seen: dict[int, Subgroup] = dict(cyclic)
-        frontier = list(cyclic.values())
-        cyc_list = list(cyclic.values())
+        _check_subgroup_count(G, seen)
+        frontier = [C for C in cyclic.values() if C.gens]
+        cyc_gens = [C.gens[0] for C in frontier]
+        table = G.table
         full = (1 << G.order) - 1
+        first = True
         while frontier:
             new: list[Subgroup] = []
-            for H in frontier:
+            for i, H in enumerate(frontier):
                 if H.mask == full:
                     continue
-                for C in cyc_list:
-                    if C.mask | H.mask == H.mask:
+                joined = H.mask  # the double cosets of the c' joined so far
+                for c in cyc_gens[i + 1:] if first else cyc_gens:
+                    if joined >> c & 1:
                         continue
-                    gens = tuple(dict.fromkeys(H.gens + C.gens))
-                    mask = _closure(G, gens)
+                    for h in H.members:
+                        row = table[table[h][c]]
+                        for k in H.members:
+                            joined |= 1 << row[k]
+                    mask = _closure(G, (c,), H)
                     if mask not in seen:
-                        sub = Subgroup(G, mask, gens)
+                        sub = Subgroup(G, mask, H.gens + (c,))
                         seen[mask] = sub
                         new.append(sub)
-            if len(seen) > MAX_SUBGROUPS:
-                raise OrderCapExceeded(
-                    f"{G.name} has more than {MAX_SUBGROUPS} subgroups")
+                        _check_subgroup_count(G, seen)
             frontier = new
+            first = False
         subs = sorted(seen.values(), key=lambda s: (s.order, s.mask))
         G._cache["subgroups"] = subs
     return G._cache["subgroups"]
@@ -451,7 +486,7 @@ def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
 
 def join(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     gens = tuple(dict.fromkeys(A.gens + B.gens))
-    return Subgroup(G, _closure(G, gens), gens)
+    return Subgroup(G, _closure(G, B.gens, A), gens)
 
 
 def intersect(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:

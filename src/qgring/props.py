@@ -21,13 +21,15 @@ from .errors import NotCentralIdempotent, NotPGroup, SoundnessError, UnknownWitn
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _closure,
     derived_subgroup,
     fingerprint,
+    full_subgroup,
     is_nilpotent_group,
     is_normal,
     is_solvable_group,
-    join,
     normal_subgroups,
+    normalizer,
     subgroup_generated,
     subgroups,
 )
@@ -39,32 +41,56 @@ from .shoda import ShodaPair
 # SN / SSN / NCN
 
 
-def is_sn(G: FiniteGroup) -> bool:
-    """Exhaustive check: N normal, Y any subgroup => N <= Y or YN normal."""
+def _sn_scan(G: FiniteGroup, pairs) -> bool:
+    """True iff YN is normal in M for every (N, M) in pairs, N != 1 normal
+    in M, and every subgroup Y <= M with N not contained in Y.
+
+    YN is the join <Y, N>, grown from N by cosets. As N is normal in M,
+    YN is normal in M iff M's generators conjugate Y's generators into
+    it, and it is when they conjugate them into Y. A join depends only on
+    the union Y u N, so one memo keyed on Y.mask | N.mask serves the
+    whole scan.
+    """
     subs = subgroups(G)
-    for N in normal_subgroups(G):
-        if N.order == 1:
-            continue
+    conj = G.conj
+    joins: dict[int, int] = {}
+    for N, M in pairs:
+        mgens = M.gens
         for Y in subs:
-            if N <= Y:
+            if Y.mask | M.mask != M.mask or Y.mask | N.mask == Y.mask:
                 continue
-            if not is_normal(G, join(G, Y, N)):
+            if all(Y.mask >> conj(y, m) & 1 for m in mgens for y in Y.gens):
+                continue  # Y and N both normal in M
+            key = Y.mask | N.mask
+            YN = joins.get(key)
+            if YN is None:
+                YN = joins[key] = _closure(G, Y.gens, N)
+            if not all(YN >> conj(y, m) & 1 for m in mgens for y in Y.gens):
                 return False
     return True
 
 
+def is_sn(G: FiniteGroup) -> bool:
+    """Exhaustive check: N normal, Y any subgroup => N <= Y or YN normal."""
+    full = full_subgroup(G)
+    return _sn_scan(G, ((N, full) for N in normal_subgroups(G) if N.order > 1))
+
+
 def is_ssn(G: FiniteGroup) -> bool:
-    """Every subgroup, viewed standalone, has SN."""
+    """Every subgroup H of G has SN, decided on G's own lattice.
+
+    H has SN iff YN is normal in H for all N normal in H and Y <= H with N
+    not contained in Y. Fix N != 1 and Y. The subgroups H in which N is
+    normal are those with N <= H <= N_G(N), so the pair (N, Y) constrains
+    some H iff Y <= N_G(N). Each such H contains YN, so if YN is normal
+    in N_G(N) it is normal in each of them; and H = N_G(N) is one of
+    them. So G is SSN iff YN is normal in N_G(N) for every N != 1 and
+    every Y <= N_G(N) with N not contained in Y: the SN scan with N_G(N)
+    in place of G.
+    """
     if "ssn" not in G._cache:
-        verdict = True
-        for H in reversed(subgroups(G)):
-            if H.order <= 5:
-                continue  # groups of order <= 5 are abelian, SN is automatic
-            Hgrp, _ = H.induced()
-            if not is_sn(Hgrp):
-                verdict = False
-                break
-        G._cache["ssn"] = verdict
+        G._cache["ssn"] = _sn_scan(
+            G, ((N, normalizer(G, N)) for N in subgroups(G)[1:]))
     return G._cache["ssn"]
 
 

@@ -68,13 +68,22 @@ def _right_transversal(G: FiniteGroup, C: Subgroup, reverse: bool = False) -> li
     return reps
 
 
+def _epsilon_centralizer(G: FiniteGroup, H: Subgroup,
+                         K: Subgroup) -> tuple[AlgElem, Subgroup]:
+    """epsilon(H, K) and its centralizer in G, computed once per pair."""
+    key = ("epsilon", H.mask, K.mask)
+    if key not in G._cache:
+        eps = epsilon(H, K)
+        G._cache[key] = (eps, eps.centralizer_subgroup())
+    return G._cache[key]
+
+
 def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
            check_transversal: bool = False) -> AlgElem:
     """e(G, H, K): sum of the G-conjugates of epsilon(H, K) over a right
     transversal of its centralizer. Central in Q[G] by construction;
     independent of the transversal (checked when requested)."""
-    eps = epsilon(H, K)
-    C = eps.centralizer_subgroup()
+    eps, C = _epsilon_centralizer(G, H, K)
     out = AlgElem.zero(G)
     for t in _right_transversal(G, C):
         out = out + eps.conjugate(t)
@@ -110,18 +119,25 @@ def _quotient_cyclic(H: Subgroup, K: Subgroup) -> bool:
     G = H.parent
     if H.mask == K.mask:
         return True
-    kgens = K.gens
     for h in H.members:
         if K.contains(h):
             continue
-        if _closure(G, kgens + (h,)) == H.mask:
+        if _closure(G, (h,), K) == H.mask:
             return True
     return False
 
 
 def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     """K normal in H normal in N_G(K); H/K cyclic and maximal abelian in
-    N_G(K)/K; G-conjugates of epsilon(H,K) outside N_G(K) orthogonal."""
+    N_G(K)/K; G-conjugates of epsilon(H,K) outside N_G(K) orthogonal.
+    Decided once per pair."""
+    key = ("strong_shoda", H.mask, K.mask)
+    if key not in G._cache:
+        G._cache[key] = _strong_shoda(G, H, K)
+    return G._cache[key]
+
+
+def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     if not _is_normal_in(H, K):
         return False
     N = normalizer(G, K)
@@ -141,8 +157,7 @@ def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     # N <= Cen(eps) always (H and the minimal normal subgroups over K are
     # N-stable), so any g in Cen(eps) outside N already violates
     # orthogonality; the strong condition forces Cen(eps) = N exactly.
-    eps = epsilon(H, K)
-    C = eps.centralizer_subgroup()
+    eps, C = _epsilon_centralizer(G, H, K)
     if C.mask != N.mask:
         return False
     for t in _right_transversal(G, C):
@@ -229,7 +244,7 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         k = e.key()
         if k in by_key:
             continue
-        eps = epsilon(H, K)
+        eps, _ = _epsilon_centralizer(G, H, K)
         kind = "neither"
         if is_strong_shoda_pair(G, H, K):
             kind = "strong-shoda"

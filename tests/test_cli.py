@@ -1,8 +1,22 @@
+import hashlib
 import json
 
+import pytest
+
+import qgring.catalog
 import qgring.cli
 import qgring.components
+import qgring.shoda
+from qgring.algebra import AlgElem
 from qgring.cli import main
+
+# sha256 of `qgring --json analyze <spec>` when the benchmark was added;
+# the output must stay byte-identical
+ANALYZE_SHA256 = {
+    "A5": "d2164b330791ac4bc64a42a7d24458bd3409473789065ec2cf61123f8ef086e8",
+    "C3C3rC8": "3c619435cb494770bfea13e469bdb0524cb7cdda77649589f2bcd059f6266ab5",
+    "SdCyc(7,27,2)": "3f1b517b5c7d1c4d437196f53aad49420442298faa3a110d7459f05d0855b9a6",
+}
 
 
 def run_cli(capsys, *argv):
@@ -146,3 +160,48 @@ def test_analyze_runs_one_component_pass(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["pcis"]) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", sorted(ANALYZE_SHA256))
+def test_analyze_json_is_byte_identical(capsys, spec):
+    code, out, _ = run_cli(capsys, "--json", "analyze", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[spec]
+
+
+def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
+    strong, idem, normalizers, centralizers = [], [], [], []
+    orig_strong = qgring.shoda.is_strong_shoda_pair
+    orig_idem = qgring.shoda.e_idem
+    orig_normalizer = qgring.shoda.normalizer
+    orig_centralizer = AlgElem.centralizer_subgroup
+
+    def counting_strong(G, H, K):
+        strong.append((H.mask, K.mask))
+        return orig_strong(G, H, K)
+
+    def counting_idem(G, H, K, *args, **kwargs):
+        idem.append((H.mask, K.mask))
+        return orig_idem(G, H, K, *args, **kwargs)
+
+    def counting_normalizer(G, K):
+        normalizers.append(K.mask)  # made once per full strong-pair check
+        return orig_normalizer(G, K)
+
+    def counting_centralizer(self):
+        centralizers.append(self.key())
+        return orig_centralizer(self)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    monkeypatch.setattr(qgring.shoda, "is_strong_shoda_pair", counting_strong)
+    monkeypatch.setattr(qgring.components, "is_strong_shoda_pair", counting_strong)
+    monkeypatch.setattr(qgring.shoda, "e_idem", counting_idem)
+    monkeypatch.setattr(qgring.shoda, "normalizer", counting_normalizer)
+    monkeypatch.setattr(AlgElem, "centralizer_subgroup", counting_centralizer)
+    code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    assert len(json.loads(out)["pcis"]) == 11
+    # describe_component asks again about every pair metabelian_pcis kept
+    assert len(strong) == 2 * len(set(strong)) == 22
+    assert len(normalizers) == len(set(strong))
+    assert len(centralizers) == len(set(idem) | set(strong))
