@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import GroupMismatch
-from .groups import FiniteGroup, Subgroup, subgroup_from_mask
+from .groups import FiniteGroup, Subgroup, _closure, subgroup_from_mask
 
 
 class AlgElem:
@@ -175,17 +176,19 @@ class AlgElem:
         return self.den == 1
 
     def is_central(self) -> bool:
-        """True iff conjugation by every generator of G fixes the element."""
-        G = self.group
-        nums = self.nums
-        for g in G.generators():
-            for x in range(G.order):
-                if nums[G.conj(x, g)] != nums[x]:
-                    return False
-        return True
+        """True iff conjugation by every generator of G fixes the element.
+        Decided once per element and group."""
+        return _memo(self, "central", _fixed_by_generators)
 
     def is_idempotent(self) -> bool:
         return self * self == self
+
+    def is_central_idempotent(self) -> bool:
+        """True iff the element is central and e*e = e. Decided once per
+        element and group. For a central e, e*e is central too, so it
+        equals e iff the two agree at the class representatives: |supp e|
+        products per class in place of the full square."""
+        return self.is_central() and _memo(self, "idempotent", _idempotent_at_classes)
 
     def is_nilpotent(self) -> bool:
         """True iff some power vanishes; uses repeated squaring up to the
@@ -208,15 +211,26 @@ class AlgElem:
         Conjugation by g permutes G, so it fixes alpha iff it keeps the
         coefficient of each element of the support: it then maps the
         support onto itself and the zero coefficients onto zeros.
+        Elements are tested in index order, skipping those already known
+        to be inside (the closure of the elements that passed) or outside:
+        if g is not in Cen, neither is any c*g with c in Cen.
         """
         G = self.group
         nums = self.nums
         support = self.support
-        mask = 0
+        table, inverse = G.table, G.inverse
+        inside = Subgroup(G, 1)
+        outside = 0
         for g in range(G.order):
-            if all(nums[G.conj(x, g)] == nums[x] for x in support):
-                mask |= 1 << g
-        return subgroup_from_mask(G, mask)
+            if (inside.mask | outside) >> g & 1:
+                continue
+            row = table[inverse[g]]
+            if all(nums[table[row[x]][g]] == nums[x] for x in support):
+                inside = Subgroup(G, _closure(G, (g,), inside))
+            else:
+                for c in inside.members:
+                    outside |= 1 << table[c][g]
+        return subgroup_from_mask(G, inside.mask)
 
     # -- serialization ----------------------------------------------------------
 
@@ -233,6 +247,48 @@ class AlgElem:
             raise GroupMismatch("coefficient count does not match group order")
         return AlgElem.from_coeffs(
             G, {i: Fraction(int(n), int(d)) for i, (n, d) in enumerate(coeffs)})
+
+
+# ---------------------------------------------------------------------------
+# central elements at the class representatives
+
+
+def _memo(e: AlgElem, fact: str, decide) -> bool:
+    """decide(e), computed once per element and group."""
+    key = (fact, e.den, tuple(e.nums))
+    cache = e.group._cache
+    if key not in cache:
+        cache[key] = decide(e)
+    return cache[key]
+
+
+def _fixed_by_generators(e: AlgElem) -> bool:
+    G = e.group
+    nums = e.nums
+    for g in G.generators():
+        for x in range(G.order):
+            if nums[G.conj(x, g)] != nums[x]:
+                return False
+    return True
+
+
+def _idempotent_at_classes(e: AlgElem) -> bool:
+    return product_at_classes(e, e) == [
+        e.nums[cls[0]] * e.den for cls in e.group.conjugacy_classes()]
+
+
+def product_at_classes(a: AlgElem, b: AlgElem) -> list[int]:
+    """The numerators, over a.den * b.den, of a*b at the first element of
+    each conjugacy class: sum of a[g] * b[g^-1 r] over g in supp a. A
+    central product is determined by these values, so it is zero (or equal
+    to another central element) iff it is so at these points."""
+    a._check(b)
+    G = a.group
+    coeffs = [a.nums[g] for g in a.support]
+    rows = [G.table[G.inverse[g]] for g in a.support]
+    at = b.nums.__getitem__
+    return [sum(map(mul, coeffs, map(at, map(itemgetter(cls[0]), rows))))
+            for cls in G.conjugacy_classes()]
 
 
 # ---------------------------------------------------------------------------

@@ -46,55 +46,13 @@ UNKNOWN = "Unknown"
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
-
-
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            if ri[col]:
-                g = math.gcd(pr[col], ri[col])
-                fa, fb = ri[col] // g, pr[col] // g
-                for j in range(ncols):
-                    ri[j] = ri[j] * fb - pr[j] * fa
-                rg = 0
-                for v in ri:
-                    rg = math.gcd(rg, v)
-                    if rg == 1:
-                        break
-                if rg > 1:
-                    for j in range(ncols):
-                        ri[j] //= rg
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-# ---------------------------------------------------------------------------
 # dimension data of a component
 
 
 def _require_central_idempotent(G: FiniteGroup, e: AlgElem) -> None:
     if not e.is_central():
         raise NotCentralIdempotent("input is not central")
-    if not e.is_idempotent():
+    if not e.is_central_idempotent():
         raise NotCentralIdempotent("input is not idempotent")
 
 
@@ -103,27 +61,34 @@ def component_dimension(G: FiniteGroup, e: AlgElem) -> int:
     multiplication by the idempotent e.
 
     A non-integer trace signals a non-idempotent input and is reported as
-    NonIntegerDimension before the (more expensive) idempotency product."""
+    NonIntegerDimension before the idempotency test."""
     if not e.is_central():
         raise NotCentralIdempotent("input is not central")
     d = G.order * e.coeff(0)
     if d.denominator != 1:
         raise NonIntegerDimension(f"|G|*coeff_1(e) = {d} is not an integer")
-    if not e.is_idempotent():
+    if not e.is_central_idempotent():
         raise NotCentralIdempotent("input is not idempotent")
     return int(d)
 
 
 def center_rank(G: FiniteGroup, e: AlgElem) -> int:
-    """Q-dimension of the center of Q[G]e: rank of the class sums times e."""
+    """Q-dimension of the center of Q[G]e: the rank of multiplication by e
+    on Z(Q[G]). For a central idempotent e that map is idempotent, so its
+    rank is its trace in the basis of class sums C_i: the sum over i of
+    the coefficient of the representative r_i in C_i * e, which is the sum
+    of e[g^-1 r_i] over g in C_i."""
     _require_central_idempotent(G, e)
-    rows = []
+    table, inverse, nums = G.table, G.inverse, e.nums
+    trace = 0
     for cls in G.conjugacy_classes():
-        nums = [0] * G.order
-        for g in cls:
-            nums[g] = 1
-        rows.append((AlgElem(G, nums, 1, _normalized=True) * e).nums)
-    return exact_rank(rows)
+        r = cls[0]
+        trace += sum(nums[table[inverse[g]][r]] for g in cls)
+    rank, rem = divmod(trace, e.den)
+    if rem:
+        raise SoundnessError(f"the trace {trace}/{e.den} of a central idempotent "
+                             "is not an integer")
+    return rank
 
 
 # ---------------------------------------------------------------------------

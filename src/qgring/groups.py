@@ -522,14 +522,17 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
 
 def section_quotient(H: Subgroup, K: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
     """The quotient H/K for K normal in H, and the map from each element of
-    H (a parent index) to its coset index in H/K."""
-    Hgrp, to_parent = H.induced()
-    pos = {g: i for i, g in enumerate(to_parent)}
-    kmask = 0
-    for g in K.members:
-        kmask |= 1 << pos[g]
-    Q, proj = quotient(Hgrp, subgroup_from_mask(Hgrp, kmask))
-    return Q, {g: proj[i] for i, g in enumerate(to_parent)}
+    H (a parent index) to its coset index in H/K. Built once per pair."""
+    key = ("section_quotient", H.mask, K.mask)
+    if key not in H.parent._cache:
+        Hgrp, to_parent = H.induced()
+        pos = {g: i for i, g in enumerate(to_parent)}
+        kmask = 0
+        for g in K.members:
+            kmask |= 1 << pos[g]
+        Q, proj = quotient(Hgrp, subgroup_from_mask(Hgrp, kmask))
+        H.parent._cache[key] = Q, {g: proj[i] for i, g in enumerate(to_parent)}
+    return H.parent._cache[key]
 
 
 def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:

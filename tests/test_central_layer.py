@@ -1,0 +1,150 @@
+"""The central-idempotent checks against their original implementations.
+
+The library decides the centrality, idempotency and orthogonality of
+central elements at the class representatives, computes the center rank
+as a trace and finds centralizers by skipping whole cosets;
+reference_components.py holds the original full-product, elimination and
+full-scan code. Both must give the same answers.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qgring.algebra import AlgElem, product_at_classes
+from qgring.catalog import build_named, build_spec, catalog_names
+from qgring.components import center_rank
+from qgring.errors import NotMetabelian
+from qgring.props import a5_special_pci
+from qgring.shoda import metabelian_pcis, pci_sanity
+from reference_components import (
+    reference_center_rank,
+    reference_centralizer_subgroup,
+    reference_check_orthogonal,
+    reference_is_central,
+    reference_is_idempotent,
+)
+
+# the groups analyzed by the benchmark's analyze-large and witness-search
+# workloads
+CORPUS = ["D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))", "SdCyc(7,27,2)",
+          "SdCyc(3,8,2)", "SdCyc(5,8,2)", "SdCyc(3,16,2)", "SdCyc(5,16,2)",
+          "SdCyc(13,8,5)", "X(SdCyc(3,8,2),C(2))"]
+
+
+def _group(name):
+    return build_spec(name) if "(" in name else build_named(name)
+
+
+def _pairs(G):
+    try:
+        return metabelian_pcis(G)
+    except NotMetabelian:
+        special = a5_special_pci(G)
+        return [special[0]] if special else []
+
+
+def _same_subgroup(A, B):
+    return (A.mask, A.gens) == (B.mask, B.gens)
+
+
+@pytest.mark.parametrize("name", catalog_names() + CORPUS)
+def test_central_facts_match_reference(name):
+    G = _group(name)
+    pairs = _pairs(G)
+    assert pairs
+    pcis = [sp.e for sp in pairs]
+    for sp in pairs:
+        e = sp.e
+        assert e.is_central() and reference_is_central(e)
+        assert e.is_central_idempotent() and reference_is_idempotent(e)
+        assert center_rank(G, e) == reference_center_rank(G, e)
+        assert _same_subgroup(e.centralizer_subgroup(),
+                              reference_centralizer_subgroup(e))
+        assert _same_subgroup(sp.epsilon.centralizer_subgroup(),
+                              reference_centralizer_subgroup(sp.epsilon))
+    reference_check_orthogonal(pcis)  # raises SoundnessError otherwise
+    if len(pairs) > 1:
+        assert pci_sanity(G, pairs).pairwise_orthogonal
+
+
+@pytest.mark.parametrize("name", ["D12", "Q16", "C3C3rC8", "A4", "C5rC4"])
+def test_product_at_classes_is_the_product_there(name):
+    G = build_named(name)
+    pcis = [sp.e for sp in _pairs(G)]
+    reps = [cls[0] for cls in G.conjugacy_classes()]
+    # PCIs, and sums of two of them: idempotent, and non-idempotent
+    elems = pcis + [a + b for a in pcis for b in pcis]
+    for a in elems:
+        for b in pcis:
+            prod = a * b
+            vals = product_at_classes(a, b)
+            assert [Fraction(v, a.den * b.den) for v in vals] == \
+                [prod.coeff(r) for r in reps]
+        assert a.is_central_idempotent() == reference_is_idempotent(a)
+
+
+def test_non_central_and_non_idempotent_elements():
+    G = build_named("A4")
+    c = AlgElem.basis(G, G.element("c"))
+    assert not c.is_central() and not c.is_central_idempotent()
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    two = pcis[0] + pcis[0]
+    assert two.is_central() and not two.is_central_idempotent()
+    diff = pcis[1] - pcis[2]
+    assert diff.is_central() and not diff.is_central_idempotent()
+    assert (pcis[1] + pcis[2]).is_central_idempotent()
+
+
+def _sparse_elems(G):
+    return st.dictionaries(st.integers(0, G.order - 1),
+                           st.integers(-2, 2).filter(bool),
+                           min_size=1, max_size=4).map(
+        lambda coeffs: AlgElem.from_coeffs(G, coeffs))
+
+
+@pytest.mark.parametrize("name", ["D12", "C3rC8", "Q16"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_centralizer_matches_reference_scan(name, data):
+    G = build_named(name)
+    alpha = data.draw(_sparse_elems(G))
+    assume(not reference_is_central(alpha))
+    assert _same_subgroup(alpha.centralizer_subgroup(),
+                          reference_centralizer_subgroup(alpha))
+
+
+def test_non_idempotent_pcis_raise_under_optimize():
+    # e1 + e3 and e2 - e3 in place of e1 and e2: still central and summing
+    # to 1, but (e2 - e3)^2 = e2 + e3; the check must survive python -O
+    script = textwrap.dedent("""
+        import qgring.shoda
+        from qgring.catalog import build_named
+        from qgring.errors import SoundnessError
+        G = build_named("D12")
+        e1, e2, e3 = [sp.e for sp in qgring.shoda.metabelian_pcis(G)][:3]
+        G._cache.clear()
+        swap = {e1.key(): e1 + e3, e2.key(): e2 - e3}
+        orig = qgring.shoda.e_idem
+        def patched(G, H, K):
+            e = orig(G, H, K)
+            return swap.get(e.key(), e)
+        qgring.shoda.e_idem = patched
+        try:
+            qgring.shoda.metabelian_pcis(G)
+        except SoundnessError as exc:
+            print("raised", exc)
+    """)
+    src = str(Path(__file__).parent.parent / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised PCIs must be idempotent"

