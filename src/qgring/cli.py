@@ -27,15 +27,9 @@ from .components import (
 )
 from .config import load_config
 from .errors import OrderCapExceeded, ParseError, QGRingError
-from .groups import (
-    FiniteGroup,
-    center,
-    fingerprint,
-    order_q_matrix,
-    semidirect_vector,
-)
+from .groups import FiniteGroup, center, order_q_matrix, semidirect_vector
 from .numutil import is_prime, ord_mod
-from .props import classify_ssn, nd_verdict
+from .props import bj1_params, classify_ssn, nd_verdict
 
 SCHEMA = 1
 
@@ -56,18 +50,7 @@ def _prediction_for(G: FiniteGroup, cls) -> Optional[dict]:
             bj = cls.params.get("bj")
             p = cls.params["p"]
             if bj == "BJ1":
-                found = None
-                total = 0
-                n0 = G.order
-                while n0 > 1:
-                    n0 //= p
-                    total += 1
-                for m in range(2, total):
-                    n = total - m
-                    ref = bj1_group(p, m, n)
-                    if fingerprint(ref) == fingerprint(G):
-                        found = (m, n)
-                        break
+                found = bj1_params(G, p)
                 if found is None:
                     return None
                 pred = predict_nilpotent({"family": "BJ1", "p": p,
@@ -190,6 +173,15 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _add_computed(row: dict, G: FiniteGroup, pred, cfg, seed: int) -> None:
+    """Add G's matrix count to a sweep row, and whether it agrees with the
+    predicted one-matrix verdict."""
+    cnt, _ = count_matrix_components(G, probe_budget=cfg.probe_budget, seed=seed)
+    row["computed_one_matrix"] = cnt.exact == 1
+    row["matrix_count"] = cnt.to_json()
+    row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     cap = args.cap or cfg.order_cap
@@ -208,12 +200,8 @@ def cmd_sweep(args) -> int:
                            "predicted_one_matrix": pred.one_matrix,
                            "nd": pred.nd}
                     if p ** (m + n) <= cap:
-                        G = bj1_group(p, m, n, cap=cap)
-                        cnt, _ = count_matrix_components(
-                            G, probe_budget=cfg.probe_budget, seed=seed)
-                        row["computed_one_matrix"] = cnt.exact == 1
-                        row["matrix_count"] = cnt.to_json()
-                        row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
+                        _add_computed(row, bj1_group(p, m, n, cap=cap), pred,
+                                      cfg, seed)
                     rows.append(row)
     elif args.family == "BJ3":
         for n in _parse_range(args.n or "2:4"):
@@ -221,12 +209,8 @@ def cmd_sweep(args) -> int:
             row = {"params": {"n": n}, "order": 2 ** (n + 3),
                    "predicted_one_matrix": pred.one_matrix, "nd": pred.nd}
             if 2 ** (n + 3) <= cap:
-                G = build_spec(f"X(Q(8),C({2 ** n}))", cap=cap)
-                cnt, _ = count_matrix_components(G, probe_budget=cfg.probe_budget,
-                                                 seed=seed)
-                row["computed_one_matrix"] = cnt.exact == 1
-                row["matrix_count"] = cnt.to_json()
-                row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
+                _add_computed(row, build_spec(f"X(Q(8),C({2 ** n}))", cap=cap),
+                              pred, cfg, seed)
             rows.append(row)
     elif args.family == "repunit":
         for n in _parse_range(args.n or "2:5"):
@@ -242,12 +226,8 @@ def cmd_sweep(args) -> int:
                        "predicted_one_matrix": pred.one_matrix, "nd": pred.nd}
                 if p ** n * q <= cap and ord_mod(q, p) == n:
                     M = order_q_matrix(p, n, q)
-                    G = semidirect_vector(p, n, M, q, cap=cap)
-                    cnt, _ = count_matrix_components(
-                        G, probe_budget=cfg.probe_budget, seed=seed)
-                    row["computed_one_matrix"] = cnt.exact == 1
-                    row["matrix_count"] = cnt.to_json()
-                    row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
+                    _add_computed(row, semidirect_vector(p, n, M, q, cap=cap),
+                                  pred, cfg, seed)
                 rows.append(row)
     elif args.family == "nonfaithful":
         from .numutil import element_of_order
@@ -274,11 +254,7 @@ def cmd_sweep(args) -> int:
                                               pred.detail["per_j_division"].items()}}
                     if p * q ** k <= cap:
                         G = build_spec(f"SdCyc({p},{q ** k},{r0})", cap=cap)
-                        cnt, _ = count_matrix_components(
-                            G, probe_budget=cfg.probe_budget, seed=seed)
-                        row["computed_one_matrix"] = cnt.exact == 1
-                        row["matrix_count"] = cnt.to_json()
-                        row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
+                        _add_computed(row, G, pred, cfg, seed)
                     rows.append(row)
     else:
         print(f"error: unknown family {args.family!r} "

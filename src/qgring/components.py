@@ -5,8 +5,9 @@ crossed product of N_G(K)/H acting on the h-th cyclotomic field, where
 n = [G : N_G(K)] and h = [H : K]. Classification runs a cascade:
 commutative, trivial twisting (full matrix ring over the fixed field),
 cyclic quotient with root-of-unity twisting (Amitsur's division criterion),
-a curated small-case table, and finally Unknown refined by a nilpotent
-search certificate.
+quaternion algebras over cyclotomic fields, and finally Unknown refined by
+a nilpotent search certificate. Each branch decides from the pair data and
+the idempotent's dimensions alone; none looks the group up in a table.
 """
 
 from __future__ import annotations
@@ -29,14 +30,20 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
-    fingerprint,
     normalizer,
     quotient,
     section_quotient,
     subgroup_from_mask,
     subgroups,
 )
-from .numutil import element_of_order, is_prime, ord_mod, padic_valuation, prime_factors
+from .numutil import (
+    element_of_order,
+    euler_phi,
+    is_prime,
+    ord_mod,
+    padic_valuation,
+    prime_factors,
+)
 from .shoda import ShodaPair, e_idem, is_strong_shoda_pair, metabelian_pcis
 
 COMMUTATIVE = "Commutative"
@@ -195,8 +202,7 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
         raise NonIntegerDimension(
             f"dim {dim} is not center_rank {rank} times a square")
     # dim Q[G]e = n^2 * dim(crossed product) = n^2 * |N/H| * phi(h)
-    phi = sum(1 for k in range(1, h + 1) if math.gcd(k, h) == 1) if h > 1 else 1
-    if dim != n * n * nh * phi:
+    if dim != n * n * nh * euler_phi(h):
         raise SoundnessError(
             "crossed-product data inconsistent with the idempotent's dimension")
     return ComponentDescriptor(
@@ -335,35 +341,12 @@ def amitsur_division(m: int, r: int) -> AmitsurResult:
 
 
 # ---------------------------------------------------------------------------
-# curated small cases (division vs matrix known from classical facts)
-
-
-_CURATED: Optional[dict] = None
-
-
-def _curated_table() -> dict:
-    """(fingerprint, dim, center_rank) -> (kind, shape)."""
-    global _CURATED
-    if _CURATED is None:
-        from .catalog import build_named
-        table = {}
-        for name, dim, rank, kind, shape in [
-            ("Q8", 4, 1, DIVISION, "H(Q)"),
-            ("Q12", 4, 1, DIVISION, "(-3,-1 / Q)"),
-            ("Q16", 8, 2, DIVISION, "quaternion algebra over Q(zeta_8+zeta_8^-1)"),
-            ("D8cpQ8", 16, 1, MATRIX, "M_2(H(Q))"),
-            ("D8cpD8", 16, 1, MATRIX, "M_4(Q)"),
-        ]:
-            G = build_named(name)
-            table[(fingerprint(G), dim, rank)] = (kind, shape)
-        _CURATED = table
-    return _CURATED
+# classification
 
 
 def _fixed_field_degree(h: int, action_exps: list[int]) -> int:
     """Degree over Q of the fixed field of the given Galois exponents in
     the h-th cyclotomic field."""
-    phi = sum(1 for k in range(1, h + 1) if math.gcd(k, h) == 1) if h > 1 else 1
     group = {1 % h if h > 1 else 0}
     frontier = list(group)
     while frontier:
@@ -373,7 +356,22 @@ def _fixed_field_degree(h: int, action_exps: list[int]) -> int:
             if y not in group:
                 group.add(y)
                 frontier.append(y)
-    return phi // len(group)
+    return euler_phi(h) // len(group)
+
+
+def _split_component(desc: ComponentDescriptor, branch: str) -> str:
+    """Fill desc as M_size(F), size = n * |N/H| and F the fixed field of
+    the action: the component when the twisting is trivial, or becomes
+    trivial after a change of coset representatives."""
+    size = desc.matrix_size_n * desc.nh_order
+    fdeg = _fixed_field_degree(desc.cyclotomic_order_h, list(desc.action.values()))
+    if desc.degree != size or desc.center_rank != fdeg:
+        raise SoundnessError(
+            "pair data inconsistent with the idempotent's dimension data")
+    desc.kind = MATRIX if size > 1 else COMMUTATIVE
+    desc.shape = f"M_{size}(field of degree {fdeg} over Q)"
+    desc.trace["branch"] = branch
+    return desc.kind
 
 
 def classify_component(desc: ComponentDescriptor) -> str:
@@ -391,15 +389,7 @@ def classify_component(desc: ComponentDescriptor) -> str:
     trivial_twist = all(j % h == 0 for j in desc.twisting.values()) if h > 1 \
         else True
     if trivial_twist:
-        size = desc.matrix_size_n * desc.nh_order
-        fdeg = _fixed_field_degree(h, list(desc.action.values()))
-        if desc.degree != size or desc.center_rank != fdeg:
-            raise SoundnessError(
-                "pair data inconsistent with the idempotent's dimension data")
-        desc.kind = MATRIX if size > 1 else COMMUTATIVE
-        desc.shape = f"M_{size}(field of degree {fdeg} over Q)"
-        desc.trace["branch"] = "trivial-twisting"
-        return desc.kind
+        return _split_component(desc, "trivial-twisting")
 
     if desc.nh_cyclic and desc.gen_twist_exp is not None:
         r = desc.gen_action_exp % h
@@ -423,15 +413,7 @@ def classify_component(desc: ComponentDescriptor) -> str:
         desc.trace["reachable_twists"] = reachable
 
         if 0 in reachable:
-            size = desc.matrix_size_n * desc.nh_order
-            fdeg = _fixed_field_degree(h, list(desc.action.values()))
-            if desc.degree != size or desc.center_rank != fdeg:
-                raise SoundnessError(
-                    "pair data inconsistent with the idempotent's dimension data")
-            desc.kind = MATRIX if size > 1 else COMMUTATIVE
-            desc.shape = f"M_{size}(field of degree {fdeg} over Q)"
-            desc.trace["branch"] = "trivial-twisting-coboundary"
-            return desc.kind
+            return _split_component(desc, "trivial-twisting-coboundary")
 
         if desc.degree != desc.matrix_size_n * desc.nh_order:
             raise SoundnessError(
@@ -479,13 +461,6 @@ def classify_component(desc: ComponentDescriptor) -> str:
                 desc.kind = MATRIX
                 desc.shape = f"M_{2 * n}(Q(zeta_{d}))"
             return desc.kind
-
-    key = (fingerprint(G), desc.dim_over_Q, desc.center_rank)
-    hit = _curated_table().get(key)
-    if hit:
-        desc.kind, desc.shape = hit
-        desc.trace["branch"] = "curated"
-        return desc.kind
 
     desc.kind = UNKNOWN
     desc.trace["branch"] = "unresolved"

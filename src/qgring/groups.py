@@ -599,15 +599,16 @@ def is_solvable_group(G: FiniteGroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fingerprints and small-order isomorphism
+# isomorphism invariants and isomorphisms
 
 
 def fingerprint(G: FiniteGroup) -> tuple:
-    """Cheap isomorphism invariants used to identify catalog groups."""
+    """Cheap isomorphism invariants. Equal fingerprints do not make groups
+    isomorphic (SdCyc(8,4,3) and SdCyc(8,4,7) share one); identification
+    goes through find_isomorphism."""
     if "fingerprint" not in G._cache:
         orders: dict[int, int] = {}
-        for g in range(G.order):
-            o = G.element_order(g)
+        for o in _element_orders(G):
             orders[o] = orders.get(o, 0) + 1
         der = derived_subgroup(G)
         series = [G.order]
@@ -634,9 +635,21 @@ def hom_from_gen_images(G: FiniteGroup, H: FiniteGroup,
                         pairs: dict[int, int]) -> Optional[list[int]]:
     """Extend generator images to a homomorphism G -> H, or None.
 
-    The given generators must generate G. Verifies multiplicativity on
-    the whole table.
+    The given generators must generate G. _extend_hom checks
+    img(x*g) = img(x)*img(g) for every x and every generator g; writing b
+    as a word in the generators, induction on its length then gives
+    img(x*b) = img(x)*img(b) for all x and b, so the map is multiplicative.
     """
+    img = _extend_hom(G, H, pairs)
+    if img is None or -1 in img:
+        return None
+    return img
+
+
+def _extend_hom(G: FiniteGroup, H: FiniteGroup,
+                pairs: dict[int, int]) -> Optional[list[int]]:
+    """The homomorphism on <pairs' keys> with the given generator images, as
+    images with -1 outside that subgroup; None if there is none."""
     img = [-1] * G.order
     img[0] = 0
     frontier = [0]
@@ -651,40 +664,52 @@ def hom_from_gen_images(G: FiniteGroup, H: FiniteGroup,
                 frontier.append(y)
             elif img[y] != hy:
                 return None
-    if any(v < 0 for v in img):
-        return None
-    for a in range(G.order):
-        ra, ia = G.table[a], img[a]
-        for b in range(G.order):
-            if img[ra[b]] != H.table[ia][img[b]]:
-                return None
     return img
 
 
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[list[int]]:
-    """Exhaustive isomorphism search; intended for order <= 24.
+def _element_orders(G: FiniteGroup) -> list[int]:
+    if "element_orders" not in G._cache:
+        G._cache["element_orders"] = [G.element_order(g) for g in range(G.order)]
+    return G._cache["element_orders"]
 
-    Differing fingerprints settle non-isomorphism at any size; the
-    exhaustive search itself refuses above order 64 rather than claim a
-    negative it has not checked.
+
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[list[int]]:
+    """An isomorphism G -> H as the list of images, or None if there is none.
+
+    Groups whose orders or multisets of element orders differ are rejected
+    first. Otherwise a backtracking search assigns images to G's greedy
+    generators g_1, ..., g_k in turn: g_i goes to an element of H of the
+    same order, its own index first (so a group with H's table costs one
+    check), and the assignment is kept only if it extends to an injective
+    homomorphism on <g_1, ..., g_i>. At i = k that is a bijection onto H.
     """
     if G.order != H.order:
         return None
-    if fingerprint(G) != fingerprint(H):
+    og, oh = _element_orders(G), _element_orders(H)
+    if sorted(og) != sorted(oh):
         return None
-    if G.order > 64:
-        raise InconsistentSpec(
-            "exhaustive isomorphism search is limited to order <= 64")
     gens = G.generators()
-    pools = []
-    for g in gens:
-        o = G.element_order(g)
-        pools.append([h for h in range(H.order) if H.element_order(h) == o])
-    for images in itertools.product(*pools):
-        img = hom_from_gen_images(G, H, dict(zip(gens, images)))
-        if img is not None and len(set(img)) == G.order:
+
+    def search(i: int, pairs: dict[int, int], img: list[int]) -> Optional[list[int]]:
+        if i == len(gens):
             return img
-    return None
+        g = gens[i]
+        used = set(img)
+        for h in itertools.chain((g,), range(g), range(g + 1, H.order)):
+            if oh[h] != og[g] or h in used:
+                continue
+            pairs[g] = h
+            nxt = _extend_hom(G, H, pairs)
+            if nxt is not None:
+                reached = [v for v in nxt if v >= 0]
+                if len(set(reached)) == len(reached):
+                    found = search(i + 1, pairs, nxt)
+                    if found is not None:
+                        return found
+        pairs.pop(g, None)
+        return None
+
+    return search(0, {}, [0] + [-1] * (G.order - 1))
 
 
 # ---------------------------------------------------------------------------

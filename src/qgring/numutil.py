@@ -39,6 +39,14 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+def euler_phi(n: int) -> int:
+    """Euler's totient of n >= 1."""
+    out = n
+    for p in prime_factors(n):
+        out = out // p * (p - 1)
+    return out
+
+
 def ord_mod(m: int, r: int) -> int:
     """Multiplicative order of r modulo m (m >= 1, gcd(m, r) = 1)."""
     if m < 1:

@@ -23,7 +23,7 @@ from .groups import (
     Subgroup,
     _closure,
     derived_subgroup,
-    fingerprint,
+    find_isomorphism,
     full_subgroup,
     is_nilpotent_group,
     is_normal,
@@ -152,21 +152,15 @@ class SSNClass:
         return self.tag != "NotSSN"
 
 
-_A5_FP = None
-
-
-def _a5_fingerprint():
-    global _A5_FP
-    if _A5_FP is None:
-        from .catalog import build_named
-        _A5_FP = fingerprint(build_named("A5"))
-    return _A5_FP
+# (order, catalog name, type) of the single groups of the NCN classification
+_BJ_GROUPS = ((81, "BJ4", "BJ4"), (32, "BJ5", "BJ5"), (16, "Q16", "BJ6"),
+              (32, "D8cpQ8", "BJ7"), (32, "BJ8", "BJ8"), (64, "BJ9", "BJ9"))
 
 
 def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
     """Best-effort identification of the NCN-classification type (BJ1-BJ9) of a
     p-group (nonabelian, non-Hamiltonian)."""
-    from .catalog import build_named
+    from .catalog import build_named, build_spec
     n = G.order
     # BJ1: metacyclic minimal nonabelian, not Q8
     der = derived_subgroup(G)
@@ -181,29 +175,28 @@ def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
             Q, _ = quotient(G, N)
             if any(Q.element_order(g) == Q.order for g in range(Q.order)):
                 return "BJ1"
-    if p == 2:
-        for name in ("BJ5", "BJ8", "BJ9"):
-            if n == build_named(name).order and \
-                    fingerprint(G) == fingerprint(build_named(name)):
-                return name
-        if n == 16 and fingerprint(G) == fingerprint(build_named("Q16")):
-            return "BJ6"
-        if n == 32 and fingerprint(G) == fingerprint(build_named("D8cpQ8")):
-            return "BJ7"
-        # BJ3: Q8 x C_{2^k}, k >= 2
-        m = n // 8
-        if n % 8 == 0 and m >= 4 and (m & (m - 1)) == 0:
-            from .catalog import build_spec
-            ref = build_spec(f"X(Q(8),C({m}))")
-            if fingerprint(ref) == fingerprint(G):
-                return "BJ3"
-    if n == 81 and fingerprint(G) == fingerprint(build_named("BJ4")):
-        return "BJ4"
+    for order, name, tag in _BJ_GROUPS:
+        if n == order and find_isomorphism(build_named(name), G) is not None:
+            return tag
+    # BJ3: Q8 x C_{2^k}, k >= 2
+    if p == 2 and n >= 32 and \
+            find_isomorphism(build_spec(f"X(Q(8),C({n // 8}))"), G) is not None:
+        return "BJ3"
     # BJ2: G0 central product cyclic Z; G' = Z(G0) of order p, Z(G) cyclic
     from .groups import center
     Z = center(G)
     if der.order == p and Z.is_cyclic() and der <= Z:
         return "BJ2"
+    return None
+
+
+def bj1_params(G: FiniteGroup, p: int) -> Optional[tuple[int, int]]:
+    """(m, n) with G isomorphic to BJ1(p, m, n), or None."""
+    from .catalog import bj1_group
+    total = _int_log(p, G.order)
+    for m in range(2, total):
+        if find_isomorphism(bj1_group(p, m, total - m), G) is not None:
+            return m, total - m
     return None
 
 
@@ -233,7 +226,8 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         return SSNClass("NotSSN",
                         {"reason": "nilpotent, neither abelian nor Hamiltonian"})
     if not is_solvable_group(G):
-        if fingerprint(G) == _a5_fingerprint():
+        from .catalog import build_named
+        if find_isomorphism(build_named("A5"), G) is not None:
             return SSNClass("A5", {})
         return SSNClass("NotSSN", {"reason": "non-solvable, not A5"})
     # solvable, not nilpotent: G = P : Q with P = G'
@@ -264,17 +258,11 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         # acts irreducibly
         if len(pfac) != 1 or any(G.element_order(g) > p for g in P.members):
             return SSNClass("NotSSN", {"reason": "P not elementary abelian"})
-        Pgrp, to_parent = P.induced()
-        proper = [S for S in subgroups(Pgrp) if 1 < S.order < Pgrp.order]
-        pos = {g: i for i, g in enumerate(to_parent)}
+        proper = [S for S in subgroups(G) if S <= P and 1 < S.order < P.order]
         for ell in prime_factors(q_order):
             gen = G.power(y, q_order // ell)
             for S in proper:
-                stable = all(
-                    pos[G.conj(to_parent[s], gen)] in
-                    {i for i in range(Pgrp.order) if S.contains(i)}
-                    for s in S.members)
-                if stable:
+                if all(S.mask >> G.conj(s, gen) & 1 for s in S.gens):
                     return SSNClass(
                         "NotSSN",
                         {"reason": f"order-{ell} subgroup acts reducibly"})
@@ -514,24 +502,35 @@ def hamiltonian_witness(p: int, n: int) -> Optional[Witness]:
     return None
 
 
+def _carry(x: AlgElem, iso: list[int], G: FiniteGroup) -> AlgElem:
+    """The image of x under the group isomorphism iso onto G."""
+    nums = [0] * G.order
+    for g, v in enumerate(x.nums):
+        nums[iso[g]] = v
+    return AlgElem(G, nums, x.den, _normalized=True)
+
+
 def a5_special_pci(G: FiniteGroup):
-    """If G is table-identical to the standard A5, return its documented
-    Shoda-pair idempotent as a certified matrix component; else None."""
+    """If G is isomorphic to the standard A5, return its documented
+    Shoda-pair idempotent, carried to G, as a certified matrix component;
+    else None."""
     if G.order != 60:
         return None
     from .catalog import build_named
     ref = build_named("A5")
-    if G.table != ref.table:
+    iso = find_isomorphism(ref, G)
+    if iso is None:
         return None
     from .components import (MATRIX, ComponentDescriptor, center_rank,
                              component_dimension)
-    A4, K, eps, e = a5_shoda_idempotent(G)
+    A4, K, eps, e = a5_shoda_idempotent(ref)
+    A4, K = (subgroup_generated(G, [iso[g] for g in S.gens]) for S in (A4, K))
+    eps, e = _carry(eps, iso, G), _carry(e, iso, G)
     sp = ShodaPair(A4, K, eps, e, "plain-shoda")
     dim = component_dimension(G, e)
     rank = center_rank(G, e)
     deg = math.isqrt(dim // rank)
-    wit = curated_witness("A5")
-    alpha = AlgElem(G, wit.alpha.nums, wit.alpha.den)  # same table as ref
+    alpha = _carry(curated_witness("A5").alpha, iso, G)
     cert = alpha * e
     if cert.is_zero() or not cert.is_nilpotent():
         raise SoundnessError("A5 nilpotent certificate fails re-verification")
@@ -645,46 +644,35 @@ class NDReport:
 
 
 def _curated_for_group(G: FiniteGroup) -> Optional[Witness]:
-    """A curated witness whose group is table-identical to G, if any."""
+    """A curated witness carried to G through an isomorphism from its
+    group, if G is isomorphic to one."""
+    from .catalog import build_named, build_spec
     from .numutil import prime_factors
 
-    candidates: list[Witness | tuple[str, dict]] = []
-    if G.order == 12:
-        candidates.append(("D12", {}))
-    if G.order == 36:
-        candidates.append(("Ex3.8", {}))
-    if G.order == 60:
-        candidates.append(("A5", {}))
-    if G.order == 64:
-        candidates.append(("BJ9", {}))
-    if G.order % 8 == 0:
-        m = G.order // 8
-        n = m.bit_length() - 1
-        if m == 1 << n and n >= 3:
-            candidates.append(("BJ3", {"n": n}))
-        if m % 2 == 1 and m > 1:
-            fac = prime_factors(m)
-            if len(fac) == 1:
-                p, n = next(iter(fac.items()))
-                if n >= 2:
-                    hw = hamiltonian_witness(p, n)
-                    if hw is not None:
-                        candidates.append(hw)
-    for cand in candidates:
-        if isinstance(cand, Witness):
-            w = cand
-        else:
-            name, kw = cand
-            try:
-                w = curated_witness(name, **kw)
-            except UnknownWitness:
-                continue
-        if w.group.table == G.table:
-            checks = verify_witness(w)
-            if all(checks.values()):
-                return Witness(w.name, G,
-                               AlgElem(G, w.alpha.nums, w.alpha.den),
-                               AlgElem(G, w.e.nums, w.e.den), w.notes)
+    candidates = []  # (the witness's group, its construction)
+    named = {12: ("D12", "D12"), 36: ("Ex3.8", "Ex38K"), 60: ("A5", "A5"),
+             64: ("BJ9", "BJ9")}
+    if G.order in named:
+        name, ref = named[G.order]
+        candidates.append((build_named(ref), lambda: curated_witness(name)))
+    m, rest = divmod(G.order, 8)
+    fac = prime_factors(m) if m and not rest else {}
+    if len(fac) == 1:
+        (p, n), = fac.items()
+        if p == 2 and n >= 3:
+            candidates.append((build_spec(f"X(Q(8),C({m}))"),
+                               lambda: curated_witness("BJ3", n=n)))
+        elif p > 2 and n >= 2:
+            candidates.append((build_spec(f"X(Q(8),C({m}))"),
+                               lambda: hamiltonian_witness(p, n)))
+    for ref, make in candidates:
+        iso = find_isomorphism(ref, G)
+        if iso is None:
+            continue
+        w = make()
+        if w is not None and all(verify_witness(w).values()):
+            return Witness(w.name, G, _carry(w.alpha, iso, G),
+                           _carry(w.e, iso, G), w.notes)
     return None
 
 

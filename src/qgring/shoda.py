@@ -233,7 +233,7 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         cache = False
     subs = subgroups(G)
     derived_of = {B.mask: commutator_subgroup(G, B.members, B.members).mask
-                  for B in subs}
+                  for B in subs if A <= B}
     pairs: list[tuple[Subgroup, Subgroup]] = []
     for K in subs:
         # B ranges over subgroups with A <= B, B' <= K <= B
