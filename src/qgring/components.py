@@ -5,9 +5,9 @@ crossed product of N_G(K)/H acting on the h-th cyclotomic field, where
 n = [G : N_G(K)] and h = [H : K]. Classification runs a cascade:
 commutative, trivial twisting (full matrix ring over the fixed field),
 cyclic quotient with root-of-unity twisting (Amitsur's division criterion),
-quaternion algebras over cyclotomic fields, and finally Unknown refined by
-a nilpotent search certificate. Each branch decides from the pair data and
-the idempotent's dimensions alone; none looks the group up in a table.
+and finally Unknown refined by a nilpotent search certificate. Each branch
+decides from the pair data and the idempotent's dimensions alone; none
+looks the group up in a table.
 """
 
 from __future__ import annotations
@@ -27,15 +27,7 @@ from .errors import (
     SoundnessError,
     UnknownFamily,
 )
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    normalizer,
-    quotient,
-    section_quotient,
-    subgroup_from_mask,
-    subgroups,
-)
+from .groups import FiniteGroup, Subgroup, normalizer, subgroups
 from .numutil import (
     element_of_order,
     euler_phi,
@@ -44,7 +36,13 @@ from .numutil import (
     padic_valuation,
     prime_factors,
 )
-from .shoda import ShodaPair, e_idem, is_strong_shoda_pair, metabelian_pcis
+from .shoda import (
+    ShodaPair,
+    e_idem,
+    is_strong_shoda_pair,
+    metabelian_pcis,
+    section_generator,
+)
 
 COMMUTATIVE = "Commutative"
 MATRIX = "Matrix"
@@ -154,45 +152,46 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
     N = normalizer(G, K)
     n = G.order // N.order
     h = H.order // K.order
-
-    NK, proj1 = section_quotient(N, K)
-
-    h_img = sorted({proj1[g] for g in H.members})
-    # generator of the cyclic group H/K and its discrete log table
-    xbar = min(g for g in h_img if NK.element_order(g) == h)
+    x = section_generator(H, K)
+    # dlog[g] = k for g in x^k K
     dlog = {}
     cur = 0
     for k in range(h):
-        dlog[cur] = k
-        cur = NK.table[cur][xbar]
-    hk_mask = 0
-    for g in h_img:
-        hk_mask |= 1 << g
-    HKloc = subgroup_from_mask(NK, hk_mask)
-    NH, proj2 = quotient(NK, HKloc)
-    nh = NH.order
-    reps = [-1] * nh
-    for x in range(NK.order):
-        if reps[proj2[x]] < 0:
-            reps[proj2[x]] = x
+        for z in K.members:
+            dlog[G.table[cur][z]] = k
+        cur = G.table[cur][x]
+    # the H-cosets of N, numbered by their least element, which is also
+    # their representative: reps[a] and coset[g] for g in N
+    reps: list[int] = []
+    coset: dict[int, int] = {}
+    for g in N.members:
+        if g not in coset:
+            for y in H.members:
+                coset[G.table[g][y]] = len(reps)
+            reps.append(g)
+    nh = len(reps)
 
-    action: dict[int, int] = {}
-    for a in range(nh):
-        action[a] = dlog[NK.conj(xbar, reps[a])]
+    def coset_order(a: int) -> int:
+        k, y = 1, reps[a]
+        while coset[y]:
+            y = G.table[y][reps[a]]
+            k += 1
+        return k
+
+    action = {a: dlog[G.conj(x, t)] for a, t in enumerate(reps)}
     twisting: dict[tuple[int, int], int] = {}
-    for a in range(nh):
-        for b in range(nh):
-            ab = NH.table[a][b]
-            val = NK.table[NK.table[reps[a]][reps[b]]][NK.inverse[reps[ab]]]
-            twisting[(a, b)] = dlog[val]
+    for a, ta in enumerate(reps):
+        for b, tb in enumerate(reps):
+            tab = G.table[ta][tb]
+            twisting[(a, b)] = dlog[G.table[tab][G.inverse[reps[coset[tab]]]]]
 
     gen_action = gen_twist = None
-    nh_cyclic = any(NH.element_order(a) == nh for a in range(nh))
+    sigma = next((a for a in range(nh) if coset_order(a) == nh), None)
+    nh_cyclic = sigma is not None
     if nh_cyclic:
-        sigma = min(a for a in range(nh) if NH.element_order(a) == nh)
         c = reps[sigma]
-        gen_action = dlog[NK.conj(xbar, c)]
-        gen_twist = dlog[NK.power(c, nh)]
+        gen_action = dlog[G.conj(x, c)]
+        gen_twist = dlog[G.power(c, nh)]
 
     dim = component_dimension(G, e)
     rank = center_rank(G, e)
@@ -438,30 +437,6 @@ def classify_component(desc: ComponentDescriptor) -> str:
                 desc.shape = f"matrix algebra of degree {desc.degree} over its center"
             return desc.kind
 
-        # (Q(zeta_4d), sigma, -1) with d odd, sigma: i -> -i fixing zeta_d,
-        # is the quaternion algebra (-1,-1) over Q(zeta_d): a division ring
-        # exactly when the order of 2 mod d is odd.
-        if (desc.nh_order == 2 and h % 4 == 0 and (h // 4) % 2 == 1
-                and h // 4 > 1 and h // 2 in reachable
-                and r % 4 == 3 and r % (h // 4) == 1):
-            d = h // 4
-            division = ord_mod(d, 2) % 2 == 1
-            desc.trace["branch"] = "cyclotomic-quaternion"
-            desc.trace["d"] = d
-            desc.trace["ord_d_2"] = ord_mod(d, 2)
-            n = desc.matrix_size_n
-            if division:
-                if n == 1:
-                    desc.kind = DIVISION
-                    desc.shape = f"H(Q(zeta_{d}))"
-                else:
-                    desc.kind = MATRIX
-                    desc.shape = f"M_{n}(H(Q(zeta_{d})))"
-            else:
-                desc.kind = MATRIX
-                desc.shape = f"M_{2 * n}(Q(zeta_{d}))"
-            return desc.kind
-
     desc.kind = UNKNOWN
     desc.trace["branch"] = "unresolved"
     return desc.kind
@@ -548,6 +523,8 @@ def count_matrix_components(
             wit = nilpotent_probe(G, sp.e, budget=probe_budget, seed=seed)
             if wit is not None:
                 desc.kind = MATRIX
+                desc.shape = (f"not a division ring (nilpotent certificate), "
+                              f"degree {desc.degree} over its center")
                 desc.trace["branch"] = "nilpotent-certificate"
                 kind = MATRIX
         if kind == MATRIX and desc.degree > 1:

@@ -520,47 +520,33 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     return Q, proj
 
 
-def section_quotient(H: Subgroup, K: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
-    """The quotient H/K for K normal in H, and the map from each element of
-    H (a parent index) to its coset index in H/K. Built once per pair."""
-    key = ("section_quotient", H.mask, K.mask)
-    if key not in H.parent._cache:
-        Hgrp, to_parent = H.induced()
-        pos = {g: i for i, g in enumerate(to_parent)}
-        kmask = 0
-        for g in K.members:
-            kmask |= 1 << pos[g]
-        Q, proj = quotient(Hgrp, subgroup_from_mask(Hgrp, kmask))
-        H.parent._cache[key] = Q, {g: proj[i] for i, g in enumerate(to_parent)}
-    return H.parent._cache[key]
-
-
 def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:
     """Preimages of the minimal nontrivial normal subgroups of H/K.
 
     H may be a FiniteGroup or a Subgroup containing K; K must be normal
-    in H. Results are subgroups M of H's parent with K < M <= H.
+    in H. Results are the minimal M normal in H with K < M <= H, read off
+    the subgroup lattice of H's parent, sorted by (order, mask); building
+    that lattice raises OrderCapExceeded for a parent with more than
+    MAX_SUBGROUPS subgroups.
     """
     if isinstance(H, FiniteGroup):
-        G = H
-        Hsub = full_subgroup(G)
-    else:
-        G = H.parent
-        Hsub = H
-    if not (K <= Hsub):
+        H = full_subgroup(H)
+    G = H.parent
+    hgens = H.gens or H.members
+
+    def normal_in_H(M: Subgroup) -> bool:
+        return all(M.contains(G.conj(m, h))
+                   for h in hgens for m in M.gens or M.members)
+
+    if not (K <= H):
         raise NotNormal("K is not contained in H")
-    Q, proj = section_quotient(Hsub, K)  # raises NotNormal if K not normal in H
-    normals = [M for M in normal_subgroups(Q) if M.order > 1]
-    out = []
-    for M in normals:
-        if any(P.order < M.order and P <= M for P in normals):
-            continue
-        mask = 0
-        for g, c in proj.items():
-            if M.contains(c):
-                mask |= 1 << g
-        out.append(subgroup_from_mask(G, mask))
-    out.sort(key=lambda s: (s.order, s.mask))
+    if not normal_in_H(K):
+        raise NotNormal(f"{K!r} is not normal in {H!r}")
+    out: list[Subgroup] = []
+    for M in subgroups(G):
+        if (K < M <= H and not any(P <= M for P in out)
+                and normal_in_H(M)):
+            out.append(M)
     return out
 
 
@@ -600,35 +586,6 @@ def is_solvable_group(G: FiniteGroup) -> bool:
 
 # ---------------------------------------------------------------------------
 # isomorphism invariants and isomorphisms
-
-
-def fingerprint(G: FiniteGroup) -> tuple:
-    """Cheap isomorphism invariants. Equal fingerprints do not make groups
-    isomorphic (SdCyc(8,4,3) and SdCyc(8,4,7) share one); identification
-    goes through find_isomorphism."""
-    if "fingerprint" not in G._cache:
-        orders: dict[int, int] = {}
-        for o in _element_orders(G):
-            orders[o] = orders.get(o, 0) + 1
-        der = derived_subgroup(G)
-        series = [G.order]
-        cur = der
-        while True:
-            series.append(cur.order)
-            if cur.order == 1 or cur.order == series[-2]:
-                break  # reached 1, or stabilized (perfect subgroup)
-            cur = commutator_subgroup(G, cur.members, cur.members)
-        ab, proj = quotient(G, der)
-        ab_profile = tuple(sorted((ab.element_order(g) for g in range(ab.order))))
-        G._cache["fingerprint"] = (
-            G.order,
-            tuple(sorted(orders.items())),
-            center(G).order,
-            tuple(series),
-            ab_profile,
-            len(G.conjugacy_classes()),
-        )
-    return G._cache["fingerprint"]
 
 
 def hom_from_gen_images(G: FiniteGroup, H: FiniteGroup,

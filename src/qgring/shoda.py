@@ -18,16 +18,14 @@ from .errors import NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _closure,
-    centralizer,
     commutator_subgroup,
     derived_subgroup,
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
-    section_quotient,
     subgroups,
 )
+from .numutil import prime_factors
 
 
 def _is_normal_in(H: Subgroup, K: Subgroup) -> bool:
@@ -103,7 +101,7 @@ def is_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     with commutator (h, g) in H minus K."""
     if not _is_normal_in(H, K):
         return False
-    if not _quotient_cyclic(H, K):
+    if section_generator(H, K) is None:
         return False
     for g in range(G.order):
         if H.contains(g):
@@ -114,17 +112,17 @@ def is_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     return True
 
 
-def _quotient_cyclic(H: Subgroup, K: Subgroup) -> bool:
-    """H/K cyclic: some h in H has <h, K> = H."""
+def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
+    """The first h in H whose coset hK generates H/K (K normal in H), or
+    None when H/K is not cyclic. hK has order n = [H : K] iff h^(n/p) is
+    outside K for every prime p dividing n."""
     G = H.parent
-    if H.mask == K.mask:
-        return True
+    n = H.order // K.order
+    steps = [n // p for p in prime_factors(n)]
     for h in H.members:
-        if K.contains(h):
-            continue
-        if _closure(G, (h,), K) == H.mask:
-            return True
-    return False
+        if not any(K.contains(G.power(h, k)) for k in steps):
+            return h
+    return None
 
 
 def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
@@ -143,16 +141,11 @@ def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     N = normalizer(G, K)
     if not _is_normal_in(N, H):
         return False
-    if not _quotient_cyclic(H, K):
+    x = section_generator(H, K)
+    if x is None:
         return False
-    # H/K maximal abelian in N/K  <=>  centralizer of H/K in N/K is H/K
-    Q, proj = section_quotient(N, K)
-    h_img = sorted({proj[h] for h in H.members})
-    h_mask = 0
-    for i in h_img:
-        h_mask |= 1 << i
-    cen = centralizer(Q, h_img)
-    if cen.mask != h_mask:
+    # H/K = <xK> maximal abelian in N/K  <=>  {m in N : (m, x) in K} = H
+    if any(K.contains(G.commutator(m, x)) != H.contains(m) for m in N.members):
         return False
     # N <= Cen(eps) always (H and the minimal normal subgroups over K are
     # N-stable), so any g in Cen(eps) outside N already violates
@@ -241,7 +234,7 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
                  if A <= B and K <= B and derived_of[B.mask] | K.mask == K.mask]
         maximal = [B for B in cands if not any(B < C for C in cands)]
         for H in maximal:
-            if _quotient_cyclic(H, K):
+            if section_generator(H, K) is not None:
                 pairs.append((H, K))
     # H descending by order, K ascending
     pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))

@@ -9,6 +9,7 @@ import qgring.cli
 import qgring.components
 import qgring.groups
 import qgring.shoda
+import qgring.verify
 from qgring.algebra import AlgElem
 from qgring.cli import main
 
@@ -213,25 +214,28 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
     assert len(centralizers) == len(set(idem) | set(strong))
 
 
-def test_analyze_builds_each_section_quotient_once(capsys, monkeypatch):
-    calls, results = [], {}
-    orig = qgring.groups.section_quotient
+def test_analyze_builds_no_section_group(capsys, monkeypatch):
+    calls = []
+    orig_quotient = qgring.groups.quotient
+    orig_induced = qgring.groups.Subgroup.induced
 
-    def counting(H, K):
-        out = orig(H, K)
-        calls.append((H.mask, K.mask))
-        results.setdefault(id(out[1]), out)  # kept alive: ids stay unique
-        return out
+    def counting_quotient(G, N):
+        calls.append("quotient")
+        return orig_quotient(G, N)
+
+    def counting_induced(self):
+        calls.append("induced")
+        return orig_induced(self)
 
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
-    for module in (qgring.groups, qgring.shoda, qgring.components):
-        monkeypatch.setattr(module, "section_quotient", counting)
+    for module in (qgring.groups, qgring.verify):  # the rest import it locally
+        monkeypatch.setattr(module, "quotient", counting_quotient)
+    monkeypatch.setattr(qgring.groups.Subgroup, "induced", counting_induced)
     code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
     assert code == 0
     assert len(json.loads(out)["pcis"]) == 11
-    # epsilon, the strong-Shoda check and describe_component share them
-    assert len(calls) > len(set(calls))
-    assert len(results) == len(set(calls))
+    # H/K, N_G(K)/K and N_G(K)/H are read off cosets inside G
+    assert calls == []
 
 
 def test_analyze_checks_each_idempotent_once(capsys, monkeypatch):

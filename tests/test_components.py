@@ -111,12 +111,30 @@ def test_hamiltonian_quaternion_components():
     assert cnt.exact == 0
     big = [d for _, d in comps if d.dim_over_Q == 24]
     assert big and all(d.kind == DIVISION for d in big)
+    assert all(d.trace["branch"] == "cyclic-amitsur" for d in big)
     # Q8 x C3: H(Q(zeta_3)) splits (ord_3(2) = 2 even)
     G = build_spec("X(Q(8),C(3))")
     cnt, comps = count_matrix_components(G)
     assert cnt.exact == 1
     big = [d for _, d in comps if d.dim_over_Q == 8 and d.kind == MATRIX]
-    assert big
+    assert big and all(d.trace["branch"] == "cyclic-amitsur" for d in big)
+
+
+@pytest.mark.parametrize("spec", ["MetaAmitsur(40,13)", "MetaAmitsur(40,37)"])
+def test_probe_certified_component_has_a_shape(spec):
+    # the pair (<a>, <a^20>): h = 20, N/H cyclic of order 4, n = 1, so
+    # dim = 4 * phi(20) = 32; sigma_r has order 4 mod 20 and fixes a field
+    # of degree 8 / 4 = 2, the center, so the degree is sqrt(32 / 2) = 4.
+    # The reachable twists fail Amitsur's condition h/gcd(h, w) = s, and
+    # only the nilpotent probe decides the component.
+    _, comps = count_matrix_components(build_spec(spec))
+    probed = [d for _, d in comps
+              if d.trace.get("branch") == "nilpotent-certificate"]
+    assert len(probed) == 1
+    d = probed[0]
+    assert (d.kind, d.dim_over_Q, d.center_rank, d.degree) == (MATRIX, 32, 2, 4)
+    assert (d.matrix_size_n, d.cyclotomic_order_h, d.nh_order) == (1, 20, 4)
+    assert d.shape and "degree 4" in d.shape
 
 
 def test_coboundary_trivializable_twist():

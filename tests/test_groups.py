@@ -26,7 +26,6 @@ from qgring.groups import (
     dihedral,
     direct_product,
     find_isomorphism,
-    fingerprint,
     from_table,
     intersect,
     is_normal,
@@ -42,6 +41,7 @@ from qgring.groups import (
     subgroup_generated,
     subgroups,
 )
+from invariants import fingerprint
 
 
 # -- construction invariants -------------------------------------------------

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgring.catalog import build_spec, catalog_names
-from qgring.groups import find_isomorphism, fingerprint, from_table
+from qgring.groups import find_isomorphism, from_table
 from qgring.props import Witness, classify_ssn, nd_verdict, verify_witness
+from invariants import fingerprint
 
 BUDGET = 200000
 
