@@ -14,7 +14,7 @@ from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import GroupMismatch
-from .groups import FiniteGroup, Subgroup, _closure, subgroup_from_mask
+from .groups import FiniteGroup, Subgroup, stabilizer
 
 
 class AlgElem:
@@ -211,26 +211,16 @@ class AlgElem:
         Conjugation by g permutes G, so it fixes alpha iff it keeps the
         coefficient of each element of the support: it then maps the
         support onto itself and the zero coefficients onto zeros.
-        Elements are tested in index order, skipping those already known
-        to be inside (the closure of the elements that passed) or outside:
-        if g is not in Cen, neither is any c*g with c in Cen.
         """
-        G = self.group
         nums = self.nums
         support = self.support
-        table, inverse = G.table, G.inverse
-        inside = Subgroup(G, 1)
-        outside = 0
-        for g in range(G.order):
-            if (inside.mask | outside) >> g & 1:
-                continue
+        table, inverse = self.group.table, self.group.inverse
+
+        def keeps(g: int) -> bool:
             row = table[inverse[g]]
-            if all(nums[table[row[x]][g]] == nums[x] for x in support):
-                inside = Subgroup(G, _closure(G, (g,), inside))
-            else:
-                for c in inside.members:
-                    outside |= 1 << table[c][g]
-        return subgroup_from_mask(G, inside.mask)
+            return all(nums[table[row[x]][g]] == nums[x] for x in support)
+
+        return stabilizer(self.group, keeps)
 
     # -- serialization ----------------------------------------------------------
 

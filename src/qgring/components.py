@@ -27,7 +27,7 @@ from .errors import (
     SoundnessError,
     UnknownFamily,
 )
-from .groups import FiniteGroup, Subgroup, normalizer, subgroups
+from .groups import FiniteGroup, Subgroup, subgroups
 from .numutil import (
     element_of_order,
     euler_phi,
@@ -38,6 +38,7 @@ from .numutil import (
 )
 from .shoda import (
     ShodaPair,
+    _epsilon_centralizer,
     e_idem,
     is_strong_shoda_pair,
     metabelian_pcis,
@@ -149,7 +150,8 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
         raise NotStrongShodaPair(f"({H!r}, {K!r}) is not a strong Shoda pair")
     if e is None:
         e = e_idem(G, H, K)
-    N = normalizer(G, K)
+    # a strong Shoda pair has N_G(K) = Cen_G(epsilon(H, K))
+    _, N = _epsilon_centralizer(G, H, K)
     n = G.order // N.order
     h = H.order // K.order
     x = section_generator(H, K)

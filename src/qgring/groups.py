@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BNotAbelian,
@@ -81,25 +81,17 @@ class FiniteGroup:
             if len(set(col)) != n:
                 raise InconsistentSpec(f"column {j} is not a permutation")
         # not cached: a new group's _cache starts empty
-        gens, _ = _greedy_generators(self, ident)
-        for g in gens:
+        for g in stabilizer(self, lambda g: True).gens:
             grow = table[g]
             for row in table:
                 if table[row[g]] != [row[y] for y in grow]:
                     raise InconsistentSpec("multiplication table is not associative")
 
     def _compute_inverses(self) -> list[int]:
-        inv = [0] * self.order
-        for g in range(self.order):
-            row = self.table[g]
-            found = -1
-            for h in range(self.order):
-                if row[h] == 0:
-                    found = h
-                    break
-            if found < 0 or self.table[found][g] != 0:
+        inv = [row.index(0) for row in self.table]
+        for g, h in enumerate(inv):
+            if self.table[h][g] != 0:
                 raise InconsistentSpec(f"element {g} has no two-sided inverse")
-            inv[g] = found
         return inv
 
     # -- basics ---------------------------------------------------------------
@@ -170,7 +162,7 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         """A small generating set (greedy, deterministic)."""
         if "generators" not in self._cache:
-            self._cache["generators"] = _greedy_generators(self, range(self.order))[0]
+            self._cache["generators"] = stabilizer(self, lambda g: True).gens
         return self._cache["generators"]
 
     def is_abelian(self) -> bool:
@@ -201,9 +193,10 @@ class FiniteGroup:
                     continue
                 orbit = {g}
                 frontier = [g]
+                gens = self.generators()
                 while frontier:
                     x = frontier.pop()
-                    for t in range(self.order):
+                    for t in gens:
                         y = self.conj(x, t)
                         if y not in orbit:
                             orbit.add(y)
@@ -248,16 +241,30 @@ def _closure(G: FiniteGroup, gens: Iterable[int],
     return mask
 
 
-def _greedy_generators(G: FiniteGroup, members: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """Scan members in order, keeping each one not yet generated by those
-    kept; returns (kept, mask of their closure)."""
+def stabilizer(G: FiniteGroup, keeps: Callable[[int], bool]) -> Subgroup:
+    """The subgroup {g in G : keeps(g)}, for a test keeps that some
+    subgroup passes exactly.
+
+    Elements are tested in index order, skipping those already known to be
+    inside (the closure of the elements that passed) or outside: if g
+    failed, so does every c*g with c inside. The elements that passed are
+    the generators: each is the first element of the subgroup outside the
+    closure of those before it.
+    """
     gens: list[int] = []
-    have = Subgroup(G, 1)
-    for g in members:
-        if not have.mask >> g & 1:
+    inside = Subgroup(G, 1)
+    outside = 0
+    table = G.table
+    for g in range(G.order):
+        if (inside.mask | outside) >> g & 1:
+            continue
+        if keeps(g):
             gens.append(g)
-            have = Subgroup(G, _closure(G, (g,), have))
-    return tuple(gens), have.mask
+            inside = Subgroup(G, _closure(G, (g,), inside))
+        else:
+            for c in inside.members:
+                outside |= 1 << table[c][g]
+    return Subgroup(G, inside.mask, tuple(gens))
 
 
 class Subgroup:
@@ -306,7 +313,7 @@ class Subgroup:
         return f"Subgroup(<{names}>, order={self.order})"
 
     def is_abelian(self) -> bool:
-        m = self.members
+        m = self.gens or self.members
         return all(self.parent.table[a][b] == self.parent.table[b][a]
                    for i, a in enumerate(m) for b in m[i + 1:])
 
@@ -340,11 +347,10 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 def subgroup_from_mask(G: FiniteGroup, mask: int) -> Subgroup:
     """Wrap a mask known to be closed; generators recovered greedily."""
-    gens, have = _greedy_generators(
-        G, (i for i in range(G.order) if mask >> i & 1))
-    if have != mask:
+    sub = stabilizer(G, lambda g: mask >> g & 1)
+    if sub.mask != mask:
         raise InconsistentSpec("mask is not closed under multiplication")
-    return Subgroup(G, mask, gens)
+    return sub
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
@@ -421,32 +427,25 @@ def subgroups(G: FiniteGroup, cap: Optional[int] = None) -> list[Subgroup]:
     return G._cache["subgroups"]
 
 
+def normalizes(G: FiniteGroup, by: Iterable[int], S: Subgroup) -> bool:
+    """Conjugation by each element of by maps S into itself."""
+    sgens = S.gens or S.members
+    conj = G.conj
+    return all(S.mask >> conj(s, g) & 1 for g in by for s in sgens)
+
+
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    gens = H.gens if H.gens else H.members
-    for g in G.generators():
-        for h in gens:
-            if not H.contains(G.conj(h, g)):
-                return False
-    return True
+    return normalizes(G, G.generators(), H)
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    gens = H.gens if H.gens else H.members
-    mask = 0
-    for g in range(G.order):
-        if all(H.contains(G.conj(h, g)) for h in gens):
-            mask |= 1 << g
-    return subgroup_from_mask(G, mask)
+    return stabilizer(G, lambda g: normalizes(G, (g,), H))
 
 
 def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
     elems = list(elems)
-    mask = 0
     t = G.table
-    for g in range(G.order):
-        if all(t[g][x] == t[x][g] for x in elems):
-            mask |= 1 << g
-    return subgroup_from_mask(G, mask)
+    return stabilizer(G, lambda g: all(t[g][x] == t[x][g] for x in elems))
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -457,17 +456,28 @@ def center(G: FiniteGroup) -> Subgroup:
 
 def commutator_subgroup(G: FiniteGroup, A: Iterable[int],
                         B: Iterable[int]) -> Subgroup:
-    """<[a, b] : a in A, b in B>, generated by its sorted nontrivial
-    commutators."""
-    B = list(B)
+    """[<A>, <B>], the normal closure in <A u B> of the commutators [a, b]
+    with a in A and b in B; generated by the sorted nontrivial ones and
+    the conjugates added to close it."""
+    A, B = list(A), list(B)
     comms = {G.commutator(a, b) for a in A for b in B}
     comms.discard(0)
-    return subgroup_generated(G, sorted(comms))
+    gens = sorted(comms)
+    S = Subgroup(G, _closure(G, gens))
+    by = list(dict.fromkeys(A + B))
+    for s in gens:  # gens grows while it is scanned
+        for x in by:
+            y = G.conj(s, x)
+            if not S.mask >> y & 1:
+                gens.append(y)
+                S = Subgroup(G, _closure(G, (y,), S))
+    return Subgroup(G, S.mask, tuple(gens))
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     if "derived" not in G._cache:
-        G._cache["derived"] = commutator_subgroup(G, range(G.order), range(G.order))
+        gens = G.generators()
+        G._cache["derived"] = commutator_subgroup(G, gens, gens)
     return G._cache["derived"]
 
 
@@ -533,19 +543,14 @@ def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:
         H = full_subgroup(H)
     G = H.parent
     hgens = H.gens or H.members
-
-    def normal_in_H(M: Subgroup) -> bool:
-        return all(M.contains(G.conj(m, h))
-                   for h in hgens for m in M.gens or M.members)
-
     if not (K <= H):
         raise NotNormal("K is not contained in H")
-    if not normal_in_H(K):
+    if not normalizes(G, hgens, K):
         raise NotNormal(f"{K!r} is not normal in {H!r}")
     out: list[Subgroup] = []
     for M in subgroups(G):
         if (K < M <= H and not any(P <= M for P in out)
-                and normal_in_H(M)):
+                and normalizes(G, hgens, M)):
             out.append(M)
     return out
 
@@ -567,7 +572,7 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
     if "nilpotent" not in G._cache:
         cur = full_subgroup(G)
         while True:
-            nxt = commutator_subgroup(G, cur.members, range(G.order))
+            nxt = commutator_subgroup(G, cur.gens, G.generators())
             if nxt.mask == cur.mask:
                 G._cache["nilpotent"] = cur.order == 1
                 break
@@ -578,7 +583,7 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
 def is_solvable_group(G: FiniteGroup) -> bool:
     cur = full_subgroup(G)
     while True:
-        nxt = commutator_subgroup(G, cur.members, cur.members)
+        nxt = commutator_subgroup(G, cur.gens, cur.gens)
         if nxt.mask == cur.mask:
             return cur.order == 1
         cur = nxt
@@ -872,14 +877,6 @@ def _mat_order(M, p, limit=10_000):
         if k > limit:
             raise InconsistentSpec("action matrix order too large")
     return k
-
-
-def _mat_inv(M, p):
-    o = _mat_order(M, p)
-    A = _mat_eye(len(M))
-    for _ in range(o - 1):
-        A = _mat_mul(A, M, p)
-    return A
 
 
 def semidirect_vector(p: int, rank: int, matrix: Sequence[Sequence[int]], q: int,

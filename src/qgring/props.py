@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _closure,
+    centralizer,
     derived_subgroup,
     find_isomorphism,
     full_subgroup,
@@ -30,11 +31,13 @@ from .groups import (
     is_solvable_group,
     normal_subgroups,
     normalizer,
+    normalizes,
+    stabilizer,
     subgroup_generated,
     subgroups,
 )
 from .numutil import ord_mod, padic_valuation, prime_factors
-from .shoda import ShodaPair
+from .shoda import ShodaPair, section_generator
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +62,7 @@ def _sn_scan(G: FiniteGroup, pairs) -> bool:
         for Y in subs:
             if Y.mask | M.mask != M.mask or Y.mask | N.mask == Y.mask:
                 continue
-            if all(Y.mask >> conj(y, m) & 1 for m in mgens for y in Y.gens):
+            if normalizes(G, mgens, Y):
                 continue  # Y and N both normal in M
             key = Y.mask | N.mask
             YN = joins.get(key)
@@ -168,13 +171,10 @@ def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
                              if H.order < n)
     if minimal_nonabelian:
         # metacyclic: some cyclic normal subgroup with cyclic quotient
-        from .groups import quotient
-        for N in normal_subgroups(G):
-            if not N.is_cyclic():
-                continue
-            Q, _ = quotient(G, N)
-            if any(Q.element_order(g) == Q.order for g in range(Q.order)):
-                return "BJ1"
+        full = full_subgroup(G)
+        if any(N.is_cyclic() and section_generator(full, N) is not None
+               for N in normal_subgroups(G)):
+            return "BJ1"
     for order, name, tag in _BJ_GROUPS:
         if n == order and find_isomorphism(build_named(name), G) is not None:
             return tag
@@ -208,12 +208,8 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         return SSNClass("Abelian", {"order": G.order})
     if is_nilpotent_group(G):
         if is_hamiltonian(G):
-            mask = 0
-            for g in range(G.order):
-                if G.element_order(g) % 2 == 1:
-                    mask |= 1 << g
-            from .groups import subgroup_from_mask
-            odd_sub = subgroup_from_mask(G, mask)
+            # G is nilpotent, so its elements of odd order form a subgroup
+            odd_sub = stabilizer(G, lambda g: G.element_order(g) % 2 == 1)
             e_rank = padic_valuation(2, G.order) - 3
             invs = abelian_invariants(G, odd_sub)
             return SSNClass("Hamiltonian",
@@ -247,10 +243,8 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
     if y is None:
         return SSNClass("NotSSN", {"reason": "complement is not cyclic"})
     Qsub = subgroup_generated(G, (y,))
-    # kernel of the action of Q on P
-    kernel = [q for q in Qsub.members
-              if all(G.conj(x, q) == x for x in P.members)]
-    faithful = len(kernel) == 1
+    # Q acts faithfully on P iff it meets the centralizer of P trivially
+    faithful = Qsub.mask & centralizer(G, P.gens).mask == 1
     pfac = prime_factors(P.order)
     p = next(iter(pfac))
     if faithful:
@@ -262,7 +256,7 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         for ell in prime_factors(q_order):
             gen = G.power(y, q_order // ell)
             for S in proper:
-                if all(S.mask >> G.conj(s, gen) & 1 for s in S.gens):
+                if normalizes(G, (gen,), S):
                     return SSNClass(
                         "NotSSN",
                         {"reason": f"order-{ell} subgroup acts reducibly"})

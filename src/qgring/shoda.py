@@ -23,6 +23,7 @@ from .groups import (
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
+    normalizes,
     subgroups,
 )
 from .numutil import prime_factors
@@ -30,10 +31,7 @@ from .numutil import prime_factors
 
 def _is_normal_in(H: Subgroup, K: Subgroup) -> bool:
     """K normal in H (both subgroups of the same parent)."""
-    G = H.parent
-    kgens = K.gens if K.gens else K.members
-    hgens = H.gens if H.gens else H.members
-    return K <= H and all(K.contains(G.conj(k, h)) for h in hgens for k in kgens)
+    return K <= H and normalizes(H.parent, H.gens or H.members, K)
 
 
 def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
@@ -225,7 +223,7 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     else:
         cache = False
     subs = subgroups(G)
-    derived_of = {B.mask: commutator_subgroup(G, B.members, B.members).mask
+    derived_of = {B.mask: commutator_subgroup(G, B.gens, B.gens).mask
                   for B in subs if A <= B}
     pairs: list[tuple[Subgroup, Subgroup]] = []
     for K in subs:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -212,6 +213,29 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
     assert len(strong) == 2 * len(set(strong)) == 22
     assert len(normalizers) == len(set(strong))
     assert len(centralizers) == len(set(idem) | set(strong))
+
+
+def test_analyze_reads_each_normalizer_from_the_centralizer_memo(capsys,
+                                                                monkeypatch):
+    callers = []
+    orig = qgring.groups.normalizer
+
+    def counting(G, H):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return orig(G, H)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    for module in (qgring.groups, qgring.shoda, qgring.props,
+                   qgring.components, qgring.verify):
+        if getattr(module, "normalizer", None) is orig:
+            monkeypatch.setattr(module, "normalizer", counting)
+    code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    assert len(json.loads(out)["pcis"]) == 11
+    # describe_component takes N_G(K) = Cen_G(epsilon(H, K)) from the memo
+    # filled by the strong-Shoda check, which makes one call per pair
+    assert "qgring.shoda" in callers
+    assert "qgring.components" not in callers
 
 
 def test_analyze_builds_no_section_group(capsys, monkeypatch):

@@ -1,0 +1,99 @@
+"""Subgroup scans, normality and commutator subgroups against their original
+implementations.
+
+The library builds every subgroup given by a membership test (normalizers,
+centralizers, subgroups from masks, the generators of G) with one
+coset-skipping scan, `groups.stabilizer`, tests normality with
+`groups.normalizes` on generators, forms [A, B] as the normal closure of
+the commutators of generators and closes conjugacy classes under the
+generators of G. reference_groups.py holds the original code, which tests
+every element and forms every commutator; both must give the same
+subgroups, generators included, and the same verdicts.
+"""
+
+import pytest
+
+from qgring.catalog import build_spec, catalog_names
+from qgring.errors import InconsistentSpec
+from qgring.groups import (
+    centralizer,
+    commutator_subgroup,
+    cyclic,
+    derived_subgroup,
+    is_nilpotent_group,
+    is_normal,
+    is_solvable_group,
+    normalizer,
+    stabilizer,
+    subgroup_from_mask,
+    subgroups,
+)
+from reference_groups import (
+    reference_centralizer,
+    reference_commutator_subgroup,
+    reference_conjugacy_classes,
+    reference_derived_subgroup,
+    reference_generators,
+    reference_is_abelian,
+    reference_is_nilpotent_group,
+    reference_is_normal,
+    reference_is_solvable_group,
+    reference_normalizer,
+    reference_subgroup_from_mask,
+)
+
+ANALYZE_LARGE = ("D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))", "SdCyc(7,27,2)",
+                 "BJ9", "C3C3rC8", "A5")
+WITNESS_SEARCH = ("SdCyc(3,8,2)", "SdCyc(5,8,2)", "SdCyc(3,16,2)",
+                  "SdCyc(5,16,2)", "SdCyc(13,8,5)", "X(SdCyc(3,8,2),C(2))")
+SPECS = sorted(set(catalog_names()) | set(ANALYZE_LARGE) | set(WITNESS_SEARCH))
+
+
+def _pair(S):
+    return S.mask, S.gens
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_group_layer_matches_reference(spec):
+    G = build_spec(spec)
+    assert G.generators() == reference_generators(G)
+    assert G.conjugacy_classes() == reference_conjugacy_classes(G)
+    assert derived_subgroup(G).mask == reference_derived_subgroup(G).mask
+    assert is_nilpotent_group(G) == reference_is_nilpotent_group(G)
+    assert is_solvable_group(G) == reference_is_solvable_group(G)
+    gens = G.generators()
+    for H in subgroups(G):
+        assert _pair(normalizer(G, H)) == _pair(reference_normalizer(G, H))
+        assert (_pair(subgroup_from_mask(G, H.mask))
+                == _pair(reference_subgroup_from_mask(G, H.mask)))
+        assert (_pair(centralizer(G, H.members))
+                == _pair(reference_centralizer(G, H.members)))
+        assert is_normal(G, H) == reference_is_normal(G, H)
+        assert H.is_abelian() == reference_is_abelian(H)
+        assert (commutator_subgroup(G, H.gens, gens).mask
+                == reference_commutator_subgroup(G, H.members, range(G.order)).mask)
+
+
+def test_commutator_subgroup_takes_members_or_generators():
+    G = build_spec("A5")
+    for H in subgroups(G):
+        ref = reference_commutator_subgroup(G, H.members, H.members).mask
+        assert commutator_subgroup(G, H.members, H.members).mask == ref
+        assert commutator_subgroup(G, H.gens, H.gens).mask == ref
+
+
+def test_stabilizer_returns_the_greedy_generators():
+    G = build_spec("D(200)")
+    # the rotations are the elements 0..99 of D(200), generated by 1
+    rotations = stabilizer(G, lambda g: g < 100)
+    assert _pair(rotations) == ((1 << 100) - 1, (1,))
+    assert stabilizer(G, lambda g: g == 0).gens == ()
+
+
+def test_subgroup_from_mask_rejects_a_mask_that_is_not_closed():
+    G = cyclic(6)
+    with pytest.raises(InconsistentSpec):
+        subgroup_from_mask(G, 0b000011)  # {1, x}
+    with pytest.raises(InconsistentSpec):
+        subgroup_from_mask(G, 0b001000)  # {x^3}: no identity
+    assert subgroup_from_mask(G, 0b001001).gens == (3,)
