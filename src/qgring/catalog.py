@@ -6,7 +6,8 @@ Grammar:
            | X(spec,spec) | CProd(spec,spec,id)
 
 D and Q take the total group order. NAME is a catalog identifier listed
-by `catalog_names()`.
+by `catalog_names()`. A catalog name that a spec string describes is an
+alias of that string: the group is built by parsing it.
 """
 
 from __future__ import annotations
@@ -102,40 +103,35 @@ def _ex37_subgroup(cap: Optional[int] = None) -> FiniteGroup:
     return H
 
 
-_CATALOG: dict[str, tuple[str, Callable[..., FiniteGroup]]] = {
-    # name -> (spec-equivalent or description, builder)
-    "S3": ("D(6)", lambda cap=None: dihedral(6, cap=cap)),
-    "D8": ("D(8)", lambda cap=None: dihedral(8, cap=cap)),
-    "D10": ("D(10)", lambda cap=None: dihedral(10, cap=cap)),
-    "D12": ("D(12)", lambda cap=None: dihedral(12, cap=cap)),
-    "D14": ("D(14)", lambda cap=None: dihedral(14, cap=cap)),
-    "Q8": ("Q(8)", lambda cap=None: quaternion(8, cap=cap)),
-    "Q12": ("Q(12)", lambda cap=None: quaternion(12, cap=cap)),
-    "Q16": ("Q(16)", lambda cap=None: quaternion(16, cap=cap)),
-    "A4": ("SdVec(2,2,[[0,1],[1,1]],3)",
-           lambda cap=None: semidirect_vector(2, 2, [[0, 1], [1, 1]], 3, cap=cap)),
-    "A5": ("alternating group on 5 points", lambda cap=None: alternating5(cap=cap)),
-    "C2xD8": ("X(C(2),D(8))",
-              lambda cap=None: direct_product(cyclic(2), dihedral(8), cap=cap)),
-    "D8cpD8": ("CProd(D(8),D(8),1)",
-               lambda cap=None: central_product(dihedral(8), dihedral(8), 1, cap=cap)),
-    "D8cpQ8": ("CProd(D(8),Q(8),1)",
-               lambda cap=None: central_product(dihedral(8), quaternion(8), 1, cap=cap)),
-    "Q8xC4": ("X(Q(8),C(4))",
-              lambda cap=None: direct_product(quaternion(8), cyclic(4), cap=cap)),
-    "Q8xC8": ("X(Q(8),C(8))",
-              lambda cap=None: direct_product(quaternion(8), cyclic(8), cap=cap)),
-    "C3C3rC8": ("SdVec(3,2,[[0,1],[1,1]],8)",
-                lambda cap=None: semidirect_vector(3, 2, [[0, 1], [1, 1]], 8, cap=cap)),
+# name -> spec string; the group is built by parsing it
+_ALIASES: dict[str, str] = {
+    "S3": "D(6)",
+    "D8": "D(8)",
+    "D10": "D(10)",
+    "D12": "D(12)",
+    "D14": "D(14)",
+    "Q8": "Q(8)",
+    "Q12": "Q(12)",
+    "Q16": "Q(16)",
+    "A4": "SdVec(2,2,[[0,1],[1,1]],3)",
+    "C2xD8": "X(C(2),D(8))",
+    "D8cpD8": "CProd(D(8),D(8),1)",
+    "D8cpQ8": "CProd(D(8),Q(8),1)",
+    "Q8xC4": "X(Q(8),C(4))",
+    "Q8xC8": "X(Q(8),C(8))",
+    "C3C3rC8": "SdVec(3,2,[[0,1],[1,1]],8)",
+    "C3rC8": "SdCyc(3,8,2)",
+    "C5rC4": "SdCyc(5,4,2)",
+    "C11rC5": "SdCyc(11,5,3)",
+    "C7rC9": "MetaAmitsur(21,16)",
+    "C13rC9": "MetaAmitsur(39,16)",
+}
+
+# name -> (description, builder) for the groups that are not spec aliases
+_BUILDERS: dict[str, tuple[str, Callable[..., FiniteGroup]]] = {
+    "A5": ("alternating group on 5 points", alternating5),
     "Ex38K": ("subgroup <a,b,c^2> of C3C3rC8", _ex38_subgroup),
     "Ex37G1": ("subgroup <a,b,c^4> of C3C3rC8", _ex37_subgroup),
-    "C3rC8": ("SdCyc(3,8,2)", lambda cap=None: semidirect_cyclic(3, 8, 2, cap=cap)),
-    "C5rC4": ("SdCyc(5,4,2)", lambda cap=None: semidirect_cyclic(5, 4, 2, cap=cap)),
-    "C11rC5": ("SdCyc(11,5,3)", lambda cap=None: semidirect_cyclic(11, 5, 3, cap=cap)),
-    "C7rC9": ("MetaAmitsur(21,16)",
-              lambda cap=None: metacyclic_amitsur(21, 16, cap=cap)),
-    "C13rC9": ("MetaAmitsur(39,16)",
-               lambda cap=None: metacyclic_amitsur(39, 16, cap=cap)),
     "Heis27": ("SdVec(3,2,[[1,1],[0,1]],3)", lambda cap=None: _heisenberg(3, cap=cap)),
     "C9rC3": ("BJ1(3,2,1)", lambda cap=None: bj1_group(3, 2, 1, cap=cap)),
     "BJ4": ("order-81 maximal class with Omega_1 = derived", _bj4),
@@ -146,11 +142,11 @@ _CATALOG: dict[str, tuple[str, Callable[..., FiniteGroup]]] = {
 
 
 def catalog_names() -> list[str]:
-    return sorted(_CATALOG)
+    return sorted(_ALIASES.keys() | _BUILDERS.keys())
 
 
 def catalog_describe(name: str) -> str:
-    return _CATALOG[name][0]
+    return _ALIASES[name] if name in _ALIASES else _BUILDERS[name][0]
 
 
 # built groups are immutable; share them (and their cached lattices)
@@ -158,11 +154,14 @@ _BUILT: dict[tuple, FiniteGroup] = {}
 
 
 def build_named(name: str, cap: Optional[int] = None) -> FiniteGroup:
-    if name not in _CATALOG:
-        raise ParseError(f"unknown catalog group {name!r}")
     key = ("named", name, cap)
     if key not in _BUILT:
-        G = _CATALOG[name][1](cap=cap)
+        if name in _ALIASES:
+            G = _parse(_ALIASES[name], cap)
+        elif name in _BUILDERS:
+            G = _BUILDERS[name][1](cap=cap)
+        else:
+            raise ParseError(f"unknown catalog group {name!r}")
         G.spec = name
         _BUILT[key] = G
     return _BUILT[key]
@@ -236,79 +235,51 @@ class _Parser:
             raise ParseError(f"expected a spec head, got {head!r}")
         if self.peek() != "(":
             return build_named(head, cap=self.cap)
+        if head not in _GRAMMAR:
+            raise ParseError(f"unknown spec head {head!r}")
+        kinds, builder = _GRAMMAR[head]
         self.take("(")
-        cap = self.cap
-        if head == "C":
-            n = self.int_()
-            self.take(")")
-            return cyclic(n, cap=cap)
-        if head == "D":
-            n = self.int_()
-            self.take(")")
-            return dihedral(n, cap=cap)
-        if head == "Q":
-            n = self.int_()
-            self.take(")")
-            return quaternion(n, cap=cap)
-        if head == "EA":
-            p = self.int_()
-            self.take(",")
-            r = self.int_()
-            self.take(")")
-            return elementary_abelian(p, r, cap=cap)
-        if head == "MetaAmitsur":
-            m = self.int_()
-            self.take(",")
-            r = self.int_()
-            self.take(")")
-            return metacyclic_amitsur(m, r, cap=cap)
-        if head == "SdVec":
-            p = self.int_()
-            self.take(",")
-            r = self.int_()
-            self.take(",")
-            mat = self.matrix()
-            self.take(",")
-            q = self.int_()
-            self.take(")")
-            return semidirect_vector(p, r, mat, q, cap=cap)
-        if head == "SdCyc":
-            p = self.int_()
-            self.take(",")
-            n = self.int_()
-            self.take(",")
-            r0 = self.int_()
-            self.take(")")
-            return semidirect_cyclic(p, n, r0, cap=cap)
-        if head == "X":
-            g1 = self.spec()
-            self.take(",")
-            g2 = self.spec()
-            self.take(")")
-            return direct_product(g1, g2, cap=cap)
-        if head == "CProd":
-            g1 = self.spec()
-            self.take(",")
-            g2 = self.spec()
-            self.take(",")
-            ident = self.int_()
-            self.take(")")
-            return central_product(g1, g2, ident, cap=cap)
-        raise ParseError(f"unknown spec head {head!r}")
+        args = []
+        for k, kind in enumerate(kinds):
+            if k:
+                self.take(",")
+            args.append(kind(self))
+        self.take(")")
+        return builder(*args, cap=self.cap)
 
 
-def build_spec(spec: str, cap: Optional[int] = None) -> FiniteGroup:
-    """Parse a group-spec string and build the group."""
-    key = ("spec", spec, cap)
-    if key in _BUILT:
-        return _BUILT[key]
+# head -> (argument kinds, builder called with the arguments and the cap)
+_GRAMMAR: dict[str, tuple[tuple[Callable, ...], Callable[..., FiniteGroup]]] = {
+    "C": ((_Parser.int_,), cyclic),
+    "D": ((_Parser.int_,), dihedral),
+    "Q": ((_Parser.int_,), quaternion),
+    "EA": ((_Parser.int_, _Parser.int_), elementary_abelian),
+    "MetaAmitsur": ((_Parser.int_, _Parser.int_), metacyclic_amitsur),
+    "SdVec": ((_Parser.int_, _Parser.int_, _Parser.matrix, _Parser.int_),
+              semidirect_vector),
+    "SdCyc": ((_Parser.int_, _Parser.int_, _Parser.int_), semidirect_cyclic),
+    "X": ((_Parser.spec, _Parser.spec), direct_product),
+    "CProd": ((_Parser.spec, _Parser.spec, _Parser.int_), central_product),
+}
+
+
+def _parse(spec: str, cap: Optional[int]) -> FiniteGroup:
+    """Build the group a whole spec string names."""
     toks = _tokenize(spec)
     parser = _Parser(toks, cap)
     G = parser.spec()
     if parser.i != len(toks):
         raise ParseError(f"trailing tokens: {toks[parser.i:]}")
-    G.spec = spec
-    _BUILT[key] = G
+    return G
+
+
+def build_spec(spec: str, cap: Optional[int] = None) -> FiniteGroup:
+    """Parse a group-spec string and build the group."""
+    key = ("spec", spec, cap)
+    if key not in _BUILT:
+        G = _parse(spec, cap)
+        G.spec = spec
+        _BUILT[key] = G
     return _BUILT[key]
 
 

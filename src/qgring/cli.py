@@ -26,7 +26,7 @@ from .components import (
     predict_nonnilpotent,
 )
 from .config import load_config
-from .errors import OrderCapExceeded, ParseError, QGRingError
+from .errors import OrderCapExceeded, QGRingError
 from .groups import FiniteGroup, center, order_q_matrix, semidirect_vector
 from .numutil import is_prime, ord_mod
 from .props import bj1_params, classify_ssn, nd_verdict
@@ -88,18 +88,24 @@ def _prediction_for(G: FiniteGroup, cls) -> Optional[dict]:
 
 
 def cmd_analyze(args) -> int:
+    """Exit 3, with a one-line error, on an order or subgroup-count cap
+    exceeded anywhere, in the build or in the pipeline."""
+    try:
+        return _analyze(args)
+    except OrderCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+
+
+def _analyze(args) -> int:
     cfg = load_config(args.config)
     cap = args.cap or cfg.order_cap
     budget = args.budget or cfg.witness_budget
     seed = cfg.probe_seed if args.seed is None else args.seed
     try:
         G = build_spec(args.spec, cap=cap)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrderCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except OrderCapExceeded:
+        raise
     except QGRingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -371,7 +371,7 @@ def _check_subgroup_count(G: FiniteGroup, found: dict) -> None:
         raise OrderCapExceeded(f"{G.name} has more than {MAX_SUBGROUPS} subgroups")
 
 
-def subgroups(G: FiniteGroup, cap: Optional[int] = None) -> list[Subgroup]:
+def subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups of G, each exactly once, sorted by (order, mask).
 
     Seeds with the cyclic subgroups <c> and closes under the joins <H, c>,
@@ -388,7 +388,6 @@ def subgroups(G: FiniteGroup, cap: Optional[int] = None) -> list[Subgroup]:
     Raises OrderCapExceeded as soon as more than MAX_SUBGROUPS subgroups
     are found.
     """
-    _check_cap(G.order, cap)
     if "subgroups" not in G._cache:
         cyclic: dict[int, Subgroup] = {}
         for g in range(G.order):
@@ -485,22 +484,6 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     if "normals" not in G._cache:
         G._cache["normals"] = [H for H in subgroups(G) if is_normal(G, H)]
     return G._cache["normals"]
-
-
-def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
-    mask = 0
-    for h in H.members:
-        mask |= 1 << G.conj(h, g)
-    return Subgroup(G, mask, tuple(G.conj(h, g) for h in H.gens))
-
-
-def join(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    gens = tuple(dict.fromkeys(A.gens + B.gens))
-    return Subgroup(G, _closure(G, B.gens, A), gens)
-
-
-def intersect(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    return subgroup_from_mask(G, A.mask & B.mask)
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -705,16 +688,14 @@ def abelian(orders: Sequence[int], letters: Sequence[str],
     """Direct product of cyclic groups with one generator letter each."""
     if len(orders) != len(letters):
         raise InconsistentSpec("orders/letters length mismatch")
-    n = math.prod(orders)
-    _check_cap(n, cap)
-    elems = list(itertools.product(*(range(o) for o in orders)))
-    pos = {e: i for i, e in enumerate(elems)}
-    table = [[pos[tuple((a + b) % o for a, b, o in zip(x, y, orders))]
-              for y in elems] for x in elems]
-    names = [_join_name([_name_power(l, e) for l, e in zip(letters, x)])
-             for x in elems]
-    gname = name or "x".join(f"C{o}" for o in orders)
-    return FiniteGroup(table, names, name=gname, letters=tuple(letters))
+    _check_cap(math.prod(orders), cap)
+    factors = [cyclic(o, letter, cap=cap) for o, letter in zip(orders, letters)]
+    G = factors[-1]
+    for F in reversed(factors[:-1]):
+        G = direct_product(F, G, cap=cap)
+    if name:
+        G.name = name
+    return G
 
 
 def elementary_abelian(p: int, rank: int, cap: Optional[int] = None) -> FiniteGroup:
@@ -747,20 +728,21 @@ def metacyclic(m: int, n: int, t: int, r: int, letters=("a", "b"),
     for _ in range(n):
         rpow.append(rpow[-1] * r % m)
     la, lb = letters
-    # a-powers first: <a> occupies the lowest indices, so it wins
-    # smallest-bitset tie-breaks among maximal abelian subgroups
-    elems = [(i, j) for j in range(n) for i in range(m)]
-    pos = {e: k for k, e in enumerate(elems)}
-
-    def mul(x, y):
-        i1, j1 = x
-        i2, j2 = y
-        j = j1 + j2
-        carry = j // n
-        return ((i1 + i2 * rpow[j1] + t * carry) % m, j % n)
-
-    table = [[pos[mul(x, y)] for y in elems] for x in elems]
-    names = [_join_name([_name_power(la, i), _name_power(lb, j)]) for i, j in elems]
+    # a^i b^j is element j*m + i: <a> occupies the lowest indices, so it
+    # wins smallest-bitset tie-breaks among maximal abelian subgroups
+    table = []
+    for j1 in range(n):
+        shifted = [i2 * rpow[j1] % m for i2 in range(m)]
+        for i1 in range(m):
+            row = []
+            for j2 in range(n):
+                j = j1 + j2
+                base = j % n * m
+                i0 = i1 + t if j >= n else i1
+                row.extend([base + (i0 + s) % m for s in shifted])
+            table.append(row)
+    names = [_join_name([_name_power(la, i), _name_power(lb, j)])
+             for j in range(n) for i in range(m)]
     gname = name or f"Metacyclic({m},{n},{t},{r})"
     return FiniteGroup(table, names, name=gname, letters=tuple(letters))
 
@@ -892,7 +874,7 @@ def semidirect_vector(p: int, rank: int, matrix: Sequence[Sequence[int]], q: int
         raise InconsistentSpec("action matrix has wrong shape")
     if _mat_order(M, p) != q:
         raise InconsistentSpec("action matrix is not of order q")
-    base = elementary_abelian(p, rank)
+    base = elementary_abelian(p, rank, cap=cap)
     # base elements are exponent tuples in lexicographic order
     elems = list(itertools.product(*(range(p) for _ in range(rank))))
     pos = {e: i for i, e in enumerate(elems)}
@@ -906,9 +888,10 @@ def semidirect_vector(p: int, rank: int, matrix: Sequence[Sequence[int]], q: int
                             name=f"EA({p},{rank}):C{q}")
 
 
-def direct_product(G1: FiniteGroup, G2: FiniteGroup,
-                   cap: Optional[int] = None) -> FiniteGroup:
-    _check_cap(G1.order * G2.order, cap)
+def _product_names(G1: FiniteGroup, G2: FiniteGroup
+                   ) -> tuple[Callable[[int, int], str], tuple[str, ...]]:
+    """The name of (a, b) in G1 x G2, and the product's letters; G2's
+    letters that G1 also uses are renamed to unused ones."""
     names2 = G2.names
     letters2 = G2.letters
     shared = set(G1.letters) & set(G2.letters)
@@ -921,6 +904,16 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup,
         pat = re.compile("|".join(re.escape(l) for l in ren))
         names2 = [pat.sub(lambda m: ren[m.group(0)], nm) for nm in G2.names]
         letters2 = tuple(ren[l] for l in G2.letters)
+
+    def name(a: int, b: int) -> str:
+        return _join_name([nm for nm in (G1.names[a], names2[b]) if nm != "1"])
+
+    return name, G1.letters + letters2
+
+
+def direct_product(G1: FiniteGroup, G2: FiniteGroup,
+                   cap: Optional[int] = None) -> FiniteGroup:
+    _check_cap(G1.order * G2.order, cap)
     n2 = G2.order
     order = G1.order * n2
     table = [[0] * order for _ in range(order)]
@@ -933,23 +926,21 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup,
                 base = r1[a2] * n2
                 for b2 in range(n2):
                     row[a2 * n2 + b2] = base + r2[b2]
-    names = []
-    for a in range(G1.order):
-        for b in range(n2):
-            parts = []
-            if G1.names[a] != "1":
-                parts.append(G1.names[a])
-            if names2[b] != "1":
-                parts.append(names2[b])
-            names.append(_join_name(parts))
-    return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}",
-                       letters=G1.letters + letters2)
+    name, letters = _product_names(G1, G2)
+    names = [name(a, b) for a in range(G1.order) for b in range(n2)]
+    return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}", letters=letters)
 
 
 def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
                     cap: Optional[int] = None) -> FiniteGroup:
     """Quotient of G1 x G2 identifying Z(G1) with the unique central cyclic
-    subgroup of G2 of the same order, via generator -> generator^ident_exp."""
+    subgroup of G2 of the same order, via generator -> generator^ident_exp.
+
+    Built from the factors' tables, never from G1 x G2 itself: with (a, b)
+    at index a*|G2| + b, each coset of the central N = <(z0, w0^-ident_exp)>
+    is represented by its least element and named [name], as `quotient`
+    picks and names them.
+    """
     Z1 = center(G1)
     if not Z1.is_cyclic():
         raise InconsistentSpec("center of the first factor must be cyclic")
@@ -972,14 +963,22 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
         raise InconsistentSpec("identification exponent must be a unit")
     w0 = min(g for g in targets[0].members if G2.element_order(g) == m)
     _check_cap(G1.order * G2.order // m, cap)
-    # the intermediate direct product may exceed the cap; only the quotient counts
-    P = direct_product(G1, G2, cap=G1.order * G2.order)
-    n2 = G2.order
-    glue = P.table[z0 * n2][0 * n2 + G2.power(G2.inv(w0), ident_exp)]
-    N = subgroup_generated(P, (glue,))
-    Q, _ = quotient(P, N)
-    Q.name = f"{G1.name}~{G2.name}"
-    return Q
+    w = G2.power(G2.inv(w0), ident_exp)
+    N = [(G1.power(z0, k), G2.power(w, k)) for k in range(m)]
+    t1, t2, n2 = G1.table, G2.table, G2.order
+    proj = [-1] * (G1.order * n2)
+    reps: list[tuple[int, int]] = []
+    for a in range(G1.order):
+        for b in range(n2):
+            if proj[a * n2 + b] < 0:
+                for z, y in N:
+                    proj[t1[z][a] * n2 + t2[y][b]] = len(reps)
+                reps.append((a, b))
+    table = [[proj[t1[a1][a2] * n2 + t2[b1][b2]] for a2, b2 in reps]
+             for a1, b1 in reps]
+    name, letters = _product_names(G1, G2)
+    names = ["1"] + [f"[{name(a, b)}]" for a, b in reps[1:]]
+    return FiniteGroup(table, names, name=f"{G1.name}~{G2.name}", letters=letters)
 
 
 def alternating5(cap: Optional[int] = None) -> FiniteGroup:

@@ -1,15 +1,19 @@
 """Cheap isomorphism invariants, used by the tests as a sanity check on
-group constructions. Equal fingerprints do not make groups isomorphic
-(SdCyc(8,4,3) and SdCyc(8,4,7) share one); the library identifies groups
-through find_isomorphism only."""
+group constructions, and the subgroup operations only the tests use.
+Equal fingerprints do not make groups isomorphic (SdCyc(8,4,3) and
+SdCyc(8,4,7) share one); the library identifies groups through
+find_isomorphism only."""
 
 from qgring.groups import (
     FiniteGroup,
+    Subgroup,
+    _closure,
     _element_orders,
     center,
     commutator_subgroup,
     derived_subgroup,
     quotient,
+    subgroup_from_mask,
 )
 
 
@@ -35,3 +39,21 @@ def fingerprint(G: FiniteGroup) -> tuple:
         ab_profile,
         len(G.conjugacy_classes()),
     )
+
+
+def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
+    mask = 0
+    for h in H.members:
+        mask |= 1 << G.conj(h, g)
+    return Subgroup(G, mask, tuple(G.conj(h, g) for h in H.gens))
+
+
+def join(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
+    """<A, B>, generated by the generators of A and B, or by the members
+    of either one that was built without generators."""
+    a_gens, b_gens = A.gens or A.members, B.gens or B.members
+    return Subgroup(G, _closure(G, b_gens, A), tuple(dict.fromkeys(a_gens + b_gens)))
+
+
+def intersect(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
+    return subgroup_from_mask(G, A.mask & B.mask)

@@ -138,7 +138,7 @@ def test_conjugate_support_follows_subgroup_conjugation():
     G = build_named("A5")
     A4, K, eps, _ = a5_shoda_idempotent(G)
     a = G.element("(1,2,3,4,5)")
-    from qgring.groups import conjugate_subgroup
+    from invariants import conjugate_subgroup
     A4a = conjugate_subgroup(G, A4, a)
     assert all(g in A4a for g in eps.conjugate(a).support)
 

@@ -1,0 +1,191 @@
+"""Every construction path builds the same group as the original builders
+in reference_builders.py: same table, element names, group name and
+letters. The reference side runs with the library's `metacyclic`,
+`abelian`, `direct_product` and `central_product` replaced by the
+reference copies, so that dihedral, quaternion, SdVec, SdCyc, BJ1 and the
+catalog's own builders take the original route too."""
+
+import contextlib
+
+import pytest
+
+import qgring.catalog as catalog
+import qgring.groups as groups
+from qgring.catalog import bj1_group, bj2_group, build_named, build_spec, catalog_names
+from qgring.groups import (
+    FiniteGroup,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    metacyclic,
+    metacyclic_amitsur,
+    quaternion,
+    semidirect_cyclic,
+    semidirect_vector,
+)
+from reference_builders import (
+    REFERENCE_CATALOG,
+    reference_abelian,
+    reference_central_product,
+    reference_direct_product,
+    reference_metacyclic,
+)
+
+
+def _same(G: FiniteGroup, R: FiniteGroup) -> None:
+    assert G.order == R.order
+    assert G.table == R.table
+    assert G.names == R.names
+    assert G.name == R.name
+    assert G.letters == R.letters
+
+
+@pytest.fixture
+def original(monkeypatch):
+    """Empties the catalog memo for the test, and gives a context in which
+    every builder takes the original route, with a memo of its own."""
+    monkeypatch.setattr(catalog, "_BUILT", {})
+
+    @contextlib.contextmanager
+    def ctx():
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "_BUILT", {})
+            for module in (groups, catalog):
+                m.setattr(module, "metacyclic", reference_metacyclic)
+                m.setattr(module, "abelian", reference_abelian)
+                m.setattr(module, "direct_product", reference_direct_product)
+                m.setattr(module, "central_product", reference_central_product)
+            yield
+    return ctx
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_name_builds_the_original_group(name, original):
+    G = build_named(name)
+    with original():
+        if name in REFERENCE_CATALOG:
+            R = REFERENCE_CATALOG[name][1]()
+        else:
+            R = catalog._BUILDERS[name][1]()
+    _same(G, R)
+    assert G.spec == name
+    assert catalog.catalog_describe(name) == (
+        REFERENCE_CATALOG[name][0] if name in REFERENCE_CATALOG
+        else catalog._BUILDERS[name][0])
+
+
+def test_catalog_aliases_are_the_original_entries():
+    assert catalog._ALIASES == {name: spec for name, (spec, _) in REFERENCE_CATALOG.items()}
+    assert not catalog._ALIASES.keys() & catalog._BUILDERS.keys()
+    assert len(catalog_names()) == 29
+
+
+# one spec per head, with the call the original parser branch made
+SPECS = [
+    ("C(12)", lambda: cyclic(12)),
+    ("C(1)", lambda: cyclic(1)),
+    ("D(200)", lambda: dihedral(200)),
+    ("Q(16)", lambda: quaternion(16)),
+    ("EA(2,7)", lambda: elementary_abelian(2, 7)),
+    ("EA(3,4)", lambda: elementary_abelian(3, 4)),
+    ("EA(5,1)", lambda: elementary_abelian(5, 1)),
+    ("MetaAmitsur(40,13)", lambda: metacyclic_amitsur(40, 13)),
+    ("SdVec(2,4,[[0,0,0,1],[1,0,0,1],[0,1,0,1],[0,0,1,1]],5)",
+     lambda: semidirect_vector(2, 4, [[0, 0, 0, 1], [1, 0, 0, 1],
+                                      [0, 1, 0, 1], [0, 0, 1, 1]], 5)),
+    ("SdCyc(7,27,2)", lambda: semidirect_cyclic(7, 27, 2)),
+    ("X(Q(8),C(27))", lambda: reference_direct_product(quaternion(8), cyclic(27))),
+    ("X(D(8),D(8))", lambda: reference_direct_product(dihedral(8), dihedral(8))),
+    ("X(X(Q(8),C(2)),C(3))", lambda: reference_direct_product(
+        reference_direct_product(quaternion(8), cyclic(2)), cyclic(3))),
+    ("CProd(D(8),Q(8),1)",
+     lambda: reference_central_product(dihedral(8), quaternion(8), 1)),
+    ("CProd(C(6),C(12),5)",
+     lambda: reference_central_product(cyclic(6), cyclic(12), 5)),
+    ("CProd(Q(8),X(C(4),C(3)),1)",
+     lambda: reference_central_product(quaternion(8), reference_direct_product(
+         cyclic(4), cyclic(3)), 1)),
+    ("CProd(SdCyc(5,4,2),C(4),1)",  # trivial center: the direct product
+     lambda: reference_central_product(semidirect_cyclic(5, 4, 2), cyclic(4), 1)),
+]
+
+
+@pytest.mark.parametrize("spec,reference", SPECS, ids=[s for s, _ in SPECS])
+def test_spec_head_builds_the_original_group(spec, reference, original):
+    G = build_spec(spec)
+    with original():
+        R = reference()
+    _same(G, R)
+
+
+def _bj2_instances():
+    """The BJ2 central products G0 o C(z) of `verify-theorems` and of the
+    benchmark's family sweep: p^2 * z <= 200, leaving out p = 2, z = 2."""
+    bases = {2: [lambda: build_spec("D(8)"), lambda: build_spec("Q(8)")],
+             3: [lambda: build_named("Heis27"), lambda: build_named("C9rC3")],
+             5: [lambda: build_spec("SdVec(5,2,[[1,1],[0,1]],5)"),
+                 lambda: bj1_group(5, 2, 1)]}
+    out = []
+    for p, builders in bases.items():
+        z = p
+        while p * p * z <= 200:
+            if not (p == 2 and z <= 2):
+                out += [(p, z, i, b) for i, b in enumerate(builders)]
+            z *= p
+    return out
+
+
+@pytest.mark.parametrize("p,z,i,base", _bj2_instances(),
+                         ids=[f"p{p}-z{z}-{i}" for p, z, i, _ in _bj2_instances()])
+def test_bj2_central_product_is_the_original_group(p, z, i, base, original):
+    G = bj2_group(base(), z)
+    with original():
+        R = bj2_group(base(), z)
+    _same(G, R)
+    assert G.order == p ** 3 * z // p
+
+
+@pytest.mark.parametrize("orders,letters,name", [
+    ([9, 3], ("x", "y"), "C9xC3"),
+    ([4, 4], ("a", "b"), "C4xC4"),
+    ([2] * 7, tuple("abcdefg"), "EA(2,7)"),
+    ([2, 3, 5], ("a", "b", "c"), None),
+    ([1, 4], ("u", "v"), None),
+    ([6], ("x",), None),
+])
+def test_abelian_is_the_original_group(orders, letters, name):
+    _same(groups.abelian(orders, letters, name=name),
+          reference_abelian(orders, letters, name=name))
+
+
+@pytest.mark.parametrize("m,n,t,r,letters", [
+    (100, 2, 0, 99, ("a", "b")),   # D(200)
+    (8, 4, 4, 7, ("a", "b")),      # BJ5
+    (7, 27, 0, 2, ("x", "y")),     # SdCyc(7,27,2)
+    (8, 2, 4, 7, ("a", "b")),      # Q(16)
+    (40, 4, 10, 13, ("a", "b")),   # MetaAmitsur(40,13)
+    (25, 5, 0, 6, ("a", "b")),     # BJ1(5,2,1)
+    (16, 4, 0, 9, ("a", "b")),     # BJ1(2,4,2)
+    (1, 1, 0, 0, ("a", "b")),      # C(1)
+    (1, 6, 0, 0, ("a", "b")),
+    (6, 1, 0, 1, ("a", "b")),
+    (9, 6, 3, 4, ("a", "b")),
+])
+def test_metacyclic_is_the_original_group(m, n, t, r, letters):
+    _same(metacyclic(m, n, t, r, letters=letters),
+          reference_metacyclic(m, n, t, r, letters=letters))
+
+
+def test_central_product_never_builds_the_direct_product(monkeypatch):
+    orders = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, table, *args, **kwargs):
+        orders.append(len(table))
+        init(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    monkeypatch.setattr(catalog, "_BUILT", {})
+    G = build_spec("CProd(D(8),D(8),1)")
+    assert G.order == 32
+    assert 64 not in orders and max(orders) == 32

@@ -75,6 +75,25 @@ def test_analyze_exit_codes(capsys):
     assert code == 3 and err
 
 
+def test_cap_above_the_default_holds_through_the_pipeline(capsys):
+    code, out, err = run_cli(capsys, "--json", "--cap", "300", "analyze", "C(251)")
+    assert code == 0 and not err
+    data = json.loads(out)
+    assert data["group"]["order"] == 251 and len(data["pcis"]) == 2
+    code, out, err = run_cli(capsys, "--json", "sweep", "BJ1", "--p", "2",
+                             "--m", "4", "--n", "4", "--cap", "300")
+    assert code == 0 and not err
+    (row,) = json.loads(out)["rows"]
+    assert row["order"] == 256 and row["agreement"] is True
+
+
+def test_analyze_exits_3_when_the_lattice_is_over_its_cap(capsys):
+    code, out, err = run_cli(capsys, "analyze", "EA(2,7)")
+    assert code == 3 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "subgroups" in err
+
+
 def test_analyze_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "--json", "--seed", "5", "analyze", "D12")
     code2, out2, _ = run_cli(capsys, "--json", "--seed", "5", "analyze", "D12")

@@ -16,9 +16,9 @@ from qgring.errors import (
 )
 from qgring.groups import (
     FiniteGroup,
+    Subgroup,
     _closure,
     center,
-    conjugate_subgroup,
     derived_subgroup,
     alternating5,
     central_product,
@@ -27,9 +27,7 @@ from qgring.groups import (
     direct_product,
     find_isomorphism,
     from_table,
-    intersect,
     is_normal,
-    join,
     maximal_abelian_over,
     metacyclic_amitsur,
     minimal_normal_subgroups_of_quotient,
@@ -41,7 +39,7 @@ from qgring.groups import (
     subgroup_generated,
     subgroups,
 )
-from invariants import fingerprint
+from invariants import conjugate_subgroup, fingerprint, intersect, join
 
 
 # -- construction invariants -------------------------------------------------
@@ -220,6 +218,16 @@ def test_subgroup_lattice_closure_properties():
         assert intersect(G, A, B).mask in masks
     for s in subs:
         assert G.order % s.order == 0  # Lagrange
+
+
+def test_join_of_subgroups_built_without_generators():
+    G = build_named("S3")
+    r, s = G.element("a"), G.element("b")
+    full = Subgroup(G, (1 << G.order) - 1)
+    J = join(G, full, subgroup_generated(G, (s,)))
+    assert J.mask == full.mask and not J.is_abelian()
+    J = join(G, subgroup_generated(G, (r,)), Subgroup(G, 1 | 1 << s))
+    assert J.mask == full.mask and not J.is_abelian()
 
 
 def test_subgroup_members_closed():

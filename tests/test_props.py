@@ -5,7 +5,7 @@ import pytest
 from qgring.algebra import hat
 from qgring.catalog import build_named, build_spec
 from qgring.errors import NotPGroup, UnknownWitness
-from qgring.groups import is_normal, join, subgroup_generated
+from qgring.groups import is_normal, subgroup_generated
 from qgring.props import (
     abelian_invariants,
     classify_ssn,
@@ -19,6 +19,7 @@ from qgring.props import (
     verify_witness,
 )
 from qgring.shoda import metabelian_pcis
+from invariants import join
 
 
 def test_is_sn_examples():
