@@ -282,22 +282,3 @@ def build_spec(spec: str, cap: Optional[int] = None) -> FiniteGroup:
         _BUILT[key] = G
     return _BUILT[key]
 
-
-def quotient_of_spec(spec: str, generator_words: list[str],
-                     cap: Optional[int] = None) -> FiniteGroup:
-    """Quotient of a spec-built group by the normal closure-free subgroup
-    generated by the given element words (must already be normal)."""
-    from .groups import quotient
-    G = build_spec(spec, cap=cap)
-    N = subgroup_generated(G, tuple(G.word(w) for w in generator_words))
-    Q, _ = quotient(G, N)
-    return Q
-
-
-def subgroup_of_spec(spec: str, generator_words: list[str],
-                     cap: Optional[int] = None) -> FiniteGroup:
-    """Standalone group on the subgroup generated by the given words."""
-    G = build_spec(spec, cap=cap)
-    H = subgroup_generated(G, tuple(G.word(w) for w in generator_words))
-    out, _ = H.induced()
-    return out

@@ -27,9 +27,9 @@ from .components import (
 )
 from .config import load_config
 from .errors import OrderCapExceeded, QGRingError
-from .groups import FiniteGroup, center, order_q_matrix, semidirect_vector
+from .groups import FiniteGroup, order_q_matrix, semidirect_vector
 from .numutil import is_prime, ord_mod
-from .props import bj1_params, classify_ssn, nd_verdict
+from .props import _prediction_for, classify_ssn, nd_verdict
 
 SCHEMA = 1
 
@@ -37,54 +37,6 @@ SCHEMA = 1
 def _idem_hash(e) -> str:
     payload = f"{e.den}:{','.join(map(str, e.nums))}".encode()
     return hashlib.sha256(payload).hexdigest()[:12]
-
-
-def _prediction_for(G: FiniteGroup, cls) -> Optional[dict]:
-    """Map a structural classification to a Theorem A/B prediction."""
-    try:
-        if cls.tag == "Hamiltonian":
-            pred = predict_nilpotent({"family": "Hamiltonian",
-                                      "e_rank": cls.params["e_rank"],
-                                      "odd_invariants": cls.params["odd_invariants"]})
-        elif cls.tag == "PGroupNCN":
-            bj = cls.params.get("bj")
-            p = cls.params["p"]
-            if bj == "BJ1":
-                found = bj1_params(G, p)
-                if found is None:
-                    return None
-                pred = predict_nilpotent({"family": "BJ1", "p": p,
-                                          "m": found[0], "n": found[1]})
-            elif bj == "BJ2":
-                pred = predict_nilpotent({"family": "BJ2", "p": p,
-                                          "z_order": center(G).order})
-            elif bj == "BJ3":
-                n = (G.order // 8).bit_length() - 1
-                pred = predict_nilpotent({"family": "BJ3", "n": n})
-            elif bj in ("BJ4", "BJ5", "BJ6", "BJ7", "BJ8", "BJ9"):
-                pred = predict_nilpotent({"family": bj})
-            else:
-                return None
-        elif cls.tag == "SolvableTypeI":
-            pred = predict_nonnilpotent({"family": "faithful",
-                                         "p": cls.params["p"],
-                                         "n": cls.params["n"],
-                                         "q": cls.params["q_order"]})
-        elif cls.tag == "SolvableTypeII":
-            pred = predict_nonnilpotent({"family": "nonfaithful",
-                                         "p": cls.params["p"],
-                                         "q": cls.params["q"],
-                                         "k": cls.params["k"],
-                                         "k0": cls.params["k0"],
-                                         "r0": cls.params["r0"]})
-        else:
-            return None
-    except QGRingError:
-        return None
-    return {"family": pred.family, "params": {k: v for k, v in pred.params.items()
-                                              if k != "family"},
-            "one_matrix": pred.one_matrix, "component": pred.component,
-            "nd": pred.nd, "detail": pred.detail}
 
 
 def cmd_analyze(args) -> int:

@@ -377,48 +377,89 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     Seeds with the cyclic subgroups <c> and closes under the joins <H, c>,
     one level at a time, H in the order found and c in seed order; a join
     keeps the generators H.gens + (c,) of the first H and c that reach it.
-    The join grows H by whole left cosets (_closure with base H). Joins
-    known to be found already are skipped, which leaves the result, gens
-    included, unchanged:
-    - <1, c> = <c>;
-    - on the first level, <<a>, c> = <<c>, a> was reached from the
-      earlier of the two cyclic subgroups;
-    - c in a double coset Hc'H of a c' already joined with H: c = hc'h'
-      gives <H, c> = <H, c'>.
-    Raises OrderCapExceeded as soon as more than MAX_SUBGROUPS subgroups
-    are found.
+    The join grows H by whole left cosets (_closure with base H).
+
+    For each H, `known` holds the elements x whose join <H, x> is already
+    named, and the join is closed only for a c whose result is not:
+    - x in H gives <H, x> = H;
+    - x in HcH gives <H, x> = <H, c>, as x = hch' and c = h^-1 x h'^-1;
+    - <x> = <x'> gives <H, x> = <H, x'>;
+    - on the first level, <<a>, c> = <<c>, a>, so the joins of <a> with
+      the earlier cyclic seeds were named when those seeds were H.
+    A c in `known` is skipped. Otherwise HcH is built one left coset yH at
+    a time and widened by the generators of each <z>, z in HcH: every
+    element of that set has the join <H, c>. If the set meets `known`, the
+    join is read off the entry it meets, else it is closed; either way the
+    set joins `known`. A named join was reached before, so it is already
+    in `seen`: the list, every gens and the point where OrderCapExceeded
+    is raised (as soon as more than MAX_SUBGROUPS subgroups are found) are
+    those of closing every join.
     """
     if "subgroups" not in G._cache:
         cyclic: dict[int, Subgroup] = {}
+        cyclic_of = []
         for g in range(G.order):
             sub = subgroup_generated(G, (g,) if g else ())
-            cyclic.setdefault(sub.mask, sub)
+            cyclic_of.append(cyclic.setdefault(sub.mask, sub).mask)
         seen: dict[int, Subgroup] = dict(cyclic)
         _check_subgroup_count(G, seen)
         frontier = [C for C in cyclic.values() if C.gens]
         cyc_gens = [C.gens[0] for C in frontier]
+        # seed_gens[j]: the elements that generate the j-th seed <c_j>;
+        # same_cyclic[x]: those that generate <x>
+        seed_of = {C.mask: j for j, C in enumerate(frontier)}
+        seed_gens = [0] * len(frontier)
+        for g in range(1, G.order):
+            seed_gens[seed_of[cyclic_of[g]]] |= 1 << g
+        same_cyclic = [1] + [seed_gens[seed_of[cyclic_of[g]]]
+                             for g in range(1, G.order)]
         table = G.table
         full = (1 << G.order) - 1
         first = True
+        named: dict[int, dict[int, int]] = {}  # first level: i -> {j: <C_j, C_i>}
         while frontier:
             new: list[Subgroup] = []
             for i, H in enumerate(frontier):
                 if H.mask == full:
                     continue
-                joined = H.mask  # the double cosets of the c' joined so far
-                for c in cyc_gens[i + 1:] if first else cyc_gens:
-                    if joined >> c & 1:
+                entries = ([(seed_gens[j], mask)
+                            for j, mask in named.pop(i, {}).items()]
+                           if first else [])
+                known = H.mask
+                for p, _m in entries:
+                    known |= p
+                members = H.members
+                for k in range(i + 1, len(cyc_gens)) if first else range(len(cyc_gens)):
+                    c = cyc_gens[k]
+                    if known >> c & 1:
+                        if first:
+                            named.setdefault(k, {})[i] = next(
+                                (m for p, m in entries if p >> c & 1), H.mask)
                         continue
-                    for h in H.members:
-                        row = table[table[h][c]]
-                        for k in H.members:
-                            joined |= 1 << row[k]
-                    mask = _closure(G, (c,), H)
-                    if mask not in seen:
-                        sub = Subgroup(G, mask, H.gens + (c,))
-                        seen[mask] = sub
-                        new.append(sub)
-                        _check_subgroup_count(G, seen)
+                    coset = part = 0  # HcH, and HcH widened
+                    for h in members:
+                        y = table[h][c]
+                        if not coset >> y & 1:
+                            row = table[y]
+                            for h2 in members:
+                                z = row[h2]
+                                coset |= 1 << z
+                                part |= same_cyclic[z]
+                    hit = part & known
+                    if hit:
+                        x = hit.bit_length() - 1
+                        mask = next(m for p, m in entries if p >> x & 1)
+                    else:
+                        mask = _closure(G, (c,), H)
+                        if mask not in seen:
+                            sub = Subgroup(G, mask, H.gens + (c,))
+                            seen[mask] = sub
+                            new.append(sub)
+                            _check_subgroup_count(G, seen)
+                    known |= part
+                    entries.append((part, mask))
+                    if first:
+                        named.setdefault(k, {})[i] = mask
             frontier = new
             first = False
         subs = sorted(seen.values(), key=lambda s: (s.order, s.mask))

@@ -11,17 +11,25 @@ certificate is an explicit witness pair (alpha, e), re-verified exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgElem, SquareZeroFamily, hat, one_minus, one_plus, tilde
-from .errors import NotCentralIdempotent, NotPGroup, SoundnessError, UnknownWitness
+from .components import predict_nilpotent, predict_nonnilpotent
+from .errors import (
+    NotCentralIdempotent,
+    NotPGroup,
+    QGRingError,
+    SoundnessError,
+    UnknownWitness,
+)
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _closure,
+    center,
     centralizer,
     derived_subgroup,
     find_isomorphism,
@@ -30,7 +38,6 @@ from .groups import (
     is_normal,
     is_solvable_group,
     normal_subgroups,
-    normalizer,
     normalizes,
     stabilizer,
     subgroup_generated,
@@ -48,27 +55,35 @@ def _sn_scan(G: FiniteGroup, pairs) -> bool:
     """True iff YN is normal in M for every (N, M) in pairs, N != 1 normal
     in M, and every subgroup Y <= M with N not contained in Y.
 
-    YN is the join <Y, N>, grown from N by cosets. As N is normal in M,
-    YN is normal in M iff M's generators conjugate Y's generators into
-    it, and it is when they conjugate them into Y. A join depends only on
-    the union Y u N, so one memo keyed on Y.mask | N.mask serves the
-    whole scan.
+    No closure is made. YN is the least subgroup containing Y u N, and
+    subgroups(G) is sorted by (order, mask), so YN is the first subgroup
+    there, from order |Y u N| on, whose mask contains Y u N. As N is
+    normal in M, YN is normal in M when Y is, so only the Y not normal in
+    M are joined with N. Normality in M is decided once per M for each Y
+    and once per (M, YN) for each join: many N share one M.
     """
     subs = subgroups(G)
-    conj = G.conj
-    joins: dict[int, int] = {}
+    orders = [S.order for S in subs]
+    joins: dict[int, Subgroup] = {}
+    scans: dict[int, tuple[list[Subgroup], dict[int, bool]]] = {}
     for N, M in pairs:
-        mgens = M.gens
-        for Y in subs:
-            if Y.mask | M.mask != M.mask or Y.mask | N.mask == Y.mask:
-                continue
-            if normalizes(G, mgens, Y):
-                continue  # Y and N both normal in M
+        if M.mask not in scans:
+            scans[M.mask] = ([Y for Y in subs if Y.mask | M.mask == M.mask
+                              and not normalizes(G, M.gens, Y)], {})
+        suspects, normal = scans[M.mask]
+        for Y in suspects:
             key = Y.mask | N.mask
+            if key == Y.mask:
+                continue
             YN = joins.get(key)
             if YN is None:
-                YN = joins[key] = _closure(G, Y.gens, N)
-            if not all(YN >> conj(y, m) & 1 for m in mgens for y in Y.gens):
+                i = bisect_left(orders, key.bit_count())
+                while subs[i].mask | key != subs[i].mask:
+                    i += 1
+                YN = joins[key] = subs[i]
+            if YN.mask not in normal:
+                normal[YN.mask] = normalizes(G, M.gens, YN)
+            if not normal[YN.mask]:
                 return False
     return True
 
@@ -90,11 +105,33 @@ def is_ssn(G: FiniteGroup) -> bool:
     them. So G is SSN iff YN is normal in N_G(N) for every N != 1 and
     every Y <= N_G(N) with N not contained in Y: the SN scan with N_G(N)
     in place of G.
+
+    N_G(N) is read off the lattice too, so the scan makes no closure: it
+    is a union of right cosets Ng (ng normalizes N iff g does), so one
+    test per coset gives its mask.
     """
     if "ssn" not in G._cache:
+        subs = subgroups(G)
+        by_mask = {S.mask: S for S in subs}
         G._cache["ssn"] = _sn_scan(
-            G, ((N, normalizer(G, N)) for N in subgroups(G)[1:]))
+            G, ((N, by_mask[_normalizer_mask(G, N)]) for N in subs[1:]))
     return G._cache["ssn"]
+
+
+def _normalizer_mask(G: FiniteGroup, N: Subgroup) -> int:
+    """The mask of N_G(N), with one normality test per right coset Ng."""
+    table = G.table
+    mask = done = 0
+    for g in range(G.order):
+        if done >> g & 1:
+            continue
+        coset = 0
+        for n in N.members:
+            coset |= 1 << table[n][g]
+        done |= coset
+        if normalizes(G, (g,), N):
+            mask |= coset
+    return mask
 
 
 def is_ncn(G: FiniteGroup) -> bool:
@@ -183,7 +220,6 @@ def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
             find_isomorphism(build_spec(f"X(Q(8),C({n // 8}))"), G) is not None:
         return "BJ3"
     # BJ2: G0 central product cyclic Z; G' = Z(G0) of order p, Z(G) cyclic
-    from .groups import center
     Z = center(G)
     if der.order == p and Z.is_cyclic() and der <= Z:
         return "BJ2"
@@ -290,6 +326,54 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         return SSNClass("NotSSN", {"reason": "kernel level out of range"})
     return SSNClass("SolvableTypeII",
                     {"p": p, "q": q, "k": k, "k0": k0, "r0": r0})
+
+
+def _prediction_for(G: FiniteGroup, cls) -> Optional[dict]:
+    """Map a structural classification to a Theorem A/B prediction."""
+    try:
+        if cls.tag == "Hamiltonian":
+            pred = predict_nilpotent({"family": "Hamiltonian",
+                                      "e_rank": cls.params["e_rank"],
+                                      "odd_invariants": cls.params["odd_invariants"]})
+        elif cls.tag == "PGroupNCN":
+            bj = cls.params.get("bj")
+            p = cls.params["p"]
+            if bj == "BJ1":
+                found = bj1_params(G, p)
+                if found is None:
+                    return None
+                pred = predict_nilpotent({"family": "BJ1", "p": p,
+                                          "m": found[0], "n": found[1]})
+            elif bj == "BJ2":
+                pred = predict_nilpotent({"family": "BJ2", "p": p,
+                                          "z_order": center(G).order})
+            elif bj == "BJ3":
+                n = (G.order // 8).bit_length() - 1
+                pred = predict_nilpotent({"family": "BJ3", "n": n})
+            elif bj in ("BJ4", "BJ5", "BJ6", "BJ7", "BJ8", "BJ9"):
+                pred = predict_nilpotent({"family": bj})
+            else:
+                return None
+        elif cls.tag == "SolvableTypeI":
+            pred = predict_nonnilpotent({"family": "faithful",
+                                         "p": cls.params["p"],
+                                         "n": cls.params["n"],
+                                         "q": cls.params["q_order"]})
+        elif cls.tag == "SolvableTypeII":
+            pred = predict_nonnilpotent({"family": "nonfaithful",
+                                         "p": cls.params["p"],
+                                         "q": cls.params["q"],
+                                         "k": cls.params["k"],
+                                         "k0": cls.params["k0"],
+                                         "r0": cls.params["r0"]})
+        else:
+            return None
+    except QGRingError:
+        return None
+    return {"family": pred.family, "params": {k: v for k, v in pred.params.items()
+                                              if k != "family"},
+            "one_matrix": pred.one_matrix, "component": pred.component,
+            "nd": pred.nd, "detail": pred.detail}
 
 
 # ---------------------------------------------------------------------------

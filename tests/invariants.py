@@ -1,9 +1,13 @@
 """Cheap isomorphism invariants, used by the tests as a sanity check on
-group constructions, and the subgroup operations only the tests use.
+group constructions, and the subgroup and spec operations only the tests
+use.
 Equal fingerprints do not make groups isomorphic (SdCyc(8,4,3) and
 SdCyc(8,4,7) share one); the library identifies groups through
 find_isomorphism only."""
 
+from typing import Optional
+
+from qgring.catalog import build_spec
 from qgring.groups import (
     FiniteGroup,
     Subgroup,
@@ -14,6 +18,7 @@ from qgring.groups import (
     derived_subgroup,
     quotient,
     subgroup_from_mask,
+    subgroup_generated,
 )
 
 
@@ -57,3 +62,22 @@ def join(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
 
 def intersect(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     return subgroup_from_mask(G, A.mask & B.mask)
+
+
+def quotient_of_spec(spec: str, generator_words: list[str],
+                     cap: Optional[int] = None) -> FiniteGroup:
+    """Quotient of a spec-built group by the subgroup generated by the
+    given element words (which must already be normal)."""
+    G = build_spec(spec, cap=cap)
+    N = subgroup_generated(G, tuple(G.word(w) for w in generator_words))
+    Q, _ = quotient(G, N)
+    return Q
+
+
+def subgroup_of_spec(spec: str, generator_words: list[str],
+                     cap: Optional[int] = None) -> FiniteGroup:
+    """Standalone group on the subgroup generated by the given words."""
+    G = build_spec(spec, cap=cap)
+    H = subgroup_generated(G, tuple(G.word(w) for w in generator_words))
+    out, _ = H.induced()
+    return out

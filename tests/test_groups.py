@@ -39,7 +39,14 @@ from qgring.groups import (
     subgroup_generated,
     subgroups,
 )
-from invariants import conjugate_subgroup, fingerprint, intersect, join
+from invariants import (
+    conjugate_subgroup,
+    fingerprint,
+    intersect,
+    join,
+    quotient_of_spec,
+    subgroup_of_spec,
+)
 
 
 # -- construction invariants -------------------------------------------------
@@ -389,7 +396,6 @@ def test_find_isomorphism_small():
 
 
 def test_quotient_and_subgroup_of_spec():
-    from qgring.catalog import quotient_of_spec, subgroup_of_spec
     Q = quotient_of_spec("SdCyc(3,8,2)", ["y^2"])
     assert Q.order == 6
     H = subgroup_of_spec("SdVec(3,2,[[0,1],[1,1]],8)", ["a", "b", "c^2"])

@@ -1,10 +1,11 @@
 """The subgroup lattice and SN/SSN against their original implementations.
 
-`subgroups` grows each join by cosets and skips joins it has found
-already; `is_sn`/`is_ssn` scan G's own lattice. reference_lattice.py holds
-the original code, which closes every join from its generators and runs
-SN on a standalone group per subgroup. Both must give the same lattice,
-generators included, and the same verdicts.
+`subgroups` grows each join by cosets and skips the joins it can already
+name; `is_sn`/`is_ssn` read joins and normalizers off G's own lattice.
+reference_lattice.py holds the original code, which closes every join
+from its generators and runs SN on a standalone group per subgroup. Both
+must give the same lattice, generators included, and the same verdicts.
+The work saved is pinned as counts of `_closure` calls.
 """
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import qgring.groups
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.errors import OrderCapExceeded
-from qgring.groups import FiniteGroup, elementary_abelian, subgroups
+from qgring.groups import FiniteGroup, elementary_abelian, normal_subgroups, subgroups
 from qgring.props import is_sn, is_ssn
 from reference_lattice import reference_is_sn, reference_is_ssn, reference_subgroups
 
@@ -21,20 +22,67 @@ from reference_lattice import reference_is_sn, reference_is_ssn, reference_subgr
 CORPUS = ["D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))", "SdCyc(7,27,2)",
           "SdCyc(3,8,2)", "SdCyc(5,8,2)", "SdCyc(3,16,2)", "SdCyc(5,16,2)",
           "SdCyc(13,8,5)", "X(SdCyc(3,8,2),C(2))"]
+# the heaviest lattices of the benchmark's family-sweep workload
+FAMILY = ["SdCyc(47,4,46)", "SdCyc(43,4,42)", "SdCyc(41,4,40)", "D(128)"]
 
 
-@pytest.mark.parametrize("name", catalog_names() + CORPUS)
-def test_lattice_and_verdicts_match_reference(name):
-    G = build_spec(name) if "(" in name else build_named(name)
-    assert ([(H.mask, H.gens) for H in subgroups(G)]
+def _build(name):
+    return build_spec(name) if "(" in name else build_named(name)
+
+
+def _same_lattice(G):
+    return ([(H.mask, H.gens) for H in subgroups(G)]
             == [(H.mask, H.gens) for H in reference_subgroups(G)])
+
+
+@pytest.mark.parametrize("name", catalog_names() + CORPUS + FAMILY)
+def test_lattice_and_verdicts_match_reference(name):
+    G = _build(name)
+    assert _same_lattice(G)
     assert is_sn(G) == reference_is_sn(G)
     assert is_ssn(G) == reference_is_ssn(G)
 
 
+def test_elementary_abelian_lattice_matches_reference():
+    # 374 subgroups, 31 of them cyclic: most joins are named, not closed
+    assert _same_lattice(elementary_abelian(2, 5))
+
+
+def _record_closures(monkeypatch):
+    """The base of every _closure call from here on (None for no base)."""
+    bases = []
+    orig = qgring.groups._closure
+
+    def recording(G, gens, base=None):
+        bases.append(base)
+        return orig(G, gens, base)
+
+    monkeypatch.setattr(qgring.groups, "_closure", recording)
+    return bases
+
+
+def test_cold_lattice_closes_few_joins(monkeypatch):
+    G = build_spec("D(200)")
+    G._cache.clear()
+    bases = _record_closures(monkeypatch)
+    subgroups(G)
+    # 5 668 joins when each one not skipped by a double coset was closed
+    assert sum(base is not None for base in bases) <= 1700
+
+
+@pytest.mark.parametrize("name", ["BJ9", "D8cpQ8"])
+def test_sn_and_ssn_make_no_closure_on_a_cached_lattice(name, monkeypatch):
+    G = build_named(name)
+    G._cache.clear()
+    normal_subgroups(G)
+    bases = _record_closures(monkeypatch)
+    assert is_sn(G) and is_ssn(G)
+    assert bases == []
+
+
 @pytest.mark.parametrize("spec", ["D(200)", "BJ9"])
 def test_is_ssn_builds_no_group(spec, monkeypatch):
-    G = build_spec(spec) if "(" in spec else build_named(spec)
+    G = _build(spec)
     G._cache.clear()
     built = []
     orig = FiniteGroup.__init__
