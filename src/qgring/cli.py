@@ -6,8 +6,11 @@ Commands:
     verify-theorems         run the verification suite
     catalog                 list named groups
 
-Global flags: --json, --cap N, --budget N, --seed N, --config PATH.
-Exit codes for analyze: 0 ok, 2 parse error, 3 order cap exceeded.
+Global flags: --json, --cap N, --budget N, --seed N; they are the only
+settings. --cap and --budget take positive integers; verify-theorems
+refuses --cap, since its instances are fixed.
+Exit codes: 2 for a malformed command line; for analyze 0 ok, 2 parse
+error, 3 order cap exceeded.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from .components import (
     predict_nilpotent,
     predict_nonnilpotent,
 )
-from .config import load_config
 from .errors import OrderCapExceeded, QGRingError
-from .groups import FiniteGroup, order_q_matrix, semidirect_vector
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, order_q_matrix,
+                     semidirect_vector)
 from .numutil import is_prime, ord_mod
-from .props import _prediction_for, classify_ssn, nd_verdict
+from .props import (DEFAULT_WITNESS_BUDGET, _prediction_for, classify_ssn,
+                    nd_verdict)
 
 SCHEMA = 1
 
@@ -50,12 +54,9 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze(args) -> int:
-    cfg = load_config(args.config)
-    cap = args.cap or cfg.order_cap
-    budget = args.budget or cfg.witness_budget
-    seed = cfg.probe_seed if args.seed is None else args.seed
+    budget = DEFAULT_WITNESS_BUDGET if args.budget is None else args.budget
     try:
-        G = build_spec(args.spec, cap=cap)
+        G = build_spec(args.spec, cap=args.cap)
     except OrderCapExceeded:
         raise
     except QGRingError as exc:
@@ -68,8 +69,7 @@ def _analyze(args) -> int:
     timing["classify_ms"] = int(1000 * (time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    report = nd_verdict(G, budget=budget, probe_budget=cfg.probe_budget,
-                        seed=seed)
+    report = nd_verdict(G, budget=budget, seed=args.seed)
     timing["nd_ms"] = int(1000 * (time.perf_counter() - t0))
 
     cnt = report.matrix_count
@@ -124,33 +124,46 @@ def _analyze(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """A sweep range: an integer n, or lo:hi for lo..hi inclusive."""
+    lo, sep, hi = text.partition(":")
+    try:
+        return list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or lo:hi, got {text!r}") from None
 
 
-def _add_computed(row: dict, G: FiniteGroup, pred, cfg, seed: int) -> None:
+def _span(given: Optional[list[int]], lo: int, hi: int):
+    """A sweep option's values, or lo..hi when it was not given."""
+    return range(lo, hi + 1) if given is None else given
+
+
+def _add_computed(row: dict, G: FiniteGroup, pred, seed: int) -> None:
     """Add G's matrix count to a sweep row, and whether it agrees with the
     predicted one-matrix verdict."""
-    cnt, _ = count_matrix_components(G, probe_budget=cfg.probe_budget, seed=seed)
+    cnt, _ = count_matrix_components(G, seed=seed)
     row["computed_one_matrix"] = cnt.exact == 1
     row["matrix_count"] = cnt.to_json()
     row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    cap = args.cap or cfg.order_cap
-    seed = cfg.probe_seed if args.seed is None else args.seed
+    cap, seed = args.cap, args.seed
     rows = []
     if args.family == "BJ1":
-        for p in _parse_range(args.p or "2:3"):
+        for p in _span(args.p, 2, 3):
             if not is_prime(p):
                 continue
-            for m in _parse_range(args.m or "2:3"):
-                for n in _parse_range(args.n or "1:2"):
+            for m in _span(args.m, 2, 3):
+                for n in _span(args.n, 1, 2):
                     pred = predict_nilpotent({"family": "BJ1", "p": p, "m": m,
                                               "n": n})
                     row = {"params": {"p": p, "m": m, "n": n},
@@ -159,20 +172,20 @@ def cmd_sweep(args) -> int:
                            "nd": pred.nd}
                     if p ** (m + n) <= cap:
                         _add_computed(row, bj1_group(p, m, n, cap=cap), pred,
-                                      cfg, seed)
+                                      seed)
                     rows.append(row)
     elif args.family == "BJ3":
-        for n in _parse_range(args.n or "2:4"):
+        for n in _span(args.n, 2, 4):
             pred = predict_nilpotent({"family": "BJ3", "n": n})
             row = {"params": {"n": n}, "order": 2 ** (n + 3),
                    "predicted_one_matrix": pred.one_matrix, "nd": pred.nd}
             if 2 ** (n + 3) <= cap:
                 _add_computed(row, build_spec(f"X(Q(8),C({2 ** n}))", cap=cap),
-                              pred, cfg, seed)
+                              pred, seed)
             rows.append(row)
     elif args.family == "repunit":
-        for n in _parse_range(args.n or "2:5"):
-            for p in _parse_range(args.p or "2:7"):
+        for n in _span(args.n, 2, 5):
+            for p in _span(args.p, 2, 7):
                 if not is_prime(p):
                     continue
                 q = (p ** n - 1) // (p - 1)
@@ -185,18 +198,18 @@ def cmd_sweep(args) -> int:
                 if p ** n * q <= cap and ord_mod(q, p) == n:
                     M = order_q_matrix(p, n, q)
                     _add_computed(row, semidirect_vector(p, n, M, q, cap=cap),
-                                  pred, cfg, seed)
+                                  pred, seed)
                 rows.append(row)
     elif args.family == "nonfaithful":
         from .numutil import element_of_order
-        for p in _parse_range(args.p or "3:7"):
+        k0 = 1 if args.k0 is None else args.k0
+        for p in _span(args.p, 3, 7):
             if not is_prime(p):
                 continue
-            for q in _parse_range(args.q or "2:3"):
+            for q in _span(args.q, 2, 3):
                 if not is_prime(q) or q == p:
                     continue
-                for k in _parse_range(args.k or "2:3"):
-                    k0 = int(args.k0 or 1)
+                for k in _span(args.k, 2, 3):
                     if not (1 <= k0 < k) or (p - 1) % q ** k0:
                         continue
                     r0 = element_of_order(p, q ** k0)
@@ -212,7 +225,7 @@ def cmd_sweep(args) -> int:
                                               pred.detail["per_j_division"].items()}}
                     if p * q ** k <= cap:
                         G = build_spec(f"SdCyc({p},{q ** k},{r0})", cap=cap)
-                        _add_computed(row, G, pred, cfg, seed)
+                        _add_computed(row, G, pred, seed)
                     rows.append(row)
     else:
         print(f"error: unknown family {args.family!r} "
@@ -238,7 +251,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import CATEGORIES, run_all
-    cfg = load_config(args.config)
     only = args.only.split(",") if args.only else None
     if only:
         unknown = [c for c in only if c not in CATEGORIES]
@@ -247,11 +259,8 @@ def cmd_verify(args) -> int:
                   f"choose from {', '.join(CATEGORIES)}", file=sys.stderr)
             return 2
     progress = None if args.json else (lambda row: print(row.line(), flush=True))
-    rows = run_all(only=only, cap=args.cap or cfg.order_cap,
-                   budget=args.budget or 20000,
-                   probe_budget=cfg.probe_budget,
-                   seed=cfg.probe_seed if args.seed is None else args.seed,
-                   progress=progress)
+    rows = run_all(only=only, budget=20000 if args.budget is None else args.budget,
+                   seed=args.seed, progress=progress)
     failed = [r for r in rows if not r.passed]
     if args.json:
         print(json.dumps({"schema": SCHEMA,
@@ -287,11 +296,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    shared.add_argument("--cap", type=int, help="group order cap")
-    shared.add_argument("--budget", type=int,
-                        help="witness search budget (integrality tests)")
-    shared.add_argument("--seed", type=int, help="probe seed")
-    shared.add_argument("--config", help="config file path")
+    shared.add_argument("--cap", type=_positive_int,
+                        help=f"group order cap (default {DEFAULT_ORDER_CAP}; "
+                             "not for verify-theorems)")
+    shared.add_argument("--budget", type=_positive_int,
+                        help="witness search budget in candidate tests (default "
+                             f"{DEFAULT_WITNESS_BUDGET} for analyze, 20000 for "
+                             "verify-theorems)")
+    shared.add_argument("--seed", type=int,
+                        help="seed of the probe's random phase and of "
+                             "verify-theorems' sampled checks (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="qgring", parents=[shared],
@@ -305,12 +319,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sw = sub.add_parser("sweep", parents=[shared],
                           help="sweep a parametric family")
     p_sw.add_argument("family", help="BJ1 | BJ3 | repunit | nonfaithful")
-    p_sw.add_argument("--p", default=None, help="range lo:hi or single value")
-    p_sw.add_argument("--q", default=None)
-    p_sw.add_argument("--m", default=None)
-    p_sw.add_argument("--n", default=None)
-    p_sw.add_argument("--k", default=None)
-    p_sw.add_argument("--k0", default=None)
+    p_sw.add_argument("--p", type=_parse_range,
+                      help="range lo:hi or single value")
+    for flag in ("--q", "--m", "--n", "--k"):
+        p_sw.add_argument(flag, type=_parse_range)
+    p_sw.add_argument("--k0", type=int)
 
     p_vt = sub.add_parser("verify-theorems", parents=[shared],
                           help="run the verification suite")
@@ -320,8 +333,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub.add_parser("catalog", parents=[shared], help="list named groups")
 
     args = parser.parse_args(argv)
-    for name, default in [("json", False), ("cap", None), ("budget", None),
-                          ("seed", None), ("config", None)]:
+    if args.command == "verify-theorems" and hasattr(args, "cap"):
+        p_vt.error("--cap does not apply: the instances are fixed, "
+                   "of order at most 200")
+    for name, default in [("json", False), ("cap", DEFAULT_ORDER_CAP),
+                          ("budget", None), ("seed", 0)]:
         if not hasattr(args, name):
             setattr(args, name, default)
     if args.command == "analyze":

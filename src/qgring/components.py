@@ -501,7 +501,7 @@ class MatrixCount:
 
 
 def count_matrix_components(
-        G: FiniteGroup, probe_budget: int = 2000, seed: int = 0,
+        G: FiniteGroup, seed: int = 0,
 ) -> tuple[MatrixCount, list[tuple[ShodaPair, ComponentDescriptor]]]:
     """Classify every primitive central idempotent of a metabelian group
     (A5 is special-cased to its one documented idempotent) and count the
@@ -522,7 +522,7 @@ def count_matrix_components(
         desc = describe_component(G, sp.H, sp.K, e=sp.e)
         kind = classify_component(desc)
         if kind == UNKNOWN:
-            wit = nilpotent_probe(G, sp.e, budget=probe_budget, seed=seed)
+            wit = nilpotent_probe(G, sp.e, seed=seed)
             if wit is not None:
                 desc.kind = MATRIX
                 desc.shape = (f"not a division ring (nilpotent certificate), "

@@ -582,8 +582,13 @@ def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:
 def all_maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> list[Subgroup]:
     if not B.is_abelian():
         raise BNotAbelian("seed subgroup is not abelian")
-    cands = [H for H in subgroups(G) if B <= H and H.is_abelian()]
-    return [H for H in cands if not any(H < C for C in cands)]
+    # by descending (order, mask), a candidate not under a maximum found
+    # so far is itself maximal
+    found: list[Subgroup] = []
+    for H in reversed(subgroups(G)):
+        if B <= H and H.is_abelian() and not any(H <= M for M in found):
+            found.append(H)
+    return found[::-1]
 
 
 def maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> Subgroup:

@@ -625,8 +625,12 @@ def a5_special_pci(G: FiniteGroup):
 # ---------------------------------------------------------------------------
 # witness search
 
+# candidate (alpha, e) tests a witness search may spend unless told otherwise
+DEFAULT_WITNESS_BUDGET = 10 ** 6
 
-def nd_witness_search(G: FiniteGroup, pcis: list[AlgElem], budget: int = 10 ** 6,
+
+def nd_witness_search(G: FiniteGroup, pcis: list[AlgElem],
+                      budget: int = DEFAULT_WITNESS_BUDGET,
                       ) -> tuple[Optional[tuple[AlgElem, AlgElem]], int]:
     """Search for (alpha, e): alpha an integral square-zero element of the
     standard (1-y) g hat(Y) / hat(Y) g (1-y) families (and +/- combinations
@@ -762,7 +766,7 @@ def _require_verified(w: Witness) -> None:
             + ", ".join(failed))
 
 
-def nd_verdict(G: FiniteGroup, budget: int = 10 ** 6, probe_budget: int = 2000,
+def nd_verdict(G: FiniteGroup, budget: int = DEFAULT_WITNESS_BUDGET,
                seed: int = 0) -> NDReport:
     """Decide ND where possible. Positive only via the at-most-one-matrix-
     component certificate; negative only via a verified witness; otherwise
@@ -776,8 +780,7 @@ def nd_verdict(G: FiniteGroup, budget: int = 10 ** 6, probe_budget: int = 2000,
     ncn = is_ncn(G) if okp and G.order > 1 else None
 
     try:
-        count, comps = count_matrix_components(G, probe_budget=probe_budget,
-                                               seed=seed)
+        count, comps = count_matrix_components(G, seed=seed)
     except NotMetabelian:
         count, comps = MatrixCount(0, None), []
 

@@ -223,13 +223,14 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     else:
         cache = False
     subs = subgroups(G)
+    over_A = [B for B in subs if A <= B]
     derived_of = {B.mask: commutator_subgroup(G, B.gens, B.gens).mask
-                  for B in subs if A <= B}
+                  for B in over_A}
     pairs: list[tuple[Subgroup, Subgroup]] = []
     for K in subs:
         # B ranges over subgroups with A <= B, B' <= K <= B
-        cands = [B for B in subs
-                 if A <= B and K <= B and derived_of[B.mask] | K.mask == K.mask]
+        cands = [B for B in over_A
+                 if K <= B and derived_of[B.mask] | K.mask == K.mask]
         maximal = [B for B in cands if not any(B < C for C in cands)]
         for H in maximal:
             if section_generator(H, K) is not None:

@@ -94,6 +94,52 @@ def test_analyze_exits_3_when_the_lattice_is_over_its_cap(capsys):
     assert "subgroups" in err
 
 
+def _usage_error(capsys, *argv):
+    """The stderr of a command line refused with exit 2 and one error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("source", ["cwd", "env"])
+def test_a_config_file_changes_nothing(capsys, monkeypatch, tmp_path, source):
+    path = tmp_path / ("qgring.config.json" if source == "cwd" else "settings.json")
+    path.write_text(json.dumps({"witness_budget": 7, "order_cap": 20}))
+    if source == "cwd":
+        monkeypatch.chdir(tmp_path)
+    else:
+        monkeypatch.setenv("QGRING_CONFIG", str(path))
+    code, out, _ = run_cli(capsys, "--json", "analyze", "SdCyc(3,8,2)")
+    assert code == 0
+    assert json.loads(out)["nd"]["reason"]["budget"] == 10 ** 6
+    code, _, err = run_cli(capsys, "analyze", "D(24)")
+    assert code == 0 and not err
+
+
+def test_there_is_no_config_flag(capsys):
+    _usage_error(capsys, "--config", "x", "analyze", "A4")
+
+
+def test_verify_theorems_refuses_cap(capsys):
+    assert "--cap" in _usage_error(capsys, "verify-theorems", "--cap", "100")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--cap", "0", "A4"),
+    ("analyze", "--budget", "0", "A4"),
+    ("analyze", "--budget", "-3", "A4"),
+    ("--cap", "x", "analyze", "A4"),
+    ("sweep", "BJ1", "--p", "abc"),
+    ("sweep", "BJ1", "--n", "1:2:3"),
+    ("sweep", "nonfaithful", "--k0", "one"),
+])
+def test_malformed_numbers_are_refused(capsys, argv):
+    _usage_error(capsys, *argv)
+
+
 def test_analyze_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "--json", "--seed", "5", "analyze", "D12")
     code2, out2, _ = run_cli(capsys, "--json", "--seed", "5", "analyze", "D12")

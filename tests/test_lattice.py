@@ -5,7 +5,9 @@ name; `is_sn`/`is_ssn` read joins and normalizers off G's own lattice.
 reference_lattice.py holds the original code, which closes every join
 from its generators and runs SN on a standalone group per subgroup. Both
 must give the same lattice, generators included, and the same verdicts.
-The work saved is pinned as counts of `_closure` calls.
+The work saved is pinned as counts of `_closure` calls, and the work of
+the PCI enumeration's scans over the lattice as counts of subgroup
+comparisons.
 """
 
 import pytest
@@ -13,8 +15,10 @@ import pytest
 import qgring.groups
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.errors import OrderCapExceeded
-from qgring.groups import FiniteGroup, elementary_abelian, normal_subgroups, subgroups
+from qgring.groups import (FiniteGroup, Subgroup, elementary_abelian,
+                           normal_subgroups, subgroups)
 from qgring.props import is_sn, is_ssn
+from qgring.shoda import metabelian_pcis
 from reference_lattice import reference_is_sn, reference_is_ssn, reference_subgroups
 
 # the groups analyzed by the benchmark's analyze-large and witness-search
@@ -68,6 +72,24 @@ def test_cold_lattice_closes_few_joins(monkeypatch):
     subgroups(G)
     # 5 668 joins when each one not skipped by a double coset was closed
     assert sum(base is not None for base in bases) <= 1700
+
+
+def test_pci_enumeration_makes_few_subgroup_comparisons(monkeypatch):
+    G = build_spec("X(D(8),EA(2,3))")
+    G._cache.clear()
+    assert len(subgroups(G)) == 937
+    calls = []
+    orig = Subgroup.__le__  # __lt__ calls it, so it is counted too
+
+    def counting(self, other):
+        calls.append(None)
+        return orig(self, other)
+
+    monkeypatch.setattr(Subgroup, "__le__", counting)
+    metabelian_pcis(G)
+    # 941 747 when A <= B was tested again for every K, and every abelian
+    # candidate over G' against all the others
+    assert len(calls) <= 60000
 
 
 @pytest.mark.parametrize("name", ["BJ9", "D8cpQ8"])
