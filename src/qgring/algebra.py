@@ -335,6 +335,11 @@ class SquareZeroFamily:
     integral iff their residues modulo F's denominator are. The answer
     depends only on (e, side, u) and is memoized; F is computed on first
     use. Callers must pass central idempotents.
+
+    For a fixed y both shifts run over the conjugacy class of y^-1 as g
+    runs over G, each u hit by |C_G(y)| of the g, and a candidate vanishes
+    iff u lies in Y. So scan() decides the 2 |C_G(y)| |cl(y^-1) - Y|
+    nonzero candidates of y, times each e, as one block of decisions.
     """
 
     def __init__(self, Y: Subgroup, idempotents: list[AlgElem],
@@ -351,18 +356,60 @@ class SquareZeroFamily:
         """Yield (y, g, left, u) for every nonzero candidate in search
         order: y in Y, then g in G, the left element before the right one.
         A candidate vanishes exactly when its shift u lies in Y."""
+        for y in self.Y.members[1:]:
+            for g, left, u in self._candidates_of(y):
+                yield y, g, left, u
+
+    def _candidates_of(self, y: int):
         G, Y = self.group, self.Y
-        for y in Y.members:
-            if y == 0:
+        y_inv = G.inverse[y]
+        for g in range(G.order):
+            u = G.conj(y_inv, g)
+            if not Y.contains(u):
+                yield g, True, u
+            u = G.conj_left(y_inv, g)
+            if not Y.contains(u):
+                yield g, False, u
+
+    def scan(self, spent: int, budget: int,
+             ) -> tuple[Optional[tuple[AlgElem, AlgElem]], int]:
+        """Go on with a search that has made `spent` tests: test each
+        candidate times each idempotent, in candidates() order, until a
+        test fails or spent reaches budget. Returns ((alpha, e), spent) for
+        the first failing test, else (None, spent); a search at its budget
+        (so any budget below 1) makes no test.
+
+        Each y is one block: every (e, side, u) with u in cl(y^-1) - Y is
+        decided, up to the first failure. A block that passes adds its
+        candidates times the idempotents, which is what testing them one
+        by one would spend, capped at the budget where that loop would have
+        stopped. Only a block with a failure is walked candidate by
+        candidate, to find the first failing test in search order within
+        the budget.
+        """
+        if spent >= budget:
+            return None, spent
+        G, Y = self.group, self.Y
+        n = len(self.idempotents)
+        for y in Y.members[1:]:
+            cls = G.class_of(G.inverse[y])
+            shifts = [u for u in cls if not Y.contains(u)]
+            if all(self.invariant(i, left, u) for u in shifts
+                   for left in (True, False) for i in range(n)):
+                # |C_G(y)| = |G| / |cl(y^-1)| candidates per side and shift
+                spent += n * 2 * (G.order // len(cls)) * len(shifts)
+                if spent >= budget:
+                    return None, budget
                 continue
-            y_inv = G.inverse[y]
-            for g in range(G.order):
-                u = G.conj(y_inv, g)
-                if not Y.contains(u):
-                    yield y, g, True, u
-                u = G.conj_left(y_inv, g)
-                if not Y.contains(u):
-                    yield y, g, False, u
+            for g, left, u in self._candidates_of(y):
+                for i in range(n):
+                    spent += 1
+                    if not self.invariant(i, left, u):
+                        return (self.element(y, g, left),
+                                self.idempotents[i]), spent
+                    if spent >= budget:
+                        return None, spent
+        return None, spent
 
     def element(self, y: int, g: int, left: bool) -> AlgElem:
         """The candidate itself, built with real products."""
@@ -382,10 +429,8 @@ class SquareZeroFamily:
                 vec = [v % F.den for v in F.nums] if self.residues else F.nums
                 self._vectors[i] = vec
             table = self.group.table
-            if left:
-                row = table[u]
-                hit = all(v == vec[row[z]] for z, v in enumerate(vec))
-            else:
-                hit = all(v == vec[table[z][u]] for z, v in enumerate(vec))
+            # vec[u z] = vec[z] (left) or vec[z u] = vec[z] (right) for all z
+            shifted = table[u] if left else map(itemgetter(u), table)
+            hit = list(map(vec.__getitem__, shifted)) == vec
             self._memo[key] = hit
         return hit

@@ -7,8 +7,8 @@ Commands:
     catalog                 list named groups
 
 Global flags: --json, --cap N, --budget N, --seed N; they are the only
-settings. --cap and --budget take positive integers; verify-theorems
-refuses --cap, since its instances are fixed.
+settings. --cap and --budget take positive integers. Each command accepts
+only the flags it reads (COMMAND_FLAGS) and refuses the others.
 Exit codes: 2 for a malformed command line; for analyze 0 ok, 2 parse
 error, 3 order cap exceeded.
 """
@@ -290,6 +290,17 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+# the global flags each command reads; any other is refused, so that no
+# flag is silently ignored (verify-theorems' instances are fixed, of order
+# at most 200; sweep and catalog run no witness search)
+COMMAND_FLAGS = {
+    "analyze": ("json", "cap", "budget", "seed"),
+    "sweep": ("json", "cap", "seed"),
+    "verify-theorems": ("json", "budget", "seed"),
+    "catalog": ("json",),
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     # SUPPRESS keeps a subcommand's absent flags from overwriting values
     # already parsed at the top level (flags are accepted in both positions)
@@ -298,14 +309,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="machine-readable output")
     shared.add_argument("--cap", type=_positive_int,
                         help=f"group order cap (default {DEFAULT_ORDER_CAP}; "
-                             "not for verify-theorems)")
+                             "analyze and sweep)")
     shared.add_argument("--budget", type=_positive_int,
                         help="witness search budget in candidate tests (default "
                              f"{DEFAULT_WITNESS_BUDGET} for analyze, 20000 for "
                              "verify-theorems)")
     shared.add_argument("--seed", type=int,
                         help="seed of the probe's random phase and of "
-                             "verify-theorems' sampled checks (default 0)")
+                             "verify-theorems' sampled checks (default 0; "
+                             "not for catalog)")
 
     parser = argparse.ArgumentParser(
         prog="qgring", parents=[shared],
@@ -333,11 +345,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub.add_parser("catalog", parents=[shared], help="list named groups")
 
     args = parser.parse_args(argv)
-    if args.command == "verify-theorems" and hasattr(args, "cap"):
-        p_vt.error("--cap does not apply: the instances are fixed, "
-                   "of order at most 200")
-    for name, default in [("json", False), ("cap", DEFAULT_ORDER_CAP),
-                          ("budget", None), ("seed", 0)]:
+    defaults = {"json": False, "cap": DEFAULT_ORDER_CAP, "budget": None,
+                "seed": 0}
+    refused = [f"--{name}" for name in defaults
+               if hasattr(args, name) and name not in COMMAND_FLAGS[args.command]]
+    if refused:
+        sub.choices[args.command].error(
+            f"{args.command} does not take {', '.join(refused)}")
+    for name, default in defaults.items():
         if not hasattr(args, name):
             setattr(args, name, default)
     if args.command == "analyze":

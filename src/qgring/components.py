@@ -460,13 +460,11 @@ def nilpotent_probe(G: FiniteGroup, e: AlgElem, budget: int = 2000,
         raise NotCentralIdempotent("the nilpotent probe needs a central idempotent")
     spent = 0
     for Y in subgroups(G)[1:-1]:
-        fam = SquareZeroFamily(Y, [e], residues=False)
-        for y, g, left, u in fam.candidates():
-            spent += 1
-            if not fam.invariant(0, left, u):
-                return fam.element(y, g, left) * e
-            if spent >= budget:
-                return None
+        found, spent = SquareZeroFamily(Y, [e], residues=False).scan(spent, budget)
+        if found is not None:
+            return found[0] * e
+        if spent >= budget:
+            return None
     rng = random.Random(seed)
     e1 = e.coeff(0)
     while spent < budget:

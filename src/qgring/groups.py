@@ -207,6 +207,16 @@ class FiniteGroup:
             self._cache["classes"] = classes
         return self._cache["classes"]
 
+    def class_of(self, x: int) -> tuple[int, ...]:
+        """The conjugacy class of x, as listed by conjugacy_classes()."""
+        if "class_of" not in self._cache:
+            index: list[tuple[int, ...]] = [()] * self.order
+            for cls in self.conjugacy_classes():
+                for y in cls:
+                    index[y] = cls
+            self._cache["class_of"] = index
+        return self._cache["class_of"][x]
+
 
 # ---------------------------------------------------------------------------
 # closure helpers (bitmask based)

@@ -638,12 +638,14 @@ def nd_witness_search(G: FiniteGroup, pcis: list[AlgElem],
     alpha*e not integral.
 
     The budget counts candidate (alpha, e) tests in a fixed order, the pair
-    tests included, and the search stops once it has spent the budget.
-    Each single-element test is decided by coset invariance
-    (SquareZeroFamily). A pair test can never find a witness: both of its
-    elements already passed every e, and alpha*e is linear in alpha. So the
-    pair tests are counted, not made; spent is the same as if each had
-    been multiplied out. Returns (pair or None, spent).
+    tests included, and the search stops once it has spent the budget; a
+    budget below 1 spends nothing. The single-element tests of each Y are
+    decided by coset invariance, one block of tests per y
+    (SquareZeroFamily.scan); a block that passes counts one test per
+    candidate and e, so spent is the same as if each had been made. A pair
+    test can never find a witness: both of its elements already passed
+    every e, and alpha*e is linear in alpha. So the pair tests are counted
+    per left coset of Y, not made. Returns (pair or None, spent).
     """
     for e in pcis:
         if not e.is_central():
@@ -652,24 +654,37 @@ def nd_witness_search(G: FiniteGroup, pcis: list[AlgElem],
         return None, 0
     spent = 0
     for Y in subgroups(G)[1:-1]:
-        fam = SquareZeroFamily(Y, pcis, residues=True)
-        # each left element is hat(gY) - hat(ygY), keyed by its two cosets
-        coset = [min(row[h] for h in Y.members) for row in G.table]
-        left_keys: Counter[tuple[int, int]] = Counter()
-        for y, g, left, u in fam.candidates():
-            if left:
-                left_keys[coset[g], coset[G.table[y][g]]] += 1
-            for i, e in enumerate(pcis):
-                spent += 1
-                if not fam.invariant(i, left, u):
-                    return (fam.element(y, g, left), e), spent
-                if spent >= budget:
-                    return None, spent
-        pair_tests = len(pcis) * _nonzero_pairs(left_keys)
+        found, spent = SquareZeroFamily(Y, pcis, residues=True).scan(spent, budget)
+        if found is not None or spent >= budget:
+            return found, spent
+        pair_tests = len(pcis) * _nonzero_pairs(_left_keys(Y))
         if pair_tests and spent + pair_tests >= budget:
             return None, budget
         spent += pair_tests
     return None, spent
+
+
+def _left_keys(Y: Subgroup) -> Counter[tuple[int, int]]:
+    """The nonzero left elements (1-y) g hat(Y) = hat(gY) - hat(ygY),
+    counted by their pair of left cosets (numbered in one pass over G).
+    The |Y| elements g of one coset give the same pair for each y."""
+    G = Y.parent
+    coset = [-1] * G.order
+    reps = []
+    for g in range(G.order):
+        if coset[g] < 0:
+            row = G.table[g]
+            for h in Y.members:
+                coset[row[h]] = len(reps)
+            reps.append(g)
+    keys: Counter[tuple[int, int]] = Counter()
+    for y in Y.members[1:]:
+        row = G.table[y]
+        for g in reps:
+            a, b = coset[g], coset[row[g]]
+            if a != b:
+                keys[a, b] += Y.order
+    return keys
 
 
 def _nonzero_pairs(keys: Counter[tuple[int, int]]) -> int:

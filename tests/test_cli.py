@@ -128,6 +128,40 @@ def test_verify_theorems_refuses_cap(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("analyze", "A4", "--only", "witnesses"),
+    ("--k0", "1", "analyze", "A4"),
+    ("sweep", "BJ3", "--budget", "1"),
+    ("--budget", "1", "sweep", "BJ3"),
+    ("verify-theorems", "--cap", "100"),
+    ("--cap", "100", "verify-theorems"),
+    ("catalog", "--cap", "5"),
+    ("catalog", "--budget", "3"),
+    ("--seed", "9", "catalog"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    _usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "A4", "--json", "--cap", "20", "--budget", "5", "--seed", "1"),
+    ("--json", "--cap", "20", "--budget", "5", "--seed", "1", "analyze", "A4"),
+    ("sweep", "BJ1", "--p", "2", "--m", "2", "--n", "1", "--json", "--cap",
+     "20", "--seed", "1"),
+    ("--json", "--cap", "20", "--seed", "1", "sweep", "BJ1", "--p", "2",
+     "--m", "2", "--n", "1"),
+    ("verify-theorems", "--only", "amitsur", "--json", "--budget", "5",
+     "--seed", "1"),
+    ("--json", "--budget", "5", "--seed", "1", "verify-theorems", "--only",
+     "amitsur"),
+    ("catalog", "--json"),
+])
+def test_each_command_takes_its_flags_in_either_position(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and not err
+    assert json.loads(out)["schema"] == 1
+
+
+@pytest.mark.parametrize("argv", [
     ("analyze", "--cap", "0", "A4"),
     ("analyze", "--budget", "0", "A4"),
     ("analyze", "--budget", "-3", "A4"),

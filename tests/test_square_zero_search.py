@@ -10,9 +10,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgring.algebra import AlgElem, SquareZeroFamily, tilde
 from qgring.catalog import build_named, build_spec
@@ -55,9 +59,12 @@ def _same(found, ref):
 BOUNDARIES = {"SdCyc(5,8,2)": (768, 22080)}
 
 
+# the reference still makes one test at budget 0; the library makes none
+# (test_budget_below_one_spends_nothing), so comparisons start at 1
 def _budgets(name, n_pcis):
     ends = BOUNDARIES.get(name, (EXHAUSTION[name],))
-    return sorted({1, 2, n_pcis}.union(*({x - 1, x, x + 1} for x in ends)))
+    budgets = {1, 2, n_pcis}.union(*({x - 1, x, x + 1} for x in ends))
+    return sorted(b for b in budgets if b >= 1)
 
 
 @pytest.mark.parametrize("name", sorted(EXHAUSTION))
@@ -71,6 +78,89 @@ def test_witness_search_matches_reference(name):
         assert _same(found, ref_found), (name, budget)
     x = EXHAUSTION[name]
     assert nd_witness_search(G, pcis, budget=x + 1)[1] == x
+
+
+@pytest.mark.parametrize("name", ["Q12", "A4", "Q16"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_witness_search_matches_reference_at_any_budget(name, data):
+    G = build_named(name)
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    budget = data.draw(st.integers(1, EXHAUSTION[name] + 2))
+    found, spent = nd_witness_search(G, pcis, budget=budget)
+    ref_found, ref_spent = reference_nd_witness_search(G, pcis, budget=budget)
+    assert spent == ref_spent
+    assert _same(found, ref_found)
+
+
+def _block_ends(G, pcis):
+    """The spend at the end of each y-block of the first subgroup with
+    nonzero candidates, counted from its candidates one by one."""
+    for Y in subgroups(G)[1:-1]:
+        per_y = Counter(y for y, *_ in
+                        SquareZeroFamily(Y, pcis, residues=True).candidates())
+        if per_y:
+            return list(accumulate(len(pcis) * per_y[y] for y in Y.members[1:]))
+    return []
+
+
+def test_witness_search_matches_reference_inside_a_subgroup():
+    G = build_named("C3rC8")
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    ends = _block_ends(G, pcis)
+    assert ends
+    for budget in sorted({b + d for b in ends for d in (-1, 0, 1)}):
+        found, spent = nd_witness_search(G, pcis, budget=budget)
+        assert (found, spent) == reference_nd_witness_search(G, pcis, budget=budget)
+        assert (found, spent) == (None, budget)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_spends_nothing(budget):
+    G = build_named("D12")
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    assert nd_witness_search(G, pcis, budget=1)[0] is not None
+    assert nd_witness_search(G, pcis, budget=budget) == (None, 0)
+    assert any(nilpotent_probe(G, e, budget=1) is not None for e in pcis)
+    assert all(nilpotent_probe(G, e, budget=budget) is None for e in pcis)
+    report = nd_verdict(build_named("C3rC8"), budget=budget)
+    assert (report.verdict, report.budget, report.spent) == ("Unknown", budget, 0)
+
+
+# invariance decisions (entries of SquareZeroFamily._memo) the witness
+# search makes at the harness budget, as the one-test-at-a-time loop made
+# them; blocks decided together must not add any
+DECISIONS = {
+    "SdCyc(3,8,2)": 336,
+    "SdCyc(5,8,2)": 288,
+    "SdCyc(3,16,2)": 288,
+    "SdCyc(5,16,2)": 256,
+    "SdCyc(13,8,5)": 288,
+    "X(SdCyc(3,8,2),C(2))": 8,
+}
+
+
+def _decisions(G, budget, monkeypatch):
+    families = []
+    init = SquareZeroFamily.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        families.append(self)
+
+    monkeypatch.setattr(SquareZeroFamily, "__init__", recording_init)
+    nd_witness_search(G, [sp.e for sp in metabelian_pcis(G)], budget=budget)
+    monkeypatch.undo()
+    return sum(len(fam._memo) for fam in families)
+
+
+@pytest.mark.parametrize("spec", sorted(DECISIONS))
+def test_witness_search_decisions_are_pinned(spec, monkeypatch):
+    assert _decisions(build_spec(spec), 50_000, monkeypatch) == DECISIONS[spec]
+
+
+def test_witness_in_the_first_block_takes_at_most_two_decisions(monkeypatch):
+    assert _decisions(build_spec("D(200)"), 200_000, monkeypatch) <= 2
 
 
 def test_witness_search_without_idempotents_spends_nothing():
