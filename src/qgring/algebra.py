@@ -176,9 +176,11 @@ class AlgElem:
         return self.den == 1
 
     def is_central(self) -> bool:
-        """True iff conjugation by every generator of G fixes the element.
-        Decided once per element and group."""
-        return _memo(self, "central", _fixed_by_generators)
+        """True iff the coefficients are constant on each conjugacy class:
+        conjugation by g maps each class onto itself, so then it fixes the
+        element, and a central element has g^-1 x g and x with the same
+        coefficient. Decided once per element and group."""
+        return _memo(self, "central", _constant_on_classes)
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -252,14 +254,11 @@ def _memo(e: AlgElem, fact: str, decide) -> bool:
     return cache[key]
 
 
-def _fixed_by_generators(e: AlgElem) -> bool:
+def _constant_on_classes(e: AlgElem) -> bool:
     G = e.group
-    nums = e.nums
-    for g in G.generators():
-        for x in range(G.order):
-            if nums[G.conj(x, g)] != nums[x]:
-                return False
-    return True
+    if "class_first" not in G._cache:
+        G._cache["class_first"] = [G.class_of(g)[0] for g in range(G.order)]
+    return list(map(e.nums.__getitem__, G._cache["class_first"])) == e.nums
 
 
 def _idempotent_at_classes(e: AlgElem) -> bool:

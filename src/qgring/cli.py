@@ -8,7 +8,8 @@ Commands:
 
 Global flags: --json, --cap N, --budget N, --seed N; they are the only
 settings. --cap and --budget take positive integers. Each command accepts
-only the flags it reads (COMMAND_FLAGS) and refuses the others.
+only the flags it reads (COMMAND_FLAGS), refuses the others and lists only
+those in its help.
 Exit codes: 2 for a malformed command line; for analyze 0 ok, 2 parse
 error, 3 order cap exceeded.
 """
@@ -301,35 +302,50 @@ COMMAND_FLAGS = {
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    # SUPPRESS keeps a subcommand's absent flags from overwriting values
-    # already parsed at the top level (flags are accepted in both positions)
-    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    shared.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    shared.add_argument("--cap", type=_positive_int,
-                        help=f"group order cap (default {DEFAULT_ORDER_CAP}; "
-                             "analyze and sweep)")
-    shared.add_argument("--budget", type=_positive_int,
-                        help="witness search budget in candidate tests (default "
-                             f"{DEFAULT_WITNESS_BUDGET} for analyze, 20000 for "
-                             "verify-theorems)")
-    shared.add_argument("--seed", type=int,
-                        help="seed of the probe's random phase and of "
-                             "verify-theorems' sampled checks (default 0; "
-                             "not for catalog)")
+# the global flags, as argparse arguments
+GLOBAL_FLAGS = {
+    "json": dict(action="store_true", help="machine-readable output"),
+    "cap": dict(type=_positive_int,
+                help=f"group order cap (default {DEFAULT_ORDER_CAP}; "
+                     "analyze and sweep)"),
+    "budget": dict(type=_positive_int,
+                   help="witness search budget in candidate tests (default "
+                        f"{DEFAULT_WITNESS_BUDGET} for analyze, 20000 for "
+                        "verify-theorems)"),
+    "seed": dict(type=int,
+                 help="seed of the probe's random phase and of "
+                      "verify-theorems' sampled checks (default 0; "
+                      "not for catalog)"),
+}
 
+
+def _flags_parser(names) -> argparse.ArgumentParser:
+    """A parent parser holding the named global flags. SUPPRESS keeps a
+    subcommand's absent flags from overwriting values already parsed at the
+    top level (flags are accepted in both positions)."""
+    parser = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    for name in names:
+        parser.add_argument(f"--{name}", **GLOBAL_FLAGS[name])
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="qgring", parents=[shared],
+        prog="qgring", parents=[_flags_parser(GLOBAL_FLAGS)],
         description="Wedderburn data of rational group algebras and "
                     "nilpotent-decomposition verdicts for integral group rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", parents=[shared], help="analyze one group")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        # a command lists and takes, after its name, only the flags it reads
+        return sub.add_parser(
+            name, parents=[_flags_parser(COMMAND_FLAGS[name])], **kwargs)
+
+    p_an = command("analyze", help="analyze one group")
     p_an.add_argument("spec", help="group spec, e.g. 'SdCyc(3,8,2)' or 'A4'")
 
-    p_sw = sub.add_parser("sweep", parents=[shared],
-                          help="sweep a parametric family")
+    p_sw = command("sweep", help="sweep a parametric family")
     p_sw.add_argument("family", help="BJ1 | BJ3 | repunit | nonfaithful")
     p_sw.add_argument("--p", type=_parse_range,
                       help="range lo:hi or single value")
@@ -337,12 +353,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         p_sw.add_argument(flag, type=_parse_range)
     p_sw.add_argument("--k0", type=int)
 
-    p_vt = sub.add_parser("verify-theorems", parents=[shared],
-                          help="run the verification suite")
+    p_vt = command("verify-theorems", help="run the verification suite")
     p_vt.add_argument("--only", default=None,
                       help="comma-separated categories to run")
 
-    sub.add_parser("catalog", parents=[shared], help="list named groups")
+    command("catalog", help="list named groups")
 
     args = parser.parse_args(argv)
     defaults = {"json": False, "cap": DEFAULT_ORDER_CAP, "budget": None,

@@ -42,6 +42,7 @@ from .shoda import (
     e_idem,
     is_strong_shoda_pair,
     metabelian_pcis,
+    section_exponents,
     section_generator,
 )
 
@@ -155,13 +156,7 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
     n = G.order // N.order
     h = H.order // K.order
     x = section_generator(H, K)
-    # dlog[g] = k for g in x^k K
-    dlog = {}
-    cur = 0
-    for k in range(h):
-        for z in K.members:
-            dlog[G.table[cur][z]] = k
-        cur = G.table[cur][x]
+    dlog = section_exponents(H, K)  # k for g in x^k K
     # the H-cosets of N, numbered by their least element, which is also
     # their representative: reps[a] and coset[g] for g in N
     reps: list[int] = []

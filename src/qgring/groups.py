@@ -364,7 +364,10 @@ def subgroup_from_mask(G: FiniteGroup, mask: int) -> Subgroup:
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (1 << G.order) - 1, G.generators())
+    """G as a subgroup of itself; built once per group."""
+    if "full" not in G._cache:
+        G._cache["full"] = Subgroup(G, (1 << G.order) - 1, G.generators())
+    return G._cache["full"]
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +492,10 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
+    """N_G(H); G itself, with the stabilizer scan's generators, when H is
+    normal."""
+    if is_normal(G, H):
+        return full_subgroup(G)
     return stabilizer(G, lambda g: normalizes(G, (g,), H))
 
 

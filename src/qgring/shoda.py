@@ -2,10 +2,13 @@
 
 epsilon(H, K) is tilde(H) when H = K and otherwise the product of
 (tilde(K) - tilde(M)) over the minimal nontrivial normal subgroups M/K of
-H/K. Summing the G-conjugates of epsilon over a transversal of its
-centralizer gives a central element e(G, H, K); for metabelian G the pairs
-singled out by the maximal-abelian enumeration produce exactly the
-primitive central idempotents.
+H/K. For cyclic H/K = <xK> of order n these are the M_p = <x^(n/p)>K,
+and the product expands to sum over d | rad(n) of mu(d) tilde(<x^(n/d)>K),
+read off the coset exponents x^j K -> j with no lattice and no product.
+Summing the G-conjugates of epsilon over a transversal of its centralizer
+gives a central element e(G, H, K); for metabelian G the pairs singled
+out by the maximal-abelian enumeration produce exactly the primitive
+central idempotents.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ def _is_normal_in(H: Subgroup, K: Subgroup) -> bool:
 
 
 def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
-    """The idempotent of Q[H] built from K normal in H."""
+    """The idempotent of Q[H] built from K normal in H: in closed form
+    when H/K is cyclic, else from the minimal normal subgroups of H/K."""
     if not _is_normal_in(H, K):
         raise NotNormalInH("K must be normal in H")
-    if H.mask == K.mask:
-        return tilde(H)
+    if section_generator(H, K) is not None:
+        return _cyclic_epsilon(H, K)
     out = None
     tk = tilde(K)
     for M in minimal_normal_subgroups_of_quotient(H, K):
@@ -50,8 +54,31 @@ def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     return out
 
 
+def _cyclic_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
+    """epsilon(H, K) for cyclic H/K of order n: sum over d | rad(n) of
+    mu(d) tilde(<x^(n/d)>K). The d-th term is mu(d) / (d |K|) on each
+    x^j K with (n/d) | j, so the coefficient on x^j K is
+    (sum of mu(d) n/d over those d) / (n |K|)."""
+    G = H.parent
+    n = H.order // K.order
+    divisors = [(1, 1)]  # (squarefree d, mu(d))
+    for p in prime_factors(n):
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    at = [0] * n
+    for d, mu in divisors:
+        step = n // d
+        for j in range(0, n, step):
+            at[j] += mu * step
+    nums = [0] * G.order
+    for g, j in section_exponents(H, K).items():
+        nums[g] = at[j]
+    return AlgElem(G, nums, n * K.order)
+
+
 def _right_transversal(G: FiniteGroup, C: Subgroup, reverse: bool = False) -> list[int]:
     """Representatives of the right cosets C*t, scanned in index order."""
+    if C.order == G.order:
+        return [G.order - 1 if reverse else 0]
     seen = 0
     reps = []
     order = range(G.order - 1, -1, -1) if reverse else range(G.order)
@@ -66,12 +93,23 @@ def _right_transversal(G: FiniteGroup, C: Subgroup, reverse: bool = False) -> li
 
 def _epsilon_centralizer(G: FiniteGroup, H: Subgroup,
                          K: Subgroup) -> tuple[AlgElem, Subgroup]:
-    """epsilon(H, K) and its centralizer in G, computed once per pair."""
+    """epsilon(H, K) and its centralizer in G, computed once per pair. A
+    strong Shoda pair's check stores (epsilon, N_G(K)) here first."""
     key = ("epsilon", H.mask, K.mask)
     if key not in G._cache:
         eps = epsilon(H, K)
         G._cache[key] = (eps, eps.centralizer_subgroup())
     return G._cache[key]
+
+
+def _conjugate_sum(eps: AlgElem, transversal: list[int]) -> AlgElem:
+    """The sum of eps^t = t^-1 eps t over t in transversal."""
+    G = eps.group
+    out = [0] * G.order
+    for t in transversal:
+        for x in eps.support:
+            out[G.conj(x, t)] += eps.nums[x]
+    return AlgElem(G, out, eps.den)
 
 
 def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
@@ -80,16 +118,11 @@ def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
     transversal of its centralizer. Central in Q[G] by construction;
     independent of the transversal (checked when requested)."""
     eps, C = _epsilon_centralizer(G, H, K)
-    out = AlgElem.zero(G)
-    for t in _right_transversal(G, C):
-        out = out + eps.conjugate(t)
+    out = _conjugate_sum(eps, _right_transversal(G, C))
     if not out.is_central():
         raise SoundnessError("e(G,H,K) must be central")
     if check_transversal:
-        alt = AlgElem.zero(G)
-        for t in _right_transversal(G, C, reverse=True):
-            alt = alt + eps.conjugate(t)
-        if alt != out:
+        if _conjugate_sum(eps, _right_transversal(G, C, reverse=True)) != out:
             raise SoundnessError("e(G,H,K) depends on the transversal")
     return out
 
@@ -113,14 +146,44 @@ def is_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
 def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
     """The first h in H whose coset hK generates H/K (K normal in H), or
     None when H/K is not cyclic. hK has order n = [H : K] iff h^(n/p) is
-    outside K for every prime p dividing n."""
+    outside K for every prime p dividing n. Decided once per pair."""
     G = H.parent
-    n = H.order // K.order
-    steps = [n // p for p in prime_factors(n)]
-    for h in H.members:
-        if not any(K.contains(G.power(h, k)) for k in steps):
-            return h
-    return None
+    key = ("section", H.mask, K.mask)
+    if key not in G._cache:
+        n = H.order // K.order
+        steps = [n // p for p in prime_factors(n)]
+        found = None
+        failed = 0  # the cosets hK already tested: their elements fail too
+        for h in H.members:
+            if failed >> h & 1:
+                continue
+            if not any(K.contains(G.power(h, k)) for k in steps):
+                found = h
+                break
+            row = G.table[h]
+            for z in K.members:
+                failed |= 1 << row[z]
+        G._cache[key] = found
+    return G._cache[key]
+
+
+def section_exponents(H: Subgroup, K: Subgroup) -> dict[int, int]:
+    """j for each element of x^j K, 0 <= j < [H : K], where
+    x = section_generator(H, K) generates the cyclic H/K. Built once per
+    pair; epsilon(H, K) and the crossed-product data read it."""
+    G = H.parent
+    key = ("exponents", H.mask, K.mask)
+    if key not in G._cache:
+        x = section_generator(H, K)
+        exps: dict[int, int] = {}
+        cur = 0
+        for j in range(H.order // K.order):
+            row = G.table[cur]
+            for z in K.members:
+                exps[row[z]] = j
+            cur = row[x]
+        G._cache[key] = exps
+    return G._cache[key]
 
 
 def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
@@ -134,6 +197,8 @@ def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
 
 
 def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
+    """The strong Shoda test. A pair that passes has Cen_G(epsilon) =
+    N_G(K), and (epsilon, N_G(K)) is stored as the pair's centralizer memo."""
     if not _is_normal_in(H, K):
         return False
     N = normalizer(G, K)
@@ -142,20 +207,33 @@ def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     x = section_generator(H, K)
     if x is None:
         return False
-    # H/K = <xK> maximal abelian in N/K  <=>  {m in N : (m, x) in K} = H
-    if any(K.contains(G.commutator(m, x)) != H.contains(m) for m in N.members):
-        return False
-    # N <= Cen(eps) always (H and the minimal normal subgroups over K are
-    # N-stable), so any g in Cen(eps) outside N already violates
-    # orthogonality; the strong condition forces Cen(eps) = N exactly.
-    eps, C = _epsilon_centralizer(G, H, K)
-    if C.mask != N.mask:
-        return False
-    for t in _right_transversal(G, C):
+    # H/K = <xK> maximal abelian in N/K  <=>  {m in N : (m, x) in K} = H.
+    # That set is a subgroup containing H, so one m per right coset Hm
+    # other than H decides it.
+    seen = H.mask
+    for m in N.members:
+        if seen >> m & 1:
+            continue
+        if K.contains(G.commutator(m, x)):
+            return False
+        for h in H.members:
+            seen |= 1 << G.table[h][m]
+    key = ("epsilon", H.mask, K.mask)
+    held = G._cache.get(key)
+    eps = _cyclic_epsilon(H, K) if held is None else held[0]
+    # N fixes each <x^(n/d)>K, so N <= Cen(eps). For t outside N,
+    # eps * eps^t = 0 rules out eps^t = eps (eps is a nonzero idempotent),
+    # and eps^t depends only on the coset Nt: so the test below, if it
+    # passes, proves Cen(eps) = N.
+    for t in _right_transversal(G, N):
         if N.contains(t):
             continue
         if not (eps * eps.conjugate(t)).is_zero():
             return False
+    if held is None:
+        G._cache[key] = (eps, N)
+    elif held[1] != N:
+        raise SoundnessError("a strong Shoda pair must have Cen_G(epsilon) = N_G(K)")
     return True
 
 
@@ -239,13 +317,16 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))
     by_key: dict[tuple, ShodaPair] = {}
     for H, K in pairs:
+        # decided first, so that a strong pair's e is summed over a
+        # transversal of N_G(K) with no centralizer scan
+        strong = is_strong_shoda_pair(G, H, K)
         e = e_idem(G, H, K)
         k = e.key()
         if k in by_key:
             continue
         eps, _ = _epsilon_centralizer(G, H, K)
         kind = "neither"
-        if is_strong_shoda_pair(G, H, K):
+        if strong:
             kind = "strong-shoda"
         elif is_shoda_pair(G, H, K):
             kind = "plain-shoda"

@@ -1,10 +1,11 @@
 """Cheap isomorphism invariants, used by the tests as a sanity check on
-group constructions, and the subgroup and spec operations only the tests
-use.
+group constructions, and the subgroup, spec and relabelling operations
+only the tests use.
 Equal fingerprints do not make groups isomorphic (SdCyc(8,4,3) and
 SdCyc(8,4,7) share one); the library identifies groups through
 find_isomorphism only."""
 
+import random
 from typing import Optional
 
 from qgring.catalog import build_spec
@@ -16,6 +17,7 @@ from qgring.groups import (
     center,
     commutator_subgroup,
     derived_subgroup,
+    from_table,
     quotient,
     subgroup_from_mask,
     subgroup_generated,
@@ -81,3 +83,16 @@ def subgroup_of_spec(spec: str, generator_words: list[str],
     H = subgroup_generated(G, tuple(G.word(w) for w in generator_words))
     out, _ = H.induced()
     return out
+
+
+def relabel(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G with its non-identity elements shuffled, rebuilt through from_table
+    (so element names are lost too)."""
+    perm = list(range(1, G.order))
+    random.Random(seed).shuffle(perm)
+    perm = [0] + perm  # old index -> new index
+    table = [[0] * G.order for _ in range(G.order)]
+    for a, row in enumerate(G.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return from_table(table)

@@ -20,11 +20,15 @@ from qgring.groups import (
     centralizer,
     full_subgroup,
     normal_subgroups,
-    normalizer,
     quotient,
     subgroup_from_mask,
 )
-from qgring.shoda import _epsilon_centralizer, _is_normal_in, _right_transversal
+from reference_shoda import (
+    _is_normal_in,
+    _right_transversal,
+    reference_epsilon_centralizer,
+    reference_normalizer,
+)
 
 
 def section_quotient(H: Subgroup, K: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
@@ -87,7 +91,7 @@ def reference_quotient_cyclic(H: Subgroup, K: Subgroup) -> bool:
 def reference_strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     if not _is_normal_in(H, K):
         return False
-    N = normalizer(G, K)
+    N = reference_normalizer(G, K)
     if not _is_normal_in(N, H):
         return False
     if not reference_quotient_cyclic(H, K):
@@ -104,7 +108,7 @@ def reference_strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     # N <= Cen(eps) always (H and the minimal normal subgroups over K are
     # N-stable), so any g in Cen(eps) outside N already violates
     # orthogonality; the strong condition forces Cen(eps) = N exactly.
-    eps, C = _epsilon_centralizer(G, H, K)
+    eps, C = reference_epsilon_centralizer(G, H, K)
     if C.mask != N.mask:
         return False
     for t in _right_transversal(G, C):
@@ -118,7 +122,7 @@ def reference_strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
 def reference_crossed_product(G: FiniteGroup, H: Subgroup, K: Subgroup) -> dict:
     """matrix_size_n, cyclotomic_order_h, nh_order, nh_cyclic, action,
     twisting, gen_action_exp and gen_twist_exp of a strong Shoda pair."""
-    N = normalizer(G, K)
+    N = reference_normalizer(G, K)
     n = G.order // N.order
     h = H.order // K.order
 

@@ -142,6 +142,20 @@ def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     _usage_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("command", sorted(qgring.cli.COMMAND_FLAGS))
+def test_help_lists_only_the_flags_a_command_takes(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = {name for name in qgring.cli.GLOBAL_FLAGS if f"--{name}" in out}
+    assert listed == set(qgring.cli.COMMAND_FLAGS[command])
+    if command == "catalog":
+        assert listed == {"json"}
+    if command == "sweep":
+        assert "--budget" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "A4", "--json", "--cap", "20", "--budget", "5", "--seed", "1"),
     ("--json", "--cap", "20", "--budget", "5", "--seed", "1", "analyze", "A4"),
@@ -277,11 +291,12 @@ def test_analyze_json_is_byte_identical(capsys, spec):
 
 
 def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
-    strong, idem, normalizers, centralizers = [], [], [], []
+    strong, idem, normalizers, centralizers, minimal = [], [], [], [], []
     orig_strong = qgring.shoda.is_strong_shoda_pair
     orig_idem = qgring.shoda.e_idem
     orig_normalizer = qgring.shoda.normalizer
     orig_centralizer = AlgElem.centralizer_subgroup
+    orig_minimal = qgring.groups.minimal_normal_subgroups_of_quotient
 
     def counting_strong(G, H, K):
         strong.append((H.mask, K.mask))
@@ -299,19 +314,30 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
         centralizers.append(self.key())
         return orig_centralizer(self)
 
+    def counting_minimal(H, K):
+        minimal.append((H, K))
+        return orig_minimal(H, K)
+
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
     monkeypatch.setattr(qgring.shoda, "is_strong_shoda_pair", counting_strong)
     monkeypatch.setattr(qgring.components, "is_strong_shoda_pair", counting_strong)
     monkeypatch.setattr(qgring.shoda, "e_idem", counting_idem)
     monkeypatch.setattr(qgring.shoda, "normalizer", counting_normalizer)
     monkeypatch.setattr(AlgElem, "centralizer_subgroup", counting_centralizer)
+    for module in (qgring.groups, qgring.shoda):
+        monkeypatch.setattr(module, "minimal_normal_subgroups_of_quotient",
+                            counting_minimal)
     code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
     assert code == 0
     assert len(json.loads(out)["pcis"]) == 11
     # describe_component asks again about every pair metabelian_pcis kept
     assert len(strong) == 2 * len(set(strong)) == 22
     assert len(normalizers) == len(set(strong))
-    assert len(centralizers) == len(set(idem) | set(strong))
+    assert set(idem) <= set(strong)
+    # every pair is strong: the strong check proves Cen_G(epsilon) = N_G(K),
+    # and epsilon of a cyclic H/K is read off the coset exponents
+    assert centralizers == []
+    assert minimal == []
 
 
 def test_analyze_reads_each_normalizer_from_the_centralizer_memo(capsys,
@@ -363,7 +389,7 @@ def test_analyze_builds_no_section_group(capsys, monkeypatch):
 
 def test_analyze_checks_each_idempotent_once(capsys, monkeypatch):
     central, idempotent = [], []
-    orig_central = qgring.algebra._fixed_by_generators
+    orig_central = qgring.algebra._constant_on_classes
     orig_idempotent = qgring.algebra._idempotent_at_classes
 
     def counting_central(e):
@@ -375,7 +401,7 @@ def test_analyze_checks_each_idempotent_once(capsys, monkeypatch):
         return orig_idempotent(e)
 
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
-    monkeypatch.setattr(qgring.algebra, "_fixed_by_generators", counting_central)
+    monkeypatch.setattr(qgring.algebra, "_constant_on_classes", counting_central)
     monkeypatch.setattr(qgring.algebra, "_idempotent_at_classes",
                         counting_idempotent)
     code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")

@@ -2,7 +2,6 @@
 on how a group's elements are labelled."""
 
 import functools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,22 +10,9 @@ from hypothesis import strategies as st
 from qgring.catalog import build_spec, catalog_names
 from qgring.groups import find_isomorphism, from_table
 from qgring.props import Witness, classify_ssn, nd_verdict, verify_witness
-from invariants import fingerprint
+from invariants import fingerprint, relabel
 
 BUDGET = 200000
-
-
-def relabel(G, seed):
-    """G with its non-identity elements shuffled, rebuilt through from_table
-    (so element names are lost too)."""
-    perm = list(range(1, G.order))
-    random.Random(seed).shuffle(perm)
-    perm = [0] + perm  # old index -> new index
-    table = [[0] * G.order for _ in range(G.order)]
-    for a, row in enumerate(G.table):
-        for b, ab in enumerate(row):
-            table[perm[a]][perm[b]] = perm[ab]
-    return from_table(table)
 
 
 def assert_isomorphism(G, H, iso):

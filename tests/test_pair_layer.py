@@ -1,0 +1,179 @@
+"""The Shoda-pair layer against its original implementation.
+
+The library reads epsilon(H, K) of a cyclic H/K off the coset exponents
+x^j K -> j, decides the strong Shoda test with one commutator per coset of
+H in N_G(K) and an orthogonality loop over a transversal of N_G(K) that
+proves Cen_G(epsilon) = N_G(K), tests centrality by class constancy and
+returns G itself as the normalizer of a normal subgroup.
+reference_shoda.py holds the original lattice, centralizer and
+generator-conjugation code; both must give the same answers on every pair
+K normal in H.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qgring.catalog
+from qgring.algebra import AlgElem
+from qgring.catalog import build_spec, catalog_names
+from qgring.errors import SoundnessError
+from qgring.groups import normalizer, subgroups
+from qgring.shoda import (
+    _epsilon_centralizer,
+    _is_normal_in,
+    e_idem,
+    epsilon,
+    is_shoda_pair,
+    is_strong_shoda_pair,
+    section_generator,
+)
+from invariants import relabel
+from reference_components import reference_centralizer_subgroup
+from reference_shoda import (
+    reference_e_idem,
+    reference_epsilon,
+    reference_fixed_by_generators,
+    reference_is_shoda_pair,
+    reference_normalizer,
+    reference_section_generator,
+    reference_strong_shoda,
+)
+
+PAIR_GROUPS = ["D12", "Q16", "A4", "A5", "SdCyc(3,8,2)", "BJ9", "X(Q(8),C(9))",
+               "relabelled SdCyc(3,8,2)"]
+
+
+def _group(name):
+    if name.startswith("relabelled "):
+        return relabel(build_spec(name.split()[1]), 5)
+    return build_spec(name)
+
+
+def _pair(S):
+    return S.mask, S.gens
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Build groups with empty caches, so every computation runs here."""
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+
+
+@pytest.mark.parametrize("name", PAIR_GROUPS)
+def test_every_normal_pair_matches_reference(name, cold):
+    G = _group(name)
+    subs = subgroups(G)
+    kinds = {"cyclic": 0, "non-cyclic": 0, "strong": 0, "plain": 0}
+    for H in subs:
+        for K in subs:
+            if not (K <= H and _is_normal_in(H, K)):
+                continue
+            x = section_generator(H, K)
+            assert x == reference_section_generator(H, K)
+            kinds["cyclic" if x is not None else "non-cyclic"] += 1
+            assert epsilon(H, K) == reference_epsilon(H, K)
+            # decided before e_idem, as metabelian_pcis does
+            strong = is_strong_shoda_pair(G, H, K)
+            assert strong == reference_strong_shoda(G, H, K)
+            plain = is_shoda_pair(G, H, K)
+            assert plain == reference_is_shoda_pair(G, H, K)
+            kinds["plain"] += plain and not strong
+            assert e_idem(G, H, K) == reference_e_idem(G, H, K)
+            if strong:
+                kinds["strong"] += 1
+                eps, N = _epsilon_centralizer(G, H, K)
+                assert _pair(N) == _pair(reference_centralizer_subgroup(eps))
+    assert kinds["cyclic"] and kinds["strong"]
+    if name in ("A4", "A5", "BJ9"):
+        assert kinds["non-cyclic"]
+    if name == "A5":
+        # (A4, V4) is a Shoda pair, and not strong: A5 is not strongly monomial
+        A4 = next(H for H in subs if H.order == 12)
+        V4 = next(K for K in subs if K.order == 4 and K <= A4)
+        assert is_shoda_pair(G, A4, V4) and not is_strong_shoda_pair(G, A4, V4)
+        assert kinds["plain"]
+
+
+@pytest.mark.parametrize("name", PAIR_GROUPS)
+def test_normalizer_matches_the_stabilizer_scan(name):
+    G = _group(name)
+    normal = 0
+    for K in subgroups(G):
+        N = normalizer(G, K)
+        assert _pair(N) == _pair(reference_normalizer(G, K))
+        normal += N.order == G.order
+    assert normal > 1
+    if name != "X(Q(8),C(9))":  # Hamiltonian: every subgroup is normal
+        assert normal < len(subgroups(G))
+
+
+def test_strong_check_refuses_a_wrong_centralizer_in_the_memo(cold):
+    G = build_spec("D12")
+    subs = subgroups(G)
+    H, K = next((H, K) for H in subs for K in subs
+                if K < H and _is_normal_in(H, K)
+                and reference_strong_shoda(G, H, K))
+    N = reference_normalizer(G, K)
+    wrong = next(S for S in subs if S != N)
+    # a centralizer computed another way that disagrees with N_G(K)
+    G._cache[("epsilon", H.mask, K.mask)] = (reference_epsilon(H, K), wrong)
+    with pytest.raises(SoundnessError):
+        is_strong_shoda_pair(G, H, K)
+
+
+CENTRAL_GROUPS = ["D12", "Q16", "A4", "C3rC8", "BJ9", "relabelled D12"]
+
+
+def _elements(G):
+    """Class sums, symmetrized sparse elements and random integer vectors."""
+    classes = G.conjugacy_classes()
+    class_sums = st.lists(st.integers(-3, 3), min_size=len(classes),
+                          max_size=len(classes)).map(
+        lambda cs: AlgElem(G, _class_vector(G, cs)))
+    sparse = st.dictionaries(st.integers(0, G.order - 1),
+                             st.integers(-2, 2).filter(bool),
+                             min_size=1, max_size=4).map(
+        lambda coeffs: AlgElem.from_coeffs(G, coeffs))
+    symmetrized = sparse.map(
+        lambda a: sum((a.conjugate(g) for g in range(G.order)), AlgElem.zero(G)))
+    vectors = st.lists(st.integers(-2, 2), min_size=G.order,
+                       max_size=G.order).map(lambda nums: AlgElem(G, nums))
+    # a central element moved at one point
+    nudged = st.tuples(class_sums, st.integers(0, G.order - 1)).map(
+        lambda ag: ag[0] + AlgElem.basis(G, ag[1]))
+    return st.one_of(class_sums, symmetrized, vectors, nudged)
+
+
+def _class_vector(G, coeffs):
+    nums = [0] * G.order
+    for c, cls in zip(coeffs, G.conjugacy_classes()):
+        for g in cls:
+            nums[g] = c
+    return nums
+
+
+@functools.lru_cache(maxsize=None)
+def _central_group(name):
+    return _group(name)
+
+
+@pytest.mark.parametrize("name", CENTRAL_GROUPS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_class_constancy_decides_centrality_as_the_reference(name, data):
+    G = _central_group(name)
+    alpha = data.draw(_elements(G))
+    assert alpha.is_central() == reference_fixed_by_generators(alpha)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_class_sums_are_central(name):
+    G = build_spec(name)
+    for cls in G.conjugacy_classes():
+        nums = [0] * G.order
+        for g in cls:
+            nums[g] = 1
+        assert AlgElem(G, nums).is_central()
