@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from .errors import ParseError
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     abelian,
     alternating5,
@@ -149,12 +150,13 @@ def catalog_describe(name: str) -> str:
     return _ALIASES[name] if name in _ALIASES else _BUILDERS[name][0]
 
 
-# built groups are immutable; share them (and their cached lattices)
+# built groups are immutable; share them (and their cached lattices). The
+# key holds the effective cap, so None and DEFAULT_ORDER_CAP share a group.
 _BUILT: dict[tuple, FiniteGroup] = {}
 
 
 def build_named(name: str, cap: Optional[int] = None) -> FiniteGroup:
-    key = ("named", name, cap)
+    key = ("named", name, DEFAULT_ORDER_CAP if cap is None else cap)
     if key not in _BUILT:
         if name in _ALIASES:
             G = _parse(_ALIASES[name], cap)
@@ -275,7 +277,7 @@ def _parse(spec: str, cap: Optional[int]) -> FiniteGroup:
 
 def build_spec(spec: str, cap: Optional[int] = None) -> FiniteGroup:
     """Parse a group-spec string and build the group."""
-    key = ("spec", spec, cap)
+    key = ("spec", spec, DEFAULT_ORDER_CAP if cap is None else cap)
     if key not in _BUILT:
         G = _parse(spec, cap)
         G.spec = spec

@@ -27,7 +27,7 @@ from .errors import (
     SoundnessError,
     UnknownFamily,
 )
-from .groups import FiniteGroup, Subgroup, subgroups
+from .groups import FiniteGroup, Subgroup, cosets, subgroups
 from .numutil import (
     element_of_order,
     euler_phi,
@@ -157,15 +157,9 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
     h = H.order // K.order
     x = section_generator(H, K)
     dlog = section_exponents(H, K)  # k for g in x^k K
-    # the H-cosets of N, numbered by their least element, which is also
+    # the cosets gH in N, numbered by their least element, which is also
     # their representative: reps[a] and coset[g] for g in N
-    reps: list[int] = []
-    coset: dict[int, int] = {}
-    for g in N.members:
-        if g not in coset:
-            for y in H.members:
-                coset[G.table[g][y]] = len(reps)
-            reps.append(g)
+    coset, reps = cosets(H, within=N, left=True)
     nh = len(reps)
 
     def coset_order(a: int) -> int:
@@ -547,7 +541,16 @@ class Prediction:
     detail: dict = field(default_factory=dict)
 
 
-_BJ1_HASND = {(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1)}
+# the single groups of the NCN classification: (one matrix component,
+# that component, ND verdict)
+_NCN_SINGLE = {
+    "BJ4": (False, None, "NotND"),
+    "BJ5": (False, None, "NotND"),
+    "BJ6": (True, "M_2(Q)", "HasND"),
+    "BJ7": (True, "M_2(H(Q))", "HasND"),
+    "BJ8": (False, None, "NotND"),
+    "BJ9": (False, None, "NotND"),
+}
 
 
 def predict_nilpotent(params: dict) -> Prediction:
@@ -581,18 +584,8 @@ def predict_nilpotent(params: dict) -> Prediction:
         return Prediction("BJ3", params, one,
                           "M_2(Q(zeta_4))" if one else None,
                           "HasND" if one else "NotND")
-    if fam == "BJ4":
-        return Prediction("BJ4", params, False, None, "NotND")
-    if fam == "BJ5":
-        return Prediction("BJ5", params, False, None, "NotND")
-    if fam == "BJ6":
-        return Prediction("BJ6", params, True, "M_2(Q)", "HasND")
-    if fam == "BJ7":
-        return Prediction("BJ7", params, True, "M_2(H(Q))", "HasND")
-    if fam == "BJ8":
-        return Prediction("BJ8", params, False, None, "NotND")
-    if fam == "BJ9":
-        return Prediction("BJ9", params, False, None, "NotND")
+    if fam in _NCN_SINGLE:
+        return Prediction(fam, params, *_NCN_SINGLE[fam])
     if fam == "Hamiltonian":
         e_rank = params.get("e_rank", 0)
         invs = list(params.get("odd_invariants", []))

@@ -370,6 +370,33 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
     return G._cache["full"]
 
 
+def cosets(S: Subgroup, within: Optional[Subgroup] = None,
+           left: bool = False) -> tuple[list[int], list[int]]:
+    """The right cosets S*g, or with left the left cosets g*S, of the
+    elements g of within (G when None; S <= within), numbered in order of
+    their least element.
+
+    Returns (index, reps): reps[i] is the least element of coset i and
+    index[x] is x's coset number, or -1 for x outside within.
+    """
+    G = S.parent
+    table = G.table
+    index = [-1] * G.order
+    reps: list[int] = []
+    for g in range(G.order) if within is None else within.members:
+        if index[g] < 0:
+            i = len(reps)
+            reps.append(g)
+            if left:
+                row = table[g]
+                for s in S.members:
+                    index[row[s]] = i
+            else:
+                for s in S.members:
+                    index[table[s][g]] = i
+    return index, reps
+
+
 # ---------------------------------------------------------------------------
 # lattice operations
 
@@ -555,15 +582,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
         return G._cache[key]
     if not is_normal(G, N):
         raise NotNormal(f"{N!r} is not normal in {G.name}")
-    proj = [-1] * G.order
-    reps: list[int] = []
-    for g in range(G.order):
-        if proj[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for n in N.members:
-            proj[G.table[n][g]] = idx
+    proj, reps = cosets(N)
     table = [[proj[G.table[a][b]] for b in reps] for a in reps]
     names = ["1"] + [f"[{G.names[r]}]" for r in reps[1:]]
     Q = FiniteGroup(table, names, name=f"{G.name}/{repr(N)}", letters=G.letters)

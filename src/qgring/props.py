@@ -10,6 +10,7 @@ certificate is an explicit witness pair (alpha, e), re-verified exactly.
 
 from __future__ import annotations
 
+import itertools as it
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -18,9 +19,20 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgElem, SquareZeroFamily, hat, one_minus, one_plus, tilde
-from .components import predict_nilpotent, predict_nonnilpotent
+from .catalog import bj1_group, build_named, build_spec
+from .components import (
+    MATRIX,
+    ComponentDescriptor,
+    MatrixCount,
+    center_rank,
+    component_dimension,
+    count_matrix_components,
+    predict_nilpotent,
+    predict_nonnilpotent,
+)
 from .errors import (
     NotCentralIdempotent,
+    NotMetabelian,
     NotPGroup,
     QGRingError,
     SoundnessError,
@@ -31,6 +43,7 @@ from .groups import (
     Subgroup,
     center,
     centralizer,
+    cosets,
     derived_subgroup,
     find_isomorphism,
     full_subgroup,
@@ -43,8 +56,8 @@ from .groups import (
     subgroup_generated,
     subgroups,
 )
-from .numutil import ord_mod, padic_valuation, prime_factors
-from .shoda import ShodaPair, section_generator
+from .numutil import is_prime, ord_mod, padic_valuation, prime_factors
+from .shoda import ShodaPair, e_idem, section_generator
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +133,12 @@ def is_ssn(G: FiniteGroup) -> bool:
 
 def _normalizer_mask(G: FiniteGroup, N: Subgroup) -> int:
     """The mask of N_G(N), with one normality test per right coset Ng."""
-    table = G.table
-    mask = done = 0
-    for g in range(G.order):
-        if done >> g & 1:
-            continue
-        coset = 0
-        for n in N.members:
-            coset |= 1 << table[n][g]
-        done |= coset
-        if normalizes(G, (g,), N):
-            mask |= coset
+    index, reps = cosets(N)
+    keep = [normalizes(G, (g,), N) for g in reps]
+    mask = 0
+    for x, i in enumerate(index):
+        if keep[i]:
+            mask |= 1 << x
     return mask
 
 
@@ -200,7 +208,6 @@ _BJ_GROUPS = ((81, "BJ4", "BJ4"), (32, "BJ5", "BJ5"), (16, "Q16", "BJ6"),
 def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
     """Best-effort identification of the NCN-classification type (BJ1-BJ9) of a
     p-group (nonabelian, non-Hamiltonian)."""
-    from .catalog import build_named, build_spec
     n = G.order
     # BJ1: metacyclic minimal nonabelian, not Q8
     der = derived_subgroup(G)
@@ -228,7 +235,6 @@ def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
 
 def bj1_params(G: FiniteGroup, p: int) -> Optional[tuple[int, int]]:
     """(m, n) with G isomorphic to BJ1(p, m, n), or None."""
-    from .catalog import bj1_group
     total = _int_log(p, G.order)
     for m in range(2, total):
         if find_isomorphism(bj1_group(p, m, total - m), G) is not None:
@@ -258,7 +264,6 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         return SSNClass("NotSSN",
                         {"reason": "nilpotent, neither abelian nor Hamiltonian"})
     if not is_solvable_group(G):
-        from .catalog import build_named
         if find_isomorphism(build_named("A5"), G) is not None:
             return SSNClass("A5", {})
         return SSNClass("NotSSN", {"reason": "non-solvable, not A5"})
@@ -424,8 +429,6 @@ def curated_witness(name: str, n: int = 3) -> Witness:
     """The worked negative examples, constructed exactly: returns
     (group, alpha, e) with alpha integral nilpotent, e a central idempotent
     and alpha*e not integral (all re-verified by the caller)."""
-    from .catalog import build_named, build_spec
-
     if name == "D12":
         G = build_named("D12")
         a, b = G.element("a"), G.element("b")
@@ -440,7 +443,6 @@ def curated_witness(name: str, n: int = 3) -> Witness:
         c4 = G.word("c^4")
         alpha = one_minus(G, c4) * AlgElem.basis(G, a) * one_plus(G, c4)
         Kp = subgroup_generated(G, (a, G.element("b")))
-        from .shoda import e_idem
         e = e_idem(G, Kp, subgroup_generated(G, (a,)))
         return Witness(name, G, alpha, e, "index-2 subgroup of (C3xC3):C8")
 
@@ -498,8 +500,6 @@ def _sum_of_squares_polys(p: int) -> Optional[tuple[list[int], list[int]]]:
     """Polynomials r, s of degree < p with coefficients in 0..p-1 such that
     1 + r(X)^2 + s(X)^2 is an integer multiple of 1 + X + ... + X^(p-1)
     modulo X^p - 1. Bounded brute force, intended for p <= 7."""
-    import itertools as it
-
     def sq_mod(coeffs):
         out = [0] * p
         for i, a in enumerate(coeffs):
@@ -531,9 +531,6 @@ def hamiltonian_witness(p: int, n: int) -> Optional[Witness]:
     n >= 2 and ord_p(2) even, via the sum-of-two-squares polynomial
     construction; None when the bounded search finds no polynomials
     (the search is only attempted for p <= 7)."""
-    from .catalog import build_spec
-    from .numutil import is_prime
-
     if not (is_prime(p) and p % 2 == 1 and n >= 2):
         return None
     if ord_mod(p, 2) % 2 == 1 or p > 7:
@@ -568,7 +565,6 @@ def hamiltonian_witness(p: int, n: int) -> Optional[Witness]:
     for _ in range(p - 1):
         omc_small = omc_small * omc
     hat_cp = hat(subgroup_generated(G, (cp,)))
-    from fractions import Fraction
     w = Fraction(1, p) * (one_minus(G, x2) * (
         omc_pow * one_minus(G, cp) * alpha_part
         - omc_small * hat_cp * beta_part))
@@ -594,13 +590,10 @@ def a5_special_pci(G: FiniteGroup):
     else None."""
     if G.order != 60:
         return None
-    from .catalog import build_named
     ref = build_named("A5")
     iso = find_isomorphism(ref, G)
     if iso is None:
         return None
-    from .components import (MATRIX, ComponentDescriptor, center_rank,
-                             component_dimension)
     A4, K, eps, e = a5_shoda_idempotent(ref)
     A4, K = (subgroup_generated(G, [iso[g] for g in S.gens]) for S in (A4, K))
     eps, e = _carry(eps, iso, G), _carry(e, iso, G)
@@ -669,14 +662,7 @@ def _left_keys(Y: Subgroup) -> Counter[tuple[int, int]]:
     counted by their pair of left cosets (numbered in one pass over G).
     The |Y| elements g of one coset give the same pair for each y."""
     G = Y.parent
-    coset = [-1] * G.order
-    reps = []
-    for g in range(G.order):
-        if coset[g] < 0:
-            row = G.table[g]
-            for h in Y.members:
-                coset[row[h]] = len(reps)
-            reps.append(g)
+    coset, reps = cosets(Y, left=True)
     keys: Counter[tuple[int, int]] = Counter()
     for y in Y.members[1:]:
         row = G.table[y]
@@ -743,27 +729,25 @@ class NDReport:
 def _curated_for_group(G: FiniteGroup) -> Optional[Witness]:
     """A curated witness carried to G through an isomorphism from its
     group, if G is isomorphic to one."""
-    from .catalog import build_named, build_spec
-    from .numutil import prime_factors
-
-    candidates = []  # (the witness's group, its construction)
+    candidates = []  # (build the witness's group, build the witness)
     named = {12: ("D12", "D12"), 36: ("Ex3.8", "Ex38K"), 60: ("A5", "A5"),
              64: ("BJ9", "BJ9")}
     if G.order in named:
         name, ref = named[G.order]
-        candidates.append((build_named(ref), lambda: curated_witness(name)))
+        candidates.append((lambda: build_named(ref),
+                           lambda: curated_witness(name)))
     m, rest = divmod(G.order, 8)
     fac = prime_factors(m) if m and not rest else {}
     if len(fac) == 1:
         (p, n), = fac.items()
         if p == 2 and n >= 3:
-            candidates.append((build_spec(f"X(Q(8),C({m}))"),
+            candidates.append((lambda: build_spec(f"X(Q(8),C({m}))"),
                                lambda: curated_witness("BJ3", n=n)))
         elif p > 2 and n >= 2:
-            candidates.append((build_spec(f"X(Q(8),C({m}))"),
+            candidates.append((lambda: build_spec(f"X(Q(8),C({m}))"),
                                lambda: hamiltonian_witness(p, n)))
-    for ref, make in candidates:
-        iso = find_isomorphism(ref, G)
+    for build, make in candidates:
+        iso = find_isomorphism(build(), G)
         if iso is None:
             continue
         w = make()
@@ -786,9 +770,6 @@ def nd_verdict(G: FiniteGroup, budget: int = DEFAULT_WITNESS_BUDGET,
     """Decide ND where possible. Positive only via the at-most-one-matrix-
     component certificate; negative only via a verified witness; otherwise
     Unknown with the search budget recorded."""
-    from .components import MatrixCount, count_matrix_components
-    from .errors import NotMetabelian
-
     sn = is_sn(G)
     ssn = is_ssn(G)
     okp, _p = G.is_p_group()

@@ -14,7 +14,7 @@ central idempotents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import AlgElem, product_at_classes, tilde
 from .errors import NotMetabelian, NotNormalInH, SoundnessError
@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     commutator_subgroup,
+    cosets,
     derived_subgroup,
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
@@ -75,22 +76,6 @@ def _cyclic_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     return AlgElem(G, nums, n * K.order)
 
 
-def _right_transversal(G: FiniteGroup, C: Subgroup, reverse: bool = False) -> list[int]:
-    """Representatives of the right cosets C*t, scanned in index order."""
-    if C.order == G.order:
-        return [G.order - 1 if reverse else 0]
-    seen = 0
-    reps = []
-    order = range(G.order - 1, -1, -1) if reverse else range(G.order)
-    for g in order:
-        if seen >> g & 1:
-            continue
-        reps.append(g)
-        for c in C.members:
-            seen |= 1 << G.table[c][g]
-    return reps
-
-
 def _epsilon_centralizer(G: FiniteGroup, H: Subgroup,
                          K: Subgroup) -> tuple[AlgElem, Subgroup]:
     """epsilon(H, K) and its centralizer in G, computed once per pair. A
@@ -102,7 +87,7 @@ def _epsilon_centralizer(G: FiniteGroup, H: Subgroup,
     return G._cache[key]
 
 
-def _conjugate_sum(eps: AlgElem, transversal: list[int]) -> AlgElem:
+def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
     """The sum of eps^t = t^-1 eps t over t in transversal."""
     G = eps.group
     out = [0] * G.order
@@ -118,11 +103,14 @@ def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
     transversal of its centralizer. Central in Q[G] by construction;
     independent of the transversal (checked when requested)."""
     eps, C = _epsilon_centralizer(G, H, K)
-    out = _conjugate_sum(eps, _right_transversal(G, C))
+    index, reps = cosets(C)
+    out = _conjugate_sum(eps, reps)
     if not out.is_central():
         raise SoundnessError("e(G,H,K) must be central")
     if check_transversal:
-        if _conjugate_sum(eps, _right_transversal(G, C, reverse=True)) != out:
+        # the greatest element of each coset: the last one to claim its index
+        greatest = {i: g for g, i in enumerate(index)}.values()
+        if _conjugate_sum(eps, greatest) != out:
             raise SoundnessError("e(G,H,K) depends on the transversal")
     return out
 
@@ -210,14 +198,8 @@ def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     # H/K = <xK> maximal abelian in N/K  <=>  {m in N : (m, x) in K} = H.
     # That set is a subgroup containing H, so one m per right coset Hm
     # other than H decides it.
-    seen = H.mask
-    for m in N.members:
-        if seen >> m & 1:
-            continue
-        if K.contains(G.commutator(m, x)):
-            return False
-        for h in H.members:
-            seen |= 1 << G.table[h][m]
+    if any(K.contains(G.commutator(m, x)) for m in cosets(H, within=N)[1][1:]):
+        return False
     key = ("epsilon", H.mask, K.mask)
     held = G._cache.get(key)
     eps = _cyclic_epsilon(H, K) if held is None else held[0]
@@ -225,9 +207,7 @@ def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     # eps * eps^t = 0 rules out eps^t = eps (eps is a nonzero idempotent),
     # and eps^t depends only on the coset Nt: so the test below, if it
     # passes, proves Cen(eps) = N.
-    for t in _right_transversal(G, N):
-        if N.contains(t):
-            continue
+    for t in cosets(N)[1][1:]:
         if not (eps * eps.conjugate(t)).is_zero():
             return False
     if held is None:
@@ -245,7 +225,7 @@ class ShodaPair:
     K: Subgroup
     epsilon: AlgElem
     e: AlgElem
-    kind: str  # "strong-shoda" | "plain-shoda" | "neither"
+    kind: str  # "strong-shoda" | "plain-shoda" (A5's documented pair)
 
     def describe(self) -> str:
         G = self.H.parent
@@ -279,6 +259,8 @@ class SanityReport:
 def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaPair]:
     """All primitive central idempotents of Q[G] for metabelian G, as
     deduplicated e(G, H, K) over the maximal-abelian pair enumeration.
+    Every pair it yields is a strong Shoda pair (Olivieri, del Rio and
+    Simon, Theorem 4.7); one that fails the test raises SoundnessError.
 
     Postconditions checked (SoundnessError otherwise): the idempotents are
     central, sum to 1 and are idempotent. These three imply that they are
@@ -317,20 +299,18 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))
     by_key: dict[tuple, ShodaPair] = {}
     for H, K in pairs:
-        # decided first, so that a strong pair's e is summed over a
-        # transversal of N_G(K) with no centralizer scan
-        strong = is_strong_shoda_pair(G, H, K)
+        # decided first, so that e is summed over a transversal of N_G(K)
+        # with no centralizer scan
+        if not is_strong_shoda_pair(G, H, K):
+            raise SoundnessError(
+                f"the pair ({H!r}, {K!r}) of the maximal-abelian enumeration "
+                "is not a strong Shoda pair")
         e = e_idem(G, H, K)
         k = e.key()
         if k in by_key:
             continue
         eps, _ = _epsilon_centralizer(G, H, K)
-        kind = "neither"
-        if strong:
-            kind = "strong-shoda"
-        elif is_shoda_pair(G, H, K):
-            kind = "plain-shoda"
-        by_key[k] = ShodaPair(H, K, eps, e, kind)
+        by_key[k] = ShodaPair(H, K, eps, e, "strong-shoda")
     out = [by_key[k] for k in sorted(by_key)]
     total = AlgElem.zero(G)
     for sp in out:

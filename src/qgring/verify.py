@@ -426,10 +426,9 @@ def rows_properties(seed: int = 0) -> list[Row]:
         Gder = derived_subgroup(G)
         full = (1 << G.order) - 1
         for sp in pcis:
-            if sp.kind == "strong-shoda":
-                cen = sp.epsilon.centralizer_subgroup()
-                if cen.mask != normalizer(G, sp.K).mask:
-                    bad_strong.append((name, sp.describe()))
+            cen = sp.epsilon.centralizer_subgroup()
+            if cen.mask != normalizer(G, sp.K).mask:
+                bad_strong.append((name, sp.describe()))
             # commutative <=> H = G <=> G' <= K (three independent routes)
             c1 = center_rank(G, sp.e) == component_dimension(G, sp.e)
             c2 = sp.H.mask == full

@@ -277,6 +277,7 @@ def test_analyze_runs_one_component_pass(capsys, monkeypatch):
 
     monkeypatch.setattr(qgring.components, "count_matrix_components", counting)
     monkeypatch.setattr(qgring.cli, "count_matrix_components", counting)
+    monkeypatch.setattr(qgring.props, "count_matrix_components", counting)
     code, out, _ = run_cli(capsys, "--json", "analyze", "A4")
     assert code == 0
     assert len(json.loads(out)["pcis"]) == 3
@@ -409,3 +410,22 @@ def test_analyze_checks_each_idempotent_once(capsys, monkeypatch):
     assert len(json.loads(out)["pcis"]) == 11
     assert len(central) == len(set(central)) >= 11
     assert len(idempotent) == len(set(idempotent)) == 11
+
+
+@pytest.mark.parametrize("spec", ["A5", "BJ9", "X(Q(8),C(25))", "X(Q(8),C(27))"])
+def test_analyze_builds_each_group_once(capsys, monkeypatch, spec):
+    # the input and the reference the classification or the curated
+    # witness looks up are one catalog entry; a reference that is never
+    # compared is never built
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+    orders = []
+    orig = qgring.groups.FiniteGroup.__init__
+
+    def counting(self, table, *args, **kwargs):
+        orders.append(len(table))
+        orig(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(qgring.groups.FiniteGroup, "__init__", counting)
+    code, out, _ = run_cli(capsys, "--json", "analyze", spec)
+    assert code == 0
+    assert orders.count(json.loads(out)["group"]["order"]) == 1

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from qgring.groups import (
     Subgroup,
     _closure,
     center,
+    cosets,
     derived_subgroup,
     alternating5,
     central_product,
@@ -282,6 +284,39 @@ def test_quotients():
         quotient(build_named("D12"),
                  subgroup_generated(build_named("D12"),
                                     (build_named("D12").element("b"),)))
+
+
+def _relabelled(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G with its non-identity elements renumbered at random."""
+    perm = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
+    table = [[0] * G.order for _ in range(G.order)]
+    for a, row in enumerate(G.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return from_table(table)
+
+
+_COSET_GROUPS = {"D(200)": lambda: dihedral(200), "BJ9": lambda: build_named("BJ9"),
+                 "A5": alternating5, "A5-relabelled": lambda: _relabelled(alternating5(), 7)}
+
+
+@pytest.mark.parametrize("name", sorted(_COSET_GROUPS))
+def test_cosets_match_the_definition(name):
+    G = _COSET_GROUPS[name]()
+    subs = subgroups(G)
+    for S in subs[::max(1, len(subs) // 25)] + [subs[-1]]:
+        # G itself, and the least proper subgroup above S if there is one
+        above = [W for W in subs if S < W and W.order < G.order]
+        for within in [None] + above[:1]:
+            elems = range(G.order) if within is None else within.members
+            for left in (False, True):
+                index, reps = cosets(S, within, left)
+                expected = sorted({tuple(sorted(G.table[g][s] if left else G.table[s][g]
+                                                for s in S.members))
+                                   for g in elems})
+                assert reps == [c[0] for c in expected] == sorted(reps)
+                assert index == [next((i for i, c in enumerate(expected) if x in c), -1)
+                                 for x in range(G.order)]
 
 
 def test_quotient_trivial_and_q8():

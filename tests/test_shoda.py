@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import qgring.shoda
 from qgring.algebra import AlgElem, tilde
 from qgring.catalog import bj1_group, build_named, build_spec
 from qgring.components import component_dimension
-from qgring.errors import NotMetabelian, NotNormalInH
+from qgring.errors import NotMetabelian, NotNormalInH, SoundnessError
 from qgring.groups import (
     derived_subgroup,
+    dihedral,
     normalizer,
     order_q_matrix,
     semidirect_vector,
@@ -157,6 +159,15 @@ def test_every_returned_pair_is_strong():
         G = build_named(name)
         for sp in metabelian_pcis(G):
             assert sp.kind == "strong-shoda"
+
+
+def test_a_pair_that_is_not_strong_raises(monkeypatch):
+    # Theorem 4.7 makes every pair of the enumeration strong; one that
+    # fails the test is a fault, not a weaker kind of pair
+    monkeypatch.setattr(qgring.shoda, "is_strong_shoda_pair",
+                        lambda G, H, K: False)
+    with pytest.raises(SoundnessError):
+        metabelian_pcis(dihedral(12))
 
 
 def test_ex37_subgroup_decomposition():
