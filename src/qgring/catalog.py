@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 from .errors import ParseError
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
+    _check_cap,
     abelian,
     alternating5,
     central_product,
@@ -87,7 +87,9 @@ def _heisenberg(p: int, cap: Optional[int] = None) -> FiniteGroup:
 
 
 def _ex38_subgroup(cap: Optional[int] = None) -> FiniteGroup:
-    parent = build_spec("SdVec(3,2,[[0,1],[1,1]],8)", cap=cap)
+    # the order-72 parent is larger than the result: it is built at the
+    # default cap, and build_named checks the result against the cap
+    parent = build_spec("SdVec(3,2,[[0,1],[1,1]],8)")
     K = subgroup_generated(parent, (parent.element("a"), parent.element("b"),
                                     parent.word("c^2")))
     H, _ = K.induced()
@@ -96,7 +98,7 @@ def _ex38_subgroup(cap: Optional[int] = None) -> FiniteGroup:
 
 
 def _ex37_subgroup(cap: Optional[int] = None) -> FiniteGroup:
-    parent = build_spec("SdVec(3,2,[[0,1],[1,1]],8)", cap=cap)
+    parent = build_spec("SdVec(3,2,[[0,1],[1,1]],8)")  # as in _ex38_subgroup
     G1 = subgroup_generated(parent, (parent.element("a"), parent.element("b"),
                                      parent.word("c^4")))
     H, _ = G1.induced()
@@ -151,12 +153,15 @@ def catalog_describe(name: str) -> str:
 
 
 # built groups are immutable; share them (and their cached lattices). The
-# key holds the effective cap, so None and DEFAULT_ORDER_CAP share a group.
-_BUILT: dict[tuple, FiniteGroup] = {}
+# key holds no cap: a group is returned only if its order is within the
+# caller's cap. A build over that cap raises in the same way, as each
+# builder checks its final order and no sub-build is larger than its
+# result (the two subgroup builders build their parent at the default cap).
+_BUILT: dict[tuple[str, str], FiniteGroup] = {}
 
 
 def build_named(name: str, cap: Optional[int] = None) -> FiniteGroup:
-    key = ("named", name, DEFAULT_ORDER_CAP if cap is None else cap)
+    key = ("named", name)
     if key not in _BUILT:
         if name in _ALIASES:
             G = _parse(_ALIASES[name], cap)
@@ -166,6 +171,7 @@ def build_named(name: str, cap: Optional[int] = None) -> FiniteGroup:
             raise ParseError(f"unknown catalog group {name!r}")
         G.spec = name
         _BUILT[key] = G
+    _check_cap(_BUILT[key].order, cap)
     return _BUILT[key]
 
 
@@ -277,10 +283,11 @@ def _parse(spec: str, cap: Optional[int]) -> FiniteGroup:
 
 def build_spec(spec: str, cap: Optional[int] = None) -> FiniteGroup:
     """Parse a group-spec string and build the group."""
-    key = ("spec", spec, DEFAULT_ORDER_CAP if cap is None else cap)
+    key = ("spec", spec)
     if key not in _BUILT:
         G = _parse(spec, cap)
         G.spec = spec
         _BUILT[key] = G
+    _check_cap(_BUILT[key].order, cap)
     return _BUILT[key]
 

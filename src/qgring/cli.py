@@ -7,9 +7,9 @@ Commands:
     catalog                 list named groups
 
 Global flags: --json, --cap N, --budget N, --seed N; they are the only
-settings. --cap and --budget take positive integers. Each command accepts
-only the flags it reads (COMMAND_FLAGS), refuses the others and lists only
-those in its help.
+settings. --cap and --budget take positive integers; --budget is read by
+analyze alone. Each command accepts only the flags it reads
+(COMMAND_FLAGS), refuses the others and lists only those in its help.
 Exit codes: 2 for a malformed command line; for analyze 0 ok, 2 parse
 error, 3 order cap exceeded.
 """
@@ -260,8 +260,7 @@ def cmd_verify(args) -> int:
                   f"choose from {', '.join(CATEGORIES)}", file=sys.stderr)
             return 2
     progress = None if args.json else (lambda row: print(row.line(), flush=True))
-    rows = run_all(only=only, budget=20000 if args.budget is None else args.budget,
-                   seed=args.seed, progress=progress)
+    rows = run_all(only=only, seed=args.seed, progress=progress)
     failed = [r for r in rows if not r.passed]
     if args.json:
         print(json.dumps({"schema": SCHEMA,
@@ -293,11 +292,12 @@ def cmd_catalog(args) -> int:
 
 # the global flags each command reads; any other is refused, so that no
 # flag is silently ignored (verify-theorems' instances are fixed, of order
-# at most 200; sweep and catalog run no witness search)
+# at most 200, and no verdict of theirs depends on the witness budget;
+# sweep and catalog run no witness search)
 COMMAND_FLAGS = {
     "analyze": ("json", "cap", "budget", "seed"),
     "sweep": ("json", "cap", "seed"),
-    "verify-theorems": ("json", "budget", "seed"),
+    "verify-theorems": ("json", "seed"),
     "catalog": ("json",),
 }
 
@@ -310,8 +310,7 @@ GLOBAL_FLAGS = {
                      "analyze and sweep)"),
     "budget": dict(type=_positive_int,
                    help="witness search budget in candidate tests (default "
-                        f"{DEFAULT_WITNESS_BUDGET} for analyze, 20000 for "
-                        "verify-theorems)"),
+                        f"{DEFAULT_WITNESS_BUDGET}; analyze only)"),
     "seed": dict(type=int,
                  help="seed of the probe's random phase and of "
                       "verify-theorems' sampled checks (default 0; "

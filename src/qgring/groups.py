@@ -99,9 +99,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
@@ -658,25 +655,16 @@ def is_solvable_group(G: FiniteGroup) -> bool:
 # isomorphism invariants and isomorphisms
 
 
-def hom_from_gen_images(G: FiniteGroup, H: FiniteGroup,
-                        pairs: dict[int, int]) -> Optional[list[int]]:
-    """Extend generator images to a homomorphism G -> H, or None.
-
-    The given generators must generate G. _extend_hom checks
-    img(x*g) = img(x)*img(g) for every x and every generator g; writing b
-    as a word in the generators, induction on its length then gives
-    img(x*b) = img(x)*img(b) for all x and b, so the map is multiplicative.
-    """
-    img = _extend_hom(G, H, pairs)
-    if img is None or -1 in img:
-        return None
-    return img
-
-
 def _extend_hom(G: FiniteGroup, H: FiniteGroup,
                 pairs: dict[int, int]) -> Optional[list[int]]:
     """The homomorphism on <pairs' keys> with the given generator images, as
-    images with -1 outside that subgroup; None if there is none."""
+    images with -1 outside that subgroup; None if there is none.
+
+    It checks img(x*g) = img(x)*img(g) for every reached x and every
+    generator g; writing b as a word in the generators, induction on its
+    length then gives img(x*b) = img(x)*img(b) for all reached x and b, so
+    the map is multiplicative.
+    """
     img = [-1] * G.order
     img[0] = 0
     frontier = [0]
@@ -875,8 +863,8 @@ def cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
     """
     order = base.order * n_ext
     _check_cap(order, cap)
-    img = hom_from_gen_images(base, base, conj_images)
-    if img is None or len(set(img)) != base.order:
+    img = _extend_hom(base, base, conj_images)
+    if img is None or -1 in img or len(set(img)) != base.order:
         raise InconsistentSpec("conjugation images do not extend to an automorphism")
     phi_r = img
     phi_l = [0] * base.order

@@ -248,11 +248,11 @@ def _bj1_instances(limit: int = 200):
     return sorted(out)
 
 
-def rows_nilpotent(seed: int = 0) -> list[Row]:
+def rows_nilpotent() -> list[Row]:
     rows: list[Row] = []
     for p, m, n in _bj1_instances():
         G = bj1_group(p, m, n)
-        cnt, _ = count_matrix_components(G, seed=seed)
+        cnt, _ = count_matrix_components(G)
         pred = predict_nilpotent({"family": "BJ1", "p": p, "m": m, "n": n})
         expected_one = n == 1 or (p, m, n) == (2, 2, 2)
         ok = (cnt.exact is not None and pred.one_matrix == (cnt.exact == 1)
@@ -275,7 +275,7 @@ def rows_nilpotent(seed: int = 0) -> list[Row]:
             zo *= p
     for p, zo, label, g0 in bj2_instances:
         G = bj2_group(g0, zo)
-        cnt, comps = count_matrix_components(G, seed=seed)
+        cnt, comps = count_matrix_components(G)
         pred = predict_nilpotent({"family": "BJ2", "p": p, "z_order": zo})
         mats = [d for _, d in comps if d.kind == MATRIX]
         phi = zo - zo // p
@@ -288,7 +288,7 @@ def rows_nilpotent(seed: int = 0) -> list[Row]:
 
     for n in (2, 3):
         G = build_spec(f"X(Q(8),C({2 ** n}))")
-        cnt, _ = count_matrix_components(G, seed=seed)
+        cnt, _ = count_matrix_components(G)
         pred = predict_nilpotent({"family": "BJ3", "n": n})
         ok = cnt.exact is not None and pred.one_matrix == (cnt.exact == 1) \
             and pred.one_matrix == (n == 2)
@@ -299,7 +299,7 @@ def rows_nilpotent(seed: int = 0) -> list[Row]:
                                     ("Q16", "BJ6", True), ("D8cpQ8", "BJ7", True),
                                     ("BJ8", "BJ8", False), ("BJ9", "BJ9", False)]:
         G = build_named(name)
-        cnt, _ = count_matrix_components(G, seed=seed)
+        cnt, _ = count_matrix_components(G)
         pred = predict_nilpotent({"family": fam})
         ok = cnt.exact is not None and pred.one_matrix == (cnt.exact == 1) \
             and pred.one_matrix == expected_one
@@ -314,7 +314,7 @@ def rows_nilpotent(seed: int = 0) -> list[Row]:
                                ("X(X(Q(8),C(2)),C(3))", 1, [3]),
                                ("X(Q(8),C(15))", 0, [3, 5])]:
         G = build_spec(spec)
-        cnt, _ = count_matrix_components(G, seed=seed)
+        cnt, _ = count_matrix_components(G)
         pred = predict_nilpotent({"family": "Hamiltonian", "e_rank": e_rank,
                                   "odd_invariants": invs})
         ok = (cnt.exact is not None
@@ -329,7 +329,7 @@ def rows_nilpotent(seed: int = 0) -> list[Row]:
 # 6. Theorem B (non-nilpotent families)
 
 
-def rows_nonnilpotent(seed: int = 0) -> list[Row]:
+def rows_nonnilpotent() -> list[Row]:
     rows: list[Row] = []
     # faithful, cyclic P (always one matrix component)
     for p, q in [(5, 4), (7, 3), (7, 6), (11, 5), (13, 3), (13, 4), (13, 12)]:
@@ -339,7 +339,7 @@ def rows_nonnilpotent(seed: int = 0) -> list[Row]:
                 r0 = r
                 break
         G = build_spec(f"SdCyc({p},{q},{r0})")
-        cnt, comps = count_matrix_components(G, seed=seed)
+        cnt, comps = count_matrix_components(G)
         pred = predict_nonnilpotent({"family": "faithful", "p": p, "n": 1, "q": q})
         mats = [d for _, d in comps if d.kind == MATRIX]
         shape_ok = len(mats) == 1 and mats[0].dim_over_Q == q * (p - 1) \
@@ -353,7 +353,7 @@ def rows_nonnilpotent(seed: int = 0) -> list[Row]:
     for p, n, q in [(2, 2, 3), (2, 3, 7), (2, 4, 5), (5, 2, 3)]:
         M = order_q_matrix(p, n, q)
         G = semidirect_vector(p, n, M, q)
-        cnt, comps = count_matrix_components(G, seed=seed)
+        cnt, comps = count_matrix_components(G)
         v = (p ** n - 1) // ((p - 1) * q)
         pred = predict_nonnilpotent({"family": "faithful", "p": p, "n": n, "q": q})
         mats = [d for _, d in comps if d.kind == MATRIX]
@@ -382,7 +382,7 @@ def rows_nonnilpotent(seed: int = 0) -> list[Row]:
                         continue
                     checked += 1
                     G = build_spec(f"SdCyc({p},{q ** k},{r0})")
-                    cnt, comps = count_matrix_components(G, seed=seed)
+                    cnt, comps = count_matrix_components(G)
                     pred = predict_nonnilpotent(
                         {"family": "nonfaithful", "p": p, "q": q, "k": k,
                          "k0": k0, "r0": r0})
@@ -535,17 +535,15 @@ def rows_properties(seed: int = 0) -> list[Row]:
 # 8. soundness sentinel
 
 
-def rows_sentinel(budget: int = 20000, seed: int = 0) -> list[Row]:
+def rows_sentinel() -> list[Row]:
     rows: list[Row] = []
     reports = []
     for name in ["Q8", "Q12", "A4", "D12", "C3rC8", "C5rC4", "Q8xC4",
                  "Q8xC8", "D8cpD8", "Ex38K", "A5"]:
         G = build_named(name)
-        reports.append((name, nd_verdict(G, budget=budget, seed=seed)))
-    reports.append(("Q8xC9", nd_verdict(build_spec("X(Q(8),C(9))"),
-                                        budget=budget, seed=seed)))
-    reports.append(("Q8xC7", nd_verdict(build_spec("X(Q(8),C(7))"),
-                                        budget=budget, seed=seed)))
+        reports.append((name, nd_verdict(G)))
+    reports.append(("Q8xC9", nd_verdict(build_spec("X(Q(8),C(9))"))))
+    reports.append(("Q8xC7", nd_verdict(build_spec("X(Q(8),C(7))"))))
     offenders = [(n, r.verdict, str(r.matrix_count)) for n, r in reports
                  if r.verdict == "HasND" and not (
                      r.matrix_count.hi is not None and r.matrix_count.hi <= 1)]
@@ -572,7 +570,7 @@ def rows_sentinel(budget: int = 20000, seed: int = 0) -> list[Row]:
     bad_small = []
     for spec in small_specs:
         G = build_spec(spec)
-        r = nd_verdict(G, budget=budget, seed=seed)
+        r = nd_verdict(G)
         if r.verdict != "HasND":
             bad_small.append((spec, r.verdict))
     _check(rows, "sentinel", "all groups of order <= 11 have ND",
@@ -583,17 +581,17 @@ def rows_sentinel(budget: int = 20000, seed: int = 0) -> list[Row]:
 # ---------------------------------------------------------------------------
 
 
-def run_all(only: Optional[list[str]] = None, budget: int = 20000, seed: int = 0,
+def run_all(only: Optional[list[str]] = None, seed: int = 0,
             progress: Optional[Callable[[Row], None]] = None) -> list[Row]:
     producers = {
         "decompositions": rows_decompositions,
         "witnesses": rows_witnesses,
         "snssn": rows_snssn,
         "amitsur": rows_amitsur,
-        "nilpotent": lambda: rows_nilpotent(seed=seed),
-        "nonnilpotent": lambda: rows_nonnilpotent(seed=seed),
+        "nilpotent": rows_nilpotent,
+        "nonnilpotent": rows_nonnilpotent,
         "properties": lambda: rows_properties(seed=seed),
-        "sentinel": lambda: rows_sentinel(budget=budget, seed=seed),
+        "sentinel": rows_sentinel,
     }
     out: list[Row] = []
     for cat in CATEGORIES:

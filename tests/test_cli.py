@@ -9,10 +9,12 @@ import qgring.catalog
 import qgring.cli
 import qgring.components
 import qgring.groups
+import qgring.props
 import qgring.shoda
 import qgring.verify
 from qgring.algebra import AlgElem
 from qgring.cli import main
+from qgring.errors import OrderCapExceeded
 
 # sha256 of `qgring --json analyze <spec>` when the benchmark was added;
 # the output must stay byte-identical
@@ -137,6 +139,8 @@ def test_verify_theorems_refuses_cap(capsys):
     ("catalog", "--cap", "5"),
     ("catalog", "--budget", "3"),
     ("--seed", "9", "catalog"),
+    ("verify-theorems", "--budget", "5"),
+    ("--budget", "5", "verify-theorems"),
 ])
 def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     _usage_error(capsys, *argv)
@@ -163,10 +167,8 @@ def test_help_lists_only_the_flags_a_command_takes(capsys, command):
      "20", "--seed", "1"),
     ("--json", "--cap", "20", "--seed", "1", "sweep", "BJ1", "--p", "2",
      "--m", "2", "--n", "1"),
-    ("verify-theorems", "--only", "amitsur", "--json", "--budget", "5",
-     "--seed", "1"),
-    ("--json", "--budget", "5", "--seed", "1", "verify-theorems", "--only",
-     "amitsur"),
+    ("verify-theorems", "--only", "amitsur", "--json", "--seed", "1"),
+    ("--json", "--seed", "1", "verify-theorems", "--only", "amitsur"),
     ("catalog", "--json"),
 ])
 def test_each_command_takes_its_flags_in_either_position(capsys, argv):
@@ -412,11 +414,8 @@ def test_analyze_checks_each_idempotent_once(capsys, monkeypatch):
     assert len(idempotent) == len(set(idempotent)) == 11
 
 
-@pytest.mark.parametrize("spec", ["A5", "BJ9", "X(Q(8),C(25))", "X(Q(8),C(27))"])
-def test_analyze_builds_each_group_once(capsys, monkeypatch, spec):
-    # the input and the reference the classification or the curated
-    # witness looks up are one catalog entry; a reference that is never
-    # compared is never built
+def _groups_of_the_input_order(capsys, monkeypatch, *argv):
+    """How many groups of the analyzed group's order `analyze` constructs."""
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})
     orders = []
     orig = qgring.groups.FiniteGroup.__init__
@@ -426,6 +425,54 @@ def test_analyze_builds_each_group_once(capsys, monkeypatch, spec):
         orig(self, table, *args, **kwargs)
 
     monkeypatch.setattr(qgring.groups.FiniteGroup, "__init__", counting)
-    code, out, _ = run_cli(capsys, "--json", "analyze", spec)
+    code, out, _ = run_cli(capsys, "--json", "analyze", *argv)
     assert code == 0
-    assert orders.count(json.loads(out)["group"]["order"]) == 1
+    return orders.count(json.loads(out)["group"]["order"])
+
+
+@pytest.mark.parametrize("spec", ["A5", "BJ9", "X(Q(8),C(25))", "X(Q(8),C(27))"])
+def test_analyze_builds_each_group_once(capsys, monkeypatch, spec):
+    # the input and the reference the classification or the curated
+    # witness looks up are one catalog entry; a reference that is never
+    # compared is never built
+    assert _groups_of_the_input_order(capsys, monkeypatch, spec) == 1
+
+
+@pytest.mark.parametrize("spec", ["A5", "BJ9", "X(Q(8),C(25))"])
+def test_analyze_builds_each_group_once_under_any_cap(capsys, monkeypatch,
+                                                      spec):
+    # the references are looked up at the default cap, the input at 1000
+    assert _groups_of_the_input_order(capsys, monkeypatch, spec,
+                                      "--cap", "1000") == 1
+
+
+def test_a_group_built_under_a_larger_cap_is_not_returned_under_a_smaller(
+        monkeypatch):
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+    assert qgring.catalog.build_spec("C(251)", cap=300).order == 251
+    with pytest.raises(OrderCapExceeded):
+        qgring.catalog.build_spec("C(251)")
+
+
+def test_a_subgroup_entry_is_capped_by_its_own_order(monkeypatch):
+    # Ex38K is an order-36 subgroup of an order-72 group
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+    assert qgring.catalog.build_named("Ex38K", cap=50).order == 36
+    with pytest.raises(OrderCapExceeded):
+        qgring.catalog.build_named("Ex38K", cap=30)
+
+
+@pytest.mark.parametrize("spec", ["X(Q(8),C(25))", "BJ9", "A5"])
+def test_analyze_verifies_its_witness_once(capsys, monkeypatch, spec):
+    # on the analyzed group, not again on the witness's reference group
+    groups = []
+    orig = qgring.props.verify_witness
+
+    def counting(w):
+        groups.append(w.group)
+        return orig(w)
+
+    monkeypatch.setattr(qgring.props, "verify_witness", counting)
+    code, out, _ = run_cli(capsys, "--json", "analyze", spec)
+    assert code == 0 and json.loads(out)["nd"]["verdict"] == "NotND"
+    assert groups == [qgring.catalog.build_spec(spec)]

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from qgring.algebra import hat
+from qgring import props
+from qgring.algebra import AlgElem, hat
 from qgring.catalog import build_named, build_spec
-from qgring.errors import NotPGroup, UnknownWitness
+from qgring.errors import NotPGroup, SoundnessError, UnknownWitness
 from qgring.groups import is_normal, subgroup_generated
 from qgring.props import (
+    _SUM_OF_SQUARES,
+    Witness,
     abelian_invariants,
     classify_ssn,
     curated_witness,
@@ -177,6 +180,33 @@ def test_hamiltonian_polynomial_witness():
     assert hamiltonian_witness(7, 2) is None  # ord_7(2) = 3 is odd
     r = nd_verdict(build_spec("X(Q(8),C(9))"), budget=2000)
     assert r.verdict == "NotND" and r.reason == "WitnessFound"
+
+
+@pytest.mark.parametrize("p", sorted(_SUM_OF_SQUARES))
+def test_sum_of_squares_polynomials(p):
+    # 1 + r(X)^2 + s(X)^2 modulo X^p - 1 has all coefficients equal: an
+    # integer multiple of 1 + X + ... + X^(p-1)
+    total = [1] + [0] * (p - 1)
+    for coeffs in _SUM_OF_SQUARES[p]:
+        assert len(coeffs) == p
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(coeffs):
+                total[(i + j) % p] += a * b
+    assert len(set(total)) == 1
+
+
+def test_a_curated_witness_that_fails_raises(monkeypatch):
+    # e = 1 makes alpha*e = alpha integral; the witness must not be
+    # dropped in favour of the search
+    orig = props.curated_witness
+
+    def broken(name, *args, **kwargs):
+        w = orig(name, *args, **kwargs)
+        return Witness(w.name, w.group, w.alpha, AlgElem.one(w.group), w.notes)
+
+    monkeypatch.setattr(props, "curated_witness", broken)
+    with pytest.raises(SoundnessError, match="alpha_e_not_integral"):
+        nd_verdict(build_named("D12"))
 
 
 def test_ncn_iff_ssn_for_p_groups():
