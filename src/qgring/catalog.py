@@ -7,7 +7,8 @@ Grammar:
 
 D and Q take the total group order. NAME is a catalog identifier listed
 by `catalog_names()`. A catalog name that a spec string describes is an
-alias of that string: the group is built by parsing it.
+alias of that string: the group is built by parsing it, and
+`build_spec` of that exact string returns the alias's group.
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ def catalog_describe(name: str) -> str:
 # builder checks its final order and no sub-build is larger than its
 # result (the two subgroup builders build their parent at the default cap).
 _BUILT: dict[tuple[str, str], FiniteGroup] = {}
+_ALIAS_OF = {spec: name for name, spec in _ALIASES.items()}
 
 
 def build_named(name: str, cap: Optional[int] = None) -> FiniteGroup:
@@ -283,6 +285,8 @@ def _parse(spec: str, cap: Optional[int]) -> FiniteGroup:
 
 def build_spec(spec: str, cap: Optional[int] = None) -> FiniteGroup:
     """Parse a group-spec string and build the group."""
+    if spec in _ALIAS_OF:
+        return build_named(_ALIAS_OF[spec], cap)
     key = ("spec", spec)
     if key not in _BUILT:
         G = _parse(spec, cap)

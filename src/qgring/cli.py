@@ -95,13 +95,13 @@ def _analyze(args) -> int:
 
     out = {
         "schema": SCHEMA,
-        "group": {"spec": getattr(G, "spec", args.spec), "name": G.name,
+        "group": {"spec": args.spec, "name": G.name,
                   "order": G.order},
         "properties": {"sn": report.sn, "ssn": report.ssn, "ncn": report.ncn,
                        "class": cls.tag, "class_params": cls.params},
         "pcis": pcis_info,
         "matrix_count": cnt.to_json(),
-        "nd": report.to_dict(spec=getattr(G, "spec", args.spec)),
+        "nd": report.to_dict(spec=args.spec),
         "prediction": pred,
     }
     if args.json:
@@ -133,13 +133,16 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """A sweep range: an integer n, or lo:hi for lo..hi inclusive."""
+    """A sweep range: an integer n, or lo:hi for lo..hi inclusive, lo <= hi."""
     lo, sep, hi = text.partition(":")
     try:
-        return list(range(int(lo), int(hi if sep else lo) + 1))
+        values = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or lo:hi, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: lo > hi")
+    return values
 
 
 def _span(given: Optional[list[int]], lo: int, hi: int):

@@ -1104,32 +1104,13 @@ def from_table(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = 
 # finite field helper: matrices of prime order for vector-family sweeps
 
 
-def _poly_mulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce modulo monic f
-    n = len(f) - 1
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(n):
-                out[i - n + j] = (out[i - n + j] - c * f[j]) % p
-    return out[:n] + [0] * (n - len(out[:n]))
-
-
-def _poly_powmod(base, e, f, p):
-    n = len(f) - 1
-    out = [0] * n
-    out[0] = 1 % p
-    b = _poly_mulmod(base, [1], f, p)  # reduce base modulo f first
+def _mat_pow(M, e, p):
+    """M^e over F_p, by square-and-multiply."""
+    out = _mat_eye(len(M))
     while e:
         if e & 1:
-            out = _poly_mulmod(out, b, f, p)
-        b = _poly_mulmod(b, b, f, p)
+            out = _mat_mul(out, M, p)
+        M = _mat_mul(M, M, p)
         e >>= 1
     return out
 
@@ -1138,36 +1119,25 @@ def order_q_matrix(p: int, n: int, q: int) -> list[list[int]]:
     """A rank-n matrix over F_p of multiplicative order q with irreducible
     characteristic polynomial (so the action on (C_p)^n is irreducible).
 
-    Requires ord_q(p) = n, i.e. q has a degree-n irreducible factor in
-    x^q - 1 over F_p.
+    Requires ord_q(p) = n. Then Phi_q splits over F_p into irreducible
+    factors of degree n, and x^q - 1 = (x - 1) Phi_q has no repeated
+    factor, so each monic degree-n divisor f of x^q - 1 other than x - 1
+    is irreducible. The companion matrix M of f has minimal polynomial f,
+    so f divides x^q - 1 iff M^q = I, and f = x - 1 iff M = I. The result
+    is the first companion matrix, in coefficient order, with M^q = I and
+    M != I.
     """
     from .numutil import ord_mod
     if ord_mod(q, p) != n:
         raise InconsistentSpec(f"ord_{q}({p}) != {n}; no irreducible order-{q} action")
-    x = [0, 1]
+    eye = _mat_eye(n)
     for coeffs in itertools.product(range(p), repeat=n):
-        f = list(coeffs) + [1]  # monic degree n
-        xred = _poly_mulmod(x, [1], f, p)  # x reduced modulo f
-        # f must divide x^q - 1: x^q = 1 mod f
-        xq = _poly_powmod(x, q, f, p)
-        if xq != [1 % p] + [0] * (n - 1):
-            continue
-        # irreducible: x^(p^n) = x mod f and x^(p^d) != x for proper divisors d
-        ok = True
-        for d in range(1, n):
-            if n % d == 0 and _poly_powmod(x, p ** d, f, p) == xred:
-                ok = False
-                break
-        if not ok:
-            continue
-        if _poly_powmod(x, p ** n, f, p) != xred:
-            continue
-        # companion matrix (action x * v in F_p[x]/(f))
+        # companion matrix of f = x^n + coeffs (action x * v in F_p[x]/(f))
         M = [[0] * n for _ in range(n)]
         for j in range(n - 1):
             M[j + 1][j] = 1
         for i in range(n):
-            M[i][n - 1] = (-f[i]) % p
-        if _mat_order(M, p) == q:
+            M[i][n - 1] = (-coeffs[i]) % p
+        if _mat_pow(M, q, p) == eye and _mat_order(M, p) == q:
             return M
     raise InconsistentSpec(f"no order-{q} irreducible matrix found for p={p}, n={n}")

@@ -47,7 +47,6 @@ from .groups import (
     find_isomorphism,
     full_subgroup,
     is_nilpotent_group,
-    is_normal,
     is_solvable_group,
     normal_subgroups,
     normalizes,
@@ -69,20 +68,27 @@ def _sn_scan(G: FiniteGroup, pairs) -> bool:
 
     No closure is made. YN is the least subgroup containing Y u N, and
     subgroups(G) is sorted by (order, mask), so YN is the first subgroup
-    there, from order |Y u N| on, whose mask contains Y u N. As N is
-    normal in M, YN is normal in M when Y is, so only the Y not normal in
-    M are joined with N. Normality in M is decided once per M for each Y
-    and once per (M, YN) for each join: many N share one M.
+    there, from order |Y u N| on, whose mask contains Y u N. Normality in
+    G is decided once per subgroup, by normal_subgroups(G). A subgroup
+    normal in G is normal in every M that contains it, so no Y normal in G
+    is joined with N and no YN normal in G is tested; for M = G that
+    leaves no test at all. For M < G, as N is normal in M, YN is normal in
+    M when Y is, so only the Y not normal in M are joined with N; normality
+    in M is decided once per M for each Y and once per (M, YN) for each
+    join: many N share one M.
     """
     subs = subgroups(G)
     orders = [S.order for S in subs]
+    normal = {S.mask for S in normal_subgroups(G)}
     joins: dict[int, Subgroup] = {}
     scans: dict[int, tuple[list[Subgroup], dict[int, bool]]] = {}
     for N, M in pairs:
+        whole = M.mask == subs[-1].mask
         if M.mask not in scans:
-            scans[M.mask] = ([Y for Y in subs if Y.mask | M.mask == M.mask
-                              and not normalizes(G, M.gens, Y)], {})
-        suspects, normal = scans[M.mask]
+            scans[M.mask] = ([Y for Y in subs if Y.mask not in normal
+                              and Y.mask | M.mask == M.mask
+                              and (whole or not normalizes(G, M.gens, Y))], {})
+        suspects, in_M = scans[M.mask]
         for Y in suspects:
             key = Y.mask | N.mask
             if key == Y.mask:
@@ -93,17 +99,22 @@ def _sn_scan(G: FiniteGroup, pairs) -> bool:
                 while subs[i].mask | key != subs[i].mask:
                     i += 1
                 YN = joins[key] = subs[i]
-            if YN.mask not in normal:
-                normal[YN.mask] = normalizes(G, M.gens, YN)
-            if not normal[YN.mask]:
+            if YN.mask in normal:
+                continue
+            if YN.mask not in in_M:
+                in_M[YN.mask] = not whole and normalizes(G, M.gens, YN)
+            if not in_M[YN.mask]:
                 return False
     return True
 
 
 def is_sn(G: FiniteGroup) -> bool:
     """Exhaustive check: N normal, Y any subgroup => N <= Y or YN normal."""
-    full = full_subgroup(G)
-    return _sn_scan(G, ((N, full) for N in normal_subgroups(G) if N.order > 1))
+    if "sn" not in G._cache:
+        full = full_subgroup(G)
+        G._cache["sn"] = _sn_scan(
+            G, ((N, full) for N in normal_subgroups(G) if N.order > 1))
+    return G._cache["sn"]
 
 
 def is_ssn(G: FiniteGroup) -> bool:
@@ -116,7 +127,9 @@ def is_ssn(G: FiniteGroup) -> bool:
     in N_G(N) it is normal in each of them; and H = N_G(N) is one of
     them. So G is SSN iff YN is normal in N_G(N) for every N != 1 and
     every Y <= N_G(N) with N not contained in Y: the SN scan with N_G(N)
-    in place of G.
+    in place of G. For N normal in G, N_G(N) = G and that is the SN scan
+    of G itself, so G is SSN iff it is SN and the scan passes over the N
+    not normal in G. When every subgroup is normal, both scans are empty.
 
     N_G(N) is read off the lattice too, so the scan makes no closure: it
     is a union of right cosets Ng (ng normalizes N iff g does), so one
@@ -125,8 +138,10 @@ def is_ssn(G: FiniteGroup) -> bool:
     if "ssn" not in G._cache:
         subs = subgroups(G)
         by_mask = {S.mask: S for S in subs}
-        G._cache["ssn"] = _sn_scan(
-            G, ((N, by_mask[_normalizer_mask(G, N)]) for N in subs[1:]))
+        normal = {S.mask for S in normal_subgroups(G)}
+        G._cache["ssn"] = is_sn(G) and _sn_scan(
+            G, ((N, by_mask[_normalizer_mask(G, N)]) for N in subs
+                if N.mask not in normal))
     return G._cache["ssn"]
 
 
@@ -146,11 +161,13 @@ def is_ncn(G: FiniteGroup) -> bool:
     ok, p = G.is_p_group()
     if not ok or G.order == 1:
         raise NotPGroup(f"{G.name} is not a nontrivial p-group")
-    return all(is_normal(G, H) for H in subgroups(G) if not H.is_cyclic())
+    normal = {S.mask for S in normal_subgroups(G)}
+    return all(H.mask in normal for H in subgroups(G) if not H.is_cyclic())
 
 
 def is_hamiltonian(G: FiniteGroup) -> bool:
-    return (not G.is_abelian()) and all(is_normal(G, H) for H in subgroups(G))
+    return (not G.is_abelian()
+            and len(normal_subgroups(G)) == len(subgroups(G)))
 
 
 def _int_log(base: int, value: int) -> int:

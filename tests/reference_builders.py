@@ -4,7 +4,7 @@ These are the original builders: the catalog entries written as builder
 lambdas, `abelian` with its own product table, `metacyclic` with one
 `mul` call and one dict lookup per table entry, and `central_product` as
 the quotient of the full direct product G1 x G2 (with the `direct_product`
-it went through). The library builds catalog aliases by parsing their spec
+it went through), and `order_q_matrix` with its polynomial search. The library builds catalog aliases by parsing their spec
 strings, abelian groups as direct products of cyclic ones, metacyclic
 tables by index arithmetic and central products from their factors; the
 tests in test_builders.py require identical tables, names, group names
@@ -22,6 +22,7 @@ from qgring.errors import InconsistentSpec
 from qgring.groups import (
     FiniteGroup,
     _check_cap,
+    _mat_order,
     _join_name,
     _name_power,
     center,
@@ -165,6 +166,72 @@ def reference_central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int =
     Q, _ = quotient(P, N)
     Q.name = f"{G1.name}~{G2.name}"
     return Q
+
+
+def _poly_mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    # reduce modulo monic f
+    n = len(f) - 1
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(n):
+                out[i - n + j] = (out[i - n + j] - c * f[j]) % p
+    return out[:n] + [0] * (n - len(out[:n]))
+
+
+def _poly_powmod(base, e, f, p):
+    n = len(f) - 1
+    out = [0] * n
+    out[0] = 1 % p
+    b = _poly_mulmod(base, [1], f, p)  # reduce base modulo f first
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, b, f, p)
+        b = _poly_mulmod(b, b, f, p)
+        e >>= 1
+    return out
+
+
+def reference_order_q_matrix(p: int, n: int, q: int) -> list[list[int]]:
+    """The companion matrix of the first monic degree-n f, in coefficient
+    order, that divides x^q - 1, is irreducible over F_p and gives a
+    matrix of order q."""
+    from qgring.numutil import ord_mod
+    if ord_mod(q, p) != n:
+        raise InconsistentSpec(f"ord_{q}({p}) != {n}; no irreducible order-{q} action")
+    x = [0, 1]
+    for coeffs in itertools.product(range(p), repeat=n):
+        f = list(coeffs) + [1]  # monic degree n
+        xred = _poly_mulmod(x, [1], f, p)  # x reduced modulo f
+        # f must divide x^q - 1: x^q = 1 mod f
+        xq = _poly_powmod(x, q, f, p)
+        if xq != [1 % p] + [0] * (n - 1):
+            continue
+        # irreducible: x^(p^n) = x mod f and x^(p^d) != x for proper divisors d
+        ok = True
+        for d in range(1, n):
+            if n % d == 0 and _poly_powmod(x, p ** d, f, p) == xred:
+                ok = False
+                break
+        if not ok:
+            continue
+        if _poly_powmod(x, p ** n, f, p) != xred:
+            continue
+        # companion matrix (action x * v in F_p[x]/(f))
+        M = [[0] * n for _ in range(n)]
+        for j in range(n - 1):
+            M[j + 1][j] = 1
+        for i in range(n):
+            M[i][n - 1] = (-f[i]) % p
+        if _mat_order(M, p) == q:
+            return M
+    raise InconsistentSpec(f"no order-{q} irreducible matrix found for p={p}, n={n}")
 
 
 # the catalog entries that are spec aliases, with the builders they had

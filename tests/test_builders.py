@@ -19,16 +19,19 @@ from qgring.groups import (
     elementary_abelian,
     metacyclic,
     metacyclic_amitsur,
+    order_q_matrix,
     quaternion,
     semidirect_cyclic,
     semidirect_vector,
 )
+from qgring.numutil import is_prime, ord_mod
 from reference_builders import (
     REFERENCE_CATALOG,
     reference_abelian,
     reference_central_product,
     reference_direct_product,
     reference_metacyclic,
+    reference_order_q_matrix,
 )
 
 
@@ -189,3 +192,14 @@ def test_central_product_never_builds_the_direct_product(monkeypatch):
     G = build_spec("CProd(D(8),D(8),1)")
     assert G.order == 32
     assert 64 not in orders and max(orders) == 32
+
+
+# every (p, n, q) with p^n <= 256, q a prime below 100 and ord_q(p) = n
+ORDER_Q_CASES = [(p, n, q) for p in range(2, 257) if is_prime(p)
+                 for q in range(2, 100) if is_prime(q) and q != p
+                 for n in [ord_mod(q, p)] if p ** n <= 256]
+
+
+@pytest.mark.parametrize("p, n, q", ORDER_Q_CASES)
+def test_order_q_matrix_is_the_original_matrix(p, n, q):
+    assert order_q_matrix(p, n, q) == reference_order_q_matrix(p, n, q)

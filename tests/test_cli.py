@@ -184,6 +184,7 @@ def test_each_command_takes_its_flags_in_either_position(capsys, argv):
     ("--cap", "x", "analyze", "A4"),
     ("sweep", "BJ1", "--p", "abc"),
     ("sweep", "BJ1", "--n", "1:2:3"),
+    ("sweep", "BJ1", "--p", "5:3"),
     ("sweep", "nonfaithful", "--k0", "one"),
 ])
 def test_malformed_numbers_are_refused(capsys, argv):
@@ -444,6 +445,26 @@ def test_analyze_builds_each_group_once_under_any_cap(capsys, monkeypatch,
     # the references are looked up at the default cap, the input at 1000
     assert _groups_of_the_input_order(capsys, monkeypatch, spec,
                                       "--cap", "1000") == 1
+
+
+def test_an_alias_and_its_spec_are_one_group(capsys, monkeypatch):
+    # Q8xC8 is the BJ3 reference that the classification and the curated
+    # witness look up by its spec; the other order-64 group is BJ9
+    assert _groups_of_the_input_order(capsys, monkeypatch, "Q8xC8") == 2
+    assert (qgring.catalog.build_spec("X(Q(8),C(8))")
+            is qgring.catalog.build_named("Q8xC8"))
+
+
+@pytest.mark.parametrize("first, spec", [("X(Q(8),C(8))", "Q8xC8"),
+                                         ("Q8xC8", "X(Q(8),C(8))")])
+def test_the_printed_spec_is_the_one_given(capsys, monkeypatch, first, spec):
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+    cold = run_cli(capsys, "--json", "analyze", spec)
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+    qgring.catalog.build_spec(first)
+    assert run_cli(capsys, "--json", "analyze", spec) == cold
+    assert json.loads(cold[1])["group"]["spec"] == spec
+    assert json.loads(cold[1])["nd"]["group"] == spec
 
 
 def test_a_group_built_under_a_larger_cap_is_not_returned_under_a_smaller(

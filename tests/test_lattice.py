@@ -7,17 +7,23 @@ from its generators and runs SN on a standalone group per subgroup. Both
 must give the same lattice, generators included, and the same verdicts.
 The work saved is pinned as counts of `_closure` calls, and the work of
 the PCI enumeration's scans over the lattice as counts of subgroup
-comparisons.
+comparisons. Normality in G is decided once per subgroup: the SN scan
+makes no further normality test, and the SSN scan computes N_G(N) only
+for the N not normal in G.
 """
+
+import hashlib
 
 import pytest
 
+import qgring.cli
 import qgring.groups
+import qgring.props
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.errors import OrderCapExceeded
 from qgring.groups import (FiniteGroup, Subgroup, elementary_abelian,
                            normal_subgroups, subgroups)
-from qgring.props import is_sn, is_ssn
+from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
 from reference_lattice import reference_is_sn, reference_is_ssn, reference_subgroups
 
@@ -135,3 +141,58 @@ def test_subgroup_cap_stops_at_the_first_subgroup_over_it(monkeypatch):
     assert len(found) == 21
     monkeypatch.setattr(qgring.groups, "MAX_SUBGROUPS", 67)
     assert len(subgroups(G)) == 67
+
+
+def _record_calls(monkeypatch, module, name):
+    """The arguments of every call of module.name from here on."""
+    calls = []
+    orig = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
+    # Q8 x EA(2,4) is Hamiltonian: every subgroup is normal, so the SN scan
+    # has no suspect Y and the SSN scan no N to compute N_G(N) for
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+    G = build_spec("X(Q(8),EA(2,4))")
+    bases = _record_closures(monkeypatch)
+    assert len(subgroups(G)) == len(normal_subgroups(G)) == 3132
+    assert len(bases) <= 27007  # the lattice's closures, 128 of them cyclic
+    tests = _record_calls(monkeypatch, qgring.props, "normalizes")
+    normal = _record_calls(monkeypatch, qgring.groups, "is_normal")
+    normalizers = _record_calls(monkeypatch, qgring.props, "_normalizer_mask")
+    assert is_sn(G) and is_ssn(G) and is_ncn(G) and is_hamiltonian(G)
+    assert tests == normal == normalizers == []
+    assert qgring.cli.main(["--json", "analyze", "X(Q(8),EA(2,4))"]) == 0
+    # sha256 of the output before the scans read normality off the lattice
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "a8d01e239609ed9117ab3389d3eb65ba38d8bc63c74b2e313e2d5c237aa49bee")
+
+
+@pytest.mark.parametrize("spec, computed", [
+    ("D(200)", 0),  # not SN, so the scan over the non-normal N never starts
+    ("BJ9", 30),
+    ("A5", 57),
+])
+def test_ssn_computes_n_g_n_once_per_non_normal_subgroup(spec, computed,
+                                                         monkeypatch):
+    G = _build(spec)
+    G._cache.clear()
+    subs = subgroups(G)
+    normal = _record_calls(monkeypatch, qgring.groups, "is_normal")
+    tests = _record_calls(monkeypatch, qgring.props, "normalizes")
+    is_sn(G)
+    assert tests == []  # M = G: normality in G is read, never tested again
+    normalizers = _record_calls(monkeypatch, qgring.props, "_normalizer_mask")
+    is_ssn(G)
+    is_hamiltonian(G)
+    masks = [N.mask for _G, N in normalizers]
+    assert len(masks) == len(set(masks)) == computed
+    assert not set(masks) & {N.mask for N in normal_subgroups(G)}
+    assert sorted(H.mask for _G, H in normal) == sorted(H.mask for H in subs)
