@@ -14,7 +14,7 @@ from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import GroupMismatch
-from .groups import FiniteGroup, Subgroup, stabilizer
+from .groups import FiniteGroup, Subgroup, cosets, stabilizer
 
 
 class AlgElem:
@@ -188,8 +188,9 @@ class AlgElem:
     def is_central_idempotent(self) -> bool:
         """True iff the element is central and e*e = e. Decided once per
         element and group. For a central e, e*e is central too, so it
-        equals e iff the two agree at the class representatives: |supp e|
-        products per class in place of the full square."""
+        equals e iff the two agree at the class representatives; with
+        N = ker e, one representative per N-coset and |supp e|/|N|
+        products each (_idempotent_at_classes)."""
         return self.is_central() and _memo(self, "idempotent", _idempotent_at_classes)
 
     def is_nilpotent(self) -> bool:
@@ -262,8 +263,38 @@ def _constant_on_classes(e: AlgElem) -> bool:
 
 
 def _idempotent_at_classes(e: AlgElem) -> bool:
-    return product_at_classes(e, e) == [
-        e.nums[cls[0]] * e.den for cls in e.group.conjugacy_classes()]
+    """e*e = e for a central e, decided in G/ker e.
+
+    Let N = {g : g*e = e}, a subgroup; for a central e it is also
+    {g : e*g = e}, and it is normal, as (hgh^-1)*e = h(g*e)h^-1. Since
+    (g*e)(gx) = e(x), g*e = e iff e(gx) = e(x) for every x in supp e: then
+    x -> gx maps the support into itself, hence onto it, and so the zeros
+    onto zeros. So e is constant on each coset xN = Nx, and an element g
+    of N has e(g) = e(1); stabilizer tests only those g. With S the least
+    elements of the left cosets of N,
+    (e*e)(r) = sum over x in G of e(x) e(x^-1 r)
+             = |N| * sum over s in S of e(s) e(s^-1 r),
+    since x = sn gives e(x) = e(s), and x^-1 r = n^-1 s^-1 r lies in
+    N s^-1 r = s^-1 r N. Both e*e and e are central and constant on
+    N-cosets, so they are equal iff they agree at one class representative
+    per N-coset that holds any.
+    """
+    G = e.group
+    nums, support, table = e.nums, e.support, G.table
+    values = list(map(nums.__getitem__, support))
+    N = stabilizer(G, lambda g: nums[g] == nums[0] and list(
+        map(nums.__getitem__, map(table[g].__getitem__, support))) == values)
+    index, reps = cosets(N, left=True)
+    terms = [(nums[s], table[G.inverse[s]]) for s in reps if nums[s]]
+    checked = set()
+    for cls in G.conjugacy_classes():
+        r = cls[0]
+        if index[r] in checked:
+            continue
+        checked.add(index[r])
+        if N.order * sum(c * nums[row[r]] for c, row in terms) != nums[r] * e.den:
+            return False
+    return True
 
 
 def product_at_classes(a: AlgElem, b: AlgElem) -> list[int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from operator import add, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -40,7 +41,10 @@ class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str],
                  name: str = "G", letters: tuple[str, ...] = ()):
         self.order = len(table)
-        self.table: list[list[int]] = [list(map(int, row)) for row in table]
+        self.table: list[list[int]] = [list(row) for row in table]
+        # entries that are not ints (floats, numpy integers) are coerced
+        if not set(map(type, itertools.chain.from_iterable(self.table))) <= {int}:
+            self.table = [list(map(int, row)) for row in self.table]
         self.names: list[str] = [str(s) for s in names]
         self.name = name
         self.letters = tuple(letters)
@@ -61,17 +65,27 @@ class FiniteGroup:
     def _validate(self) -> None:
         """Exact check that the table is a group with identity 0.
 
-        After the Latin-square and identity checks, Light's test checks
-        (x*g)*y = x*(g*y) for all x, y and each g of a generating set only:
-        the elements a with (x*a)*y = x*(a*y) for all x, y are closed under
-        the product, so they make up the whole table.
+        Each row must be a permutation of 0..n-1 and index 0 a two-sided
+        identity. Light's test then checks (x*g)*y = x*(g*y) for all x, y
+        and each g of a generating set only: the elements a with
+        (x*a)*y = x*(a*y) for all x, y are closed under the product, so
+        they make up the whole table. The row of x*g is then the row of x
+        read at the entries of g's row. A table that passes is a group, so
+        its columns are permutations too. Only a table that fails is
+        checked again, defect by defect, to name the first one in the
+        order: entries out of range, identity, rows, columns, associativity.
         """
         n = self.order
         table = self.table
+        ident = list(range(n))
+        full = set(ident)
+        if (n and all(len(row) == n and set(row) == full for row in table)
+                and table[0] == ident and [row[0] for row in table] == ident
+                and self._is_associative()):
+            return
         if not n or any(len(row) != n or min(row) < 0 or max(row) >= n
                         for row in table):
             raise InconsistentSpec("table entries out of range")
-        ident = list(range(n))
         if table[0] != ident or [row[0] for row in table] != ident:
             raise InconsistentSpec("index 0 is not a two-sided identity")
         for i, row in enumerate(table):
@@ -80,12 +94,18 @@ class FiniteGroup:
         for j, col in enumerate(zip(*table)):
             if len(set(col)) != n:
                 raise InconsistentSpec(f"column {j} is not a permutation")
+        raise InconsistentSpec("multiplication table is not associative")
+
+    def _is_associative(self) -> bool:
+        """Light's test, on a table whose rows are permutations with index
+        0 as identity."""
+        table = self.table
         # not cached: a new group's _cache starts empty
         for g in stabilizer(self, lambda g: True).gens:
-            grow = table[g]
-            for row in table:
-                if table[row[g]] != [row[y] for y in grow]:
-                    raise InconsistentSpec("multiplication table is not associative")
+            times_g = itemgetter(*table[g])  # n > 1 when there is a generator
+            if any(table[row[g]] != list(times_g(row)) for row in table):
+                return False
+        return True
 
     def _compute_inverses(self) -> list[int]:
         inv = [row.index(0) for row in self.table]
@@ -260,6 +280,7 @@ def stabilizer(G: FiniteGroup, keeps: Callable[[int], bool]) -> Subgroup:
     """
     gens: list[int] = []
     inside = Subgroup(G, 1)
+    members = inside.members
     outside = 0
     table = G.table
     for g in range(G.order):
@@ -268,8 +289,9 @@ def stabilizer(G: FiniteGroup, keeps: Callable[[int], bool]) -> Subgroup:
         if keeps(g):
             gens.append(g)
             inside = Subgroup(G, _closure(G, (g,), inside))
+            members = inside.members
         else:
-            for c in inside.members:
+            for c in members:
                 outside |= 1 << table[c][g]
     return Subgroup(G, inside.mask, tuple(gens))
 
@@ -433,24 +455,34 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     those of closing every join.
     """
     if "subgroups" not in G._cache:
-        cyclic: dict[int, Subgroup] = {}
-        cyclic_of = []
-        for g in range(G.order):
-            sub = subgroup_generated(G, (g,) if g else ())
-            cyclic_of.append(cyclic.setdefault(sub.mask, sub).mask)
-        seen: dict[int, Subgroup] = dict(cyclic)
-        _check_subgroup_count(G, seen)
-        frontier = [C for C in cyclic.values() if C.gens]
-        cyc_gens = [C.gens[0] for C in frontier]
-        # seed_gens[j]: the elements that generate the j-th seed <c_j>;
-        # same_cyclic[x]: those that generate <x>
-        seed_of = {C.mask: j for j, C in enumerate(frontier)}
-        seed_gens = [0] * len(frontier)
-        for g in range(1, G.order):
-            seed_gens[seed_of[cyclic_of[g]]] |= 1 << g
-        same_cyclic = [1] + [seed_gens[seed_of[cyclic_of[g]]]
-                             for g in range(1, G.order)]
         table = G.table
+        # The cyclic seeds <g>, g in index order, each from its least
+        # generator g: one walk over the powers of g, and each power g^k
+        # with gcd(k, |g|) = 1 generates the same seed. seed_gens[j]: the
+        # elements that generate the j-th seed <c_j>; same_cyclic[x]: those
+        # that generate <x>.
+        seen: dict[int, Subgroup] = {1: Subgroup(G, 1)}
+        same_cyclic = [1] + [0] * (G.order - 1)
+        frontier: list[Subgroup] = []
+        seed_gens: list[int] = []
+        for g in range(1, G.order):
+            if same_cyclic[g]:
+                continue
+            powers = [g]
+            while powers[-1]:
+                powers.append(table[powers[-1]][g])
+            m = len(powers)  # powers[k - 1] = g^k, and g^m = 1
+            units = [x for k, x in enumerate(powers, 1) if math.gcd(k, m) == 1]
+            mask = sum(1 << x for x in powers)  # the powers are distinct
+            gens = sum(1 << x for x in units)
+            for x in units:
+                same_cyclic[x] = gens
+            seed = Subgroup(G, mask, (g,))
+            seen[mask] = seed
+            frontier.append(seed)
+            seed_gens.append(gens)
+        _check_subgroup_count(G, seen)
+        cyc_gens = [C.gens[0] for C in frontier]
         full = (1 << G.order) - 1
         first = True
         named: dict[int, dict[int, int]] = {}  # first level: i -> {j: <C_j, C_i>}
@@ -512,7 +544,12 @@ def normalizes(G: FiniteGroup, by: Iterable[int], S: Subgroup) -> bool:
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    return normalizes(G, G.generators(), H)
+    """Whether H is normal in G; decided once per subgroup and group, so
+    normal_subgroups, normalizer and quotient share each verdict."""
+    known = G._cache.setdefault("normal", {})
+    if H.mask not in known:
+        known[H.mask] = normalizes(G, G.generators(), H)
+    return known[H.mask]
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -744,11 +781,25 @@ def _join_name(parts: list[str]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+# The builders make each table row with a constant number of C-level calls
+# (range slices, itemgetter, map), never one Python step per entry. Most
+# rows are products of two rows already built: (x*y)*z = x*(y*z), so the
+# row of x*y is the row of x read at the entries of the row of y.
+
+
+def _times(q: list[int]) -> Callable[[list[int]], list[int]]:
+    """p -> the row of x*y, for p the row of x and q the row of y."""
+    if len(q) == 1:  # itemgetter of one index returns no tuple
+        return lambda p: [p[q[0]]]
+    get = itemgetter(*q)
+    return lambda p: list(get(p))
+
+
 def cyclic(n: int, letter: str = "x", cap: Optional[int] = None) -> FiniteGroup:
     if n < 1:
         raise InconsistentSpec("cyclic group order must be positive")
     _check_cap(n, cap)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table = [[*range(i, n), *range(i)] for i in range(n)]
     names = [_join_name([_name_power(letter, i)]) for i in range(n)]
     return FiniteGroup(table, names, name=f"C{n}", letters=(letter,))
 
@@ -794,23 +845,23 @@ def metacyclic(m: int, n: int, t: int, r: int, letters=("a", "b"),
         raise InconsistentSpec(f"r^n != 1 mod m for (m,n,t,r)=({m},{n},{t},{r})")
     if t * r % m != t % m:
         raise InconsistentSpec(f"a^t is not centralized by b for (m,n,t,r)=({m},{n},{t},{r})")
-    rpow = [1 % m]
-    for _ in range(n):
-        rpow.append(rpow[-1] * r % m)
     la, lb = letters
     # a^i b^j is element j*m + i: <a> occupies the lowest indices, so it
-    # wins smallest-bitset tie-breaks among maximal abelian subgroups
+    # wins smallest-bitset tie-breaks among maximal abelian subgroups.
+    # a^i * a^i2 b^j2 = a^(i+i2) b^j2
+    offsets = [j * m for j in range(n) for _ in range(m)]
+    a_rows = [list(map(add, offsets, [*range(i, m), *range(i)] * n))
+              for i in range(m)]
+    # b * a^i2 b^j2 = a^(r*i2) b^(j2+1), and b^n = a^t
+    times_b = _times([(j2 + 1) % n * m + (r * i2 + (t if j2 == n - 1 else 0)) % m
+                      for j2 in range(n) for i2 in range(m)])
+    b_rows = [list(range(m * n))]
+    for _ in range(n - 1):
+        b_rows.append(times_b(b_rows[-1]))
     table = []
-    for j1 in range(n):
-        shifted = [i2 * rpow[j1] % m for i2 in range(m)]
-        for i1 in range(m):
-            row = []
-            for j2 in range(n):
-                j = j1 + j2
-                base = j % n * m
-                i0 = i1 + t if j >= n else i1
-                row.extend([base + (i0 + s) % m for s in shifted])
-            table.append(row)
+    for b_row in b_rows:
+        times_bj = _times(b_row)
+        table.extend(times_bj(a_row) for a_row in a_rows)
     names = [_join_name([_name_power(la, i), _name_power(lb, j)])
              for j in range(n) for i in range(m)]
     gname = name or f"Metacyclic({m},{n},{t},{r})"
@@ -880,26 +931,23 @@ def cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
     for x in range(base.order):
         if cur[x] != base.conj_left(x, z):
             raise InconsistentSpec("action order does not match the extension degree")
-    phi_l_pows = [list(range(base.order))]
+
+    # x c^k is element x*n_ext + k, and x c^k = x * c^k.
+    # x * x2 c^k2 = (x x2) c^k2
+    blocks = [range(v * n_ext, v * n_ext + n_ext) for v in range(base.order)]
+    x_rows = [list(itertools.chain.from_iterable(map(blocks.__getitem__, row)))
+              for row in base.table]
+    # c * x2 c^k2 = phi_l(x2) c^(k2+1), and c^n_ext = z
+    times_c = _times([phi_l[x2] * n_ext + k2 + 1 if k2 + 1 < n_ext
+                      else base.table[phi_l[x2]][z] * n_ext
+                      for x2 in range(base.order) for k2 in range(n_ext)])
+    c_rows = [list(range(order))]
     for _ in range(n_ext - 1):
-        phi_l_pows.append([phi_l[x] for x in phi_l_pows[-1]])
-
-    elems = [(x, k) for x in range(base.order) for k in range(n_ext)]
-    pos = {e: i for i, e in enumerate(elems)}
-
-    def mul(u, v):
-        x1, k1 = u
-        x2, k2 = v
-        k = k1 + k2
-        carry = k // n_ext
-        y = base.table[x1][phi_l_pows[k1][x2]]
-        if carry:
-            y = base.table[y][z]
-        return (y, k % n_ext)
-
-    table = [[pos[mul(u, v)] for v in elems] for u in elems]
+        c_rows.append(times_c(c_rows[-1]))
+    times_ck = [_times(c_row) for c_row in c_rows]
+    table = [times(x_row) for x_row in x_rows for times in times_ck]
     names = []
-    for x, k in elems:
+    for x, k in itertools.product(range(base.order), range(n_ext)):
         bn = base.names[x]
         parts = [] if bn == "1" else [bn]
         parts.append(_name_power(new_letter, k))
@@ -985,17 +1033,14 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup,
                    cap: Optional[int] = None) -> FiniteGroup:
     _check_cap(G1.order * G2.order, cap)
     n2 = G2.order
-    order = G1.order * n2
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(G1.order):
-        for b1 in range(n2):
-            i = a1 * n2 + b1
-            row = table[i]
-            r1, r2 = G1.table[a1], G2.table[b1]
-            for a2 in range(G1.order):
-                base = r1[a2] * n2
-                for b2 in range(n2):
-                    row[a2 * n2 + b2] = base + r2[b2]
+    # (a, b) is element a*n2 + b; (a, b)(a2, b2) = (a a2, b b2), whose index
+    # is the sum of (a a2)*n2, from G1's row a, and b b2, from G2's row b
+    blocks = [[v * n2] * n2 for v in range(G1.order)]
+    tiles = [r2 * G1.order for r2 in G2.table]
+    table = []
+    for r1 in G1.table:
+        left = list(itertools.chain.from_iterable(map(blocks.__getitem__, r1)))
+        table.extend(list(map(add, left, tile)) for tile in tiles)
     name, letters = _product_names(G1, G2)
     names = [name(a, b) for a in range(G1.order) for b in range(n2)]
     return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}", letters=letters)
@@ -1044,7 +1089,14 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
                 for z, y in N:
                     proj[t1[z][a] * n2 + t2[y][b]] = len(reps)
                 reps.append((a, b))
-    table = [[proj[t1[a1][a2] * n2 + t2[b1][b2]] for a2, b2 in reps]
+    # the row of (a1, b1): the coset of (a1 a2)*n2 + b1 b2 at each rep
+    # (a2, b2); there are at least |G1| >= m >= 2 reps
+    at1 = itemgetter(*(a for a, _ in reps))
+    at2 = itemgetter(*(b for _, b in reps))
+    scaled = range(0, G1.order * n2, n2)
+    rows1 = [itemgetter(*at1(row))(scaled) for row in t1]
+    rows2 = [at2(row) for row in t2]
+    table = [list(map(proj.__getitem__, map(add, rows1[a1], rows2[b1])))
              for a1, b1 in reps]
     name, letters = _product_names(G1, G2)
     names = ["1"] + [f"[{name(a, b)}]" for a, b in reps[1:]]

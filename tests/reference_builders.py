@@ -1,14 +1,16 @@
 """Reference implementations of the group constructions.
 
 These are the original builders: the catalog entries written as builder
-lambdas, `abelian` with its own product table, `metacyclic` with one
-`mul` call and one dict lookup per table entry, and `central_product` as
-the quotient of the full direct product G1 x G2 (with the `direct_product`
-it went through), and `order_q_matrix` with its polynomial search. The library builds catalog aliases by parsing their spec
-strings, abelian groups as direct products of cyclic ones, metacyclic
-tables by index arithmetic and central products from their factors; the
-tests in test_builders.py require identical tables, names, group names
-and letters from both.
+lambdas, `cyclic` with one Python step per table entry, `abelian` with
+its own product table, `metacyclic` and `cyclic_extension` with one `mul`
+call and one dict lookup per table entry, `central_product` as the
+quotient of the full direct product G1 x G2 (with the `direct_product`
+it went through, one Python step per entry), and `order_q_matrix` with
+its polynomial search. The library builds catalog aliases by parsing
+their spec strings, abelian groups as direct products of cyclic ones,
+central products from their factors, and every table a row at a time;
+the tests in test_builders.py require identical tables, names, group
+names and letters from both.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from qgring.errors import InconsistentSpec
 from qgring.groups import (
     FiniteGroup,
     _check_cap,
+    _extend_hom,
     _mat_order,
     _join_name,
     _name_power,
     center,
-    cyclic,
     dihedral,
     metacyclic_amitsur,
     quaternion,
@@ -35,6 +37,74 @@ from qgring.groups import (
     semidirect_vector,
     subgroup_generated,
 )
+
+
+def reference_cyclic(n: int, letter: str = "x", cap: Optional[int] = None) -> FiniteGroup:
+    if n < 1:
+        raise InconsistentSpec("cyclic group order must be positive")
+    _check_cap(n, cap)
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    names = [_join_name([_name_power(letter, i)]) for i in range(n)]
+    return FiniteGroup(table, names, name=f"C{n}", letters=(letter,))
+
+
+def reference_cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
+                               power_elem: int, new_letter: str,
+                               cap: Optional[int] = None,
+                               name: Optional[str] = None) -> FiniteGroup:
+    """Extend base by a new generator c with c^n_ext = power_elem in base and
+    x^c = c^-1 x c given on generators by conj_images.
+
+    Consistency (checked): the extension of conj_images is an automorphism
+    phi of base, phi fixes power_elem, and phi^n_ext is conjugation by
+    power_elem.
+    """
+    order = base.order * n_ext
+    _check_cap(order, cap)
+    img = _extend_hom(base, base, conj_images)
+    if img is None or -1 in img or len(set(img)) != base.order:
+        raise InconsistentSpec("conjugation images do not extend to an automorphism")
+    phi_r = img
+    phi_l = [0] * base.order
+    for x, y in enumerate(phi_r):
+        phi_l[y] = x
+    z = power_elem
+    if phi_r[z] != z:
+        raise InconsistentSpec("c^n must be fixed by conjugation by c")
+    # phi_l^n_ext must equal conjugation x -> z x z^-1
+    cur = list(range(base.order))
+    for _ in range(n_ext):
+        cur = [phi_l[x] for x in cur]
+    for x in range(base.order):
+        if cur[x] != base.conj_left(x, z):
+            raise InconsistentSpec("action order does not match the extension degree")
+    phi_l_pows = [list(range(base.order))]
+    for _ in range(n_ext - 1):
+        phi_l_pows.append([phi_l[x] for x in phi_l_pows[-1]])
+
+    elems = [(x, k) for x in range(base.order) for k in range(n_ext)]
+    pos = {e: i for i, e in enumerate(elems)}
+
+    def mul(u, v):
+        x1, k1 = u
+        x2, k2 = v
+        k = k1 + k2
+        carry = k // n_ext
+        y = base.table[x1][phi_l_pows[k1][x2]]
+        if carry:
+            y = base.table[y][z]
+        return (y, k % n_ext)
+
+    table = [[pos[mul(u, v)] for v in elems] for u in elems]
+    names = []
+    for x, k in elems:
+        bn = base.names[x]
+        parts = [] if bn == "1" else [bn]
+        parts.append(_name_power(new_letter, k))
+        names.append(_join_name(parts))
+    gname = name or f"{base.name}.C{n_ext}"
+    return FiniteGroup(table, names, name=gname,
+                       letters=base.letters + (new_letter,))
 
 
 def reference_abelian(orders: Sequence[int], letters: Sequence[str],
@@ -235,6 +305,7 @@ def reference_order_q_matrix(p: int, n: int, q: int) -> list[list[int]]:
 
 
 # the catalog entries that are spec aliases, with the builders they had
+cyclic = reference_cyclic
 direct_product = reference_direct_product
 central_product = reference_central_product
 

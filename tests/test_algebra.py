@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgring.algebra import AlgElem, hat, one_minus, one_plus, tilde
-from qgring.catalog import build_named
-from qgring.errors import GroupMismatch
-from qgring.groups import subgroup_generated
+from qgring.catalog import build_named, build_spec, catalog_names
+from qgring.errors import GroupMismatch, NotMetabelian
+from qgring.groups import normal_subgroups, subgroup_generated
 from qgring.props import a5_shoda_idempotent
+from qgring.shoda import metabelian_pcis
 
 
 def elems(G, max_den=4):
@@ -159,6 +160,103 @@ def test_central_and_idempotent_flags():
     assert t.is_central() and t.is_idempotent()
     x = AlgElem.basis(G, G.element("a"))
     assert not x.is_central()
+
+
+# is_central_idempotent decides e*e = e in G/ker e; each case below is
+# compared with the full square
+
+
+def _is_central_idempotent(x):
+    return x.is_central() and x * x == x
+
+
+def _pcis(G):
+    try:
+        return [sp.e for sp in metabelian_pcis(G)]
+    except NotMetabelian:
+        return [a5_shoda_idempotent(G)[3]]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_central_idempotency_is_exact_on_pcis(name):
+    G = build_named(name)
+    pcis = _pcis(G)
+    assert all(e.is_central_idempotent() for e in pcis)
+    cases = [2 * e for e in pcis]
+    for i, e in enumerate(pcis):
+        for f in pcis[i + 1:]:
+            # the last: x*x - x = 6/25 (e - f), zero wherever e and f agree
+            cases += [e + f, e - f, Fraction(6, 5) * e + Fraction(3, 5) * f]
+    for x in cases:
+        assert x.is_central_idempotent() == _is_central_idempotent(x)
+
+
+@pytest.mark.parametrize("spec", ["D(200)", "BJ9", "A5"])
+def test_central_idempotency_is_exact_on_normal_subgroup_sums(spec):
+    G = build_spec(spec)
+    sums = [tilde(N) for N in normal_subgroups(G)]
+    cases = sums + [2 * t for t in sums]
+    cases += [t - u for t in sums for u in sums if t != u]
+    for x in cases:
+        assert x.is_central_idempotent() == _is_central_idempotent(x)
+
+
+@pytest.mark.parametrize("c, kernel", [(1, 1), (0, 3)])
+def test_central_idempotency_checks_every_class_of_the_quotient(c, kernel):
+    # x = 6/5 e_1 + 3/5 e_sign + c e_2 over the three PCIs of S3 has
+    # x*x - x = 6/25 (e_1 - e_sign): zero at 1 and at the rotations, and
+    # nonzero only at the reflections. With c = 0 its kernel is C3.
+    G = S3
+    rotations = subgroup_generated(G, (G.element("a"),))
+    e_1 = tilde(subgroup_generated(G, range(G.order)))
+    e_sign = tilde(rotations) - e_1
+    e_2 = AlgElem.one(G) - tilde(rotations)
+    x = Fraction(6, 5) * e_1 + Fraction(3, 5) * e_sign + c * e_2
+    gap = x * x - x
+    assert gap.support == tuple(g for g in range(G.order) if g not in rotations)
+    assert x.centralizer_subgroup().order == G.order
+    assert [g for g in range(G.order) if x * AlgElem.basis(G, g) == x] == \
+        list(rotations.members[:kernel])
+    assert not x.is_central_idempotent()
+
+
+CENTRAL_GROUPS = [build_named(name) for name in ("S3", "D8", "Q8", "A4", "D12",
+                                                 "C5rC4")]
+
+
+@st.composite
+def central_elements(draw):
+    """A rational combination of class sums, that times tilde(N) for a
+    normal N (so its kernel holds N), a multiple of a sum of PCIs, or
+    6/5 e + 3/5 f + a sum of other PCIs, whose square minus itself is
+    6/25 (e - f): zero wherever e and f agree."""
+    G = draw(st.sampled_from(CENTRAL_GROUPS))
+    kind = draw(st.sampled_from(["classes", "kernel", "pcis", "balanced"]))
+    if kind in ("pcis", "balanced"):
+        chosen = draw(st.lists(st.sampled_from(_pcis(G)), unique=True,
+                               min_size=2 if kind == "balanced" else 0))
+        if kind == "balanced":
+            e, f, *rest = chosen
+            return Fraction(6, 5) * e + Fraction(3, 5) * f + sum(rest, AlgElem.zero(G))
+        scale = draw(st.sampled_from([1, 2, -1, Fraction(1, 2)]))
+        return sum(chosen, AlgElem.zero(G)) * scale
+    classes = G.conjugacy_classes()
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(classes),
+                           max_size=len(classes)))
+    nums = [0] * G.order
+    for cls, v in zip(classes, values):
+        for g in cls:
+            nums[g] = v
+    x = AlgElem(G, nums, draw(st.integers(1, 4)))
+    if kind == "kernel":
+        x = x * tilde(draw(st.sampled_from(normal_subgroups(G))))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(central_elements())
+def test_central_idempotency_is_exact_on_class_sum_combinations(x):
+    assert x.is_central_idempotent() == _is_central_idempotent(x)
 
 
 def test_json_roundtrip():

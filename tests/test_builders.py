@@ -1,9 +1,10 @@
 """Every construction path builds the same group as the original builders
 in reference_builders.py: same table, element names, group name and
-letters. The reference side runs with the library's `metacyclic`,
-`abelian`, `direct_product` and `central_product` replaced by the
-reference copies, so that dihedral, quaternion, SdVec, SdCyc, BJ1 and the
-catalog's own builders take the original route too."""
+letters. The reference side runs with the library's `cyclic`,
+`metacyclic`, `abelian`, `cyclic_extension`, `direct_product` and
+`central_product` replaced by the reference copies, so that dihedral,
+quaternion, SdVec, SdCyc, BJ1, BJ2 and the catalog's own builders take the
+original route too."""
 
 import contextlib
 
@@ -29,6 +30,8 @@ from reference_builders import (
     REFERENCE_CATALOG,
     reference_abelian,
     reference_central_product,
+    reference_cyclic,
+    reference_cyclic_extension,
     reference_direct_product,
     reference_metacyclic,
     reference_order_q_matrix,
@@ -54,6 +57,8 @@ def original(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(catalog, "_BUILT", {})
             for module in (groups, catalog):
+                m.setattr(module, "cyclic", reference_cyclic)
+                m.setattr(module, "cyclic_extension", reference_cyclic_extension)
                 m.setattr(module, "metacyclic", reference_metacyclic)
                 m.setattr(module, "abelian", reference_abelian)
                 m.setattr(module, "direct_product", reference_direct_product)
@@ -177,6 +182,60 @@ def test_abelian_is_the_original_group(orders, letters, name):
 def test_metacyclic_is_the_original_group(m, n, t, r, letters):
     _same(metacyclic(m, n, t, r, letters=letters),
           reference_metacyclic(m, n, t, r, letters=letters))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 25, 64, 200])
+def test_cyclic_is_the_original_group(n):
+    _same(cyclic(n), reference_cyclic(n))
+    _same(cyclic(n, letter="z"), reference_cyclic(n, letter="z"))
+
+
+# the SdVec groups of the family sweep (its faithful C_p^n : C_q and the
+# BJ2 base Heis125) and of the catalog (A4, C3C3rC8, Heis27)
+SDVEC = ["SdVec(2,2,[[0,1],[1,1]],3)",
+         "SdVec(2,3,[[0,0,1],[1,0,0],[0,1,1]],7)",
+         "SdVec(2,4,[[0,0,0,1],[1,0,0,1],[0,1,0,1],[0,0,1,1]],5)",
+         "SdVec(5,2,[[0,4],[1,4]],3)",
+         "SdVec(5,2,[[1,1],[0,1]],5)",
+         "SdVec(3,2,[[1,1],[0,1]],3)",
+         "SdVec(3,2,[[0,1],[1,1]],8)"]
+
+
+@pytest.mark.parametrize("spec", SDVEC)
+def test_semidirect_vector_is_the_original_group(spec, original):
+    G = build_spec(spec)
+    with original():
+        R = build_spec(spec)
+    _same(G, R)
+
+
+def _sl23(extend):
+    # Q8 : C3, by the automorphism a -> b -> ab -> a of order 3
+    Q = quaternion(8)
+    a, b = Q.element("a"), Q.element("b")
+    return extend(Q, {a: b, b: Q.word("a*b")}, 3, 0, "c")
+
+
+def _central_step(extend):
+    # n_ext = 1 over a nonabelian base: c = a^2, central, acts trivially
+    Q = quaternion(8)
+    a, b = Q.element("a"), Q.element("b")
+    return extend(Q, {a: a, b: b}, 1, Q.word("a^2"), "c")
+
+
+EXTENSIONS = {
+    "n_ext=1": lambda extend: extend(cyclic(6), {1: 1}, 1, 3, "c"),
+    "n_ext=1, nonabelian base": _central_step,
+    "trivial base": lambda extend: extend(cyclic(1), {}, 5, 0, "c"),
+    "trivial base, n_ext=1": lambda extend: extend(cyclic(1), {}, 1, 0, "c"),
+    "Q8 over C4": lambda extend: extend(cyclic(4, "a"), {1: 3}, 2, 2, "b"),
+    "SL(2,3)": _sl23,
+}
+
+
+@pytest.mark.parametrize("build", EXTENSIONS.values(), ids=EXTENSIONS.keys())
+def test_cyclic_extension_is_the_original_group(build):
+    _same(build(groups.cyclic_extension), build(reference_cyclic_extension))
 
 
 def test_central_product_never_builds_the_direct_product(monkeypatch):

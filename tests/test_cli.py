@@ -344,6 +344,26 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
     assert minimal == []
 
 
+def test_analyze_decides_normality_once_per_subgroup(capsys, monkeypatch):
+    decided = []
+    orig = qgring.groups.normalizes
+
+    def counting(G, by, S):
+        by = tuple(by)
+        if by == G.generators():  # a normality test in G
+            decided.append(S.mask)
+        return orig(G, by, S)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    monkeypatch.setattr(qgring.groups, "normalizes", counting)
+    code, _out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    # 237 tests when normalizer tested each Shoda pair's K again
+    assert len(decided) == len(set(decided)) <= 226
+    assert len(decided) == len(qgring.groups.subgroups(
+        qgring.catalog.build_spec("D(200)")))
+
+
 def test_analyze_reads_each_normalizer_from_the_centralizer_memo(capsys,
                                                                 monkeypatch):
     callers = []

@@ -82,6 +82,51 @@ def test_table_validation_rejects_broken_tables():
         FiniteGroup(t, ["1"] + [f"g{i}" for i in range(1, n)])
 
 
+def _c200_intercalate():
+    n = 200
+    t = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i, j in ((1, 2), (1, 102), (101, 2), (101, 102)):
+        t[i][j] = (t[i][j] + 100) % n
+    return t
+
+
+# each rejection, with the first defect named in the order of the checks:
+# range, identity, rows, columns, associativity
+REJECTED = {
+    "entry out of range": ([[0, 1], [1, 2]], "table entries out of range"),
+    "negative entry": ([[0, 1], [1, -1]], "table entries out of range"),
+    "short row": ([[0, 1], [1]], "table entries out of range"),
+    "empty table": ([], "table entries out of range"),
+    "range before identity": ([[1, 0], [0, 5]], "table entries out of range"),
+    "identity not at 0": ([[1, 0], [0, 1]], "index 0 is not a two-sided identity"),
+    "identity on one side": ([[0, 1, 2], [1, 2, 0], [1, 0, 2]],
+                             "index 0 is not a two-sided identity"),
+    "row not a permutation": ([[0, 1], [1, 1]], "row 1 is not a permutation"),
+    "column-only defect": ([[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+                           "column 1 is not a permutation"),
+    # a loop of order 5 with an involution: a Latin square, not a group
+    "not associative": ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+                        "multiplication table is not associative"),
+    "not associative, Latin": (_c200_intercalate(),
+                               "multiplication table is not associative"),
+}
+
+
+@pytest.mark.parametrize("table, message", REJECTED.values(), ids=REJECTED.keys())
+def test_each_rejection_names_its_defect(table, message):
+    names = [f"g{i}" for i in range(len(table))]
+    with pytest.raises(InconsistentSpec) as info:
+        FiniteGroup(table, names)
+    assert str(info.value) == message
+
+
+def test_table_entries_are_coerced_to_int():
+    G = FiniteGroup([[0.0, 1.0], [1.0, 0.0]], ["1", "g"])
+    assert G.table == [[0, 1], [1, 0]]
+    assert {type(v) for row in G.table for v in row} == {int}
+
+
 def test_new_groups_start_with_an_empty_cache():
     groups = [cyclic(200), dihedral(8), quaternion(16), alternating5(),
               semidirect_vector(3, 2, [[0, 1], [1, 1]], 8),

@@ -78,6 +78,7 @@ def test_cold_lattice_closes_few_joins(monkeypatch):
     subgroups(G)
     # 5 668 joins when each one not skipped by a double coset was closed
     assert sum(base is not None for base in bases) <= 1700
+    assert None not in bases  # the cyclic seeds are power walks
 
 
 def test_pci_enumeration_makes_few_subgroup_comparisons(monkeypatch):
@@ -126,19 +127,19 @@ def test_is_ssn_builds_no_group(spec, monkeypatch):
 
 def test_subgroup_cap_stops_at_the_first_subgroup_over_it(monkeypatch):
     G = elementary_abelian(2, 4)  # 67 subgroups, 16 of them cyclic
-    found = set()
-    orig = qgring.groups._closure
+    counts = []
+    orig = qgring.groups._check_subgroup_count
 
-    def recording(*args, **kwargs):
-        mask = orig(*args, **kwargs)
-        found.add(mask)
-        return mask
+    def recording(G, found):
+        counts.append(len(found))
+        orig(G, found)
 
-    monkeypatch.setattr(qgring.groups, "_closure", recording)
+    monkeypatch.setattr(qgring.groups, "_check_subgroup_count", recording)
     monkeypatch.setattr(qgring.groups, "MAX_SUBGROUPS", 20)
     with pytest.raises(OrderCapExceeded):
         subgroups(G)
-    assert len(found) == 21
+    # the 16 cyclic seeds are counted at once, then each new join
+    assert counts[-1] == 21
     monkeypatch.setattr(qgring.groups, "MAX_SUBGROUPS", 67)
     assert len(subgroups(G)) == 67
 
@@ -163,7 +164,8 @@ def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
     G = build_spec("X(Q(8),EA(2,4))")
     bases = _record_closures(monkeypatch)
     assert len(subgroups(G)) == len(normal_subgroups(G)) == 3132
-    assert len(bases) <= 27007  # the lattice's closures, 128 of them cyclic
+    # the lattice's joins; its 128 cyclic seeds are power walks, no closure
+    assert len(bases) <= 26879
     tests = _record_calls(monkeypatch, qgring.props, "normalizes")
     normal = _record_calls(monkeypatch, qgring.groups, "is_normal")
     normalizers = _record_calls(monkeypatch, qgring.props, "_normalizer_mask")
