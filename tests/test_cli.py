@@ -358,10 +358,9 @@ def test_analyze_decides_normality_once_per_subgroup(capsys, monkeypatch):
     monkeypatch.setattr(qgring.groups, "normalizes", counting)
     code, _out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
     assert code == 0
-    # 237 tests when normalizer tested each Shoda pair's K again
+    # one per subgroup at most: D(200) has 226, and made 237 tests when
+    # normalizer tested each Shoda pair's K again
     assert len(decided) == len(set(decided)) <= 226
-    assert len(decided) == len(qgring.groups.subgroups(
-        qgring.catalog.build_spec("D(200)")))
 
 
 def test_analyze_reads_each_normalizer_from_the_centralizer_memo(capsys,

@@ -59,6 +59,16 @@ def test_trivial_group():
     assert G.order == 1 and G.names == ["1"]
 
 
+def _c200_intercalate():
+    """C200 with the intercalate at rows 1, 101 and columns 2, 102 swapped:
+    still a Latin square with identity 0, but not associative."""
+    n = 200
+    t = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i, j in ((1, 2), (1, 102), (101, 2), (101, 102)):
+        t[i][j] = (t[i][j] + 100) % n
+    return t
+
+
 def test_table_validation_rejects_broken_tables():
     with pytest.raises(InconsistentSpec):
         FiniteGroup([[0, 1], [1, 1]], ["1", "g"])  # not a Latin square
@@ -70,24 +80,12 @@ def test_table_validation_rejects_broken_tables():
     t[1][2] = 2  # keep rows permutations but break associativity
     with pytest.raises(InconsistentSpec):
         FiniteGroup(t, ["1", "a", "b"])
-    # C200 with the intercalate at rows 1, 101 and columns 2, 102 swapped:
-    # still a Latin square with identity 0, but not associative
     n = 200
-    t = [[(i + j) % n for j in range(n)] for i in range(n)]
-    for i, j in ((1, 2), (1, 102), (101, 2), (101, 102)):
-        t[i][j] = (t[i][j] + 100) % n
+    t = _c200_intercalate()
     assert all(len(set(row)) == n for row in t)
     assert all(len(set(col)) == n for col in zip(*t))
     with pytest.raises(InconsistentSpec):
         FiniteGroup(t, ["1"] + [f"g{i}" for i in range(1, n)])
-
-
-def _c200_intercalate():
-    n = 200
-    t = [[(i + j) % n for j in range(n)] for i in range(n)]
-    for i, j in ((1, 2), (1, 102), (101, 2), (101, 102)):
-        t[i][j] = (t[i][j] + 100) % n
-    return t
 
 
 # each rejection, with the first defect named in the order of the checks:
