@@ -146,12 +146,17 @@ class FiniteGroup:
         t = self.table
         return t[t[t[self.inverse[h]][self.inverse[g]]][h]][g]
 
+    def element_orders(self) -> list[int]:
+        """The order of each element: that of the cyclic subgroup it
+        generates, read off the power walks of _cyclic_seeds."""
+        if "element_orders" not in self._cache:
+            walks, seed_of = _cyclic_seeds(self)
+            self._cache["element_orders"] = [len(walks[k]) if k >= 0 else 1
+                                             for k in seed_of]
+        return self._cache["element_orders"]
+
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
+        return self.element_orders()[a]
 
     def element(self, name: str) -> int:
         """Look up an element by its display name."""
@@ -239,6 +244,30 @@ class FiniteGroup:
 # closure helpers (bitmask based)
 
 
+def _cyclic_seeds(G: FiniteGroup) -> tuple[list[list[int]], list[int]]:
+    """The cyclic subgroups <g> != 1, g in index order, each as the walk
+    g, g^2, ..., g^m = 1 over the powers of its least generator g; and
+    seed_of[x], the index of <x> (-1 for the identity). Each power g^k with
+    gcd(k, m) = 1 generates the same subgroup, so one walk per subgroup.
+    """
+    if "cyclic_seeds" not in G._cache:
+        table = G.table
+        walks: list[list[int]] = []
+        seed_of = [-1] * G.order
+        for g in range(1, G.order):
+            if seed_of[g] < 0:
+                powers = [g]
+                while powers[-1]:
+                    powers.append(table[powers[-1]][g])
+                m = len(powers)  # powers[k - 1] = g^k
+                for k, x in enumerate(powers, 1):
+                    if math.gcd(k, m) == 1:
+                        seed_of[x] = len(walks)
+                walks.append(powers)
+        G._cache["cyclic_seeds"] = walks, seed_of
+    return G._cache["cyclic_seeds"]
+
+
 def _closure(G: FiniteGroup, gens: Iterable[int],
              base: Optional[Subgroup] = None) -> int:
     """Mask of the subgroup generated by base (trivial when None) and gens.
@@ -300,6 +329,7 @@ class Subgroup:
     """A subgroup of a FiniteGroup, stored as a bitmask over element indices."""
 
     __slots__ = ("parent", "mask", "gens", "_members")
+    _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
     def __init__(self, parent: FiniteGroup, mask: int, gens: tuple[int, ...] = ()):
         self.parent = parent
@@ -310,8 +340,9 @@ class Subgroup:
     @property
     def members(self) -> tuple[int, ...]:
         if self._members is None:
-            self._members = tuple(i for i in range(self.parent.order)
-                                  if self.mask >> i & 1)
+            # the mask's bits as bytes 0/1, lowest first, select the members
+            bits = f"{self.mask:b}".encode().translate(self._ZERO_ONE)[::-1]
+            self._members = tuple(itertools.compress(itertools.count(), bits))
         return self._members
 
     @property
@@ -347,8 +378,8 @@ class Subgroup:
                    for i, a in enumerate(m) for b in m[i + 1:])
 
     def is_cyclic(self) -> bool:
-        n = self.order
-        return any(self.parent.element_order(g) == n for g in self.members)
+        orders = self.parent.element_orders()
+        return self.order in map(orders.__getitem__, self.members)
 
     def induced(self) -> tuple[FiniteGroup, list[int]]:
         """Standalone group on this subgroup's members (parent names kept).
@@ -430,105 +461,100 @@ def _check_subgroup_count(G: FiniteGroup, found: dict) -> None:
         raise OrderCapExceeded(f"{G.name} has more than {MAX_SUBGROUPS} subgroups")
 
 
+def _cyclic_join(table: list[list[int]], H: Subgroup,
+                 left_coset: Callable[[list[int]], tuple[int, ...]],
+                 powers: list[int]) -> tuple[int, Iterable[int]]:
+    """<H, c>, for c normalizing H or normalized by H, as the union of the
+    left cosets c^j H, j < m for c^m the first power of c in H (powers: c,
+    c^2, ..., 1; left_coset: a row -> its entries at H's members); and the
+    elements of the c^j H with gcd(j, m) = 1, each of which generates it
+    with H: <H, c^j h> holds c^j, so also c, a power of c^j times h' in H.
+    """
+    cosets = []
+    for y in powers:  # c^j, j = 1, 2, ...
+        if H.mask >> y & 1:
+            break
+        cosets.append(left_coset(table[y]))
+    m = len(cosets) + 1
+    mask = H.mask | sum(map((1).__lshift__, itertools.chain.from_iterable(cosets)))
+    return mask, itertools.chain.from_iterable(
+        yH for j, yH in enumerate(cosets, 1) if math.gcd(j, m) == 1)
+
+
 def subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups of G, each exactly once, sorted by (order, mask).
 
-    Seeds with the cyclic subgroups <c> and closes under the joins <H, c>,
-    one level at a time, H in the order found and c in seed order; a join
-    keeps the generators H.gens + (c,) of the first H and c that reach it.
-    The join grows H by whole left cosets (_closure with base H).
+    Seeds with the cyclic subgroups C_k = <c_k> of _cyclic_seeds and closes
+    under the joins <H, c>, one level at a time, H in the order found and c
+    in seed order; a join keeps the generators H.gens + (c,) of the first H
+    and c that reach it.
 
-    For each H, `known` holds the elements x whose join <H, x> is already
-    named, and the join is closed only for a c whose result is not:
-    - x in H gives <H, x> = H;
-    - x in HcH gives <H, x> = <H, c>, as x = hch' and c = h^-1 x h'^-1;
-    - <x> = <x'> gives <H, x> = <H, x'>;
-    - on the first level, <<a>, c> = <<c>, a>, so the joins of <a> with
-      the earlier cyclic seeds were named when those seeds were H.
-    A c in `known` is skipped. Otherwise HcH is built one left coset yH at
-    a time and widened by the generators of each <z>, z in HcH: every
-    element of that set has the join <H, c>. If the set meets `known`, the
-    join is read off the entry it meets, else it is closed; either way the
-    set joins `known`. A named join was reached before, so it is already
-    in `seen`: the list, every gens and the point where OrderCapExceeded
-    is raised (as soon as more than MAX_SUBGROUPS subgroups are found) are
-    those of closing every join.
+    Each H keeps `join`, seed k -> mask of <H, C_k>, for the joins it can
+    name, and skips the seeds in it. It starts with H's own seeds (C_k <= H)
+    and, on the first level, the joins <<a>, C_k> = <C_k, <a>> named when
+    the earlier seed C_k was H. A seed not in it is joined as follows.
+    - If c normalizes H (tested on H.gens), <H, c> is _cyclic_join's product
+      set, and the elements it returns name it.
+    - Else every x = hch' of HcH names it, as c = h^-1 x h'^-1. HcH is built
+      one left coset yH at a time. If a seed of it is in `join`, the join is
+      read off that seed; else it is the product set again when H
+      normalizes <c>, and is closed (_closure with base H) when not.
+    <H, x> depends on <x> only, so x names its join through its seed. A
+    named join was reached before, so it is already in `seen`: the list,
+    every gens and the point where OrderCapExceeded is raised (as soon as
+    more than MAX_SUBGROUPS subgroups are found) are those of closing every
+    join.
     """
     if "subgroups" not in G._cache:
-        table = G.table
-        # The cyclic seeds <g>, g in index order, each from its least
-        # generator g: one walk over the powers of g, and each power g^k
-        # with gcd(k, |g|) = 1 generates the same seed. seed_gens[j]: the
-        # elements that generate the j-th seed <c_j>; same_cyclic[x]: those
-        # that generate <x>.
+        table, conj = G.table, G.conj
+        seed_powers, seed_of = _cyclic_seeds(G)
+        seed_at = seed_of.__getitem__
+        seeds = [Subgroup(G, sum(map((1).__lshift__, p)), (p[0],))
+                 for p in seed_powers]
         seen: dict[int, Subgroup] = {1: Subgroup(G, 1)}
-        same_cyclic = [1] + [0] * (G.order - 1)
-        frontier: list[Subgroup] = []
-        seed_gens: list[int] = []
-        for g in range(1, G.order):
-            if same_cyclic[g]:
-                continue
-            powers = [g]
-            while powers[-1]:
-                powers.append(table[powers[-1]][g])
-            m = len(powers)  # powers[k - 1] = g^k, and g^m = 1
-            units = [x for k, x in enumerate(powers, 1) if math.gcd(k, m) == 1]
-            mask = sum(1 << x for x in powers)  # the powers are distinct
-            gens = sum(1 << x for x in units)
-            for x in units:
-                same_cyclic[x] = gens
-            seed = Subgroup(G, mask, (g,))
-            seen[mask] = seed
-            frontier.append(seed)
-            seed_gens.append(gens)
+        seen.update((C.mask, C) for C in seeds)
         _check_subgroup_count(G, seen)
-        cyc_gens = [C.gens[0] for C in frontier]
         full = (1 << G.order) - 1
-        first = True
-        named: dict[int, dict[int, int]] = {}  # first level: i -> {j: <C_j, C_i>}
+        frontier, first = seeds, True
+        seed_joins: list[dict[int, int]] = []  # first level: each seed's join
         while frontier:
             new: list[Subgroup] = []
             for i, H in enumerate(frontier):
+                members = H.members
+                join = dict.fromkeys(map(seed_at, members), H.mask)
+                if first:
+                    join.update((j, J[i]) for j, J in enumerate(seed_joins))
+                    seed_joins.append(join)
                 if H.mask == full:
                     continue
-                entries = ([(seed_gens[j], mask)
-                            for j, mask in named.pop(i, {}).items()]
-                           if first else [])
-                known = H.mask
-                for p, _m in entries:
-                    known |= p
-                members = H.members
-                for k in range(i + 1, len(cyc_gens)) if first else range(len(cyc_gens)):
-                    c = cyc_gens[k]
-                    if known >> c & 1:
-                        if first:
-                            named.setdefault(k, {})[i] = next(
-                                (m for p, m in entries if p >> c & 1), H.mask)
+                left_coset = itemgetter(*members)  # of a row; |H| >= 2
+                for k in range(i + 1, len(seeds)) if first else range(len(seeds)):
+                    if k in join:
                         continue
-                    coset = part = 0  # HcH, and HcH widened
-                    for h in members:
-                        y = table[h][c]
-                        if not coset >> y & 1:
-                            row = table[y]
-                            for h2 in members:
-                                z = row[h2]
-                                coset |= 1 << z
-                                part |= same_cyclic[z]
-                    hit = part & known
-                    if hit:
-                        x = hit.bit_length() - 1
-                        mask = next(m for p, m in entries if p >> x & 1)
+                    c = seed_powers[k][0]
+                    if all(H.mask >> conj(s, c) & 1 for s in H.gens):
+                        mask, names = _cyclic_join(table, H, left_coset, seed_powers[k])
                     else:
-                        mask = _closure(G, (c,), H)
-                        if mask not in seen:
-                            sub = Subgroup(G, mask, H.gens + (c,))
-                            seen[mask] = sub
-                            new.append(sub)
-                            _check_subgroup_count(G, seen)
-                    known |= part
-                    entries.append((part, mask))
-                    if first:
-                        named.setdefault(k, {})[i] = mask
+                        names = set()  # HcH
+                        for h in members:
+                            y = table[h][c]
+                            if y not in names:
+                                names.update(left_coset(table[y]))
+                        hit = next(filter(join.__contains__, map(seed_at, names)), None)
+                        if hit is not None:
+                            mask = join[hit]
+                        elif all(seeds[k].mask >> conj(c, s) & 1 for s in H.gens):
+                            mask, units = _cyclic_join(table, H, left_coset,
+                                                        seed_powers[k])
+                            names.update(units)
+                        else:
+                            mask = _closure(G, (c,), H)
+                    if mask not in seen:
+                        sub = Subgroup(G, mask, H.gens + (c,))
+                        seen[mask] = sub
+                        new.append(sub)
+                        _check_subgroup_count(G, seen)
+                    join.update(dict.fromkeys(map(seed_at, names), mask))
             frontier = new
             first = False
         subs = sorted(seen.values(), key=lambda s: (s.order, s.mask))
@@ -719,12 +745,6 @@ def _extend_hom(G: FiniteGroup, H: FiniteGroup,
     return img
 
 
-def _element_orders(G: FiniteGroup) -> list[int]:
-    if "element_orders" not in G._cache:
-        G._cache["element_orders"] = [G.element_order(g) for g in range(G.order)]
-    return G._cache["element_orders"]
-
-
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[list[int]]:
     """An isomorphism G -> H as the list of images, or None if there is none.
 
@@ -737,7 +757,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[list[int]]:
     """
     if G.order != H.order:
         return None
-    og, oh = _element_orders(G), _element_orders(H)
+    og, oh = G.element_orders(), H.element_orders()
     if sorted(og) != sorted(oh):
         return None
     gens = G.generators()

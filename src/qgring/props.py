@@ -719,7 +719,7 @@ def _curated_for_group(G: FiniteGroup) -> Optional[Witness]:
                            lambda: curated_witness(name)))
     m, rest = divmod(G.order, 8)
     fac = prime_factors(m) if m and not rest else {}
-    if len(fac) == 1:
+    if len(fac) == 1 and is_nilpotent_group(G):  # as Q8 x C_m is
         (p, n), = fac.items()
         if p == 2 and n >= 3:
             candidates.append((lambda: build_spec(f"X(Q(8),C({m}))"),

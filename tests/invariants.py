@@ -13,7 +13,6 @@ from qgring.groups import (
     FiniteGroup,
     Subgroup,
     _closure,
-    _element_orders,
     center,
     commutator_subgroup,
     derived_subgroup,
@@ -26,7 +25,7 @@ from qgring.groups import (
 
 def fingerprint(G: FiniteGroup) -> tuple:
     orders: dict[int, int] = {}
-    for o in _element_orders(G):
+    for o in G.element_orders():
         orders[o] = orders.get(o, 0) + 1
     der = derived_subgroup(G)
     series = [G.order]

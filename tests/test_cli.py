@@ -287,6 +287,30 @@ def test_analyze_runs_one_component_pass(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_builds_no_reference_that_cannot_match(capsys, monkeypatch):
+    # 200 = 8 * 25, but D(200) is not nilpotent and Q8 x C25 is: the curated
+    # reference is neither built nor compared
+    built, isos = [], []
+    orig_init = qgring.groups.FiniteGroup.__init__
+    orig_iso = qgring.props.find_isomorphism
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        orig_init(self, *args, **kwargs)
+
+    def counting_iso(*args):
+        isos.append(args)
+        return orig_iso(*args)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    monkeypatch.setattr(qgring.groups.FiniteGroup, "__init__", counting_init)
+    monkeypatch.setattr(qgring.props, "find_isomorphism", counting_iso)
+    code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256["D(200)"]
+    assert len(built) == 1 and isos == []
+
+
 @pytest.mark.parametrize("spec", sorted(ANALYZE_SHA256))
 def test_analyze_json_is_byte_identical(capsys, spec):
     code, out, _ = run_cli(capsys, "--json", "analyze", spec)

@@ -293,6 +293,29 @@ def test_subgroup_members_closed():
                 assert G.table[x][y] in H
 
 
+@pytest.mark.parametrize("spec", ["D(200)", "BJ9", "D(250)", "C(1)"])
+def test_members_match_a_bit_scan(spec):
+    # every subgroup and the masks 1 and 2^n - 1; D(250) is at the order cap
+    G = build_spec(spec) if "(" in spec else build_named(spec)
+    for mask in [H.mask for H in subgroups(G)] + [1, (1 << G.order) - 1]:
+        assert Subgroup(G, mask).members == tuple(
+            i for i in range(G.order) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("spec", ["D(200)", "BJ9", "A5", "X(Q(8),C(27))"])
+def test_element_orders_and_cyclic_subgroups(spec):
+    G = build_spec(spec) if "(" in spec else build_named(spec)
+    for g in range(G.order):
+        k, x = 1, g
+        while x:
+            x = G.table[x][g]
+            k += 1
+        assert G.element_order(g) == k
+    for H in subgroups(G):
+        assert H.is_cyclic() == any(_closure(G, (g,)) == H.mask
+                                    for g in H.members)
+
+
 # -- structure maps -----------------------------------------------------------
 
 

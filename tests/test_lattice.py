@@ -53,9 +53,13 @@ def test_lattice_and_verdicts_match_reference(name):
     assert is_ssn(G) == reference_is_ssn(G)
 
 
-def test_elementary_abelian_lattice_matches_reference():
-    # 374 subgroups, 31 of them cyclic: most joins are named, not closed
-    assert _same_lattice(elementary_abelian(2, 5))
+def test_elementary_abelian_lattice_matches_reference(monkeypatch):
+    # 374 subgroups, 31 of them cyclic: each join <H, c> is the product set
+    # H u cH, so none is closed
+    G = elementary_abelian(2, 5)
+    bases = _record_closures(monkeypatch)
+    assert _same_lattice(G)
+    assert bases == []
 
 
 def _record_closures(monkeypatch):
@@ -76,9 +80,10 @@ def test_cold_lattice_closes_few_joins(monkeypatch):
     G._cache.clear()
     bases = _record_closures(monkeypatch)
     subgroups(G)
-    # 5 668 joins when each one not skipped by a double coset was closed
-    assert sum(base is not None for base in bases) <= 1700
-    assert None not in bases  # the cyclic seeds are power walks
+    # 5 668 joins when each one not skipped by a double coset was closed;
+    # now each is named or, as <a> is normal, a product set, and the
+    # cyclic seeds are power walks
+    assert bases == []
 
 
 def test_pci_enumeration_makes_few_subgroup_comparisons(monkeypatch):
@@ -163,9 +168,11 @@ def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})
     G = build_spec("X(Q(8),EA(2,4))")
     bases = _record_closures(monkeypatch)
-    assert len(subgroups(G)) == len(normal_subgroups(G)) == 3132
-    # the lattice's joins; its 128 cyclic seeds are power walks, no closure
-    assert len(bases) <= 26879
+    subs = subgroups(G)
+    # every join <H, c> is a product set H<c>, and the 128 cyclic seeds are
+    # power walks
+    assert bases == []
+    assert len(subs) == len(normal_subgroups(G)) == 3132
     tests = _record_calls(monkeypatch, qgring.props, "normalizes")
     normal = _record_calls(monkeypatch, qgring.groups, "is_normal")
     normalizers = _record_calls(monkeypatch, qgring.props, "_normalizer_mask")
