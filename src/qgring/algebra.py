@@ -13,7 +13,8 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Optional
 
-from .errors import GroupMismatch
+from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
+                     SoundnessError)
 from .groups import FiniteGroup, Subgroup, cosets, stabilizer
 
 
@@ -311,6 +312,48 @@ def product_at_classes(a: AlgElem, b: AlgElem) -> list[int]:
             for cls in G.conjugacy_classes()]
 
 
+def _require_central_idempotent(G: FiniteGroup, e: AlgElem) -> None:
+    if not e.is_central():
+        raise NotCentralIdempotent("input is not central")
+    if not e.is_central_idempotent():
+        raise NotCentralIdempotent("input is not idempotent")
+
+
+def component_dimension(G: FiniteGroup, e: AlgElem) -> int:
+    """dim_Q of Q[G]e = |G| * (coefficient of 1 in e): the trace of right
+    multiplication by the idempotent e.
+
+    A non-integer trace signals a non-idempotent input and is reported as
+    NonIntegerDimension before the idempotency test."""
+    if not e.is_central():
+        raise NotCentralIdempotent("input is not central")
+    d = G.order * e.coeff(0)
+    if d.denominator != 1:
+        raise NonIntegerDimension(f"|G|*coeff_1(e) = {d} is not an integer")
+    if not e.is_central_idempotent():
+        raise NotCentralIdempotent("input is not idempotent")
+    return int(d)
+
+
+def center_rank(G: FiniteGroup, e: AlgElem) -> int:
+    """Q-dimension of the center of Q[G]e: the rank of multiplication by e
+    on Z(Q[G]). For a central idempotent e that map is idempotent, so its
+    rank is its trace in the basis of class sums C_i: the sum over i of
+    the coefficient of the representative r_i in C_i * e, which is the sum
+    of e[g^-1 r_i] over g in C_i."""
+    _require_central_idempotent(G, e)
+    table, inverse, nums = G.table, G.inverse, e.nums
+    trace = 0
+    for cls in G.conjugacy_classes():
+        r = cls[0]
+        trace += sum(nums[table[inverse[g]][r]] for g in cls)
+    rank, rem = divmod(trace, e.den)
+    if rem:
+        raise SoundnessError(f"the trace {trace}/{e.den} of a central idempotent "
+                             "is not an integer")
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # subgroup sums
 
@@ -346,6 +389,14 @@ def one_plus(G: FiniteGroup, g: int) -> AlgElem:
     nums[0] += 1
     nums[g] += 1
     return AlgElem(G, nums, 1)
+
+
+def carry(x: AlgElem, iso: list[int], G: FiniteGroup) -> AlgElem:
+    """The image of x under the group isomorphism iso onto G."""
+    nums = [0] * G.order
+    for g, v in enumerate(x.nums):
+        nums[iso[g]] = v
+    return AlgElem(G, nums, x.den, _normalized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -87,23 +87,15 @@ def _heisenberg(p: int, cap: Optional[int] = None) -> FiniteGroup:
     return G
 
 
-def _ex38_subgroup(cap: Optional[int] = None) -> FiniteGroup:
-    # the order-72 parent is larger than the result: it is built at the
-    # default cap, and build_named checks the result against the cap
+def _c3c3rc8_subgroup(k: int, name: str) -> FiniteGroup:
+    """The subgroup <a, b, c^k> of C3C3rC8 as a group of its own. The
+    order-72 parent is larger than the result: it is built at the default
+    cap, and build_named checks the result against the cap."""
     parent = build_spec("SdVec(3,2,[[0,1],[1,1]],8)")
-    K = subgroup_generated(parent, (parent.element("a"), parent.element("b"),
-                                    parent.word("c^2")))
-    H, _ = K.induced()
-    H.name = "Ex38K"
-    return H
-
-
-def _ex37_subgroup(cap: Optional[int] = None) -> FiniteGroup:
-    parent = build_spec("SdVec(3,2,[[0,1],[1,1]],8)")  # as in _ex38_subgroup
-    G1 = subgroup_generated(parent, (parent.element("a"), parent.element("b"),
-                                     parent.word("c^4")))
-    H, _ = G1.induced()
-    H.name = "Ex37G1"
+    S = subgroup_generated(parent, (parent.element("a"), parent.element("b"),
+                                    parent.word(f"c^{k}")))
+    H, _ = S.induced()
+    H.name = name
     return H
 
 
@@ -134,8 +126,10 @@ _ALIASES: dict[str, str] = {
 # name -> (description, builder) for the groups that are not spec aliases
 _BUILDERS: dict[str, tuple[str, Callable[..., FiniteGroup]]] = {
     "A5": ("alternating group on 5 points", alternating5),
-    "Ex38K": ("subgroup <a,b,c^2> of C3C3rC8", _ex38_subgroup),
-    "Ex37G1": ("subgroup <a,b,c^4> of C3C3rC8", _ex37_subgroup),
+    "Ex38K": ("subgroup <a,b,c^2> of C3C3rC8",
+              lambda cap=None: _c3c3rc8_subgroup(2, "Ex38K")),
+    "Ex37G1": ("subgroup <a,b,c^4> of C3C3rC8",
+               lambda cap=None: _c3c3rc8_subgroup(4, "Ex37G1")),
     "Heis27": ("SdVec(3,2,[[1,1],[0,1]],3)", lambda cap=None: _heisenberg(3, cap=cap)),
     "C9rC3": ("BJ1(3,2,1)", lambda cap=None: bj1_group(3, 2, 1, cap=cap)),
     "BJ4": ("order-81 maximal class with Omega_1 = derived", _bj4),

@@ -23,7 +23,8 @@ import sys
 import time
 from typing import Optional
 
-from .catalog import bj1_group, build_spec, catalog_describe, catalog_names
+from .catalog import (bj1_group, build_named, build_spec, catalog_describe,
+                      catalog_names)
 from .components import (
     count_matrix_components,
     predict_nilpotent,
@@ -32,7 +33,7 @@ from .components import (
 from .errors import OrderCapExceeded, QGRingError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, order_q_matrix,
                      semidirect_vector)
-from .numutil import is_prime, ord_mod
+from .numutil import element_of_order, is_prime, ord_mod
 from .props import (DEFAULT_WITNESS_BUDGET, _prediction_for, classify_ssn,
                     nd_verdict)
 
@@ -205,7 +206,6 @@ def cmd_sweep(args) -> int:
                                   pred, seed)
                 rows.append(row)
     elif args.family == "nonfaithful":
-        from .numutil import element_of_order
         k0 = 1 if args.k0 is None else args.k0
         for p in _span(args.p, 3, 7):
             if not is_prime(p):
@@ -278,7 +278,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    from .catalog import build_named
     entries = []
     for name in catalog_names():
         G = build_named(name)

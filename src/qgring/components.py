@@ -15,9 +15,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgElem, SquareZeroFamily
+from .algebra import (AlgElem, SquareZeroFamily, carry, center_rank,
+                      component_dimension)
+from .catalog import build_named
 from .errors import (
     InconsistentFamilyParams,
     NonIntegerDimension,
@@ -27,8 +30,10 @@ from .errors import (
     SoundnessError,
     UnknownFamily,
 )
-from .groups import FiniteGroup, Subgroup, cosets, subgroups
+from .groups import (FiniteGroup, Subgroup, cosets, find_isomorphism,
+                     subgroup_generated, subgroups)
 from .numutil import (
+    crt,
     element_of_order,
     euler_phi,
     is_prime,
@@ -40,6 +45,7 @@ from .shoda import (
     ShodaPair,
     _epsilon_centralizer,
     e_idem,
+    epsilon,
     is_strong_shoda_pair,
     metabelian_pcis,
     section_exponents,
@@ -50,52 +56,6 @@ COMMUTATIVE = "Commutative"
 MATRIX = "Matrix"
 DIVISION = "DivisionNoncommutative"
 UNKNOWN = "Unknown"
-
-
-# ---------------------------------------------------------------------------
-# dimension data of a component
-
-
-def _require_central_idempotent(G: FiniteGroup, e: AlgElem) -> None:
-    if not e.is_central():
-        raise NotCentralIdempotent("input is not central")
-    if not e.is_central_idempotent():
-        raise NotCentralIdempotent("input is not idempotent")
-
-
-def component_dimension(G: FiniteGroup, e: AlgElem) -> int:
-    """dim_Q of Q[G]e = |G| * (coefficient of 1 in e): the trace of right
-    multiplication by the idempotent e.
-
-    A non-integer trace signals a non-idempotent input and is reported as
-    NonIntegerDimension before the idempotency test."""
-    if not e.is_central():
-        raise NotCentralIdempotent("input is not central")
-    d = G.order * e.coeff(0)
-    if d.denominator != 1:
-        raise NonIntegerDimension(f"|G|*coeff_1(e) = {d} is not an integer")
-    if not e.is_central_idempotent():
-        raise NotCentralIdempotent("input is not idempotent")
-    return int(d)
-
-
-def center_rank(G: FiniteGroup, e: AlgElem) -> int:
-    """Q-dimension of the center of Q[G]e: the rank of multiplication by e
-    on Z(Q[G]). For a central idempotent e that map is idempotent, so its
-    rank is its trace in the basis of class sums C_i: the sum over i of
-    the coefficient of the representative r_i in C_i * e, which is the sum
-    of e[g^-1 r_i] over g in C_i."""
-    _require_central_idempotent(G, e)
-    table, inverse, nums = G.table, G.inverse, e.nums
-    trace = 0
-    for cls in G.conjugacy_classes():
-        r = cls[0]
-        trace += sum(nums[table[inverse[g]][r]] for g in cls)
-    rank, rem = divmod(trace, e.den)
-    if rem:
-        raise SoundnessError(f"the trace {trace}/{e.den} of a central idempotent "
-                             "is not an integer")
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +121,6 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
     # their representative: reps[a] and coset[g] for g in N
     coset, reps = cosets(H, within=N, left=True)
     nh = len(reps)
-
-    def coset_order(a: int) -> int:
-        k, y = 1, reps[a]
-        while coset[y]:
-            y = G.table[y][reps[a]]
-            k += 1
-        return k
-
     action = {a: dlog[G.conj(x, t)] for a, t in enumerate(reps)}
     twisting: dict[tuple[int, int], int] = {}
     for a, ta in enumerate(reps):
@@ -177,10 +129,11 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
             twisting[(a, b)] = dlog[G.table[tab][G.inverse[reps[coset[tab]]]]]
 
     gen_action = gen_twist = None
-    sigma = next((a for a in range(nh) if coset_order(a) == nh), None)
-    nh_cyclic = sigma is not None
+    # H is normal in N: c is the least element of the first coset cH that
+    # generates N/H
+    c = section_generator(N, H)
+    nh_cyclic = c is not None
     if nh_cyclic:
-        c = reps[sigma]
         gen_action = dlog[G.conj(x, c)]
         gen_twist = dlog[G.power(c, nh)]
 
@@ -471,6 +424,48 @@ def nilpotent_probe(G: FiniteGroup, e: AlgElem, budget: int = 2000,
 # matrix component counting
 
 
+def a5_shoda_idempotent(G: FiniteGroup) -> tuple[Subgroup, Subgroup, AlgElem, AlgElem]:
+    """(A4, K, epsilon, e) inside a group built as the standard A5, with
+    K = V4: epsilon = epsilon(A4, K) = tilde(K) - tilde(A4) and
+    e = e(G, A4, K) / 2, half the sum of its five conjugates."""
+    b = G.element("(1,2)(3,4)")
+    A4 = subgroup_generated(G, (G.element("(1,2,3)"), b))
+    K = subgroup_generated(G, (b, G.element("(1,3)(2,4)")))
+    e = Fraction(1, 2) * e_idem(G, A4, K)
+    if not e.is_central_idempotent():
+        raise SoundnessError("the A5 Shoda-pair element is not a central idempotent")
+    return A4, K, epsilon(A4, K), e
+
+
+def a5_special_pci(G: FiniteGroup):
+    """If G is isomorphic to the standard A5, return its documented
+    Shoda-pair idempotent, carried to G, as a matrix component certified
+    by the nilpotent probe; else None."""
+    if G.order != 60:
+        return None
+    ref = build_named("A5")
+    iso = find_isomorphism(ref, G)
+    if iso is None:
+        return None
+    A4, K, eps, e = a5_shoda_idempotent(ref)
+    A4, K = (subgroup_generated(G, [iso[g] for g in S.gens]) for S in (A4, K))
+    eps, e = carry(eps, iso, G), carry(e, iso, G)
+    sp = ShodaPair(A4, K, eps, e, "plain-shoda")
+    dim = component_dimension(G, e)
+    rank = center_rank(G, e)
+    deg = math.isqrt(dim // rank)
+    if nilpotent_probe(G, e) is None:
+        raise SoundnessError("the nilpotent probe certifies no A5 matrix component")
+    desc = ComponentDescriptor(
+        group=G, H=A4, K=K, e=e, matrix_size_n=5, cyclotomic_order_h=3,
+        nh_order=1, nh_cyclic=True, action={}, twisting={},
+        gen_action_exp=None, gen_twist_exp=None,
+        dim_over_Q=dim, center_rank=rank, degree=deg,
+        kind=MATRIX, shape=f"M_{deg}(Q)",
+        trace={"branch": "nilpotent-certificate", "pair": "plain Shoda"})
+    return sp, desc
+
+
 @dataclass(frozen=True)
 class MatrixCount:
     lo: int
@@ -494,8 +489,6 @@ def count_matrix_components(
     (A5 is special-cased to its one documented idempotent) and count the
     components of reduced degree > 1. Unknown verdicts widen the count to
     an interval."""
-    from .props import a5_special_pci
-
     special = a5_special_pci(G)
     if special is not None:
         sp, desc = special
@@ -628,7 +621,6 @@ def nonfaithful_amitsur_params(p: int, q: int, k0: int, j: int,
                                r0: int) -> tuple[int, int]:
     """(m, r) of the cyclic algebra at level j: m = p*q^(j-k0) and
     r = r0 (mod p), r = 1 (mod q^(j-k0)), least positive."""
-    from .numutil import crt
     m = p * q ** (j - k0)
     r = crt([r0 % p, 1], [p, q ** (j - k0)])
     return m, r

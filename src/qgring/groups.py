@@ -22,6 +22,7 @@ from .errors import (
     NotNormal,
     OrderCapExceeded,
 )
+from .numutil import is_prime, ord_mod, prime_factors
 
 DEFAULT_ORDER_CAP = 250
 
@@ -200,7 +201,6 @@ class FiniteGroup:
         n = self.order
         if n == 1:
             return True, 1
-        from .numutil import prime_factors
         fac = prime_factors(n)
         if len(fac) == 1:
             return True, next(iter(fac))
@@ -840,7 +840,6 @@ def abelian(orders: Sequence[int], letters: Sequence[str],
 
 
 def elementary_abelian(p: int, rank: int, cap: Optional[int] = None) -> FiniteGroup:
-    from .numutil import is_prime
     if not is_prime(p):
         raise InconsistentSpec(f"{p} is not prime")
     if rank < 1 or rank > 8:
@@ -905,7 +904,6 @@ def quaternion(order: int, cap: Optional[int] = None) -> FiniteGroup:
 def metacyclic_amitsur(m: int, r: int, cap: Optional[int] = None) -> FiniteGroup:
     """<A, B | A^m = 1, B^n = A^t, B A B^-1 = A^r> with s = gcd(r-1, m),
     t = m/s, n = ord_m(r)."""
-    from .numutil import ord_mod
     if math.gcd(m, r) != 1:
         raise InconsistentSpec(f"gcd({m},{r}) != 1")
     s = math.gcd(r - 1, m) if m > 1 else 1
@@ -987,30 +985,25 @@ def _mat_eye(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_order(M, p, limit=10_000):
-    I = _mat_eye(len(M))
-    A = [row[:] for row in M]
-    k = 1
-    while A != I:
-        A = _mat_mul(A, M, p)
-        k += 1
-        if k > limit:
-            raise InconsistentSpec("action matrix order too large")
-    return k
+def _mat_has_order(M, q, p) -> bool:
+    """Whether M has multiplicative order exactly q over F_p: M^q = I and
+    M^(q/r) != I for each prime r dividing q."""
+    eye = _mat_eye(len(M))
+    return (q >= 1 and _mat_pow(M, q, p) == eye
+            and all(_mat_pow(M, q // r, p) != eye for r in prime_factors(q)))
 
 
 def semidirect_vector(p: int, rank: int, matrix: Sequence[Sequence[int]], q: int,
                       cap: Optional[int] = None) -> FiniteGroup:
     """(C_p)^rank semidirect C_q; the C_q generator c acts by x^c = M x
     on exponent vectors."""
-    from .numutil import is_prime
     if not is_prime(p):
         raise InconsistentSpec(f"{p} is not prime")
     _check_cap(p ** rank * q, cap)
     M = [[v % p for v in row] for row in matrix]
     if len(M) != rank or any(len(row) != rank for row in M):
         raise InconsistentSpec("action matrix has wrong shape")
-    if _mat_order(M, p) != q:
+    if not _mat_has_order(M, q, p):
         raise InconsistentSpec("action matrix is not of order q")
     base = elementary_abelian(p, rank, cap=cap)
     # base elements are exponent tuples in lexicographic order
@@ -1199,10 +1192,8 @@ def order_q_matrix(p: int, n: int, q: int) -> list[list[int]]:
     is the first companion matrix, in coefficient order, with M^q = I and
     M != I.
     """
-    from .numutil import ord_mod
     if ord_mod(q, p) != n:
         raise InconsistentSpec(f"ord_{q}({p}) != {n}; no irreducible order-{q} action")
-    eye = _mat_eye(n)
     for coeffs in itertools.product(range(p), repeat=n):
         # companion matrix of f = x^n + coeffs (action x * v in F_p[x]/(f))
         M = [[0] * n for _ in range(n)]
@@ -1210,6 +1201,6 @@ def order_q_matrix(p: int, n: int, q: int) -> list[list[int]]:
             M[j + 1][j] = 1
         for i in range(n):
             M[i][n - 1] = (-coeffs[i]) % p
-        if _mat_pow(M, q, p) == eye and _mat_order(M, p) == q:
+        if _mat_has_order(M, q, p):
             return M
     raise InconsistentSpec(f"no order-{q} irreducible matrix found for p={p}, n={n}")

@@ -17,14 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgElem, SquareZeroFamily, hat, one_minus, one_plus, tilde
+from .algebra import (AlgElem, SquareZeroFamily, carry, hat, one_minus, one_plus,
+                      tilde)
 from .catalog import bj1_group, build_named, build_spec
 from .components import (
-    MATRIX,
-    ComponentDescriptor,
     MatrixCount,
-    center_rank,
-    component_dimension,
+    a5_shoda_idempotent,
     count_matrix_components,
     predict_nilpotent,
     predict_nonnilpotent,
@@ -55,7 +53,7 @@ from .groups import (
     subgroups,
 )
 from .numutil import ord_mod, padic_valuation, prime_factors
-from .shoda import ShodaPair, e_idem, section_generator
+from .shoda import e_idem, section_exponents, section_generator
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +288,10 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
     q_order = G.order // P.order
     if math.gcd(P.order, q_order) != 1:
         return SSNClass("NotSSN", {"reason": "no coprime complement"})
-    y = None
-    for g in range(1, G.order):
-        if G.element_order(g) == q_order and not P.contains(g):
-            Qsub = subgroup_generated(G, (g,))
-            if Qsub.mask & P.mask == 1:
-                y = g
-                break
+    # an element of order |G:P| is outside P and meets it trivially, as
+    # the orders are coprime
+    y = next((g for g in range(1, G.order) if G.element_order(g) == q_order),
+             None)
     if y is None:
         return SSNClass("NotSSN", {"reason": "complement is not cyclic"})
     Qsub = subgroup_generated(G, (y,))
@@ -330,17 +325,12 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
     k = qfac[q]
     if k < 2:
         return SSNClass("NotSSN", {"reason": "faithless action needs |Q| >= q^2"})
-    x = min(g for g in P.members if g != 0)
-    conj = G.conj_left(x, y)  # y x y^-1 = x^r0
-    r0 = None
-    cur = 0
-    for e in range(P.order):
-        if cur == conj:
-            r0 = e
-            break
-        cur = G.table[cur][x]
-    ordr = ord_mod(p, r0) if r0 is not None and math.gcd(r0, p) == 1 else 0
-    if r0 is None or ordr == 1:
+    trivial = subgroup_generated(G, ())
+    x = section_generator(P, trivial)
+    # y x y^-1 = x^r0 with 1 <= r0 < p, as y x y^-1 != 1
+    r0 = section_exponents(P, trivial)[G.conj_left(x, y)]
+    ordr = ord_mod(p, r0)
+    if ordr == 1:
         return SSNClass("NotSSN", {"reason": "action trivial"})
     k0 = padic_valuation(q, ordr)
     if q ** k0 != ordr or not (1 <= k0 < k):
@@ -419,26 +409,6 @@ def verify_witness(w: Witness) -> dict[str, bool]:
         "e_central_idempotent": w.e.is_central_idempotent(),
         "alpha_e_not_integral": not prod.is_integral(),
     }
-
-
-def a5_shoda_idempotent(G: FiniteGroup) -> tuple[Subgroup, Subgroup, AlgElem, AlgElem]:
-    """(A4, K, epsilon, e) inside a group built as the standard A5:
-    epsilon = tilde(K) - tilde(A4), e = (1/2) sum of its five conjugates
-    by powers of a 5-cycle (conjugating on the left)."""
-    a = G.element("(1,2,3,4,5)")
-    b = G.element("(1,2)(3,4)")
-    c = G.element("(1,2,3)")
-    k2 = G.element("(1,3)(2,4)")
-    A4 = subgroup_generated(G, (c, b))
-    K = subgroup_generated(G, (b, k2))
-    eps = tilde(K) - tilde(A4)
-    e = AlgElem.zero(G)
-    for i in range(5):
-        e = e + eps.conjugate_left(G.power(a, i))
-    e = Fraction(1, 2) * e
-    if not e.is_central_idempotent():
-        raise SoundnessError("the A5 Shoda-pair element is not a central idempotent")
-    return A4, K, eps, e
 
 
 def curated_witness(name: str, n: int = 3) -> Witness:
@@ -555,45 +525,6 @@ def hamiltonian_witness(p: int, n: int) -> Optional[Witness]:
     e = tilde(subgroup_generated(G, (cp,)))
     return Witness(f"Q8xC{p}^{n}", G, w, e,
                    f"Hamiltonian Q8 x C_{p ** n} via polynomial witness")
-
-
-def _carry(x: AlgElem, iso: list[int], G: FiniteGroup) -> AlgElem:
-    """The image of x under the group isomorphism iso onto G."""
-    nums = [0] * G.order
-    for g, v in enumerate(x.nums):
-        nums[iso[g]] = v
-    return AlgElem(G, nums, x.den, _normalized=True)
-
-
-def a5_special_pci(G: FiniteGroup):
-    """If G is isomorphic to the standard A5, return its documented
-    Shoda-pair idempotent, carried to G, as a certified matrix component;
-    else None."""
-    if G.order != 60:
-        return None
-    ref = build_named("A5")
-    iso = find_isomorphism(ref, G)
-    if iso is None:
-        return None
-    A4, K, eps, e = a5_shoda_idempotent(ref)
-    A4, K = (subgroup_generated(G, [iso[g] for g in S.gens]) for S in (A4, K))
-    eps, e = _carry(eps, iso, G), _carry(e, iso, G)
-    sp = ShodaPair(A4, K, eps, e, "plain-shoda")
-    dim = component_dimension(G, e)
-    rank = center_rank(G, e)
-    deg = math.isqrt(dim // rank)
-    alpha = _carry(curated_witness("A5").alpha, iso, G)
-    cert = alpha * e
-    if cert.is_zero() or not cert.is_nilpotent():
-        raise SoundnessError("A5 nilpotent certificate fails re-verification")
-    desc = ComponentDescriptor(
-        group=G, H=A4, K=K, e=e, matrix_size_n=5, cyclotomic_order_h=3,
-        nh_order=1, nh_cyclic=True, action={}, twisting={},
-        gen_action_exp=None, gen_twist_exp=None,
-        dim_over_Q=dim, center_rank=rank, degree=deg,
-        kind=MATRIX, shape=f"M_{deg}(Q)",
-        trace={"branch": "nilpotent-certificate", "pair": "plain Shoda"})
-    return sp, desc
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +664,8 @@ def _curated_for_group(G: FiniteGroup) -> Optional[Witness]:
             continue
         w = make()
         if w is not None:
-            return Witness(w.name, G, _carry(w.alpha, iso, G),
-                           _carry(w.e, iso, G), w.notes)
+            return Witness(w.name, G, carry(w.alpha, iso, G),
+                           carry(w.e, iso, G), w.notes)
     return None
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .algebra import AlgElem, product_at_classes, tilde
+from .algebra import AlgElem, component_dimension, product_at_classes, tilde
 from .errors import NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
     FiniteGroup,
@@ -333,8 +333,6 @@ def pci_sanity(G: FiniteGroup, pcis: list[ShodaPair]) -> SanityReport:
     component_dimension raises unless every e is a central idempotent, so
     each product e_i * e_j is central, and zero iff it vanishes at the
     class representatives."""
-    from .components import component_dimension
-
     dims = [component_dimension(G, sp.e) for sp in pcis]
     total = AlgElem.zero(G)
     for sp in pcis:

@@ -333,12 +333,7 @@ def rows_nonnilpotent() -> list[Row]:
     rows: list[Row] = []
     # faithful, cyclic P (always one matrix component)
     for p, q in [(5, 4), (7, 3), (7, 6), (11, 5), (13, 3), (13, 4), (13, 12)]:
-        r0 = None
-        for r in range(2, p):
-            if ord_mod(p, r) == q:
-                r0 = r
-                break
-        G = build_spec(f"SdCyc({p},{q},{r0})")
+        G = build_spec(f"SdCyc({p},{q},{element_of_order(p, q)})")
         cnt, comps = count_matrix_components(G)
         pred = predict_nonnilpotent({"family": "faithful", "p": p, "n": 1, "q": q})
         mats = [d for _, d in comps if d.kind == MATRIX]

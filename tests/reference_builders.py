@@ -25,8 +25,9 @@ from qgring.groups import (
     FiniteGroup,
     _check_cap,
     _extend_hom,
-    _mat_order,
     _join_name,
+    _mat_eye,
+    _mat_mul,
     _name_power,
     center,
     dihedral,
@@ -266,6 +267,19 @@ def _poly_powmod(base, e, f, p):
         b = _poly_mulmod(b, b, f, p)
         e >>= 1
     return out
+
+
+def _mat_order(M, p, limit=10_000):
+    """The multiplicative order of M over F_p, one product at a time."""
+    I = _mat_eye(len(M))
+    A = [row[:] for row in M]
+    k = 1
+    while A != I:
+        A = _mat_mul(A, M, p)
+        k += 1
+        if k > limit:
+            raise InconsistentSpec("action matrix order too large")
+    return k
 
 
 def reference_order_q_matrix(p: int, n: int, q: int) -> list[list[int]]:

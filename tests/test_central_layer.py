@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 from qgring.algebra import AlgElem, product_at_classes
 from qgring.catalog import build_named, build_spec, catalog_names
-from qgring.components import center_rank
+from qgring.components import a5_special_pci, center_rank
 from qgring.errors import NotMetabelian
-from qgring.props import a5_special_pci
 from qgring.shoda import metabelian_pcis, pci_sanity
 from reference_components import (
     reference_center_rank,

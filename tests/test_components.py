@@ -8,6 +8,7 @@ from qgring.components import (
     COMMUTATIVE,
     DIVISION,
     MATRIX,
+    a5_special_pci,
     amitsur_division,
     center_rank,
     classify_component,
@@ -28,6 +29,7 @@ from qgring.errors import (
 )
 from qgring.groups import derived_subgroup, full_subgroup, subgroup_generated
 from qgring.shoda import metabelian_pcis
+from invariants import relabel
 from reference_components import exact_rank
 
 
@@ -239,6 +241,22 @@ def test_nilpotent_probe():
     assert nilpotent_probe(Q8, e, budget=2000) is None
     # commutative projection: nothing to find
     assert nilpotent_probe(G, tilde(full_subgroup(G)), budget=500) is None
+
+
+def test_a5_component_is_probe_certified_under_any_labelling():
+    # the first subgroup the probe tries has order 2, and an involution acts
+    # nontrivially on the degree-5 component: its block of 120 tests finds
+    # a certificate, however the elements are numbered
+    A5 = build_named("A5")
+    for seed in range(20):
+        G = relabel(A5, seed)
+        sp, d = a5_special_pci(G)
+        assert (sp.kind, d.kind, d.dim_over_Q, d.degree) == \
+            ("plain-shoda", MATRIX, 25, 5)
+        assert d.trace["branch"] == "nilpotent-certificate"
+        wit = nilpotent_probe(G, sp.e, budget=120)
+        assert wit is not None and not wit.is_zero() and wit.is_nilpotent()
+        assert wit * sp.e == wit
 
 
 def test_count_matrix_components():

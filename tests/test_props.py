@@ -92,6 +92,13 @@ def test_classify_ssn_taxonomy():
     assert classify_ssn(build_named("BJ9")).params["bj"] == "BJ9"
     assert classify_ssn(build_named("C9rC3")).params["bj"] == "BJ1"
     assert classify_ssn(build_named("Q8xC4")).params["bj"] == "BJ3"
+    # type (ii) with a non-faithful action of kernel level k0 > 1, and with q = 3
+    for spec, params in [
+            ("MetaAmitsur(10,3)", {"p": 5, "q": 2, "k": 3, "k0": 2, "r0": 3}),
+            ("MetaAmitsur(26,21)", {"p": 13, "q": 2, "k": 3, "k0": 2, "r0": 8}),
+            ("MetaAmitsur(21,4)", {"p": 7, "q": 3, "k": 2, "k0": 1, "r0": 4})]:
+        cls = classify_ssn(build_spec(spec))
+        assert (cls.tag, cls.params) == ("SolvableTypeII", params), spec
 
 
 def test_curated_witness_assertions():
