@@ -7,11 +7,12 @@ arithmetic is exact; no floats anywhere. Elements are immutable values.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
@@ -78,7 +79,7 @@ class AlgElem:
     @property
     def support(self) -> tuple[int, ...]:
         if self._support is None:
-            self._support = tuple(g for g, v in enumerate(self.nums) if v)
+            self._support = tuple(itertools.compress(itertools.count(), self.nums))
         return self._support
 
     def is_zero(self) -> bool:
@@ -229,9 +230,8 @@ class AlgElem:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self, spec: Optional[str] = None) -> str:
-        coeffs = [[str(Fraction(v, self.den).numerator),
-                   str(Fraction(v, self.den).denominator)] for v in self.nums]
-        return json.dumps({"group": spec or self.group.name, "coeffs": coeffs})
+        return json.dumps({"group": spec or self.group.name,
+                           "coeffs": coeff_strings(self)})
 
     @staticmethod
     def from_json(G: FiniteGroup, data: str) -> "AlgElem":
@@ -241,6 +241,14 @@ class AlgElem:
             raise GroupMismatch("coefficient count does not match group order")
         return AlgElem.from_coeffs(
             G, {i: Fraction(int(n), int(d)) for i, (n, d) in enumerate(coeffs)})
+
+
+def coeff_strings(x: AlgElem) -> list[list[str]]:
+    """Each coefficient v/den of x in lowest terms as the strings
+    [numerator, denominator] that Fraction gives: the sign stays on the
+    numerator, and 0 is ["0", "1"]."""
+    gcds = [math.gcd(v, x.den) for v in x.nums]
+    return [[str(v // g), str(x.den // g)] for v, g in zip(x.nums, gcds)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +271,51 @@ def _constant_on_classes(e: AlgElem) -> bool:
     return list(map(e.nums.__getitem__, G._cache["class_first"])) == e.nums
 
 
+def _fixes(e: AlgElem) -> Callable[[int], bool]:
+    """The test g -> (g*e = e). Since (g*e)(gx) = e(x), g*e = e iff
+    e(gx) = e(x) for every x in supp e: then x -> gx maps the support into
+    itself, hence onto it, and so the zeros onto zeros. Such a g has
+    e(g) = e(1), which is tested first."""
+    nums, support, table = e.nums, e.support, e.group.table
+    values = list(map(nums.__getitem__, support))
+    return lambda g: nums[g] == nums[0] and list(
+        map(nums.__getitem__, map(table[g].__getitem__, support))) == values
+
+
+def _record_kernel(e: AlgElem, N: Subgroup) -> None:
+    """Record N as a subgroup of ker e = {g : g*e = e} for
+    _idempotent_at_classes, after checking exactly that each of N.gens
+    fixes e (SoundnessError if not): the elements that fix e are a group."""
+    if not all(map(_fixes(e), N.gens)):
+        raise SoundnessError(f"{N!r} does not fix the central element it "
+                             "was proposed as a kernel of")
+    e.group._cache[("kernel", e.den, tuple(e.nums))] = N
+
+
 def _idempotent_at_classes(e: AlgElem) -> bool:
     """e*e = e for a central e, decided in G/ker e.
 
-    Let N = {g : g*e = e}, a subgroup; for a central e it is also
-    {g : e*g = e}, and it is normal, as (hgh^-1)*e = h(g*e)h^-1. Since
-    (g*e)(gx) = e(x), g*e = e iff e(gx) = e(x) for every x in supp e: then
-    x -> gx maps the support into itself, hence onto it, and so the zeros
-    onto zeros. So e is constant on each coset xN = Nx, and an element g
-    of N has e(g) = e(1); stabilizer tests only those g. With S the least
-    elements of the left cosets of N,
+    Let N = {g : g*e = e}, a subgroup (the test is _fixes); for a central e
+    it is also {g : e*g = e}, and it is normal, as (hgh^-1)*e = h(g*e)h^-1.
+    So e is constant on each coset xN = Nx. With S the least elements of
+    the left cosets of N,
     (e*e)(r) = sum over x in G of e(x) e(x^-1 r)
              = |N| * sum over s in S of e(s) e(s^-1 r),
     since x = sn gives e(x) = e(s), and x^-1 r = n^-1 s^-1 r lies in
     N s^-1 r = s^-1 r N. Both e*e and e are central and constant on
     N-cosets, so they are equal iff they agree at one class representative
     per N-coset that holds any.
+
+    All of this holds for any subgroup N of ker e, with more cosets when N
+    is smaller. N is the one recorded by _record_kernel (metabelian_pcis
+    records core_G(K) for e(G, H, K)); only when none is, ker e is found
+    by stabilizer.
     """
     G = e.group
-    nums, support, table = e.nums, e.support, G.table
-    values = list(map(nums.__getitem__, support))
-    N = stabilizer(G, lambda g: nums[g] == nums[0] and list(
-        map(nums.__getitem__, map(table[g].__getitem__, support))) == values)
+    nums, table = e.nums, G.table
+    N = G._cache.get(("kernel", e.den, tuple(nums)))
+    if N is None:
+        N = stabilizer(G, _fixes(e))
     index, reps = cosets(N, left=True)
     terms = [(nums[s], table[G.inverse[s]]) for s in reps if nums[s]]
     checked = set()
@@ -342,11 +373,10 @@ def center_rank(G: FiniteGroup, e: AlgElem) -> int:
     the coefficient of the representative r_i in C_i * e, which is the sum
     of e[g^-1 r_i] over g in C_i."""
     _require_central_idempotent(G, e)
-    table, inverse, nums = G.table, G.inverse, e.nums
-    trace = 0
-    for cls in G.conjugacy_classes():
-        r = cls[0]
-        trace += sum(nums[table[inverse[g]][r]] for g in cls)
+    rows = list(map(G.table.__getitem__, G.inverse))  # the row of g^-1 at g
+    at = e.nums.__getitem__
+    trace = sum(sum(map(at, map(itemgetter(cls[0]), map(rows.__getitem__, cls))))
+                for cls in G.conjugacy_classes())
     rank, rem = divmod(trace, e.den)
     if rem:
         raise SoundnessError(f"the trace {trace}/{e.den} of a central idempotent "
@@ -369,11 +399,7 @@ def hat(H: Subgroup) -> AlgElem:
 
 def tilde(H: Subgroup) -> AlgElem:
     """hat(H)/|H|, an idempotent of Q[G]."""
-    G = H.parent
-    nums = [0] * G.order
-    for g in H.members:
-        nums[g] = 1
-    return AlgElem(G, nums, H.order)
+    return AlgElem(H.parent, hat(H).nums, H.order, _normalized=True)
 
 
 def one_minus(G: FiniteGroup, g: int) -> AlgElem:

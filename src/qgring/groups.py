@@ -40,11 +40,14 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str],
-                 name: str = "G", letters: tuple[str, ...] = ()):
+                 name: str = "G", letters: tuple[str, ...] = (),
+                 _ints: bool = False):
         self.order = len(table)
         self.table: list[list[int]] = [list(row) for row in table]
-        # entries that are not ints (floats, numpy integers) are coerced
-        if not set(map(type, itertools.chain.from_iterable(self.table))) <= {int}:
+        # entries that are not ints (floats, numpy integers) are coerced;
+        # the builders' tables (_ints=True) are ints by construction
+        entries = itertools.chain.from_iterable(self.table)
+        if not _ints and not set(map(type, entries)) <= {int}:
             self.table = [list(map(int, row)) for row in self.table]
         self.names: list[str] = [str(s) for s in names]
         self.name = name
@@ -66,23 +69,27 @@ class FiniteGroup:
     def _validate(self) -> None:
         """Exact check that the table is a group with identity 0.
 
-        Each row must be a permutation of 0..n-1 and index 0 a two-sided
-        identity. Light's test then checks (x*g)*y = x*(g*y) for all x, y
-        and each g of a generating set only: the elements a with
+        A table is accepted when its entries lie in 0..n-1 (one set of all
+        of them), index 0 is a two-sided identity, every row holds 0 and
+        Light's test passes. Light's test checks (x*g)*y = x*(g*y) for all
+        x, y and each g of a generating set only: the elements a with
         (x*a)*y = x*(a*y) for all x, y are closed under the product, so
         they make up the whole table. The row of x*g is then the row of x
-        read at the entries of g's row. A table that passes is a group, so
-        its columns are permutations too. Only a table that fails is
-        checked again, defect by defect, to name the first one in the
-        order: entries out of range, identity, rows, columns, associativity.
+        read at the entries of g's row. So the table is a monoid in which
+        every x has a right inverse y (x*y = 0, as row x holds 0), and such
+        a monoid is a group: with y*z = 0 too, x = x*(y*z) = (x*y)*z = z,
+        so y*x = 0. This accepts exactly the groups, the tables with
+        permutation rows, two-sided identity and associativity. Only a
+        table that fails is checked again, defect by defect, to name the
+        first: entries out of range, identity, rows, columns, associativity.
         """
         n = self.order
         table = self.table
         ident = list(range(n))
-        full = set(ident)
-        if (n and all(len(row) == n and set(row) == full for row in table)
+        if (n and all(len(row) == n for row in table)
+                and set(itertools.chain.from_iterable(table)) <= set(ident)
                 and table[0] == ident and [row[0] for row in table] == ident
-                and self._is_associative()):
+                and all(0 in row for row in table) and self._is_associative()):
             return
         if not n or any(len(row) != n or min(row) < 0 or max(row) >= n
                         for row in table):
@@ -98,8 +105,9 @@ class FiniteGroup:
         raise InconsistentSpec("multiplication table is not associative")
 
     def _is_associative(self) -> bool:
-        """Light's test, on a table whose rows are permutations with index
-        0 as identity."""
+        """Light's test, on a table with entries in range and index 0 as
+        identity: every element is a product of the generators that
+        stabilizer picks."""
         table = self.table
         # not cached: a new group's _cache starts empty
         for g in stabilizer(self, lambda g: True).gens:
@@ -352,8 +360,7 @@ class Subgroup:
     def contains(self, idx: int) -> bool:
         return bool(self.mask >> idx & 1)
 
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.mask >> idx & 1)
+    __contains__ = contains
 
     def __le__(self, other: "Subgroup") -> bool:
         return self.mask | other.mask == other.mask
@@ -395,7 +402,7 @@ class Subgroup:
             names = [self.parent.names[g] for g in mem]
             H = FiniteGroup(table, names,
                             name=f"{self.parent.name}|{repr(self)}",
-                            letters=self.parent.letters)
+                            letters=self.parent.letters, _ints=True)
             self.parent._cache[key] = (H, mem)
         return self.parent._cache[key]
 
@@ -461,7 +468,7 @@ def _check_subgroup_count(G: FiniteGroup, found: dict) -> None:
         raise OrderCapExceeded(f"{G.name} has more than {MAX_SUBGROUPS} subgroups")
 
 
-def _cyclic_join(table: list[list[int]], H: Subgroup,
+def _cyclic_join(table: list[list[int]], bits: list[int], H: Subgroup,
                  left_coset: Callable[[list[int]], tuple[int, ...]],
                  powers: list[int]) -> tuple[int, Iterable[int]]:
     """<H, c>, for c normalizing H or normalized by H, as the union of the
@@ -476,7 +483,7 @@ def _cyclic_join(table: list[list[int]], H: Subgroup,
             break
         cosets.append(left_coset(table[y]))
     m = len(cosets) + 1
-    mask = H.mask | sum(map((1).__lshift__, itertools.chain.from_iterable(cosets)))
+    mask = H.mask | sum(map(bits.__getitem__, itertools.chain.from_iterable(cosets)))
     return mask, itertools.chain.from_iterable(
         yH for j, yH in enumerate(cosets, 1) if math.gcd(j, m) == 1)
 
@@ -491,32 +498,43 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
 
     Each H keeps `join`, seed k -> mask of <H, C_k>, for the joins it can
     name, and skips the seeds in it. It starts with H's own seeds (C_k <= H)
-    and, on the first level, the joins <<a>, C_k> = <C_k, <a>> named when
-    the earlier seed C_k was H. A seed not in it is joined as follows.
+    and two naming rules:
+    - on the first level, H = C_i takes the joins <C_j, C_i> of the earlier
+      seeds, which complete the table J(s, q) = <C_s, C_q> by the level's
+      end;
+    - from the second level on, for each seed C_s of a generator of H,
+      every seed q with H <= J(s, q) has <H, C_q> = J(s, q): that join holds
+      H and C_q, and <H, C_q> holds C_s and C_q.
+    A seed not in it is joined as follows.
     - If c normalizes H (tested on H.gens), <H, c> is _cyclic_join's product
       set, and the elements it returns name it.
     - Else every x = hch' of HcH names it, as c = h^-1 x h'^-1. HcH is built
-      one left coset yH at a time. If a seed of it is in `join`, the join is
-      read off that seed; else it is the product set again when H
-      normalizes <c>, and is closed (_closure with base H) when not.
-    <H, x> depends on <x> only, so x names its join through its seed. A
-    named join was reached before, so it is already in `seen`: the list,
-    every gens and the point where OrderCapExceeded is raised (as soon as
-    more than MAX_SUBGROUPS subgroups are found) are those of closing every
-    join.
+      one left coset yH at a time. If a seed C_j of it is in `join`, the
+      join is read off that seed, and every y*h with y a generator of C_j
+      and h in H names it too: <H, y*h> = <H, y> = <H, C_j>. Else it is
+      the product set again when H normalizes <c>, and is closed
+      (_closure with base H) when not.
+    <H, x> depends on <x> only, so x names its join through its seed. Each
+    named join was reached before: a first-level join J(s, q) when its
+    level ended, and any other when it was computed for H or, on the first
+    level, for an earlier seed. So it is already in `seen`: the list, every
+    gens and the point where OrderCapExceeded is raised (as soon as more
+    than MAX_SUBGROUPS subgroups are found) are those of closing every join.
     """
     if "subgroups" not in G._cache:
         table, conj = G.table, G.conj
+        bits = [1 << x for x in range(G.order)]
         seed_powers, seed_of = _cyclic_seeds(G)
         seed_at = seed_of.__getitem__
-        seeds = [Subgroup(G, sum(map((1).__lshift__, p)), (p[0],))
+        seeds = [Subgroup(G, sum(map(bits.__getitem__, p)), (p[0],))
                  for p in seed_powers]
+        units: dict[int, list[int]] = {}  # seed j -> the generators of C_j
         seen: dict[int, Subgroup] = {1: Subgroup(G, 1)}
         seen.update((C.mask, C) for C in seeds)
         _check_subgroup_count(G, seen)
         full = (1 << G.order) - 1
         frontier, first = seeds, True
-        seed_joins: list[dict[int, int]] = []  # first level: each seed's join
+        seed_joins: list[dict[int, int]] = []  # J(s, q), by s then q
         while frontier:
             new: list[Subgroup] = []
             for i, H in enumerate(frontier):
@@ -525,6 +543,13 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                 if first:
                     join.update((j, J[i]) for j, J in enumerate(seed_joins))
                     seed_joins.append(join)
+                else:
+                    for s in dict.fromkeys(map(seed_at, H.gens)):
+                        for size, mask, qs in joins_of[s]:
+                            if size <= H.order:  # J(s, q) = H or H is not in it
+                                break
+                            if H.mask | mask == mask:
+                                join.update(dict.fromkeys(qs, mask))
                 if H.mask == full:
                     continue
                 left_coset = itemgetter(*members)  # of a row; |H| >= 2
@@ -533,7 +558,8 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         continue
                     c = seed_powers[k][0]
                     if all(H.mask >> conj(s, c) & 1 for s in H.gens):
-                        mask, names = _cyclic_join(table, H, left_coset, seed_powers[k])
+                        mask, names = _cyclic_join(table, bits, H, left_coset,
+                                                   seed_powers[k])
                     else:
                         names = set()  # HcH
                         for h in members:
@@ -543,10 +569,16 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         hit = next(filter(join.__contains__, map(seed_at, names)), None)
                         if hit is not None:
                             mask = join[hit]
+                            if hit not in units:
+                                p = seed_powers[hit]
+                                units[hit] = [x for e, x in enumerate(p, 1)
+                                              if math.gcd(e, len(p)) == 1]
+                            for y in units[hit]:
+                                names.update(left_coset(table[y]))
                         elif all(seeds[k].mask >> conj(c, s) & 1 for s in H.gens):
-                            mask, units = _cyclic_join(table, H, left_coset,
-                                                        seed_powers[k])
-                            names.update(units)
+                            mask, more = _cyclic_join(table, bits, H, left_coset,
+                                                      seed_powers[k])
+                            names.update(more)
                         else:
                             mask = _closure(G, (c,), H)
                     if mask not in seen:
@@ -555,6 +587,14 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         new.append(sub)
                         _check_subgroup_count(G, seen)
                     join.update(dict.fromkeys(map(seed_at, names), mask))
+            if first:  # each J(s, .) as (order, mask, its seeds q), largest first
+                joins_of = []
+                for J in seed_joins:
+                    by_mask: dict[int, list[int]] = {}
+                    for q, mask in J.items():
+                        by_mask.setdefault(mask, []).append(q)
+                    joins_of.append(sorted(((m.bit_count(), m, qs) for m, qs
+                                            in by_mask.items()), reverse=True))
             frontier = new
             first = False
         subs = sorted(seen.values(), key=lambda s: (s.order, s.mask))
@@ -645,7 +685,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     proj, reps = cosets(N)
     table = [[proj[G.table[a][b]] for b in reps] for a in reps]
     names = ["1"] + [f"[{G.names[r]}]" for r in reps[1:]]
-    Q = FiniteGroup(table, names, name=f"{G.name}/{repr(N)}", letters=G.letters)
+    Q = FiniteGroup(table, names, name=f"{G.name}/{repr(N)}", letters=G.letters,
+                    _ints=True)
     G._cache[key] = (Q, proj)
     return Q, proj
 
@@ -821,7 +862,7 @@ def cyclic(n: int, letter: str = "x", cap: Optional[int] = None) -> FiniteGroup:
     _check_cap(n, cap)
     table = [[*range(i, n), *range(i)] for i in range(n)]
     names = [_join_name([_name_power(letter, i)]) for i in range(n)]
-    return FiniteGroup(table, names, name=f"C{n}", letters=(letter,))
+    return FiniteGroup(table, names, name=f"C{n}", letters=(letter,), _ints=True)
 
 
 def abelian(orders: Sequence[int], letters: Sequence[str],
@@ -884,7 +925,8 @@ def metacyclic(m: int, n: int, t: int, r: int, letters=("a", "b"),
     names = [_join_name([_name_power(la, i), _name_power(lb, j)])
              for j in range(n) for i in range(m)]
     gname = name or f"Metacyclic({m},{n},{t},{r})"
-    return FiniteGroup(table, names, name=gname, letters=tuple(letters))
+    return FiniteGroup(table, names, name=gname, letters=tuple(letters),
+                       _ints=True)
 
 
 def dihedral(order: int, cap: Optional[int] = None) -> FiniteGroup:
@@ -972,7 +1014,7 @@ def cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
         names.append(_join_name(parts))
     gname = name or f"{base.name}.C{n_ext}"
     return FiniteGroup(table, names, name=gname,
-                       letters=base.letters + (new_letter,))
+                       letters=base.letters + (new_letter,), _ints=True)
 
 
 def _mat_mul(A, B, p):
@@ -1056,7 +1098,8 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup,
         table.extend(list(map(add, left, tile)) for tile in tiles)
     name, letters = _product_names(G1, G2)
     names = [name(a, b) for a in range(G1.order) for b in range(n2)]
-    return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}", letters=letters)
+    return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}", letters=letters,
+                       _ints=True)
 
 
 def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
@@ -1113,7 +1156,8 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
              for a1, b1 in reps]
     name, letters = _product_names(G1, G2)
     names = ["1"] + [f"[{name(a, b)}]" for a, b in reps[1:]]
-    return FiniteGroup(table, names, name=f"{G1.name}~{G2.name}", letters=letters)
+    return FiniteGroup(table, names, name=f"{G1.name}~{G2.name}", letters=letters,
+                       _ints=True)
 
 
 def alternating5(cap: Optional[int] = None) -> FiniteGroup:
@@ -1122,19 +1166,12 @@ def alternating5(cap: Optional[int] = None) -> FiniteGroup:
     Product convention: (p*q) means apply p first, then q.
     """
     _check_cap(60, cap)
-    perms = []
-    for p in itertools.permutations(range(5)):
-        inversions = sum(1 for i in range(5) for j in range(i + 1, 5)
-                         if p[i] > p[j])
-        if inversions % 2 == 0:
-            perms.append(p)
-    perms.sort()
+    # the even permutations, in lexicographic order
+    perms = [p for p in itertools.permutations(range(5))
+             if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
     pos = {p: i for i, p in enumerate(perms)}
-
-    def compose(p, q):  # apply p then q
-        return tuple(q[p[i]] for i in range(5))
-
-    table = [[pos[compose(p, q)] for q in perms] for p in perms]
+    # itemgetter(*p)(q) = (q[p[0]], ..., q[p[4]]): p, then q
+    table = [list(map(pos.__getitem__, map(itemgetter(*p), perms))) for p in perms]
 
     def cycle_name(p):
         seen = [False] * 5
@@ -1154,7 +1191,7 @@ def alternating5(cap: Optional[int] = None) -> FiniteGroup:
         return "".join(parts) if parts else "1"
 
     names = [cycle_name(p) for p in perms]
-    return FiniteGroup(table, names, name="A5", letters=())
+    return FiniteGroup(table, names, name="A5", letters=(), _ints=True)
 
 
 def from_table(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (AlgElem, SquareZeroFamily, carry, hat, one_minus, one_plus,
-                      tilde)
+from .algebra import (AlgElem, SquareZeroFamily, carry, coeff_strings, hat,
+                      one_minus, one_plus, tilde)
 from .catalog import bj1_group, build_named, build_spec
 from .components import (
     MatrixCount,
@@ -621,10 +621,7 @@ class NDReport:
         wit = None
         if self.witness is not None:
             alpha, e = self.witness
-            wit = {"alpha": [[str(c.numerator), str(c.denominator)]
-                             for c in alpha.coeffs()],
-                   "e": [[str(c.numerator), str(c.denominator)]
-                         for c in e.coeffs()]}
+            wit = {"alpha": coeff_strings(alpha), "e": coeff_strings(e)}
         return {
             "group": spec or self.group_name,
             "verdict": self.verdict,

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .algebra import AlgElem, component_dimension, product_at_classes, tilde
+from .algebra import (AlgElem, _record_kernel, component_dimension,
+                      product_at_classes, tilde)
 from .errors import NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
     FiniteGroup,
@@ -24,6 +25,7 @@ from .groups import (
     commutator_subgroup,
     cosets,
     derived_subgroup,
+    is_normal,
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
@@ -217,6 +219,19 @@ def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     return True
 
 
+def _core(G: FiniteGroup, K: Subgroup, N: Subgroup,
+          lattice: dict[int, Subgroup]) -> Subgroup:
+    """core_G(K), the intersection of the conjugates K^t = t^-1 K t, read
+    off the lattice (mask -> subgroup): K when K is normal in G, else over
+    a right transversal of N = N_G(K), as K^(nt) = K^t for n in N."""
+    if is_normal(G, K):
+        return K
+    mask = K.mask
+    for t in cosets(N)[1][1:]:
+        mask &= sum(1 << G.conj(k, t) for k in K.members)
+    return lattice[mask]
+
+
 @dataclass
 class ShodaPair:
     """A subgroup pair with its idempotents and predicate verdicts."""
@@ -270,7 +285,9 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     Conversely orthogonal elements summing to 1 are idempotent
     (e_i = e_i * 1 = e_i^2), so the facts certified are those of the
     pairwise check, at the cost of one square per idempotent, decided at
-    the class representatives.
+    the class representatives. Each square is taken modulo core_G(K), the
+    kernel of e(G, H, K); that each generator of the core fixes e is
+    checked first (_record_kernel), so no scan of G looks for the kernel.
     """
     if "pcis" in G._cache and A is None:
         return G._cache["pcis"]
@@ -319,7 +336,10 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         total = total + sp.e
     if total != AlgElem.one(G):
         raise SoundnessError("PCIs must sum to 1")
+    lattice = {S.mask: S for S in subs}
     for sp in out:
+        _, N = _epsilon_centralizer(G, sp.H, sp.K)
+        _record_kernel(sp.e, _core(G, sp.K, N, lattice))
         if not sp.e.is_central_idempotent():
             raise SoundnessError("PCIs must be idempotent")
     if cache:

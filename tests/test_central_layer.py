@@ -18,10 +18,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qgring.algebra
+import qgring.shoda
 from qgring.algebra import AlgElem, product_at_classes
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import a5_special_pci, center_rank
-from qgring.errors import NotMetabelian
+from qgring.errors import NotMetabelian, SoundnessError
+from qgring.groups import full_subgroup
 from qgring.shoda import metabelian_pcis, pci_sanity
 from reference_components import (
     reference_center_rank,
@@ -147,3 +150,56 @@ def test_non_idempotent_pcis_raise_under_optimize():
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised PCIs must be idempotent"
+
+
+@pytest.mark.parametrize("name", ["D(200)", "X(Q(8),C(27))"])
+def test_pci_idempotency_is_decided_modulo_the_cores(name, monkeypatch):
+    # each e(G, H, K) is squared modulo core_G(K), with no scan of G for
+    # its kernel; the core is that kernel
+    G = _group(name)
+    G._cache.clear()
+    calls = []
+    orig = qgring.algebra.stabilizer
+
+    def counting(G, keeps):
+        calls.append(keeps)
+        return orig(G, keeps)
+
+    monkeypatch.setattr(qgring.algebra, "stabilizer", counting)
+    pcis = metabelian_pcis(G)
+    assert calls == []
+    for sp in pcis:
+        core = G._cache[("kernel", sp.e.den, tuple(sp.e.nums))]
+        assert core.mask == orig(G, qgring.algebra._fixes(sp.e)).mask
+
+
+def test_a_kernel_that_does_not_fix_e_raises(monkeypatch):
+    G = build_named("D12")
+    e = metabelian_pcis(G)[0].e
+    with pytest.raises(SoundnessError):
+        qgring.algebra._record_kernel(e, full_subgroup(G))
+    G._cache.clear()
+    monkeypatch.setattr(qgring.shoda, "_core",
+                        lambda G, K, N, lattice: full_subgroup(G))
+    with pytest.raises(SoundnessError):
+        metabelian_pcis(G)
+
+
+def test_a_kernel_that_does_not_fix_e_raises_under_optimize():
+    script = textwrap.dedent("""
+        import qgring.shoda
+        from qgring.catalog import build_named
+        from qgring.errors import SoundnessError
+        from qgring.groups import full_subgroup
+        qgring.shoda._core = lambda G, K, N, lattice: full_subgroup(G)
+        try:
+            qgring.shoda.metabelian_pcis(build_named("D12"))
+        except SoundnessError as exc:
+            print("raised", type(exc).__name__)
+    """)
+    src = str(Path(__file__).parent.parent / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised SoundnessError"

@@ -88,6 +88,17 @@ def test_table_validation_rejects_broken_tables():
         FiniteGroup(t, ["1"] + [f"g{i}" for i in range(1, n)])
 
 
+def _full_transformation_monoid():
+    """The 27 maps of {0, 1, 2} into itself, f*g = f then g, with the
+    identity at index 0 and the rest in lexicographic order: associative,
+    with a two-sided identity, but (0, 0, 0) at index 1 has no inverse."""
+    maps = list(itertools.product(range(3), repeat=3))
+    maps.remove((0, 1, 2))
+    maps.insert(0, (0, 1, 2))
+    pos = {f: i for i, f in enumerate(maps)}
+    return [[pos[tuple(g[x] for x in f)] for g in maps] for f in maps]
+
+
 # each rejection, with the first defect named in the order of the checks:
 # range, identity, rows, columns, associativity
 REJECTED = {
@@ -100,6 +111,10 @@ REJECTED = {
     "identity on one side": ([[0, 1, 2], [1, 2, 0], [1, 0, 2]],
                              "index 0 is not a two-sided identity"),
     "row not a permutation": ([[0, 1], [1, 1]], "row 1 is not a permutation"),
+    # the accept path reads right inverses off the rows: a monoid is a
+    # group only if each row holds 0
+    "associative monoid": (_full_transformation_monoid(),
+                           "row 1 is not a permutation"),
     "column-only defect": ([[0, 1, 2], [1, 2, 0], [2, 1, 0]],
                            "column 1 is not a permutation"),
     # a loop of order 5 with an involution: a Latin square, not a group
@@ -122,6 +137,14 @@ def test_each_rejection_names_its_defect(table, message):
 def test_table_entries_are_coerced_to_int():
     G = FiniteGroup([[0.0, 1.0], [1.0, 0.0]], ["1", "g"])
     assert G.table == [[0, 1], [1, 0]]
+    assert {type(v) for row in G.table for v in row} == {int}
+
+
+def test_numpy_table_entries_are_coerced_to_int():
+    np = pytest.importorskip("numpy")
+    C6 = cyclic(6)
+    G = FiniteGroup(np.array(C6.table, dtype=np.int64), C6.names)
+    assert G.table == C6.table
     assert {type(v) for row in G.table for v in row} == {int}
 
 

@@ -86,6 +86,18 @@ def test_cold_lattice_closes_few_joins(monkeypatch):
     assert bases == []
 
 
+def test_cold_lattice_names_most_cyclic_joins(monkeypatch):
+    G = build_spec("D(200)")
+    G._cache.clear()
+    bases = _record_closures(monkeypatch)
+    products = _record_calls(monkeypatch, qgring.groups, "_cyclic_join")
+    assert len(subgroups(G)) == 226
+    # 618 product sets when a level-2 join was not read off the first
+    # level's joins <C_s, C_q>
+    assert len(products) <= 209
+    assert bases == []
+
+
 def test_pci_enumeration_makes_few_subgroup_comparisons(monkeypatch):
     G = build_spec("X(D(8),EA(2,3))")
     G._cache.clear()
