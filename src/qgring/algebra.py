@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
-from .groups import FiniteGroup, Subgroup, cosets, stabilizer
+from .groups import FiniteGroup, Subgroup, _closure, cosets, stabilizer
 
 
 class AlgElem:
@@ -447,6 +447,9 @@ class SquareZeroFamily:
     runs over G, each u hit by |C_G(y)| of the g, and a candidate vanishes
     iff u lies in Y. So scan() decides the 2 |C_G(y)| |cl(y^-1) - Y|
     nonzero candidates of y, times each e, as one block of decisions.
+    For fixed e and side the u that pass are the stabilizer of F, a
+    subgroup containing Y (y hat(Y) = hat(Y) = hat(Y) y, e is central):
+    all shifts pass iff the generators of <Y, shifts> do.
     """
 
     def __init__(self, Y: Subgroup, idempotents: list[AlgElem],
@@ -493,18 +496,38 @@ class SquareZeroFamily:
         stopped. Only a block with a failure is walked candidate by
         candidate, to find the first failing test in search order within
         the budget.
+
+        The blocks the budget reaches are decided first by the generators
+        of <Y, their shifts>: each shift that Y and the shifts before it do
+        not generate. Only when one fails are the blocks decided one by
+        one. Every shift before the k-th generator lies in <Y, g_1 ..
+        g_(k-1)>, so the blocks decide every generator decided before their
+        own first failure: deciding the generators adds no decision.
         """
         if spent >= budget:
             return None, spent
         G, Y = self.group, self.Y
         n = len(self.idempotents)
+        blocks, gens, S, reach = [], [], Y, spent
         for y in Y.members[1:]:
             cls = G.class_of(G.inverse[y])
             shifts = [u for u in cls if not Y.contains(u)]
+            # |C_G(y)| = |G| / |cl(y^-1)| candidates per side and shift
+            blocks.append((y, shifts, n * 2 * (G.order // len(cls)) * len(shifts)))
+            for u in shifts:
+                if not S.contains(u):
+                    gens.append(u)
+                    S = Subgroup(G, _closure(G, (u,), S))
+            reach += blocks[-1][2]
+            if reach >= budget:
+                break
+        if all(self.invariant(i, left, u) for u in gens
+               for left in (True, False) for i in range(n)):
+            return None, min(reach, budget)
+        for y, shifts, cost in blocks:
             if all(self.invariant(i, left, u) for u in shifts
                    for left in (True, False) for i in range(n)):
-                # |C_G(y)| = |G| / |cl(y^-1)| candidates per side and shift
-                spent += n * 2 * (G.order // len(cls)) * len(shifts)
+                spent += cost
                 if spent >= budget:
                     return None, budget
                 continue

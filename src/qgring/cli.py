@@ -91,8 +91,10 @@ def _analyze(args) -> int:
 
     pred = _prediction_for(G, cls)
     if pred is not None:
-        pred["agreement"] = (pred["one_matrix"] == (cnt.exact == 1)
-                             if cnt.exact is not None else None)
+        count = pred["detail"].get("matrix_component_count")  # None if not given
+        pred["agreement"] = (None if cnt.exact is None
+                             else cnt.exact == count if count is not None
+                             else pred["one_matrix"] == (cnt.exact == 1))
 
     out = {
         "schema": SCHEMA,

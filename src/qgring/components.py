@@ -12,8 +12,10 @@ looks the group up in a table.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -582,23 +584,17 @@ def predict_nilpotent(params: dict) -> Prediction:
     if fam == "Hamiltonian":
         e_rank = params.get("e_rank", 0)
         invs = list(params.get("odd_invariants", []))
-        m = math.prod(invs) if invs else 1
-        for q in invs:
-            fac = prime_factors(q)
-            if len(fac) != 1 or 2 in fac:
-                raise InconsistentFamilyParams("odd_invariants must be odd prime powers")
-        matrix_positions = []
-        divisors = sorted({d for d in range(1, m + 1) if m % d == 0})
-        for d in divisors:
-            if d > 1 and ord_mod(d, 2) % 2 == 0:
-                matrix_positions.append(d)
-        copies = 2 ** e_rank
-        count = len(matrix_positions) * copies
+        if any(len(prime_factors(q)) != 1 or q % 2 == 0 for q in invs):
+            raise InconsistentFamilyParams("odd_invariants must be odd prime powers")
+        # Q8 x C2^e x A has 2^e matrix components per cyclic subgroup of A
+        # of an order d > 1 with ord_d(2) even: (elements of order d) / phi(d)
+        orders = Counter(math.lcm(*(q // math.gcd(a, q) for a, q in zip(t, invs)))
+                         for t in itertools.product(*map(range, invs)))
+        matrix_positions = [d for d in sorted(orders)
+                            if d > 1 and ord_mod(d, 2) % 2 == 0]
+        count = 2 ** e_rank * sum(orders[d] // euler_phi(d) for d in matrix_positions)
         one = count == 1
-        comp = None
-        if one:
-            p = matrix_positions[0]
-            comp = f"M_2(Q(zeta_{p}))"
+        comp = f"M_2(Q(zeta_{matrix_positions[0]}))" if one else None
         nd = "HasND" if count <= 1 else "NotND"
         return Prediction("Hamiltonian", params, one, comp, nd,
                           detail={"matrix_component_count": count})

@@ -434,9 +434,13 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
     their least element.
 
     Returns (index, reps): reps[i] is the least element of coset i and
-    index[x] is x's coset number, or -1 for x outside within.
+    index[x] is x's coset number, or -1 for x outside within. Both lists
+    are built once per group and shared by every caller: never mutate them.
     """
     G = S.parent
+    key = ("cosets", S.mask, None if within is None else within.mask, left)
+    if key in G._cache:
+        return G._cache[key]
     table = G.table
     index = [-1] * G.order
     reps: list[int] = []
@@ -451,6 +455,7 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
             else:
                 for s in S.members:
                     index[table[s][g]] = i
+    G._cache[key] = index, reps
     return index, reps
 
 

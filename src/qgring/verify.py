@@ -312,7 +312,9 @@ def rows_nilpotent() -> list[Row]:
                                ("X(Q(8),C(7))", 0, [7]),
                                ("X(Q(8),C(9))", 0, [9]),
                                ("X(X(Q(8),C(2)),C(3))", 1, [3]),
-                               ("X(Q(8),C(15))", 0, [3, 5])]:
+                               ("X(Q(8),C(15))", 0, [3, 5]),
+                               ("X(X(Q(8),C(3)),C(3))", 0, [3, 3]),
+                               ("X(X(Q(8),C(5)),C(5))", 0, [5, 5])]:
         G = build_spec(spec)
         cnt, _ = count_matrix_components(G)
         pred = predict_nilpotent({"family": "Hamiltonian", "e_rank": e_rank,

@@ -387,6 +387,37 @@ def test_analyze_decides_normality_once_per_subgroup(capsys, monkeypatch):
     assert len(decided) == len(set(decided)) <= 226
 
 
+def test_analyze_builds_each_transversal_once(capsys, monkeypatch):
+    built = []
+    init = qgring.groups.FiniteGroup.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    monkeypatch.setattr(qgring.groups.FiniteGroup, "__init__", recording)
+    code, _out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    # the 56 cosets() calls built 56 transversals before they were memoized
+    assert sum(isinstance(key, tuple) and key[0] == "cosets"
+               for G in built for key in G._cache) == 16
+
+
+@pytest.mark.parametrize("spec, count", [("X(X(Q(8),C(3)),C(3))", 4),
+                                         ("X(X(Q(8),C(5)),C(5))", 6)])
+def test_hamiltonian_count_with_a_noncyclic_odd_part(capsys, spec, count):
+    # Q8 x A with A = C_p x C_p has (p^2 - 1) / (p - 1) = p + 1 subgroups
+    # of order p; the count is compared, not only whether it is one
+    code, out, _ = run_cli(capsys, "--json", "analyze", spec)
+    assert code == 0
+    data = json.loads(out)
+    pred = data["prediction"]
+    assert data["matrix_count"] == count
+    assert pred["detail"]["matrix_component_count"] == count
+    assert pred["agreement"] is True
+
+
 def test_analyze_reads_each_normalizer_from_the_centralizer_memo(capsys,
                                                                 monkeypatch):
     callers = []

@@ -285,6 +285,14 @@ def test_predict_nilpotent_families():
     p = predict_nilpotent({"family": "Hamiltonian", "e_rank": 0,
                            "odd_invariants": [5]})
     assert p.one_matrix and p.component == "M_2(Q(zeta_5))"
+    # one matrix component per cyclic subgroup of A of order d with
+    # ord_d(2) even, 2^e_rank times
+    for e_rank, invs, count in [(0, [3, 5], 3), (1, [3], 2), (0, [3, 3], 4),
+                                (0, [5, 5], 6), (0, [3, 9], 7), (1, [3, 3], 8)]:
+        p = predict_nilpotent({"family": "Hamiltonian", "e_rank": e_rank,
+                               "odd_invariants": invs})
+        assert p.detail["matrix_component_count"] == count
+        assert not p.one_matrix and p.nd == "NotND"
     with pytest.raises(UnknownFamily):
         predict_nilpotent({"family": "BJ17"})
     with pytest.raises(InconsistentFamilyParams):

@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgring.algebra import AlgElem, SquareZeroFamily, tilde
-from qgring.catalog import build_named, build_spec
+from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import nilpotent_probe
-from qgring.errors import NotCentralIdempotent, SoundnessError
+from qgring.errors import NotCentralIdempotent, NotMetabelian, SoundnessError
 from qgring.groups import subgroup_generated, subgroups
-from qgring.props import nd_verdict, nd_witness_search
+from qgring.props import a5_shoda_idempotent, nd_verdict, nd_witness_search
 from qgring.shoda import metabelian_pcis
 from reference_search import reference_nd_witness_search, reference_nilpotent_probe
 
@@ -128,14 +128,14 @@ def test_budget_below_one_spends_nothing(budget):
 
 
 # invariance decisions (entries of SquareZeroFamily._memo) the witness
-# search makes at the harness budget, as the one-test-at-a-time loop made
-# them; blocks decided together must not add any
+# search makes at the harness budget: a family whose generators of
+# <Y, shifts> all pass decides nothing else
 DECISIONS = {
-    "SdCyc(3,8,2)": 336,
-    "SdCyc(5,8,2)": 288,
-    "SdCyc(3,16,2)": 288,
-    "SdCyc(5,16,2)": 256,
-    "SdCyc(13,8,5)": 288,
+    "SdCyc(3,8,2)": 42,
+    "SdCyc(5,8,2)": 36,
+    "SdCyc(3,16,2)": 18,
+    "SdCyc(5,16,2)": 16,
+    "SdCyc(13,8,5)": 12,
     "X(SdCyc(3,8,2),C(2))": 8,
 }
 
@@ -157,6 +157,95 @@ def _decisions(G, budget, monkeypatch):
 @pytest.mark.parametrize("spec", sorted(DECISIONS))
 def test_witness_search_decisions_are_pinned(spec, monkeypatch):
     assert _decisions(build_spec(spec), 50_000, monkeypatch) == DECISIONS[spec]
+
+
+def _shifts(Y):
+    """The shifts u in cl(y^-1) - Y of each y in Y - {1}, in scan order."""
+    G = Y.parent
+    return [[u for u in G.class_of(G.inverse[y]) if not Y.contains(u)]
+            for y in Y.members[1:]]
+
+
+def _generators(Y, shifts):
+    """The shifts that Y and the shifts before them do not generate."""
+    gens, S = [], Y
+    for u in shifts:
+        if not S.contains(u):
+            gens.append(u)
+            S = subgroup_generated(Y.parent, Y.members + tuple(gens))
+    return gens
+
+
+def _central_idempotents(G):
+    try:
+        return [sp.e for sp in metabelian_pcis(G)]
+    except NotMetabelian:
+        return [a5_shoda_idempotent(G)[3]]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_generators_of_the_shifts_decide_every_shift(name):
+    # the shifts that leave hat(Y) e unchanged form a subgroup containing
+    # Y, so the generators of <Y, shifts> pass iff every shift does
+    G = build_named(name)
+    pcis = _central_idempotents(G)
+    for Y in subgroups(G)[1:-1]:
+        shifts = [u for block in _shifts(Y) for u in block]
+        gens = _generators(Y, shifts)
+        for residues in (True, False):
+            fam = SquareZeroFamily(Y, pcis, residues=residues)
+            for i in range(len(pcis)):
+                for left in (True, False):
+                    assert (all(fam.invariant(i, left, u) for u in gens)
+                            == all(fam.invariant(i, left, u) for u in shifts))
+
+
+def _scan_starts(G, pcis, budget, monkeypatch):
+    """(family, spent when its scan began) for each scan of a search with
+    this budget, in order."""
+    starts = []
+    scan = SquareZeroFamily.scan
+
+    def recording_scan(self, spent, budget):
+        starts.append((self, spent))
+        return scan(self, spent, budget)
+
+    monkeypatch.setattr(SquareZeroFamily, "scan", recording_scan)
+    nd_witness_search(G, pcis, budget=budget)
+    monkeypatch.undo()
+    return starts
+
+
+@pytest.mark.parametrize("name", ["C3rC8", "Q12", "A4", "Q16", "D12"])
+def test_decisions_stay_within_the_blocks_the_budget_reaches(name, monkeypatch):
+    G = build_named(name)
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    n = len(pcis)
+    # (spend when the block begins, spend when it ends, 2 n |shifts|)
+    blocks = []
+    for fam, start in _scan_starts(G, pcis, EXHAUSTION[name] + 1, monkeypatch):
+        for shifts in _shifts(fam.Y):
+            # |C_G(y)| candidates per side and shift, |cl(y^-1)| = |G| / |C_G(y)|
+            cls = len(G.class_of(shifts[0])) if shifts else 1
+            end = start + n * 2 * (G.order // cls) * len(shifts)
+            blocks.append((start, end, 2 * n * len(shifts)))
+            start = end
+    budgets = {1, 2, EXHAUSTION[name]}.union(
+        *({end - 1, end, end + 1} for _, end, _ in blocks))
+    families = []
+    init = SquareZeroFamily.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        families.append(self)
+
+    for budget in sorted(b for b in budgets if b >= 1):
+        families.clear()
+        monkeypatch.setattr(SquareZeroFamily, "__init__", recording_init)
+        nd_witness_search(G, pcis, budget=budget)
+        monkeypatch.undo()
+        bound = sum(most for begin, _, most in blocks if begin < budget)
+        assert sum(len(fam._memo) for fam in families) <= bound, budget
 
 
 def test_witness_in_the_first_block_takes_at_most_two_decisions(monkeypatch):
