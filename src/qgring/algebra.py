@@ -22,7 +22,7 @@ from .groups import FiniteGroup, Subgroup, _closure, cosets, stabilizer
 class AlgElem:
     """An element sum(c_g * g) of Q[G] with exact rational coefficients."""
 
-    __slots__ = ("group", "den", "nums", "_support")
+    __slots__ = ("group", "den", "nums", "_support", "_key")
 
     def __init__(self, group: FiniteGroup, nums: list[int], den: int = 1,
                  _normalized: bool = False):
@@ -44,6 +44,7 @@ class AlgElem:
         self.den = den
         self.nums = nums
         self._support: Optional[tuple[int, ...]] = None
+        self._key: Optional[tuple] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -95,15 +96,18 @@ class AlgElem:
         return Fraction(sum(self.nums), self.den)
 
     def key(self) -> tuple:
-        """Canonical hashable key (used for dedup and deterministic sort)."""
-        return (self.den, tuple(self.nums))
+        """Canonical hashable key (den, tuple(nums)) for dedup, sort, hashing
+        and the fact memo; built once, as elements are immutable values."""
+        if self._key is None:
+            self._key = (self.den, tuple(self.nums))
+        return self._key
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgElem) and other.group is self.group
                 and other.den == self.den and other.nums == self.nums)
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.den, tuple(self.nums)))
+        return hash((id(self.group),) + self.key())
 
     def __repr__(self) -> str:
         parts = []
@@ -256,12 +260,14 @@ def coeff_strings(x: AlgElem) -> list[list[str]]:
 
 
 def _memo(e: AlgElem, fact: str, decide) -> bool:
-    """decide(e), computed once per element and group."""
-    key = (fact, e.den, tuple(e.nums))
+    """decide(e), computed once per element value and group: the memo key
+    is (fact,) + e.key(), so equal elements share their facts."""
+    key = (fact,) + e.key()
     cache = e.group._cache
-    if key not in cache:
-        cache[key] = decide(e)
-    return cache[key]
+    hit = cache.get(key)  # one hash of the |G|-tuple on a hit
+    if hit is None:
+        hit = cache[key] = decide(e)
+    return hit
 
 
 def _constant_on_classes(e: AlgElem) -> bool:
@@ -289,7 +295,7 @@ def _record_kernel(e: AlgElem, N: Subgroup) -> None:
     if not all(map(_fixes(e), N.gens)):
         raise SoundnessError(f"{N!r} does not fix the central element it "
                              "was proposed as a kernel of")
-    e.group._cache[("kernel", e.den, tuple(e.nums))] = N
+    e.group._cache[("kernel",) + e.key()] = N
 
 
 def _idempotent_at_classes(e: AlgElem) -> bool:
@@ -313,7 +319,7 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     """
     G = e.group
     nums, table = e.nums, G.table
-    N = G._cache.get(("kernel", e.den, tuple(nums)))
+    N = G._cache.get(("kernel",) + e.key())
     if N is None:
         N = stabilizer(G, _fixes(e))
     index, reps = cosets(N, left=True)
@@ -371,12 +377,13 @@ def center_rank(G: FiniteGroup, e: AlgElem) -> int:
     on Z(Q[G]). For a central idempotent e that map is idempotent, so its
     rank is its trace in the basis of class sums C_i: the sum over i of
     the coefficient of the representative r_i in C_i * e, which is the sum
-    of e[g^-1 r_i] over g in C_i."""
+    of e[g^-1 r_i] over g in C_i. The points g^-1 r_i are listed once per
+    group, on first use, so the trace is one gather."""
     _require_central_idempotent(G, e)
-    rows = list(map(G.table.__getitem__, G.inverse))  # the row of g^-1 at g
-    at = e.nums.__getitem__
-    trace = sum(sum(map(at, map(itemgetter(cls[0]), map(rows.__getitem__, cls))))
-                for cls in G.conjugacy_classes())
+    if "rank_points" not in G._cache:
+        G._cache["rank_points"] = [G.table[G.inverse[g]][cls[0]]
+                                   for cls in G.conjugacy_classes() for g in cls]
+    trace = sum(map(e.nums.__getitem__, G._cache["rank_points"]))
     rank, rem = divmod(trace, e.den)
     if rem:
         raise SoundnessError(f"the trace {trace}/{e.den} of a central idempotent "

@@ -13,7 +13,9 @@ central idempotents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Optional
 
 from .algebra import (AlgElem, _record_kernel, component_dimension,
@@ -90,10 +92,14 @@ def _epsilon_centralizer(G: FiniteGroup, H: Subgroup,
 
 
 def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
-    """The sum of eps^t = t^-1 eps t over t in transversal."""
+    """The sum of eps^t = t^-1 eps t over t in transversal. eps^1 = eps is
+    added whole, with no conjugation (the transversal is {1} for K normal)."""
     G = eps.group
     out = [0] * G.order
     for t in transversal:
+        if t == 0:
+            out = list(map(add, out, eps.nums))
+            continue
         for x in eps.support:
             out[G.conj(x, t)] += eps.nums[x]
     return AlgElem(G, out, eps.den)
@@ -276,6 +282,9 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     deduplicated e(G, H, K) over the maximal-abelian pair enumeration.
     Every pair it yields is a strong Shoda pair (Olivieri, del Rio and
     Simon, Theorem 4.7); one that fails the test raises SoundnessError.
+    A candidate (H, K) is tested for a cyclic H/K only when [H : K]
+    divides exp(H), the lcm of H's element orders: a cyclic H/K has order
+    [H : K], which divides exp(H), so no pair is lost.
 
     Postconditions checked (SoundnessError otherwise): the idempotents are
     central, sum to 1 and are idempotent. These three imply that they are
@@ -303,6 +312,9 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     over_A = [B for B in subs if A <= B]
     derived_of = {B.mask: commutator_subgroup(G, B.gens, B.gens).mask
                   for B in over_A}
+    orders = G.element_orders()
+    exponent = {B.mask: math.lcm(*map(orders.__getitem__, B.members))
+                for B in over_A}
     pairs: list[tuple[Subgroup, Subgroup]] = []
     for K in subs:
         # B ranges over subgroups with A <= B, B' <= K <= B
@@ -310,7 +322,8 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
                  if K <= B and derived_of[B.mask] | K.mask == K.mask]
         maximal = [B for B in cands if not any(B < C for C in cands)]
         for H in maximal:
-            if section_generator(H, K) is not None:
+            if (exponent[H.mask] % (H.order // K.order) == 0
+                    and section_generator(H, K) is not None):
                 pairs.append((H, K))
     # H descending by order, K ascending
     pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))

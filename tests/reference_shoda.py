@@ -2,7 +2,9 @@
 
 These are the original `epsilon` (the product of tilde(K) - tilde(M) over
 the minimal normal subgroups M/K of H/K, read off G's subgroup lattice),
-`section_generator` (one element of H at a time), `_strong_shoda` (which
+`section_generator` (one element of H at a time), the maximal-abelian pair
+enumeration of `metabelian_pcis` (every candidate tested for a cyclic H/K,
+with no exponent filter), `_strong_shoda` (which
 compares the centralizer of epsilon with N_G(K) before its orthogonality
 loop), `is_shoda_pair`, `e_idem` (a sum of conjugates over a transversal
 of that centralizer), the centrality test `_fixed_by_generators` (conjugation by
@@ -23,6 +25,7 @@ from qgring.errors import NotNormalInH, SoundnessError
 from qgring.groups import (
     FiniteGroup,
     Subgroup,
+    commutator_subgroup,
     minimal_normal_subgroups_of_quotient,
     normalizes,
     stabilizer,
@@ -76,6 +79,25 @@ def reference_section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
         if not any(K.contains(G.power(h, k)) for k in steps):
             return h
     return None
+
+
+def reference_maximal_abelian_pairs(
+        subs: list[Subgroup], A: Subgroup) -> list[tuple[Subgroup, Subgroup]]:
+    """The pairs (H, K) of subgroups in subs with H maximal among the B
+    with A <= B and B' <= K <= B, and H/K cyclic; H descending by order,
+    K ascending, as metabelian_pcis tests them."""
+    G = A.parent
+    over_A = [(B, commutator_subgroup(G, B.members, B.members))
+              for B in subs if A <= B]
+    pairs = []
+    for K in subs:
+        cands = [B for B, derived in over_A if derived <= K <= B]
+        for H in cands:
+            if (not any(H < C for C in cands)
+                    and reference_section_generator(H, K) is not None):
+                pairs.append((H, K))
+    pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))
+    return pairs
 
 
 def _right_transversal(G: FiniteGroup, C: Subgroup, reverse: bool = False) -> list[int]:

@@ -39,6 +39,9 @@ from reference_components import (
 CORPUS = ["D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))", "SdCyc(7,27,2)",
           "SdCyc(3,8,2)", "SdCyc(5,8,2)", "SdCyc(3,16,2)", "SdCyc(5,16,2)",
           "SdCyc(13,8,5)", "X(SdCyc(3,8,2),C(2))"]
+# groups of the benchmark's family-sweep workload
+FAMILY = ["SdCyc(13,12,2)", "SdCyc(47,4,46)",
+          "SdVec(2,4,[[0,0,0,1],[1,0,0,1],[0,1,0,1],[0,0,1,1]],5)"]
 
 
 def _group(name):
@@ -57,7 +60,7 @@ def _same_subgroup(A, B):
     return (A.mask, A.gens) == (B.mask, B.gens)
 
 
-@pytest.mark.parametrize("name", catalog_names() + CORPUS)
+@pytest.mark.parametrize("name", catalog_names() + CORPUS + FAMILY)
 def test_central_facts_match_reference(name):
     G = _group(name)
     pairs = _pairs(G)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qgring.catalog import bj1_group, build_named, build_spec
+from qgring.catalog import bj1_group, bj2_group, build_named, build_spec
 from qgring.errors import (
     BNotAbelian,
     InconsistentSpec,
@@ -25,18 +25,22 @@ from qgring.groups import (
     alternating5,
     central_product,
     cyclic,
+    cyclic_extension,
     dihedral,
     direct_product,
+    elementary_abelian,
     find_isomorphism,
     from_table,
     is_normal,
     maximal_abelian_over,
+    metacyclic,
     metacyclic_amitsur,
     minimal_normal_subgroups_of_quotient,
     normalizer,
     order_q_matrix,
     quaternion,
     quotient,
+    semidirect_cyclic,
     semidirect_vector,
     subgroup_generated,
     subgroups,
@@ -149,11 +153,19 @@ def test_numpy_table_entries_are_coerced_to_int():
 
 
 def test_new_groups_start_with_an_empty_cache():
+    # every per-group memo (classes, rank points, transversals, ...) is
+    # built on first use, never at construction
+    C9 = cyclic(9)
+    x = C9.element("x")
     groups = [cyclic(200), dihedral(8), quaternion(16), alternating5(),
               semidirect_vector(3, 2, [[0, 1], [1, 1]], 8),
               direct_product(dihedral(8), cyclic(3)),
               central_product(dihedral(8), quaternion(8)),
-              from_table(dihedral(8).table)]
+              from_table(dihedral(8).table),
+              metacyclic(8, 4, 4, 7), semidirect_cyclic(13, 12, 2),
+              cyclic_extension(C9, {x: C9.power(x, 4)}, 3, 0, "c"),
+              elementary_abelian(2, 4), bj1_group(2, 3, 2),
+              bj2_group(dihedral(8), 4)]
     for G in groups:
         assert G._cache == {}, G.name
 

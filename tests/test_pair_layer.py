@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgring.catalog
+import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
-from qgring.errors import SoundnessError
-from qgring.groups import normalizer, subgroups
+from qgring.errors import NotMetabelian, SoundnessError
+from qgring.groups import (derived_subgroup, maximal_abelian_over, normalizer,
+                           subgroups)
 from qgring.shoda import (
     _epsilon_centralizer,
     _is_normal_in,
@@ -28,15 +30,18 @@ from qgring.shoda import (
     epsilon,
     is_shoda_pair,
     is_strong_shoda_pair,
+    metabelian_pcis,
     section_generator,
 )
 from invariants import relabel
+from test_workloads import workloads  # noqa: F401  (the fixture)
 from reference_components import reference_centralizer_subgroup
 from reference_shoda import (
     reference_e_idem,
     reference_epsilon,
     reference_fixed_by_generators,
     reference_is_shoda_pair,
+    reference_maximal_abelian_pairs,
     reference_normalizer,
     reference_section_generator,
     reference_strong_shoda,
@@ -122,6 +127,58 @@ def test_strong_check_refuses_a_wrong_centralizer_in_the_memo(cold):
     G._cache[("epsilon", H.mask, K.mask)] = (reference_epsilon(H, K), wrong)
     with pytest.raises(SoundnessError):
         is_strong_shoda_pair(G, H, K)
+
+
+def _check_pairs_match_reference(G, monkeypatch):
+    """The pairs metabelian_pcis puts to the strong Shoda test, in order,
+    are those of the unfiltered enumeration."""
+    if not derived_subgroup(G).is_abelian():
+        with pytest.raises(NotMetabelian):
+            metabelian_pcis(G)
+        return
+    tested = []
+    strong = qgring.shoda.is_strong_shoda_pair
+
+    def recording(G, H, K):
+        tested.append((H.mask, K.mask))
+        return strong(G, H, K)
+
+    with monkeypatch.context() as m:
+        m.setattr(qgring.shoda, "is_strong_shoda_pair", recording)
+        metabelian_pcis(G)
+    A = maximal_abelian_over(G, derived_subgroup(G))
+    assert tested == [(H.mask, K.mask) for H, K
+                      in reference_maximal_abelian_pairs(subgroups(G), A)]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_exponent_filter_keeps_every_pair_on_the_catalog(name, cold, monkeypatch):
+    _check_pairs_match_reference(build_spec(name), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["analyze-large", "family-sweep", "witness-search"])
+def test_exponent_filter_keeps_every_pair_on_the_workloads(name, workloads, cold,
+                                                           monkeypatch):
+    # the groups each benchmark op builds; analyze-large holds D(200)
+    for op in workloads.build_ops(name):
+        _check_pairs_match_reference(workloads._build(op.build), monkeypatch)
+
+
+@pytest.mark.parametrize("spec, calls", [("EA(2,4)", 48), ("X(C(4),EA(2,3))", 107)])
+def test_exponent_filter_skips_the_sections_it_rules_out(spec, calls, cold,
+                                                        monkeypatch):
+    # 99 and 166 calls when every candidate's section is tested
+    G = build_spec(spec)
+    made = []
+    orig = qgring.shoda.section_generator
+
+    def counting(H, K):
+        made.append((H.mask, K.mask))
+        return orig(H, K)
+
+    monkeypatch.setattr(qgring.shoda, "section_generator", counting)
+    metabelian_pcis(G)
+    assert len(made) == calls
 
 
 CENTRAL_GROUPS = ["D12", "Q16", "A4", "C3rC8", "BJ9", "relabelled D12"]
