@@ -79,18 +79,20 @@ class FiniteGroup:
         every x has a right inverse y (x*y = 0, as row x holds 0), and such
         a monoid is a group: with y*z = 0 too, x = x*(y*z) = (x*y)*z = z,
         so y*x = 0. This accepts exactly the groups, the tables with
-        permutation rows, two-sided identity and associativity. Only a
-        table that fails is checked again, defect by defect, to name the
-        first: entries out of range, identity, rows, columns, associativity.
+        permutation rows, two-sided identity and associativity.
+
+        Up to order 256 the checks run on byte copies of the rows, each as
+        one C-level pass (_is_byte_group); bytes.translate reads through a
+        256-byte map only, so larger tables are checked on the int rows
+        (_is_int_group). Only a table that fails is checked again, defect
+        by defect, to name the first: entries out of range, identity, rows,
+        columns, associativity.
         """
         n = self.order
+        if self._is_byte_group() if n <= 256 else self._is_int_group():
+            return
         table = self.table
         ident = list(range(n))
-        if (n and all(len(row) == n for row in table)
-                and set(itertools.chain.from_iterable(table)) <= set(ident)
-                and table[0] == ident and [row[0] for row in table] == ident
-                and all(0 in row for row in table) and self._is_associative()):
-            return
         if not n or any(len(row) != n or min(row) < 0 or max(row) >= n
                         for row in table):
             raise InconsistentSpec("table entries out of range")
@@ -104,12 +106,42 @@ class FiniteGroup:
                 raise InconsistentSpec(f"column {j} is not a permutation")
         raise InconsistentSpec("multiplication table is not associative")
 
-    def _is_associative(self) -> bool:
-        """Light's test, on a table with entries in range and index 0 as
-        identity: every element is a product of the generators that
-        stabilizer picks."""
+    def _is_byte_group(self) -> bool:
+        """The accept test of _validate on byte copies of the rows, which
+        are not kept; for order n <= 256."""
+        n = self.order
+        try:
+            rows = list(map(bytes, self.table))
+        except ValueError:  # an entry outside 0..255
+            return False
+        ident = bytes(range(n))
+        if not (n and all(len(row) == n for row in rows)
+                and not b"".join(rows).translate(None, ident)
+                and rows[0] == ident and bytes(map(itemgetter(0), rows)) == ident
+                and all(0 in row for row in rows)):
+            return False
+        pad = bytes(256 - n)
+        padded = [row + pad for row in rows]
+        # Light's test: the row of x*g is g's row translated through x's;
+        # the generators are not cached, as a new group's _cache starts empty
+        for g in stabilizer(self, lambda g: True).gens:
+            if (list(map(rows.__getitem__, map(itemgetter(g), rows)))
+                    != list(map(rows[g].translate, padded))):
+                return False
+        return True
+
+    def _is_int_group(self) -> bool:
+        """The accept test of _validate on the int rows; for order
+        n > 256."""
+        n = self.order
         table = self.table
-        # not cached: a new group's _cache starts empty
+        ident = list(range(n))
+        if not (all(len(row) == n for row in table)
+                and set(itertools.chain.from_iterable(table)) <= set(ident)
+                and table[0] == ident and [row[0] for row in table] == ident
+                and all(0 in row for row in table)):
+            return False
+        # Light's test, as in _is_byte_group
         for g in stabilizer(self, lambda g: True).gens:
             times_g = itemgetter(*table[g])  # n > 1 when there is a generator
             if any(table[row[g]] != list(times_g(row)) for row in table):
@@ -274,6 +306,13 @@ def _cyclic_seeds(G: FiniteGroup) -> tuple[list[list[int]], list[int]]:
                 walks.append(powers)
         G._cache["cyclic_seeds"] = walks, seed_of
     return G._cache["cyclic_seeds"]
+
+
+def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """The cyclic subgroups <g> != 1 of _cyclic_seeds, in seed order, each
+    generated by its least generator g."""
+    return [Subgroup(G, sum(map((1).__lshift__, p)), (p[0],))
+            for p in _cyclic_seeds(G)[0]]
 
 
 def _closure(G: FiniteGroup, gens: Iterable[int],
@@ -493,6 +532,16 @@ def _cyclic_join(table: list[list[int]], bits: list[int], H: Subgroup,
         yH for j, yH in enumerate(cosets, 1) if math.gcd(j, m) == 1)
 
 
+def _joins_by_order(J: dict[int, int]) -> list[tuple[int, int, list[int]]]:
+    """The joins J(s, q) of one seed s as (order, mask, its seeds q),
+    largest first."""
+    by_mask: dict[int, list[int]] = {}
+    for q, mask in J.items():
+        by_mask.setdefault(mask, []).append(q)
+    return sorted(((m.bit_count(), m, qs) for m, qs in by_mask.items()),
+                  reverse=True)
+
+
 def subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups of G, each exactly once, sorted by (order, mask).
 
@@ -509,7 +558,8 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
       end;
     - from the second level on, for each seed C_s of a generator of H,
       every seed q with H <= J(s, q) has <H, C_q> = J(s, q): that join holds
-      H and C_q, and <H, C_q> holds C_s and C_q.
+      H and C_q, and <H, C_q> holds C_s and C_q. The joins J(s, .) are
+      grouped and sorted by order the first time such an H needs them.
     A seed not in it is joined as follows.
     - If c normalizes H (tested on H.gens), <H, c> is _cyclic_join's product
       set, and the elements it returns name it.
@@ -531,8 +581,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
         bits = [1 << x for x in range(G.order)]
         seed_powers, seed_of = _cyclic_seeds(G)
         seed_at = seed_of.__getitem__
-        seeds = [Subgroup(G, sum(map(bits.__getitem__, p)), (p[0],))
-                 for p in seed_powers]
+        seeds = cyclic_subgroups(G)
         units: dict[int, list[int]] = {}  # seed j -> the generators of C_j
         seen: dict[int, Subgroup] = {1: Subgroup(G, 1)}
         seen.update((C.mask, C) for C in seeds)
@@ -540,6 +589,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
         full = (1 << G.order) - 1
         frontier, first = seeds, True
         seed_joins: list[dict[int, int]] = []  # J(s, q), by s then q
+        joins_of: dict[int, list] = {}  # s -> _joins_by_order(J(s, .))
         while frontier:
             new: list[Subgroup] = []
             for i, H in enumerate(frontier):
@@ -550,6 +600,8 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                     seed_joins.append(join)
                 else:
                     for s in dict.fromkeys(map(seed_at, H.gens)):
+                        if s not in joins_of:
+                            joins_of[s] = _joins_by_order(seed_joins[s])
                         for size, mask, qs in joins_of[s]:
                             if size <= H.order:  # J(s, q) = H or H is not in it
                                 break
@@ -592,14 +644,6 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         new.append(sub)
                         _check_subgroup_count(G, seen)
                     join.update(dict.fromkeys(map(seed_at, names), mask))
-            if first:  # each J(s, .) as (order, mask, its seeds q), largest first
-                joins_of = []
-                for J in seed_joins:
-                    by_mask: dict[int, list[int]] = {}
-                    for q, mask in J.items():
-                        by_mask.setdefault(mask, []).append(q)
-                    joins_of.append(sorted(((m.bit_count(), m, qs) for m, qs
-                                            in by_mask.items()), reverse=True))
             frontier = new
             first = False
         subs = sorted(seen.values(), key=lambda s: (s.order, s.mask))

@@ -41,10 +41,12 @@ from .groups import (
     center,
     centralizer,
     cosets,
+    cyclic_subgroups,
     derived_subgroup,
     find_isomorphism,
     full_subgroup,
     is_nilpotent_group,
+    is_normal,
     is_solvable_group,
     normal_subgroups,
     normalizes,
@@ -164,8 +166,11 @@ def is_ncn(G: FiniteGroup) -> bool:
 
 
 def is_hamiltonian(G: FiniteGroup) -> bool:
+    """G is non-abelian and every subgroup is normal. Each subgroup is
+    the join of its cyclic subgroups, and a join of normal subgroups is
+    normal, so the cyclic subgroups decide it, with no lattice."""
     return (not G.is_abelian()
-            and len(normal_subgroups(G)) == len(subgroups(G)))
+            and all(is_normal(G, C) for C in cyclic_subgroups(G)))
 
 
 def _int_log(base: int, value: int) -> int:

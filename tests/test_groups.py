@@ -1,8 +1,10 @@
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,7 @@ from qgring.groups import (
     subgroup_generated,
     subgroups,
 )
+from reference_builders import reference_cyclic, reference_metacyclic
 from invariants import (
     conjugate_subgroup,
     fingerprint,
@@ -63,14 +66,21 @@ def test_trivial_group():
     assert G.order == 1 and G.names == ["1"]
 
 
-def _c200_intercalate():
-    """C200 with the intercalate at rows 1, 101 and columns 2, 102 swapped:
-    still a Latin square with identity 0, but not associative."""
-    n = 200
+def _cyclic_table(n, edits=()):
+    """The table of C_n with t[i][j] = v for each (i, j, v) of edits."""
     t = [[(i + j) % n for j in range(n)] for i in range(n)]
-    for i, j in ((1, 2), (1, 102), (101, 2), (101, 102)):
-        t[i][j] = (t[i][j] + 100) % n
+    for i, j, v in edits:
+        t[i][j] = v
     return t
+
+
+def _intercalate(n):
+    """C_n (n even) with the intercalate at rows 1, 1 + n/2 and columns
+    2, 2 + n/2 swapped: still a Latin square with identity 0, but not
+    associative."""
+    h = n // 2
+    return _cyclic_table(n, [(i, j, (i + j + h) % n)
+                             for i in (1, 1 + h) for j in (2, 2 + h)])
 
 
 def test_table_validation_rejects_broken_tables():
@@ -85,7 +95,7 @@ def test_table_validation_rejects_broken_tables():
     with pytest.raises(InconsistentSpec):
         FiniteGroup(t, ["1", "a", "b"])
     n = 200
-    t = _c200_intercalate()
+    t = _intercalate(n)
     assert all(len(set(row)) == n for row in t)
     assert all(len(set(col)) == n for col in zip(*t))
     with pytest.raises(InconsistentSpec):
@@ -125,8 +135,20 @@ REJECTED = {
     "not associative": ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
                         "multiplication table is not associative"),
-    "not associative, Latin": (_c200_intercalate(),
+    "not associative, Latin": (_intercalate(200),
                                "multiplication table is not associative"),
+    # up to order 256 the accept test runs on byte rows: an entry that is
+    # no byte, and one that is a byte but not an element
+    "entry 256": ([[0, 1], [1, 256]], "table entries out of range"),
+    "entry 255, order 200": (_cyclic_table(200, [(3, 4, 255)]),
+                             "table entries out of range"),
+    # above order 256 it runs on the int rows
+    "entry out of range, order 300": (_cyclic_table(300, [(5, 7, 300)]),
+                                      "table entries out of range"),
+    "row not a permutation, order 300": (_cyclic_table(300, [(7, 9, 17)]),
+                                         "row 7 is not a permutation"),
+    "not associative, Latin, order 300": (
+        _intercalate(300), "multiplication table is not associative"),
 }
 
 
@@ -136,6 +158,148 @@ def test_each_rejection_names_its_defect(table, message):
     with pytest.raises(InconsistentSpec) as info:
         FiniteGroup(table, names)
     assert str(info.value) == message
+
+
+def _first_defect(table):
+    """The message the table checks raise for table, read off the
+    definitions with every triple tested for associativity; None for a
+    group."""
+    n = len(table)
+    ident = list(range(n))
+    if not n or any(len(row) != n or not all(0 <= v < n for v in row)
+                    for row in table):
+        return "table entries out of range"
+    if table[0] != ident or [row[0] for row in table] != ident:
+        return "index 0 is not a two-sided identity"
+    for i, row in enumerate(table):
+        if sorted(row) != ident:
+            return f"row {i} is not a permutation"
+    for j, col in enumerate(zip(*table)):
+        if sorted(col) != ident:
+            return f"column {j} is not a permutation"
+    if any(table[table[x][y]][z] != table[x][table[y][z]]
+           for x, y, z in itertools.product(range(n), repeat=3)):
+        return "multiplication table is not associative"
+    return None
+
+
+def _mutated(table, rng):
+    """table with one random defect, or relabelled (a group again when the
+    relabelling fixes 0)."""
+    n = len(table)
+    t = [row[:] for row in table]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    kind = rng.randrange(6)
+    if kind == 0:
+        t[i][j] = rng.choice([-1, 0, 1, n - 1, n, 255, 256])
+    elif kind == 1:
+        t[i][j], t[i][k] = t[i][k], t[i][j]
+    elif kind == 2:
+        t[i], t[j] = t[j], t[i]
+    elif kind == 3:
+        for row in t:
+            row[i], row[j] = row[j], row[i]
+    elif kind == 4:  # an intercalate off row and column 0 turned: Latin still
+        for _ in range(n * n):
+            i, j, k = (rng.randrange(1, n) for _ in range(3))
+            m = t[j].index(t[i][k])
+            if i != j and m and t[j][k] == t[i][m]:
+                t[i][k], t[i][m], t[j][k], t[j][m] = t[i][m], t[i][k], t[j][m], t[j][k]
+                break
+    else:
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        if rng.random() < 0.2:  # the identity moves too
+            rng.shuffle(perm)
+        inv = {p: x for x, p in enumerate(perm)}
+        t = [[perm[table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    return t
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "Q8", "A4", "Q12", "C(2)", "C(7)",
+                                  "EA(2,3)"])
+def test_byte_rows_decide_as_the_definitions_do(name):
+    # the accept test on byte rows and the defect-by-defect reject path
+    # give every table the verdict and the first defect the definitions give
+    table = (build_spec(name) if "(" in name else build_named(name)).table
+    rng = random.Random(name)
+    for _ in range(150):
+        t = _mutated(table, rng)
+        try:
+            FiniteGroup(t, [f"g{i}" for i in range(len(t))])
+            got = None
+        except InconsistentSpec as exc:
+            got = str(exc)
+        assert got == _first_defect(t), t
+
+
+def test_each_rejection_names_its_defect_under_optimize():
+    # the checks raise InconsistentSpec themselves, never through assert
+    script = textwrap.dedent("""
+        import json, sys
+        from qgring.errors import InconsistentSpec
+        from qgring.groups import FiniteGroup
+        for table in json.load(sys.stdin):
+            try:
+                FiniteGroup(table, [f"g{i}" for i in range(len(table))])
+                print("accepted")
+            except InconsistentSpec as exc:
+                print(exc)
+    """)
+    tables = [table for table, _ in REJECTED.values()]
+    src = str(Path(__file__).parent.parent / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         input=json.dumps(tables), capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [message for _, message in REJECTED.values()]
+
+
+def _checked_on(monkeypatch):
+    """The accept test each FiniteGroup from here on runs: "bytes" or
+    "ints"."""
+    paths = []
+    for method, path in (("_is_byte_group", "bytes"), ("_is_int_group", "ints")):
+        orig = getattr(FiniteGroup, method)
+
+        def recording(self, orig=orig, path=path):
+            paths.append(path)
+            return orig(self)
+
+        monkeypatch.setattr(FiniteGroup, method, recording)
+    return paths
+
+
+@pytest.mark.parametrize("build, reference, path", [
+    (lambda: cyclic(256, cap=256), lambda: reference_cyclic(256, cap=256), "bytes"),
+    (lambda: cyclic(300, cap=300), lambda: reference_cyclic(300, cap=300), "ints"),
+    (lambda: dihedral(300, cap=300),
+     lambda: reference_metacyclic(150, 2, 0, 149, cap=300, name="D300"), "ints"),
+], ids=["C256", "C300", "D300"])
+def test_tables_up_to_order_256_are_checked_on_bytes(build, reference, path,
+                                                     monkeypatch):
+    R = reference()
+    paths = _checked_on(monkeypatch)
+    G = build()
+    assert paths == [path]
+    assert (G.table, G.names, G.name) == (R.table, R.names, R.name)
+
+
+@pytest.mark.parametrize("convert", [
+    lambda t: [[float(v) for v in row] for row in t],
+    lambda t: [[bool(v) if v < 2 else v for v in row] for row in t],
+    lambda t: pytest.importorskip("numpy").array(t, dtype="int64"),
+    lambda t: pytest.importorskip("numpy").array(t, dtype="uint8"),
+    lambda t: pytest.importorskip("numpy").array(t, dtype="float64"),
+    lambda t: [pytest.importorskip("numpy").array(row, dtype="int16") for row in t],
+], ids=["float", "bool", "numpy int64", "numpy uint8", "numpy float64",
+        "numpy rows"])
+@pytest.mark.parametrize("order", [2, 8, 200])
+def test_from_table_coerces_entries_below_order_256(convert, order):
+    D = dihedral(order)
+    G = from_table(convert(D.table))
+    assert G.table == D.table
+    assert {type(v) for row in G.table for v in row} == {int}
 
 
 def test_table_entries_are_coerced_to_int():

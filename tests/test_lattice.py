@@ -26,6 +26,7 @@ from qgring.groups import (FiniteGroup, Subgroup, elementary_abelian,
 from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
 from reference_lattice import reference_is_sn, reference_is_ssn, reference_subgroups
+from test_workloads import workloads  # noqa: F401  (the fixture)
 
 # the groups analyzed by the benchmark's analyze-large and witness-search
 # workloads
@@ -51,6 +52,28 @@ def test_lattice_and_verdicts_match_reference(name):
     assert _same_lattice(G)
     assert is_sn(G) == reference_is_sn(G)
     assert is_ssn(G) == reference_is_ssn(G)
+
+
+def _is_hamiltonian_without_lattice(G):
+    G._cache.clear()
+    hamiltonian = is_hamiltonian(G)
+    assert "subgroups" not in G._cache
+    return hamiltonian == (not G.is_abelian()
+                           and len(normal_subgroups(G)) == len(subgroups(G)))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_is_hamiltonian_reads_the_cyclic_subgroups_on_the_catalog(name):
+    # non-abelian with every subgroup normal, decided on the cyclic ones
+    assert _is_hamiltonian_without_lattice(_build(name))
+
+
+@pytest.mark.parametrize("workload", ["analyze-large", "family-sweep",
+                                      "witness-search"])
+def test_is_hamiltonian_reads_the_cyclic_subgroups_on_the_workloads(workload,
+                                                                    workloads):
+    for op in workloads.build_ops(workload):
+        assert _is_hamiltonian_without_lattice(workloads._build(op.build)), op.label
 
 
 def test_elementary_abelian_lattice_matches_reference(monkeypatch):
