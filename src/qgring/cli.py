@@ -17,6 +17,7 @@ error, 3 order cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -162,81 +163,74 @@ def _add_computed(row: dict, G: FiniteGroup, pred, seed: int) -> None:
     row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
 
 
+def _sweep_bj1(args):
+    for p in filter(is_prime, _span(args.p, 2, 3)):
+        for m in _span(args.m, 2, 3):
+            for n in _span(args.n, 1, 2):
+                params = {"p": p, "m": m, "n": n}
+                yield (params, p ** (m + n),
+                       predict_nilpotent({"family": "BJ1", **params}), {},
+                       functools.partial(bj1_group, p, m, n))
+
+
+def _sweep_bj3(args):
+    for n in _span(args.n, 2, 4):
+        yield ({"n": n}, 2 ** (n + 3), predict_nilpotent({"family": "BJ3", "n": n}),
+               {}, functools.partial(build_spec, f"X(Q(8),C({2 ** n}))"))
+
+
+def _sweep_repunit(args):
+    for n in _span(args.n, 2, 5):
+        for p in filter(is_prime, _span(args.p, 2, 7)):
+            q = (p ** n - 1) // (p - 1)
+            if q * (p - 1) != p ** n - 1 or not is_prime(q):
+                continue
+            params = {"p": p, "n": n, "q": q}
+            build = None
+            if ord_mod(q, p) == n:
+                def build(cap, p=p, n=n, q=q):
+                    return semidirect_vector(p, n, order_q_matrix(p, n, q), q,
+                                             cap=cap)
+            yield (params, p ** n * q,
+                   predict_nonnilpotent({"family": "faithful", **params}), {},
+                   build)
+
+
+def _sweep_nonfaithful(args):
+    k0 = 1 if args.k0 is None else args.k0
+    for p in filter(is_prime, _span(args.p, 3, 7)):
+        for q in _span(args.q, 2, 3):
+            if not is_prime(q) or q == p:
+                continue
+            for k in _span(args.k, 2, 3):
+                if not (1 <= k0 < k) or (p - 1) % q ** k0:
+                    continue
+                r0 = element_of_order(p, q ** k0)
+                params = {"p": p, "q": q, "k": k, "k0": k0, "r0": r0}
+                pred = predict_nonnilpotent({"family": "nonfaithful", **params})
+                per_j = {str(j): v for j, v in pred.detail["per_j_division"].items()}
+                yield (params, p * q ** k, pred, {"per_j_division": per_j},
+                       functools.partial(build_spec, f"SdCyc({p},{q ** k},{r0})"))
+
+
+# each sweep family yields (params, order, prediction, extra row fields,
+# build(cap) or None when the group is not built)
+SWEEPS = {"BJ1": _sweep_bj1, "BJ3": _sweep_bj3, "repunit": _sweep_repunit,
+          "nonfaithful": _sweep_nonfaithful}
+
+
 def cmd_sweep(args) -> int:
-    cap, seed = args.cap, args.seed
-    rows = []
-    if args.family == "BJ1":
-        for p in _span(args.p, 2, 3):
-            if not is_prime(p):
-                continue
-            for m in _span(args.m, 2, 3):
-                for n in _span(args.n, 1, 2):
-                    pred = predict_nilpotent({"family": "BJ1", "p": p, "m": m,
-                                              "n": n})
-                    row = {"params": {"p": p, "m": m, "n": n},
-                           "order": p ** (m + n),
-                           "predicted_one_matrix": pred.one_matrix,
-                           "nd": pred.nd}
-                    if p ** (m + n) <= cap:
-                        _add_computed(row, bj1_group(p, m, n, cap=cap), pred,
-                                      seed)
-                    rows.append(row)
-    elif args.family == "BJ3":
-        for n in _span(args.n, 2, 4):
-            pred = predict_nilpotent({"family": "BJ3", "n": n})
-            row = {"params": {"n": n}, "order": 2 ** (n + 3),
-                   "predicted_one_matrix": pred.one_matrix, "nd": pred.nd}
-            if 2 ** (n + 3) <= cap:
-                _add_computed(row, build_spec(f"X(Q(8),C({2 ** n}))", cap=cap),
-                              pred, seed)
-            rows.append(row)
-    elif args.family == "repunit":
-        for n in _span(args.n, 2, 5):
-            for p in _span(args.p, 2, 7):
-                if not is_prime(p):
-                    continue
-                q = (p ** n - 1) // (p - 1)
-                if q * (p - 1) != p ** n - 1 or not is_prime(q):
-                    continue
-                pred = predict_nonnilpotent({"family": "faithful", "p": p,
-                                             "n": n, "q": q})
-                row = {"params": {"p": p, "n": n, "q": q}, "order": p ** n * q,
-                       "predicted_one_matrix": pred.one_matrix, "nd": pred.nd}
-                if p ** n * q <= cap and ord_mod(q, p) == n:
-                    M = order_q_matrix(p, n, q)
-                    _add_computed(row, semidirect_vector(p, n, M, q, cap=cap),
-                                  pred, seed)
-                rows.append(row)
-    elif args.family == "nonfaithful":
-        k0 = 1 if args.k0 is None else args.k0
-        for p in _span(args.p, 3, 7):
-            if not is_prime(p):
-                continue
-            for q in _span(args.q, 2, 3):
-                if not is_prime(q) or q == p:
-                    continue
-                for k in _span(args.k, 2, 3):
-                    if not (1 <= k0 < k) or (p - 1) % q ** k0:
-                        continue
-                    r0 = element_of_order(p, q ** k0)
-                    pred = predict_nonnilpotent(
-                        {"family": "nonfaithful", "p": p, "q": q,
-                         "k": k, "k0": k0, "r0": r0})
-                    row = {"params": {"p": p, "q": q, "k": k, "k0": k0,
-                                      "r0": r0},
-                           "order": p * q ** k,
-                           "predicted_one_matrix": pred.one_matrix,
-                           "nd": pred.nd,
-                           "per_j_division": {str(j): v for j, v in
-                                              pred.detail["per_j_division"].items()}}
-                    if p * q ** k <= cap:
-                        G = build_spec(f"SdCyc({p},{q ** k},{r0})", cap=cap)
-                        _add_computed(row, G, pred, seed)
-                    rows.append(row)
-    else:
+    if args.family not in SWEEPS:
         print(f"error: unknown family {args.family!r} "
-              f"(families: BJ1, BJ3, repunit, nonfaithful)", file=sys.stderr)
+              f"(families: {', '.join(SWEEPS)})", file=sys.stderr)
         return 2
+    rows = []
+    for params, order, pred, extra, build in SWEEPS[args.family](args):
+        row = {"params": params, "order": order,
+               "predicted_one_matrix": pred.one_matrix, "nd": pred.nd, **extra}
+        if build is not None and order <= args.cap:
+            _add_computed(row, build(cap=args.cap), pred, args.seed)
+        rows.append(row)
 
     rows.sort(key=lambda r: tuple(sorted(r["params"].items())))
     if args.json:

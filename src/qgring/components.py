@@ -239,23 +239,15 @@ def amitsur_division(m: int, r: int) -> AmitsurResult:
             for mu2 in range(delta_p):
                 ppow.setdefault(x, mu2)
                 x = x * p % M if M > 1 else 0
-            mu_p = None
+            # the least mu_p >= 1 with r^mu_p a power of p mod M; mu_p <= n_p,
+            # as r^n_p = 1 = p^0
             y = 1 % M if M > 1 else 0
-            for mu in range(1, n_p * delta_p + 1):
+            for mu_p in range(1, n_p + 1):
                 y = y * (r % M) % M if M > 1 else 0
                 if y in ppow:
-                    mu_p = mu
                     break
-            if mu_p is None:
-                res.diagnostics.append(
-                    f"no (mu, mu') found for p={p}; treating as failure")
-                continue
-            num = mu_p * delta_p
-            if num % n_p:
-                res.diagnostics.append(
-                    f"n_p={n_p} does not divide mu_p*delta_p={num} for p={p}")
-                continue
-            delta_prime = num // n_p
+            # n_p/mu_p = |<r> & <p>| divides delta_p = |<p>|
+            delta_prime = mu_p * delta_p // n_p
             trace = {"alpha_p": alpha_p, "n_p": n_p, "delta_p": delta_p,
                      "mu_p": mu_p, "delta_prime": delta_prime}
             res.primes[p] = trace

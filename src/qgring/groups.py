@@ -40,15 +40,8 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str],
-                 name: str = "G", letters: tuple[str, ...] = (),
-                 _ints: bool = False):
+                 name: str = "G", letters: tuple[str, ...] = ()):
         self.order = len(table)
-        self.table: list[list[int]] = [list(row) for row in table]
-        # entries that are not ints (floats, numpy integers) are coerced;
-        # the builders' tables (_ints=True) are ints by construction
-        entries = itertools.chain.from_iterable(self.table)
-        if not _ints and not set(map(type, entries)) <= {int}:
-            self.table = [list(map(int, row)) for row in self.table]
         self.names: list[str] = [str(s) for s in names]
         self.name = name
         self.letters = tuple(letters)
@@ -61,13 +54,17 @@ class FiniteGroup:
             if nm in self._name_to_idx:
                 raise InconsistentSpec(f"duplicate element name {nm!r}")
             self._name_to_idx[nm] = i
-        self._validate()
+        # a list row is read as is; any other (a numpy row's buffer is not
+        # its values) is copied to a list first
+        self._validate([row if type(row) is list else list(row) for row in table])
         self.inverse: list[int] = self._compute_inverses()
 
     # -- construction checks ------------------------------------------------
 
-    def _validate(self) -> None:
-        """Exact check that the table is a group with identity 0.
+    def _validate(self, rows: list[list]) -> None:
+        """Exact check that rows make a group with identity 0; sets table,
+        the rows with their entries coerced to int, and the generators
+        Light's test ran on.
 
         A table is accepted when its entries lie in 0..n-1 (one set of all
         of them), index 0 is a two-sided identity, every row holds 0 and
@@ -82,16 +79,45 @@ class FiniteGroup:
         permutation rows, two-sided identity and associativity.
 
         Up to order 256 the checks run on byte copies of the rows, each as
-        one C-level pass (_is_byte_group); bytes.translate reads through a
-        256-byte map only, so larger tables are checked on the int rows
-        (_is_int_group). Only a table that fails is checked again, defect
-        by defect, to name the first: entries out of range, identity, rows,
-        columns, associativity.
+        one C-level pass (_is_byte_group), and the byte copy is the int
+        coercion: bytes() takes integer entries in 0..255 only.
+        bytes.translate reads through a 256-byte map only, so a larger
+        table, and one the byte check refuses, is coerced with int and
+        checked on the int rows (_check_ints), which name the first defect.
         """
+        if not (self.order <= 256 and self._is_byte_group(rows)):
+            self._check_ints(rows)
+
+    def _is_byte_group(self, rows: list[list]) -> bool:
+        """The accept test of _validate on byte copies of rows; for order
+        n <= 256."""
         n = self.order
-        if self._is_byte_group() if n <= 256 else self._is_int_group():
-            return
-        table = self.table
+        try:
+            brows = list(map(bytes, rows))
+        except (TypeError, ValueError):  # an entry that is no int in 0..255
+            return False
+        ident = bytes(range(n))
+        if not (n and all(len(row) == n for row in brows)
+                and not b"".join(brows).translate(None, ident)
+                and brows[0] == ident and bytes(map(itemgetter(0), brows)) == ident
+                and all(0 in row for row in brows)):
+            return False
+        self.table = list(map(list, brows))
+        self._generators = stabilizer(self, lambda g: True).gens
+        pad = bytes(256 - n)
+        padded = [row + pad for row in brows]
+        # Light's test: the row of x*g is g's row translated through x's
+        return all(list(map(brows.__getitem__, map(itemgetter(g), brows)))
+                   == list(map(brows[g].translate, padded))
+                   for g in self._generators)
+
+    def _check_ints(self, rows: list[list]) -> None:
+        """_validate on the rows coerced with int: raise InconsistentSpec
+        naming the first defect, in the order entries out of range,
+        identity, rows, columns, associativity. It accepts what the byte
+        check accepts: the rows and columns of a group are permutations."""
+        n = self.order
+        self.table = table = [list(map(int, row)) for row in rows]
         ident = list(range(n))
         if not n or any(len(row) != n or min(row) < 0 or max(row) >= n
                         for row in table):
@@ -104,49 +130,12 @@ class FiniteGroup:
         for j, col in enumerate(zip(*table)):
             if len(set(col)) != n:
                 raise InconsistentSpec(f"column {j} is not a permutation")
-        raise InconsistentSpec("multiplication table is not associative")
-
-    def _is_byte_group(self) -> bool:
-        """The accept test of _validate on byte copies of the rows, which
-        are not kept; for order n <= 256."""
-        n = self.order
-        try:
-            rows = list(map(bytes, self.table))
-        except ValueError:  # an entry outside 0..255
-            return False
-        ident = bytes(range(n))
-        if not (n and all(len(row) == n for row in rows)
-                and not b"".join(rows).translate(None, ident)
-                and rows[0] == ident and bytes(map(itemgetter(0), rows)) == ident
-                and all(0 in row for row in rows)):
-            return False
-        pad = bytes(256 - n)
-        padded = [row + pad for row in rows]
-        # Light's test: the row of x*g is g's row translated through x's;
-        # the generators are not cached, as a new group's _cache starts empty
-        for g in stabilizer(self, lambda g: True).gens:
-            if (list(map(rows.__getitem__, map(itemgetter(g), rows)))
-                    != list(map(rows[g].translate, padded))):
-                return False
-        return True
-
-    def _is_int_group(self) -> bool:
-        """The accept test of _validate on the int rows; for order
-        n > 256."""
-        n = self.order
-        table = self.table
-        ident = list(range(n))
-        if not (all(len(row) == n for row in table)
-                and set(itertools.chain.from_iterable(table)) <= set(ident)
-                and table[0] == ident and [row[0] for row in table] == ident
-                and all(0 in row for row in table)):
-            return False
         # Light's test, as in _is_byte_group
-        for g in stabilizer(self, lambda g: True).gens:
+        self._generators = stabilizer(self, lambda g: True).gens
+        for g in self._generators:
             times_g = itemgetter(*table[g])  # n > 1 when there is a generator
             if any(table[row[g]] != list(times_g(row)) for row in table):
-                return False
-        return True
+                raise InconsistentSpec("multiplication table is not associative")
 
     def _compute_inverses(self) -> list[int]:
         inv = [row.index(0) for row in self.table]
@@ -223,18 +212,12 @@ class FiniteGroup:
         return out
 
     def generators(self) -> tuple[int, ...]:
-        """A small generating set (greedy, deterministic)."""
-        if "generators" not in self._cache:
-            self._cache["generators"] = stabilizer(self, lambda g: True).gens
-        return self._cache["generators"]
+        """A small generating set (greedy, deterministic): the one Light's
+        test of _validate ran on."""
+        return self._generators
 
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            gens = self.generators()
-            self._cache["abelian"] = all(
-                self.table[a][b] == self.table[b][a]
-                for a in gens for b in gens)
-        return self._cache["abelian"]
+        return full_subgroup(self).is_abelian()
 
     def is_p_group(self) -> tuple[bool, int]:
         """(True, p) if |G| is a power of the prime p; (False, 0) otherwise."""
@@ -441,7 +424,7 @@ class Subgroup:
             names = [self.parent.names[g] for g in mem]
             H = FiniteGroup(table, names,
                             name=f"{self.parent.name}|{repr(self)}",
-                            letters=self.parent.letters, _ints=True)
+                            letters=self.parent.letters)
             self.parent._cache[key] = (H, mem)
         return self.parent._cache[key]
 
@@ -734,8 +717,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     proj, reps = cosets(N)
     table = [[proj[G.table[a][b]] for b in reps] for a in reps]
     names = ["1"] + [f"[{G.names[r]}]" for r in reps[1:]]
-    Q = FiniteGroup(table, names, name=f"{G.name}/{repr(N)}", letters=G.letters,
-                    _ints=True)
+    Q = FiniteGroup(table, names, name=f"{G.name}/{repr(N)}", letters=G.letters)
     G._cache[key] = (Q, proj)
     return Q, proj
 
@@ -911,7 +893,7 @@ def cyclic(n: int, letter: str = "x", cap: Optional[int] = None) -> FiniteGroup:
     _check_cap(n, cap)
     table = [[*range(i, n), *range(i)] for i in range(n)]
     names = [_join_name([_name_power(letter, i)]) for i in range(n)]
-    return FiniteGroup(table, names, name=f"C{n}", letters=(letter,), _ints=True)
+    return FiniteGroup(table, names, name=f"C{n}", letters=(letter,))
 
 
 def abelian(orders: Sequence[int], letters: Sequence[str],
@@ -974,8 +956,7 @@ def metacyclic(m: int, n: int, t: int, r: int, letters=("a", "b"),
     names = [_join_name([_name_power(la, i), _name_power(lb, j)])
              for j in range(n) for i in range(m)]
     gname = name or f"Metacyclic({m},{n},{t},{r})"
-    return FiniteGroup(table, names, name=gname, letters=tuple(letters),
-                       _ints=True)
+    return FiniteGroup(table, names, name=gname, letters=tuple(letters))
 
 
 def dihedral(order: int, cap: Optional[int] = None) -> FiniteGroup:
@@ -1063,7 +1044,7 @@ def cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
         names.append(_join_name(parts))
     gname = name or f"{base.name}.C{n_ext}"
     return FiniteGroup(table, names, name=gname,
-                       letters=base.letters + (new_letter,), _ints=True)
+                       letters=base.letters + (new_letter,))
 
 
 def _mat_mul(A, B, p):
@@ -1147,8 +1128,7 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup,
         table.extend(list(map(add, left, tile)) for tile in tiles)
     name, letters = _product_names(G1, G2)
     names = [name(a, b) for a in range(G1.order) for b in range(n2)]
-    return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}", letters=letters,
-                       _ints=True)
+    return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}", letters=letters)
 
 
 def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
@@ -1205,8 +1185,7 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
              for a1, b1 in reps]
     name, letters = _product_names(G1, G2)
     names = ["1"] + [f"[{name(a, b)}]" for a, b in reps[1:]]
-    return FiniteGroup(table, names, name=f"{G1.name}~{G2.name}", letters=letters,
-                       _ints=True)
+    return FiniteGroup(table, names, name=f"{G1.name}~{G2.name}", letters=letters)
 
 
 def alternating5(cap: Optional[int] = None) -> FiniteGroup:
@@ -1240,7 +1219,7 @@ def alternating5(cap: Optional[int] = None) -> FiniteGroup:
         return "".join(parts) if parts else "1"
 
     names = [cycle_name(p) for p in perms]
-    return FiniteGroup(table, names, name="A5", letters=(), _ints=True)
+    return FiniteGroup(table, names, name="A5", letters=())
 
 
 def from_table(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,

@@ -327,19 +327,15 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
     if len(qfac) != 1:
         return SSNClass("NotSSN", {"reason": "Q not a q-group"})
     q = next(iter(qfac))
+    # k >= 2: a non-faithful Q of order q centralizes P, and G = P x Q is abelian
     k = qfac[q]
-    if k < 2:
-        return SSNClass("NotSSN", {"reason": "faithless action needs |Q| >= q^2"})
     trivial = subgroup_generated(G, ())
     x = section_generator(P, trivial)
     # y x y^-1 = x^r0 with 1 <= r0 < p, as y x y^-1 != 1
     r0 = section_exponents(P, trivial)[G.conj_left(x, y)]
-    ordr = ord_mod(p, r0)
-    if ordr == 1:
-        return SSNClass("NotSSN", {"reason": "action trivial"})
-    k0 = padic_valuation(q, ordr)
-    if q ** k0 != ordr or not (1 <= k0 < k):
-        return SSNClass("NotSSN", {"reason": "kernel level out of range"})
+    # ord_p(r0) = q^k0 with 1 <= k0 < k: it divides |Q| = q^k, is > 1 (a
+    # trivial action makes G abelian) and < q^k (the action is not faithful)
+    k0 = padic_valuation(q, ord_mod(p, r0))
     return SSNClass("SolvableTypeII",
                     {"p": p, "q": q, "k": k, "k0": k0, "r0": r0})
 

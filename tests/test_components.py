@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,13 @@ def test_amitsur_acceptance_values():
     assert res.conditions["case1"] is False
     assert res.conditions["case2"] is False
     assert res.primes[3]["delta_prime"] == 2
+
+
+def test_amitsur_division_leaves_no_diagnostics():
+    for m in range(2, 301):
+        for r in range(m):
+            if math.gcd(m, r) == 1:
+                assert amitsur_division(m, r).diagnostics == [], (m, r)
 
 
 def test_probe_certifies_trivially_twisted_matrix_components():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import qgring.groups
 from qgring.catalog import bj1_group, bj2_group, build_named, build_spec
 from qgring.errors import (
     BNotAbelian,
@@ -259,12 +260,12 @@ def _checked_on(monkeypatch):
     """The accept test each FiniteGroup from here on runs: "bytes" or
     "ints"."""
     paths = []
-    for method, path in (("_is_byte_group", "bytes"), ("_is_int_group", "ints")):
+    for method, path in (("_is_byte_group", "bytes"), ("_check_ints", "ints")):
         orig = getattr(FiniteGroup, method)
 
-        def recording(self, orig=orig, path=path):
+        def recording(self, rows, orig=orig, path=path):
             paths.append(path)
-            return orig(self)
+            return orig(self, rows)
 
         monkeypatch.setattr(FiniteGroup, method, recording)
     return paths
@@ -300,6 +301,38 @@ def test_from_table_coerces_entries_below_order_256(convert, order):
     G = from_table(convert(D.table))
     assert G.table == D.table
     assert {type(v) for row in G.table for v in row} == {int}
+
+
+@pytest.mark.parametrize("convert", [
+    lambda t: [[float(v) for v in row] for row in t],
+    lambda t: [[bool(v) if v < 2 else v for v in row] for row in t],
+], ids=["float", "bool"])
+def test_from_table_coerces_entries_above_order_256(convert):
+    # the int path coerces as the byte path does
+    D = dihedral(300, cap=300)
+    G = from_table(convert(D.table), cap=300)
+    assert G.table == D.table
+    assert {type(v) for row in G.table for v in row} == {int}
+
+
+def test_each_table_is_scanned_for_generators_once(monkeypatch):
+    # Light's test keeps the generators it scans for; generators() reads them
+    scans = []
+    orig = qgring.groups.stabilizer
+
+    def counting(G, keeps):
+        scans.append(G)
+        return orig(G, keeps)
+
+    floats = [[float(v) for v in row] for row in quaternion(8).table]
+    monkeypatch.setattr(qgring.groups, "stabilizer", counting)
+    for build in (lambda: dihedral(8), lambda: cyclic(300, cap=300),
+                  lambda: from_table(floats)):
+        scans.clear()
+        G = build()
+        assert scans == [G]
+        assert G.generators() == orig(G, lambda g: True).gens
+        assert scans == [G]
 
 
 def test_table_entries_are_coerced_to_int():

@@ -6,7 +6,7 @@ from qgring import props
 from qgring.algebra import AlgElem, hat
 from qgring.catalog import build_named, build_spec
 from qgring.errors import NotPGroup, SoundnessError, UnknownWitness
-from qgring.groups import is_normal, subgroup_generated
+from qgring.groups import cyclic_extension, is_normal, quaternion, subgroup_generated
 from qgring.props import (
     _SUM_OF_SQUARES,
     Witness,
@@ -22,7 +22,7 @@ from qgring.props import (
     verify_witness,
 )
 from qgring.shoda import metabelian_pcis
-from invariants import join
+from invariants import join, relabel
 
 
 def test_is_sn_examples():
@@ -99,6 +99,40 @@ def test_classify_ssn_taxonomy():
             ("MetaAmitsur(21,4)", {"p": 7, "q": 3, "k": 2, "k0": 1, "r0": 4})]:
         cls = classify_ssn(build_spec(spec))
         assert (cls.tag, cls.params) == ("SolvableTypeII", params), spec
+
+
+def _sl23():
+    """SL(2,3) = Q8 : C3, the C3 acting by a -> b, b -> ab."""
+    Q8 = quaternion(8)
+    a, b = Q8.element("a"), Q8.element("b")
+    return cyclic_extension(Q8, {a: b, b: Q8.table[a][b]}, 3, 0, "c")
+
+
+# one group for each rejection classify_ssn can reach
+@pytest.mark.parametrize("build, reason", [
+    (lambda: build_spec("X(D(8),C(3))"), "nilpotent, neither abelian nor Hamiltonian"),
+    (lambda: build_spec("X(A5,C(2))"), "non-solvable, not A5"),
+    (_sl23, "derived subgroup not abelian"),
+    (lambda: build_spec("D(18)"), "P not elementary abelian"),
+    (lambda: build_spec("SdCyc(9,4,8)"), "non-faithful action on non-prime P"),
+    (lambda: build_spec("SdCyc(5,12,2)"), "Q not a q-group"),
+], ids=["DxC3", "A5xC2", "SL(2,3)", "D18", "C9:C4", "C5:C12"])
+def test_classify_ssn_names_each_rejection(build, reason):
+    G = build()
+    cls = classify_ssn(G)
+    assert (cls.tag, cls.params) == ("NotSSN", {"reason": reason})
+    assert is_ssn(G) is False
+
+
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_nd_verdict_of_a_group_that_is_not_metabelian(relabelled):
+    # no PCIs, so no certificate and no search: Unknown, never HasND
+    G = build_spec("X(A5,C(2))")
+    if relabelled:
+        G = relabel(G, 7)
+    report = nd_verdict(G)
+    assert (report.verdict, report.matrix_count.to_json(), report.components) == \
+        ("Unknown", [0, None], [])
 
 
 def test_curated_witness_assertions():

@@ -115,6 +115,17 @@ def test_witness_search_matches_reference_inside_a_subgroup():
         assert (found, spent) == (None, budget)
 
 
+def test_witness_search_walks_past_a_passing_block():
+    # the generators of <Y, shifts> fail, so the blocks are decided one by
+    # one, and a block that passes is spent whole before the failing one
+    G = build_spec("X(Q(12),C(2))")
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    found, spent = nd_witness_search(G, pcis)
+    ref_found, ref_spent = reference_nd_witness_search(G, pcis)
+    assert found is not None and _same(found, ref_found)
+    assert spent == ref_spent == 3
+
+
 @pytest.mark.parametrize("budget", [0, -1])
 def test_budget_below_one_spends_nothing(budget):
     G = build_named("D12")
