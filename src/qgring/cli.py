@@ -31,7 +31,7 @@ from .components import (
     predict_nilpotent,
     predict_nonnilpotent,
 )
-from .errors import OrderCapExceeded, QGRingError
+from .errors import InconsistentFamilyParams, OrderCapExceeded, QGRingError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, order_q_matrix,
                      semidirect_vector)
 from .numutil import element_of_order, is_prime, ord_mod
@@ -225,12 +225,16 @@ def cmd_sweep(args) -> int:
               f"(families: {', '.join(SWEEPS)})", file=sys.stderr)
         return 2
     rows = []
-    for params, order, pred, extra, build in SWEEPS[args.family](args):
-        row = {"params": params, "order": order,
-               "predicted_one_matrix": pred.one_matrix, "nd": pred.nd, **extra}
-        if build is not None and order <= args.cap:
-            _add_computed(row, build(cap=args.cap), pred, args.seed)
-        rows.append(row)
+    try:
+        for params, order, pred, extra, build in SWEEPS[args.family](args):
+            row = {"params": params, "order": order,
+                   "predicted_one_matrix": pred.one_matrix, "nd": pred.nd, **extra}
+            if build is not None and order <= args.cap:
+                _add_computed(row, build(cap=args.cap), pred, args.seed)
+            rows.append(row)
+    except InconsistentFamilyParams as exc:  # a parameter the family rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rows.sort(key=lambda r: tuple(sorted(r["params"].items())))
     if args.json:
@@ -327,7 +331,10 @@ def _flags_parser(names) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+    """The command line parser and its subcommands, built once per process;
+    parsing reads them and changes neither."""
     parser = argparse.ArgumentParser(
         prog="qgring", parents=[_flags_parser(GLOBAL_FLAGS)],
         description="Wedderburn data of rational group algebras and "
@@ -355,7 +362,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                       help="comma-separated categories to run")
 
     command("catalog", help="list named groups")
+    return parser, sub
 
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser, sub = _parser()
     args = parser.parse_args(argv)
     defaults = {"json": False, "cap": DEFAULT_ORDER_CAP, "budget": None,
                 "seed": 0}

@@ -54,17 +54,18 @@ class FiniteGroup:
             if nm in self._name_to_idx:
                 raise InconsistentSpec(f"duplicate element name {nm!r}")
             self._name_to_idx[nm] = i
-        # a list row is read as is; any other (a numpy row's buffer is not
-        # its values) is copied to a list first
-        self._validate([row if type(row) is list else list(row) for row in table])
-        self.inverse: list[int] = self._compute_inverses()
+        # a list or bytes row is read as is; any other (a numpy row's buffer
+        # is not its values) is copied to a list first
+        self.inverse: list[int] = self._compute_inverses(self._validate(
+            [row if type(row) is list or type(row) is bytes else list(row)
+             for row in table]))
 
     # -- construction checks ------------------------------------------------
 
-    def _validate(self, rows: list[list]) -> None:
+    def _validate(self, rows: list) -> list:
         """Exact check that rows make a group with identity 0; sets table,
         the rows with their entries coerced to int, and the generators
-        Light's test ran on.
+        Light's test ran on. Returns the checked rows.
 
         A table is accepted when its entries lie in 0..n-1 (one set of all
         of them), index 0 is a two-sided identity, every row holds 0 and
@@ -78,44 +79,48 @@ class FiniteGroup:
         so y*x = 0. This accepts exactly the groups, the tables with
         permutation rows, two-sided identity and associativity.
 
-        Up to order 256 the checks run on byte copies of the rows, each as
-        one C-level pass (_is_byte_group), and the byte copy is the int
+        Up to order 256 the checks run on the rows as bytes, each as one
+        C-level pass (_is_byte_group), and the byte rows are the int
         coercion: bytes() takes integer entries in 0..255 only.
         bytes.translate reads through a 256-byte map only, so a larger
         table, and one the byte check refuses, is coerced with int and
         checked on the int rows (_check_ints), which name the first defect.
         """
-        if not (self.order <= 256 and self._is_byte_group(rows)):
-            self._check_ints(rows)
+        return (self.order <= 256 and self._is_byte_group(rows)
+                or self._check_ints(rows))
 
-    def _is_byte_group(self, rows: list[list]) -> bool:
-        """The accept test of _validate on byte copies of rows; for order
-        n <= 256."""
+    def _is_byte_group(self, rows: list) -> Optional[list[bytes]]:
+        """The accept test of _validate on rows as bytes, a bytes row read
+        as is; for order n <= 256. Returns the byte rows of an accepted
+        table, None otherwise."""
         n = self.order
         try:
             brows = list(map(bytes, rows))
         except (TypeError, ValueError):  # an entry that is no int in 0..255
-            return False
+            return None
         ident = bytes(range(n))
         if not (n and all(len(row) == n for row in brows)
                 and not b"".join(brows).translate(None, ident)
                 and brows[0] == ident and bytes(map(itemgetter(0), brows)) == ident
                 and all(0 in row for row in brows)):
-            return False
+            return None
         self.table = list(map(list, brows))
         self._generators = stabilizer(self, lambda g: True).gens
         pad = bytes(256 - n)
         padded = [row + pad for row in brows]
         # Light's test: the row of x*g is g's row translated through x's
-        return all(list(map(brows.__getitem__, map(itemgetter(g), brows)))
-                   == list(map(brows[g].translate, padded))
-                   for g in self._generators)
+        if all(list(map(brows.__getitem__, map(itemgetter(g), brows)))
+               == list(map(brows[g].translate, padded))
+               for g in self._generators):
+            return brows
+        return None
 
-    def _check_ints(self, rows: list[list]) -> None:
+    def _check_ints(self, rows: list) -> list[list[int]]:
         """_validate on the rows coerced with int: raise InconsistentSpec
         naming the first defect, in the order entries out of range,
-        identity, rows, columns, associativity. It accepts what the byte
-        check accepts: the rows and columns of a group are permutations."""
+        identity, rows, columns, associativity, else return the int rows.
+        It accepts what the byte check accepts: the rows and columns of a
+        group are permutations."""
         n = self.order
         self.table = table = [list(map(int, row)) for row in rows]
         ident = list(range(n))
@@ -136,9 +141,13 @@ class FiniteGroup:
             times_g = itemgetter(*table[g])  # n > 1 when there is a generator
             if any(table[row[g]] != list(times_g(row)) for row in table):
                 raise InconsistentSpec("multiplication table is not associative")
+        return table
 
-    def _compute_inverses(self) -> list[int]:
-        inv = [row.index(0) for row in self.table]
+    def _compute_inverses(self, rows: list) -> list[int]:
+        """Each element's inverse: its right inverse, the index of 0 in its
+        row of rows (the checked rows, bytes up to order 256), checked to
+        be two-sided."""
+        inv = [row.index(0) for row in rows]
         for g, h in enumerate(inv):
             if self.table[h][g] != 0:
                 raise InconsistentSpec(f"element {g} has no two-sided inverse")
@@ -860,40 +869,61 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[list[int]]:
 # builders
 
 
-def _name_power(letter: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return letter
-    return f"{letter}^{e}"
+def _powers(letter: str, n: int) -> list[str]:
+    """The names of letter^e, e < n."""
+    return ["1", letter, *(f"{letter}^{e}" for e in range(2, n))][:n]
 
 
-def _join_name(parts: list[str]) -> str:
-    parts = [p for p in parts if p]
-    return "*".join(parts) if parts else "1"
+def _join(x: str, y: str) -> str:
+    """The name of x*y, from the names of x and y."""
+    return y if x == "1" else x if y == "1" else f"{x}*{y}"
 
 
 # The builders make each table row with a constant number of C-level calls
-# (range slices, itemgetter, map), never one Python step per entry. Most
+# (range slices, map, translate), never one Python step per entry. Most
 # rows are products of two rows already built: (x*y)*z = x*(y*z), so the
-# row of x*y is the row of x read at the entries of the row of y.
+# row of x*y is the row of x read at the entries of the row of y. Up to
+# order 256 a row is bytes, FiniteGroup checks it as it is, and that read
+# is one bytes.translate; above, a row is a list and the read an itemgetter.
 
 
-def _times(q: list[int]) -> Callable[[list[int]], list[int]]:
+def _row_type(order: int) -> type:
+    """The builders' row type for a group of this order."""
+    return bytes if order <= 256 else list
+
+
+def _times(q: bytes | list[int]) -> Callable:
     """p -> the row of x*y, for p the row of x and q the row of y."""
-    if len(q) == 1:  # itemgetter of one index returns no tuple
-        return lambda p: [p[q[0]]]
-    get = itemgetter(*q)
+    if type(q) is bytes:
+        pad = bytes(256 - len(q))
+        return lambda p: q.translate(p + pad)
+    get = itemgetter(*q)  # a list row has over 256 entries
     return lambda p: list(get(p))
+
+
+def _row_powers(q: bytes | list[int], k: int) -> list:
+    """The rows of 1, y, ..., y^(k-1), for q the row of y."""
+    times, rows = _times(q), [type(q)(range(len(q)))]
+    for _ in range(k - 1):
+        rows.append(times(rows[-1]))
+    return rows
+
+
+def _spread(table: list[list[int]], k: int, row: type) -> list:
+    """For each row r of table, the row with entry r[i]*k + j at i*k + j:
+    that of (x, 1) in a group whose element i*k + j is (i, j)."""
+    blocks = [range(v * k, v * k + k) for v in range(len(table))]
+    return [row(itertools.chain.from_iterable(map(blocks.__getitem__, r)))
+            for r in table]
 
 
 def cyclic(n: int, letter: str = "x", cap: Optional[int] = None) -> FiniteGroup:
     if n < 1:
         raise InconsistentSpec("cyclic group order must be positive")
     _check_cap(n, cap)
-    table = [[*range(i, n), *range(i)] for i in range(n)]
-    names = [_join_name([_name_power(letter, i)]) for i in range(n)]
-    return FiniteGroup(table, names, name=f"C{n}", letters=(letter,))
+    ident = _row_type(n)(range(n))
+    table = [ident[i:] + ident[:i] for i in range(n)]
+    return FiniteGroup(table, _powers(letter, n), name=f"C{n}", letters=(letter,))
 
 
 def abelian(orders: Sequence[int], letters: Sequence[str],
@@ -937,24 +967,20 @@ def metacyclic(m: int, n: int, t: int, r: int, letters=("a", "b"),
     if t * r % m != t % m:
         raise InconsistentSpec(f"a^t is not centralized by b for (m,n,t,r)=({m},{n},{t},{r})")
     la, lb = letters
+    row = _row_type(m * n)
     # a^i b^j is element j*m + i: <a> occupies the lowest indices, so it
     # wins smallest-bitset tie-breaks among maximal abelian subgroups.
-    # a^i * a^i2 b^j2 = a^(i+i2) b^j2
+    # a * a^i2 b^j2 = a^(i2+1) b^j2
     offsets = [j * m for j in range(n) for _ in range(m)]
-    a_rows = [list(map(add, offsets, [*range(i, m), *range(i)] * n))
-              for i in range(m)]
+    a_rows = _row_powers(row(map(add, offsets, [*range(1, m), 0] * n)), m)
     # b * a^i2 b^j2 = a^(r*i2) b^(j2+1), and b^n = a^t
-    times_b = _times([(j2 + 1) % n * m + (r * i2 + (t if j2 == n - 1 else 0)) % m
-                      for j2 in range(n) for i2 in range(m)])
-    b_rows = [list(range(m * n))]
-    for _ in range(n - 1):
-        b_rows.append(times_b(b_rows[-1]))
+    b_rows = _row_powers(row([(j2 + 1) % n * m + (r * i2 + (t if j2 == n - 1 else 0)) % m
+                              for j2 in range(n) for i2 in range(m)]), n)
     table = []
-    for b_row in b_rows:
-        times_bj = _times(b_row)
-        table.extend(times_bj(a_row) for a_row in a_rows)
-    names = [_join_name([_name_power(la, i), _name_power(lb, j)])
-             for j in range(n) for i in range(m)]
+    for b_row in b_rows:  # the row of a^i b^j, the row of a^i read at b^j's
+        table.extend(map(_times(b_row), a_rows))
+    powers_a = _powers(la, m)
+    names = [_join(x, y) for y in _powers(lb, n) for x in powers_a]
     gname = name or f"Metacyclic({m},{n},{t},{r})"
     return FiniteGroup(table, names, name=gname, letters=tuple(letters))
 
@@ -1024,24 +1050,17 @@ def cyclic_extension(base: FiniteGroup, conj_images: dict[int, int], n_ext: int,
 
     # x c^k is element x*n_ext + k, and x c^k = x * c^k.
     # x * x2 c^k2 = (x x2) c^k2
-    blocks = [range(v * n_ext, v * n_ext + n_ext) for v in range(base.order)]
-    x_rows = [list(itertools.chain.from_iterable(map(blocks.__getitem__, row)))
-              for row in base.table]
+    row = _row_type(order)
+    x_rows = _spread(base.table, n_ext, row)
     # c * x2 c^k2 = phi_l(x2) c^(k2+1), and c^n_ext = z
-    times_c = _times([phi_l[x2] * n_ext + k2 + 1 if k2 + 1 < n_ext
-                      else base.table[phi_l[x2]][z] * n_ext
-                      for x2 in range(base.order) for k2 in range(n_ext)])
-    c_rows = [list(range(order))]
-    for _ in range(n_ext - 1):
-        c_rows.append(times_c(c_rows[-1]))
-    times_ck = [_times(c_row) for c_row in c_rows]
+    c_rows = _row_powers(row([phi_l[x2] * n_ext + k2 + 1 if k2 + 1 < n_ext
+                              else base.table[phi_l[x2]][z] * n_ext
+                              for x2 in range(base.order) for k2 in range(n_ext)]),
+                         n_ext)
+    times_ck = list(map(_times, c_rows))
     table = [times(x_row) for x_row in x_rows for times in times_ck]
-    names = []
-    for x, k in itertools.product(range(base.order), range(n_ext)):
-        bn = base.names[x]
-        parts = [] if bn == "1" else [bn]
-        parts.append(_name_power(new_letter, k))
-        names.append(_join_name(parts))
+    powers_c = _powers(new_letter, n_ext)
+    names = [_join(x, y) for x in base.names for y in powers_c]
     gname = name or f"{base.name}.C{n_ext}"
     return FiniteGroup(table, names, name=gname,
                        letters=base.letters + (new_letter,))
@@ -1092,9 +1111,9 @@ def semidirect_vector(p: int, rank: int, matrix: Sequence[Sequence[int]], q: int
 
 
 def _product_names(G1: FiniteGroup, G2: FiniteGroup
-                   ) -> tuple[Callable[[int, int], str], tuple[str, ...]]:
-    """The name of (a, b) in G1 x G2, and the product's letters; G2's
-    letters that G1 also uses are renamed to unused ones."""
+                   ) -> tuple[list[str], tuple[str, ...]]:
+    """G2's element names as factor of G1 x G2, and the product's letters;
+    G2's letters that G1 also uses are renamed to unused ones."""
     names2 = G2.names
     letters2 = G2.letters
     shared = set(G1.letters) & set(G2.letters)
@@ -1107,27 +1126,21 @@ def _product_names(G1: FiniteGroup, G2: FiniteGroup
         pat = re.compile("|".join(re.escape(l) for l in ren))
         names2 = [pat.sub(lambda m: ren[m.group(0)], nm) for nm in G2.names]
         letters2 = tuple(ren[l] for l in G2.letters)
-
-    def name(a: int, b: int) -> str:
-        return _join_name([nm for nm in (G1.names[a], names2[b]) if nm != "1"])
-
-    return name, G1.letters + letters2
+    return names2, G1.letters + letters2
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup,
                    cap: Optional[int] = None) -> FiniteGroup:
     _check_cap(G1.order * G2.order, cap)
-    n2 = G2.order
-    # (a, b) is element a*n2 + b; (a, b)(a2, b2) = (a a2, b b2), whose index
-    # is the sum of (a a2)*n2, from G1's row a, and b b2, from G2's row b
-    blocks = [[v * n2] * n2 for v in range(G1.order)]
-    tiles = [r2 * G1.order for r2 in G2.table]
-    table = []
-    for r1 in G1.table:
-        left = list(itertools.chain.from_iterable(map(blocks.__getitem__, r1)))
-        table.extend(list(map(add, left, tile)) for tile in tiles)
-    name, letters = _product_names(G1, G2)
-    names = [name(a, b) for a in range(G1.order) for b in range(n2)]
+    n1, n2 = G1.order, G2.order
+    row = _row_type(n1 * n2)
+    # (a, b) is element a*n2 + b, and (a, b) = (a, 1)(1, b), with
+    # (a, 1)(a2, b2) = (a a2, b2) and (1, b)(a2, b2) = (a2, b b2)
+    offsets = [a2 * n2 for a2 in range(n1) for _ in range(n2)]
+    times_b = [_times(row(map(add, offsets, r2 * n1))) for r2 in G2.table]
+    table = [times(r) for r in _spread(G1.table, n2, row) for times in times_b]
+    names2, letters = _product_names(G1, G2)
+    names = [_join(x, y) for x in G1.names for y in names2]
     return FiniteGroup(table, names, name=f"{G1.name}x{G2.name}", letters=letters)
 
 
@@ -1174,17 +1187,20 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
                 for z, y in N:
                     proj[t1[z][a] * n2 + t2[y][b]] = len(reps)
                 reps.append((a, b))
-    # the row of (a1, b1): the coset of (a1 a2)*n2 + b1 b2 at each rep
-    # (a2, b2); there are at least |G1| >= m >= 2 reps
-    at1 = itemgetter(*(a for a, _ in reps))
-    at2 = itemgetter(*(b for _, b in reps))
-    scaled = range(0, G1.order * n2, n2)
-    rows1 = [itemgetter(*at1(row))(scaled) for row in t1]
-    rows2 = [at2(row) for row in t2]
-    table = [list(map(proj.__getitem__, map(add, rows1[a1], rows2[b1])))
-             for a1, b1 in reps]
-    name, letters = _product_names(G1, G2)
-    names = ["1"] + [f"[{name(a, b)}]" for a, b in reps[1:]]
+    # the row of coset [(a, b)] is that of [(a, 1)] times that of [(1, b)],
+    # with [(a, 1)][(a2, b2)] = [(a a2, b2)] and [(1, b)][(a2, b2)] =
+    # [(a2, b b2)]; there are at least |G1| >= m >= 2 reps
+    row = _row_type(len(reps))
+    at1, at2 = [a for a, _ in reps], [b for _, b in reps]
+    scaled1 = [a * n2 for a in at1]
+    get1, get2 = itemgetter(*at1), itemgetter(*at2)
+    rows1 = {a: row(map(proj.__getitem__, map(add, map(n2.__mul__, get1(t1[a])), at2)))
+             for a in dict.fromkeys(at1)}
+    times2 = [_times(row(map(proj.__getitem__, map(add, scaled1, get2(r)))))
+              for r in t2]
+    table = [times2[b](rows1[a]) for a, b in reps]
+    names2, letters = _product_names(G1, G2)
+    names = ["1"] + [f"[{_join(G1.names[a], names2[b])}]" for a, b in reps[1:]]
     return FiniteGroup(table, names, name=f"{G1.name}~{G2.name}", letters=letters)
 
 

@@ -6,11 +6,12 @@ its own product table, `metacyclic` and `cyclic_extension` with one `mul`
 call and one dict lookup per table entry, `central_product` as the
 quotient of the full direct product G1 x G2 (with the `direct_product`
 it went through, one Python step per entry), and `order_q_matrix` with
-its polynomial search. The library builds catalog aliases by parsing
-their spec strings, abelian groups as direct products of cyclic ones,
-central products from their factors, and every table a row at a time;
-the tests in test_builders.py require identical tables, names, group
-names and letters from both.
+its polynomial search; each names its elements with one `_join_name`
+call per element. The library builds catalog aliases by parsing their
+spec strings, abelian groups as direct products of cyclic ones, central
+products from their factors, and every table a row at a time; the tests
+in test_builders.py require identical tables, names, inverses,
+generators, group names and letters from both.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from qgring.groups import (
     FiniteGroup,
     _check_cap,
     _extend_hom,
-    _join_name,
     _mat_eye,
     _mat_mul,
-    _name_power,
     center,
     dihedral,
     metacyclic_amitsur,
@@ -38,6 +37,19 @@ from qgring.groups import (
     semidirect_vector,
     subgroup_generated,
 )
+
+
+def _name_power(letter: str, e: int) -> str:
+    if e == 0:
+        return ""
+    if e == 1:
+        return letter
+    return f"{letter}^{e}"
+
+
+def _join_name(parts: list[str]) -> str:
+    parts = [p for p in parts if p]
+    return "*".join(parts) if parts else "1"
 
 
 def reference_cyclic(n: int, letter: str = "x", cap: Optional[int] = None) -> FiniteGroup:

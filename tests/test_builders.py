@@ -1,10 +1,11 @@
 """Every construction path builds the same group as the original builders
-in reference_builders.py: same table, element names, group name and
-letters. The reference side runs with the library's `cyclic`,
-`metacyclic`, `abelian`, `cyclic_extension`, `direct_product` and
-`central_product` replaced by the reference copies, so that dihedral,
-quaternion, SdVec, SdCyc, BJ1, BJ2 and the catalog's own builders take the
-original route too."""
+in reference_builders.py: same table, element names, inverses,
+generators, group name and letters, on both sides of order 256. The
+reference side runs with the library's `cyclic`, `metacyclic`,
+`abelian`, `cyclic_extension`, `direct_product` and `central_product`
+replaced by the reference copies, so that dihedral, quaternion, SdVec,
+SdCyc, BJ1, BJ2 and the catalog's own builders take the original route
+too."""
 
 import contextlib
 
@@ -42,6 +43,8 @@ def _same(G: FiniteGroup, R: FiniteGroup) -> None:
     assert G.order == R.order
     assert G.table == R.table
     assert G.names == R.names
+    assert G.inverse == R.inverse
+    assert G.generators() == R.generators()
     assert G.name == R.name
     assert G.letters == R.letters
 
@@ -236,6 +239,60 @@ EXTENSIONS = {
 @pytest.mark.parametrize("build", EXTENSIONS.values(), ids=EXTENSIONS.keys())
 def test_cyclic_extension_is_the_original_group(build):
     _same(build(groups.cyclic_extension), build(reference_cyclic_extension))
+
+
+def _q_extension(extend, n, cap):
+    # the generalized quaternion group of order 2n: <a> = C(n/2), b^2 =
+    # a^(n/4), a^b = a^-1
+    return extend(cyclic(n // 2, "a"), {1: n // 2 - 1}, 2, n // 4, "b", cap=cap)
+
+
+# each builder on both sides of order 256: up to it the builders compose
+# bytes rows, above it int lists
+ROW_PATHS = {
+    "C255": (lambda: cyclic(255, cap=255), lambda: reference_cyclic(255, cap=255)),
+    "C256": (lambda: cyclic(256, cap=256), lambda: reference_cyclic(256, cap=256)),
+    "C257": (lambda: cyclic(257, cap=257), lambda: reference_cyclic(257, cap=257)),
+    "D256": (lambda: dihedral(256, cap=256),
+             lambda: reference_metacyclic(128, 2, 0, 127, cap=256, name="D256")),
+    "D258": (lambda: dihedral(258, cap=258),
+             lambda: reference_metacyclic(129, 2, 0, 128, cap=258, name="D258")),
+    "C16xC16": (lambda: groups.direct_product(cyclic(16, "a"), cyclic(16, "b"), cap=256),
+                lambda: reference_direct_product(reference_cyclic(16, "a"),
+                                                 reference_cyclic(16, "b"), cap=256)),
+    "C17xC16": (lambda: groups.direct_product(cyclic(17, "a"), cyclic(16, "b"), cap=272),
+                lambda: reference_direct_product(reference_cyclic(17, "a"),
+                                                 reference_cyclic(16, "b"), cap=272)),
+    "Q256 as extension": (
+        lambda: _q_extension(groups.cyclic_extension, 256, 256),
+        lambda: _q_extension(reference_cyclic_extension, 256, 256)),
+    "Q260 as extension": (
+        lambda: _q_extension(groups.cyclic_extension, 260, 260),
+        lambda: _q_extension(reference_cyclic_extension, 260, 260)),
+    "Q16~C32": (lambda: groups.central_product(quaternion(16), cyclic(32, "z"), cap=256),
+                lambda: reference_central_product(quaternion(16),
+                                                  reference_cyclic(32, "z"), cap=256)),
+    "Q16~C34": (lambda: groups.central_product(quaternion(16), cyclic(34, "z"), cap=272),
+                lambda: reference_central_product(quaternion(16),
+                                                  reference_cyclic(34, "z"), cap=272)),
+}
+
+
+@pytest.mark.parametrize("build, reference", ROW_PATHS.values(), ids=ROW_PATHS.keys())
+def test_each_row_path_builds_the_original_group(build, reference, monkeypatch):
+    R = reference()
+    rows = []
+    init = FiniteGroup.__init__
+
+    def recording(self, table, *args, **kwargs):
+        rows.append(table[0])
+        init(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", recording)
+    G = build()
+    _same(G, R)
+    assert type(rows[-1]) is (bytes if G.order <= 256 else list)
+    assert {type(v) for row in G.table for v in [row, *row]} == {list, int}
 
 
 def test_central_product_never_builds_the_direct_product(monkeypatch):

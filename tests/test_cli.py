@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -573,3 +574,35 @@ def test_analyze_verifies_its_witness_once(capsys, monkeypatch, spec):
     code, out, _ = run_cli(capsys, "--json", "analyze", spec)
     assert code == 0 and json.loads(out)["nd"]["verdict"] == "NotND"
     assert groups == [qgring.catalog.build_spec(spec)]
+
+
+@pytest.mark.parametrize("argv", [("sweep", "BJ1", "--m", "1"),
+                                  ("sweep", "BJ3", "--n", "0:6")])
+def test_a_parameter_the_family_rejects_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    # the cached parser prints what a new one prints, after any command line
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    qgring.cli._parser.cache_clear()
+    argvs = [("-h",), ("sweep", "-h"), ("catalog", "--cap", "5"),
+             ("sweep", "BJ1", "--p", "5:3"), ("analyze",), ("nope",)]
+    outputs = []
+    for _ in range(2):
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            outputs.append((exc.value.code, *capsys.readouterr()))
+        run_cli(capsys, "catalog", "--json")
+    assert outputs[:len(argvs)] == outputs[len(argvs):]
+    assert len(built) == 10  # the top level and 4 commands, each with its flags

@@ -161,6 +161,32 @@ def test_each_rejection_names_its_defect(table, message):
     assert str(info.value) == message
 
 
+# the rejections whose entries fit in bytes rows
+BYTES_REJECTED = {k: (table, message) for k, (table, message) in REJECTED.items()
+                  if all(0 <= v < 256 for row in table for v in row)}
+
+
+@pytest.mark.parametrize("table, message", BYTES_REJECTED.values(),
+                         ids=BYTES_REJECTED.keys())
+def test_each_rejection_names_its_defect_on_bytes_rows(table, message):
+    names = [f"g{i}" for i in range(len(table))]
+    with pytest.raises(InconsistentSpec) as info:
+        from_table(list(map(bytes, table)), names)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec", ["C(1)", "S3", "Q(16)", "BJ9", "D(200)",
+                                  "X(Q(8),C(25))"])
+def test_from_table_takes_bytes_rows_as_the_group_of_list_rows(spec):
+    G = build_spec(spec)
+    B = from_table(list(map(bytes, G.table)), G.names)
+    L = from_table(G.table, G.names)
+    for H in (B, L):
+        assert (H.table, H.names, H.inverse, H.generators()) == (
+            G.table, G.names, G.inverse, G.generators())
+        assert {type(v) for row in H.table for v in [row, *row]} == {list, int}
+
+
 def _first_defect(table):
     """The message the table checks raise for table, read off the
     definitions with every triple tested for associativity; None for a
