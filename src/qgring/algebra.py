@@ -8,7 +8,6 @@ arithmetic is exact; no floats anywhere. Elements are immutable values.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -168,14 +167,6 @@ class AlgElem:
             out[G.conj(x, g)] = self.nums[x]
         return AlgElem(G, out, self.den, _normalized=True)
 
-    def conjugate_left(self, g: int) -> "AlgElem":
-        """g * self * g^-1."""
-        G = self.group
-        out = [0] * G.order
-        for x in self.support:
-            out[G.conj_left(x, g)] = self.nums[x]
-        return AlgElem(G, out, self.den, _normalized=True)
-
     # -- predicates ---------------------------------------------------------------
 
     def is_integral(self) -> bool:
@@ -230,21 +221,6 @@ class AlgElem:
             return all(nums[table[row[x]][g]] == nums[x] for x in support)
 
         return stabilizer(self.group, keeps)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self, spec: Optional[str] = None) -> str:
-        return json.dumps({"group": spec or self.group.name,
-                           "coeffs": coeff_strings(self)})
-
-    @staticmethod
-    def from_json(G: FiniteGroup, data: str) -> "AlgElem":
-        obj = json.loads(data)
-        coeffs = obj["coeffs"]
-        if len(coeffs) != G.order:
-            raise GroupMismatch("coefficient count does not match group order")
-        return AlgElem.from_coeffs(
-            G, {i: Fraction(int(n), int(d)) for i, (n, d) in enumerate(coeffs)})
 
 
 def coeff_strings(x: AlgElem) -> list[list[str]]:

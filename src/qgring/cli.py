@@ -235,6 +235,10 @@ def cmd_sweep(args) -> int:
     except InconsistentFamilyParams as exc:  # a parameter the family rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not rows:
+        print(f"error: no {args.family} parameters in the given ranges",
+              file=sys.stderr)
+        return 2
 
     rows.sort(key=lambda r: tuple(sorted(r["params"].items())))
     if args.json:

@@ -528,15 +528,15 @@ class Prediction:
     detail: dict = field(default_factory=dict)
 
 
-# the single groups of the NCN classification: (one matrix component,
-# that component, ND verdict)
-_NCN_SINGLE = {
-    "BJ4": (False, None, "NotND"),
-    "BJ5": (False, None, "NotND"),
-    "BJ6": (True, "M_2(Q)", "HasND"),
-    "BJ7": (True, "M_2(H(Q))", "HasND"),
-    "BJ8": (False, None, "NotND"),
-    "BJ9": (False, None, "NotND"),
+# the single groups of the NCN classification, by type: (order, catalog
+# name, one matrix component, that component, ND verdict)
+NCN_SINGLE = {
+    "BJ4": (81, "BJ4", False, None, "NotND"),
+    "BJ5": (32, "BJ5", False, None, "NotND"),
+    "BJ6": (16, "Q16", True, "M_2(Q)", "HasND"),
+    "BJ7": (32, "D8cpQ8", True, "M_2(H(Q))", "HasND"),
+    "BJ8": (32, "BJ8", False, None, "NotND"),
+    "BJ9": (64, "BJ9", False, None, "NotND"),
 }
 
 
@@ -571,8 +571,8 @@ def predict_nilpotent(params: dict) -> Prediction:
         return Prediction("BJ3", params, one,
                           "M_2(Q(zeta_4))" if one else None,
                           "HasND" if one else "NotND")
-    if fam in _NCN_SINGLE:
-        return Prediction(fam, params, *_NCN_SINGLE[fam])
+    if fam in NCN_SINGLE:
+        return Prediction(fam, params, *NCN_SINGLE[fam][2:])
     if fam == "Hamiltonian":
         e_rank = params.get("e_rank", 0)
         invs = list(params.get("odd_invariants", []))

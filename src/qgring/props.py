@@ -21,6 +21,7 @@ from .algebra import (AlgElem, SquareZeroFamily, carry, coeff_strings, hat,
                       one_minus, one_plus, tilde)
 from .catalog import bj1_group, build_named, build_spec
 from .components import (
+    NCN_SINGLE,
     MatrixCount,
     a5_shoda_idempotent,
     count_matrix_components,
@@ -219,11 +220,6 @@ class SSNClass:
         return self.tag != "NotSSN"
 
 
-# (order, catalog name, type) of the single groups of the NCN classification
-_BJ_GROUPS = ((81, "BJ4", "BJ4"), (32, "BJ5", "BJ5"), (16, "Q16", "BJ6"),
-              (32, "D8cpQ8", "BJ7"), (32, "BJ8", "BJ8"), (64, "BJ9", "BJ9"))
-
-
 def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
     """Best-effort identification of the NCN-classification type (BJ1-BJ9) of a
     p-group (nonabelian, non-Hamiltonian)."""
@@ -238,7 +234,7 @@ def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
         if any(N.is_cyclic() and section_generator(full, N) is not None
                for N in normal_subgroups(G)):
             return "BJ1"
-    for order, name, tag in _BJ_GROUPS:
+    for tag, (order, name, *_) in NCN_SINGLE.items():
         if n == order and find_isomorphism(build_named(name), G) is not None:
             return tag
     # BJ3: Q8 x C_{2^k}, k >= 2
@@ -362,7 +358,7 @@ def _prediction_for(G: FiniteGroup, cls) -> Optional[dict]:
             elif bj == "BJ3":
                 n = (G.order // 8).bit_length() - 1
                 pred = predict_nilpotent({"family": "BJ3", "n": n})
-            elif bj in ("BJ4", "BJ5", "BJ6", "BJ7", "BJ8", "BJ9"):
+            elif bj in NCN_SINGLE:
                 pred = predict_nilpotent({"family": bj})
             else:
                 return None
@@ -637,9 +633,10 @@ class NDReport:
         }
 
 
-def _curated_for_group(G: FiniteGroup) -> Optional[Witness]:
+def _curated_pass(G: FiniteGroup, components: list, left: int
+                  ) -> tuple[Optional[Witness], int]:
     """A curated witness carried to G through an isomorphism from its
-    group, if G is isomorphic to one."""
+    group, if G is isomorphic to one. Spends no search test."""
     candidates = []  # (build the witness's group, build the witness)
     named = {12: ("D12", "D12"), 36: ("Ex3.8", "Ex38K"), 60: ("A5", "A5"),
              64: ("BJ9", "BJ9")}
@@ -664,23 +661,37 @@ def _curated_for_group(G: FiniteGroup) -> Optional[Witness]:
         w = make()
         if w is not None:
             return Witness(w.name, G, carry(w.alpha, iso, G),
-                           carry(w.e, iso, G), w.notes)
-    return None
+                           carry(w.e, iso, G), w.notes), 0
+    return None, 0
 
 
-def _require_verified(w: Witness) -> None:
-    failed = [name for name, ok in verify_witness(w).items() if not ok]
-    if failed:
-        raise SoundnessError(
-            f"{w.name} witness for {w.group.name} fails re-verification: "
-            + ", ".join(failed))
+def _search_pass(G: FiniteGroup, components: list, left: int
+                 ) -> tuple[Optional[Witness], int]:
+    """The square-zero search over the PCIs of components, within left
+    tests. nd_witness_search is looked up when called, so a wrapper set on
+    this module reaches it."""
+    found, spent = nd_witness_search(G, [sp.e for sp, _d in components],
+                                     budget=left)
+    return (None if found is None else Witness("search", G, *found)), spent
+
+
+# the witness passes in the order nd_verdict tries them:
+# pass(G, components, tests left) -> (witness or None, tests spent)
+_WITNESS_PASSES = (_curated_pass, _search_pass)
 
 
 def nd_verdict(G: FiniteGroup, budget: int = DEFAULT_WITNESS_BUDGET,
                seed: int = 0) -> NDReport:
     """Decide ND where possible. Positive only via the at-most-one-matrix-
     component certificate; negative only via a verified witness; otherwise
-    Unknown with the search budget recorded."""
+    Unknown with the search budget recorded.
+
+    Without the positive certificate, the passes of _WITNESS_PASSES run in
+    order, the curated witnesses first and then the square-zero search,
+    until one finds a witness. They share the budget: each pass gets what
+    the earlier ones left of it, and spent is the sum of their spends. A
+    found witness is re-verified exactly here, whichever pass found it,
+    and a failed check raises SoundnessError."""
     sn = is_sn(G)
     ssn = is_ssn(G)
     okp, _p = G.is_p_group()
@@ -691,24 +702,22 @@ def nd_verdict(G: FiniteGroup, budget: int = DEFAULT_WITNESS_BUDGET,
     except NotMetabelian:
         count, comps = MatrixCount(0, None), []
 
-    name = getattr(G, "spec", G.name)
+    report = NDReport(getattr(G, "spec", G.name), G.order, "Unknown",
+                      "BudgetExhausted", count, sn, ssn, ncn, budget=budget,
+                      components=comps)
     if count.hi is not None and count.hi <= 1:
-        return NDReport(name, G.order, "HasND", "OneMatrixComponent",
-                        count, sn, ssn, ncn, budget=budget, components=comps)
-
-    wit = _curated_for_group(G)
-    if wit is not None:
-        _require_verified(wit)
-        return NDReport(name, G.order, "NotND", "WitnessFound", count,
-                        sn, ssn, ncn, witness=(wit.alpha, wit.e),
-                        budget=budget, components=comps)
-
-    found, spent = nd_witness_search(G, [sp.e for sp, _d in comps], budget=budget)
-    if found is not None:
-        alpha, e = found
-        _require_verified(Witness("search", G, alpha, e))
-        return NDReport(name, G.order, "NotND", "WitnessFound", count,
-                        sn, ssn, ncn, witness=found, budget=budget,
-                        spent=spent, components=comps)
-    return NDReport(name, G.order, "Unknown", "BudgetExhausted", count,
-                    sn, ssn, ncn, budget=budget, spent=spent, components=comps)
+        report.verdict, report.reason = "HasND", "OneMatrixComponent"
+        return report
+    for find in _WITNESS_PASSES:
+        wit, spent = find(G, comps, budget - report.spent)
+        report.spent += spent
+        if wit is not None:
+            failed = [name for name, ok in verify_witness(wit).items() if not ok]
+            if failed:
+                raise SoundnessError(
+                    f"{wit.name} witness for {G.name} fails re-verification: "
+                    + ", ".join(failed))
+            report.verdict, report.reason = "NotND", "WitnessFound"
+            report.witness = (wit.alpha, wit.e)
+            return report
+    return report

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -37,7 +36,7 @@ def test_ring_axioms(a, b, c):
 def test_conjugation_is_an_automorphism(a, b, g):
     assert (a * b).conjugate(g) == a.conjugate(g) * b.conjugate(g)
     assert (a + b).conjugate(g) == a.conjugate(g) + b.conjugate(g)
-    assert a.conjugate(g).conjugate_left(g) == a
+    assert a.conjugate(g).conjugate(S3.inv(g)) == a
 
 
 def test_normalization_invariants():
@@ -257,14 +256,3 @@ def central_elements(draw):
 @given(central_elements())
 def test_central_idempotency_is_exact_on_class_sum_combinations(x):
     assert x.is_central_idempotent() == _is_central_idempotent(x)
-
-
-def test_json_roundtrip():
-    G = build_named("D12")
-    e = tilde(subgroup_generated(G, (G.word("a^3"),))) \
-        - tilde(subgroup_generated(G, (G.element("a"),)))
-    s = e.to_json(spec="D(12)")
-    data = json.loads(s)
-    assert data["group"] == "D(12)"
-    back = AlgElem.from_json(G, s)
-    assert back == e

@@ -29,6 +29,14 @@ ANALYZE_SHA256 = {
     "X(Q(8),C(25))": "589ed2ef3b5332db6b44381efbbf3146e4a189021042c09c96a0d4bc0d29fe2b",
     "X(Q(8),C(27))": "c5335ac6391fbb19bf69ce5ece64d57e5acf5ed6392603e832bf92baa78569a1",
     "X(C(4),EA(2,5))": "bf65e7c3cd288be76e5da51ca58e3f1f19386dcba3d4989373eac170cef44446",
+    # one group for each way out of nd_verdict's witness passes, recorded
+    # before they became one loop: the search exhausts its candidates
+    # (45 024 tests), the search spends the whole budget, no PCI to search
+    # with (spent 0), and the curated BJ3 witness
+    "SdCyc(3,8,2)": "3d1d480225a767f7e9d6f9a4f396922bcc088c5892fab3c55dda850fd01b4e9a",
+    "SdCyc(5,8,2)": "c31bbe0b2c55022c72cae76205f79fff23c86a8ae797844ae4b017f55a263e57",
+    "X(A5,C(2))": "0b2de09ce2353577736192dffe3ba889ab1ae3b9fbe2e74f0b6261cb614741aa",
+    "Q8xC8": "365bad78fd7a34c295cf6c4e88d0be49aacc3de2f34e9ba2b6edb7f963f5eb8b",
 }
 
 
@@ -577,7 +585,9 @@ def test_analyze_verifies_its_witness_once(capsys, monkeypatch, spec):
 
 
 @pytest.mark.parametrize("argv", [("sweep", "BJ1", "--m", "1"),
-                                  ("sweep", "BJ3", "--n", "0:6")])
+                                  ("sweep", "BJ3", "--n", "0:6"),
+                                  ("sweep", "nonfaithful", "--k0", "0"),
+                                  ("sweep", "repunit", "--n", "1")])
 def test_a_parameter_the_family_rejects_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out

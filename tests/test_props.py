@@ -250,6 +250,31 @@ def test_a_curated_witness_that_fails_raises(monkeypatch):
         nd_verdict(build_named("D12"))
 
 
+@pytest.mark.parametrize("spec, budget", [("C3rC8", 50_000),  # exhausted
+                                          ("C3rC8", 1_000),   # budget spent
+                                          ("D12", 50_000)])   # witness
+def test_each_witness_pass_gets_what_the_earlier_ones_left(monkeypatch, spec,
+                                                          budget):
+    # a stub pass that spends k tests and finds nothing, then the search
+    k, budgets, spends = 7, [], []
+    search = props.nd_witness_search
+
+    def recording(G, pcis, budget):
+        budgets.append(budget)
+        found, spent = search(G, pcis, budget=budget)
+        spends.append(spent)
+        return found, spent
+
+    monkeypatch.setattr(props, "nd_witness_search", recording)
+    monkeypatch.setattr(props, "_WITNESS_PASSES",
+                        (lambda G, components, left: (None, k),
+                         props._search_pass))
+    report = nd_verdict(build_spec(spec), budget=budget)
+    assert budgets == [budget - k]
+    assert report.spent == k + spends[0] <= budget
+    assert (report.witness is None) == (spec == "C3rC8")
+
+
 def test_ncn_iff_ssn_for_p_groups():
     for name in ["D8", "Q8", "Q16", "C2xD8", "D8cpD8", "D8cpQ8", "Q8xC4",
                  "BJ5", "BJ8", "Heis27", "C9rC3"]:

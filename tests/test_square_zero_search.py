@@ -328,16 +328,37 @@ def test_unverified_search_witness_raises(monkeypatch):
         nd_verdict(build_named("C3rC8"), budget=10)
 
 
-def test_unverified_search_witness_raises_under_optimize():
+# a witness that fails re-verification, from each witness pass in turn:
+# the search returns alpha = 1, the curated D12 witness gets alpha = 1,
+# which is not nilpotent
+_BOGUS_WITNESS = {
+    "search": """
+        qgring.props.nd_witness_search = (
+            lambda G, pcis, budget=0: ((AlgElem.one(G), pcis[0]), 1))
+        G = build_named("C3rC8")
+    """,
+    "curated": """
+        curated = qgring.props.curated_witness
+        def bogus(name, *args, **kwargs):
+            w = curated(name, *args, **kwargs)
+            return Witness(w.name, w.group, AlgElem.one(w.group), w.e)
+        qgring.props.curated_witness = bogus
+        G = build_named("D12")
+    """,
+}
+
+
+@pytest.mark.parametrize("source", sorted(_BOGUS_WITNESS))
+def test_unverified_search_witness_raises_under_optimize(source):
     script = textwrap.dedent("""
         import qgring.props
         from qgring.algebra import AlgElem
         from qgring.catalog import build_named
         from qgring.errors import SoundnessError
-        qgring.props.nd_witness_search = (
-            lambda G, pcis, budget=0: ((AlgElem.one(G), pcis[0]), 1))
+        from qgring.props import Witness
+    """) + textwrap.dedent(_BOGUS_WITNESS[source]) + textwrap.dedent("""
         try:
-            qgring.props.nd_verdict(build_named("C3rC8"), budget=10)
+            qgring.props.nd_verdict(G, budget=10)
         except SoundnessError:
             print("raised")
     """)
