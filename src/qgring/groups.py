@@ -307,6 +307,47 @@ def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
             for p in _cyclic_seeds(G)[0]]
 
 
+def _conjugation(G: FiniteGroup, g: int) -> list[int]:
+    """The permutation x -> x^g = g^-1 x g of G's elements."""
+    table = G.table
+    return [table[y][g] for y in table[G.inverse[g]]]
+
+
+def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]]]:
+    """The conjugacy classes of the seeds of _cyclic_seeds, as (rep, by,
+    moves): rep[k] is the first seed of C_k's class in seed order, by[k] an
+    element g with C_k = C_rep[k]^g, and moves[j][k] the seed of C_k^t for
+    the j-th generator t of G. A class is the orbit of its first seed
+    under the moves."""
+    if "seed_classes" not in G._cache:
+        walks, seed_of = _cyclic_seeds(G)
+        table, gens = G.table, G.generators()
+        moves = [[seed_of[perm[p[0]]] for p in walks]
+                 for perm in (_conjugation(G, t) for t in gens)]
+        steps = list(zip(gens, moves))
+        rep, by = [-1] * len(walks), [0] * len(walks)
+        for r in range(len(walks)):
+            if rep[r] < 0:
+                rep[r] = r
+                orbit = [r]
+                for s in orbit:
+                    for t, move in steps:
+                        q = move[s]
+                        if rep[q] < 0:
+                            rep[q], by[q] = r, table[by[s]][t]
+                            orbit.append(q)
+        G._cache["seed_classes"] = rep, by, moves
+    return G._cache["seed_classes"]
+
+
+def artin_count(G: FiniteGroup) -> int:
+    """The number of conjugacy classes of cyclic subgroups of G, the trivial
+    one included: by Artin's induction theorem, the number of simple
+    components of Q[G] (Serre, Linear Representations of Finite Groups,
+    13.1)."""
+    return len(set(_seed_classes(G)[0])) + 1
+
+
 def _closure(G: FiniteGroup, gens: Iterable[int],
              base: Optional[Subgroup] = None) -> int:
     """Mask of the subgroup generated by base (trivial when None) and gens.
@@ -534,6 +575,49 @@ def _joins_by_order(J: dict[int, int]) -> list[tuple[int, int, list[int]]]:
                   reverse=True)
 
 
+def _conjugated_row(G: FiniteGroup, i: int, seed_joins: list[dict[int, int]],
+                    seen: dict[int, Subgroup]) -> dict[int, int]:
+    """The join row J(i, .) of a seed C_i = C_r^g (_seed_classes), from the
+    complete rows of the seeds before it: J(i, q^g) = J(r, q)^g. Each
+    distinct J = <C_a, C_b> of C_r's row (a = b for a seed) is conjugated
+    once: J^g = <C_a^g, C_b^g> is read off an earlier row when C_a^g or
+    C_b^g comes before C_i, and is the image of J's members when not."""
+    walks, seed_of = _cyclic_seeds(G)
+    rep, by, _ = _seed_classes(G)
+    perm = _conjugation(G, by[i])
+    row = seed_joins[rep[i]]
+    image: dict[int, int] = {}
+    for mask in set(row.values()):
+        J = seen[mask]
+        a, *_, b = sorted(seed_of[perm[x]] for x in J.gens * 2)
+        image[mask] = (seed_joins[a][b] if a < i else
+                       sum(map((1).__lshift__, map(perm.__getitem__, J.members))))
+    return dict(zip((seed_of[perm[walks[q][0]]] for q in row),
+                    map(image.__getitem__, row.values())))
+
+
+def _first_conjugates(G: FiniteGroup, frontier: list[Subgroup],
+                      seed_joins: list[dict[int, int]]) -> list[int]:
+    """For each H = J(a, b) = <C_a, C_b> of frontier, the index of the first
+    conjugate of H in frontier, for a frontier that holds every conjugate of
+    its members. The conjugates are read off the join table as
+    J(a, b)^t = J(a^t, b^t), for t in G.generators() (_seed_classes)."""
+    seed_of, moves = _cyclic_seeds(G)[1], _seed_classes(G)[2]
+    first_of: dict[int, int] = {}
+    for i, H in enumerate(frontier):
+        if H.mask not in first_of:
+            first_of[H.mask] = i
+            pairs = [tuple(map(seed_of.__getitem__, H.gens))]
+            for a, b in pairs:
+                for move in moves:
+                    pair = move[a], move[b]
+                    mask = seed_joins[pair[0]][pair[1]]
+                    if mask not in first_of:
+                        first_of[mask] = i
+                        pairs.append(pair)
+    return [first_of[H.mask] for H in frontier]
+
+
 def subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups of G, each exactly once, sorted by (order, mask).
 
@@ -564,9 +648,21 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     <H, x> depends on <x> only, so x names its join through its seed. Each
     named join was reached before: a first-level join J(s, q) when its
     level ended, and any other when it was computed for H or, on the first
-    level, for an earlier seed. So it is already in `seen`: the list, every
-    gens and the point where OrderCapExceeded is raised (as soon as more
-    than MAX_SUBGROUPS subgroups are found) are those of closing every join.
+    level, for an earlier seed. So it is already in `seen`.
+
+    Two shortcuts scan one member per conjugacy class. The subgroups found
+    by level l are the joins of at most l + 1 cyclic subgroups, a set that
+    conjugation maps onto itself, so a conjugate of a scanned subgroup
+    joins to conjugates of its joins.
+    - First level: a seed C_i = C_r^g, C_r the first of its class, takes
+      C_r's row conjugated (_conjugated_row).
+    - Second level: the 2-generated subgroups are classed through the join
+      table (_first_conjugates), and H = R^g, R earlier, is skipped when no
+      join of R is new at this level: each <H, C_k> = <R, C_k'>^g was
+      found by the first level too.
+    So the list, every gens and the point where OrderCapExceeded is raised
+    (as soon as more than MAX_SUBGROUPS subgroups are found) are those of
+    closing every join of every seed and subgroup.
     """
     if "subgroups" not in G._cache:
         table, conj = G.table, G.conj
@@ -574,20 +670,44 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
         seed_powers, seed_of = _cyclic_seeds(G)
         seed_at = seed_of.__getitem__
         seeds = cyclic_subgroups(G)
+        rep = _seed_classes(G)[0]
         units: dict[int, list[int]] = {}  # seed j -> the generators of C_j
         seen: dict[int, Subgroup] = {1: Subgroup(G, 1)}
         seen.update((C.mask, C) for C in seeds)
         _check_subgroup_count(G, seen)
         full = (1 << G.order) - 1
-        frontier, first = seeds, True
+        frontier, level = seeds, 1
         seed_joins: list[dict[int, int]] = []  # J(s, q), by s then q
         joins_of: dict[int, list] = {}  # s -> _joins_by_order(J(s, .))
+
+        def found(mask: int, gens: tuple[int, ...]) -> None:
+            seen[mask] = Subgroup(G, mask, gens)
+            new.append(seen[mask])
+            fresh.add(mask)
+            _check_subgroup_count(G, seen)
+
         while frontier:
             new: list[Subgroup] = []
+            fresh: set[int] = set()  # the masks of new
+            # with every seed normal (G is Dedekind) each class is one subgroup
+            first = (_first_conjugates(G, frontier, seed_joins)
+                     if level == 2 and len(set(rep)) < len(rep)
+                     else range(len(frontier)))
+            shared = {r for i, r in enumerate(first) if r != i}
+            clean: dict[int, bool] = {}  # r in shared -> no join of it is new
             for i, H in enumerate(frontier):
+                if first[i] != i and clean[first[i]]:
+                    continue
+                if level == 1 and rep[i] != i:
+                    join = _conjugated_row(G, i, seed_joins, seen)
+                    seed_joins.append(join)
+                    for k in range(i + 1, len(seeds)):
+                        if join[k] not in seen:
+                            found(join[k], H.gens + (seed_powers[k][0],))
+                    continue
                 members = H.members
                 join = dict.fromkeys(map(seed_at, members), H.mask)
-                if first:
+                if level == 1:
                     join.update((j, J[i]) for j, J in enumerate(seed_joins))
                     seed_joins.append(join)
                 else:
@@ -602,7 +722,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                 if H.mask == full:
                     continue
                 left_coset = itemgetter(*members)  # of a row; |H| >= 2
-                for k in range(i + 1, len(seeds)) if first else range(len(seeds)):
+                for k in range(i + 1, len(seeds)) if level == 1 else range(len(seeds)):
                     if k in join:
                         continue
                     c = seed_powers[k][0]
@@ -631,13 +751,12 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         else:
                             mask = _closure(G, (c,), H)
                     if mask not in seen:
-                        sub = Subgroup(G, mask, H.gens + (c,))
-                        seen[mask] = sub
-                        new.append(sub)
-                        _check_subgroup_count(G, seen)
+                        found(mask, H.gens + (c,))
                     join.update(dict.fromkeys(map(seed_at, names), mask))
+                if i in shared:
+                    clean[i] = fresh.isdisjoint(join.values())
             frontier = new
-            first = False
+            level += 1
         subs = sorted(seen.values(), key=lambda s: (s.order, s.mask))
         G._cache["subgroups"] = subs
     return G._cache["subgroups"]

@@ -24,6 +24,7 @@ from .errors import NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    artin_count,
     commutator_subgroup,
     cosets,
     derived_subgroup,
@@ -286,11 +287,15 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     divides exp(H), the lcm of H's element orders: a cyclic H/K has order
     [H : K], which divides exp(H), so no pair is lost.
 
-    Postconditions checked (SoundnessError otherwise): the idempotents are
-    central, sum to 1 and are idempotent. These three imply that they are
-    pairwise orthogonal: Z(Q[G]) is a product of fields of characteristic
-    0, where each idempotent has every coordinate 0 or 1, and a sum of 0s
-    and 1s equal to 1 has exactly one 1, so e_i * e_j = 0 for i != j.
+    Postconditions checked (SoundnessError otherwise): there are as many
+    idempotents as Q[G] has simple components, artin_count(G), and they
+    are central, sum to 1 and are idempotent. The count rests on Artin's
+    induction theorem, not on the strong-Shoda one: a list that leaves out
+    a component, or gives two components one idempotent, is too short.
+    The other three imply that the idempotents are pairwise orthogonal:
+    Z(Q[G]) is a product of fields of characteristic 0, where each
+    idempotent has every coordinate 0 or 1, and a sum of 0s and 1s equal
+    to 1 has exactly one 1, so e_i * e_j = 0 for i != j.
     Conversely orthogonal elements summing to 1 are idempotent
     (e_i = e_i * 1 = e_i^2), so the facts certified are those of the
     pairwise check, at the cost of one square per idempotent, decided at
@@ -342,6 +347,9 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         eps, _ = _epsilon_centralizer(G, H, K)
         by_key[k] = ShodaPair(H, K, eps, e, "strong-shoda")
     out = [by_key[k] for k in sorted(by_key)]
+    if len(out) != artin_count(G):
+        raise SoundnessError(f"{len(out)} PCIs, but Artin's count of {G.name} "
+                             f"is {artin_count(G)}")
     total = AlgElem.zero(G)
     for sp in out:
         if not sp.e.is_central():

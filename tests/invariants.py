@@ -84,12 +84,17 @@ def subgroup_of_spec(spec: str, generator_words: list[str],
     return out
 
 
+def relabelling(order: int, seed: int) -> list[int]:
+    """The permutation of relabel: old index -> new index, fixing 0."""
+    perm = list(range(1, order))
+    random.Random(seed).shuffle(perm)
+    return [0] + perm
+
+
 def relabel(G: FiniteGroup, seed: int) -> FiniteGroup:
     """G with its non-identity elements shuffled, rebuilt through from_table
     (so element names are lost too)."""
-    perm = list(range(1, G.order))
-    random.Random(seed).shuffle(perm)
-    perm = [0] + perm  # old index -> new index
+    perm = relabelling(G.order, seed)
     table = [[0] * G.order for _ in range(G.order)]
     for a, row in enumerate(G.table):
         for b, ab in enumerate(row):

@@ -1,10 +1,13 @@
 """The subgroup lattice and SN/SSN against their original implementations.
 
-`subgroups` grows each join by cosets and skips the joins it can already
-name; `is_sn`/`is_ssn` read joins and normalizers off G's own lattice.
-reference_lattice.py holds the original code, which closes every join
-from its generators and runs SN on a standalone group per subgroup. Both
-must give the same lattice, generators included, and the same verdicts.
+`subgroups` grows each join by cosets, skips the joins it can already
+name and scans one member per conjugacy class where its own data names
+the class; `is_sn`/`is_ssn` read joins and normalizers off G's own
+lattice. reference_lattice.py holds the original code, which closes every
+join from its generators and runs SN on a standalone group per subgroup,
+and `coset_subgroups`, the coset lattice that scans every seed and every
+subgroup. All must give the same lattice, generators included, and the
+same verdicts.
 The work saved is pinned as counts of `_closure` calls, and the work of
 the PCI enumeration's scans over the lattice as counts of subgroup
 comparisons. Normality in G is decided once per subgroup: the SN scan
@@ -20,12 +23,18 @@ import qgring.cli
 import qgring.groups
 import qgring.props
 from qgring.catalog import build_named, build_spec, catalog_names
+from qgring.components import count_matrix_components
 from qgring.errors import OrderCapExceeded
-from qgring.groups import (FiniteGroup, Subgroup, elementary_abelian,
+from qgring.groups import (FiniteGroup, Subgroup, _closure, _conjugated_row,
+                           _cyclic_seeds, _seed_classes, artin_count,
+                           cyclic_subgroups, elementary_abelian,
                            normal_subgroups, subgroups)
 from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
-from reference_lattice import reference_is_sn, reference_is_ssn, reference_subgroups
+import reference_lattice
+from invariants import relabel, relabelling
+from reference_lattice import (coset_subgroups, reference_is_sn, reference_is_ssn,
+                               reference_subgroups)
 from test_workloads import workloads  # noqa: F401  (the fixture)
 
 # the groups analyzed by the benchmark's analyze-large and witness-search
@@ -52,6 +61,69 @@ def test_lattice_and_verdicts_match_reference(name):
     assert _same_lattice(G)
     assert is_sn(G) == reference_is_sn(G)
     assert is_ssn(G) == reference_is_ssn(G)
+
+
+def _same_as_coset_lattice(G):
+    return ([(H.mask, H.gens) for H in subgroups(G)]
+            == [(H.mask, H.gens) for H in coset_subgroups(G)])
+
+
+# groups where both class shortcuts fire: seeds that take a conjugated
+# join row, and 2-generated subgroups skipped as conjugates
+CLASSED = ["D(128)", "D(240)", "X(A5,C(2))", "X(A5,C(4))", "X(D(10),D(10))",
+           "X(D(8),D(8))", "X(D(12),EA(2,2))"]
+
+
+@pytest.mark.parametrize("name", catalog_names() + CORPUS + CLASSED)
+def test_lattice_matches_the_coset_lattice(name):
+    assert _same_as_coset_lattice(_build(name))
+
+
+@pytest.mark.parametrize("workload", ["analyze-large", "family-sweep",
+                                      "witness-search"])
+def test_lattice_matches_the_coset_lattice_on_the_workloads(workload, workloads):
+    for op in workloads.build_ops(workload):
+        assert _same_as_coset_lattice(workloads._build(op.build)), op.label
+
+
+@pytest.mark.parametrize("spec", ["A5", "D(60)", "X(D(6),D(6))"])
+def test_conjugated_rows_are_the_join_rows(spec):
+    # a wrong join that the lattice already holds changes no output, so the
+    # rows are checked against the closures <C_i, C_q> themselves
+    G = _build(spec)
+    seen = {H.mask: H for H in subgroups(G)}
+    least = [p[0] for p in _cyclic_seeds(G)[0]]
+    rows = [{q: _closure(G, (c, d)) for q, d in enumerate(least)} for c in least]
+    rep = _seed_classes(G)[0]
+    assert rep != list(range(len(rep)))
+    for i in range(len(rows)):
+        if rep[i] != i:
+            assert _conjugated_row(G, i, rows, seen) == rows[i]
+
+
+@pytest.mark.parametrize("spec, seed", [("D(200)", 1), ("A5", 2)])
+def test_lattice_and_counts_survive_a_relabelling(spec, seed):
+    # the relabelled seed order and generators make other seeds the first
+    # of their classes, so the shortcuts run from other representatives
+    G = _build(spec)
+    perm = relabelling(G.order, seed)
+    R = relabel(G, seed)
+
+    def moved(mask):
+        return sum(1 << perm[x] for x in range(G.order) if mask >> x & 1)
+
+    def first_seeds(G):
+        rep = _seed_classes(G)[0]
+        return {C.mask for k, C in enumerate(cyclic_subgroups(G)) if rep[k] == k}
+
+    assert {moved(m) for m in first_seeds(G)} != first_seeds(R)
+    assert {moved(H.mask) for H in subgroups(G)} == {H.mask for H in subgroups(R)}
+    assert (is_sn(G), is_ssn(G)) == (is_sn(R), is_ssn(R))
+    # the idempotents the pipeline classifies: every PCI of D(200), and
+    # A5's one special PCI
+    assert (len(count_matrix_components(G)[1]) == len(count_matrix_components(R)[1])
+            == {"D(200)": 11, "A5": 1}[spec])
+    assert artin_count(G) == artin_count(R) == {"D(200)": 11, "A5": 4}[spec]
 
 
 def _is_hamiltonian_without_lattice(G):
@@ -116,8 +188,9 @@ def test_cold_lattice_names_most_cyclic_joins(monkeypatch):
     products = _record_calls(monkeypatch, qgring.groups, "_cyclic_join")
     assert len(subgroups(G)) == 226
     # 618 product sets when a level-2 join was not read off the first
-    # level's joins <C_s, C_q>
-    assert len(products) <= 209
+    # level's joins <C_s, C_q>, and 209 when every seed and every
+    # 2-generated subgroup was scanned, not one per conjugacy class
+    assert len(products) <= 133
     assert bases == []
 
 
@@ -182,6 +255,28 @@ def test_subgroup_cap_stops_at_the_first_subgroup_over_it(monkeypatch):
     assert counts[-1] == 21
     monkeypatch.setattr(qgring.groups, "MAX_SUBGROUPS", 67)
     assert len(subgroups(G)) == 67
+
+
+def test_subgroup_cap_stops_where_the_coset_lattice_stops(monkeypatch):
+    # D(200)'s 98 conjugated seed rows find their joins in the order the
+    # full scan finds them, so the cap stops at the same subgroup
+    G = build_spec("D(200)")
+    stops = []
+    orig = qgring.groups._check_subgroup_count
+
+    def recording(G, found):
+        if len(found) > 150:
+            stops.append(list(found))
+        orig(G, found)
+
+    monkeypatch.setattr(qgring.groups, "_check_subgroup_count", recording)
+    monkeypatch.setattr(reference_lattice, "_check_subgroup_count", recording)
+    monkeypatch.setattr(qgring.groups, "MAX_SUBGROUPS", 150)
+    for lattice in (subgroups, coset_subgroups):
+        G._cache.clear()
+        with pytest.raises(OrderCapExceeded):
+            lattice(G)
+    assert len(stops[0]) == 151 and stops[0] == stops[1]
 
 
 def _record_calls(monkeypatch, module, name):

@@ -8,10 +8,11 @@ import pytest
 
 import qgring.shoda
 from qgring.algebra import AlgElem, tilde
-from qgring.catalog import bj1_group, build_named, build_spec
+from qgring.catalog import bj1_group, build_named, build_spec, catalog_names
 from qgring.components import component_dimension
 from qgring.errors import NotMetabelian, NotNormalInH, SoundnessError
 from qgring.groups import (
+    artin_count,
     derived_subgroup,
     dihedral,
     normalizer,
@@ -29,6 +30,7 @@ from qgring.shoda import (
     metabelian_pcis,
     pci_sanity,
 )
+from invariants import relabel
 
 
 def test_epsilon_equal_pair_is_tilde():
@@ -167,6 +169,38 @@ def test_a_pair_that_is_not_strong_raises(monkeypatch):
     monkeypatch.setattr(qgring.shoda, "is_strong_shoda_pair",
                         lambda G, H, K: False)
     with pytest.raises(SoundnessError):
+        metabelian_pcis(dihedral(12))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_artin_count_is_the_number_of_pcis(name):
+    # one simple component of Q[G] per conjugacy class of cyclic subgroups
+    G = build_named(name)
+    if derived_subgroup(G).is_abelian():
+        assert artin_count(G) == len(metabelian_pcis(G))
+    else:  # A5: Q, M_3(Q(sqrt 5)), M_4(Q) and M_5(Q)
+        assert artin_count(G) == 4
+
+
+@pytest.mark.parametrize("name, seed", [("C3C3rC8", 1), ("D8cpQ8", 2), ("BJ9", 3)])
+def test_artin_count_is_the_number_of_pcis_after_a_relabelling(name, seed):
+    G = build_named(name)
+    R = relabel(G, seed)
+    assert artin_count(R) == artin_count(G) == len(metabelian_pcis(R))
+
+
+def test_a_pci_list_short_of_artins_count_raises(monkeypatch):
+    # the second pair's idempotent replaced by the first's: one PCI is lost,
+    # and the count says so before the sum does
+    orig = qgring.shoda.e_idem
+    made = []
+
+    def first_again(G, H, K):
+        made.append(orig(G, H, K))
+        return made[0] if len(made) == 2 else made[-1]
+
+    monkeypatch.setattr(qgring.shoda, "e_idem", first_again)
+    with pytest.raises(SoundnessError, match="5 PCIs, but Artin's count of D12 is 6"):
         metabelian_pcis(dihedral(12))
 
 
