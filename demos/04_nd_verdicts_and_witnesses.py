@@ -8,13 +8,15 @@ The five worked negatives are re-verified from scratch here.
 
 from fractions import Fraction
 
-from qgring import build_named, curated_witness, nd_verdict, verify_witness
+from qgring import (build_named, curated_witness, is_sn, is_ssn, nd_verdict,
+                    verify_witness)
 
 print("Verdicts:")
 for name in ["Q8", "Q12", "A4", "D12", "C3rC8", "Q8xC4", "Q8xC8", "A5"]:
-    r = nd_verdict(build_named(name), budget=20000)
+    G = build_named(name)
+    r = nd_verdict(G, budget=20000)
     print(f"  {name:<8} {r.verdict:<8} ({r.reason}; matrix_count={r.matrix_count}, "
-          f"sn={r.sn}, ssn={r.ssn})")
+          f"sn={is_sn(G)}, ssn={is_ssn(G)})")
 
 print("\nCurated witnesses, re-verified exactly:")
 for name, kwargs in [("D12", {}), ("Ex3.8", {}), ("BJ3", {"n": 3}),

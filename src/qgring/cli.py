@@ -36,7 +36,7 @@ from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, order_q_matrix,
                      semidirect_vector)
 from .numutil import element_of_order, is_prime, ord_mod
 from .props import (DEFAULT_WITNESS_BUDGET, _prediction_for, classify_ssn,
-                    nd_verdict)
+                    is_ncn, is_sn, is_ssn, nd_verdict)
 
 SCHEMA = 1
 
@@ -69,6 +69,9 @@ def _analyze(args) -> int:
     timing = {}
     t0 = time.perf_counter()
     cls = classify_ssn(G)
+    okp, _ = G.is_p_group()
+    flags = {"sn": is_sn(G), "ssn": is_ssn(G),
+             "ncn": is_ncn(G) if okp and G.order > 1 else None}
     timing["classify_ms"] = int(1000 * (time.perf_counter() - t0))
 
     t0 = time.perf_counter()
@@ -101,19 +104,18 @@ def _analyze(args) -> int:
         "schema": SCHEMA,
         "group": {"spec": args.spec, "name": G.name,
                   "order": G.order},
-        "properties": {"sn": report.sn, "ssn": report.ssn, "ncn": report.ncn,
-                       "class": cls.tag, "class_params": cls.params},
+        "properties": {**flags, "class": cls.tag, "class_params": cls.params},
         "pcis": pcis_info,
         "matrix_count": cnt.to_json(),
-        "nd": report.to_dict(spec=args.spec),
+        "nd": {**report.to_dict(spec=args.spec), **flags},
         "prediction": pred,
     }
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
         print(f"group {out['group']['spec']}  (order {G.order}, {G.name})")
-        print(f"  properties: sn={report.sn} ssn={report.ssn} ncn={report.ncn} "
-              f"class={cls.tag} {cls.params}")
+        print(f"  properties: sn={flags['sn']} ssn={flags['ssn']} "
+              f"ncn={flags['ncn']} class={cls.tag} {cls.params}")
         if pcis_info:
             print(f"  primitive central idempotents ({len(pcis_info)}):")
             for row in pcis_info:

@@ -252,13 +252,17 @@ def amitsur_division(m: int, r: int) -> AmitsurResult:
                      "mu_p": mu_p, "delta_prime": delta_prime}
             res.primes[p] = trace
             if p != 2:
+                # s | p^delta' - 1. Were p | s, 3C (gcd(s, t) = 1) or 3D
+                # (gcd(s, t) = 2, p odd) would put all of p^alpha_p into s,
+                # so r = 1 mod p^alpha_p and n = n_p, against q not dividing
+                # n_p. So s | M, p^delta' lies in <p> & <r> mod M, and
+                # r = 1 mod s.
                 val = p ** delta_prime - 1
                 if val % s:
-                    res.diagnostics.append(
-                        f"s={s} does not divide p^delta'-1={val} for p={p}")
-                    trace["2a"] = False
-                else:
-                    trace["2a"] = math.gcd(q, val // s) == 1
+                    raise SoundnessError(
+                        f"s={s} does not divide p^delta'-1={val} for m={m}, "
+                        f"r={r}, p={p}")
+                trace["2a"] = math.gcd(q, val // s) == 1
                 if trace["2a"]:
                     found = True
                     break

@@ -640,11 +640,9 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     - If c normalizes H (tested on H.gens), <H, c> is _cyclic_join's product
       set, and the elements it returns name it.
     - Else every x = hch' of HcH names it, as c = h^-1 x h'^-1. HcH is built
-      one left coset yH at a time. If a seed C_j of it is in `join`, the
-      join is read off that seed, and every y*h with y a generator of C_j
-      and h in H names it too: <H, y*h> = <H, y> = <H, C_j>. Else it is
-      the product set again when H normalizes <c>, and is closed
-      (_closure with base H) when not.
+      one left coset yH at a time. If a seed of it is in `join`, the join
+      is read off that seed. Else it is the product set again when H
+      normalizes <c>, and is closed (_closure with base H) when not.
     <H, x> depends on <x> only, so x names its join through its seed. Each
     named join was reached before: a first-level join J(s, q) when its
     level ended, and any other when it was computed for H or, on the first
@@ -671,7 +669,6 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
         seed_at = seed_of.__getitem__
         seeds = cyclic_subgroups(G)
         rep = _seed_classes(G)[0]
-        units: dict[int, list[int]] = {}  # seed j -> the generators of C_j
         seen: dict[int, Subgroup] = {1: Subgroup(G, 1)}
         seen.update((C.mask, C) for C in seeds)
         _check_subgroup_count(G, seen)
@@ -738,12 +735,6 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         hit = next(filter(join.__contains__, map(seed_at, names)), None)
                         if hit is not None:
                             mask = join[hit]
-                            if hit not in units:
-                                p = seed_powers[hit]
-                                units[hit] = [x for e, x in enumerate(p, 1)
-                                              if math.gcd(e, len(p)) == 1]
-                            for y in units[hit]:
-                                names.update(left_coset(table[y]))
                         elif all(seeds[k].mask >> conj(c, s) & 1 for s in H.gens):
                             mask, more = _cyclic_join(table, bits, H, left_coset,
                                                       seed_powers[k])

@@ -162,8 +162,11 @@ def is_ncn(G: FiniteGroup) -> bool:
     ok, p = G.is_p_group()
     if not ok or G.order == 1:
         raise NotPGroup(f"{G.name} is not a nontrivial p-group")
-    normal = {S.mask for S in normal_subgroups(G)}
-    return all(H.mask in normal for H in subgroups(G) if not H.is_cyclic())
+    if "ncn" not in G._cache:
+        normal = {S.mask for S in normal_subgroups(G)}
+        G._cache["ncn"] = all(H.mask in normal for H in subgroups(G)
+                              if not H.is_cyclic())
+    return G._cache["ncn"]
 
 
 def is_hamiltonian(G: FiniteGroup) -> bool:
@@ -605,9 +608,6 @@ class NDReport:
     verdict: str  # HasND | NotND | Unknown
     reason: str   # OneMatrixComponent | WitnessFound | BudgetExhausted
     matrix_count: "MatrixCount"
-    sn: bool
-    ssn: bool
-    ncn: Optional[bool]
     witness: Optional[tuple[AlgElem, AlgElem]] = None
     budget: int = 0
     spent: int = 0
@@ -627,9 +627,6 @@ class NDReport:
                        "spent": self.spent},
             "witness": wit,
             "matrix_count": self.matrix_count.to_json(),
-            "sn": self.sn,
-            "ssn": self.ssn,
-            "ncn": self.ncn,
         }
 
 
@@ -692,19 +689,13 @@ def nd_verdict(G: FiniteGroup, budget: int = DEFAULT_WITNESS_BUDGET,
     the earlier ones left of it, and spent is the sum of their spends. A
     found witness is re-verified exactly here, whichever pass found it,
     and a failed check raises SoundnessError."""
-    sn = is_sn(G)
-    ssn = is_ssn(G)
-    okp, _p = G.is_p_group()
-    ncn = is_ncn(G) if okp and G.order > 1 else None
-
     try:
         count, comps = count_matrix_components(G, seed=seed)
     except NotMetabelian:
         count, comps = MatrixCount(0, None), []
 
     report = NDReport(getattr(G, "spec", G.name), G.order, "Unknown",
-                      "BudgetExhausted", count, sn, ssn, ncn, budget=budget,
-                      components=comps)
+                      "BudgetExhausted", count, budget=budget, components=comps)
     if count.hi is not None and count.hi <= 1:
         report.verdict, report.reason = "HasND", "OneMatrixComponent"
         return report

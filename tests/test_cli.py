@@ -37,6 +37,17 @@ ANALYZE_SHA256 = {
     "SdCyc(5,8,2)": "c31bbe0b2c55022c72cae76205f79fff23c86a8ae797844ae4b017f55a263e57",
     "X(A5,C(2))": "0b2de09ce2353577736192dffe3ba889ab1ae3b9fbe2e74f0b6261cb614741aa",
     "Q8xC8": "365bad78fd7a34c295cf6c4e88d0be49aacc3de2f34e9ba2b6edb7f963f5eb8b",
+    # a p-group with ncn false, recorded before the SN/SSN/NCN flags left
+    # the ND report
+    "D8cpD8": "c5b021a1583a42d922f129b4622ac947152988e3f4254a1fc5ca98bf7d1b232a",
+}
+
+# sha256 of `qgring analyze <spec>` without its wall-clock timing line,
+# recorded before the SN/SSN/NCN flags left the ND report
+ANALYZE_TEXT_SHA256 = {
+    "BJ9": "c7b3e0cc1547003a3fb6945c498d91085a8abe27717b2a8c2e45ab2e63f91dd8",
+    "D(200)": "e52929e83159a51e2be95a19e90a7998561e48fbfb66851f4e8f90f89c62a906",
+    "D8cpD8": "27be4d8b82f2a71218748d24e00c260d893cac682a14e1246ad91cb5b7303356",
 }
 
 
@@ -327,6 +338,37 @@ def test_analyze_json_is_byte_identical(capsys, spec):
     code, out, _ = run_cli(capsys, "--json", "analyze", spec)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(ANALYZE_TEXT_SHA256))
+def test_analyze_text_is_byte_identical(capsys, spec):
+    code, out, _ = run_cli(capsys, "analyze", spec)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert lines[-1].startswith("  timing: ")
+    assert (hashlib.sha256("".join(lines[:-1]).encode()).hexdigest()
+            == ANALYZE_TEXT_SHA256[spec])
+
+
+def test_analyze_decides_ncn_once(capsys, monkeypatch):
+    # deciding NCN tests subgroups for cyclicity, each at most once, up to
+    # the first non-cyclic one that is not normal; classify_ssn and the
+    # properties both ask for it, and the second reads the first's answer
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    G = qgring.catalog.build_named("D8cpD8")
+    calls = []
+    orig = qgring.groups.Subgroup.is_cyclic
+
+    def counting(self):
+        calls.append(self.mask)
+        return orig(self)
+
+    monkeypatch.setattr(qgring.groups.Subgroup, "is_cyclic", counting)
+    code, out, _ = run_cli(capsys, "--json", "analyze", "D8cpD8")
+    assert code == 0
+    assert json.loads(out)["properties"]["ncn"] is False
+    assert calls and len(calls) == len(set(calls))
+    assert set(calls) <= {S.mask for S in qgring.groups.subgroups(G)}
 
 
 def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):

@@ -189,6 +189,21 @@ def test_witness_search_exhausts_on_q8():
     assert spent < 10 ** 6  # candidate space exhausted, not the budget
 
 
+@pytest.mark.parametrize("spec,verdict", [
+    ("Q8", "HasND"), ("D12", "NotND"), ("BJ9", "NotND"),
+    ("SdCyc(3,8,2)", "Unknown"), ("X(A5,C(2))", "Unknown")])
+def test_nd_verdict_decides_no_group_property(spec, verdict, monkeypatch):
+    # ND concerns G alone: no verdict reads SN, SSN or NCN
+    def refuse(*args):
+        raise AssertionError("nd_verdict ran an SN/SSN/NCN scan")
+
+    for name in ("is_sn", "is_ssn", "is_ncn", "_sn_scan"):
+        monkeypatch.setattr(props, name, refuse)
+    r = nd_verdict(build_spec(spec))
+    assert r.verdict == verdict
+    assert not any(hasattr(r, f) for f in ("sn", "ssn", "ncn"))
+
+
 def test_nd_verdict_positive_and_negative():
     r = nd_verdict(build_named("Q12"), budget=2000)
     assert r.verdict == "HasND" and r.reason == "OneMatrixComponent"
@@ -197,8 +212,9 @@ def test_nd_verdict_positive_and_negative():
     assert r.verdict == "HasND"
     r = nd_verdict(build_named("D12"), budget=2000)
     assert r.verdict == "NotND" and r.witness is not None
-    r = nd_verdict(build_named("A5"), budget=2000)
-    assert r.verdict == "NotND" and r.ssn
+    G = build_named("A5")
+    r = nd_verdict(G, budget=2000)
+    assert r.verdict == "NotND" and is_ssn(G)
     r = nd_verdict(build_named("C3rC8"), budget=2000)
     assert r.verdict != "HasND"
     assert r.matrix_count.exact == 2
