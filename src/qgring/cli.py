@@ -35,8 +35,8 @@ from .errors import InconsistentFamilyParams, OrderCapExceeded, QGRingError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, order_q_matrix,
                      semidirect_vector)
 from .numutil import element_of_order, is_prime, ord_mod
-from .props import (DEFAULT_WITNESS_BUDGET, _prediction_for, classify_ssn,
-                    is_ncn, is_sn, is_ssn, nd_verdict)
+from .props import (DEFAULT_WITNESS_BUDGET, classify_ssn, is_ncn, is_sn,
+                    is_ssn, nd_verdict)
 
 SCHEMA = 1
 
@@ -93,7 +93,7 @@ def _analyze(args) -> int:
             entry["descriptor"] = desc.to_dict()
         pcis_info.append(entry)
 
-    pred = _prediction_for(G, cls)
+    pred = cls.prediction()
     if pred is not None:
         count = pred["detail"].get("matrix_component_count")  # None if not given
         pred["agreement"] = (None if cnt.exact is None

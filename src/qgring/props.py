@@ -217,15 +217,37 @@ def abelian_invariants(G: FiniteGroup, H: Subgroup) -> list[int]:
 class SSNClass:
     tag: str  # Abelian | Hamiltonian | PGroupNCN | SolvableTypeI | SolvableTypeII | A5 | NotSSN
     params: dict = field(default_factory=dict)
+    # the Theorem A/B family with its parameters, as predict_nilpotent or
+    # predict_nonnilpotent takes it (e.g. {"family": "BJ1", "p": 2, "m": 3,
+    # "n": 1}); None where the classification names no family
+    family: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def ssn(self) -> bool:
         return self.tag != "NotSSN"
 
+    def prediction(self) -> Optional[dict]:
+        """The Theorem A/B prediction for the family, or None."""
+        if self.family is None:
+            return None
+        predict = (predict_nonnilpotent
+                   if self.family["family"] in ("faithful", "nonfaithful")
+                   else predict_nilpotent)
+        try:
+            pred = predict(self.family)
+        except QGRingError:
+            return None
+        return {"family": pred.family,
+                "params": {k: v for k, v in pred.params.items() if k != "family"},
+                "one_matrix": pred.one_matrix, "component": pred.component,
+                "nd": pred.nd, "detail": pred.detail}
 
-def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
-    """Best-effort identification of the NCN-classification type (BJ1-BJ9) of a
-    p-group (nonabelian, non-Hamiltonian)."""
+
+def _ncn_family(G: FiniteGroup, p: int) -> tuple[Optional[str], Optional[dict]]:
+    """Best-effort identification of the NCN-classification type (BJ1-BJ9)
+    of a p-group (nonabelian, non-Hamiltonian): the type, or None, and its
+    family record, or None where the parameters are not found. Reference
+    groups are built at G's order, which G's own build admitted."""
     n = G.order
     # BJ1: metacyclic minimal nonabelian, not Q8
     der = derived_subgroup(G)
@@ -236,28 +258,23 @@ def _bj_tag(G: FiniteGroup, p: int) -> Optional[str]:
         full = full_subgroup(G)
         if any(N.is_cyclic() and section_generator(full, N) is not None
                for N in normal_subgroups(G)):
-            return "BJ1"
+            total = _int_log(p, n)
+            for m in range(2, total):
+                if find_isomorphism(bj1_group(p, m, total - m, cap=n), G) is not None:
+                    return "BJ1", {"family": "BJ1", "p": p, "m": m, "n": total - m}
+            return "BJ1", None
     for tag, (order, name, *_) in NCN_SINGLE.items():
         if n == order and find_isomorphism(build_named(name), G) is not None:
-            return tag
+            return tag, {"family": tag}
     # BJ3: Q8 x C_{2^k}, k >= 2
     if p == 2 and n >= 32 and \
-            find_isomorphism(build_spec(f"X(Q(8),C({n // 8}))"), G) is not None:
-        return "BJ3"
+            find_isomorphism(build_spec(f"X(Q(8),C({n // 8}))", cap=n), G) is not None:
+        return "BJ3", {"family": "BJ3", "n": (n // 8).bit_length() - 1}
     # BJ2: G0 central product cyclic Z; G' = Z(G0) of order p, Z(G) cyclic
     Z = center(G)
     if der.order == p and Z.is_cyclic() and der <= Z:
-        return "BJ2"
-    return None
-
-
-def bj1_params(G: FiniteGroup, p: int) -> Optional[tuple[int, int]]:
-    """(m, n) with G isomorphic to BJ1(p, m, n), or None."""
-    total = _int_log(p, G.order)
-    for m in range(2, total):
-        if find_isomorphism(bj1_group(p, m, total - m), G) is not None:
-            return m, total - m
-    return None
+        return "BJ2", {"family": "BJ2", "p": p, "z_order": Z.order}
+    return None, None
 
 
 def classify_ssn(G: FiniteGroup) -> SSNClass:
@@ -271,13 +288,15 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
             # G is nilpotent, so its elements of odd order form a subgroup
             odd_sub = stabilizer(G, lambda g: G.element_order(g) % 2 == 1)
             e_rank = padic_valuation(2, G.order) - 3
-            invs = abelian_invariants(G, odd_sub)
-            return SSNClass("Hamiltonian",
-                            {"e_rank": e_rank, "odd_invariants": invs})
+            params = {"e_rank": e_rank,
+                      "odd_invariants": abelian_invariants(G, odd_sub)}
+            return SSNClass("Hamiltonian", params,
+                            {"family": "Hamiltonian", **params})
         ok, p = G.is_p_group()
         if ok:
             if is_ncn(G):
-                return SSNClass("PGroupNCN", {"p": p, "bj": _bj_tag(G, p)})
+                bj, family = _ncn_family(G, p)
+                return SSNClass("PGroupNCN", {"p": p, "bj": bj}, family)
             return SSNClass("NotSSN", {"reason": "p-group without NCN"})
         return SSNClass("NotSSN",
                         {"reason": "nilpotent, neither abelian nor Hamiltonian"})
@@ -318,7 +337,8 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
                         {"reason": f"order-{ell} subgroup acts reducibly"})
         n_rank = pfac[p]
         return SSNClass("SolvableTypeI",
-                        {"p": p, "n": n_rank, "q_order": q_order})
+                        {"p": p, "n": n_rank, "q_order": q_order},
+                        {"family": "faithful", "p": p, "n": n_rank, "q": q_order})
     # type (ii): |P| = p, Q a cyclic q-group of order >= q^2, non-faithful
     if P.order != p or len(pfac) != 1:
         return SSNClass("NotSSN", {"reason": "non-faithful action on non-prime P"})
@@ -335,56 +355,9 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
     # ord_p(r0) = q^k0 with 1 <= k0 < k: it divides |Q| = q^k, is > 1 (a
     # trivial action makes G abelian) and < q^k (the action is not faithful)
     k0 = padic_valuation(q, ord_mod(p, r0))
-    return SSNClass("SolvableTypeII",
-                    {"p": p, "q": q, "k": k, "k0": k0, "r0": r0})
-
-
-def _prediction_for(G: FiniteGroup, cls) -> Optional[dict]:
-    """Map a structural classification to a Theorem A/B prediction."""
-    try:
-        if cls.tag == "Hamiltonian":
-            pred = predict_nilpotent({"family": "Hamiltonian",
-                                      "e_rank": cls.params["e_rank"],
-                                      "odd_invariants": cls.params["odd_invariants"]})
-        elif cls.tag == "PGroupNCN":
-            bj = cls.params.get("bj")
-            p = cls.params["p"]
-            if bj == "BJ1":
-                found = bj1_params(G, p)
-                if found is None:
-                    return None
-                pred = predict_nilpotent({"family": "BJ1", "p": p,
-                                          "m": found[0], "n": found[1]})
-            elif bj == "BJ2":
-                pred = predict_nilpotent({"family": "BJ2", "p": p,
-                                          "z_order": center(G).order})
-            elif bj == "BJ3":
-                n = (G.order // 8).bit_length() - 1
-                pred = predict_nilpotent({"family": "BJ3", "n": n})
-            elif bj in NCN_SINGLE:
-                pred = predict_nilpotent({"family": bj})
-            else:
-                return None
-        elif cls.tag == "SolvableTypeI":
-            pred = predict_nonnilpotent({"family": "faithful",
-                                         "p": cls.params["p"],
-                                         "n": cls.params["n"],
-                                         "q": cls.params["q_order"]})
-        elif cls.tag == "SolvableTypeII":
-            pred = predict_nonnilpotent({"family": "nonfaithful",
-                                         "p": cls.params["p"],
-                                         "q": cls.params["q"],
-                                         "k": cls.params["k"],
-                                         "k0": cls.params["k0"],
-                                         "r0": cls.params["r0"]})
-        else:
-            return None
-    except QGRingError:
-        return None
-    return {"family": pred.family, "params": {k: v for k, v in pred.params.items()
-                                              if k != "family"},
-            "one_matrix": pred.one_matrix, "component": pred.component,
-            "nd": pred.nd, "detail": pred.detail}
+    params = {"p": p, "q": q, "k": k, "k0": k0, "r0": r0}
+    return SSNClass("SolvableTypeII", params,
+                    {"family": "nonfaithful", **params})
 
 
 # ---------------------------------------------------------------------------
