@@ -88,9 +88,6 @@ class AlgElem:
     def coeff(self, g: int) -> Fraction:
         return Fraction(self.nums[g], self.den)
 
-    def coeffs(self) -> list[Fraction]:
-        return [Fraction(v, self.den) for v in self.nums]
-
     def augmentation(self) -> Fraction:
         return Fraction(sum(self.nums), self.den)
 

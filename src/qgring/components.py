@@ -171,14 +171,14 @@ class AmitsurResult:
     division: bool
     conditions: dict = field(default_factory=dict)
     primes: dict = field(default_factory=dict)
-    diagnostics: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "m": self.m, "r": self.r, "s": self.s, "t": self.t, "n": self.n,
             "division": self.division, "conditions": self.conditions,
             "primes": {str(p): v for p, v in self.primes.items()},
-            "diagnostics": self.diagnostics,
+            # a constant: descriptor digests include the key
+            "diagnostics": [],
         }
 
 

@@ -1112,6 +1112,8 @@ def quaternion(order: int, cap: Optional[int] = None) -> FiniteGroup:
 def metacyclic_amitsur(m: int, r: int, cap: Optional[int] = None) -> FiniteGroup:
     """<A, B | A^m = 1, B^n = A^t, B A B^-1 = A^r> with s = gcd(r-1, m),
     t = m/s, n = ord_m(r)."""
+    if m < 1:
+        raise InconsistentSpec("m must be positive")
     if math.gcd(m, r) != 1:
         raise InconsistentSpec(f"gcd({m},{r}) != 1")
     s = math.gcd(r - 1, m) if m > 1 else 1
@@ -1122,6 +1124,8 @@ def metacyclic_amitsur(m: int, r: int, cap: Optional[int] = None) -> FiniteGroup
 
 def semidirect_cyclic(p: int, n: int, r0: int, cap: Optional[int] = None) -> FiniteGroup:
     """<x, y | x^p = y^n = 1, y x y^-1 = x^r0>."""
+    if p < 1:
+        raise InconsistentSpec("p must be positive")
     if pow(r0, n, p) != 1 % p:
         raise InconsistentSpec(f"r0^n != 1 mod p for ({p},{n},{r0})")
     return metacyclic(p, n, 0, r0, letters=("x", "y"), cap=cap,
@@ -1215,7 +1219,7 @@ def semidirect_vector(p: int, rank: int, matrix: Sequence[Sequence[int]], q: int
         e = tuple(1 if i == k else 0 for i in range(rank))
         img = tuple(sum(M[i][j] * e[j] for j in range(rank)) % p for i in range(rank))
         conj_images[pos[e]] = pos[img]
-    letter = "abcdefgh"[rank]
+    letter = "abcdefghi"[rank]
     return cyclic_extension(base, conj_images, q, 0, letter, cap=cap,
                             name=f"EA({p},{rank}):C{q}")
 

@@ -408,7 +408,7 @@ def curated_witness(name: str, n: int = 3) -> Witness:
     if name == "BJ3":
         if n < 3:
             raise UnknownWitness("BJ3 witness needs n >= 3")
-        G = build_spec(f"X(Q(8),C({2 ** n}))")
+        G = build_spec(f"X(Q(8),C({2 ** n}))", cap=2 ** (n + 3))
         a, b, x = G.element("a"), G.element("b"), G.element("x")
         z = G.word("a^2")
         t = G.power(x, 2 ** (n - 3))
@@ -466,7 +466,7 @@ def hamiltonian_witness(p: int, n: int) -> Optional[Witness]:
     if p not in _SUM_OF_SQUARES or n < 2:
         return None
     r_coeffs, s_coeffs = _SUM_OF_SQUARES[p]
-    G = build_spec(f"X(Q(8),C({p ** n}))")
+    G = build_spec(f"X(Q(8),C({p ** n}))", cap=8 * p ** n)
     x2 = G.word("a^2")  # the central involution of the quaternion factor
     c = G.power(G.element("x"), p ** (n - 2))  # order p^2
     cp = G.power(c, p)
@@ -619,10 +619,10 @@ def _curated_pass(G: FiniteGroup, components: list, left: int
     if len(fac) == 1 and is_nilpotent_group(G):  # as Q8 x C_m is
         (p, n), = fac.items()
         if p == 2 and n >= 3:
-            candidates.append((lambda: build_spec(f"X(Q(8),C({m}))"),
+            candidates.append((lambda: build_spec(f"X(Q(8),C({m}))", cap=G.order),
                                lambda: curated_witness("BJ3", n=n)))
         elif p > 2 and n >= 2:
-            candidates.append((lambda: build_spec(f"X(Q(8),C({m}))"),
+            candidates.append((lambda: build_spec(f"X(Q(8),C({m}))", cap=G.order),
                                lambda: hamiltonian_witness(p, n)))
     for build, make in candidates:
         iso = find_isomorphism(build(), G)

@@ -111,6 +111,23 @@ def test_cap_above_the_default_holds_through_the_pipeline(capsys):
     assert row["order"] == 256 and row["agreement"] is True
 
 
+@pytest.mark.parametrize("spec, family, params, reason", [
+    ("X(Q(8),C(32))", "BJ3", {"n": 5}, "WitnessFound"),
+    ("SdCyc(128,2,65)", "BJ1", {"p": 2, "m": 7, "n": 1}, "OneMatrixComponent"),
+])
+def test_a_raised_cap_holds_through_identification(capsys, spec, family,
+                                                    params, reason):
+    # the classification's and the curated pass's reference groups are
+    # built at the order of the group they are compared with
+    code, out, err = run_cli(capsys, "--json", "--cap", "256", "analyze", spec)
+    assert code == 0 and not err
+    data = json.loads(out)
+    pred = data["prediction"]
+    assert (pred["family"], pred["params"], pred["agreement"]) == (family, params, True)
+    assert data["nd"]["reason"]["kind"] == reason
+    assert data["nd"]["reason"]["spent"] == 0
+
+
 def test_analyze_exits_3_when_the_lattice_is_over_its_cap(capsys):
     code, out, err = run_cli(capsys, "analyze", "EA(2,7)")
     assert code == 3 and not out
@@ -569,7 +586,7 @@ def test_analyze_builds_each_group_once(capsys, monkeypatch, spec):
 @pytest.mark.parametrize("spec", ["A5", "BJ9", "X(Q(8),C(25))"])
 def test_analyze_builds_each_group_once_under_any_cap(capsys, monkeypatch,
                                                       spec):
-    # the references are looked up at the default cap, the input at 1000
+    # the references are looked up under caps of their own, the input at 1000
     assert _groups_of_the_input_order(capsys, monkeypatch, spec,
                                       "--cap", "1000") == 1
 

@@ -168,7 +168,7 @@ def test_amitsur_division_leaves_no_diagnostics():
     for m in range(2, 301):
         for r in range(m):
             if math.gcd(m, r) == 1:
-                assert amitsur_division(m, r).diagnostics == [], (m, r)
+                assert amitsur_division(m, r).to_dict()["diagnostics"] == [], (m, r)
 
 
 def test_probe_certifies_trivially_twisted_matrix_components():
