@@ -4,7 +4,7 @@ import pytest
 
 from qgring import props
 from qgring.algebra import AlgElem, hat
-from qgring.catalog import build_named, build_spec
+from qgring.catalog import bj2_group, build_named, build_spec
 from qgring.errors import NotPGroup, SoundnessError, UnknownWitness
 from qgring.groups import cyclic_extension, is_normal, quaternion, subgroup_generated
 from qgring.props import (
@@ -99,6 +99,37 @@ def test_classify_ssn_taxonomy():
             ("MetaAmitsur(21,4)", {"p": 7, "q": 3, "k": 2, "k0": 1, "r0": 4})]:
         cls = classify_ssn(build_spec(spec))
         assert (cls.tag, cls.params) == ("SolvableTypeII", params), spec
+
+
+# one group for each kind of family record classify_ssn names, and groups
+# it names none for
+@pytest.mark.parametrize("build, family", [
+    (lambda: build_named("C9rC3"), {"family": "BJ1", "p": 3, "m": 2, "n": 1}),
+    (lambda: bj2_group(build_spec("D(8)"), 4),
+     {"family": "BJ2", "p": 2, "z_order": 4}),
+    (lambda: build_named("Q8xC4"), {"family": "BJ3", "n": 2}),
+    (lambda: build_named("Q16"), {"family": "BJ6"}),
+    (lambda: build_spec("X(Q(8),C(3))"),
+     {"family": "Hamiltonian", "e_rank": 0, "odd_invariants": [3]}),
+    (lambda: build_named("A4"), {"family": "faithful", "p": 2, "n": 2, "q": 3}),
+    (lambda: build_named("C3rC8"), {"family": "nonfaithful", "p": 3, "q": 2,
+                                    "k": 3, "k0": 1, "r0": 2}),
+    (lambda: build_named("A5"), None),
+    (lambda: build_spec("C(12)"), None),
+    (lambda: build_named("D12"), None),
+], ids=["BJ1", "BJ2", "BJ3", "BJ6", "Hamiltonian", "faithful", "nonfaithful",
+        "A5", "C12", "D12"])
+def test_classify_ssn_names_each_family_once(build, family):
+    cls = classify_ssn(build())
+    assert cls.family == family
+    # the record stays out of equality and repr
+    bare = props.SSNClass(cls.tag, cls.params)
+    assert cls == bare and repr(cls) == repr(bare)
+    pred = cls.prediction()
+    if family is None:
+        assert pred is None
+    else:
+        assert {"family": pred["family"], **pred["params"]} == family
 
 
 def _sl23():
