@@ -21,7 +21,7 @@ from .groups import FiniteGroup, Subgroup, _closure, cosets, stabilizer
 class AlgElem:
     """An element sum(c_g * g) of Q[G] with exact rational coefficients."""
 
-    __slots__ = ("group", "den", "nums", "_support", "_key")
+    __slots__ = ("group", "den", "nums", "_support", "_key", "_facts")
 
     def __init__(self, group: FiniteGroup, nums: list[int], den: int = 1,
                  _normalized: bool = False):
@@ -44,6 +44,7 @@ class AlgElem:
         self.nums = nums
         self._support: Optional[tuple[int, ...]] = None
         self._key: Optional[tuple] = None
+        self._facts: Optional[dict] = None
 
     # -- constructors --------------------------------------------------------
 
@@ -232,14 +233,21 @@ def coeff_strings(x: AlgElem) -> list[list[str]]:
 # central elements at the class representatives
 
 
+def _facts_of(e: AlgElem) -> dict:
+    """The facts of e's value: one dict in the group's memo, under
+    ("facts",) + e.key(), so equal elements share them. e keeps the dict
+    after its first lookup, so later queries build and hash no key."""
+    if e._facts is None:
+        e._facts = e.group._cache.setdefault(("facts",) + e.key(), {})
+    return e._facts
+
+
 def _memo(e: AlgElem, fact: str, decide) -> bool:
-    """decide(e), computed once per element value and group: the memo key
-    is (fact,) + e.key(), so equal elements share their facts."""
-    key = (fact,) + e.key()
-    cache = e.group._cache
-    hit = cache.get(key)  # one hash of the |G|-tuple on a hit
+    """decide(e), computed once per element value and group."""
+    facts = _facts_of(e)
+    hit = facts.get(fact)
     if hit is None:
-        hit = cache[key] = decide(e)
+        hit = facts[fact] = decide(e)
     return hit
 
 
@@ -268,7 +276,7 @@ def _record_kernel(e: AlgElem, N: Subgroup) -> None:
     if not all(map(_fixes(e), N.gens)):
         raise SoundnessError(f"{N!r} does not fix the central element it "
                              "was proposed as a kernel of")
-    e.group._cache[("kernel",) + e.key()] = N
+    _facts_of(e)["kernel"] = N
 
 
 def _idempotent_at_classes(e: AlgElem) -> bool:
@@ -292,7 +300,7 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     """
     G = e.group
     nums, table = e.nums, G.table
-    N = G._cache.get(("kernel",) + e.key())
+    N = _facts_of(e).get("kernel")
     if N is None:
         N = stabilizer(G, _fixes(e))
     index, reps = cosets(N, left=True)

@@ -119,9 +119,10 @@ def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
     h = H.order // K.order
     x = section_generator(H, K)
     dlog = section_exponents(H, K)  # k for g in x^k K
-    # the cosets gH in N, numbered by their least element, which is also
-    # their representative: reps[a] and coset[g] for g in N
-    coset, reps = cosets(H, within=N, left=True)
+    # the cosets of H in N, numbered by their least element, which is also
+    # their representative: reps[a] and coset[g] for g in N. H is normal
+    # in N, so gH = Hg: these are the right cosets the strong check built
+    coset, reps = cosets(H, within=N)
     nh = len(reps)
     action = {a: dlog[G.conj(x, t)] for a, t in enumerate(reps)}
     twisting: dict[tuple[int, int], int] = {}

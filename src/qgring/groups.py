@@ -302,9 +302,27 @@ def _cyclic_seeds(G: FiniteGroup) -> tuple[list[list[int]], list[int]]:
 
 def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """The cyclic subgroups <g> != 1 of _cyclic_seeds, in seed order, each
-    generated by its least generator g."""
-    return [Subgroup(G, sum(map((1).__lshift__, p)), (p[0],))
+    generated by its least generator g. Built once per group: never
+    mutate the list."""
+    if "cyclic_subgroups" not in G._cache:
+        G._cache["cyclic_subgroups"] = [
+            Subgroup(G, sum(map((1).__lshift__, p)), (p[0],))
             for p in _cyclic_seeds(G)[0]]
+    return G._cache["cyclic_subgroups"]
+
+
+def cyclic_subgroups_in(H: Subgroup) -> list[Subgroup]:
+    """The cyclic subgroups <g> != 1 inside H, in the seed order of
+    cyclic_subgroups. Built once per subgroup: never mutate the list."""
+    G = H.parent
+    key = ("cyclic_subgroups", H.mask)
+    if key not in G._cache:
+        seeds, seed_of = cyclic_subgroups(G), _cyclic_seeds(G)[1]
+        # a seed's first member of H is its least generator; the identity,
+        # H.members[0], is in no seed
+        G._cache[key] = list(map(seeds.__getitem__, dict.fromkeys(
+            map(seed_of.__getitem__, H.members[1:]))))
+    return G._cache[key]
 
 
 def _conjugation(G: FiniteGroup, g: int) -> list[int]:

@@ -95,7 +95,7 @@ def element_of_order(p: int, k: int) -> int | None:
     """Smallest r in (Z/p)* of multiplicative order exactly k, or None."""
     if (p - 1) % k != 0:
         return None
-    for r in range(2, p):
+    for r in range(1, p):
         if pow(r, k, p) == 1 and ord_mod(p, r) == k:
             return r
     return None

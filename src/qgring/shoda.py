@@ -27,6 +27,7 @@ from .groups import (
     artin_count,
     commutator_subgroup,
     cosets,
+    cyclic_subgroups_in,
     derived_subgroup,
     is_normal,
     maximal_abelian_over,
@@ -70,14 +71,12 @@ def _cyclic_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     divisors = [(1, 1)]  # (squarefree d, mu(d))
     for p in prime_factors(n):
         divisors += [(d * p, -mu) for d, mu in divisors]
-    at = [0] * n
+    at = [0] * (n + 1)  # at[-1] = at[n] = 0 for the elements outside H
     for d, mu in divisors:
         step = n // d
         for j in range(0, n, step):
             at[j] += mu * step
-    nums = [0] * G.order
-    for g, j in section_exponents(H, K).items():
-        nums[g] = at[j]
+    nums = list(map(at.__getitem__, section_exponents(H, K)))
     return AlgElem(G, nums, n * K.order)
 
 
@@ -142,37 +141,32 @@ def is_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
 
 def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
     """The first h in H whose coset hK generates H/K (K normal in H), or
-    None when H/K is not cyclic. hK has order n = [H : K] iff h^(n/p) is
-    outside K for every prime p dividing n. Decided once per pair."""
+    None when H/K is not cyclic; 0 when H = K. Decided once per pair.
+
+    hK generates H/K iff <h>K = H, that is iff C = <h> has
+    |C| = [H : K] * |C meet K|: a test on the mask of a cyclic seed of H.
+    The generators of one C pass or fail together, so the first h that
+    passes is the least generator of the first seed of H that does."""
     G = H.parent
     key = ("section", H.mask, K.mask)
     if key not in G._cache:
-        n = H.order // K.order
-        steps = [n // p for p in prime_factors(n)]
-        found = None
-        failed = 0  # the cosets hK already tested: their elements fail too
-        for h in H.members:
-            if failed >> h & 1:
-                continue
-            if not any(K.contains(G.power(h, k)) for k in steps):
-                found = h
-                break
-            row = G.table[h]
-            for z in K.members:
-                failed |= 1 << row[z]
-        G._cache[key] = found
+        n, km = H.order // K.order, K.mask
+        G._cache[key] = 0 if n == 1 else next(
+            (C.gens[0] for C in cyclic_subgroups_in(H)
+             if C.mask.bit_count() == n * (C.mask & km).bit_count()), None)
     return G._cache[key]
 
 
-def section_exponents(H: Subgroup, K: Subgroup) -> dict[int, int]:
-    """j for each element of x^j K, 0 <= j < [H : K], where
-    x = section_generator(H, K) generates the cyclic H/K. Built once per
-    pair; epsilon(H, K) and the crossed-product data read it."""
+def section_exponents(H: Subgroup, K: Subgroup) -> list[int]:
+    """For each element of G, j when it lies in x^j K, 0 <= j < [H : K],
+    where x = section_generator(H, K) generates the cyclic H/K, and -1,
+    which no element's exponent is, outside H. Built once per pair;
+    epsilon(H, K) and the crossed-product data read it."""
     G = H.parent
     key = ("exponents", H.mask, K.mask)
     if key not in G._cache:
         x = section_generator(H, K)
-        exps: dict[int, int] = {}
+        exps = [-1] * G.order
         cur = 0
         for j in range(H.order // K.order):
             row = G.table[cur]

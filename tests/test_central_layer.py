@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +127,44 @@ def test_centralizer_matches_reference_scan(name, data):
                           reference_centralizer_subgroup(alpha))
 
 
+def _counting_facts(monkeypatch):
+    """Count value keys built and each fact decided, from here on."""
+    calls = Counter()
+    for name in ("_constant_on_classes", "_idempotent_at_classes"):
+        decide = getattr(qgring.algebra, name)
+        monkeypatch.setattr(qgring.algebra, name,
+                            lambda e, name=name, decide=decide:
+                            calls.update([name]) or decide(e))
+    key = AlgElem.key
+    monkeypatch.setattr(AlgElem, "key",
+                        lambda self: calls.update(["key"]) or key(self))
+    return calls
+
+
+def test_facts_are_kept_on_the_element(monkeypatch):
+    G = build_named("D12")
+    e = metabelian_pcis(G)[1].e
+    G._cache.clear()
+    calls = _counting_facts(monkeypatch)
+    f = AlgElem(G, list(e.nums), e.den)  # a PCI no memo knows yet
+    for _ in range(10):
+        assert f.is_central() and f.is_central_idempotent()
+    assert calls == {"key": 1, "_constant_on_classes": 1,
+                     "_idempotent_at_classes": 1}
+    # an equal element built anew reads the group's memo, and decides nothing
+    calls.clear()
+    g = AlgElem(G, list(e.nums), e.den)
+    assert g.is_central() and g.is_central_idempotent()
+    assert calls == {"key": 1} and g._facts is f._facts
+    # with the group's memo emptied, a new element is decided again
+    G._cache.clear()
+    calls.clear()
+    h = AlgElem(G, list(e.nums), e.den)
+    assert h.is_central() and h.is_central_idempotent()
+    assert calls == {"key": 1, "_constant_on_classes": 1,
+                     "_idempotent_at_classes": 1}
+
+
 def test_non_idempotent_pcis_raise_under_optimize():
     # e1 + e3 and e2 - e3 in place of e1 and e2: still central and summing
     # to 1, but (e2 - e3)^2 = e2 + e3; the check must survive python -O
@@ -172,7 +211,7 @@ def test_pci_idempotency_is_decided_modulo_the_cores(name, monkeypatch):
     pcis = metabelian_pcis(G)
     assert calls == []
     for sp in pcis:
-        core = G._cache[("kernel", sp.e.den, tuple(sp.e.nums))]
+        core = G._cache[("facts", sp.e.den, tuple(sp.e.nums))]["kernel"]
         assert core.mask == orig(G, qgring.algebra._fixes(sp.e)).mask
 
 

@@ -469,9 +469,11 @@ def test_analyze_builds_each_transversal_once(capsys, monkeypatch):
     monkeypatch.setattr(qgring.groups.FiniteGroup, "__init__", recording)
     code, _out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
     assert code == 0
-    # the 56 cosets() calls built 56 transversals before they were memoized
+    # the 56 cosets() calls built 56 transversals before they were memoized;
+    # describe_component reads the right cosets of H in N_G(K) that the
+    # strong check built, where it built the left ones (16) before
     assert sum(isinstance(key, tuple) and key[0] == "cosets"
-               for G in built for key in G._cache) == 16
+               for G in built for key in G._cache) == 14
 
 
 @pytest.mark.parametrize("spec, count", [("X(X(Q(8),C(3)),C(3))", 4),

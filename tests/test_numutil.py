@@ -57,3 +57,13 @@ def test_element_of_order():
     r = element_of_order(7, 3)
     assert r == 2 and ord_mod(7, 2) == 3
     assert element_of_order(7, 5) is None
+
+
+def test_element_of_order_is_the_least_of_that_order():
+    # brute force over every residue, k = 1 included: 1 has order 1
+    for p in filter(is_prime, range(2, 60)):
+        for k in range(1, p):
+            if (p - 1) % k == 0:
+                least = next(r for r in range(1, p) if ord_mod(p, r) == k)
+                assert element_of_order(p, k) == least, (p, k)
+    assert element_of_order(2, 1) == element_of_order(59, 1) == 1

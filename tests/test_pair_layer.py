@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgring.catalog
+import qgring.groups
 import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
@@ -100,6 +101,41 @@ def test_every_normal_pair_matches_reference(name, cold):
         V4 = next(K for K in subs if K.order == 4 and K <= A4)
         assert is_shoda_pair(G, A4, V4) and not is_strong_shoda_pair(G, A4, V4)
         assert kinds["plain"]
+
+
+def _normal_pairs(G):
+    subs = subgroups(G)
+    return [(H, K) for H in subs for K in subs if K <= H and _is_normal_in(H, K)]
+
+
+@pytest.mark.parametrize("name", ["analyze-large", "family-sweep", "witness-search",
+                                  "relabelled D(200)"])
+def test_section_generator_matches_reference_on_every_normal_pair(name, workloads,
+                                                                  cold):
+    # the groups each benchmark op builds, and D(200) with its elements shuffled
+    groups = ([_group(name)] if name.startswith("relabelled ") else
+              [workloads._build(op.build) for op in workloads.build_ops(name)])
+    cyclic = 0
+    for G in groups:
+        for H, K in _normal_pairs(G):
+            x = section_generator(H, K)
+            assert x == reference_section_generator(H, K), (G.name, H, K)
+            cyclic += x is not None
+    assert cyclic
+
+
+def test_section_generator_takes_no_powers(cold, monkeypatch):
+    # H/K is decided from the cyclic seeds of H, with no power of any h
+    G = build_spec("SdCyc(3,16,2)")
+    pairs = _normal_pairs(G)
+    want = [reference_section_generator(H, K) for H, K in pairs]
+    assert None in want and 0 in want
+
+    def refused(self, a, k):
+        raise AssertionError("section_generator took a power")
+
+    monkeypatch.setattr(qgring.groups.FiniteGroup, "power", refused)
+    assert [section_generator(H, K) for H, K in pairs] == want
 
 
 @pytest.mark.parametrize("name", PAIR_GROUPS)
