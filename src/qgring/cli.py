@@ -8,8 +8,9 @@ Commands:
 
 Global flags: --json, --cap N, --budget N, --seed N; they are the only
 settings. --cap and --budget take positive integers; --budget is read by
-analyze alone. Each command accepts only the flags it reads
-(COMMAND_FLAGS), refuses the others and lists only those in its help.
+analyze alone, --seed by analyze and sweep (verify-theorems samples
+nothing). Each command accepts only the flags it reads (COMMAND_FLAGS),
+refuses the others and lists only those in its help.
 Exit codes: 2 for a malformed command line; for analyze 0 ok, 2 parse
 error, 3 order cap exceeded.
 """
@@ -269,7 +270,7 @@ def cmd_verify(args) -> int:
                   f"choose from {', '.join(CATEGORIES)}", file=sys.stderr)
             return 2
     progress = None if args.json else (lambda row: print(row.line(), flush=True))
-    rows = run_all(only=only, seed=args.seed, progress=progress)
+    rows = run_all(only=only, progress=progress)
     failed = [r for r in rows if not r.passed]
     if args.json:
         print(json.dumps({"schema": SCHEMA,
@@ -305,7 +306,7 @@ def cmd_catalog(args) -> int:
 COMMAND_FLAGS = {
     "analyze": ("json", "cap", "budget", "seed"),
     "sweep": ("json", "cap", "seed"),
-    "verify-theorems": ("json", "seed"),
+    "verify-theorems": ("json",),
     "catalog": ("json",),
 }
 
@@ -320,9 +321,8 @@ GLOBAL_FLAGS = {
                    help="witness search budget in candidate tests (default "
                         f"{DEFAULT_WITNESS_BUDGET}; analyze only)"),
     "seed": dict(type=int,
-                 help="seed of the probe's random phase and of "
-                      "verify-theorems' sampled checks (default 0; "
-                      "not for catalog)"),
+                 help="seed of the nilpotent probe's random phase (default "
+                      "0; analyze and sweep)"),
 }
 
 

@@ -2,7 +2,8 @@
 
 A strong Shoda pair (H, K) describes its component as n x n matrices over a
 crossed product of N_G(K)/H acting on the h-th cyclotomic field, where
-n = [G : N_G(K)] and h = [H : K]. Classification runs a cascade:
+n = [G : N_G(K)] and h = [H : K], read off the record that the pair's
+strong Shoda check keeps (shoda.strong_pair). Classification runs a cascade:
 commutative, trivial twisting (full matrix ring over the fixed field),
 cyclic quotient with root-of-unity twisting (Amitsur's division criterion),
 and finally Unknown refined by a nilpotent search certificate. Each branch
@@ -32,7 +33,7 @@ from .errors import (
     SoundnessError,
     UnknownFamily,
 )
-from .groups import (FiniteGroup, Subgroup, cosets, find_isomorphism,
+from .groups import (FiniteGroup, Subgroup, find_isomorphism,
                      subgroup_generated, subgroups)
 from .numutil import (
     crt,
@@ -45,13 +46,11 @@ from .numutil import (
 )
 from .shoda import (
     ShodaPair,
-    _epsilon_centralizer,
     e_idem,
     epsilon,
-    is_strong_shoda_pair,
     metabelian_pcis,
-    section_exponents,
     section_generator,
+    strong_pair,
 )
 
 COMMUTATIVE = "Commutative"
@@ -108,21 +107,21 @@ class ComponentDescriptor:
 
 def describe_component(G: FiniteGroup, H: Subgroup, K: Subgroup,
                        e: Optional[AlgElem] = None) -> ComponentDescriptor:
-    """Crossed-product data for the component of a strong Shoda pair."""
-    if not is_strong_shoda_pair(G, H, K):
+    """Crossed-product data for the component of a strong Shoda pair,
+    read off the record of its strong Shoda check."""
+    pair = strong_pair(G, H, K)
+    if pair is None:
         raise NotStrongShodaPair(f"({H!r}, {K!r}) is not a strong Shoda pair")
     if e is None:
         e = e_idem(G, H, K)
-    # a strong Shoda pair has N_G(K) = Cen_G(epsilon(H, K))
-    _, N = _epsilon_centralizer(G, H, K)
+    N, x = pair.N, pair.x  # N = N_G(K) = Cen_G(epsilon(H, K))
     n = G.order // N.order
     h = H.order // K.order
-    x = section_generator(H, K)
-    dlog = section_exponents(H, K)  # k for g in x^k K
-    # the cosets of H in N, numbered by their least element, which is also
-    # their representative: reps[a] and coset[g] for g in N. H is normal
-    # in N, so gH = Hg: these are the right cosets the strong check built
-    coset, reps = cosets(H, within=N)
+    dlog = pair.exponents  # k for g in x^k K
+    # the right cosets of H in N, numbered by their least element, which
+    # is also their representative: reps[a] and coset[g] for g in N. H is
+    # normal in N, so Hg = gH
+    coset, reps = pair.h_cosets
     nh = len(reps)
     action = {a: dlog[G.conj(x, t)] for a, t in enumerate(reps)}
     twisting: dict[tuple[int, int], int] = {}

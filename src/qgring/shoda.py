@@ -9,6 +9,12 @@ Summing the G-conjugates of epsilon over a transversal of its centralizer
 gives a central element e(G, H, K); for metabelian G the pairs singled
 out by the maximal-abelian enumeration produce exactly the primitive
 central idempotents.
+
+The strong Shoda check of a pair keeps what it proves in one record,
+memoized per pair: N = N_G(K), which it shows to be Cen_G(epsilon), x and
+the coset exponents, epsilon, the cosets of H in N and a transversal of N
+in G. e(G, H, K), the cores of metabelian_pcis and the component
+descriptors read that record and compute none of it again.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .groups import (
     cosets,
     cyclic_subgroups_in,
     derived_subgroup,
-    is_normal,
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
@@ -50,7 +55,7 @@ def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     if not _is_normal_in(H, K):
         raise NotNormalInH("K must be normal in H")
     if section_generator(H, K) is not None:
-        return _cyclic_epsilon(H, K)
+        return _cyclic_epsilon(H, K, section_exponents(H, K))
     out = None
     tk = tilde(K)
     for M in minimal_normal_subgroups_of_quotient(H, K):
@@ -61,11 +66,11 @@ def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     return out
 
 
-def _cyclic_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
-    """epsilon(H, K) for cyclic H/K of order n: sum over d | rad(n) of
-    mu(d) tilde(<x^(n/d)>K). The d-th term is mu(d) / (d |K|) on each
-    x^j K with (n/d) | j, so the coefficient on x^j K is
-    (sum of mu(d) n/d over those d) / (n |K|)."""
+def _cyclic_epsilon(H: Subgroup, K: Subgroup, exponents: list[int]) -> AlgElem:
+    """epsilon(H, K) for cyclic H/K of order n, from its section_exponents:
+    sum over d | rad(n) of mu(d) tilde(<x^(n/d)>K). The d-th term is
+    mu(d) / (d |K|) on each x^j K with (n/d) | j, so the coefficient on
+    x^j K is (sum of mu(d) n/d over those d) / (n |K|)."""
     G = H.parent
     n = H.order // K.order
     divisors = [(1, 1)]  # (squarefree d, mu(d))
@@ -76,19 +81,8 @@ def _cyclic_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
         step = n // d
         for j in range(0, n, step):
             at[j] += mu * step
-    nums = list(map(at.__getitem__, section_exponents(H, K)))
+    nums = list(map(at.__getitem__, exponents))
     return AlgElem(G, nums, n * K.order)
-
-
-def _epsilon_centralizer(G: FiniteGroup, H: Subgroup,
-                         K: Subgroup) -> tuple[AlgElem, Subgroup]:
-    """epsilon(H, K) and its centralizer in G, computed once per pair. A
-    strong Shoda pair's check stores (epsilon, N_G(K)) here first."""
-    key = ("epsilon", H.mask, K.mask)
-    if key not in G._cache:
-        eps = epsilon(H, K)
-        G._cache[key] = (eps, eps.centralizer_subgroup())
-    return G._cache[key]
 
 
 def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
@@ -109,9 +103,17 @@ def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
            check_transversal: bool = False) -> AlgElem:
     """e(G, H, K): sum of the G-conjugates of epsilon(H, K) over a right
     transversal of its centralizer. Central in Q[G] by construction;
-    independent of the transversal (checked when requested)."""
-    eps, C = _epsilon_centralizer(G, H, K)
-    index, reps = cosets(C)
+    independent of the transversal (checked when requested).
+
+    A strong pair's record holds epsilon and a transversal of N_G(K) =
+    Cen_G(epsilon); for any other pair, and to check the transversal,
+    the centralizer is found by a scan of G."""
+    pair = strong_pair(G, H, K)
+    if pair is None or check_transversal:
+        eps = epsilon(H, K)
+        index, reps = cosets(eps.centralizer_subgroup())
+    else:
+        eps, reps = pair.epsilon, pair.transversal
     out = _conjugate_sum(eps, reps)
     if not out.is_central():
         raise SoundnessError("e(G,H,K) must be central")
@@ -160,20 +162,40 @@ def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
 def section_exponents(H: Subgroup, K: Subgroup) -> list[int]:
     """For each element of G, j when it lies in x^j K, 0 <= j < [H : K],
     where x = section_generator(H, K) generates the cyclic H/K, and -1,
-    which no element's exponent is, outside H. Built once per pair;
-    epsilon(H, K) and the crossed-product data read it."""
+    which no element's exponent is, outside H. epsilon(H, K) and the
+    crossed-product data read it; a strong pair's record keeps it."""
     G = H.parent
-    key = ("exponents", H.mask, K.mask)
+    x = section_generator(H, K)
+    exps = [-1] * G.order
+    cur = 0
+    for j in range(H.order // K.order):
+        row = G.table[cur]
+        for z in K.members:
+            exps[row[z]] = j
+        cur = row[x]
+    return exps
+
+
+@dataclass(frozen=True)
+class _StrongPair:
+    """What the strong Shoda check proves about (H, K). The lists are
+    shared with every reader: never mutate them."""
+
+    N: Subgroup                 # N_G(K) = Cen_G(epsilon)
+    x: int                      # section_generator(H, K)
+    exponents: list[int]        # section_exponents(H, K)
+    epsilon: AlgElem
+    h_cosets: tuple[list[int], list[int]]  # cosets(H, within=N)
+    transversal: list[int]      # a right transversal of N in G, 1 first
+
+
+def strong_pair(G: FiniteGroup, H: Subgroup,
+                K: Subgroup) -> Optional[_StrongPair]:
+    """The record of the strong Shoda pair (H, K), or None when (H, K) is
+    not one. Decided once per pair."""
+    key = ("strong", H.mask, K.mask)
     if key not in G._cache:
-        x = section_generator(H, K)
-        exps = [-1] * G.order
-        cur = 0
-        for j in range(H.order // K.order):
-            row = G.table[cur]
-            for z in K.members:
-                exps[row[z]] = j
-            cur = row[x]
-        G._cache[key] = exps
+        G._cache[key] = _strong_shoda(G, H, K)
     return G._cache[key]
 
 
@@ -181,61 +203,55 @@ def is_strong_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     """K normal in H normal in N_G(K); H/K cyclic and maximal abelian in
     N_G(K)/K; G-conjugates of epsilon(H,K) outside N_G(K) orthogonal.
     Decided once per pair."""
-    key = ("strong_shoda", H.mask, K.mask)
-    if key not in G._cache:
-        G._cache[key] = _strong_shoda(G, H, K)
-    return G._cache[key]
+    return strong_pair(G, H, K) is not None
 
 
-def _strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
-    """The strong Shoda test. A pair that passes has Cen_G(epsilon) =
-    N_G(K), and (epsilon, N_G(K)) is stored as the pair's centralizer memo."""
+def _strong_shoda(G: FiniteGroup, H: Subgroup,
+                  K: Subgroup) -> Optional[_StrongPair]:
+    """The strong Shoda test: the pair's record if it passes, else None. A
+    pair that passes has Cen_G(epsilon) = N_G(K)."""
     if not _is_normal_in(H, K):
-        return False
+        return None
     N = normalizer(G, K)
     if not _is_normal_in(N, H):
-        return False
+        return None
     x = section_generator(H, K)
     if x is None:
-        return False
+        return None
     # H/K = <xK> maximal abelian in N/K  <=>  {m in N : (m, x) in K} = H.
     # That set is a subgroup containing H, so one m per right coset Hm
     # other than H decides it.
-    if any(K.contains(G.commutator(m, x)) for m in cosets(H, within=N)[1][1:]):
-        return False
-    key = ("epsilon", H.mask, K.mask)
-    held = G._cache.get(key)
-    eps = _cyclic_epsilon(H, K) if held is None else held[0]
+    h_cosets = cosets(H, within=N)
+    if any(K.contains(G.commutator(m, x)) for m in h_cosets[1][1:]):
+        return None
+    exponents = section_exponents(H, K)
+    eps = _cyclic_epsilon(H, K, exponents)
     # N fixes each <x^(n/d)>K, so N <= Cen(eps). For t outside N,
     # eps * eps^t = 0 rules out eps^t = eps (eps is a nonzero idempotent),
     # and eps^t depends only on the coset Nt: so the test below, if it
     # passes, proves Cen(eps) = N.
-    for t in cosets(N)[1][1:]:
+    transversal = cosets(N)[1]
+    for t in transversal[1:]:
         if not (eps * eps.conjugate(t)).is_zero():
-            return False
-    if held is None:
-        G._cache[key] = (eps, N)
-    elif held[1] != N:
-        raise SoundnessError("a strong Shoda pair must have Cen_G(epsilon) = N_G(K)")
-    return True
+            return None
+    return _StrongPair(N, x, exponents, eps, h_cosets, transversal)
 
 
-def _core(G: FiniteGroup, K: Subgroup, N: Subgroup,
+def _core(G: FiniteGroup, K: Subgroup, transversal: list[int],
           lattice: dict[int, Subgroup]) -> Subgroup:
     """core_G(K), the intersection of the conjugates K^t = t^-1 K t, read
-    off the lattice (mask -> subgroup): K when K is normal in G, else over
-    a right transversal of N = N_G(K), as K^(nt) = K^t for n in N."""
-    if is_normal(G, K):
-        return K
+    off the lattice (mask -> subgroup), over a right transversal of
+    N_G(K), as K^(nt) = K^t for n in N_G(K): K itself when K is normal."""
     mask = K.mask
-    for t in cosets(N)[1][1:]:
+    for t in transversal[1:]:
         mask &= sum(1 << G.conj(k, t) for k in K.members)
     return lattice[mask]
 
 
 @dataclass
 class ShodaPair:
-    """A subgroup pair with its idempotents and predicate verdicts."""
+    """A subgroup pair (H, K) with epsilon(H, K), its central idempotent e
+    and the kind of pair that vouches for e."""
 
     H: Subgroup
     K: Subgroup
@@ -338,7 +354,7 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         k = e.key()
         if k in by_key:
             continue
-        eps, _ = _epsilon_centralizer(G, H, K)
+        eps = strong_pair(G, H, K).epsilon
         by_key[k] = ShodaPair(H, K, eps, e, "strong-shoda")
     out = [by_key[k] for k in sorted(by_key)]
     if len(out) != artin_count(G):
@@ -353,8 +369,8 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         raise SoundnessError("PCIs must sum to 1")
     lattice = {S.mask: S for S in subs}
     for sp in out:
-        _, N = _epsilon_centralizer(G, sp.H, sp.K)
-        _record_kernel(sp.e, _core(G, sp.K, N, lattice))
+        pair = strong_pair(G, sp.H, sp.K)
+        _record_kernel(sp.e, _core(G, sp.K, pair.transversal, lattice))
         if not sp.e.is_central_idempotent():
             raise SoundnessError("PCIs must be idempotent")
     if cache:

@@ -26,7 +26,7 @@ from qgring.groups import (
 from reference_shoda import (
     _is_normal_in,
     _right_transversal,
-    reference_epsilon_centralizer,
+    reference_epsilon_and_centralizer,
     reference_normalizer,
 )
 
@@ -108,7 +108,7 @@ def reference_strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     # N <= Cen(eps) always (H and the minimal normal subgroups over K are
     # N-stable), so any g in Cen(eps) outside N already violates
     # orthogonality; the strong condition forces Cen(eps) = N exactly.
-    eps, C = reference_epsilon_centralizer(G, H, K)
+    eps, C = reference_epsilon_and_centralizer(G, H, K)
     if C.mask != N.mask:
         return False
     for t in _right_transversal(G, C):

@@ -114,7 +114,7 @@ def _right_transversal(G: FiniteGroup, C: Subgroup, reverse: bool = False) -> li
     return reps
 
 
-def reference_epsilon_centralizer(G: FiniteGroup, H: Subgroup,
+def reference_epsilon_and_centralizer(G: FiniteGroup, H: Subgroup,
                                   K: Subgroup) -> tuple[AlgElem, Subgroup]:
     """epsilon(H, K) and its centralizer in G, computed afresh."""
     eps = reference_epsilon(H, K)
@@ -124,7 +124,7 @@ def reference_epsilon_centralizer(G: FiniteGroup, H: Subgroup,
 def reference_e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup) -> AlgElem:
     """e(G, H, K): sum of the G-conjugates of epsilon(H, K) over a right
     transversal of its centralizer."""
-    eps, C = reference_epsilon_centralizer(G, H, K)
+    eps, C = reference_epsilon_and_centralizer(G, H, K)
     out = AlgElem.zero(G)
     for t in _right_transversal(G, C):
         out = out + eps.conjugate(t)
@@ -148,7 +148,7 @@ def reference_strong_shoda(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     # N <= Cen(eps) always (H and the minimal normal subgroups over K are
     # N-stable), so any g in Cen(eps) outside N already violates
     # orthogonality; the strong condition forces Cen(eps) = N exactly.
-    eps, C = reference_epsilon_centralizer(G, H, K)
+    eps, C = reference_epsilon_and_centralizer(G, H, K)
     if C.mask != N.mask:
         return False
     for t in _right_transversal(G, C):

@@ -168,6 +168,12 @@ def test_verify_theorems_refuses_cap(capsys):
     assert "--cap" in _usage_error(capsys, "verify-theorems", "--cap", "100")
 
 
+def test_verify_theorems_refuses_seed(capsys):
+    # every check is exact: no row samples, so there is nothing to seed
+    assert "--seed" in _usage_error(capsys, "verify-theorems", "--seed", "1")
+    assert "--seed" in _usage_error(capsys, "--seed", "1", "verify-theorems")
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "A4", "--only", "witnesses"),
     ("--k0", "1", "analyze", "A4"),
@@ -206,8 +212,8 @@ def test_help_lists_only_the_flags_a_command_takes(capsys, command):
      "20", "--seed", "1"),
     ("--json", "--cap", "20", "--seed", "1", "sweep", "BJ1", "--p", "2",
      "--m", "2", "--n", "1"),
-    ("verify-theorems", "--only", "amitsur", "--json", "--seed", "1"),
-    ("--json", "--seed", "1", "verify-theorems", "--only", "amitsur"),
+    ("verify-theorems", "--only", "amitsur", "--json"),
+    ("--json", "verify-theorems", "--only", "amitsur"),
     ("catalog", "--json"),
 ])
 def test_each_command_takes_its_flags_in_either_position(capsys, argv):
@@ -418,7 +424,6 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
 
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
     monkeypatch.setattr(qgring.shoda, "is_strong_shoda_pair", counting_strong)
-    monkeypatch.setattr(qgring.components, "is_strong_shoda_pair", counting_strong)
     monkeypatch.setattr(qgring.shoda, "e_idem", counting_idem)
     monkeypatch.setattr(qgring.shoda, "normalizer", counting_normalizer)
     monkeypatch.setattr(AlgElem, "centralizer_subgroup", counting_centralizer)
@@ -428,8 +433,9 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
     assert code == 0
     assert len(json.loads(out)["pcis"]) == 11
-    # describe_component asks again about every pair metabelian_pcis kept
-    assert len(strong) == 2 * len(set(strong)) == 22
+    # metabelian_pcis asks once per pair; describe_component reads the
+    # pair's record and asks nothing again
+    assert len(strong) == len(set(strong)) == 11
     assert len(normalizers) == len(set(strong))
     assert set(idem) <= set(strong)
     # every pair is strong: the strong check proves Cen_G(epsilon) = N_G(K),
@@ -474,6 +480,40 @@ def test_analyze_builds_each_transversal_once(capsys, monkeypatch):
     # strong check built, where it built the left ones (16) before
     assert sum(isinstance(key, tuple) and key[0] == "cosets"
                for G in built for key in G._cache) == 14
+
+
+def test_analyze_reads_each_strong_pair_from_its_record(capsys, monkeypatch):
+    callers = []
+    orig = qgring.groups.cosets
+    built = []
+    init = qgring.groups.FiniteGroup.__init__
+
+    def counting(S, within=None, left=False):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return orig(S, within, left)
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    monkeypatch.setattr(qgring.groups.FiniteGroup, "__init__", recording)
+    for module in (qgring.groups, qgring.shoda, qgring.algebra, qgring.props,
+                   qgring.components):
+        if getattr(module, "cosets", None) is orig:
+            monkeypatch.setattr(module, "cosets", counting)
+    code, _out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
+    assert code == 0
+    # 56 calls when e_idem, describe_component and _core asked again for
+    # the transversals that the strong check had built
+    assert len(callers) == 34
+    assert not {"e_idem", "describe_component", "_core"} & set(callers)
+    (G,) = [G for G in built if G.order == 200]
+    keys = [key for key in G._cache if isinstance(key, tuple)]
+    strong = [key for key in keys if key[0] == "strong"]
+    assert len(strong) == len(set(strong)) == 11
+    assert all(G._cache[key] is not None for key in strong)
+    assert not {key[0] for key in keys} & {"epsilon", "exponents", "strong_shoda"}
 
 
 @pytest.mark.parametrize("spec, count", [("X(X(Q(8),C(3)),C(3))", 4),
