@@ -8,9 +8,10 @@ Commands:
 
 Global flags: --json, --cap N, --budget N, --seed N; they are the only
 settings. --cap and --budget take positive integers; --budget is read by
-analyze alone, --seed by analyze and sweep (verify-theorems samples
-nothing). Each command accepts only the flags it reads (COMMAND_FLAGS),
-refuses the others and lists only those in its help.
+analyze alone. --seed is accepted by analyze alone and read by nothing:
+no step samples, and it stays only for callers that still pass it. Each
+command accepts only the flags it takes (COMMAND_FLAGS), refuses the
+others and lists only those in its help.
 Exit codes: 2 for a malformed command line; for analyze 0 ok, 2 parse
 error, 3 order cap exceeded.
 """
@@ -76,7 +77,7 @@ def _analyze(args) -> int:
     timing["classify_ms"] = int(1000 * (time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    report = nd_verdict(G, budget=budget, seed=args.seed)
+    report = nd_verdict(G, budget=budget)
     timing["nd_ms"] = int(1000 * (time.perf_counter() - t0))
 
     cnt = report.matrix_count
@@ -157,10 +158,10 @@ def _span(given: Optional[list[int]], lo: int, hi: int):
     return range(lo, hi + 1) if given is None else given
 
 
-def _add_computed(row: dict, G: FiniteGroup, pred, seed: int) -> None:
+def _add_computed(row: dict, G: FiniteGroup, pred) -> None:
     """Add G's matrix count to a sweep row, and whether it agrees with the
     predicted one-matrix verdict."""
-    cnt, _ = count_matrix_components(G, seed=seed)
+    cnt, _ = count_matrix_components(G)
     row["computed_one_matrix"] = cnt.exact == 1
     row["matrix_count"] = cnt.to_json()
     row["agreement"] = row["computed_one_matrix"] == pred.one_matrix
@@ -233,7 +234,7 @@ def cmd_sweep(args) -> int:
             row = {"params": params, "order": order,
                    "predicted_one_matrix": pred.one_matrix, "nd": pred.nd, **extra}
             if build is not None and order <= args.cap:
-                _add_computed(row, build(cap=args.cap), pred, args.seed)
+                _add_computed(row, build(cap=args.cap), pred)
             rows.append(row)
     except InconsistentFamilyParams as exc:  # a parameter the family rejects
         print(f"error: {exc}", file=sys.stderr)
@@ -302,10 +303,11 @@ def cmd_catalog(args) -> int:
 # the global flags each command reads; any other is refused, so that no
 # flag is silently ignored (verify-theorems' instances are fixed, of order
 # at most 200, and no verdict of theirs depends on the witness budget;
-# sweep and catalog run no witness search)
+# sweep and catalog run no witness search). The one exception is
+# analyze's --seed, which nothing reads: it stays for callers that pass it
 COMMAND_FLAGS = {
     "analyze": ("json", "cap", "budget", "seed"),
-    "sweep": ("json", "cap", "seed"),
+    "sweep": ("json", "cap"),
     "verify-theorems": ("json",),
     "catalog": ("json",),
 }
@@ -321,8 +323,7 @@ GLOBAL_FLAGS = {
                    help="witness search budget in candidate tests (default "
                         f"{DEFAULT_WITNESS_BUDGET}; analyze only)"),
     "seed": dict(type=int,
-                 help="seed of the nilpotent probe's random phase (default "
-                      "0; analyze and sweep)"),
+                 help="accepted and ignored: no step samples (analyze only)"),
 }
 
 
@@ -374,13 +375,12 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser, sub = _parser()
     args = parser.parse_args(argv)
-    defaults = {"json": False, "cap": DEFAULT_ORDER_CAP, "budget": None,
-                "seed": 0}
-    refused = [f"--{name}" for name in defaults
+    refused = [f"--{name}" for name in GLOBAL_FLAGS
                if hasattr(args, name) and name not in COMMAND_FLAGS[args.command]]
     if refused:
         sub.choices[args.command].error(
             f"{args.command} does not take {', '.join(refused)}")
+    defaults = {"json": False, "cap": DEFAULT_ORDER_CAP, "budget": None}
     for name, default in defaults.items():
         if not hasattr(args, name):
             setattr(args, name, default)

@@ -301,7 +301,9 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         return SSNClass("NotSSN",
                         {"reason": "nilpotent, neither abelian nor Hamiltonian"})
     if not is_solvable_group(G):
-        if find_isomorphism(build_named("A5"), G) is not None:
+        # groups of order < 60 are solvable, so a non-solvable group of
+        # order 60 is simple, and A5 is the only simple group of that order
+        if G.order == 60:
             return SSNClass("A5", {})
         return SSNClass("NotSSN", {"reason": "non-solvable, not A5"})
     # solvable, not nilpotent: G = P : Q with P = G'
@@ -654,7 +656,8 @@ def nd_verdict(G: FiniteGroup, budget: int = DEFAULT_WITNESS_BUDGET,
                seed: int = 0) -> NDReport:
     """Decide ND where possible. Positive only via the at-most-one-matrix-
     component certificate; negative only via a verified witness; otherwise
-    Unknown with the search budget recorded.
+    Unknown with the search budget recorded. seed is read by nothing, as
+    no step samples; the keyword stays only for callers that still pass it.
 
     Without the positive certificate, the passes of _WITNESS_PASSES run in
     order, the curated witnesses first and then the square-zero search,
@@ -663,7 +666,7 @@ def nd_verdict(G: FiniteGroup, budget: int = DEFAULT_WITNESS_BUDGET,
     found witness is re-verified exactly here, whichever pass found it,
     and a failed check raises SoundnessError."""
     try:
-        count, comps = count_matrix_components(G, seed=seed)
+        count, comps = count_matrix_components(G)
     except NotMetabelian:
         count, comps = MatrixCount(0, None), []
 

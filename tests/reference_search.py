@@ -8,7 +8,6 @@ test_square_zero_search.py require identical results from both.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from qgring.algebra import AlgElem, hat, one_minus
@@ -65,8 +64,8 @@ def reference_nd_witness_search(G: FiniteGroup, pcis: list[AlgElem],
     return None, spent
 
 
-def reference_nilpotent_probe(G: FiniteGroup, e: AlgElem, budget: int = 2000,
-                              seed: int = 0) -> Optional[AlgElem]:
+def reference_nilpotent_probe(G: FiniteGroup, e: AlgElem,
+                              budget: int = 2000) -> Optional[AlgElem]:
     spent = 0
     for Y in subgroups(G):
         if Y.order == 1:
@@ -96,14 +95,4 @@ def reference_nilpotent_probe(G: FiniteGroup, e: AlgElem, budget: int = 2000,
                         return cand
                     if spent >= budget:
                         return None
-    rng = random.Random(seed)
-    e1 = e.coeff(0)
-    while spent < budget:
-        nums = [rng.randrange(-2, 3) for _ in range(G.order)]
-        beta = AlgElem(G, nums, 1) * e
-        if e1 != 0:
-            beta = beta - (beta.coeff(0) / e1) * e
-        spent += 1
-        if not beta.is_zero() and beta.is_nilpotent():
-            return beta
     return None

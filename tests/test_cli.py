@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -186,6 +187,8 @@ def test_verify_theorems_refuses_seed(capsys):
     ("--seed", "9", "catalog"),
     ("verify-theorems", "--budget", "5"),
     ("--budget", "5", "verify-theorems"),
+    ("sweep", "BJ3", "--seed", "1"),
+    ("--seed", "1", "sweep", "BJ3"),
 ])
 def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     _usage_error(capsys, *argv)
@@ -209,9 +212,9 @@ def test_help_lists_only_the_flags_a_command_takes(capsys, command):
     ("analyze", "A4", "--json", "--cap", "20", "--budget", "5", "--seed", "1"),
     ("--json", "--cap", "20", "--budget", "5", "--seed", "1", "analyze", "A4"),
     ("sweep", "BJ1", "--p", "2", "--m", "2", "--n", "1", "--json", "--cap",
-     "20", "--seed", "1"),
-    ("--json", "--cap", "20", "--seed", "1", "sweep", "BJ1", "--p", "2",
-     "--m", "2", "--n", "1"),
+     "20"),
+    ("--json", "--cap", "20", "sweep", "BJ1", "--p", "2", "--m", "2", "--n",
+     "1"),
     ("verify-theorems", "--only", "amitsur", "--json"),
     ("--json", "verify-theorems", "--only", "amitsur"),
     ("catalog", "--json"),
@@ -442,6 +445,32 @@ def test_analyze_evaluates_each_shoda_pair_once(capsys, monkeypatch):
     # and epsilon of a cyclic H/K is read off the coset exponents
     assert centralizers == []
     assert minimal == []
+
+
+def test_analyze_builds_the_a5_pair_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    counting(qgring.shoda, "_cyclic_epsilon")
+    counting(AlgElem, "centralizer_subgroup")
+    for module in (qgring.components, qgring.props):
+        counting(module, "find_isomorphism")
+    code, _out, _ = run_cli(capsys, "--json", "analyze", "A5")
+    assert code == 0
+    # (A4, V4) is not strong: its e is built once, with one centralizer
+    # scan, for the matrix count and the curated witness together; the
+    # matrix count and the curated pass each find A5 by isomorphism, and
+    # classify_ssn by its order
+    assert calls == {"_cyclic_epsilon": 3, "centralizer_subgroup": 1,
+                     "find_isomorphism": 2}
 
 
 def test_analyze_decides_normality_once_per_subgroup(capsys, monkeypatch):

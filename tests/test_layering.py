@@ -4,7 +4,8 @@ groups -> algebra -> shoda -> components -> props -> verify/cli: each
 module imports only modules before it. Every relative import is read
 from the source with `ast`, at any depth, so an import hidden inside a
 function counts too. Only cli's import of verify is made inside a
-function, so that `analyze` does not load the verification suite.
+function, so that `analyze` does not load the verification suite. No
+module imports `random`.
 """
 
 import ast
@@ -57,3 +58,19 @@ def test_only_cli_imports_verify_inside_a_function():
             for importer, imported, in_function in _relative_imports()
             if in_function}
     assert lazy == {("cli", "verify")}
+
+
+def test_no_module_imports_random():
+    # every certificate is exact, so nothing in the package samples
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.append(path.stem)
+    assert importers == []

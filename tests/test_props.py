@@ -155,6 +155,21 @@ def test_classify_ssn_names_each_rejection(build, reason):
     assert is_ssn(G) is False
 
 
+def test_classify_ssn_names_a5_by_its_order(monkeypatch):
+    # A5 is the only non-solvable group of order 60, so no isomorphism
+    # search is needed to recognise it under any labelling
+    def no_search(*args):
+        raise AssertionError("classify_ssn ran an isomorphism search")
+
+    monkeypatch.setattr(props, "find_isomorphism", no_search)
+    A5 = build_named("A5")
+    for seed in range(5):
+        cls = classify_ssn(relabel(A5, seed))
+        assert (cls.tag, cls.params) == ("A5", {})
+    cls = classify_ssn(build_spec("X(A5,C(2))"))
+    assert (cls.tag, cls.params) == ("NotSSN", {"reason": "non-solvable, not A5"})
+
+
 @pytest.mark.parametrize("relabelled", [False, True])
 def test_nd_verdict_of_a_group_that_is_not_metabelian(relabelled):
     # no PCIs, so no certificate and no search: Unknown, never HasND

@@ -22,7 +22,7 @@ from qgring.algebra import AlgElem, SquareZeroFamily, tilde
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import nilpotent_probe
 from qgring.errors import NotCentralIdempotent, NotMetabelian, SoundnessError
-from qgring.groups import subgroup_generated, subgroups
+from qgring.groups import derived_subgroup, subgroup_generated, subgroups
 from qgring.props import a5_shoda_idempotent, nd_verdict, nd_witness_search
 from qgring.shoda import metabelian_pcis
 from reference_search import reference_nd_witness_search, reference_nilpotent_probe
@@ -338,6 +338,25 @@ def test_nilpotent_probe_matches_reference(name):
             got = nilpotent_probe(G, sp.e, budget=budget)
             ref = reference_nilpotent_probe(G, sp.e, budget=budget)
             assert got == ref, (name, budget)
+
+
+def test_nilpotent_probe_tests_no_element_for_nilpotency(monkeypatch):
+    # the probe scans square-zero candidates only: past them it stops,
+    # whatever is left of its budget
+    def refuse(self):
+        raise AssertionError("the probe tested an element for nilpotency")
+
+    monkeypatch.setattr(AlgElem, "is_nilpotent", refuse)
+    Q8 = build_named("Q8")
+    quaternion = AlgElem.one(Q8) - tilde(derived_subgroup(Q8))
+    assert nilpotent_probe(Q8, quaternion, budget=2000) is None
+    for name in ("D12", "C3rC8"):
+        G = build_named(name)
+        n = _candidate_count(G)
+        for sp in metabelian_pcis(G):
+            if nilpotent_probe(G, sp.e, budget=n) is None:
+                for budget in (n + 1, n + 20, 2 * n):
+                    assert nilpotent_probe(G, sp.e, budget=budget) is None
 
 
 def _bogus_search(G, pcis, budget=0):
