@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
-from .groups import FiniteGroup, Subgroup, _closure, cosets, stabilizer
+from .groups import (FiniteGroup, Subgroup, _closure, _rational_points, cosets,
+                     stabilizer)
 
 
 class AlgElem:
@@ -182,10 +183,10 @@ class AlgElem:
 
     def is_central_idempotent(self) -> bool:
         """True iff the element is central and e*e = e. Decided once per
-        element and group. For a central e, e*e is central too, so it
-        equals e iff the two agree at the class representatives; with
-        N = ker e, one representative per N-coset and |supp e|/|N|
-        products each (_idempotent_at_classes)."""
+        element and group. A central idempotent is constant on rational
+        classes, and then so is e*e, which equals e iff the two agree at
+        one point per rational class; with N = ker e, one point per
+        N-coset and |supp e|/|N| products each (_idempotent_at_classes)."""
         return self.is_central() and _memo(self, "idempotent", _idempotent_at_classes)
 
     def is_nilpotent(self) -> bool:
@@ -230,7 +231,7 @@ def coeff_strings(x: AlgElem) -> list[list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# central elements at the class representatives
+# central elements at the class and rational-class representatives
 
 
 def _facts_of(e: AlgElem) -> dict:
@@ -280,7 +281,20 @@ def _record_kernel(e: AlgElem, N: Subgroup) -> None:
 
 
 def _idempotent_at_classes(e: AlgElem) -> bool:
-    """e*e = e for a central e, decided in G/ker e.
+    """e*e = e for a central e, decided at one point per rational class
+    in G/ker e.
+
+    A central idempotent of Q[G] is a sum of primitive ones, and the
+    coefficient of x in a primitive one is chi(1)/|G| times the sum of the
+    Galois conjugates of chi(x^-1), for an irreducible character chi. As
+    sigma_j maps chi(x^-1) to chi(x^-j), that sum is the same at x and at
+    x^j for j prime to |G|: a central idempotent is constant on each
+    rational class {y : <y> conjugate to <x>}, and an e that is not is no
+    idempotent. For an e that is, so is e*e: for j prime to |G| the power
+    map sending each class sum to that of the j-th powers is a ring
+    automorphism of Z(Q[G]), acting on each central character by sigma_j,
+    and it fixes e, so also e*e. So e*e = e iff the two agree at one point
+    per rational class, the artin_count(G) points of _rational_points.
 
     Let N = {g : g*e = e}, a subgroup (the test is _fixes); for a central e
     it is also {g : e*g = e}, and it is normal, as (hgh^-1)*e = h(g*e)h^-1.
@@ -289,9 +303,8 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     (e*e)(r) = sum over x in G of e(x) e(x^-1 r)
              = |N| * sum over s in S of e(s) e(s^-1 r),
     since x = sn gives e(x) = e(s), and x^-1 r = n^-1 s^-1 r lies in
-    N s^-1 r = s^-1 r N. Both e*e and e are central and constant on
-    N-cosets, so they are equal iff they agree at one class representative
-    per N-coset that holds any.
+    N s^-1 r = s^-1 r N. Both e*e and e are constant on N-cosets, so a
+    point whose coset holds an earlier point is skipped.
 
     All of this holds for any subgroup N of ker e, with more cosets when N
     is smaller. N is the one recorded by _record_kernel (metabelian_pcis
@@ -300,14 +313,16 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     """
     G = e.group
     nums, table = e.nums, G.table
+    at, points = _rational_points(G)
+    if list(map(nums.__getitem__, at)) != nums:
+        return False
     N = _facts_of(e).get("kernel")
     if N is None:
         N = stabilizer(G, _fixes(e))
     index, reps = cosets(N, left=True)
     terms = [(nums[s], table[G.inverse[s]]) for s in reps if nums[s]]
     checked = set()
-    for cls in G.conjugacy_classes():
-        r = cls[0]
+    for r in points:
         if index[r] in checked:
             continue
         checked.add(index[r])
@@ -345,12 +360,13 @@ def component_dimension(G: FiniteGroup, e: AlgElem) -> int:
     NonIntegerDimension before the idempotency test."""
     if not e.is_central():
         raise NotCentralIdempotent("input is not central")
-    d = G.order * e.coeff(0)
-    if d.denominator != 1:
-        raise NonIntegerDimension(f"|G|*coeff_1(e) = {d} is not an integer")
+    d, rem = divmod(G.order * e.nums[0], e.den)
+    if rem:
+        raise NonIntegerDimension(f"|G|*coeff_1(e) = {G.order * e.coeff(0)} "
+                                  "is not an integer")
     if not e.is_central_idempotent():
         raise NotCentralIdempotent("input is not idempotent")
-    return int(d)
+    return d
 
 
 def center_rank(G: FiniteGroup, e: AlgElem) -> int:

@@ -331,31 +331,51 @@ def _conjugation(G: FiniteGroup, g: int) -> list[int]:
     return [table[y][g] for y in table[G.inverse[g]]]
 
 
-def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]]]:
+def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]],
+                                           list[Sequence[int]]]:
     """The conjugacy classes of the seeds of _cyclic_seeds, as (rep, by,
-    moves): rep[k] is the first seed of C_k's class in seed order, by[k] an
-    element g with C_k = C_rep[k]^g, and moves[j][k] the seed of C_k^t for
-    the j-th generator t of G. A class is the orbit of its first seed
-    under the moves."""
+    moves, pulls): rep[k] is the first seed of C_k's class in seed order,
+    by[k] an element g with C_k = C_rep[k]^g, moves[j][k] the seed of C_k^t
+    for the j-th generator t of G, and pulls[k][j] the seed q with
+    C_q^by[k] = C_j. A class is the orbit of its first seed under the
+    moves, and each step s -> q = moves[j][s] of the orbit reads pulls[q]
+    off pulls[s] at the inverse of moves[j]."""
     if "seed_classes" not in G._cache:
         walks, seed_of = _cyclic_seeds(G)
         table, gens = G.table, G.generators()
         moves = [[seed_of[perm[p[0]]] for p in walks]
                  for perm in (_conjugation(G, t) for t in gens)]
-        steps = list(zip(gens, moves))
-        rep, by = [-1] * len(walks), [0] * len(walks)
-        for r in range(len(walks)):
+        n = len(walks)
+        steps = [(t, move, sorted(range(n), key=move.__getitem__))
+                 for t, move in zip(gens, moves)]
+        rep, by, pulls = [-1] * n, [0] * n, [range(n)] * n
+        for r in range(n):
             if rep[r] < 0:
                 rep[r] = r
                 orbit = [r]
                 for s in orbit:
-                    for t, move in steps:
+                    for t, move, back in steps:
                         q = move[s]
                         if rep[q] < 0:
                             rep[q], by[q] = r, table[by[s]][t]
+                            pulls[q] = list(map(pulls[s].__getitem__, back))
                             orbit.append(q)
-        G._cache["seed_classes"] = rep, by, moves
+        G._cache["seed_classes"] = rep, by, moves, pulls
     return G._cache["seed_classes"]
+
+
+def _rational_points(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """The rational classes of G, x ~ y when <x> and <y> are conjugate, as
+    (at, points): at[x] is the least generator of the first seed conjugate
+    to <x> (the identity for x = 1), and points lists the values of at,
+    the identity first and then in seed order, one per class: there are
+    artin_count(G) of them. Built once per group."""
+    if "rational_points" not in G._cache:
+        walks, seed_of = _cyclic_seeds(G)
+        first = [walks[r][0] for r in _seed_classes(G)[0]] + [0]  # [-1]: 1
+        G._cache["rational_points"] = (list(map(first.__getitem__, seed_of)),
+                                       list(dict.fromkeys([0] + first)))
+    return G._cache["rational_points"]
 
 
 def artin_count(G: FiniteGroup) -> int:
@@ -594,24 +614,34 @@ def _joins_by_order(J: dict[int, int]) -> list[tuple[int, int, list[int]]]:
 
 
 def _conjugated_row(G: FiniteGroup, i: int, seed_joins: list[dict[int, int]],
-                    seen: dict[int, Subgroup]) -> dict[int, int]:
+                    seen: dict[int, Subgroup],
+                    ) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """The join row J(i, .) of a seed C_i = C_r^g (_seed_classes), from the
-    complete rows of the seeds before it: J(i, q^g) = J(r, q)^g. Each
-    distinct J = <C_a, C_b> of C_r's row (a = b for a seed) is conjugated
-    once: J^g = <C_a^g, C_b^g> is read off an earlier row when C_a^g or
-    C_b^g comes before C_i, and is the image of J's members when not."""
-    walks, seed_of = _cyclic_seeds(G)
-    rep, by, _ = _seed_classes(G)
-    perm = _conjugation(G, by[i])
-    row = seed_joins[rep[i]]
+    complete rows of the seeds before it: J(i, k) = J(r, q)^g for the seed
+    q with C_q^g = C_k, read off the seed permutation of C_i. Each distinct
+    J of C_r's row is conjugated once, through k, the least seed with
+    J(i, k) = J^g: for k < i, J^g = J(k, i) is read off an earlier row,
+    and for k >= i it is the image of J's members. Returns the row and its
+    new joins, the (k, J^g) with k > i in order of k: every other J^g is
+    in an earlier row or is C_i, so already in seen."""
+    rep, by, _, pulls = _seed_classes(G)
+    masks = list(map(seed_joins[rep[i]].__getitem__, pulls[i]))  # by k
+    # the last value given to a key stays: each mask keeps its least k
+    least = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+    table, g = G.table, by[i]
+    left = table[G.inverse[g]].__getitem__  # x -> g^-1 x
     image: dict[int, int] = {}
-    for mask in set(row.values()):
-        J = seen[mask]
-        a, *_, b = sorted(seed_of[perm[x]] for x in J.gens * 2)
-        image[mask] = (seed_joins[a][b] if a < i else
-                       sum(map((1).__lshift__, map(perm.__getitem__, J.members))))
-    return dict(zip((seed_of[perm[walks[q][0]]] for q in row),
-                    map(image.__getitem__, row.values())))
+    new: list[tuple[int, int]] = []
+    for mask, k in least.items():
+        if k < i:
+            image[mask] = seed_joins[k][i]
+            continue
+        image[mask] = sum(map((1).__lshift__, map(itemgetter(g), map(
+            table.__getitem__, map(left, seen[mask].members)))))
+        if k > i:
+            new.append((k, image[mask]))
+    new.sort()
+    return dict(enumerate(map(image.__getitem__, masks))), new
 
 
 def _first_conjugates(G: FiniteGroup, frontier: list[Subgroup],
@@ -714,16 +744,16 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                 if first[i] != i and clean[first[i]]:
                     continue
                 if level == 1 and rep[i] != i:
-                    join = _conjugated_row(G, i, seed_joins, seen)
+                    join, new_joins = _conjugated_row(G, i, seed_joins, seen)
                     seed_joins.append(join)
-                    for k in range(i + 1, len(seeds)):
-                        if join[k] not in seen:
-                            found(join[k], H.gens + (seed_powers[k][0],))
+                    for k, mask in new_joins:
+                        if mask not in seen:
+                            found(mask, H.gens + (seed_powers[k][0],))
                     continue
                 members = H.members
                 join = dict.fromkeys(map(seed_at, members), H.mask)
                 if level == 1:
-                    join.update((j, J[i]) for j, J in enumerate(seed_joins))
+                    join.update(zip(range(i), map(itemgetter(i), seed_joins)))
                     seed_joins.append(join)
                 else:
                     for s in dict.fromkeys(map(seed_at, H.gens)):

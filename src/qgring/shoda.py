@@ -70,7 +70,8 @@ def _cyclic_epsilon(H: Subgroup, K: Subgroup, exponents: list[int]) -> AlgElem:
     """epsilon(H, K) for cyclic H/K of order n, from its section_exponents:
     sum over d | rad(n) of mu(d) tilde(<x^(n/d)>K). The d-th term is
     mu(d) / (d |K|) on each x^j K with (n/d) | j, so the coefficient on
-    x^j K is (sum of mu(d) n/d over those d) / (n |K|)."""
+    x^j K is (sum of mu(d) n/d over those d) / (n |K|), reduced over the n
+    coset values."""
     G = H.parent
     n = H.order // K.order
     divisors = [(1, 1)]  # (squarefree d, mu(d))
@@ -81,13 +82,19 @@ def _cyclic_epsilon(H: Subgroup, K: Subgroup, exponents: list[int]) -> AlgElem:
         step = n // d
         for j in range(0, n, step):
             at[j] += mu * step
-    nums = list(map(at.__getitem__, exponents))
-    return AlgElem(G, nums, n * K.order)
+    g = math.gcd(n * K.order, *at)
+    if g > 1:
+        at = [v // g for v in at]
+    return AlgElem(G, list(map(at.__getitem__, exponents)), n * K.order // g,
+                   _normalized=True)
 
 
 def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
     """The sum of eps^t = t^-1 eps t over t in transversal. eps^1 = eps is
-    added whole, with no conjugation (the transversal is {1} for K normal)."""
+    added whole, with no conjugation, and eps itself is the sum when the
+    transversal is [1] (K normal)."""
+    if transversal == [0]:
+        return eps
     G = eps.group
     out = [0] * G.order
     for t in transversal:
@@ -309,7 +316,8 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     Conversely orthogonal elements summing to 1 are idempotent
     (e_i = e_i * 1 = e_i^2), so the facts certified are those of the
     pairwise check, at the cost of one square per idempotent, decided at
-    the class representatives. Each square is taken modulo core_G(K), the
+    artin_count(G) points, one per rational class (_idempotent_at_classes).
+    Each square is taken modulo core_G(K), the
     kernel of e(G, H, K); that each generator of the core fixes e is
     checked first (_record_kernel), so no scan of G looks for the kernel.
     """
@@ -360,12 +368,16 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     if len(out) != artin_count(G):
         raise SoundnessError(f"{len(out)} PCIs, but Artin's count of {G.name} "
                              f"is {artin_count(G)}")
-    total = AlgElem.zero(G)
+    # the numerators at the common denominator den sum to those of 1
+    den = math.lcm(*(sp.e.den for sp in out))
+    total = [0] * G.order
     for sp in out:
         if not sp.e.is_central():
             raise SoundnessError("PCIs must be central")
-        total = total + sp.e
-    if total != AlgElem.one(G):
+        f = den // sp.e.den
+        total = list(map(add, total, map(f.__mul__, sp.e.nums) if f > 1
+                         else sp.e.nums))
+    if total != [den] + [0] * (G.order - 1):
         raise SoundnessError("PCIs must sum to 1")
     lattice = {S.mask: S for S in subs}
     for sp in out:

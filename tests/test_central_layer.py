@@ -1,12 +1,14 @@
 """The central-idempotent checks against their original implementations.
 
-The library decides the centrality, idempotency and orthogonality of
-central elements at the class representatives, computes the center rank
+The library decides the centrality and orthogonality of central
+elements at the class representatives, idempotency at one point per
+rational class (Artin's points), computes the center rank
 as a trace and finds centralizers by skipping whole cosets;
 reference_components.py holds the original full-product, elimination and
 full-scan code. Both must give the same answers.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from qgring.algebra import AlgElem, product_at_classes
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import a5_special_pci, center_rank
 from qgring.errors import NotMetabelian, SoundnessError
-from qgring.groups import full_subgroup
+from qgring.groups import _rational_points, artin_count, dihedral, full_subgroup
 from qgring.shoda import metabelian_pcis, pci_sanity
 from reference_components import (
     reference_center_rank,
@@ -95,6 +97,86 @@ def test_product_at_classes_is_the_product_there(name):
             assert [Fraction(v, a.den * b.den) for v in vals] == \
                 [prod.coeff(r) for r in reps]
         assert a.is_central_idempotent() == reference_is_idempotent(a)
+
+
+def _rational_classes(G):
+    """Each class {g^-1 x^j g : g in G, j prime to |x|} once, as a union
+    of conjugacy classes."""
+    out, seen = [], set()
+    for cls in G.conjugacy_classes():
+        if cls[0] not in seen:
+            n = G.element_order(cls[0])
+            out.append({y for j in range(1, n + 1) if math.gcd(j, n) == 1
+                        for y in G.class_of(G.power(cls[0], j))})
+            seen |= out[-1]
+    return out
+
+
+def _combination(G, parts, coeffs):
+    return AlgElem.from_coeffs(G, {g: c for part, c in zip(parts, coeffs)
+                                   for g in part})
+
+
+@pytest.mark.parametrize("name", ["D12", "Q16", "C3C3rC8", "BJ9",
+                                  "SdCyc(13,12,2)", "D(30)"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_idempotency_matches_reference_on_central_elements(name, data):
+    # class sums are central but need not be constant on rational classes;
+    # rational-class sums and sums of PCIs are, and some of them idempotent
+    G = _group(name)
+    kind = data.draw(st.sampled_from(["classes", "rational", "pcis"]))
+    if kind == "pcis":
+        pcis = [sp.e for sp in metabelian_pcis(G)]
+        coeffs = data.draw(st.lists(st.sampled_from([0, 1, -1, 2]),
+                                    min_size=len(pcis), max_size=len(pcis)))
+        x = AlgElem.zero(G)
+        for c, e in zip(coeffs, pcis):
+            x = x + c * e
+    else:
+        parts = G.conjugacy_classes() if kind == "classes" else _rational_classes(G)
+        small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+        x = _combination(G, parts, data.draw(
+            st.lists(small, min_size=len(parts), max_size=len(parts))))
+    assert x.is_central()
+    assert x.is_central_idempotent() == reference_is_idempotent(x)
+
+
+def test_an_element_not_constant_on_rational_classes_is_no_idempotent():
+    # in Q[C5] the points are 1 and x; this central element differs at x
+    # and x^2, and its square agrees with it at both points
+    G = build_spec("C(5)")
+    x = AlgElem(G, [-2, 1, -2, 1, -1])
+    square = x * x
+    assert _rational_points(G)[1] == [0, 1]
+    assert square.nums[:2] == x.nums[:2] and square.den == x.den
+    assert x.is_central() and not x.is_central_idempotent()
+    assert not reference_is_idempotent(x)
+
+
+def test_idempotency_is_decided_at_artins_points(monkeypatch):
+    # D(200) has 53 conjugacy classes but 11 classes of cyclic subgroups:
+    # each PCI's square is compared with it at no more than 11 points
+    G = dihedral(200)
+    walked = []
+
+    class Counting(list):
+        def __iter__(self):
+            for r in list.__iter__(self):
+                walked[-1] += 1
+                yield r
+
+    rational_points = qgring.algebra._rational_points
+
+    def counting(G):
+        walked.append(0)
+        at, points = rational_points(G)
+        return at, Counting(points)
+
+    monkeypatch.setattr(qgring.algebra, "_rational_points", counting)
+    assert len(metabelian_pcis(G)) == artin_count(G) == 11
+    assert len(G.conjugacy_classes()) == 53
+    assert len(walked) == 11 and max(walked) <= 11
 
 
 def test_non_central_and_non_idempotent_elements():

@@ -27,7 +27,7 @@ from qgring.components import count_matrix_components
 from qgring.errors import OrderCapExceeded
 from qgring.groups import (FiniteGroup, Subgroup, _closure, _conjugated_row,
                            _cyclic_seeds, _seed_classes, artin_count,
-                           cyclic_subgroups, elementary_abelian,
+                           cyclic_subgroups, dihedral, elementary_abelian,
                            normal_subgroups, subgroups)
 from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
@@ -96,9 +96,45 @@ def test_conjugated_rows_are_the_join_rows(spec):
     rows = [{q: _closure(G, (c, d)) for q, d in enumerate(least)} for c in least]
     rep = _seed_classes(G)[0]
     assert rep != list(range(len(rep)))
-    for i in range(len(rows)):
+    for i, closures in enumerate(rows):
         if rep[i] != i:
-            assert _conjugated_row(G, i, rows, seen) == rows[i]
+            row, new = _conjugated_row(G, i, rows, seen)
+            assert row == closures
+            # the new joins: each join of the row that no seed k <= i
+            # reaches, at the first seed above i that does
+            old = {closures[k] for k in range(i + 1)}
+            firsts = {}
+            for k in range(i + 1, len(rows)):
+                if closures[k] not in old:
+                    firsts.setdefault(closures[k], k)
+            assert new == sorted((k, mask) for mask, k in firsts.items())
+
+
+def test_a_cold_lattice_conjugates_by_the_generators_only(monkeypatch):
+    # the seed permutations compose the generators' moves, so no other
+    # element's permutation of G is built
+    G = dihedral(200)
+    conjugation, by = qgring.groups._conjugation, []
+    monkeypatch.setattr(qgring.groups, "_conjugation",
+                        lambda G, g: by.append(g) or conjugation(G, g))
+    assert len(subgroups(G)) == 226
+    assert by == list(G.generators())
+
+
+# sha256 of the (mask, gens) list of every catalog name's lattice and of
+# every group the three workloads build, in that order, from before the
+# conjugated join rows were read through the seed permutations
+LATTICE_DIGEST = "db89783570e7989661841bcd3306441dde49788d47d877af1b75267458c607a2"
+
+
+def test_lattices_keep_their_masks_and_gens(workloads):
+    groups = [_build(name) for name in catalog_names()]
+    for workload in ("analyze-large", "family-sweep", "witness-search"):
+        groups += [workloads._build(op.build) for op in workloads.build_ops(workload)]
+    digest = hashlib.sha256()
+    for G in groups:
+        digest.update(repr([(H.mask, H.gens) for H in subgroups(G)]).encode())
+    assert digest.hexdigest() == LATTICE_DIGEST
 
 
 @pytest.mark.parametrize("spec, seed", [("D(200)", 1), ("A5", 2)])
