@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
-from .groups import (FiniteGroup, Subgroup, _closure, _rational_points, cosets,
-                     stabilizer)
+from .groups import (FiniteGroup, Subgroup, _classes, _closure, _rational_points,
+                     cosets, stabilizer)
 
 
 class AlgElem:
@@ -253,10 +253,7 @@ def _memo(e: AlgElem, fact: str, decide) -> bool:
 
 
 def _constant_on_classes(e: AlgElem) -> bool:
-    G = e.group
-    if "class_first" not in G._cache:
-        G._cache["class_first"] = [G.class_of(g)[0] for g in range(G.order)]
-    return list(map(e.nums.__getitem__, G._cache["class_first"])) == e.nums
+    return list(map(e.nums.__getitem__, _classes(e.group)[3])) == e.nums
 
 
 def _fixes(e: AlgElem) -> Callable[[int], bool]:
@@ -290,8 +287,11 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     sigma_j maps chi(x^-1) to chi(x^-j), that sum is the same at x and at
     x^j for j prime to |G|: a central idempotent is constant on each
     rational class {y : <y> conjugate to <x>}, and an e that is not is no
-    idempotent. For an e that is, so is e*e: for j prime to |G| the power
-    map sending each class sum to that of the j-th powers is a ring
+    idempotent. As callers decide is_central() first, e is constant on the
+    conjugacy classes that make up each rational class, so this is tested
+    exactly at each class's least element r, against r's rational point.
+    For an e that passes, so does e*e: for j prime to |G| the power map
+    sending each class sum to that of the j-th powers is a ring
     automorphism of Z(Q[G]), acting on each central character by sigma_j,
     and it fixes e, so also e*e. So e*e = e iff the two agree at one point
     per rational class, the artin_count(G) points of _rational_points.
@@ -314,7 +314,7 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     G = e.group
     nums, table = e.nums, G.table
     at, points = _rational_points(G)
-    if list(map(nums.__getitem__, at)) != nums:
+    if any(nums[cls[0]] != nums[at[cls[0]]] for cls in _classes(G)[1]):
         return False
     N = _facts_of(e).get("kernel")
     if N is None:
@@ -374,13 +374,10 @@ def center_rank(G: FiniteGroup, e: AlgElem) -> int:
     on Z(Q[G]). For a central idempotent e that map is idempotent, so its
     rank is its trace in the basis of class sums C_i: the sum over i of
     the coefficient of the representative r_i in C_i * e, which is the sum
-    of e[g^-1 r_i] over g in C_i. The points g^-1 r_i are listed once per
-    group, on first use, so the trace is one gather."""
+    of e[g^-1 r_i] over g in C_i. The points g^-1 r_i are part of the class
+    build (_classes), so the trace is one gather."""
     _require_central_idempotent(G, e)
-    if "rank_points" not in G._cache:
-        G._cache["rank_points"] = [G.table[G.inverse[g]][cls[0]]
-                                   for cls in G.conjugacy_classes() for g in cls]
-    trace = sum(map(e.nums.__getitem__, G._cache["rank_points"]))
+    trace = sum(map(e.nums.__getitem__, _classes(G)[4]))
     rank, rem = divmod(trace, e.den)
     if rem:
         raise SoundnessError(f"the trace {trace}/{e.den} of a central idempotent "

@@ -4,8 +4,9 @@ families, metacyclic presentations with fusion, semidirect and central
 products, cyclic extensions of an arbitrary base, and A5.
 
 Elements are integers 0..order-1 with the identity always at index 0.
-Groups and subgroups are immutable after construction; derived data
-(subgroup lattice, center, conjugacy classes, ...) is cached per group.
+Groups and subgroups are immutable after construction; derived data is
+cached per group, and every conjugacy-class fact is read from one build
+over the generators' conjugation permutations (_classes).
 """
 
 from __future__ import annotations
@@ -239,37 +240,12 @@ class FiniteGroup:
         return False, 0
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        if "classes" not in self._cache:
-            seen = 0
-            classes = []
-            for g in range(self.order):
-                if seen >> g & 1:
-                    continue
-                orbit = {g}
-                frontier = [g]
-                gens = self.generators()
-                while frontier:
-                    x = frontier.pop()
-                    for t in gens:
-                        y = self.conj(x, t)
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
-                for x in orbit:
-                    seen |= 1 << x
-                classes.append(tuple(sorted(orbit)))
-            self._cache["classes"] = classes
-        return self._cache["classes"]
+        """The conjugacy classes, as the class build lists them (_classes)."""
+        return _classes(self)[1]
 
     def class_of(self, x: int) -> tuple[int, ...]:
         """The conjugacy class of x, as listed by conjugacy_classes()."""
-        if "class_of" not in self._cache:
-            index: list[tuple[int, ...]] = [()] * self.order
-            for cls in self.conjugacy_classes():
-                for y in cls:
-                    index[y] = cls
-            self._cache["class_of"] = index
-        return self._cache["class_of"][x]
+        return _classes(self)[1][_classes(self)[2][x]]
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +307,44 @@ def _conjugation(G: FiniteGroup, g: int) -> list[int]:
     return [table[y][g] for y in table[G.inverse[g]]]
 
 
+def _classes(G: FiniteGroup) -> tuple[list[list[int]], list[tuple[int, ...]],
+                                      list[int], list[int], list[int]]:
+    """G's conjugacy classes, built once per group as (perms, classes,
+    index, first, points): perms[j] is _conjugation(G, t) for the j-th
+    generator t; classes the orbits under perms, sorted, by least element;
+    index[x] the number of x's class, first[x] its least element; points
+    the g^-1 r, for g in a class with least element r, for center_rank."""
+    if "classes" not in G._cache:
+        perms = [_conjugation(G, t) for t in G.generators()]
+        index, classes = [-1] * G.order, []
+        for g in range(G.order):
+            if index[g] < 0:
+                index[g], orbit = len(classes), [g]
+                for x in orbit:  # orbit grows while it is walked
+                    for y in map(itemgetter(x), perms):
+                        if index[y] < 0:
+                            index[y] = index[g]
+                            orbit.append(y)
+                classes.append(tuple(sorted(orbit)))
+        first = [classes[k][0] for k in index]
+        points = [G.table[G.inverse[g]][cls[0]] for cls in classes for g in cls]
+        G._cache["classes"] = perms, classes, index, first, points
+    return G._cache["classes"]
+
+
 def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]],
                                            list[Sequence[int]]]:
     """The conjugacy classes of the seeds of _cyclic_seeds, as (rep, by,
     moves, pulls): rep[k] is the first seed of C_k's class in seed order,
     by[k] an element g with C_k = C_rep[k]^g, moves[j][k] the seed of C_k^t
-    for the j-th generator t of G, and pulls[k][j] the seed q with
-    C_q^by[k] = C_j. A class is the orbit of its first seed under the
-    moves, and each step s -> q = moves[j][s] of the orbit reads pulls[q]
-    off pulls[s] at the inverse of moves[j]."""
+    for the j-th generator t, read off t's permutation in _classes, and
+    pulls[k][j] the seed q with C_q^by[k] = C_j. A class is the orbit of
+    its first seed under the moves, and each step s -> q = moves[j][s] of
+    the orbit reads pulls[q] off pulls[s] at the inverse of moves[j]."""
     if "seed_classes" not in G._cache:
         walks, seed_of = _cyclic_seeds(G)
         table, gens = G.table, G.generators()
-        moves = [[seed_of[perm[p[0]]] for p in walks]
-                 for perm in (_conjugation(G, t) for t in gens)]
+        moves = [[seed_of[perm[p[0]]] for p in walks] for perm in _classes(G)[0]]
         n = len(walks)
         steps = [(t, move, sorted(range(n), key=move.__getitem__))
                  for t, move in zip(gens, moves)]

@@ -5,21 +5,25 @@ The library builds every subgroup given by a membership test (normalizers,
 centralizers, subgroups from masks, the generators of G) with one
 coset-skipping scan, `groups.stabilizer`, tests normality with
 `groups.normalizes` on generators, forms [A, B] as the normal closure of
-the commutators of generators and closes conjugacy classes under the
-generators of G. reference_groups.py holds the original code, which tests
-every element and forms every commutator; both must give the same
-subgroups, generators included, and the same verdicts.
+the commutators of generators and reads the conjugacy classes off one
+build over the generators' conjugation permutations. reference_groups.py
+holds the original code, which tests every element, forms every
+commutator and conjugates by every element; both must give the same
+subgroups, generators included, the same classes and the same verdicts.
 """
 
 import pytest
 
 from qgring.catalog import build_spec, catalog_names
+from qgring.components import count_matrix_components
 from qgring.errors import InconsistentSpec
 from qgring.groups import (
+    FiniteGroup,
     centralizer,
     commutator_subgroup,
     cyclic,
     derived_subgroup,
+    dihedral,
     is_nilpotent_group,
     is_normal,
     is_solvable_group,
@@ -41,6 +45,7 @@ from reference_groups import (
     reference_normalizer,
     reference_subgroup_from_mask,
 )
+from test_workloads import workloads  # noqa: F401  (the fixture)
 
 ANALYZE_LARGE = ("D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))", "SdCyc(7,27,2)",
                  "BJ9", "C3C3rC8", "A5")
@@ -97,3 +102,24 @@ def test_subgroup_from_mask_rejects_a_mask_that_is_not_closed():
     with pytest.raises(InconsistentSpec):
         subgroup_from_mask(G, 0b001000)  # {x^3}: no identity
     assert subgroup_from_mask(G, 0b001001).gens == (3,)
+
+
+def test_family_sweep_classes_match_reference(workloads):
+    # BJ2 central products, SdVec and fused metacyclic groups: none is in SPECS
+    for op in workloads.build_ops("family-sweep"):
+        G = workloads._build(op.build)
+        assert G.conjugacy_classes() == reference_conjugacy_classes(G), op.label
+        assert all(x in G.class_of(x) for x in range(G.order)), op.label
+
+
+def test_classes_are_one_build_over_the_generators_permutations(monkeypatch):
+    conj, calls = FiniteGroup.conj, []
+    monkeypatch.setattr(FiniteGroup, "conj",
+                        lambda G, x, g: calls.append((x, g)) or conj(G, x, g))
+    assert len(dihedral(200).conjugacy_classes()) == 53
+    assert calls == []
+    # centrality, idempotency and the center ranks of the components keep
+    # no per-element class list beside the build
+    G = dihedral(200)
+    count_matrix_components(G)
+    assert not {"class_of", "class_first", "rank_points"} & set(G._cache)
