@@ -267,14 +267,19 @@ def _fixes(e: AlgElem) -> Callable[[int], bool]:
         map(nums.__getitem__, map(table[g].__getitem__, support))) == values
 
 
-def _record_kernel(e: AlgElem, N: Subgroup) -> None:
+def _record_kernel(e: AlgElem, N: Subgroup,
+                   left_cosets: Optional[tuple[list[int], list[int]]] = None
+                   ) -> None:
     """Record N as a subgroup of ker e = {g : g*e = e} for
     _idempotent_at_classes, after checking exactly that each of N.gens
-    fixes e (SoundnessError if not): the elements that fix e are a group."""
-    if not all(map(_fixes(e), N.gens)):
+    fixes e (SoundnessError if not): the elements that fix e are a group.
+    left_cosets, when given, is N's left cosets as (index, reps), reps any
+    left transversal, as cosets(N, left=True) would number them."""
+    if N.gens and not all(map(_fixes(e), N.gens)):
         raise SoundnessError(f"{N!r} does not fix the central element it "
                              "was proposed as a kernel of")
-    _facts_of(e)["kernel"] = N
+    facts = _facts_of(e)
+    facts["kernel"], facts["kernel_cosets"] = N, left_cosets
 
 
 def _idempotent_at_classes(e: AlgElem) -> bool:
@@ -298,8 +303,9 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
 
     Let N = {g : g*e = e}, a subgroup (the test is _fixes); for a central e
     it is also {g : e*g = e}, and it is normal, as (hgh^-1)*e = h(g*e)h^-1.
-    So e is constant on each coset xN = Nx. With S the least elements of
-    the left cosets of N,
+    So e is constant on each coset xN = Nx. With S any left transversal
+    of N (the least elements of the cosets, unless _record_kernel was
+    given others),
     (e*e)(r) = sum over x in G of e(x) e(x^-1 r)
              = |N| * sum over s in S of e(s) e(s^-1 r),
     since x = sn gives e(x) = e(s), and x^-1 r = n^-1 s^-1 r lies in
@@ -316,10 +322,11 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     at, points = _rational_points(G)
     if any(nums[cls[0]] != nums[at[cls[0]]] for cls in _classes(G)[1]):
         return False
-    N = _facts_of(e).get("kernel")
+    facts = _facts_of(e)
+    N = facts.get("kernel")
     if N is None:
         N = stabilizer(G, _fixes(e))
-    index, reps = cosets(N, left=True)
+    index, reps = facts.get("kernel_cosets") or cosets(N, left=True)
     terms = [(nums[s], table[G.inverse[s]]) for s in reps if nums[s]]
     checked = set()
     for r in points:

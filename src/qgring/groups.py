@@ -546,6 +546,8 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
     Returns (index, reps): reps[i] is the least element of coset i and
     index[x] is x's coset number, or -1 for x outside within. Both lists
     are built once per group and shared by every caller: never mutate them.
+    The cosets of the trivial subgroup (one per element) and of within
+    itself (one) are listed with no walk.
     """
     G = S.parent
     key = ("cosets", S.mask, None if within is None else within.mask, left)
@@ -554,17 +556,27 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
     table = G.table
     index = [-1] * G.order
     reps: list[int] = []
-    for g in range(G.order) if within is None else within.members:
-        if index[g] < 0:
-            i = len(reps)
-            reps.append(g)
-            if left:
-                row = table[g]
-                for s in S.members:
-                    index[row[s]] = i
-            else:
-                for s in S.members:
-                    index[table[s][g]] = i
+    members = range(G.order) if within is None else within.members
+    if S.mask == 1:
+        reps = list(members)
+        for i, g in enumerate(reps):
+            index[g] = i
+    elif S.order == len(members):
+        reps = [0]
+        for g in members:
+            index[g] = 0
+    else:
+        for g in members:
+            if index[g] < 0:
+                i = len(reps)
+                reps.append(g)
+                if left:
+                    row = table[g]
+                    for s in S.members:
+                        index[row[s]] = i
+                else:
+                    for s in S.members:
+                        index[table[s][g]] = i
     G._cache[key] = index, reps
     return index, reps
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add
-from typing import Iterable, Optional
+from operator import add, mul
+from typing import Callable, Iterable, Optional
 
 from .algebra import (AlgElem, _record_kernel, component_dimension,
                       product_at_classes, tilde)
@@ -35,6 +35,7 @@ from .groups import (
     cosets,
     cyclic_subgroups_in,
     derived_subgroup,
+    is_normal,
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
@@ -45,8 +46,15 @@ from .numutil import prime_factors
 
 
 def _is_normal_in(H: Subgroup, K: Subgroup) -> bool:
-    """K normal in H (both subgroups of the same parent)."""
-    return K <= H and normalizes(H.parent, H.gens or H.members, K)
+    """K normal in H (both subgroups of the same parent). A K that the
+    is_normal memo knows to be normal in G is normal in H, and for H = G
+    the verdict is is_normal's; otherwise H's generators are tested."""
+    G = H.parent
+    if not K <= H:
+        return False
+    if G._cache.get("normal", {}).get(K.mask) or H.order == G.order:
+        return is_normal(G, K)
+    return normalizes(G, H.gens or H.members, K)
 
 
 def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
@@ -74,19 +82,20 @@ def _cyclic_epsilon(H: Subgroup, K: Subgroup, exponents: list[int]) -> AlgElem:
     coset values."""
     G = H.parent
     n = H.order // K.order
-    divisors = [(1, 1)]  # (squarefree d, mu(d))
-    for p in prime_factors(n):
-        divisors += [(d * p, -mu) for d, mu in divisors]
-    at = [0] * (n + 1)  # at[-1] = at[n] = 0 for the elements outside H
-    for d, mu in divisors:
-        step = n // d
-        for j in range(0, n, step):
-            at[j] += mu * step
-    g = math.gcd(n * K.order, *at)
-    if g > 1:
-        at = [v // g for v in at]
-    return AlgElem(G, list(map(at.__getitem__, exponents)), n * K.order // g,
-                   _normalized=True)
+    key = ("epsilon_values", n, K.order)
+    if key not in G._cache:
+        divisors = [(1, 1)]  # (squarefree d, mu(d))
+        for p in prime_factors(n):
+            divisors += [(d * p, -mu) for d, mu in divisors]
+        at = [0] * (n + 1)  # at[-1] = at[n] = 0 for the elements outside H
+        for d, mu in divisors:
+            step = n // d
+            for j in range(0, n, step):
+                at[j] += mu * step
+        g = math.gcd(n * K.order, *at)
+        G._cache[key] = [v // g for v in at], n * K.order // g
+    at, den = G._cache[key]
+    return AlgElem(G, list(map(at.__getitem__, exponents)), den, _normalized=True)
 
 
 def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
@@ -238,10 +247,44 @@ def _strong_shoda(G: FiniteGroup, H: Subgroup,
     # and eps^t depends only on the coset Nt: so the test below, if it
     # passes, proves Cen(eps) = N.
     transversal = cosets(N)[1]
-    for t in transversal[1:]:
-        if not (eps * eps.conjugate(t)).is_zero():
-            return None
+    if len(transversal) > 1 and not all(map(_orthogonal_to_conjugate(eps),
+                                            transversal[1:])):
+        return None
     return _StrongPair(N, x, exponents, eps, h_cosets, transversal)
+
+
+def _orthogonal_to_conjugate(eps: AlgElem) -> Callable[[int], bool]:
+    """The test t -> (eps * eps^t = 0) for an idempotent eps with
+    eps(g^-1) = eps(g), as every sum of subgroup averages has, decided
+    with no product.
+
+    With a* the image of a under g -> g^-1 and tau(a) the coefficient of
+    1 in a, tau(a a*) is the sum of a(g)^2, zero only for a = 0. For
+    a = eps eps^t, a* = eps^t eps, as eps and eps^t are symmetric; with
+    tau(uv) = tau(vu) and eps^t idempotent,
+        tau(a a*) = tau(eps eps^t eps^t eps) = tau(eps eps^t)
+                  = sum over g of eps(g) eps^t(g^-1)
+                  = sum over g of eps(g) eps(t g t^-1).
+    By symmetry eps(t g t^-1) = eps(t (tg)^-1), read through t's row
+    only."""
+    nums, support = eps.nums, eps.support
+    inverse, table = eps.group.inverse, eps.group.table
+    values = list(map(nums.__getitem__, support))
+
+    def orthogonal(t: int) -> bool:
+        at = table[t].__getitem__
+        return not sum(map(mul, values, map(nums.__getitem__, map(
+            at, map(inverse.__getitem__, map(at, support))))))
+
+    return orthogonal
+
+
+def _conjugate_mask(G: FiniteGroup, K: Subgroup, t: int) -> int:
+    """The mask of K^t = t^-1 K t: the elements t^-1 (t^-1 k)^-1 = (k^-1)^t,
+    read through the row of t^-1, as k^-1 ranges over K with k."""
+    at = G.table[G.inverse[t]].__getitem__
+    return sum(map((1).__lshift__, map(at, map(G.inverse.__getitem__,
+                                                map(at, K.members)))))
 
 
 def _core(G: FiniteGroup, K: Subgroup, transversal: list[int],
@@ -251,7 +294,7 @@ def _core(G: FiniteGroup, K: Subgroup, transversal: list[int],
     N_G(K), as K^(nt) = K^t for n in N_G(K): K itself when K is normal."""
     mask = K.mask
     for t in transversal[1:]:
-        mask &= sum(1 << G.conj(k, t) for k in K.members)
+        mask &= _conjugate_mask(G, K, t)
     return lattice[mask]
 
 
@@ -295,14 +338,46 @@ class SanityReport:
                 and self.commutative_dim_total == self.commutative_budget)
 
 
+def _maximal_abelian_pairs(G: FiniteGroup,
+                           A: Subgroup) -> list[tuple[Subgroup, Subgroup]]:
+    """The pairs (H, K) with H maximal among the subgroups B with A <= B
+    and B' <= K <= B, and H/K cyclic; H descending by order, K ascending.
+    A candidate is tested for a cyclic H/K only when [H : K] divides
+    exp(H), the lcm of H's element orders: a cyclic H/K has order [H : K],
+    which divides exp(H), so no pair is lost."""
+    subs = subgroups(G)
+    orders = G.element_orders()
+    # (mask, B' mask, exp(B), B) for each B >= A
+    over_A = [(B.mask, commutator_subgroup(G, B.gens, B.gens).mask,
+               math.lcm(*map(orders.__getitem__, B.members)), B)
+              for B in subs if A.mask | B.mask == B.mask]
+    pairs: list[tuple[Subgroup, Subgroup]] = []
+    for K in subs:
+        k = K.mask
+        cands = [c for c in over_A if k | c[0] == c[0] and c[1] | k == k]
+        for h, _, exp, H in cands:
+            if any(h | c[0] == c[0] != h for c in cands):  # H < C: not maximal
+                continue
+            if (exp % (H.order // K.order) == 0
+                    and section_generator(H, K) is not None):
+                pairs.append((H, K))
+    pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))
+    return pairs
+
+
 def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaPair]:
     """All primitive central idempotents of Q[G] for metabelian G, as
-    deduplicated e(G, H, K) over the maximal-abelian pair enumeration.
-    Every pair it yields is a strong Shoda pair (Olivieri, del Rio and
-    Simon, Theorem 4.7); one that fails the test raises SoundnessError.
-    A candidate (H, K) is tested for a cyclic H/K only when [H : K]
-    divides exp(H), the lcm of H's element orders: a cyclic H/K has order
-    [H : K], which divides exp(H), so no pair is lost.
+    deduplicated e(G, H, K) over the maximal-abelian pair enumeration
+    (_maximal_abelian_pairs). Every pair it yields is a strong Shoda pair
+    (Olivieri, del Rio and Simon, Theorem 4.7); one that fails the test
+    raises SoundnessError.
+
+    One pair per G-conjugacy class is decided. When H is normal in G
+    (is_normal is asked; every H >= A >= G' is), each (H, K^t) with t in
+    the record's transversal of N_G(K) is the image of (H, K) under
+    conjugation by t, an automorphism of G: it is a strong Shoda pair
+    with e(G, H, K^t) = e(G, H, K), and the enumeration yields it too,
+    later in its order, so it is skipped.
 
     Postconditions checked (SoundnessError otherwise): there are as many
     idempotents as Q[G] has simple components, artin_count(G), and they
@@ -317,9 +392,10 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     (e_i = e_i * 1 = e_i^2), so the facts certified are those of the
     pairwise check, at the cost of one square per idempotent, decided at
     artin_count(G) points, one per rational class (_idempotent_at_classes).
-    Each square is taken modulo core_G(K), the
-    kernel of e(G, H, K); that each generator of the core fixes e is
-    checked first (_record_kernel), so no scan of G looks for the kernel.
+    Each square is taken modulo core_G(K), the kernel of e(G, H, K); that
+    each generator of the core fixes e is checked first (_record_kernel),
+    so no scan of G looks for the kernel. For H = G the core is K, whose
+    left cosets x^j K the record's exponents already number.
     """
     if "pcis" in G._cache and A is None:
         return G._cache["pcis"]
@@ -331,39 +407,25 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         cache = True
     else:
         cache = False
-    subs = subgroups(G)
-    over_A = [B for B in subs if A <= B]
-    derived_of = {B.mask: commutator_subgroup(G, B.gens, B.gens).mask
-                  for B in over_A}
-    orders = G.element_orders()
-    exponent = {B.mask: math.lcm(*map(orders.__getitem__, B.members))
-                for B in over_A}
-    pairs: list[tuple[Subgroup, Subgroup]] = []
-    for K in subs:
-        # B ranges over subgroups with A <= B, B' <= K <= B
-        cands = [B for B in over_A
-                 if K <= B and derived_of[B.mask] | K.mask == K.mask]
-        maximal = [B for B in cands if not any(B < C for C in cands)]
-        for H in maximal:
-            if (exponent[H.mask] % (H.order // K.order) == 0
-                    and section_generator(H, K) is not None):
-                pairs.append((H, K))
-    # H descending by order, K ascending
-    pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))
     by_key: dict[tuple, ShodaPair] = {}
-    for H, K in pairs:
+    conjugates: set[tuple[int, int]] = set()
+    for H, K in _maximal_abelian_pairs(G, A):
+        if (H.mask, K.mask) in conjugates:
+            continue
         # decided first, so that e is summed over a transversal of N_G(K)
         # with no centralizer scan
         if not is_strong_shoda_pair(G, H, K):
             raise SoundnessError(
                 f"the pair ({H!r}, {K!r}) of the maximal-abelian enumeration "
                 "is not a strong Shoda pair")
+        pair = strong_pair(G, H, K)
+        if is_normal(G, H):
+            conjugates.update((H.mask, _conjugate_mask(G, K, t))
+                              for t in pair.transversal[1:])
         e = e_idem(G, H, K)
         k = e.key()
-        if k in by_key:
-            continue
-        eps = strong_pair(G, H, K).epsilon
-        by_key[k] = ShodaPair(H, K, eps, e, "strong-shoda")
+        if k not in by_key:
+            by_key[k] = ShodaPair(H, K, pair.epsilon, e, "strong-shoda")
     out = [by_key[k] for k in sorted(by_key)]
     if len(out) != artin_count(G):
         raise SoundnessError(f"{len(out)} PCIs, but Artin's count of {G.name} "
@@ -379,10 +441,16 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
                          else sp.e.nums))
     if total != [den] + [0] * (G.order - 1):
         raise SoundnessError("PCIs must sum to 1")
-    lattice = {S.mask: S for S in subs}
+    lattice = {S.mask: S for S in subgroups(G)}
     for sp in out:
         pair = strong_pair(G, sp.H, sp.K)
-        _record_kernel(sp.e, _core(G, sp.K, pair.transversal, lattice))
+        if sp.H.order == G.order:
+            powers = [0]  # x^j, the j-th coset's representative
+            for _ in range(1, G.order // sp.K.order):
+                powers.append(G.table[powers[-1]][pair.x])
+            _record_kernel(sp.e, sp.K, (pair.exponents, powers))
+        else:
+            _record_kernel(sp.e, _core(G, sp.K, pair.transversal, lattice))
         if not sp.e.is_central_idempotent():
             raise SoundnessError("PCIs must be idempotent")
     if cache:

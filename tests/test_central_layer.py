@@ -22,12 +22,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qgring.algebra
+import qgring.catalog
 import qgring.shoda
 from qgring.algebra import AlgElem, product_at_classes
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import a5_special_pci, center_rank
 from qgring.errors import NotMetabelian, SoundnessError
-from qgring.groups import _rational_points, artin_count, dihedral, full_subgroup
+from qgring.groups import (_rational_points, artin_count, derived_subgroup, dihedral,
+                           full_subgroup)
 from qgring.shoda import metabelian_pcis, pci_sanity
 from reference_components import (
     reference_center_rank,
@@ -327,3 +329,35 @@ def test_a_kernel_that_does_not_fix_e_raises_under_optimize():
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised SoundnessError"
+
+
+@pytest.mark.parametrize("name", catalog_names() + CORPUS + FAMILY)
+def test_idempotency_through_the_records_cosets(name, monkeypatch):
+    # for H = G the kernel of e(G, G, K) is K, and metabelian_pcis hands
+    # _idempotent_at_classes the cosets x^j K that the record numbers, with
+    # the powers of x, not the least elements, as representatives; the
+    # verdict is that of the walked cosets and of the full square, on e,
+    # 2e, e + f and 6/5 e + 3/5 f for each f whose K holds e's
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})
+    G = _group(name)
+    top = [sp for sp in _pairs(G) if sp.H.order == G.order]
+    if not derived_subgroup(G).is_abelian():
+        assert top == []
+        return
+    assert top  # the linear characters
+    for sp in top:
+        pair = qgring.shoda.strong_pair(G, sp.H, sp.K)
+        facts = qgring.algebra._facts_of(sp.e)
+        assert facts["kernel"] is sp.K and facts["kernel_cosets"][0] is pair.exponents
+        record = facts["kernel_cosets"]
+        cases = [sp.e, 2 * sp.e]
+        for sq in top:
+            if sq is not sp and sp.K.mask | sq.K.mask == sq.K.mask:
+                cases += [sp.e + sq.e, Fraction(6, 5) * sp.e + Fraction(3, 5) * sq.e]
+        for x in cases:
+            qgring.algebra._record_kernel(x, sp.K, record)
+            through_record = qgring.algebra._idempotent_at_classes(x)
+            qgring.algebra._record_kernel(x, sp.K)
+            walked = qgring.algebra._idempotent_at_classes(x)
+            assert through_record == walked == (x * x == x)
+        assert [qgring.algebra._idempotent_at_classes(x) for x in cases[:2]] == [True, False]

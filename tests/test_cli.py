@@ -506,9 +506,11 @@ def test_analyze_builds_each_transversal_once(capsys, monkeypatch):
     assert code == 0
     # the 56 cosets() calls built 56 transversals before they were memoized;
     # describe_component reads the right cosets of H in N_G(K) that the
-    # strong check built, where it built the left ones (16) before
+    # strong check built, where it built the left ones (16) before; the
+    # idempotency of the four e(G, G, K) reads the cosets x^j K that their
+    # records number (14 when it built the left cosets of each K)
     assert sum(isinstance(key, tuple) and key[0] == "cosets"
-               for G in built for key in G._cache) == 14
+               for G in built for key in G._cache) == 10
 
 
 def test_analyze_reads_each_strong_pair_from_its_record(capsys, monkeypatch):
@@ -534,8 +536,10 @@ def test_analyze_reads_each_strong_pair_from_its_record(capsys, monkeypatch):
     code, _out, _ = run_cli(capsys, "--json", "analyze", "D(200)")
     assert code == 0
     # 56 calls when e_idem, describe_component and _core asked again for
-    # the transversals that the strong check had built
-    assert len(callers) == 34
+    # the transversals that the strong check had built, and 34 while the
+    # idempotency of the four e(G, G, K) asked for the left cosets of K
+    assert len(callers) == 30
+    assert callers.count("_idempotent_at_classes") == 11 - 4
     assert not {"e_idem", "describe_component", "_core"} & set(callers)
     (G,) = [G for G in built if G.order == 200]
     keys = [key for key in G._cache if isinstance(key, tuple)]

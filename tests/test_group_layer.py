@@ -14,6 +14,7 @@ subgroups, generators included, the same classes and the same verdicts.
 
 import pytest
 
+import qgring.catalog
 from qgring.catalog import build_spec, catalog_names
 from qgring.components import count_matrix_components
 from qgring.errors import InconsistentSpec
@@ -104,12 +105,21 @@ def test_subgroup_from_mask_rejects_a_mask_that_is_not_closed():
     assert subgroup_from_mask(G, 0b001001).gens == (3,)
 
 
+def family_sweep_groups(workloads):
+    """(label, group) for each of the 96 family-sweep ops, each group built
+    with cold caches, as the op builds it."""
+    groups = []
+    for op in workloads.build_ops("family-sweep"):
+        qgring.catalog._BUILT.clear()  # the workloads fixture restores it
+        groups.append((op.label, workloads._build(op.build)))
+    return groups
+
+
 def test_family_sweep_classes_match_reference(workloads):
     # BJ2 central products, SdVec and fused metacyclic groups: none is in SPECS
-    for op in workloads.build_ops("family-sweep"):
-        G = workloads._build(op.build)
-        assert G.conjugacy_classes() == reference_conjugacy_classes(G), op.label
-        assert all(x in G.class_of(x) for x in range(G.order)), op.label
+    for label, G in family_sweep_groups(workloads):
+        assert G.conjugacy_classes() == reference_conjugacy_classes(G), label
+        assert all(x in G.class_of(x) for x in range(G.order)), label
 
 
 def test_classes_are_one_build_over_the_generators_permutations(monkeypatch):

@@ -11,19 +11,21 @@ K normal in H.
 """
 
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgring.algebra
 import qgring.catalog
 import qgring.groups
 import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
 from qgring.errors import NotMetabelian
-from qgring.groups import (derived_subgroup, maximal_abelian_over, normalizer,
-                           subgroups)
+from qgring.groups import (artin_count, derived_subgroup, maximal_abelian_over,
+                           normalizer, subgroups)
 from qgring.shoda import (
     _is_normal_in,
     e_idem,
@@ -35,6 +37,7 @@ from qgring.shoda import (
     strong_pair,
 )
 from invariants import relabel
+from test_group_layer import family_sweep_groups
 from test_workloads import workloads  # noqa: F401  (the fixture)
 from reference_components import reference_centralizer_subgroup
 from reference_shoda import (
@@ -153,13 +156,47 @@ def test_normalizer_matches_the_stabilizer_scan(name):
         assert normal < len(subgroups(G))
 
 
+def _orbit(G, H, K):
+    """The masks of the pairs (H^g, K^g), g in G: the closure under
+    conjugation by G's generators."""
+    def image(mask, g):
+        return sum(1 << G.conj(x, g) for x in range(G.order) if mask >> x & 1)
+
+    orbit = [(H.mask, K.mask)]
+    for h, k in orbit:  # orbit grows while it is walked
+        for g in G.generators():
+            pair = image(h, g), image(k, g)
+            if pair not in orbit:
+                orbit.append(pair)
+    return orbit
+
+
+def _first_of_each_class(G, pairs):
+    """{(H, K): the later pairs of its class} for each pair (H, K) with
+    no earlier (H^g, K^g), g in G, in order."""
+    firsts = {}
+    for H, K in pairs:
+        orbit = _orbit(G, H, K)
+        first = next((f for f in firsts if (f[0].mask, f[1].mask) in orbit), None)
+        if first is None:
+            firsts[H, K] = []
+        else:
+            firsts[first].append((H, K))
+    return firsts
+
+
 def _check_pairs_match_reference(G, monkeypatch):
-    """The pairs metabelian_pcis puts to the strong Shoda test, in order,
-    are those of the unfiltered enumeration."""
+    """The maximal-abelian enumeration yields the pairs of the unfiltered
+    reference, in order, and metabelian_pcis puts to the strong Shoda test
+    the first pair of each G-conjugacy class of them, in order."""
     if not derived_subgroup(G).is_abelian():
         with pytest.raises(NotMetabelian):
             metabelian_pcis(G)
         return
+    A = maximal_abelian_over(G, derived_subgroup(G))
+    pairs = reference_maximal_abelian_pairs(subgroups(G), A)
+    assert ([(H.mask, K.mask) for H, K in qgring.shoda._maximal_abelian_pairs(G, A)]
+            == [(H.mask, K.mask) for H, K in pairs])
     tested = []
     strong = qgring.shoda.is_strong_shoda_pair
 
@@ -170,9 +207,7 @@ def _check_pairs_match_reference(G, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(qgring.shoda, "is_strong_shoda_pair", recording)
         metabelian_pcis(G)
-    A = maximal_abelian_over(G, derived_subgroup(G))
-    assert tested == [(H.mask, K.mask) for H, K
-                      in reference_maximal_abelian_pairs(subgroups(G), A)]
+    assert tested == [(H.mask, K.mask) for H, K in _first_of_each_class(G, pairs)]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -186,6 +221,111 @@ def test_exponent_filter_keeps_every_pair_on_the_workloads(name, workloads, cold
     # the groups each benchmark op builds; analyze-large holds D(200)
     for op in workloads.build_ops(name):
         _check_pairs_match_reference(workloads._build(op.build), monkeypatch)
+
+
+def _groups(source, workloads):
+    """The groups of the catalog, or those a workload's ops build."""
+    if source == "catalog":
+        return [build_spec(name) for name in catalog_names()]
+    return [workloads._build(op.build) for op in workloads.build_ops(source)]
+
+
+def _metabelian_groups(source, workloads):
+    return [G for G in _groups(source, workloads) if derived_subgroup(G).is_abelian()]
+
+
+SOURCES = ["catalog", "analyze-large", "family-sweep", "witness-search"]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_metabelian_pcis_takes_no_algebra_product(source, workloads, cold,
+                                                  monkeypatch):
+    def refused(self, other):
+        raise AssertionError("an algebra product was taken")
+
+    monkeypatch.setattr(AlgElem, "__mul__", refused)
+    for G in _metabelian_groups(source, workloads):
+        assert len(metabelian_pcis(G)) == artin_count(G)
+
+
+# family-sweep: 976 pairs decided at the parent, 912 with one per class
+@pytest.mark.parametrize("source, skips", [("catalog", 24), ("analyze-large", 6),
+                                           ("family-sweep", 64), ("witness-search", 0)])
+def test_each_skipped_conjugate_pair_is_strong_with_the_same_e(source, skips,
+                                                               workloads, cold):
+    skipped = 0
+    for G in _metabelian_groups(source, workloads):
+        pcis = metabelian_pcis(G)
+        A = maximal_abelian_over(G, derived_subgroup(G))
+        classes = _first_of_each_class(G, qgring.shoda._maximal_abelian_pairs(G, A))
+        for (H, K), later in classes.items():
+            e = e_idem(G, H, K)
+            assert e in [sp.e for sp in pcis]
+            for H2, K2 in later:
+                assert ("strong", H2.mask, K2.mask) not in G._cache  # not decided
+                pair = qgring.shoda._strong_shoda(G, H2, K2)
+                assert pair is not None
+                assert qgring.shoda._conjugate_sum(pair.epsilon, pair.transversal) == e
+                skipped += 1
+    assert skipped == skips
+
+
+# 136 528 cases on the catalog, 127 350 of them with a nonzero product
+@pytest.mark.parametrize("source", SOURCES)
+def test_trace_form_decides_orthogonality_as_the_product(source, workloads, cold):
+    # every t in G and every pair K normal in H with H/K cyclic, strong or
+    # not; eps^t = eps^(ct) for c in C = Cen_G(eps), so the product is
+    # taken once per right coset Ct
+    for G in _groups(source, workloads):
+        if G.order > 100:
+            continue
+        for H, K in _normal_pairs(G):
+            if section_generator(H, K) is None:
+                continue
+            eps = epsilon(H, K)
+            index, reps = qgring.groups.cosets(eps.centralizer_subgroup())
+            products = [(eps * eps.conjugate(t)).is_zero() for t in reps]
+            orthogonal = qgring.shoda._orthogonal_to_conjugate(eps)
+            assert (list(map(orthogonal, range(G.order)))
+                    == list(map(products.__getitem__, index))), (G.name, H, K)
+
+
+def test_family_sweep_work_counts(workloads, monkeypatch):
+    # one strong decision per class of pairs (976 decisions when each pair
+    # was decided), no product in the strong test (222 when it multiplied
+    # eps by its conjugates) and the left cosets of a kernel asked for only
+    # for a PCI with H != G (912 calls, 909 of them walks, when they were
+    # asked for every PCI)
+    counts = Counter()
+    inside = []
+    decide, multiply, walk = (qgring.shoda._strong_shoda, AlgElem.__mul__,
+                              qgring.algebra.cosets)
+
+    def deciding(G, H, K):
+        counts["decisions"] += 1
+        inside.append(True)
+        try:
+            return decide(G, H, K)
+        finally:
+            inside.pop()
+
+    def multiplying(self, other):
+        counts["products"] += bool(inside)
+        return multiply(self, other)
+
+    def walking(S, within=None, left=False):
+        counts["kernel cosets"] += 1  # _idempotent_at_classes is the only caller
+        return walk(S, within, left)
+
+    groups = family_sweep_groups(workloads)
+    monkeypatch.setattr(qgring.shoda, "_strong_shoda", deciding)
+    monkeypatch.setattr(AlgElem, "__mul__", multiplying)
+    monkeypatch.setattr(qgring.algebra, "cosets", walking)
+    pcis = sum(len(metabelian_pcis(G)) for _, G in groups)
+    top = sum(sp.H.order == G.order for _, G in groups for sp in metabelian_pcis(G))
+    assert (pcis, top) == (912, 694)
+    assert (counts["decisions"], counts["products"], counts["kernel cosets"]) == \
+        (912, 0, 912 - 694)
 
 
 @pytest.mark.parametrize("spec, calls", [("EA(2,4)", 48), ("X(C(4),EA(2,3))", 107)])
