@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
-from .groups import (FiniteGroup, Subgroup, _classes, _closure, _rational_points,
-                     cosets, stabilizer)
+from .groups import (FiniteGroup, Subgroup, _classes, _closure, _conjugation,
+                     _rational_points, cosets, stabilizer)
 
 
 class AlgElem:
@@ -159,12 +159,12 @@ class AlgElem:
         return self.__mul__(other)
 
     def conjugate(self, g: int) -> "AlgElem":
-        """g^-1 * self * g (coefficient permutation)."""
+        """g^-1 * self * g: the coefficient of y is self's at g y g^-1 =
+        y^(g^-1), one gather through that conjugation permutation."""
         G = self.group
-        out = [0] * G.order
-        for x in self.support:
-            out[G.conj(x, g)] = self.nums[x]
-        return AlgElem(G, out, self.den, _normalized=True)
+        return AlgElem(G, list(map(self.nums.__getitem__,
+                                   _conjugation(G, G.inverse[g]))),
+                       self.den, _normalized=True)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -352,7 +352,13 @@ def product_at_classes(a: AlgElem, b: AlgElem) -> list[int]:
             for cls in G.conjugacy_classes()]
 
 
+def _require_group(G: FiniteGroup, e: AlgElem) -> None:
+    if e.group is not G:
+        raise GroupMismatch(f"the element lives over {e.group.name}, not {G.name}")
+
+
 def _require_central_idempotent(G: FiniteGroup, e: AlgElem) -> None:
+    _require_group(G, e)
     if not e.is_central():
         raise NotCentralIdempotent("input is not central")
     if not e.is_central_idempotent():
@@ -365,6 +371,7 @@ def component_dimension(G: FiniteGroup, e: AlgElem) -> int:
 
     A non-integer trace signals a non-idempotent input and is reported as
     NonIntegerDimension before the idempotency test."""
+    _require_group(G, e)
     if not e.is_central():
         raise NotCentralIdempotent("input is not central")
     d, rem = divmod(G.order * e.nums[0], e.den)

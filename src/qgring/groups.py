@@ -307,6 +307,14 @@ def _conjugation(G: FiniteGroup, g: int) -> list[int]:
     return [table[y][g] for y in table[G.inverse[g]]]
 
 
+def conjugate_mask(G: FiniteGroup, S: Subgroup, t: int) -> int:
+    """The mask of S^t = t^-1 S t: the elements t^-1 (t^-1 s)^-1 = (s^-1)^t,
+    read through the row of t^-1, as s^-1 ranges over S with s."""
+    at = G.table[G.inverse[t]].__getitem__
+    return sum(map((1).__lshift__, map(at, map(G.inverse.__getitem__,
+                                                map(at, S.members)))))
+
+
 def _classes(G: FiniteGroup) -> tuple[list[list[int]], list[tuple[int, ...]],
                                       list[int], list[int], list[int]]:
     """G's conjugacy classes, built once per group as (perms, classes,
@@ -640,16 +648,13 @@ def _conjugated_row(G: FiniteGroup, i: int, seed_joins: list[dict[int, int]],
     masks = list(map(seed_joins[rep[i]].__getitem__, pulls[i]))  # by k
     # the last value given to a key stays: each mask keeps its least k
     least = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
-    table, g = G.table, by[i]
-    left = table[G.inverse[g]].__getitem__  # x -> g^-1 x
     image: dict[int, int] = {}
     new: list[tuple[int, int]] = []
     for mask, k in least.items():
         if k < i:
             image[mask] = seed_joins[k][i]
             continue
-        image[mask] = sum(map((1).__lshift__, map(itemgetter(g), map(
-            table.__getitem__, map(left, seen[mask].members)))))
+        image[mask] = conjugate_mask(G, seen[mask], by[i])
         if k > i:
             new.append((k, image[mask]))
     new.sort()
@@ -723,7 +728,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     closing every join of every seed and subgroup.
     """
     if "subgroups" not in G._cache:
-        table, conj = G.table, G.conj
+        table = G.table
         bits = [1 << x for x in range(G.order)]
         seed_powers, seed_of = _cyclic_seeds(G)
         seed_at = seed_of.__getitem__
@@ -783,7 +788,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                     if k in join:
                         continue
                     c = seed_powers[k][0]
-                    if all(H.mask >> conj(s, c) & 1 for s in H.gens):
+                    if normalizes(G, (c,), H):
                         mask, names = _cyclic_join(table, bits, H, left_coset,
                                                    seed_powers[k])
                     else:
@@ -795,7 +800,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         hit = next(filter(join.__contains__, map(seed_at, names)), None)
                         if hit is not None:
                             mask = join[hit]
-                        elif all(seeds[k].mask >> conj(c, s) & 1 for s in H.gens):
+                        elif normalizes(G, H.gens, seeds[k]):
                             mask, more = _cyclic_join(table, bits, H, left_coset,
                                                       seed_powers[k])
                             names.update(more)
@@ -829,12 +834,32 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return known[H.mask]
 
 
+def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
+    """K normal in H (both subgroups of the same parent G). A K that the
+    is_normal memo knows to be normal in G is normal in H, and for H = G
+    the verdict is is_normal's; otherwise H's generators are tested."""
+    G = H.parent
+    if not K <= H:
+        return False
+    if G._cache.get("normal", {}).get(K.mask) or H.order == G.order:
+        return is_normal(G, K)
+    return normalizes(G, H.gens or H.members, K)
+
+
+def normalizer_mask(G: FiniteGroup, H: Subgroup) -> int:
+    """The mask of N_G(H), with one normality test per right coset Hg:
+    hg normalizes H iff g does."""
+    index, reps = cosets(H)
+    keep = [normalizes(G, (g,), H) for g in reps]
+    return sum(1 << x for x, i in enumerate(index) if keep[i])
+
+
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """N_G(H); G itself, with the stabilizer scan's generators, when H is
-    normal."""
+    """N_G(H), with the generators the stabilizer scan finds on its mask;
+    G itself, with the scan's generators, when H is normal."""
     if is_normal(G, H):
         return full_subgroup(G)
-    return stabilizer(G, lambda g: normalizes(G, (g,), H))
+    return subgroup_from_mask(G, normalizer_mask(G, H))
 
 
 def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
@@ -912,16 +937,13 @@ def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:
     """
     if isinstance(H, FiniteGroup):
         H = full_subgroup(H)
-    G = H.parent
-    hgens = H.gens or H.members
     if not (K <= H):
         raise NotNormal("K is not contained in H")
-    if not normalizes(G, hgens, K):
+    if not is_normal_in(H, K):
         raise NotNormal(f"{K!r} is not normal in {H!r}")
     out: list[Subgroup] = []
-    for M in subgroups(G):
-        if (K < M <= H and not any(P <= M for P in out)
-                and normalizes(G, hgens, M)):
+    for M in subgroups(H.parent):
+        if K < M <= H and not any(P <= M for P in out) and is_normal_in(H, M):
             out.append(M)
     return out
 

@@ -50,6 +50,7 @@ from .groups import (
     is_normal,
     is_solvable_group,
     normal_subgroups,
+    normalizer_mask,
     normalizes,
     stabilizer,
     subgroup_generated,
@@ -141,20 +142,9 @@ def is_ssn(G: FiniteGroup) -> bool:
         by_mask = {S.mask: S for S in subs}
         normal = {S.mask for S in normal_subgroups(G)}
         G._cache["ssn"] = is_sn(G) and _sn_scan(
-            G, ((N, by_mask[_normalizer_mask(G, N)]) for N in subs
+            G, ((N, by_mask[normalizer_mask(G, N)]) for N in subs
                 if N.mask not in normal))
     return G._cache["ssn"]
-
-
-def _normalizer_mask(G: FiniteGroup, N: Subgroup) -> int:
-    """The mask of N_G(N), with one normality test per right coset Ng."""
-    index, reps = cosets(N)
-    keep = [normalizes(G, (g,), N) for g in reps]
-    mask = 0
-    for x, i in enumerate(index):
-        if keep[i]:
-            mask |= 1 << x
-    return mask
 
 
 def is_ncn(G: FiniteGroup) -> bool:

@@ -15,6 +15,10 @@ memoized per pair: N = N_G(K), which it shows to be Cen_G(epsilon), x and
 the coset exponents, epsilon, the cosets of H in N and a transversal of N
 in G. e(G, H, K), the cores of metabelian_pcis and the component
 descriptors read that record and compute none of it again.
+
+Each conjugation question is put to the one layer in groups: normality
+of K in H (is_normal_in), N_G(K) (normalizer) and the conjugates K^t
+(conjugate_mask); and epsilon^t is AlgElem.conjugate, one gather.
 """
 
 from __future__ import annotations
@@ -32,35 +36,24 @@ from .groups import (
     Subgroup,
     artin_count,
     commutator_subgroup,
+    conjugate_mask,
     cosets,
     cyclic_subgroups_in,
     derived_subgroup,
     is_normal,
+    is_normal_in,
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
-    normalizes,
     subgroups,
 )
 from .numutil import prime_factors
 
 
-def _is_normal_in(H: Subgroup, K: Subgroup) -> bool:
-    """K normal in H (both subgroups of the same parent). A K that the
-    is_normal memo knows to be normal in G is normal in H, and for H = G
-    the verdict is is_normal's; otherwise H's generators are tested."""
-    G = H.parent
-    if not K <= H:
-        return False
-    if G._cache.get("normal", {}).get(K.mask) or H.order == G.order:
-        return is_normal(G, K)
-    return normalizes(G, H.gens or H.members, K)
-
-
 def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     """The idempotent of Q[H] built from K normal in H: in closed form
     when H/K is cyclic, else from the minimal normal subgroups of H/K."""
-    if not _is_normal_in(H, K):
+    if not is_normal_in(H, K):
         raise NotNormalInH("K must be normal in H")
     if section_generator(H, K) is not None:
         return _cyclic_epsilon(H, K, section_exponents(H, K))
@@ -99,20 +92,13 @@ def _cyclic_epsilon(H: Subgroup, K: Subgroup, exponents: list[int]) -> AlgElem:
 
 
 def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
-    """The sum of eps^t = t^-1 eps t over t in transversal. eps^1 = eps is
-    added whole, with no conjugation, and eps itself is the sum when the
-    transversal is [1] (K normal)."""
+    """The sum of eps^t = t^-1 eps t over t in transversal, added up
+    coefficient by coefficient; eps itself when the transversal is [1]
+    (K normal)."""
     if transversal == [0]:
         return eps
-    G = eps.group
-    out = [0] * G.order
-    for t in transversal:
-        if t == 0:
-            out = list(map(add, out, eps.nums))
-            continue
-        for x in eps.support:
-            out[G.conj(x, t)] += eps.nums[x]
-    return AlgElem(G, out, eps.den)
+    return AlgElem(eps.group, list(map(sum, zip(*(
+        eps.conjugate(t).nums for t in transversal)))), eps.den)
 
 
 def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
@@ -144,7 +130,7 @@ def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
 def is_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     """K normal in H, H/K cyclic, and every g outside H has some h in H
     with commutator (h, g) in H minus K."""
-    if not _is_normal_in(H, K):
+    if not is_normal_in(H, K):
         return False
     if section_generator(H, K) is None:
         return False
@@ -226,10 +212,10 @@ def _strong_shoda(G: FiniteGroup, H: Subgroup,
                   K: Subgroup) -> Optional[_StrongPair]:
     """The strong Shoda test: the pair's record if it passes, else None. A
     pair that passes has Cen_G(epsilon) = N_G(K)."""
-    if not _is_normal_in(H, K):
+    if not is_normal_in(H, K):
         return None
     N = normalizer(G, K)
-    if not _is_normal_in(N, H):
+    if not is_normal_in(N, H):
         return None
     x = section_generator(H, K)
     if x is None:
@@ -279,14 +265,6 @@ def _orthogonal_to_conjugate(eps: AlgElem) -> Callable[[int], bool]:
     return orthogonal
 
 
-def _conjugate_mask(G: FiniteGroup, K: Subgroup, t: int) -> int:
-    """The mask of K^t = t^-1 K t: the elements t^-1 (t^-1 k)^-1 = (k^-1)^t,
-    read through the row of t^-1, as k^-1 ranges over K with k."""
-    at = G.table[G.inverse[t]].__getitem__
-    return sum(map((1).__lshift__, map(at, map(G.inverse.__getitem__,
-                                                map(at, K.members)))))
-
-
 def _core(G: FiniteGroup, K: Subgroup, transversal: list[int],
           lattice: dict[int, Subgroup]) -> Subgroup:
     """core_G(K), the intersection of the conjugates K^t = t^-1 K t, read
@@ -294,7 +272,7 @@ def _core(G: FiniteGroup, K: Subgroup, transversal: list[int],
     N_G(K), as K^(nt) = K^t for n in N_G(K): K itself when K is normal."""
     mask = K.mask
     for t in transversal[1:]:
-        mask &= _conjugate_mask(G, K, t)
+        mask &= conjugate_mask(G, K, t)
     return lattice[mask]
 
 
@@ -420,7 +398,7 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
                 "is not a strong Shoda pair")
         pair = strong_pair(G, H, K)
         if is_normal(G, H):
-            conjugates.update((H.mask, _conjugate_mask(G, K, t))
+            conjugates.update((H.mask, conjugate_mask(G, K, t))
                               for t in pair.transversal[1:])
         e = e_idem(G, H, K)
         k = e.key()

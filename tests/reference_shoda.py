@@ -8,8 +8,9 @@ with no exponent filter), `_strong_shoda` (which
 compares the centralizer of epsilon with N_G(K) before its orthogonality
 loop), `is_shoda_pair`, `e_idem` (a sum of conjugates over a transversal
 of that centralizer), the centrality test `_fixed_by_generators` (conjugation by
-each generator of G) and `normalizer` (one stabilizer scan, also for a
-normal subgroup). Nothing here reads or fills a group's memo. The library
+each generator of G), `normalizer` (one stabilizer scan, also for a
+normal subgroup) and `AlgElem.conjugate` (one `G.conj` per element of
+the support). Nothing here reads or fills a group's memo. The library
 computes epsilon of a cyclic H/K in closed form from the coset exponents,
 proves Cen_G(epsilon) = N_G(K) for a strong pair from the orthogonality
 test, and decides centrality from class constancy; the tests in
@@ -56,6 +57,15 @@ def reference_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
 
 def reference_normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return stabilizer(G, lambda g: normalizes(G, (g,), H))
+
+
+def reference_conjugate(alpha: AlgElem, g: int) -> AlgElem:
+    """g^-1 * alpha * g (coefficient permutation)."""
+    G = alpha.group
+    out = [0] * G.order
+    for x in alpha.support:
+        out[G.conj(x, g)] = alpha.nums[x]
+    return AlgElem(G, out, alpha.den, _normalized=True)
 
 
 def reference_fixed_by_generators(e: AlgElem) -> bool:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgring.algebra import AlgElem, hat, one_minus, one_plus, tilde
+from qgring.algebra import (AlgElem, center_rank, component_dimension, hat,
+                            one_minus, one_plus, tilde)
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.errors import GroupMismatch, NotMetabelian
 from qgring.groups import normal_subgroups, subgroup_generated
@@ -49,6 +50,16 @@ def test_normalization_invariants():
 def test_group_mismatch():
     with pytest.raises(GroupMismatch):
         AlgElem.one(S3) * AlgElem.one(build_named("Q8"))
+
+
+def test_component_measures_refuse_an_element_of_another_group():
+    # the last PCI of D(8) read as an element of D(16) gave 2 for both
+    e = metabelian_pcis(build_spec("D(8)"))[-1].e
+    G = build_spec("D(16)")
+    for measure in (component_dimension, center_rank):
+        with pytest.raises(GroupMismatch):
+            measure(G, e)
+    assert component_dimension(e.group, e) == center_rank(e.group, e) == 1
 
 
 def test_hat_tilde_identities_all_subgroups():

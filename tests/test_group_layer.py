@@ -10,6 +10,7 @@ build over the generators' conjugation permutations. reference_groups.py
 holds the original code, which tests every element, forms every
 commutator and conjugates by every element; both must give the same
 subgroups, generators included, the same classes and the same verdicts.
+`conjugate_mask(G, S, t)` must be the set of the t^-1 s t, s in S.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from qgring.groups import (
     FiniteGroup,
     centralizer,
     commutator_subgroup,
+    conjugate_mask,
     cyclic,
     derived_subgroup,
     dihedral,
@@ -46,6 +48,7 @@ from reference_groups import (
     reference_normalizer,
     reference_subgroup_from_mask,
 )
+from invariants import conjugate_subgroup
 from test_workloads import workloads  # noqa: F401  (the fixture)
 
 ANALYZE_LARGE = ("D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))", "SdCyc(7,27,2)",
@@ -78,6 +81,8 @@ def test_group_layer_matches_reference(spec):
         assert H.is_abelian() == reference_is_abelian(H)
         assert (commutator_subgroup(G, H.gens, gens).mask
                 == reference_commutator_subgroup(G, H.members, range(G.order)).mask)
+        for t in gens:
+            assert conjugate_mask(G, H, t) == conjugate_subgroup(G, H, t).mask
 
 
 def test_commutator_subgroup_takes_members_or_generators():
@@ -120,6 +125,14 @@ def test_family_sweep_classes_match_reference(workloads):
     for label, G in family_sweep_groups(workloads):
         assert G.conjugacy_classes() == reference_conjugacy_classes(G), label
         assert all(x in G.class_of(x) for x in range(G.order)), label
+
+
+def test_family_sweep_conjugate_masks_are_the_sets_of_conjugates(workloads):
+    for label, G in family_sweep_groups(workloads):
+        for S in subgroups(G):
+            for t in G.generators():
+                assert (conjugate_mask(G, S, t)
+                        == conjugate_subgroup(G, S, t).mask), (label, S, t)
 
 
 def test_classes_are_one_build_over_the_generators_permutations(monkeypatch):

@@ -341,7 +341,7 @@ def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
     assert len(subs) == len(normal_subgroups(G)) == 3132
     tests = _record_calls(monkeypatch, qgring.props, "normalizes")
     normal = _record_calls(monkeypatch, qgring.groups, "is_normal")
-    normalizers = _record_calls(monkeypatch, qgring.props, "_normalizer_mask")
+    normalizers = _record_calls(monkeypatch, qgring.props, "normalizer_mask")
     assert is_sn(G) and is_ssn(G) and is_ncn(G) and is_hamiltonian(G)
     assert tests == normal == normalizers == []
     assert qgring.cli.main(["--json", "analyze", "X(Q(8),EA(2,4))"]) == 0
@@ -364,7 +364,7 @@ def test_ssn_computes_n_g_n_once_per_non_normal_subgroup(spec, computed,
     tests = _record_calls(monkeypatch, qgring.props, "normalizes")
     is_sn(G)
     assert tests == []  # M = G: normality in G is read, never tested again
-    normalizers = _record_calls(monkeypatch, qgring.props, "_normalizer_mask")
+    normalizers = _record_calls(monkeypatch, qgring.props, "normalizer_mask")
     is_ssn(G)
     is_hamiltonian(G)
     masks = [N.mask for _G, N in normalizers]

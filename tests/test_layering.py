@@ -74,3 +74,61 @@ def test_no_module_imports_random():
             if any(name.split(".")[0] == "random" for name in names):
                 importers.append(path.stem)
     assert importers == []
+
+
+def _cache_keys(tree):
+    """The string keys of the `._cache` entries read or written in a
+    module: a string key, the first element of a tuple key, and the same
+    for a name assigned such a key in the enclosing function."""
+    def names_of(expr, named):
+        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+            return {expr.value}
+        if isinstance(expr, ast.Tuple) and expr.elts:
+            return names_of(expr.elts[0], named)
+        if isinstance(expr, ast.BinOp):  # ("facts",) + e.key()
+            return names_of(expr.left, named)
+        if isinstance(expr, ast.Name):
+            return named.get(expr.id, set())
+        return set()
+
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    keys = set()
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        named: dict[str, set[str]] = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        named.setdefault(target.id, set()).update(
+                            names_of(node.value, {}))
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Subscript) and is_cache(node.value):
+                keys |= names_of(node.slice, named)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and is_cache(node.func.value) and node.args):
+                keys |= names_of(node.args[0], named)  # get, setdefault, pop
+            elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+                    and isinstance(node.ops[0], (ast.In, ast.NotIn))
+                    and is_cache(node.comparators[0])):
+                keys |= names_of(node.left, named)
+    return keys
+
+
+def test_each_memo_key_belongs_to_one_module():
+    # a module asks another for a fact through its functions, never by
+    # reading that module's memo entries in a group's cache
+    owners: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for key in _cache_keys(ast.parse(path.read_text())):
+            owners.setdefault(key, set()).add(path.stem)
+    shared = {key: sorted(mods) for key, mods in owners.items() if len(mods) > 1}
+    assert shared == {}
+    # the scan sees the keys it is meant to see
+    assert {"normal", "subgroups", "cosets", "classes"} <= {
+        key for key, mods in owners.items() if mods == {"groups"}}
+    assert {"strong", "section", "pcis"} <= {
+        key for key, mods in owners.items() if mods == {"shoda"}}

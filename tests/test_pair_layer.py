@@ -7,7 +7,8 @@ proves Cen_G(epsilon) = N_G(K), tests centrality by class constancy and
 returns G itself as the normalizer of a normal subgroup.
 reference_shoda.py holds the original lattice, centralizer and
 generator-conjugation code; both must give the same answers on every pair
-K normal in H.
+K normal in H. AlgElem.conjugate, one gather through a conjugation
+permutation, must equal the per-element loop it replaced.
 """
 
 import functools
@@ -24,10 +25,9 @@ import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
 from qgring.errors import NotMetabelian
-from qgring.groups import (artin_count, derived_subgroup, maximal_abelian_over,
-                           normalizer, subgroups)
+from qgring.groups import (artin_count, derived_subgroup, is_normal_in,
+                           maximal_abelian_over, normalizer, subgroups)
 from qgring.shoda import (
-    _is_normal_in,
     e_idem,
     epsilon,
     is_shoda_pair,
@@ -41,6 +41,7 @@ from test_group_layer import family_sweep_groups
 from test_workloads import workloads  # noqa: F401  (the fixture)
 from reference_components import reference_centralizer_subgroup
 from reference_shoda import (
+    reference_conjugate,
     reference_e_idem,
     reference_epsilon,
     reference_fixed_by_generators,
@@ -78,7 +79,7 @@ def test_every_normal_pair_matches_reference(name, cold):
     kinds = {"cyclic": 0, "non-cyclic": 0, "strong": 0, "plain": 0}
     for H in subs:
         for K in subs:
-            if not (K <= H and _is_normal_in(H, K)):
+            if not (K <= H and is_normal_in(H, K)):
                 continue
             x = section_generator(H, K)
             assert x == reference_section_generator(H, K)
@@ -110,7 +111,7 @@ def test_every_normal_pair_matches_reference(name, cold):
 
 def _normal_pairs(G):
     subs = subgroups(G)
-    return [(H, K) for H in subs for K in subs if K <= H and _is_normal_in(H, K)]
+    return [(H, K) for H in subs for K in subs if K <= H and is_normal_in(H, K)]
 
 
 @pytest.mark.parametrize("name", ["analyze-large", "family-sweep", "witness-search",
@@ -235,6 +236,18 @@ def _metabelian_groups(source, workloads):
 
 
 SOURCES = ["catalog", "analyze-large", "family-sweep", "witness-search"]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_conjugate_is_the_per_element_loop(source, workloads):
+    # a full element with pairwise distinct coefficients pins the whole
+    # permutation; a sparse one on G's generators the support-only loop
+    for G in _groups(source, workloads):
+        alphas = [AlgElem(G, list(range(1, G.order + 1)), G.order + 1),
+                  AlgElem.from_coeffs(G, dict.fromkeys(G.generators(), -2))]
+        for alpha in alphas:
+            for g in range(G.order):
+                assert alpha.conjugate(g) == reference_conjugate(alpha, g)
 
 
 @pytest.mark.parametrize("source", SOURCES)

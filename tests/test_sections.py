@@ -17,8 +17,8 @@ import qgring.shoda
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import describe_component
 from qgring.errors import NotMetabelian, NotNormal
-from qgring.groups import minimal_normal_subgroups_of_quotient, subgroups
-from qgring.shoda import _is_normal_in, _strong_shoda, metabelian_pcis, section_generator
+from qgring.groups import is_normal_in, minimal_normal_subgroups_of_quotient, subgroups
+from qgring.shoda import _strong_shoda, metabelian_pcis, section_generator
 from reference_sections import (
     reference_crossed_product,
     reference_minimal_normal_subgroups_of_quotient,
@@ -81,7 +81,7 @@ def test_every_normal_pair_matches_reference(name, cold):
         for K in subs:
             if not K <= H:
                 continue
-            if not _is_normal_in(H, K):
+            if not is_normal_in(H, K):
                 with pytest.raises(NotNormal):
                     minimal_normal_subgroups_of_quotient(H, K)
                 continue
@@ -95,6 +95,6 @@ def test_every_normal_pair_matches_reference(name, cold):
                     == reference_strong_shoda(G, H, K))
     assert pairs > len(subs)
     for K in subs:
-        if _is_normal_in(subs[-1], K):
+        if is_normal_in(subs[-1], K):
             assert ([M.mask for M in minimal_normal_subgroups_of_quotient(G, K)]
                     == [M.mask for M in reference_minimal_normal_subgroups_of_quotient(G, K)])

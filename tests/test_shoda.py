@@ -225,8 +225,8 @@ def test_epsilon_is_idempotent_and_central_in_qh():
             for K in subgroups(G):
                 if not K <= H:
                     continue
-                from qgring.shoda import _is_normal_in
-                if not _is_normal_in(H, K):
+                from qgring.groups import is_normal_in
+                if not is_normal_in(H, K):
                     continue
                 eps = epsilon(H, K)
                 assert eps.is_idempotent()
