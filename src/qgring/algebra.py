@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Callable, Optional
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
 from .groups import (FiniteGroup, Subgroup, _classes, _closure, _conjugation,
-                     _rational_points, cosets, stabilizer)
+                     _rational_points, cosets, stabilizer, subgroups)
 
 
 class AlgElem:
@@ -460,11 +461,11 @@ class SquareZeroFamily:
 
     For a fixed y both shifts run over the conjugacy class of y^-1 as g
     runs over G, each u hit by |C_G(y)| of the g, and a candidate vanishes
-    iff u lies in Y. So scan() decides the 2 |C_G(y)| |cl(y^-1) - Y|
-    nonzero candidates of y, times each e, as one block of decisions.
+    iff u lies in Y: y has 2 |C_G(y)| |cl(y^-1) - Y| nonzero candidates.
     For fixed e and side the u that pass are the stabilizer of F, a
     subgroup containing Y (y hat(Y) = hat(Y) = hat(Y) y, e is central):
-    all shifts pass iff the generators of <Y, shifts> do.
+    all shifts pass iff the generators of <Y, shifts> do, which is what
+    scan() decides first. square_zero_search walks the families of G.
     """
 
     def __init__(self, Y: Subgroup, idempotents: list[AlgElem],
@@ -481,20 +482,16 @@ class SquareZeroFamily:
         """Yield (y, g, left, u) for every nonzero candidate in search
         order: y in Y, then g in G, the left element before the right one.
         A candidate vanishes exactly when its shift u lies in Y."""
-        for y in self.Y.members[1:]:
-            for g, left, u in self._candidates_of(y):
-                yield y, g, left, u
-
-    def _candidates_of(self, y: int):
         G, Y = self.group, self.Y
-        y_inv = G.inverse[y]
-        for g in range(G.order):
-            u = G.conj(y_inv, g)
-            if not Y.contains(u):
-                yield g, True, u
-            u = G.conj_left(y_inv, g)
-            if not Y.contains(u):
-                yield g, False, u
+        for y in Y.members[1:]:
+            y_inv = G.inverse[y]
+            for g in range(G.order):
+                u = G.conj(y_inv, g)
+                if not Y.contains(u):
+                    yield y, g, True, u
+                u = G.conj_left(y_inv, g)
+                if not Y.contains(u):
+                    yield y, g, False, u
 
     def scan(self, spent: int, budget: int,
              ) -> tuple[Optional[tuple[AlgElem, AlgElem]], int]:
@@ -504,57 +501,68 @@ class SquareZeroFamily:
         the first failing test, else (None, spent); a search at its budget
         (so any budget below 1) makes no test.
 
-        Each y is one block: every (e, side, u) with u in cl(y^-1) - Y is
-        decided, up to the first failure. A block that passes adds its
-        candidates times the idempotents, which is what testing them one
-        by one would spend, capped at the budget where that loop would have
-        stopped. Only a block with a failure is walked candidate by
-        candidate, to find the first failing test in search order within
-        the budget.
-
-        The blocks the budget reaches are decided first by the generators
-        of <Y, their shifts>: each shift that Y and the shifts before it do
-        not generate. Only when one fails are the blocks decided one by
-        one. Every shift before the k-th generator lies in <Y, g_1 ..
-        g_(k-1)>, so the blocks decide every generator decided before their
-        own first failure: deciding the generators adds no decision.
+        Two stages. The first decides the generators of <Y, shifts> over
+        the y the budget reaches, each shift u in cl(y^-1) - Y that Y and
+        the shifts before it do not generate. When they pass, every
+        candidate of those y passes, and spent grows by their candidates
+        times the idempotents, |cl(y^-1) - Y| * 2 |C_G(y)| each, capped at
+        the budget. Only when one fails does the second stage walk the
+        candidates in search order to the first failing test within the
+        budget.
         """
         if spent >= budget:
             return None, spent
         G, Y = self.group, self.Y
         n = len(self.idempotents)
-        blocks, gens, S, reach = [], [], Y, spent
+        gens, S, reach = [], Y, spent
         for y in Y.members[1:]:
             cls = G.class_of(G.inverse[y])
             shifts = [u for u in cls if not Y.contains(u)]
-            # |C_G(y)| = |G| / |cl(y^-1)| candidates per side and shift
-            blocks.append((y, shifts, n * 2 * (G.order // len(cls)) * len(shifts)))
             for u in shifts:
                 if not S.contains(u):
                     gens.append(u)
                     S = Subgroup(G, _closure(G, (u,), S))
-            reach += blocks[-1][2]
+            # |C_G(y)| = |G| / |cl(y^-1)| candidates per side and shift
+            reach += n * 2 * (G.order // len(cls)) * len(shifts)
             if reach >= budget:
                 break
         if all(self.invariant(i, left, u) for u in gens
                for left in (True, False) for i in range(n)):
             return None, min(reach, budget)
-        for y, shifts, cost in blocks:
-            if all(self.invariant(i, left, u) for u in shifts
-                   for left in (True, False) for i in range(n)):
-                spent += cost
+        for y, g, left, u in self.candidates():
+            for i in range(n):
+                spent += 1
+                if not self.invariant(i, left, u):
+                    return (self.element(y, g, left), self.idempotents[i]), spent
                 if spent >= budget:
-                    return None, budget
-                continue
-            for g, left, u in self._candidates_of(y):
-                for i in range(n):
-                    spent += 1
-                    if not self.invariant(i, left, u):
-                        return (self.element(y, g, left),
-                                self.idempotents[i]), spent
-                    if spent >= budget:
-                        return None, spent
+                    return None, spent
         return None, spent
+
+    def pair_tests(self) -> int:
+        """The tests of the sums and differences of two left elements that
+        follow the single ones: the (i < j, sign) with alpha_i + sign *
+        alpha_j != 0, over the nonzero left elements in search order, times
+        the idempotents. None can fail: both elements already passed every
+        e, and alpha*e is linear in alpha. So they are counted, not made.
+
+        The left element (1-y) g hat(Y) = hat(gY) - hat(ygY) is counted by
+        its pair of left cosets (gY, ygY), which differ when it is nonzero;
+        the |Y| elements g of one coset give the same pair for each y. Two
+        of them have a zero difference iff their pairs are equal, and a
+        zero sum iff the pairs are swapped."""
+        G, Y = self.group, self.Y
+        coset, reps = cosets(Y, left=True)
+        keys: Counter[tuple[int, int]] = Counter()
+        for y in Y.members[1:]:
+            row = G.table[y]
+            for g in reps:
+                a, b = coset[g], coset[row[g]]
+                if a != b:
+                    keys[a, b] += Y.order
+        k = sum(keys.values())
+        zero = sum(c * (c - 1) // 2 for c in keys.values())
+        zero += sum(c * keys[b, a] for (a, b), c in keys.items() if a < b)
+        return len(self.idempotents) * (k * (k - 1) - zero)
 
     def element(self, y: int, g: int, left: bool) -> AlgElem:
         """The candidate itself, built with real products."""
@@ -579,3 +587,26 @@ class SquareZeroFamily:
             hit = list(map(vec.__getitem__, shifted)) == vec
             self._memo[key] = hit
         return hit
+
+
+def square_zero_search(G: FiniteGroup, idempotents: list[AlgElem],
+                       budget: int, residues: bool,
+                       ) -> tuple[Optional[tuple[AlgElem, AlgElem]], int]:
+    """Scan the family of each subgroup 1 < Y < G in lattice order, each
+    candidate times each central idempotent, for the first product that is
+    not integral (residues=True) or not zero (residues=False). Stops at
+    that test or once it has made `budget` tests, and returns ((alpha, e)
+    or None, tests made). Only the integrality search follows each family
+    with its pair tests (SquareZeroFamily.pair_tests): a pair stage that
+    would reach the budget ends the search there."""
+    spent = 0
+    for Y in subgroups(G)[1:-1]:
+        family = SquareZeroFamily(Y, idempotents, residues)
+        found, spent = family.scan(spent, budget)
+        if found is not None or spent >= budget:
+            return found, spent
+        if residues:
+            spent += family.pair_tests()
+            if spent >= budget:
+                return None, budget
+    return None, spent

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (AlgElem, SquareZeroFamily, carry, center_rank,
-                      component_dimension)
+from .algebra import (AlgElem, carry, center_rank, component_dimension,
+                      square_zero_search)
 from .catalog import build_named
 from .errors import (
     InconsistentFamilyParams,
@@ -33,7 +33,7 @@ from .errors import (
     UnknownFamily,
 )
 from .groups import (FiniteGroup, Subgroup, find_isomorphism,
-                     subgroup_generated, subgroups)
+                     subgroup_generated)
 from .numutil import (
     crt,
     element_of_order,
@@ -394,18 +394,12 @@ def nilpotent_probe(G: FiniteGroup, e: AlgElem,
 
     The candidates are the square-zero elements (1-y) g hat(Y) and
     hat(Y) g (1-y) projected by e, scanned in a fixed order within budget
-    tests. None when the scan finds no nonzero projection: that proves
-    nothing about the component."""
+    tests (algebra.square_zero_search). None when the scan finds no
+    nonzero projection: that proves nothing about the component."""
     if not e.is_central():
         raise NotCentralIdempotent("the nilpotent probe needs a central idempotent")
-    spent = 0
-    for Y in subgroups(G)[1:-1]:
-        found, spent = SquareZeroFamily(Y, [e], residues=False).scan(spent, budget)
-        if found is not None:
-            return found[0] * e
-        if spent >= budget:
-            break
-    return None
+    found, _ = square_zero_search(G, [e], budget, residues=False)
+    return None if found is None else found[0] * e
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,18 @@ class FiniteGroup:
         naming the first defect, in the order entries out of range,
         identity, rows, columns, associativity, else return the int rows.
         It accepts what the byte check accepts: the rows and columns of a
-        group are permutations."""
+        group are permutations. An entry is taken only when it equals its
+        int, so 1.0 and True are, and 0.5, "0", None and nan are entries
+        out of range: no string equals an int."""
         n = self.order
-        self.table = table = [list(map(int, row)) for row in rows]
+        try:
+            self.table = table = [list(map(int, row)) for row in rows]
+        except (TypeError, ValueError, OverflowError):
+            raise InconsistentSpec("table entries out of range") from None
         ident = list(range(n))
         if not n or any(len(row) != n or min(row) < 0 or max(row) >= n
-                        for row in table):
+                        or type(orig) is list and row != orig
+                        for row, orig in zip(table, rows)):
             raise InconsistentSpec("table entries out of range")
         if table[0] != ident or [row[0] for row in table] != ident:
             raise InconsistentSpec("index 0 is not a two-sided identity")
@@ -1316,6 +1322,8 @@ def _product_names(G1: FiniteGroup, G2: FiniteGroup
     if shared:
         unused = [c for c in "abcdefghijklmnopqrstuvwxyz"
                   if c not in G1.letters and c not in G2.letters]
+        if len(unused) < len(shared):
+            raise InconsistentSpec("a product needs more than 26 generator letters")
         ren = {}
         for l in G2.letters:
             ren[l] = unused.pop(0) if l in shared else l

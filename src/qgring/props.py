@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (AlgElem, SquareZeroFamily, carry, coeff_strings, hat,
-                      one_minus, one_plus, tilde)
+from .algebra import (AlgElem, carry, coeff_strings, hat, one_minus,
+                      one_plus, square_zero_search, tilde)
 from .catalog import bj1_group, build_named, build_spec
 from .components import (
     NCN_SINGLE,
@@ -41,7 +40,6 @@ from .groups import (
     Subgroup,
     center,
     centralizer,
-    cosets,
     cyclic_subgroups,
     derived_subgroup,
     find_isomorphism,
@@ -509,57 +507,18 @@ def nd_witness_search(G: FiniteGroup, pcis: list[AlgElem],
 
     The budget counts candidate (alpha, e) tests in a fixed order, the pair
     tests included, and the search stops once it has spent the budget; a
-    budget below 1 spends nothing. The single-element tests of each Y are
-    decided by coset invariance (SquareZeroFamily.scan), first by the
-    generators of the subgroup their shifts generate, and spent is the same
-    as if each had been made: at budget 50 000 the six witness-search
-    benchmark groups take 42, 36, 18, 16, 12 and 8 decisions. A pair test
-    can never find a witness: both of its elements already passed every e,
-    and alpha*e is linear in alpha. So the pair tests are counted per left
-    coset of Y, not made. Returns (pair or None, spent).
+    budget below 1 spends nothing. The search is
+    algebra.square_zero_search: each family decides its single tests by
+    coset invariance and counts its pair tests, which can never fail, and
+    spent is the same as if each test had been made. Returns (pair or None,
+    spent).
     """
     for e in pcis:
         if not e.is_central():
             raise NotCentralIdempotent("the witness search needs central idempotents")
     if not pcis:
         return None, 0
-    spent = 0
-    for Y in subgroups(G)[1:-1]:
-        found, spent = SquareZeroFamily(Y, pcis, residues=True).scan(spent, budget)
-        if found is not None or spent >= budget:
-            return found, spent
-        pair_tests = len(pcis) * _nonzero_pairs(_left_keys(Y))
-        if pair_tests and spent + pair_tests >= budget:
-            return None, budget
-        spent += pair_tests
-    return None, spent
-
-
-def _left_keys(Y: Subgroup) -> Counter[tuple[int, int]]:
-    """The nonzero left elements (1-y) g hat(Y) = hat(gY) - hat(ygY),
-    counted by their pair of left cosets (numbered in one pass over G).
-    The |Y| elements g of one coset give the same pair for each y."""
-    G = Y.parent
-    coset, reps = cosets(Y, left=True)
-    keys: Counter[tuple[int, int]] = Counter()
-    for y in Y.members[1:]:
-        row = G.table[y]
-        for g in reps:
-            a, b = coset[g], coset[row[g]]
-            if a != b:
-                keys[a, b] += Y.order
-    return keys
-
-
-def _nonzero_pairs(keys: Counter[tuple[int, int]]) -> int:
-    """The number of (i < j, sign) with alpha_i + sign * alpha_j != 0, for
-    elements alpha = hat(A) - hat(B) counted by their cosets (A, B), A != B:
-    the difference vanishes iff the keys are equal, the sum iff they are
-    swapped."""
-    n = sum(keys.values())
-    zero = sum(c * (c - 1) // 2 for c in keys.values())
-    zero += sum(c * keys[b, a] for (a, b), c in keys.items() if a < b)
-    return n * (n - 1) - zero
+    return square_zero_search(G, pcis, budget, residues=True)
 
 
 # ---------------------------------------------------------------------------

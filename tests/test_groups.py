@@ -143,6 +143,12 @@ REJECTED = {
     "entry 256": ([[0, 1], [1, 256]], "table entries out of range"),
     "entry 255, order 200": (_cyclic_table(200, [(3, 4, 255)]),
                              "table entries out of range"),
+    # an entry is taken only when it equals an int, and never a string
+    "entry 0.5": ([[0, 1], [1, 0.5]], "table entries out of range"),
+    "entry '0'": ([[0, 1], [1, "0"]], "table entries out of range"),
+    "entry None": ([[0, 1], [1, None]], "table entries out of range"),
+    "entry 'x'": ([[0, 1], [1, "x"]], "table entries out of range"),
+    "entry nan": ([[0, 1], [1, float("nan")]], "table entries out of range"),
     # above order 256 it runs on the int rows
     "entry out of range, order 300": (_cyclic_table(300, [(5, 7, 300)]),
                                       "table entries out of range"),
@@ -163,7 +169,8 @@ def test_each_rejection_names_its_defect(table, message):
 
 # the rejections whose entries fit in bytes rows
 BYTES_REJECTED = {k: (table, message) for k, (table, message) in REJECTED.items()
-                  if all(0 <= v < 256 for row in table for v in row)}
+                  if all(type(v) is int and 0 <= v < 256
+                         for row in table for v in row)}
 
 
 @pytest.mark.parametrize("table, message", BYTES_REJECTED.values(),

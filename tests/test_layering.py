@@ -5,7 +5,7 @@ module imports only modules before it. Every relative import is read
 from the source with `ast`, at any depth, so an import hidden inside a
 function counts too. Only cli's import of verify is made inside a
 function, so that `analyze` does not load the verification suite. No
-module imports `random`.
+module imports `random`, and only algebra names `SquareZeroFamily`.
 """
 
 import ast
@@ -74,6 +74,27 @@ def test_no_module_imports_random():
             if any(name.split(".")[0] == "random" for name in names):
                 importers.append(path.stem)
     assert importers == []
+
+
+def test_only_algebra_names_the_square_zero_family():
+    # the square-zero search is one loop, algebra.square_zero_search: no
+    # other module builds a family or reads its pair tests
+    namers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ClassDef):
+                names = [node.name]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "SquareZeroFamily" in names:
+                namers.add(path.stem)
+    assert namers == {"algebra"}
 
 
 def _cache_keys(tree):

@@ -60,6 +60,8 @@ RANK8 = f"SdVec(2,8,{RANK8_ORDER3},3)"
     (("analyze", "MetaAmitsur(0,1)"), 2),
     (("analyze", "SdCyc(0,2,1)"), 2),
     (("analyze", RANK8, "--cap", "768"), 3),
+    # a product that needs a 27th generator letter
+    (("analyze", "X(" * 26 + "C(1)" + ",C(1))" * 26), 2),
 ])
 def test_a_refused_spec_is_one_error_line(capsys, argv, code):
     assert main(list(argv)) == code

@@ -139,14 +139,31 @@ def test_witness_search_matches_reference_inside_a_subgroup():
 
 
 def test_witness_search_walks_past_a_passing_block():
-    # the generators of <Y, shifts> fail, so the blocks are decided one by
-    # one, and a block that passes is spent whole before the failing one
+    # the generators of <Y, shifts> fail, so the candidates are walked in
+    # search order, past a y whose candidates all pass, to the failing one
     G = build_spec("X(Q(12),C(2))")
     pcis = [sp.e for sp in metabelian_pcis(G)]
     found, spent = nd_witness_search(G, pcis)
     ref_found, ref_spent = reference_nd_witness_search(G, pcis)
     assert found is not None and _same(found, ref_found)
     assert spent == ref_spent == 3
+
+
+@pytest.mark.parametrize("spec", ["Q(24)", "Q(48)", "Q(72)"])
+def test_witness_search_matches_reference_after_a_passing_block(spec):
+    # the first y of the first family passes and a later one holds the
+    # witness: compared at the default budget, around the end of each of
+    # the first two blocks and around the witness
+    G = build_spec(spec)
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    ends = _block_ends(G, pcis)
+    ref = reference_nd_witness_search(G, pcis)
+    assert ref[0] is not None and ends[0] < ref[1] <= ends[1]
+    assert nd_witness_search(G, pcis) == ref
+    for budget in sorted({b + d for b in (*ends[:2], ref[1]) for d in (-1, 0, 1)}):
+        if budget >= 1:
+            assert nd_witness_search(G, pcis, budget=budget) == \
+                reference_nd_witness_search(G, pcis, budget=budget), budget
 
 
 @pytest.mark.parametrize("budget", [0, -1])
@@ -338,6 +355,17 @@ def test_nilpotent_probe_matches_reference(name):
             got = nilpotent_probe(G, sp.e, budget=budget)
             ref = reference_nilpotent_probe(G, sp.e, budget=budget)
             assert got == ref, (name, budget)
+
+
+def test_nilpotent_probe_counts_no_pair_tests():
+    # a first nonzero projection lies past a family whose pair tests,
+    # counted as the witness search counts them, would spend the default
+    # budget
+    G = build_named("BJ8")
+    found = [nilpotent_probe(G, sp.e) for sp in metabelian_pcis(G)]
+    assert found == [reference_nilpotent_probe(G, sp.e)
+                     for sp in metabelian_pcis(G)]
+    assert any(x is not None for x in found)
 
 
 def test_nilpotent_probe_tests_no_element_for_nilpotency(monkeypatch):
