@@ -26,7 +26,8 @@ class BNotAbelian(QGRingError):
 
 
 class GroupMismatch(QGRingError):
-    """Two algebra elements live over different groups."""
+    """Two algebra elements live over different groups, or a subgroup is
+    not one of the group it is used with."""
 
 
 class NotCoprime(QGRingError):

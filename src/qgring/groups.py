@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BNotAbelian,
+    GroupMismatch,
     InconsistentSpec,
     NotNormal,
     OrderCapExceeded,
@@ -64,91 +65,65 @@ class FiniteGroup:
     # -- construction checks ------------------------------------------------
 
     def _validate(self, rows: list) -> list:
-        """Exact check that rows make a group with identity 0; sets table,
-        the rows with their entries coerced to int, and the generators
-        Light's test ran on. Returns the checked rows.
+        """Exact check that rows make a group with identity 0. Sets table,
+        the rows with int entries, and the generators Light's test ran on;
+        returns the checked rows: bytes up to order 256 when bytes() takes
+        every entry, else int lists, an entry taken only when it equals its
+        int (1.0 and True are; 0.5, "0", None and nan are out of range).
 
-        A table is accepted when its entries lie in 0..n-1 (one set of all
-        of them), index 0 is a two-sided identity, every row holds 0 and
-        Light's test passes. Light's test checks (x*g)*y = x*(g*y) for all
-        x, y and each g of a generating set only: the elements a with
-        (x*a)*y = x*(a*y) for all x, y are closed under the product, so
-        they make up the whole table. The row of x*g is then the row of x
-        read at the entries of g's row. So the table is a monoid in which
-        every x has a right inverse y (x*y = 0, as row x holds 0), and such
-        a monoid is a group: with y*z = 0 too, x = x*(y*z) = (x*y)*z = z,
-        so y*x = 0. This accepts exactly the groups, the tables with
-        permutation rows, two-sided identity and associativity.
-
-        Up to order 256 the checks run on the rows as bytes, each as one
-        C-level pass (_is_byte_group), and the byte rows are the int
-        coercion: bytes() takes integer entries in 0..255 only.
-        bytes.translate reads through a 256-byte map only, so a larger
-        table, and one the byte check refuses, is coerced with int and
-        checked on the int rows (_check_ints), which name the first defect.
+        A table is accepted when its entries lie in 0..n-1, index 0 is a
+        two-sided identity, every row holds 0 and Light's test passes.
+        Light's test checks (x*g)*y = x*(g*y) for all x, y and each g of a
+        generating set only: the elements a with (x*a)*y = x*(a*y) for all
+        x, y are closed under the product, so they make up the whole
+        table. So the table is a monoid in which every x has a right
+        inverse y (x*y = 0, as row x holds 0), and such a monoid is a
+        group: with y*z = 0 too, x = x*(y*z) = (x*y)*z = z, so y*x = 0.
+        Any other table raises InconsistentSpec naming its first defect:
+        entries out of range, identity, rows, columns, else associativity.
         """
-        return (self.order <= 256 and self._is_byte_group(rows)
-                or self._check_ints(rows))
-
-    def _is_byte_group(self, rows: list) -> Optional[list[bytes]]:
-        """The accept test of _validate on rows as bytes, a bytes row read
-        as is; for order n <= 256. Returns the byte rows of an accepted
-        table, None otherwise."""
         n = self.order
-        try:
-            brows = list(map(bytes, rows))
-        except (TypeError, ValueError):  # an entry that is no int in 0..255
-            return None
-        ident = bytes(range(n))
-        if not (n and all(len(row) == n for row in brows)
-                and not b"".join(brows).translate(None, ident)
-                and brows[0] == ident and bytes(map(itemgetter(0), brows)) == ident
-                and all(0 in row for row in brows)):
-            return None
-        self.table = list(map(list, brows))
-        self._generators = stabilizer(self, lambda g: True).gens
-        pad = bytes(256 - n)
-        padded = [row + pad for row in brows]
-        # Light's test: the row of x*g is g's row translated through x's
-        if all(list(map(brows.__getitem__, map(itemgetter(g), brows)))
-               == list(map(brows[g].translate, padded))
-               for g in self._generators):
-            return brows
-        return None
-
-    def _check_ints(self, rows: list) -> list[list[int]]:
-        """_validate on the rows coerced with int: raise InconsistentSpec
-        naming the first defect, in the order entries out of range,
-        identity, rows, columns, associativity, else return the int rows.
-        It accepts what the byte check accepts: the rows and columns of a
-        group are permutations. An entry is taken only when it equals its
-        int, so 1.0 and True are, and 0.5, "0", None and nan are entries
-        out of range: no string equals an int."""
-        n = self.order
-        try:
-            self.table = table = [list(map(int, row)) for row in rows]
-        except (TypeError, ValueError, OverflowError):
-            raise InconsistentSpec("table entries out of range") from None
-        ident = list(range(n))
-        if not n or any(len(row) != n or min(row) < 0 or max(row) >= n
-                        or type(orig) is list and row != orig
-                        for row, orig in zip(table, rows)):
+        row = _row_type(n)
+        if row is bytes:
+            try:
+                checked = list(map(bytes, rows))
+            except (TypeError, ValueError):  # an entry that is no int in 0..255
+                row = list
+        if row is list:
+            try:
+                checked = [list(map(int, r)) for r in rows]
+            except (TypeError, ValueError, OverflowError):
+                raise InconsistentSpec("table entries out of range") from None
+        ident = row(range(n))
+        if not n or any(len(r) != n for r in checked) or (
+                b"".join(checked).translate(None, ident) if row is bytes
+                else any(min(r) < 0 or max(r) >= n or type(orig) is list and r != orig
+                         for r, orig in zip(checked, rows))):
             raise InconsistentSpec("table entries out of range")
-        if table[0] != ident or [row[0] for row in table] != ident:
+        if checked[0] != ident or row(map(itemgetter(0), checked)) != ident:
             raise InconsistentSpec("index 0 is not a two-sided identity")
-        for i, row in enumerate(table):
-            if len(set(row)) != n:
+        self.table = checked if row is list else list(map(list, checked))
+        self._generators = stabilizer(self, lambda g: True).gens
+        # Light's test: the row of x*g is x's row read at the entries of
+        # g's row; on byte rows, g's row translated through x's row padded
+        # to 256 bytes
+        if row is bytes:
+            pad = bytes(256 - n)
+            maps = [r + pad for r in checked]
+            read = lambda q: list(map(q.translate, maps))
+        else:  # itemgetter(*q) gives tuples: n > 1 when there is a generator
+            read = lambda q: list(map(list, map(itemgetter(*q), checked)))
+        if all(0 in r for r in checked) and all(
+                list(map(checked.__getitem__, map(itemgetter(g), checked)))
+                == read(checked[g]) for g in self._generators):
+            return checked
+        for i, r in enumerate(checked):
+            if len(set(r)) != n:
                 raise InconsistentSpec(f"row {i} is not a permutation")
-        for j, col in enumerate(zip(*table)):
+        for j, col in enumerate(zip(*checked)):
             if len(set(col)) != n:
                 raise InconsistentSpec(f"column {j} is not a permutation")
-        # Light's test, as in _is_byte_group
-        self._generators = stabilizer(self, lambda g: True).gens
-        for g in self._generators:
-            times_g = itemgetter(*table[g])  # n > 1 when there is a generator
-            if any(table[row[g]] != list(times_g(row)) for row in table):
-                raise InconsistentSpec("multiplication table is not associative")
-        return table
+        raise InconsistentSpec("multiplication table is not associative")
 
     def _compute_inverses(self, rows: list) -> list[int]:
         """Each element's inverse: its right inverse, the index of 0 in its
@@ -531,6 +506,15 @@ class Subgroup:
         return self.parent._cache[key]
 
 
+def require_subgroups(G: FiniteGroup, *subs: Subgroup) -> None:
+    """Raise GroupMismatch unless each of subs is a subgroup of G: the
+    per-group memos are keyed by a subgroup's mask alone."""
+    for S in subs:
+        if S.parent is not G:
+            raise GroupMismatch(
+                f"{S!r} is a subgroup of {S.parent.name}, not {G.name}")
+
+
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = tuple(gens)
     return Subgroup(G, _closure(G, gens), gens)
@@ -834,6 +818,7 @@ def normalizes(G: FiniteGroup, by: Iterable[int], S: Subgroup) -> bool:
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     """Whether H is normal in G; decided once per subgroup and group, so
     normal_subgroups, normalizer and quotient share each verdict."""
+    require_subgroups(G, H)
     known = G._cache.setdefault("normal", {})
     if H.mask not in known:
         known[H.mask] = normalizes(G, G.generators(), H)
@@ -845,6 +830,7 @@ def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
     is_normal memo knows to be normal in G is normal in H, and for H = G
     the verdict is is_normal's; otherwise H's generators are tested."""
     G = H.parent
+    require_subgroups(G, K)
     if not K <= H:
         return False
     if G._cache.get("normal", {}).get(K.mask) or H.order == G.order:
@@ -919,6 +905,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     Coset representatives are the minimal element of each coset; the
     identity coset is index 0.
     """
+    require_subgroups(G, N)
     key = ("quotient", N.mask)
     if key in G._cache:
         return G._cache[key]

@@ -45,6 +45,7 @@ from .groups import (
     maximal_abelian_over,
     minimal_normal_subgroups_of_quotient,
     normalizer,
+    require_subgroups,
     subgroups,
 )
 from .numutil import prime_factors
@@ -130,6 +131,7 @@ def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
 def is_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
     """K normal in H, H/K cyclic, and every g outside H has some h in H
     with commutator (h, g) in H minus K."""
+    require_subgroups(G, H, K)
     if not is_normal_in(H, K):
         return False
     if section_generator(H, K) is None:
@@ -152,6 +154,7 @@ def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
     The generators of one C pass or fail together, so the first h that
     passes is the least generator of the first seed of H that does."""
     G = H.parent
+    require_subgroups(G, K)
     key = ("section", H.mask, K.mask)
     if key not in G._cache:
         n, km = H.order // K.order, K.mask
@@ -195,6 +198,7 @@ def strong_pair(G: FiniteGroup, H: Subgroup,
                 K: Subgroup) -> Optional[_StrongPair]:
     """The record of the strong Shoda pair (H, K), or None when (H, K) is
     not one. Decided once per pair."""
+    require_subgroups(G, H, K)
     key = ("strong", H.mask, K.mask)
     if key not in G._cache:
         G._cache[key] = _strong_shoda(G, H, K)

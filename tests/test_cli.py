@@ -84,6 +84,18 @@ def test_analyze_c3c8(capsys):
     assert data["prediction"]["one_matrix"] is False
 
 
+def test_analyze_prints_an_interval_count(capsys):
+    # two components stay unresolved; the witness search still decides
+    code, out, _ = run_cli(capsys, "--json", "analyze", "X(Q(8),SdCyc(3,8,2))")
+    assert code == 0
+    data = json.loads(out)
+    assert '"matrix_count": [\n    11,\n    13\n  ]' in out
+    assert data["matrix_count"] == data["nd"]["matrix_count"] == [11, 13]
+    assert data["nd"]["verdict"] == "NotND"
+    assert data["nd"]["reason"]["kind"] == "WitnessFound"
+    assert data["nd"]["reason"]["spent"] == 1
+
+
 def test_analyze_trivial_group(capsys):
     code, out, _ = run_cli(capsys, "--json", "analyze", "C(1)")
     assert code == 0

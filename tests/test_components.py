@@ -9,6 +9,7 @@ from qgring.components import (
     COMMUTATIVE,
     DIVISION,
     MATRIX,
+    MatrixCount,
     a5_special_pci,
     amitsur_division,
     center_rank,
@@ -273,6 +274,18 @@ def test_count_matrix_components():
     from qgring.groups import order_q_matrix, semidirect_vector
     G = semidirect_vector(2, 4, order_q_matrix(2, 4, 5), 5)
     assert count_matrix_components(G)[0].exact == 3
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("X(Q(8),SdCyc(3,8,2))", MatrixCount(11, 13)),
+    ("X(Q(16),SdCyc(3,4,2))", MatrixCount(10, 12)),
+])
+def test_unresolved_components_widen_the_count(spec, count):
+    # two degree-4 components that neither the classification nor the
+    # nilpotent probe decides: each adds one to the upper end only
+    cnt, comps = count_matrix_components(build_spec(spec))
+    assert cnt == count
+    assert [d.trace["branch"] for _, d in comps].count("unresolved") == 2
 
 
 def test_predict_nilpotent_families():

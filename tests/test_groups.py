@@ -290,32 +290,31 @@ def test_each_rejection_names_its_defect_under_optimize():
 
 
 def _checked_on(monkeypatch):
-    """The accept test each FiniteGroup from here on runs: "bytes" or
-    "ints"."""
-    paths = []
-    for method, path in (("_is_byte_group", "bytes"), ("_check_ints", "ints")):
-        orig = getattr(FiniteGroup, method)
+    """The row types of the checked rows that each FiniteGroup from here on
+    hands to _compute_inverses."""
+    kinds = []
+    orig = FiniteGroup._compute_inverses
 
-        def recording(self, rows, orig=orig, path=path):
-            paths.append(path)
-            return orig(self, rows)
+    def recording(self, rows):
+        kinds.append({type(row) for row in rows})
+        return orig(self, rows)
 
-        monkeypatch.setattr(FiniteGroup, method, recording)
-    return paths
+    monkeypatch.setattr(FiniteGroup, "_compute_inverses", recording)
+    return kinds
 
 
-@pytest.mark.parametrize("build, reference, path", [
-    (lambda: cyclic(256, cap=256), lambda: reference_cyclic(256, cap=256), "bytes"),
-    (lambda: cyclic(300, cap=300), lambda: reference_cyclic(300, cap=300), "ints"),
+@pytest.mark.parametrize("build, reference, kind", [
+    (lambda: cyclic(256, cap=256), lambda: reference_cyclic(256, cap=256), bytes),
+    (lambda: cyclic(300, cap=300), lambda: reference_cyclic(300, cap=300), list),
     (lambda: dihedral(300, cap=300),
-     lambda: reference_metacyclic(150, 2, 0, 149, cap=300, name="D300"), "ints"),
+     lambda: reference_metacyclic(150, 2, 0, 149, cap=300, name="D300"), list),
 ], ids=["C256", "C300", "D300"])
-def test_tables_up_to_order_256_are_checked_on_bytes(build, reference, path,
+def test_tables_up_to_order_256_are_checked_on_bytes(build, reference, kind,
                                                      monkeypatch):
     R = reference()
-    paths = _checked_on(monkeypatch)
+    kinds = _checked_on(monkeypatch)
     G = build()
-    assert paths == [path]
+    assert kinds == [{kind}]
     assert (G.table, G.names, G.name) == (R.table, R.names, R.name)
 
 
@@ -341,15 +340,16 @@ def test_from_table_coerces_entries_below_order_256(convert, order):
     lambda t: [[bool(v) if v < 2 else v for v in row] for row in t],
 ], ids=["float", "bool"])
 def test_from_table_coerces_entries_above_order_256(convert):
-    # the int path coerces as the byte path does
+    # int rows coerce as byte rows do
     D = dihedral(300, cap=300)
     G = from_table(convert(D.table), cap=300)
     assert G.table == D.table
     assert {type(v) for row in G.table for v in row} == {int}
 
 
-def test_each_table_is_scanned_for_generators_once(monkeypatch):
-    # Light's test keeps the generators it scans for; generators() reads them
+def _scans(monkeypatch):
+    """The groups each groups.stabilizer call from here on scans, and the
+    original stabilizer."""
     scans = []
     orig = qgring.groups.stabilizer
 
@@ -357,8 +357,14 @@ def test_each_table_is_scanned_for_generators_once(monkeypatch):
         scans.append(G)
         return orig(G, keeps)
 
-    floats = [[float(v) for v in row] for row in quaternion(8).table]
     monkeypatch.setattr(qgring.groups, "stabilizer", counting)
+    return scans, orig
+
+
+def test_each_table_is_scanned_for_generators_once(monkeypatch):
+    # Light's test keeps the generators it scans for; generators() reads them
+    floats = [[float(v) for v in row] for row in quaternion(8).table]
+    scans, orig = _scans(monkeypatch)
     for build in (lambda: dihedral(8), lambda: cyclic(300, cap=300),
                   lambda: from_table(floats)):
         scans.clear()
@@ -366,6 +372,15 @@ def test_each_table_is_scanned_for_generators_once(monkeypatch):
         assert scans == [G]
         assert G.generators() == orig(G, lambda g: True).gens
         assert scans == [G]
+
+
+def test_a_refused_table_is_scanned_for_generators_once(monkeypatch):
+    # one generator scan and one Light's test, also when the table is refused
+    table, message = REJECTED["not associative"]
+    scans, _ = _scans(monkeypatch)
+    with pytest.raises(InconsistentSpec, match=message):
+        FiniteGroup(table, [f"g{i}" for i in range(len(table))])
+    assert len(scans) == 1
 
 
 def test_table_entries_are_coerced_to_int():

@@ -24,9 +24,11 @@ import qgring.groups
 import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
-from qgring.errors import NotMetabelian
-from qgring.groups import (artin_count, derived_subgroup, is_normal_in,
-                           maximal_abelian_over, normalizer, subgroups)
+from qgring.components import describe_component
+from qgring.errors import GroupMismatch, NotMetabelian
+from qgring.groups import (artin_count, derived_subgroup, full_subgroup, is_normal,
+                           is_normal_in, maximal_abelian_over, normalizer, quotient,
+                           subgroup_generated, subgroups)
 from qgring.shoda import (
     e_idem,
     epsilon,
@@ -411,3 +413,44 @@ def test_class_sums_are_central(name):
         for g in cls:
             nums[g] = 1
         assert AlgElem(G, nums).is_central()
+
+
+def _d12_q12():
+    """D12 and Q12 from the catalog, each with <a> and its trivial
+    subgroup: the same masks in two groups."""
+    D, Q = qgring.catalog.build_named("D12"), qgring.catalog.build_named("Q12")
+    return [(G, subgroup_generated(G, [G.element("a")]), subgroup_generated(G, []))
+            for G in (D, Q)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda D, a, one: strong_pair(D, a, one),
+    lambda D, a, one: is_strong_shoda_pair(D, a, one),
+    lambda D, a, one: e_idem(D, a, one),
+    lambda D, a, one: describe_component(D, a, one),
+    lambda D, a, one: is_shoda_pair(D, a, one),
+    lambda D, a, one: section_generator(subgroup_generated(D, [1]), one),
+    lambda D, a, one: is_normal(D, a),
+    lambda D, a, one: is_normal_in(subgroup_generated(D, [1]), one),
+    lambda D, a, one: quotient(D, one),
+], ids=["strong_pair", "is_strong_shoda_pair", "e_idem", "describe_component",
+        "is_shoda_pair", "section_generator", "is_normal", "is_normal_in",
+        "quotient"])
+def test_a_subgroup_of_another_group_is_refused(call):
+    # each memo of G is keyed by a subgroup's mask alone: Q12's <a> would
+    # store a record in D12's cache that D12's own <a> then reads
+    (D, aD, oneD), (Q, aQ, oneQ) = _d12_q12()
+    cached = set(D._cache)
+    with pytest.raises(GroupMismatch):
+        call(D, aQ, oneQ)
+    assert set(D._cache) == cached
+    assert e_idem(D, aD, oneD).group is D
+    assert describe_component(D, aD, oneD).degree == 2
+
+
+def test_is_normal_in_is_false_for_a_subgroup_outside():
+    (D, a, _), _ = _d12_q12()
+    b = subgroup_generated(D, [D.element("b")])
+    assert is_normal(D, a) and not b <= a
+    assert not is_normal_in(a, b)
+    assert not is_normal_in(a, full_subgroup(D))
