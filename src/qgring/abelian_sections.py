@@ -1,0 +1,277 @@
+"""Subgroups read off abelian sections, with no subgroup lattice.
+
+For a metabelian G the strong Shoda pairs of Olivieri, del Rio and
+Simon's Theorem 4.7 need only two kinds of subgroup: the B over a
+maximal abelian A >= G' (subgroups_over), the preimages of the subgroups
+of the abelian G/A; and, for each B, the K over B' with B/K cyclic
+(cocyclic_subgroups), the kernels of the linear characters of B/B'.
+This is Olivieri and del Rio's algorithm for metabelian groups (J.
+Symbolic Comput. 35 (2003)). Both work on cosets and bit masks, with no
+quotient group and no lattice of G; a kernel gets few generators, read
+off the cyclic subgroups of G (groups._beside, groups._few_generators),
+and no closure.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from operator import and_, itemgetter, mul, or_
+from typing import Optional, Sequence
+
+from .errors import NotNormal
+from .groups import (
+    Subgroup,
+    _beside,
+    _cyclic_masks,
+    _cyclic_seeds,
+    _few_generators,
+    cyclic_subgroups,
+    derived_subgroup,
+    full_subgroup,
+    subgroup_from_mask,
+)
+from .numutil import prime_factors
+
+
+def subgroups_over(A: Subgroup) -> list[Subgroup]:
+    """The subgroups B >= A of G, sorted by (order, mask), for an A that
+    contains G' (NotNormal otherwise), with no lattice of G. Each such B is
+    normal and G/A is abelian, and a subgroup of a finite abelian group is
+    the intersection of the kernels of the characters trivial on it. So
+    the B are the K >= A with G/K cyclic (cocyclic_subgroups), with the
+    generators built for them, and the intersections of their masks,
+    closed under AND and wrapped with their greedy generators
+    (subgroup_from_mask); A keeps its own. When G/A is cyclic they are
+    the A<x^k>, k | [G : A], and no intersection is new."""
+    G = A.parent
+    if not derived_subgroup(G) <= A:
+        raise NotNormal(f"{A!r} does not contain the derived subgroup of {G.name}")
+    found: dict[int, Optional[Subgroup]] = {
+        K.mask: K for K in cocyclic_subgroups(full_subgroup(G), A)}
+    found[A.mask] = A
+    masks = list(found)
+    for b in masks:  # masks grows while it is walked
+        for c in masks:
+            if b & c not in found:
+                found[b & c] = None
+                masks.append(b & c)
+    return sorted((S or subgroup_from_mask(G, b) for b, S in found.items()),
+                  key=lambda S: (S.order, S.mask))
+
+
+@functools.lru_cache(maxsize=1024)
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n, ascending."""
+    return tuple(k for k in range(1, n + 1) if not n % k)
+
+
+def _coset_masks(listed: list[int], size: int) -> list[int]:
+    """The masks of the consecutive runs of size elements of listed: by
+    run when the runs are few, else by place in the run (listed[t::size]
+    holds the t-th element of every run)."""
+    if size > len(listed) // size:
+        return [sum(map((1).__lshift__, listed[v:v + size]))
+                for v in range(0, len(listed), size)]
+    masks = list(map((1).__lshift__, listed[::size]))
+    for t in range(1, size):
+        masks = list(map(or_, masks, map((1).__lshift__, listed[t::size])))
+    return masks
+
+
+def _cyclic_section(B: Subgroup, D: Subgroup) -> Optional[list[int]]:
+    """The x^j, j < [B : D], for an x with B = <x>D, when B/D is cyclic;
+    else None. B/D is cyclic iff some cyclic C <= B has |C| / |C meet D| =
+    [B : D], and then x is C's least generator."""
+    G = B.parent
+    n, bmask, dmask = B.order // D.order, B.mask, D.mask
+    walks = _cyclic_seeds(G)[0]
+    if n == 1:
+        return [0]
+    if dmask == 1:  # B/D is B: cyclic iff B is one of the cyclic subgroups
+        least = _cyclic_masks(G)[0].get(bmask)
+        return None if least is None else [0] + walks[_cyclic_seeds(G)[1][least]][:n - 1]
+    for order, mask, walk in _cyclic_masks(G)[1]:  # |C| >= [B : D] is needed
+        if order < n:
+            return None
+        if mask & bmask == mask and order == n * (mask & dmask).bit_count():
+            return [0] + walk[:n - 1]
+    return None
+
+
+def _cyclic_kernels(B: Subgroup, D: Subgroup, powers: list[int],
+                    avoid: Sequence[Subgroup]) -> list[Subgroup]:
+    """cocyclic_subgroups(B, D, avoid) for a cyclic B/D, given the x^j,
+    j < [B : D], for an x with B = <x>D: the D<x^k>, k | [B : D], each the
+    union of the cosets x^j D with k | j, that contain no member of avoid.
+    Generated by x^k and those of D's generators outside <x^k>, or by its
+    least generator when cyclic."""
+    G = B.parent
+    least = _cyclic_masks(G)[0]
+    seeds, seed_of = cyclic_subgroups(G), _cyclic_seeds(G)[1]
+    n, members = len(powers), D.members
+    size = len(members)
+    listed = powers if size == 1 else list(itertools.chain.from_iterable(
+        map(G.table[xj].__getitem__, members) for xj in powers))
+    coset_masks = _coset_masks(listed, size)
+    # for each member of avoid, the j of the cosets x^j D of its generators
+    avoided = [[listed.index(y) // size for y in d.gens or d.members[1:]]
+               for d in avoid]
+    dgens = _few_generators(D)
+    out = []
+    for k in _divisors(n):
+        if any(all(j % k == 0 for j in js) for js in avoided):
+            continue
+        mask = sum(coset_masks[::k])
+        if mask in least:
+            gens: tuple[int, ...] = (least[mask],)
+        elif k < n:
+            xk = powers[k]
+            inside = seeds[seed_of[xk]].mask
+            gens = (*(d for d in dgens if not inside >> d & 1), xk)
+        else:
+            gens = dgens
+        out.append(Subgroup(G, mask, gens))
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _prime_of(n: int) -> int:
+    """p when n > 1 is a power of the prime p, else 0."""
+    primes = prime_factors(n)
+    return next(iter(primes)) if len(primes) == 1 else 0
+
+
+def cocyclic_subgroups(B: Subgroup, D: Subgroup,
+                       avoid: Sequence[Subgroup] = ()) -> list[Subgroup]:
+    """The K with D <= K <= B and B/K cyclic that contain no member of
+    avoid (each d in avoid with D <= d <= B), for D normal in B with B/D
+    abelian: the kernels of the linear characters of B/D, one per cyclic
+    subgroup of its dual. No lattice, quotient table or closure is built.
+
+    A basis of B/D is found prime by prime, from the cyclic subgroups C of
+    B of p-power order alone: the order of C modulo a subgroup S >= D is
+    |C| / |C meet S|. With S = D plus the basis so far, the next basis
+    element generates a C of greatest order modulo S with C meet S = C
+    meet D. One exists: the p-part of the corrected lift in the usual proof
+    that such a basis exists generates one. B is listed coset by coset
+    (x^c D, c in mixed radix, the first basis element the lowest digit),
+    so each coset's mask is read off that list, and an element's
+    coordinates off its place in it.
+
+    Per prime p, with p^E the greatest basis order, a character sends x_i
+    (of order p^e_i) to w_i / p^E, w_i a multiple of p^(E - e_i). Of the
+    generators of one cyclic subgroup of the dual, exactly one has
+    w_i = p^v at the first i of least valuation v, so that one is listed.
+    Its kernel is generated by D, the x_j x_i^(-w_j / p^v) (j != i) and
+    x_i^(p^(E - v)). A K is one such kernel per prime, with the generators
+    of each; its mask is the AND over p of the union of the cosets whose
+    p-coordinates lie in p's kernel. It contains d iff each prime's
+    character is trivial on d's generators, so a K that would is never
+    built.
+
+    When some cyclic C <= B has |C| / |C meet D| = [B : D], B/D is cyclic,
+    generated by xD for x generating C, and the K are the D<x^k>, one per
+    divisor k of [B : D]: this is read off the cosets x^j D directly."""
+    G = B.parent
+    table = G.table
+    dmask, size, bmask = D.mask, D.order, B.mask
+    cyclic = _cyclic_section(B, D)
+    if cyclic is not None:
+        return _cyclic_kernels(B, D, cyclic, avoid)
+    listed, smask = list(D.members), dmask  # S = D times the basis so far
+    basis: dict[int, list[tuple[int, int, list[int]]]] = {}  # p -> [(x, order, powers)]
+    for p in sorted(prime_factors(B.order // size)):
+        # (order modulo D, C meet D, C, walk) for each C <= B of p-power
+        # order outside D, greatest order first: the next basis element
+        # generates the first whose C meets S in D only
+        cands = sorted(((o // (c & dmask).bit_count(), c & dmask, c, walk)
+                        for o, c, walk in _cyclic_masks(G)[1]
+                        if c & bmask == c and c & dmask != c and _prime_of(o) == p),
+                       key=itemgetter(0), reverse=True)
+        basis[p] = []
+        while cands:
+            top, _, _, walk = cands[0]
+            powers = [0] + walk[:top - 1]
+            listed = list(itertools.chain.from_iterable(
+                map(table[xj].__getitem__, listed) for xj in powers))
+            smask = sum(map((1).__lshift__, listed))
+            basis[p].append((walk[0], top, powers))
+            cands = [c for c in cands if c[2] & smask == c[1]]
+    coset_masks = _coset_masks(listed, size)
+    # a coset's index is sum over p of its p-block u_p times the stride of
+    # p's block, u_p being its coordinates in p's basis in mixed radix;
+    # at_p[p][u]: the mask of the cosets with p-block u, the others free
+    block, at_p, strides = 1, {}, {}
+    for p, xs in basis.items():
+        strides[p] = list(itertools.accumulate([1] + [o for _, o, _ in xs[:-1]], mul))
+        span = strides[p][-1] * xs[-1][1]
+        if len(basis) == 1:
+            at_p[p] = coset_masks
+        else:
+            at_p[p] = [0] * span
+            for v, mask in enumerate(coset_masks):
+                at_p[p][v // block % span] |= mask
+        block *= span
+
+    def coordinates(y: int) -> dict[int, list[int]]:
+        v, coords = listed.index(y) // size, {}
+        for p, xs in basis.items():
+            coords[p] = [v // st % o for st, (_, o, _) in zip(strides[p], xs)]
+            v //= strides[p][-1] * xs[-1][1]
+        return coords
+
+    # the coordinates of each d's generators, d by d
+    avoided = [list(map(coordinates, d.gens or d.members[1:])) for d in avoid]
+    everyone = (1 << len(avoid)) - 1
+    options = []  # per prime: (the avoided d its kernel holds, its mask, gens)
+    for p, xs in basis.items():
+        orders, st = [o for _, o, _ in xs], strides[p]
+        top = max(orders)
+        ys_p = [[y[p] for y in ys] for ys in avoided]
+        mine = [(everyone, bmask, [x for x, _, _ in xs])]  # the trivial character
+        # a listed character: w_lead = p^v, w_j / p^v a multiple of p for
+        # j < lead (its valuation exceeds v) and of p^(E - e_j - v) for all j
+        for lead, (_, o, powers) in enumerate(xs):
+            q = o
+            while q > 1:  # q = p^(E - v), the order of the character
+                low = top // q
+                ranges = [range(0, q, max(p if j < lead else 1, top // orders[j] // low))
+                          if j != lead else (1,) for j in range(len(xs))]
+                for steps in itertools.product(*ranges):
+                    # u is in the kernel iff sum of u_j w_j / p^v = 0 mod q
+                    holds = sum(1 << t for t, us in enumerate(ys_p)
+                                if not any(sum(map(mul, u, steps)) % q for u in us))
+                    if holds and len(basis) == 1:
+                        continue  # this K holds a member of avoid
+                    pairs = [(0, 0)]  # (offset, sum of u_j w_j / p^v mod q)
+                    gens = []
+                    for j, step in enumerate(steps):
+                        if j != lead:
+                            sj = st[j]
+                            pairs = [(a + t * sj, (r + t * step) % q)
+                                     for t in range(orders[j]) for a, r in pairs]
+                            gens.append(table[xs[j][0]][powers[-step % o]])
+                    if q < o:
+                        gens.append(powers[q])
+                    offsets = [a + (-r % q + k) * st[lead] for k in range(0, o, q)
+                               for a, r in pairs]
+                    mine.append((holds, sum(map(at_p[p].__getitem__, offsets)), gens))
+                q //= p
+        options.append(mine)
+    dgens = _few_generators(D)  # for a K's generators
+    out = []
+    for choice in itertools.product(*options):
+        if functools.reduce(and_, (holds for holds, _, _ in choice), everyone):
+            continue
+        # K is the intersection of the kernels of its characters' p-parts
+        _, mask, gens = choice[0]
+        for _, more_mask, more in choice[1:]:
+            mask &= more_mask
+            gens = gens + more
+        gens = _beside(G, dgens, gens)
+        K = Subgroup(G, mask, tuple(gens))
+        if len(gens) > 1:
+            K.gens = _few_generators(K)
+        out.append(K)
+    return out

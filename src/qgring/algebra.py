@@ -273,10 +273,11 @@ def _record_kernel(e: AlgElem, N: Subgroup,
                    ) -> None:
     """Record N as a subgroup of ker e = {g : g*e = e} for
     _idempotent_at_classes, after checking exactly that each of N.gens
-    fixes e (SoundnessError if not): the elements that fix e are a group.
+    (each member, for an N given no generators) fixes e (SoundnessError if
+    not): the elements that fix e are a group.
     left_cosets, when given, is N's left cosets as (index, reps), reps any
     left transversal, as cosets(N, left=True) would number them."""
-    if N.gens and not all(map(_fixes(e), N.gens)):
+    if not all(map(_fixes(e), N.gens or N.members)):
         raise SoundnessError(f"{N!r} does not fix the central element it "
                              "was proposed as a kernel of")
     facts = _facts_of(e)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -462,6 +462,10 @@ class Subgroup:
     __contains__ = contains
 
     def __le__(self, other: "Subgroup") -> bool:
+        """Containment, for subgroups of one group (GroupMismatch otherwise:
+        the masks of two groups number different elements)."""
+        if other.parent is not self.parent:
+            require_subgroups(self.parent, other)
         return self.mask | other.mask == other.mask
 
     def __lt__(self, other: "Subgroup") -> bool:
@@ -521,11 +525,20 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def subgroup_from_mask(G: FiniteGroup, mask: int) -> Subgroup:
-    """Wrap a mask known to be closed; generators recovered greedily."""
-    sub = stabilizer(G, lambda g: mask >> g & 1)
-    if sub.mask != mask:
+    """Wrap a mask known to be closed, with the generators of the scan
+    stabilizer(G, g -> g in mask): each the first member outside the
+    closure of those before it. Only the members are scanned, as no other
+    element can be one; the closure of the generators then holds every
+    member, so it is the mask iff the mask is closed."""
+    gens: list[int] = []
+    inside = Subgroup(G, 1)
+    for g in Subgroup(G, mask).members:
+        if not inside.mask >> g & 1:
+            gens.append(g)
+            inside = Subgroup(G, _closure(G, (g,), inside))
+    if inside.mask != mask:
         raise InconsistentSpec("mask is not closed under multiplication")
-    return sub
+    return Subgroup(G, mask, tuple(gens))
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
@@ -545,9 +558,12 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
     index[x] is x's coset number, or -1 for x outside within. Both lists
     are built once per group and shared by every caller: never mutate them.
     The cosets of the trivial subgroup (one per element) and of within
-    itself (one) are listed with no walk.
+    itself (one) are listed with no walk. A within of another group
+    raises GroupMismatch.
     """
     G = S.parent
+    if within is not None:
+        require_subgroups(G, within)
     key = ("cosets", S.mask, None if within is None else within.mask, left)
     if key in G._cache:
         return G._cache[key]
@@ -817,11 +833,15 @@ def normalizes(G: FiniteGroup, by: Iterable[int], S: Subgroup) -> bool:
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     """Whether H is normal in G; decided once per subgroup and group, so
-    normal_subgroups, normalizer and quotient share each verdict."""
+    normal_subgroups, normalizer and quotient share each verdict. Each of
+    H's generators is read through the conjugation permutations of G's
+    generators that the class build keeps (_classes), with no G.conj."""
     require_subgroups(G, H)
     known = G._cache.setdefault("normal", {})
     if H.mask not in known:
-        known[H.mask] = normalizes(G, G.generators(), H)
+        mask, hgens = H.mask, H.gens or H.members
+        known[H.mask] = all(mask >> perm[h] & 1
+                            for perm in _classes(G)[0] for h in hgens)
     return known[H.mask]
 
 
@@ -839,11 +859,21 @@ def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
 
 
 def normalizer_mask(G: FiniteGroup, H: Subgroup) -> int:
-    """The mask of N_G(H), with one normality test per right coset Hg:
-    hg normalizes H iff g does."""
+    """The mask of N_G(H), with at most one normality test per right coset
+    Hg, as hg normalizes H iff g does, and no closure. When g normalizes
+    H, so does each power of g, and when it does not, neither does any
+    generator of <g>: the cosets these lie in are not tested again."""
     index, reps = cosets(H)
-    keep = [normalizes(G, (g,), H) for g in reps]
-    return sum(1 << x for x, i in enumerate(index) if keep[i])
+    walks, seed_of = _cyclic_seeds(G)
+    known: list[Optional[bool]] = [True] + [None] * (len(reps) - 1)
+    for i, g in enumerate(reps):
+        if known[i] is None:
+            passed = normalizes(G, (g,), H)
+            s = seed_of[g]
+            for x in walks[s]:
+                if passed or seed_of[x] == s:
+                    known[index[x]] = passed
+    return sum(1 << x for x, i in enumerate(index) if known[i])
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -953,9 +983,83 @@ def all_maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> list[Subgroup]:
     return found[::-1]
 
 
+_BOOL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _commuting_mask(G: FiniteGroup, a: int) -> int:
+    """The mask of the elements that commute with a: where a's row and
+    a's column of the table agree, as bits read lowest first."""
+    agree = bytes(map(eq, G.table[a], map(itemgetter(a), G.table)))
+    return int(agree.translate(_BOOL_DIGITS)[::-1], 2)
+
+
 def maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> Subgroup:
-    """A maximal abelian subgroup containing B (smallest mask tie-break)."""
-    return min(all_maximal_abelian_over(G, B), key=lambda s: s.mask)
+    """A maximal abelian subgroup containing the abelian B, with no
+    lattice: B extended by the least element that centralizes it, until no
+    element outside centralizes it. One scan in index order does this, as
+    an element that does not centralize A does not centralize any larger A
+    either: the candidates are the elements that commute with each
+    generator so far, a mask that only shrinks. The generators are A's
+    least one when A is cyclic, else those of B's that lie in no <g>, g
+    added, and the elements added (_beside).
+
+    This greedy rule replaced the least mask among all_maximal_abelian_over
+    (the lattice's pick). The two agree on every catalog, benchmark and
+    product group tested; metabelian_pcis gives the same idempotents for
+    any maximal abelian A over G', so only its representative pairs could
+    differ where they do not."""
+    require_subgroups(G, B)
+    if not B.is_abelian():
+        raise BNotAbelian("seed subgroup is not abelian")
+    A, added, table = B, [], G.table
+    centralizing = (1 << G.order) - 1
+    for a in _few_generators(B):
+        centralizing &= _commuting_mask(G, a)
+    while centralizing & ~A.mask:
+        left = centralizing & ~A.mask
+        g = (left & -left).bit_length() - 1  # the least one
+        added.append(g)
+        # g commutes with A, so <A, g> is the union of the cosets g^j A
+        mask, y = A.mask, g
+        while not A.mask >> y & 1:
+            mask |= sum(map((1).__lshift__, map(table[y].__getitem__, A.members)))
+            y = table[y][g]
+        A = Subgroup(G, mask)
+        centralizing &= _commuting_mask(G, g)
+    A = Subgroup(G, A.mask, tuple(_beside(G, _few_generators(B), added)))
+    if len(A.gens) > 1:
+        A.gens = _few_generators(A)
+    return A
+
+
+def _cyclic_masks(G: FiniteGroup) -> tuple[dict[int, int],
+                                           list[tuple[int, int, list[int]]]]:
+    """The mask of each cyclic subgroup -> its least generator; and
+    (order, mask, walk) for each, by descending order, then in seed order
+    (_cyclic_seeds). Built once per group."""
+    if "cyclic_masks" not in G._cache:
+        seeds, walks = cyclic_subgroups(G), _cyclic_seeds(G)[0]
+        G._cache["cyclic_masks"] = (
+            {C.mask: C.gens[0] for C in seeds},
+            sorted(((len(w), C.mask, w) for C, w in zip(seeds, walks)),
+                   key=itemgetter(0), reverse=True))
+    return G._cache["cyclic_masks"]
+
+
+def _beside(G: FiniteGroup, base: Iterable[int], gens: list[int]) -> list[int]:
+    """The generators of base that lie in no <g>, g in gens, then gens:
+    they generate what base and gens do, read off the cyclic subgroups."""
+    seeds, seed_of = cyclic_subgroups(G), _cyclic_seeds(G)[1]
+    inside = [seeds[seed_of[g]].mask for g in gens if g]  # <1> drops no d
+    return [d for d in base if not any(c >> d & 1 for c in inside)] + gens
+
+
+def _few_generators(S: Subgroup) -> tuple[int, ...]:
+    """S's least generator when S is cyclic, else its generators (its
+    members but 1 when it has none), with no closure: a cyclic S is one
+    of the cyclic subgroups of _cyclic_seeds."""
+    least = _cyclic_masks(S.parent)[0].get(S.mask)
+    return (least,) if least is not None else S.gens or S.members[1:]
 
 
 def is_nilpotent_group(G: FiniteGroup) -> bool:

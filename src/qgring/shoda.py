@@ -8,7 +8,10 @@ read off the coset exponents x^j K -> j with no lattice and no product.
 Summing the G-conjugates of epsilon over a transversal of its centralizer
 gives a central element e(G, H, K); for metabelian G the pairs singled
 out by the maximal-abelian enumeration produce exactly the primitive
-central idempotents.
+central idempotents. That enumeration reads abelian sections of G, not
+its subgroup lattice: the B over a maximal abelian A >= G', and the
+kernels of the linear characters of each B/B'. Only a pair's label
+(ShodaPair.describe) names the generators the lattice gives H and K.
 
 The strong Shoda check of a pair keeps what it proves in one record,
 memoized per pair: N = N_G(K), which it shows to be Cen_G(epsilon), x and
@@ -23,11 +26,13 @@ of K in H (is_normal_in), N_G(K) (normalizer) and the conjugates K^t
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Callable, Iterable, Optional
 
+from .abelian_sections import cocyclic_subgroups, subgroups_over
 from .algebra import (AlgElem, _record_kernel, component_dimension,
                       product_at_classes, tilde)
 from .errors import NotMetabelian, NotNormalInH, SoundnessError
@@ -46,6 +51,7 @@ from .groups import (
     minimal_normal_subgroups_of_quotient,
     normalizer,
     require_subgroups,
+    subgroup_from_mask,
     subgroups,
 )
 from .numutil import prime_factors
@@ -269,15 +275,14 @@ def _orthogonal_to_conjugate(eps: AlgElem) -> Callable[[int], bool]:
     return orthogonal
 
 
-def _core(G: FiniteGroup, K: Subgroup, transversal: list[int],
-          lattice: dict[int, Subgroup]) -> Subgroup:
-    """core_G(K), the intersection of the conjugates K^t = t^-1 K t, read
-    off the lattice (mask -> subgroup), over a right transversal of
-    N_G(K), as K^(nt) = K^t for n in N_G(K): K itself when K is normal."""
+def _core(G: FiniteGroup, K: Subgroup, transversal: list[int]) -> Subgroup:
+    """core_G(K), the intersection of the conjugates K^t = t^-1 K t over a
+    right transversal of N_G(K), as K^(nt) = K^t for n in N_G(K): K itself
+    when K is normal, else its mask's greedy generators."""
     mask = K.mask
     for t in transversal[1:]:
         mask &= conjugate_mask(G, K, t)
-    return lattice[mask]
+    return K if mask == K.mask else subgroup_from_mask(G, mask)
 
 
 @dataclass
@@ -292,9 +297,19 @@ class ShodaPair:
     kind: str  # "strong-shoda" | "plain-shoda" (A5's documented pair)
 
     def describe(self) -> str:
+        """The label (<H's generators>, <K's generators>). A strong pair's
+        H and K come from no lattice, so their label names the generators
+        that G's subgroup lattice gives them, which do not depend on how
+        the pair was found; a documented pair keeps its own."""
         G = self.H.parent
-        hn = ",".join(G.names[g] for g in self.H.gens) or "1"
-        kn = ",".join(G.names[g] for g in self.K.gens) or "1"
+        H, K = self.H, self.K
+        if self.kind == "strong-shoda":
+            subs = subgroups(G)  # sorted by (order, mask)
+            H, K = (subs[bisect.bisect_left(subs, (S.order, S.mask),
+                                            key=lambda T: (T.order, T.mask))]
+                    for S in (H, K))
+        hn = ",".join(G.names[g] for g in H.gens) or "1"
+        kn = ",".join(G.names[g] for g in K.gens) or "1"
         return f"(<{hn}>, <{kn}>)"
 
 
@@ -324,25 +339,25 @@ def _maximal_abelian_pairs(G: FiniteGroup,
                            A: Subgroup) -> list[tuple[Subgroup, Subgroup]]:
     """The pairs (H, K) with H maximal among the subgroups B with A <= B
     and B' <= K <= B, and H/K cyclic; H descending by order, K ascending.
-    A candidate is tested for a cyclic H/K only when [H : K] divides
-    exp(H), the lcm of H's element orders: a cyclic H/K has order [H : K],
-    which divides exp(H), so no pair is lost."""
-    subs = subgroups(G)
-    orders = G.element_orders()
-    # (mask, B' mask, exp(B), B) for each B >= A
-    over_A = [(B.mask, commutator_subgroup(G, B.gens, B.gens).mask,
-               math.lcm(*map(orders.__getitem__, B.members)), B)
-              for B in subs if A.mask | B.mask == B.mask]
+    They are read off abelian sections, with no lattice of G (Olivieri and
+    del Rio's algorithm for metabelian groups): the B are the subgroups
+    over the abelian A >= G' (subgroups_over), and for each B the K are
+    the kernels of the linear characters of B/B' (cocyclic_subgroups). H
+    is maximal iff no B2 > H has B2' <= K, and B2' grows with B2, so a
+    K that contains the derived subgroup of a larger B is never built.
+    Subgroups are compared by mask, and a K found for several B is one
+    object."""
+    over_A = subgroups_over(A)  # A first, G last
+    derived = {B.mask: commutator_subgroup(G, B.gens, B.gens) for B in over_A[1:-1]}
+    derived[over_A[-1].mask] = derived_subgroup(G)
+    derived[A.mask] = Subgroup(G, 1)  # A is abelian
     pairs: list[tuple[Subgroup, Subgroup]] = []
-    for K in subs:
-        k = K.mask
-        cands = [c for c in over_A if k | c[0] == c[0] and c[1] | k == k]
-        for h, _, exp, H in cands:
-            if any(h | c[0] == c[0] != h for c in cands):  # H < C: not maximal
-                continue
-            if (exp % (H.order // K.order) == 0
-                    and section_generator(H, K) is not None):
-                pairs.append((H, K))
+    known = {B.mask: B for B in over_A}
+    for B in over_A:
+        b = B.mask
+        above = {derived[c].mask: derived[c] for c in known if c != b and b | c == c}
+        pairs += ((B, known.setdefault(K.mask, K))
+                  for K in cocyclic_subgroups(B, derived[b], list(above.values())))
     pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))
     return pairs
 
@@ -350,9 +365,10 @@ def _maximal_abelian_pairs(G: FiniteGroup,
 def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaPair]:
     """All primitive central idempotents of Q[G] for metabelian G, as
     deduplicated e(G, H, K) over the maximal-abelian pair enumeration
-    (_maximal_abelian_pairs). Every pair it yields is a strong Shoda pair
-    (Olivieri, del Rio and Simon, Theorem 4.7); one that fails the test
-    raises SoundnessError.
+    (_maximal_abelian_pairs) for A = maximal_abelian_over(G, G') unless A
+    is given. No subgroup lattice of G is built. Every pair it yields is a
+    strong Shoda pair (Olivieri, del Rio and Simon, Theorem 4.7); one that
+    fails the test raises SoundnessError.
 
     One pair per G-conjugacy class is decided. When H is normal in G
     (is_normal is asked; every H >= A >= G' is), each (H, K^t) with t in
@@ -374,10 +390,11 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     (e_i = e_i * 1 = e_i^2), so the facts certified are those of the
     pairwise check, at the cost of one square per idempotent, decided at
     artin_count(G) points, one per rational class (_idempotent_at_classes).
-    Each square is taken modulo core_G(K), the kernel of e(G, H, K); that
-    each generator of the core fixes e is checked first (_record_kernel),
-    so no scan of G looks for the kernel. For H = G the core is K, whose
-    left cosets x^j K the record's exponents already number.
+    Each square is taken modulo core_G(K), the kernel of e(G, H, K),
+    intersected from K's conjugates; that each generator of the core fixes
+    e is checked first (_record_kernel), so no scan of G looks for the
+    kernel. For H = G the core is K, whose left cosets x^j K the record's
+    exponents already number.
     """
     if "pcis" in G._cache and A is None:
         return G._cache["pcis"]
@@ -423,7 +440,6 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
                          else sp.e.nums))
     if total != [den] + [0] * (G.order - 1):
         raise SoundnessError("PCIs must sum to 1")
-    lattice = {S.mask: S for S in subgroups(G)}
     for sp in out:
         pair = strong_pair(G, sp.H, sp.K)
         if sp.H.order == G.order:
@@ -432,7 +448,7 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
                 powers.append(G.table[powers[-1]][pair.x])
             _record_kernel(sp.e, sp.K, (pair.exponents, powers))
         else:
-            _record_kernel(sp.e, _core(G, sp.K, pair.transversal, lattice))
+            _record_kernel(sp.e, _core(G, sp.K, pair.transversal))
         if not sp.e.is_central_idempotent():
             raise SoundnessError("PCIs must be idempotent")
     if cache:

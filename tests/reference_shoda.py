@@ -3,8 +3,8 @@
 These are the original `epsilon` (the product of tilde(K) - tilde(M) over
 the minimal normal subgroups M/K of H/K, read off G's subgroup lattice),
 `section_generator` (one element of H at a time), the maximal-abelian pair
-enumeration of `metabelian_pcis` (every candidate tested for a cyclic H/K,
-with no exponent filter), `_strong_shoda` (which
+enumeration of `metabelian_pcis` (over G's whole subgroup lattice, every
+candidate tested for a cyclic H/K), `_strong_shoda` (which
 compares the centralizer of epsilon with N_G(K) before its orthogonality
 loop), `is_shoda_pair`, `e_idem` (a sum of conjugates over a transversal
 of that centralizer), the centrality test `_fixed_by_generators` (conjugation by

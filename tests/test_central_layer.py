@@ -28,8 +28,8 @@ from qgring.algebra import AlgElem, product_at_classes
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import a5_special_pci, center_rank
 from qgring.errors import NotMetabelian, SoundnessError
-from qgring.groups import (_rational_points, artin_count, derived_subgroup, dihedral,
-                           full_subgroup)
+from qgring.groups import (Subgroup, _rational_points, artin_count, derived_subgroup,
+                           dihedral, full_subgroup)
 from qgring.shoda import metabelian_pcis, pci_sanity
 from reference_components import (
     reference_center_rank,
@@ -306,9 +306,20 @@ def test_a_kernel_that_does_not_fix_e_raises(monkeypatch):
         qgring.algebra._record_kernel(e, full_subgroup(G))
     G._cache.clear()
     monkeypatch.setattr(qgring.shoda, "_core",
-                        lambda G, K, N, lattice: full_subgroup(G))
+                        lambda G, K, N: full_subgroup(G))
     with pytest.raises(SoundnessError):
         metabelian_pcis(G)
+
+
+def test_a_kernel_given_no_generators_is_checked_member_by_member():
+    # with no generators to check, every member is: a kernel that does not
+    # fix e raises, and one that does is recorded
+    G = build_named("D12")
+    sp = next(sp for sp in metabelian_pcis(G) if sp.K.order < sp.H.order)
+    # H/K is nontrivial, so e is not hat(G) and G does not fix it
+    with pytest.raises(SoundnessError):
+        qgring.algebra._record_kernel(sp.e, Subgroup(G, full_subgroup(G).mask))
+    qgring.algebra._record_kernel(sp.e, Subgroup(G, 1))
 
 
 def test_a_kernel_that_does_not_fix_e_raises_under_optimize():
@@ -317,7 +328,7 @@ def test_a_kernel_that_does_not_fix_e_raises_under_optimize():
         from qgring.catalog import build_named
         from qgring.errors import SoundnessError
         from qgring.groups import full_subgroup
-        qgring.shoda._core = lambda G, K, N, lattice: full_subgroup(G)
+        qgring.shoda._core = lambda G, K, N: full_subgroup(G)
         try:
             qgring.shoda.metabelian_pcis(build_named("D12"))
         except SoundnessError as exc:

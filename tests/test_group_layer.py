@@ -13,6 +13,9 @@ subgroups, generators included, the same classes and the same verdicts.
 `conjugate_mask(G, S, t)` must be the set of the t^-1 s t, s in S.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
 import qgring.catalog
@@ -133,6 +136,31 @@ def test_family_sweep_conjugate_masks_are_the_sets_of_conjugates(workloads):
             for t in G.generators():
                 assert (conjugate_mask(G, S, t)
                         == conjugate_subgroup(G, S, t).mask), (label, S, t)
+
+
+def test_normality_tests_make_few_conjugations(workloads, monkeypatch):
+    # one cold family-sweep pass: is_normal reads H's generators through
+    # the generators' permutations of the class build (3 683 G.conj calls
+    # when it conjugated them), and normalizer_mask tests no coset of a
+    # power of an element that passed, nor of a generator of <g> for a g
+    # that failed (720 calls when it tested every coset, 315 with the
+    # stabilizer scan)
+    conj, calls = FiniteGroup.conj, Counter()
+
+    def counting(G, x, g):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in ("is_normal", "normalizer_mask"):
+                calls[frame.f_code.co_name] += 1
+                break
+            frame = frame.f_back
+        return conj(G, x, g)
+
+    groups = family_sweep_groups(workloads)
+    monkeypatch.setattr(FiniteGroup, "conj", counting)
+    for _, G in groups:
+        count_matrix_components(G)
+    assert calls == {"normalizer_mask": 201}
 
 
 def test_classes_are_one_build_over_the_generators_permutations(monkeypatch):

@@ -1,11 +1,12 @@
 """The package's modules import each other in one order, with no cycle.
 
-groups -> algebra -> shoda -> components -> props -> verify/cli: each
-module imports only modules before it. Every relative import is read
-from the source with `ast`, at any depth, so an import hidden inside a
-function counts too. Only cli's import of verify is made inside a
+groups -> abelian_sections -> algebra -> shoda -> components -> props ->
+verify/cli: each module imports only modules before it. Every relative
+import is read from the source with `ast`, at any depth, so an import
+hidden inside a function counts too. Only cli's import of verify is made inside a
 function, so that `analyze` does not load the verification suite. No
-module imports `random`, and only algebra names `SquareZeroFamily`.
+module imports `random`, and only algebra names `SquareZeroFamily`. The
+PCI layer names the subgroup lattice only to label a pair.
 """
 
 import ast
@@ -95,6 +96,37 @@ def test_only_algebra_names_the_square_zero_family():
             if "SquareZeroFamily" in names:
                 namers.add(path.stem)
     assert namers == {"algebra"}
+
+
+def _namers(module, name):
+    """The qualified names of the functions and classes in which a module's
+    source names `name`, outside its imports ("" for the module level)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.add(scope)
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "")
+    return found
+
+
+def test_the_pci_layer_reads_no_lattice():
+    # the pairs come from abelian sections (abelian_sections, over the A of
+    # groups.maximal_abelian_over); a pair's label alone names the
+    # generators the lattice gives its subgroups
+    assert _namers("shoda", "subgroups") == {"ShodaPair.describe"}
+    assert "maximal_abelian_over" not in _namers("groups", "subgroups")
+    assert _namers("abelian_sections", "subgroups") == set()
+    # the scan sees names inside functions
+    assert "maximal_abelian_over" in _namers("groups", "_commuting_mask")
+    assert "subgroups_over" in _namers("abelian_sections", "derived_subgroup")
 
 
 def _cache_keys(tree):

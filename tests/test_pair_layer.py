@@ -8,7 +8,9 @@ returns G itself as the normalizer of a normal subgroup.
 reference_shoda.py holds the original lattice, centralizer and
 generator-conjugation code; both must give the same answers on every pair
 K normal in H. AlgElem.conjugate, one gather through a conjugation
-permutation, must equal the per-element loop it replaced.
+permutation, must equal the per-element loop it replaced. The pairs of
+metabelian_pcis, read off abelian sections with no lattice, must be those
+of the reference enumeration over the whole lattice.
 """
 
 import functools
@@ -18,17 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgring.abelian_sections
 import qgring.algebra
 import qgring.catalog
 import qgring.groups
 import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
-from qgring.components import describe_component
+from qgring.components import count_matrix_components, describe_component
 from qgring.errors import GroupMismatch, NotMetabelian
-from qgring.groups import (artin_count, derived_subgroup, full_subgroup, is_normal,
-                           is_normal_in, maximal_abelian_over, normalizer, quotient,
-                           subgroup_generated, subgroups)
+from qgring.groups import (all_maximal_abelian_over, artin_count, derived_subgroup,
+                           full_subgroup, is_normal, is_normal_in, maximal_abelian_over,
+                           normalizer, quotient, subgroup_generated, subgroups)
 from qgring.shoda import (
     e_idem,
     epsilon,
@@ -189,14 +192,19 @@ def _first_of_each_class(G, pairs):
 
 
 def _check_pairs_match_reference(G, monkeypatch):
-    """The maximal-abelian enumeration yields the pairs of the unfiltered
-    reference, in order, and metabelian_pcis puts to the strong Shoda test
-    the first pair of each G-conjugacy class of them, in order."""
+    """The maximal-abelian enumeration yields the pairs of the reference
+    over the whole lattice, in order, and metabelian_pcis puts to the
+    strong Shoda test the first pair of each G-conjugacy class of them, in
+    order. (The tests named for an exponent filter keep their names; the
+    enumeration now needs no filter.)"""
     if not derived_subgroup(G).is_abelian():
         with pytest.raises(NotMetabelian):
             metabelian_pcis(G)
         return
     A = maximal_abelian_over(G, derived_subgroup(G))
+    # the greedy A is the lattice's least-mask pick on every group tested
+    assert A.mask == min(all_maximal_abelian_over(G, derived_subgroup(G)),
+                         key=lambda S: S.mask).mask
     pairs = reference_maximal_abelian_pairs(subgroups(G), A)
     assert ([(H.mask, K.mask) for H, K in qgring.shoda._maximal_abelian_pairs(G, A)]
             == [(H.mask, K.mask) for H, K in pairs])
@@ -224,6 +232,39 @@ def test_exponent_filter_keeps_every_pair_on_the_workloads(name, workloads, cold
     # the groups each benchmark op builds; analyze-large holds D(200)
     for op in workloads.build_ops(name):
         _check_pairs_match_reference(workloads._build(op.build), monkeypatch)
+
+
+# products whose G/A is not cyclic, or whose B/B' has several primes
+PRODUCTS = ["X(C(2),D(8))", "X(D(8),C(2))", "X(D(8),D(8))", "X(Q(8),D(8))",
+            "X(D(6),D(8))", "X(C(2),Q(16))", "X(D(8),C(6))"]
+
+
+@pytest.mark.parametrize("spec", PRODUCTS)
+def test_pairs_match_reference_on_products(spec, cold, monkeypatch):
+    _check_pairs_match_reference(build_spec(spec), monkeypatch)
+
+
+@pytest.mark.parametrize("source", ["catalog", "analyze-large", "family-sweep",
+                                    "witness-search", "products"])
+def test_abelian_sections_match_the_lattice(source, workloads):
+    # the B >= A, and for each B the K >= B' with B/K cyclic, are those of
+    # the lattice, each with generators that generate it
+    groups = ([build_spec(spec) for spec in PRODUCTS] if source == "products"
+              else _metabelian_groups(source, workloads))
+    for G in groups:
+        subs = subgroups(G)
+        A = maximal_abelian_over(G, derived_subgroup(G))
+        over_A = qgring.abelian_sections.subgroups_over(A)
+        assert [B.mask for B in over_A] == [B.mask for B in subs if A <= B]
+        for B in over_A:
+            assert subgroup_generated(G, B.gens).mask == B.mask
+            D = qgring.groups.commutator_subgroup(G, B.gens, B.gens)
+            kernels = qgring.abelian_sections.cocyclic_subgroups(B, D)
+            want = sorted(K.mask for K in subs if D <= K <= B
+                          and reference_section_generator(B, K) is not None)
+            assert sorted(K.mask for K in kernels) == want, (G.name, B)
+            for K in kernels:
+                assert subgroup_generated(G, K.gens).mask == K.mask
 
 
 def _groups(source, workloads):
@@ -343,10 +384,13 @@ def test_family_sweep_work_counts(workloads, monkeypatch):
         (912, 0, 912 - 694)
 
 
-@pytest.mark.parametrize("spec, calls", [("EA(2,4)", 48), ("X(C(4),EA(2,3))", 107)])
-def test_exponent_filter_skips_the_sections_it_rules_out(spec, calls, cold,
-                                                        monkeypatch):
-    # 99 and 166 calls when every candidate's section is tested
+@pytest.mark.parametrize("spec, decisions", [("EA(2,4)", 16), ("X(C(4),EA(2,3))", 24)])
+def test_the_pair_enumeration_tests_no_section(spec, decisions, cold, monkeypatch):
+    # each (B, K) is a kernel of a character of B/B', so B/K is cyclic by
+    # construction: the enumeration asks section_generator nothing (99 and
+    # 166 calls when it tested every candidate, 48 and 107 with a filter by
+    # exp(H)); the strong test asks it twice per decided pair, for x and
+    # for the coset exponents
     G = build_spec(spec)
     made = []
     orig = qgring.shoda.section_generator
@@ -356,8 +400,41 @@ def test_exponent_filter_skips_the_sections_it_rules_out(spec, calls, cold,
         return orig(H, K)
 
     monkeypatch.setattr(qgring.shoda, "section_generator", counting)
+    pairs = qgring.shoda._maximal_abelian_pairs(
+        G, maximal_abelian_over(G, derived_subgroup(G)))
+    assert pairs and made == []
     metabelian_pcis(G)
-    assert len(made) == calls
+    assert len(made) == 2 * decisions
+    assert sum(isinstance(key, tuple) and key[0] == "strong"
+               for key in G._cache) == decisions
+
+
+def _refuse_the_lattice(monkeypatch):
+    """Make every call of groups.subgroups, under any module's name for
+    it, raise."""
+    orig = qgring.groups.subgroups
+
+    def refused(G):
+        raise AssertionError(f"the subgroup lattice of {G.name} was built")
+
+    for module in (qgring.groups, qgring.algebra, qgring.shoda,
+                   qgring.components, qgring.props):
+        if getattr(module, "subgroups", None) is orig:
+            monkeypatch.setattr(module, "subgroups", refused)
+
+
+@pytest.mark.parametrize("source", ["catalog", "family-sweep"])
+def test_component_count_builds_no_lattice(source, workloads, cold, monkeypatch):
+    # the PCIs come from abelian sections: A, the B >= A and the kernels of
+    # the characters of each B/B'; only a pair's label reads the lattice
+    groups = _metabelian_groups(source, workloads)
+    _refuse_the_lattice(monkeypatch)
+    for G in groups:
+        G._cache.clear()
+        count, comps = count_matrix_components(G)
+        assert len(comps) == artin_count(G)
+    with pytest.raises(AssertionError, match="lattice"):
+        comps[0][0].describe()  # the refusal is in force
 
 
 CENTRAL_GROUPS = ["D12", "Q16", "A4", "C3rC8", "BJ9", "relabelled D12"]
@@ -446,6 +523,22 @@ def test_a_subgroup_of_another_group_is_refused(call):
     assert set(D._cache) == cached
     assert e_idem(D, aD, oneD).group is D
     assert describe_component(D, aD, oneD).degree == 2
+
+
+def test_subgroups_of_two_groups_are_not_compared():
+    # D12's and Q12's <a> have one mask, so <= held both ways, and cosets
+    # keyed D12's memo by a within of Q12 ([0, 6] came back)
+    (D, aD, _), (Q, aQ, _) = _d12_q12()
+    calls = [lambda: aQ <= aD, lambda: aD <= aQ, lambda: aQ <= full_subgroup(D),
+             lambda: qgring.groups.cosets(aD, within=full_subgroup(Q)),
+             lambda: aQ < full_subgroup(D)]
+    cached = set(D._cache)
+    for call in calls:
+        with pytest.raises(GroupMismatch):
+            call()
+    assert set(D._cache) == cached
+    assert aD <= full_subgroup(D) and aD < full_subgroup(D) and not aD < aD
+    assert qgring.groups.cosets(aD, within=full_subgroup(D))[1] == [0, 6]
 
 
 def test_is_normal_in_is_false_for_a_subgroup_outside():
