@@ -7,9 +7,14 @@ of the abelian G/A; and, for each B, the K over B' with B/K cyclic
 (cocyclic_subgroups), the kernels of the linear characters of B/B'.
 This is Olivieri and del Rio's algorithm for metabelian groups (J.
 Symbolic Comput. 35 (2003)). Both work on cosets and bit masks, with no
-quotient group and no lattice of G; a kernel gets few generators, read
-off the cyclic subgroups of G (groups._beside, groups._few_generators),
-and no closure.
+quotient group and no lattice of G.
+
+The module holds the one test of a cyclic section H/K,
+section_generator, which the pair layer (shoda), the component
+descriptors and the SSN classification ask too; the powers of its x and
+the coset exponents x^j K -> j are read off x's walk in the one table of
+cyclic subgroups (groups._cyclic_seeds). A kernel gets generators by the
+one closure-free rule (groups._beside).
 """
 
 from __future__ import annotations
@@ -23,30 +28,86 @@ from .errors import NotNormal
 from .groups import (
     Subgroup,
     _beside,
-    _cyclic_masks,
     _cyclic_seeds,
     _few_generators,
-    cyclic_subgroups,
     derived_subgroup,
     full_subgroup,
+    require_subgroups,
     subgroup_from_mask,
 )
 from .numutil import prime_factors
 
 
+def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
+    """The first h in H whose coset hK generates H/K (K normal in H), or
+    None when H/K is not cyclic; 0 when H = K. Decided once per pair; a K
+    not inside H raises NotNormal. This is the one test of a cyclic
+    section.
+
+    hK generates H/K iff <h>K = H, that is iff C = <h> has
+    |C| = [H : K] * |C meet K|: a test on the mask of a cyclic seed of H.
+    The generators of one C pass or fail together, so the first h that
+    passes is the least generator of the first seed of H that does, and
+    seeds are numbered in the order of their least generators. Only seeds
+    of order at least [H : K] can pass, and the table lists them first."""
+    G = H.parent
+    if K.parent is not G:
+        require_subgroups(G, K)
+    key = ("section", H.mask, K.mask)
+    if key not in G._cache:
+        hm, km = H.mask, K.mask
+        if km & ~hm:
+            raise NotNormal(f"{K!r} is not contained in {H!r}")
+        n = H.order // K.order
+        x = 0 if n == 1 else None
+        seeds = _cyclic_seeds(G).by_order if n > 1 else []
+        for order, mask, walk, _ in seeds:
+            if order < n:
+                break
+            if (mask & hm == mask and order == n * (mask & km).bit_count()
+                    and (x is None or walk[0] < x)):
+                x = walk[0]
+        G._cache[key] = x
+    return G._cache[key]
+
+
+def section_powers(H: Subgroup, K: Subgroup) -> Optional[list[int]]:
+    """The x^j, 0 <= j < [H : K], for x = section_generator(H, K), read off
+    the walk of x's cyclic seed (x is its least generator); None when H/K
+    is not cyclic."""
+    x = section_generator(H, K)
+    if not x:
+        return None if x is None else [0]
+    table = _cyclic_seeds(H.parent)
+    return [0, *table.walks[table.seed_of[x]][:H.order // K.order - 1]]
+
+
+def section_exponents(H: Subgroup, K: Subgroup) -> list[int]:
+    """For each element of G, j when it lies in x^j K, 0 <= j < [H : K],
+    where x = section_generator(H, K) generates the cyclic H/K, and -1,
+    which no element's exponent is, outside H. epsilon(H, K) and the
+    crossed-product data read it; a strong pair's record keeps it."""
+    G = H.parent
+    exps = [-1] * G.order
+    for j, xj in enumerate(section_powers(H, K)):
+        row = G.table[xj]
+        for z in K.members:
+            exps[row[z]] = j
+    return exps
+
+
 def subgroups_over(A: Subgroup) -> list[Subgroup]:
     """The subgroups B >= A of G, sorted by (order, mask), for an A that
-    contains G' (NotNormal otherwise), with no lattice of G. Each such B is
-    normal and G/A is abelian, and a subgroup of a finite abelian group is
-    the intersection of the kernels of the characters trivial on it. So
-    the B are the K >= A with G/K cyclic (cocyclic_subgroups), with the
-    generators built for them, and the intersections of their masks,
-    closed under AND and wrapped with their greedy generators
-    (subgroup_from_mask); A keeps its own. When G/A is cyclic they are
-    the A<x^k>, k | [G : A], and no intersection is new."""
+    contains G' (NotNormal otherwise, from cocyclic_subgroups(G, A)), with
+    no lattice of G. Each such B is normal and G/A is abelian, and a
+    subgroup of a finite abelian group is the intersection of the kernels
+    of the characters trivial on it. So the B are the K >= A with G/K
+    cyclic (cocyclic_subgroups), with the generators built for them, and
+    the intersections of their masks, closed under AND and wrapped with
+    their greedy generators (subgroup_from_mask); A keeps its own. When
+    G/A is cyclic they are the A<x^k>, k | [G : A], and no intersection
+    is new."""
     G = A.parent
-    if not derived_subgroup(G) <= A:
-        raise NotNormal(f"{A!r} does not contain the derived subgroup of {G.name}")
     found: dict[int, Optional[Subgroup]] = {
         K.mask: K for K in cocyclic_subgroups(full_subgroup(G), A)}
     found[A.mask] = A
@@ -58,12 +119,6 @@ def subgroups_over(A: Subgroup) -> list[Subgroup]:
                 masks.append(b & c)
     return sorted((S or subgroup_from_mask(G, b) for b, S in found.items()),
                   key=lambda S: (S.order, S.mask))
-
-
-@functools.lru_cache(maxsize=1024)
-def _divisors(n: int) -> tuple[int, ...]:
-    """The divisors of n, ascending."""
-    return tuple(k for k in range(1, n + 1) if not n % k)
 
 
 def _coset_masks(listed: list[int], size: int) -> list[int]:
@@ -79,36 +134,13 @@ def _coset_masks(listed: list[int], size: int) -> list[int]:
     return masks
 
 
-def _cyclic_section(B: Subgroup, D: Subgroup) -> Optional[list[int]]:
-    """The x^j, j < [B : D], for an x with B = <x>D, when B/D is cyclic;
-    else None. B/D is cyclic iff some cyclic C <= B has |C| / |C meet D| =
-    [B : D], and then x is C's least generator."""
-    G = B.parent
-    n, bmask, dmask = B.order // D.order, B.mask, D.mask
-    walks = _cyclic_seeds(G)[0]
-    if n == 1:
-        return [0]
-    if dmask == 1:  # B/D is B: cyclic iff B is one of the cyclic subgroups
-        least = _cyclic_masks(G)[0].get(bmask)
-        return None if least is None else [0] + walks[_cyclic_seeds(G)[1][least]][:n - 1]
-    for order, mask, walk in _cyclic_masks(G)[1]:  # |C| >= [B : D] is needed
-        if order < n:
-            return None
-        if mask & bmask == mask and order == n * (mask & dmask).bit_count():
-            return [0] + walk[:n - 1]
-    return None
-
-
 def _cyclic_kernels(B: Subgroup, D: Subgroup, powers: list[int],
                     avoid: Sequence[Subgroup]) -> list[Subgroup]:
     """cocyclic_subgroups(B, D, avoid) for a cyclic B/D, given the x^j,
-    j < [B : D], for an x with B = <x>D: the D<x^k>, k | [B : D], each the
-    union of the cosets x^j D with k | j, that contain no member of avoid.
-    Generated by x^k and those of D's generators outside <x^k>, or by its
-    least generator when cyclic."""
+    j < [B : D], for an x with B = <x>D (section_powers): the D<x^k>,
+    k | [B : D], each the union of the cosets x^j D with k | j, that
+    contain no member of avoid, generated by D and x^k (_beside)."""
     G = B.parent
-    least = _cyclic_masks(G)[0]
-    seeds, seed_of = cyclic_subgroups(G), _cyclic_seeds(G)[1]
     n, members = len(powers), D.members
     size = len(members)
     listed = powers if size == 1 else list(itertools.chain.from_iterable(
@@ -118,36 +150,18 @@ def _cyclic_kernels(B: Subgroup, D: Subgroup, powers: list[int],
     avoided = [[listed.index(y) // size for y in d.gens or d.members[1:]]
                for d in avoid]
     dgens = _few_generators(D)
-    out = []
-    for k in _divisors(n):
-        if any(all(j % k == 0 for j in js) for js in avoided):
-            continue
-        mask = sum(coset_masks[::k])
-        if mask in least:
-            gens: tuple[int, ...] = (least[mask],)
-        elif k < n:
-            xk = powers[k]
-            inside = seeds[seed_of[xk]].mask
-            gens = (*(d for d in dgens if not inside >> d & 1), xk)
-        else:
-            gens = dgens
-        out.append(Subgroup(G, mask, gens))
-    return out
-
-
-@functools.lru_cache(maxsize=1024)
-def _prime_of(n: int) -> int:
-    """p when n > 1 is a power of the prime p, else 0."""
-    primes = prime_factors(n)
-    return next(iter(primes)) if len(primes) == 1 else 0
+    return [_beside(G, sum(coset_masks[::k]), dgens, powers[k:k + 1])
+            for k in range(1, n + 1)
+            if not n % k and not any(all(j % k == 0 for j in js) for js in avoided)]
 
 
 def cocyclic_subgroups(B: Subgroup, D: Subgroup,
                        avoid: Sequence[Subgroup] = ()) -> list[Subgroup]:
     """The K with D <= K <= B and B/K cyclic that contain no member of
-    avoid (each d in avoid with D <= d <= B), for D normal in B with B/D
-    abelian: the kernels of the linear characters of B/D, one per cyclic
-    subgroup of its dual. No lattice, quotient table or closure is built.
+    avoid (each d in avoid with D <= d <= B), for B' <= D <= B, that is D
+    normal in B with B/D abelian (NotNormal otherwise): the kernels of the
+    linear characters of B/D, one per cyclic subgroup of its dual. No
+    lattice, quotient table or closure is built.
 
     A basis of B/D is found prime by prime, from the cyclic subgroups C of
     B of p-power order alone: the order of C modulo a subgroup S >= D is
@@ -170,15 +184,19 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
     character is trivial on d's generators, so a K that would is never
     built.
 
-    When some cyclic C <= B has |C| / |C meet D| = [B : D], B/D is cyclic,
-    generated by xD for x generating C, and the K are the D<x^k>, one per
-    divisor k of [B : D]: this is read off the cosets x^j D directly."""
+    When B/D is cyclic (section_generator), generated by xD, the K are
+    the D<x^k>, one per divisor k of [B : D]: this is read off the cosets
+    x^j D directly."""
     G = B.parent
     table = G.table
     dmask, size, bmask = D.mask, D.order, B.mask
-    cyclic = _cyclic_section(B, D)
-    if cyclic is not None:
-        return _cyclic_kernels(B, D, cyclic, avoid)
+    require_subgroups(G, D)
+    if dmask & ~bmask:
+        raise NotNormal(f"{D!r} is not contained in {B!r}")
+    if derived_subgroup(B).mask & ~dmask:
+        raise NotNormal(f"{D!r} does not contain the derived subgroup of {B!r}")
+    if section_generator(B, D) is not None:
+        return _cyclic_kernels(B, D, section_powers(B, D), avoid)
     listed, smask = list(D.members), dmask  # S = D times the basis so far
     basis: dict[int, list[tuple[int, int, list[int]]]] = {}  # p -> [(x, order, powers)]
     for p in sorted(prime_factors(B.order // size)):
@@ -186,8 +204,8 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
         # order outside D, greatest order first: the next basis element
         # generates the first whose C meets S in D only
         cands = sorted(((o // (c & dmask).bit_count(), c & dmask, c, walk)
-                        for o, c, walk in _cyclic_masks(G)[1]
-                        if c & bmask == c and c & dmask != c and _prime_of(o) == p),
+                        for o, c, walk, q in _cyclic_seeds(G).by_order
+                        if q == p and c & bmask == c and c & dmask != c),
                        key=itemgetter(0), reverse=True)
         basis[p] = []
         while cands:
@@ -269,9 +287,6 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
         for _, more_mask, more in choice[1:]:
             mask &= more_mask
             gens = gens + more
-        gens = _beside(G, dgens, gens)
-        K = Subgroup(G, mask, tuple(gens))
-        if len(gens) > 1:
-            K.gens = _few_generators(K)
-        out.append(K)
+        out.append(_beside(G, mask, dgens, gens))
     return out
+

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .abelian_sections import section_generator
 from .algebra import (AlgElem, carry, center_rank, component_dimension,
                       square_zero_search)
 from .catalog import build_named
@@ -43,14 +44,7 @@ from .numutil import (
     padic_valuation,
     prime_factors,
 )
-from .shoda import (
-    ShodaPair,
-    e_idem,
-    epsilon,
-    metabelian_pcis,
-    section_generator,
-    strong_pair,
-)
+from .shoda import ShodaPair, e_idem, epsilon, metabelian_pcis, strong_pair
 
 COMMUTATIVE = "Commutative"
 MATRIX = "Matrix"

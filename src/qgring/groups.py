@@ -15,7 +15,7 @@ import itertools
 import math
 import re
 from operator import add, eq, itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BNotAbelian,
@@ -171,7 +171,7 @@ class FiniteGroup:
         """The order of each element: that of the cyclic subgroup it
         generates, read off the power walks of _cyclic_seeds."""
         if "element_orders" not in self._cache:
-            walks, seed_of = _cyclic_seeds(self)
+            walks, seed_of = _cyclic_seeds(self)[:2]
             self._cache["element_orders"] = [len(walks[k]) if k >= 0 else 1
                                              for k in seed_of]
         return self._cache["element_orders"]
@@ -233,16 +233,28 @@ class FiniteGroup:
 # closure helpers (bitmask based)
 
 
-def _cyclic_seeds(G: FiniteGroup) -> tuple[list[list[int]], list[int]]:
-    """The cyclic subgroups <g> != 1, g in index order, each as the walk
-    g, g^2, ..., g^m = 1 over the powers of its least generator g; and
-    seed_of[x], the index of <x> (-1 for the identity). Each power g^k with
-    gcd(k, m) = 1 generates the same subgroup, so one walk per subgroup.
-    """
+class _CyclicTable(NamedTuple):
+    """The cyclic subgroups <g> != 1 of a group, g their least generator,
+    in seed order (g in index order). Built once per group (_cyclic_seeds):
+    never mutate it."""
+
+    walks: list[list[int]]  # per seed, the walk g, g^2, ..., g^m = 1
+    seed_of: list[int]      # x -> the seed <x>; -1 for the identity
+    least: dict[int, int]   # a seed's mask -> g, in seed order
+    # (order, mask, walk, p) per seed, by descending order, then in seed
+    # order; p when the order is a power of the prime p, else 0
+    by_order: list[tuple[int, int, list[int], int]]
+
+
+def _cyclic_seeds(G: FiniteGroup) -> _CyclicTable:
+    """The table of the cyclic subgroups <g> != 1 of G. Each power g^k
+    with gcd(k, m) = 1 generates the same subgroup, so one walk per
+    subgroup, over the powers of its least generator g."""
     if "cyclic_seeds" not in G._cache:
         table = G.table
         walks: list[list[int]] = []
         seed_of = [-1] * G.order
+        least: dict[int, int] = {}
         for g in range(1, G.order):
             if seed_of[g] < 0:
                 powers = [g]
@@ -252,8 +264,16 @@ def _cyclic_seeds(G: FiniteGroup) -> tuple[list[list[int]], list[int]]:
                 for k, x in enumerate(powers, 1):
                     if math.gcd(k, m) == 1:
                         seed_of[x] = len(walks)
+                least[sum(map((1).__lshift__, powers))] = g
                 walks.append(powers)
-        G._cache["cyclic_seeds"] = walks, seed_of
+        prime = {}
+        for m in set(map(len, walks)):
+            primes = prime_factors(m)
+            prime[m] = next(iter(primes)) if len(primes) == 1 else 0
+        by_order = sorted(((len(w), mask, w, prime[len(w)])
+                           for mask, w in zip(least, walks)),
+                          key=itemgetter(0), reverse=True)
+        G._cache["cyclic_seeds"] = _CyclicTable(walks, seed_of, least, by_order)
     return G._cache["cyclic_seeds"]
 
 
@@ -263,23 +283,8 @@ def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
     mutate the list."""
     if "cyclic_subgroups" not in G._cache:
         G._cache["cyclic_subgroups"] = [
-            Subgroup(G, sum(map((1).__lshift__, p)), (p[0],))
-            for p in _cyclic_seeds(G)[0]]
+            Subgroup(G, mask, (g,)) for mask, g in _cyclic_seeds(G).least.items()]
     return G._cache["cyclic_subgroups"]
-
-
-def cyclic_subgroups_in(H: Subgroup) -> list[Subgroup]:
-    """The cyclic subgroups <g> != 1 inside H, in the seed order of
-    cyclic_subgroups. Built once per subgroup: never mutate the list."""
-    G = H.parent
-    key = ("cyclic_subgroups", H.mask)
-    if key not in G._cache:
-        seeds, seed_of = cyclic_subgroups(G), _cyclic_seeds(G)[1]
-        # a seed's first member of H is its least generator; the identity,
-        # H.members[0], is in no seed
-        G._cache[key] = list(map(seeds.__getitem__, dict.fromkeys(
-            map(seed_of.__getitem__, H.members[1:]))))
-    return G._cache[key]
 
 
 def _conjugation(G: FiniteGroup, g: int) -> list[int]:
@@ -331,7 +336,7 @@ def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]]
     its first seed under the moves, and each step s -> q = moves[j][s] of
     the orbit reads pulls[q] off pulls[s] at the inverse of moves[j]."""
     if "seed_classes" not in G._cache:
-        walks, seed_of = _cyclic_seeds(G)
+        walks, seed_of = _cyclic_seeds(G)[:2]
         table, gens = G.table, G.generators()
         moves = [[seed_of[perm[p[0]]] for p in walks] for perm in _classes(G)[0]]
         n = len(walks)
@@ -360,7 +365,7 @@ def _rational_points(G: FiniteGroup) -> tuple[list[int], list[int]]:
     the identity first and then in seed order, one per class: there are
     artin_count(G) of them. Built once per group."""
     if "rational_points" not in G._cache:
-        walks, seed_of = _cyclic_seeds(G)
+        walks, seed_of = _cyclic_seeds(G)[:2]
         first = [walks[r][0] for r in _seed_classes(G)[0]] + [0]  # [-1]: 1
         G._cache["rational_points"] = (list(map(first.__getitem__, seed_of)),
                                        list(dict.fromkeys([0] + first)))
@@ -488,8 +493,8 @@ class Subgroup:
                    for i, a in enumerate(m) for b in m[i + 1:])
 
     def is_cyclic(self) -> bool:
-        orders = self.parent.element_orders()
-        return self.order in map(orders.__getitem__, self.members)
+        """1 or one of the cyclic subgroups of _cyclic_seeds."""
+        return self.mask == 1 or self.mask in _cyclic_seeds(self.parent).least
 
     def induced(self) -> tuple[FiniteGroup, list[int]]:
         """Standalone group on this subgroup's members (parent names kept).
@@ -673,7 +678,7 @@ def _first_conjugates(G: FiniteGroup, frontier: list[Subgroup],
     conjugate of H in frontier, for a frontier that holds every conjugate of
     its members. The conjugates are read off the join table as
     J(a, b)^t = J(a^t, b^t), for t in G.generators() (_seed_classes)."""
-    seed_of, moves = _cyclic_seeds(G)[1], _seed_classes(G)[2]
+    seed_of, moves = _cyclic_seeds(G).seed_of, _seed_classes(G)[2]
     first_of: dict[int, int] = {}
     for i, H in enumerate(frontier):
         if H.mask not in first_of:
@@ -736,7 +741,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     if "subgroups" not in G._cache:
         table = G.table
         bits = [1 << x for x in range(G.order)]
-        seed_powers, seed_of = _cyclic_seeds(G)
+        seed_powers, seed_of = _cyclic_seeds(G)[:2]
         seed_at = seed_of.__getitem__
         seeds = cyclic_subgroups(G)
         rep = _seed_classes(G)[0]
@@ -864,7 +869,7 @@ def normalizer_mask(G: FiniteGroup, H: Subgroup) -> int:
     H, so does each power of g, and when it does not, neither does any
     generator of <g>: the cosets these lie in are not tested again."""
     index, reps = cosets(H)
-    walks, seed_of = _cyclic_seeds(G)
+    walks, seed_of = _cyclic_seeds(G)[:2]
     known: list[Optional[bool]] = [True] + [None] * (len(reps) - 1)
     for i, g in enumerate(reps):
         if known[i] is None:
@@ -916,11 +921,16 @@ def commutator_subgroup(G: FiniteGroup, A: Iterable[int],
     return Subgroup(G, S.mask, tuple(gens))
 
 
-def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    if "derived" not in G._cache:
-        gens = G.generators()
-        G._cache["derived"] = commutator_subgroup(G, gens, gens)
-    return G._cache["derived"]
+def derived_subgroup(S: FiniteGroup | Subgroup) -> Subgroup:
+    """The derived subgroup of a group or of a subgroup S, from S's
+    generators (its members when it has none); built once per subgroup."""
+    if isinstance(S, FiniteGroup):
+        S = full_subgroup(S)
+    G, key = S.parent, ("derived", S.mask)
+    if key not in G._cache:
+        gens = S.gens or S.members[1:]
+        G._cache[key] = commutator_subgroup(G, gens, gens)
+    return G._cache[key]
 
 
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -999,9 +1009,9 @@ def maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> Subgroup:
     element outside centralizes it. One scan in index order does this, as
     an element that does not centralize A does not centralize any larger A
     either: the candidates are the elements that commute with each
-    generator so far, a mask that only shrinks. The generators are A's
-    least one when A is cyclic, else those of B's that lie in no <g>, g
-    added, and the elements added (_beside).
+    generator so far, a mask that only shrinks. Each <A, g> is a closure
+    over A; the generators are those of B and the elements added, by the
+    closure-free rule of _beside.
 
     This greedy rule replaced the least mask among all_maximal_abelian_over
     (the lattice's pick). The two agree on every catalog, benchmark and
@@ -1011,7 +1021,7 @@ def maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> Subgroup:
     require_subgroups(G, B)
     if not B.is_abelian():
         raise BNotAbelian("seed subgroup is not abelian")
-    A, added, table = B, [], G.table
+    A, added = B, []
     centralizing = (1 << G.order) - 1
     for a in _few_generators(B):
         centralizing &= _commuting_mask(G, a)
@@ -1019,47 +1029,32 @@ def maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> Subgroup:
         left = centralizing & ~A.mask
         g = (left & -left).bit_length() - 1  # the least one
         added.append(g)
-        # g commutes with A, so <A, g> is the union of the cosets g^j A
-        mask, y = A.mask, g
-        while not A.mask >> y & 1:
-            mask |= sum(map((1).__lshift__, map(table[y].__getitem__, A.members)))
-            y = table[y][g]
-        A = Subgroup(G, mask)
+        A = Subgroup(G, _closure(G, (g,), A))
         centralizing &= _commuting_mask(G, g)
-    A = Subgroup(G, A.mask, tuple(_beside(G, _few_generators(B), added)))
-    if len(A.gens) > 1:
-        A.gens = _few_generators(A)
-    return A
+    return _beside(G, A.mask, _few_generators(B), added)
 
 
-def _cyclic_masks(G: FiniteGroup) -> tuple[dict[int, int],
-                                           list[tuple[int, int, list[int]]]]:
-    """The mask of each cyclic subgroup -> its least generator; and
-    (order, mask, walk) for each, by descending order, then in seed order
-    (_cyclic_seeds). Built once per group."""
-    if "cyclic_masks" not in G._cache:
-        seeds, walks = cyclic_subgroups(G), _cyclic_seeds(G)[0]
-        G._cache["cyclic_masks"] = (
-            {C.mask: C.gens[0] for C in seeds},
-            sorted(((len(w), C.mask, w) for C, w in zip(seeds, walks)),
-                   key=itemgetter(0), reverse=True))
-    return G._cache["cyclic_masks"]
-
-
-def _beside(G: FiniteGroup, base: Iterable[int], gens: list[int]) -> list[int]:
-    """The generators of base that lie in no <g>, g in gens, then gens:
-    they generate what base and gens do, read off the cyclic subgroups."""
-    seeds, seed_of = cyclic_subgroups(G), _cyclic_seeds(G)[1]
-    inside = [seeds[seed_of[g]].mask for g in gens if g]  # <1> drops no d
-    return [d for d in base if not any(c >> d & 1 for c in inside)] + gens
+def _beside(G: FiniteGroup, mask: int, base: Iterable[int],
+            gens: Sequence[int] = ()) -> Subgroup:
+    """The subgroup of G with this mask, generated by base and gens, with
+    generators read off the cyclic subgroups and no closure: its least
+    generator when it is cyclic, else the elements of base that lie in no
+    <g>, g in gens, then gens."""
+    table = _cyclic_seeds(G)
+    if mask in table.least:
+        return Subgroup(G, mask, (table.least[mask],))
+    seeds, seed_of = cyclic_subgroups(G), table.seed_of
+    for g in gens:
+        if g:  # <1> drops no d
+            inside = seeds[seed_of[g]].mask
+            base = [d for d in base if not inside >> d & 1]
+    return Subgroup(G, mask, (*base, *gens))
 
 
 def _few_generators(S: Subgroup) -> tuple[int, ...]:
     """S's least generator when S is cyclic, else its generators (its
-    members but 1 when it has none), with no closure: a cyclic S is one
-    of the cyclic subgroups of _cyclic_seeds."""
-    least = _cyclic_masks(S.parent)[0].get(S.mask)
-    return (least,) if least is not None else S.gens or S.members[1:]
+    members but 1 when it has none): _beside with S's own."""
+    return _beside(S.parent, S.mask, S.gens or S.members[1:]).gens
 
 
 def is_nilpotent_group(G: FiniteGroup) -> bool:
@@ -1078,7 +1073,7 @@ def is_nilpotent_group(G: FiniteGroup) -> bool:
 def is_solvable_group(G: FiniteGroup) -> bool:
     cur = full_subgroup(G)
     while True:
-        nxt = commutator_subgroup(G, cur.gens, cur.gens)
+        nxt = derived_subgroup(cur)
         if nxt.mask == cur.mask:
             return cur.order == 1
         cur = nxt
@@ -1455,21 +1450,18 @@ def central_product(G1: FiniteGroup, G2: FiniteGroup, ident_exp: int = 1,
     m = Z1.order
     if m == 1:
         return direct_product(G1, G2, cap=cap)
-    z0 = min(g for g in Z1.members if G1.element_order(g) == m)
-    Z2 = center(G2)
-    targets = []
-    for w in sorted(Z2.members):
-        if G2.element_order(w) == m:
-            sub = subgroup_generated(G2, (w,))
-            if sub.mask not in [t.mask for t in targets]:
-                targets.append(sub)
+    z0 = _cyclic_seeds(G1).least[Z1.mask]  # Z1's least generator
+    z2 = center(G2).mask
+    # the walks of the central cyclic subgroups of order m of G2
+    targets = [walk for order, mask, walk, _ in _cyclic_seeds(G2).by_order
+               if order == m and mask & z2 == mask]
     if len(targets) != 1:
         raise InconsistentSpec(
             f"need exactly one central cyclic subgroup of order {m} in the "
             f"second factor, found {len(targets)}")
     if math.gcd(ident_exp, m) != 1:
         raise InconsistentSpec("identification exponent must be a unit")
-    w0 = min(g for g in targets[0].members if G2.element_order(g) == m)
+    w0 = targets[0][0]  # its least generator
     _check_cap(G1.order * G2.order // m, cap)
     w = G2.power(G2.inv(w0), ident_exp)
     N = [(G1.power(z0, k), G2.power(w, k)) for k in range(m)]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .abelian_sections import section_exponents, section_generator
 from .algebra import (AlgElem, carry, coeff_strings, hat, one_minus,
                       one_plus, square_zero_search, tilde)
 from .catalog import bj1_group, build_named, build_spec
@@ -55,7 +56,7 @@ from .groups import (
     subgroups,
 )
 from .numutil import ord_mod, padic_valuation, prime_factors
-from .shoda import e_idem, section_exponents, section_generator
+from .shoda import e_idem
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ gives a central element e(G, H, K); for metabelian G the pairs singled
 out by the maximal-abelian enumeration produce exactly the primitive
 central idempotents. That enumeration reads abelian sections of G, not
 its subgroup lattice: the B over a maximal abelian A >= G', and the
-kernels of the linear characters of each B/B'. Only a pair's label
-(ShodaPair.describe) names the generators the lattice gives H and K.
+kernels of the linear characters of each B/B' (abelian_sections, which
+also holds the one test of a cyclic H/K, section_generator, and the
+coset exponents). Only a pair's label (ShodaPair.describe) names the
+generators the lattice gives H and K.
 
 The strong Shoda check of a pair keeps what it proves in one record,
 memoized per pair: N = N_G(K), which it shows to be Cen_G(epsilon), x and
@@ -32,18 +34,17 @@ from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Callable, Iterable, Optional
 
-from .abelian_sections import cocyclic_subgroups, subgroups_over
+from .abelian_sections import (cocyclic_subgroups, section_exponents, section_generator,
+                               section_powers, subgroups_over)
 from .algebra import (AlgElem, _record_kernel, component_dimension,
                       product_at_classes, tilde)
-from .errors import NotMetabelian, NotNormalInH, SoundnessError
+from .errors import BNotAbelian, NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
     FiniteGroup,
     Subgroup,
     artin_count,
-    commutator_subgroup,
     conjugate_mask,
     cosets,
-    cyclic_subgroups_in,
     derived_subgroup,
     is_normal,
     is_normal_in,
@@ -149,42 +150,6 @@ def is_shoda_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> bool:
                    for c in (G.commutator(h, g) for h in H.members)):
             return False
     return True
-
-
-def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
-    """The first h in H whose coset hK generates H/K (K normal in H), or
-    None when H/K is not cyclic; 0 when H = K. Decided once per pair.
-
-    hK generates H/K iff <h>K = H, that is iff C = <h> has
-    |C| = [H : K] * |C meet K|: a test on the mask of a cyclic seed of H.
-    The generators of one C pass or fail together, so the first h that
-    passes is the least generator of the first seed of H that does."""
-    G = H.parent
-    require_subgroups(G, K)
-    key = ("section", H.mask, K.mask)
-    if key not in G._cache:
-        n, km = H.order // K.order, K.mask
-        G._cache[key] = 0 if n == 1 else next(
-            (C.gens[0] for C in cyclic_subgroups_in(H)
-             if C.mask.bit_count() == n * (C.mask & km).bit_count()), None)
-    return G._cache[key]
-
-
-def section_exponents(H: Subgroup, K: Subgroup) -> list[int]:
-    """For each element of G, j when it lies in x^j K, 0 <= j < [H : K],
-    where x = section_generator(H, K) generates the cyclic H/K, and -1,
-    which no element's exponent is, outside H. epsilon(H, K) and the
-    crossed-product data read it; a strong pair's record keeps it."""
-    G = H.parent
-    x = section_generator(H, K)
-    exps = [-1] * G.order
-    cur = 0
-    for j in range(H.order // K.order):
-        row = G.table[cur]
-        for z in K.members:
-            exps[row[z]] = j
-        cur = row[x]
-    return exps
 
 
 @dataclass(frozen=True)
@@ -347,10 +312,8 @@ def _maximal_abelian_pairs(G: FiniteGroup,
     K that contains the derived subgroup of a larger B is never built.
     Subgroups are compared by mask, and a K found for several B is one
     object."""
-    over_A = subgroups_over(A)  # A first, G last
-    derived = {B.mask: commutator_subgroup(G, B.gens, B.gens) for B in over_A[1:-1]}
-    derived[over_A[-1].mask] = derived_subgroup(G)
-    derived[A.mask] = Subgroup(G, 1)  # A is abelian
+    over_A = subgroups_over(A)
+    derived = {B.mask: derived_subgroup(B) for B in over_A}
     pairs: list[tuple[Subgroup, Subgroup]] = []
     known = {B.mask: B for B in over_A}
     for B in over_A:
@@ -404,6 +367,8 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
     if A is None:
         A = maximal_abelian_over(G, Gder)
         cache = True
+    elif not A.is_abelian():
+        raise BNotAbelian(f"{A!r} is not abelian")
     else:
         cache = False
     by_key: dict[tuple, ShodaPair] = {}
@@ -442,11 +407,8 @@ def metabelian_pcis(G: FiniteGroup, A: Optional[Subgroup] = None) -> list[ShodaP
         raise SoundnessError("PCIs must sum to 1")
     for sp in out:
         pair = strong_pair(G, sp.H, sp.K)
-        if sp.H.order == G.order:
-            powers = [0]  # x^j, the j-th coset's representative
-            for _ in range(1, G.order // sp.K.order):
-                powers.append(G.table[powers[-1]][pair.x])
-            _record_kernel(sp.e, sp.K, (pair.exponents, powers))
+        if sp.H.order == G.order:  # x^j represents the j-th coset
+            _record_kernel(sp.e, sp.K, (pair.exponents, section_powers(sp.H, sp.K)))
         else:
             _record_kernel(sp.e, _core(G, sp.K, pair.transversal))
         if not sp.e.is_central_idempotent():

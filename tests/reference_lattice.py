@@ -157,7 +157,7 @@ def coset_subgroups(G: FiniteGroup) -> list[Subgroup]:
     if "coset_subgroups" not in G._cache:
         table, conj = G.table, G.conj
         bits = [1 << x for x in range(G.order)]
-        seed_powers, seed_of = _cyclic_seeds(G)
+        seed_powers, seed_of = _cyclic_seeds(G)[:2]
         seed_at = seed_of.__getitem__
         seeds = cyclic_subgroups(G)
         units: dict[int, list[int]] = {}  # seed j -> the generators of C_j

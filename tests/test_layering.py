@@ -98,9 +98,9 @@ def test_only_algebra_names_the_square_zero_family():
     assert namers == {"algebra"}
 
 
-def _namers(module, name):
+def _scopes(module, hit):
     """The qualified names of the functions and classes in which a module's
-    source names `name`, outside its imports ("" for the module level)."""
+    source has a node that hit accepts ("" for the module level)."""
     found = set()
 
     def visit(node, scope):
@@ -108,13 +108,20 @@ def _namers(module, name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name):
+            if hit(child):
                 found.add(scope)
             visit(child, inner)
 
     visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "")
     return found
+
+
+def _namers(module, name):
+    """The scopes (_scopes) in which a module's source names `name`,
+    outside its imports."""
+    return _scopes(module, lambda node: (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_the_pci_layer_reads_no_lattice():
@@ -126,7 +133,36 @@ def test_the_pci_layer_reads_no_lattice():
     assert _namers("abelian_sections", "subgroups") == set()
     # the scan sees names inside functions
     assert "maximal_abelian_over" in _namers("groups", "_commuting_mask")
-    assert "subgroups_over" in _namers("abelian_sections", "derived_subgroup")
+    assert "cocyclic_subgroups" in _namers("abelian_sections", "derived_subgroup")
+
+
+def test_one_cyclic_section_test():
+    # whether H/K is cyclic is decided by section_generator alone, which
+    # the kernels of abelian sections ask too
+    assert "cocyclic_subgroups" in _namers("abelian_sections", "section_generator")
+    definers = {path.stem for path in PACKAGE.glob("*.py")
+                if _scopes(path.stem, lambda node: isinstance(node, ast.FunctionDef)
+                           and node.name == "section_generator")}
+    assert definers == {"abelian_sections"}
+
+
+def test_every_memo_lives_in_a_groups_cache():
+    # a module-level memo outlives the group it was built for, while a
+    # cold op (perfbench's ColdCacheGuard) empties only the group's _cache;
+    # cli's parser, built once per process, holds no group
+    def memo(node):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names = {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            names = {node.attr}
+        else:
+            return False
+        return bool(names & {"lru_cache", "cache"})
+
+    users = {(path.stem, scope) for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _scopes(path.stem, memo)}
+    assert users == {("cli", "_parser")}
 
 
 def _cache_keys(tree):
@@ -183,5 +219,6 @@ def test_each_memo_key_belongs_to_one_module():
     # the scan sees the keys it is meant to see
     assert {"normal", "subgroups", "cosets", "classes"} <= {
         key for key, mods in owners.items() if mods == {"groups"}}
-    assert {"strong", "section", "pcis"} <= {
+    assert {"strong", "pcis"} <= {
         key for key, mods in owners.items() if mods == {"shoda"}}
+    assert owners["section"] == {"abelian_sections"}

@@ -28,7 +28,7 @@ import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
 from qgring.components import count_matrix_components, describe_component
-from qgring.errors import GroupMismatch, NotMetabelian
+from qgring.errors import BNotAbelian, GroupMismatch, NotMetabelian, NotNormal
 from qgring.groups import (all_maximal_abelian_over, artin_count, derived_subgroup,
                            full_subgroup, is_normal, is_normal_in, maximal_abelian_over,
                            normalizer, quotient, subgroup_generated, subgroups)
@@ -267,6 +267,48 @@ def test_abelian_sections_match_the_lattice(source, workloads):
                 assert subgroup_generated(G, K.gens).mask == K.mask
 
 
+@pytest.mark.parametrize("spec", ["D(6)", "D(8)", "Q(8)", "SdCyc(3,8,2)"])
+def test_metabelian_pcis_refuses_a_non_abelian_A(spec, cold):
+    # the enumeration assumes A abelian; G itself made a pair of it fail
+    # the strong test, which raised SoundnessError
+    G = build_spec(spec)
+    with pytest.raises(BNotAbelian):
+        metabelian_pcis(G, full_subgroup(G))
+    assert len(metabelian_pcis(G)) == artin_count(G)
+
+
+@pytest.mark.parametrize("spec", ["D(6)", "Q(8)", "D(8)", "SdCyc(3,8,2)"])
+def test_section_preconditions_are_checked_exactly(spec, cold):
+    # cocyclic_subgroups(B, D) needs B' <= D <= B, section_generator(H, K)
+    # needs K <= H: on every pair of subgroups, each raises NotNormal iff
+    # its condition fails. D(6) over 1 gave 32 kernels, some not
+    # subgroups, and Q(8) over 1 gave the kernels of a cyclic group
+    G = build_spec(spec)
+    subs = subgroups(G)
+    refused = 0
+    for B in subs:
+        derived = qgring.groups.commutator_subgroup(G, B.gens, B.gens)
+        for D in subs:
+            if derived <= D <= B:
+                qgring.abelian_sections.cocyclic_subgroups(B, D)
+            else:
+                refused += 1
+                with pytest.raises(NotNormal):
+                    qgring.abelian_sections.cocyclic_subgroups(B, D)
+            if not D <= B:
+                with pytest.raises(NotNormal):
+                    section_generator(B, D)
+    assert refused
+    one = subgroup_generated(G, [])
+    if spec in ("D(6)", "Q(8)"):
+        with pytest.raises(NotNormal):
+            qgring.abelian_sections.cocyclic_subgroups(full_subgroup(G), one)
+    if spec == "D(6)":
+        a, b = (subgroup_generated(G, [G.element(x)]) for x in "ab")
+        with pytest.raises(NotNormal):
+            section_generator(a, b)  # returned 0, the answer for H = K
+
+
 def _groups(source, workloads):
     """The groups of the catalog, or those a workload's ops build."""
     if source == "catalog":
@@ -387,10 +429,12 @@ def test_family_sweep_work_counts(workloads, monkeypatch):
 @pytest.mark.parametrize("spec, decisions", [("EA(2,4)", 16), ("X(C(4),EA(2,3))", 24)])
 def test_the_pair_enumeration_tests_no_section(spec, decisions, cold, monkeypatch):
     # each (B, K) is a kernel of a character of B/B', so B/K is cyclic by
-    # construction: the enumeration asks section_generator nothing (99 and
-    # 166 calls when it tested every candidate, 48 and 107 with a filter by
-    # exp(H)); the strong test asks it twice per decided pair, for x and
-    # for the coset exponents
+    # construction: no candidate pair is tested (99 and 166 calls when
+    # every candidate was, 48 and 107 with a filter by exp(H)). The
+    # enumeration asks the B/B' question of section_generator in
+    # abelian_sections, which this patch of shoda's name does not see; the
+    # strong test asks shoda's name once per decided pair, for x (the coset
+    # exponents ask abelian_sections' own)
     G = build_spec(spec)
     made = []
     orig = qgring.shoda.section_generator
@@ -404,7 +448,7 @@ def test_the_pair_enumeration_tests_no_section(spec, decisions, cold, monkeypatc
         G, maximal_abelian_over(G, derived_subgroup(G)))
     assert pairs and made == []
     metabelian_pcis(G)
-    assert len(made) == 2 * decisions
+    assert len(made) == decisions
     assert sum(isinstance(key, tuple) and key[0] == "strong"
                for key in G._cache) == decisions
 
