@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import and_, itemgetter, mul, or_
+from operator import and_, itemgetter, mul
 from typing import Optional, Sequence
 
 from .errors import NotNormal
@@ -122,16 +122,9 @@ def subgroups_over(A: Subgroup) -> list[Subgroup]:
 
 
 def _coset_masks(listed: list[int], size: int) -> list[int]:
-    """The masks of the consecutive runs of size elements of listed: by
-    run when the runs are few, else by place in the run (listed[t::size]
-    holds the t-th element of every run)."""
-    if size > len(listed) // size:
-        return [sum(map((1).__lshift__, listed[v:v + size]))
-                for v in range(0, len(listed), size)]
-    masks = list(map((1).__lshift__, listed[::size]))
-    for t in range(1, size):
-        masks = list(map(or_, masks, map((1).__lshift__, listed[t::size])))
-    return masks
+    """The masks of the consecutive runs of size elements of listed."""
+    return [sum(map((1).__lshift__, listed[v:v + size]))
+            for v in range(0, len(listed), size)]
 
 
 def _cyclic_kernels(B: Subgroup, D: Subgroup, powers: list[int],

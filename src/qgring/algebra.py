@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
 from .groups import (FiniteGroup, Subgroup, _classes, _closure, _conjugation,
-                     _rational_points, cosets, stabilizer, subgroups)
+                     _rational_points, cosets, subgroup_from_mask, subgroups)
 
 
 class AlgElem:
@@ -220,7 +220,8 @@ class AlgElem:
             row = table[inverse[g]]
             return all(nums[table[row[x]][g]] == nums[x] for x in support)
 
-        return stabilizer(self.group, keeps)
+        return subgroup_from_mask(self.group, sum(map(
+            (1).__lshift__, filter(keeps, range(self.group.order)))))
 
 
 def coeff_strings(x: AlgElem) -> list[list[str]]:
@@ -317,7 +318,7 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     All of this holds for any subgroup N of ker e, with more cosets when N
     is smaller. N is the one recorded by _record_kernel (metabelian_pcis
     records core_G(K) for e(G, H, K)); only when none is, ker e is found
-    by stabilizer.
+    by testing each element and wrapping the mask (subgroup_from_mask).
     """
     G = e.group
     nums, table = e.nums, G.table
@@ -327,7 +328,8 @@ def _idempotent_at_classes(e: AlgElem) -> bool:
     facts = _facts_of(e)
     N = facts.get("kernel")
     if N is None:
-        N = stabilizer(G, _fixes(e))
+        N = subgroup_from_mask(G, sum(map(
+            (1).__lshift__, filter(_fixes(e), range(G.order)))))
     index, reps = facts.get("kernel_cosets") or cosets(N, left=True)
     terms = [(nums[s], table[G.inverse[s]]) for s in reps if nums[s]]
     checked = set()

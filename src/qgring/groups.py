@@ -103,7 +103,7 @@ class FiniteGroup:
         if checked[0] != ident or row(map(itemgetter(0), checked)) != ident:
             raise InconsistentSpec("index 0 is not a two-sided identity")
         self.table = checked if row is list else list(map(list, checked))
-        self._generators = stabilizer(self, lambda g: True).gens
+        self._generators = subgroup_from_mask(self, (1 << n) - 1).gens
         # Light's test: the row of x*g is x's row read at the entries of
         # g's row; on byte rows, g's row translated through x's row padded
         # to 256 bytes
@@ -409,34 +409,6 @@ def _closure(G: FiniteGroup, gens: Iterable[int],
     return mask
 
 
-def stabilizer(G: FiniteGroup, keeps: Callable[[int], bool]) -> Subgroup:
-    """The subgroup {g in G : keeps(g)}, for a test keeps that some
-    subgroup passes exactly.
-
-    Elements are tested in index order, skipping those already known to be
-    inside (the closure of the elements that passed) or outside: if g
-    failed, so does every c*g with c inside. The elements that passed are
-    the generators: each is the first element of the subgroup outside the
-    closure of those before it.
-    """
-    gens: list[int] = []
-    inside = Subgroup(G, 1)
-    members = inside.members
-    outside = 0
-    table = G.table
-    for g in range(G.order):
-        if (inside.mask | outside) >> g & 1:
-            continue
-        if keeps(g):
-            gens.append(g)
-            inside = Subgroup(G, _closure(G, (g,), inside))
-            members = inside.members
-        else:
-            for c in members:
-                outside |= 1 << table[c][g]
-    return Subgroup(G, inside.mask, tuple(gens))
-
-
 class Subgroup:
     """A subgroup of a FiniteGroup, stored as a bitmask over element indices."""
 
@@ -530,11 +502,12 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def subgroup_from_mask(G: FiniteGroup, mask: int) -> Subgroup:
-    """Wrap a mask known to be closed, with the generators of the scan
-    stabilizer(G, g -> g in mask): each the first member outside the
-    closure of those before it. Only the members are scanned, as no other
-    element can be one; the closure of the generators then holds every
-    member, so it is the mask iff the mask is closed."""
+    """Wrap a mask known to be closed, with its greedy generators: the
+    members in index order, each the first outside the closure of those
+    before it. This is the one scan that turns a membership test into a
+    subgroup: a caller states its test as a mask first. The closure of
+    the generators holds every member, so it is the mask iff the mask is
+    closed (InconsistentSpec if not)."""
     gens: list[int] = []
     inside = Subgroup(G, 1)
     for g in Subgroup(G, mask).members:
@@ -717,8 +690,7 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
       set, and the elements it returns name it.
     - Else every x = hch' of HcH names it, as c = h^-1 x h'^-1. HcH is built
       one left coset yH at a time. If a seed of it is in `join`, the join
-      is read off that seed. Else it is the product set again when H
-      normalizes <c>, and is closed (_closure with base H) when not.
+      is read off that seed; else it is closed (_closure with base H).
     <H, x> depends on <x> only, so x names its join through its seed. Each
     named join was reached before: a first-level join J(s, q) when its
     level ended, and any other when it was computed for H or, on the first
@@ -811,10 +783,6 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
                         hit = next(filter(join.__contains__, map(seed_at, names)), None)
                         if hit is not None:
                             mask = join[hit]
-                        elif normalizes(G, H.gens, seeds[k]):
-                            mask, more = _cyclic_join(table, bits, H, left_coset,
-                                                      seed_powers[k])
-                            names.update(more)
                         else:
                             mask = _closure(G, (c,), H)
                     if mask not in seen:
@@ -882,7 +850,7 @@ def normalizer_mask(G: FiniteGroup, H: Subgroup) -> int:
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """N_G(H), with the generators the stabilizer scan finds on its mask;
+    """N_G(H), with the generators subgroup_from_mask finds on its mask;
     G itself, with the scan's generators, when H is normal."""
     if is_normal(G, H):
         return full_subgroup(G)
@@ -890,9 +858,12 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
-    elems = list(elems)
-    t = G.table
-    return stabilizer(G, lambda g: all(t[g][x] == t[x][g] for x in elems))
+    """Cen_G(elems): the elements that commute with each of elems, the
+    AND of their commuting masks, with the scan's generators."""
+    mask = (1 << G.order) - 1
+    for x in elems:
+        mask &= _commuting_mask(G, x)
+    return subgroup_from_mask(G, mask)
 
 
 def center(G: FiniteGroup) -> Subgroup:

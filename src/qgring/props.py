@@ -39,6 +39,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _cyclic_seeds,
     center,
     centralizer,
     cyclic_subgroups,
@@ -51,7 +52,7 @@ from .groups import (
     normal_subgroups,
     normalizer_mask,
     normalizes,
-    stabilizer,
+    subgroup_from_mask,
     subgroup_generated,
     subgroups,
 )
@@ -275,7 +276,8 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
     if is_nilpotent_group(G):
         if is_hamiltonian(G):
             # G is nilpotent, so its elements of odd order form a subgroup
-            odd_sub = stabilizer(G, lambda g: G.element_order(g) % 2 == 1)
+            odd_sub = subgroup_from_mask(G, sum(
+                1 << g for g, m in enumerate(G.element_orders()) if m % 2))
             e_rank = padic_valuation(2, G.order) - 3
             params = {"e_rank": e_rank,
                       "odd_invariants": abelian_invariants(G, odd_sub)}
@@ -302,15 +304,15 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
     q_order = G.order // P.order
     if math.gcd(P.order, q_order) != 1:
         return SSNClass("NotSSN", {"reason": "no coprime complement"})
-    # an element of order |G:P| is outside P and meets it trivially, as
-    # the orders are coprime
-    y = next((g for g in range(1, G.order) if G.element_order(g) == q_order),
-             None)
-    if y is None:
+    # a cyclic subgroup of order |G:P| meets P trivially, as the orders are
+    # coprime: the first seed of that order, y its least generator (the
+    # least element of that order)
+    q_mask, y = next(((mask, walk[0]) for m, mask, walk, _
+                      in _cyclic_seeds(G).by_order if m == q_order), (None, None))
+    if q_mask is None:
         return SSNClass("NotSSN", {"reason": "complement is not cyclic"})
-    Qsub = subgroup_generated(G, (y,))
     # Q acts faithfully on P iff it meets the centralizer of P trivially
-    faithful = Qsub.mask & centralizer(G, P.gens).mask == 1
+    faithful = q_mask & centralizer(G, P.gens).mask == 1
     pfac = prime_factors(P.order)
     p = next(iter(pfac))
     if faithful:

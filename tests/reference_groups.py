@@ -5,10 +5,11 @@ These are the original `normalizer`, `centralizer`, `subgroup_from_mask`
 `commutator_subgroup`, `Subgroup.is_abelian` and the conjugacy-class loop.
 Each scan tests every element and then recovers generators greedily; the
 commutator subgroup is generated by all commutators of members; classes
-close each orbit under conjugation by every element. The library builds
-subgroups with one coset-skipping scan (`groups.stabilizer`) and
-commutator subgroups as normal closures of generator commutators; the
-tests in test_group_layer.py require identical results from both. Where
+close each orbit under conjugation by every element. The library states
+each membership test as a mask, wraps it with one greedy generator scan
+(`groups.subgroup_from_mask`) and builds commutator subgroups as normal
+closures of generator commutators; the tests in test_group_layer.py
+require identical results from both. Where
 the original read `G.generators()`, these read `reference_generators(G)`,
 so no library scan is involved.
 """

@@ -8,13 +8,14 @@ candidate tested for a cyclic H/K), `_strong_shoda` (which
 compares the centralizer of epsilon with N_G(K) before its orthogonality
 loop), `is_shoda_pair`, `e_idem` (a sum of conjugates over a transversal
 of that centralizer), the centrality test `_fixed_by_generators` (conjugation by
-each generator of G), `normalizer` (one stabilizer scan, also for a
-normal subgroup) and `AlgElem.conjugate` (one `G.conj` per element of
-the support). Nothing here reads or fills a group's memo. The library
-computes epsilon of a cyclic H/K in closed form from the coset exponents,
-proves Cen_G(epsilon) = N_G(K) for a strong pair from the orthogonality
-test, and decides centrality from class constancy; the tests in
-test_pair_layer.py require identical results from both.
+each generator of G) and `AlgElem.conjugate` (one `G.conj` per element
+of the support); `reference_normalizer`, which tests every element, also
+for a normal subgroup, is reference_groups.py's. Nothing here reads or
+fills a group's memo. The library computes epsilon of a cyclic H/K in
+closed form from the coset exponents, proves Cen_G(epsilon) = N_G(K) for
+a strong pair from the orthogonality test, and decides centrality from
+class constancy; the tests in test_pair_layer.py require identical
+results from both.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from qgring.groups import (
     commutator_subgroup,
     minimal_normal_subgroups_of_quotient,
     normalizes,
-    stabilizer,
 )
 from qgring.numutil import prime_factors
+from reference_groups import reference_normalizer
 
 
 def _is_normal_in(H: Subgroup, K: Subgroup) -> bool:
@@ -53,10 +54,6 @@ def reference_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
     if out is None:
         raise SoundnessError("H/K is nontrivial but has no minimal normal subgroup")
     return out
-
-
-def reference_normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    return stabilizer(G, lambda g: normalizes(G, (g,), H))
 
 
 def reference_conjugate(alpha: AlgElem, g: int) -> AlgElem:

@@ -41,6 +41,43 @@ ANALYZE_SHA256 = {
     # a p-group with ncn false, recorded before the SN/SSN/NCN flags left
     # the ND report
     "D8cpD8": "c5b021a1583a42d922f129b4622ac947152988e3f4254a1fc5ca98bf7d1b232a",
+    # the other catalog names, the other witness-search groups and seven
+    # direct products, recorded before the generator scans became one
+    "A4": "602929c1be4ce85cbccad168ca5da98944b07346cdc0d63d61d6ddac7fad90ee",
+    "BJ4": "bab33254db146596bae6bdbbfc5428f0e0b14444e4e73f12266c4b6aa71cef99",
+    "BJ5": "df60f148f6835abfe92a28827c0514074da0cf429ee319ee5a3c84e1efaeb75c",
+    "BJ8": "f79e60d0ea669169b44548b574ccec5306aca759059e8ed8485af2e12a393483",
+    "C11rC5": "df85439cbf2dc36b701337354c58e8d7b1eb666b810d9f5f066ee3a52992a5f4",
+    "C13rC9": "ef99f4de2ea340eba39105764a17434539ec05a8b58a82a921661dd5c7fa7c71",
+    "C2xD8": "25903c247f66dafada50d1b538ba90cc478a3f2c74d5f7de4384af03b6efe345",
+    "C3rC8": "f6651aecd6a7ec1a494f25f3df9406dfe6d34162b6598275090297dac3267e2d",
+    "C5rC4": "98754360af1468125cd313bc7e0b6b60612df05501442b73a2b3609eea11e752",
+    "C7rC9": "0414d1988031d0b2ba3c065a21ae97daa4d098ef359d97e926e3880b57c773e3",
+    "C9rC3": "df9c4236ccb629f71eee04772e53a2eaab625d3338baee1766ba067a31163be6",
+    "D10": "55e58a1a182a33e75b4b3599ac23cafad6288504d38d3b27ae92f8e83dbc2695",
+    "D12": "ef89d5c815f0f6a0aeb426b970652180f9911088e7083068072d6e55ed44402b",
+    "D14": "3effb1b928b034e6871b6360b9e337c8fde6d879465fdc402f6b9966600d1af0",
+    "D8": "a567408207384078b1a65f5b63d760076bdecb106aa4d33581e2f5639b0ebe49",
+    "D8cpQ8": "6dabba700fc37d4efd2c32f1162a0f57cb94cc62080bd54a08c104b54c50196a",
+    "Ex37G1": "181698df49c04194b79402f06fb2a059c78f959c708739ed0b8fe00bb5979f70",
+    "Ex38K": "348d2b7ef2ac50e426469314be3512aed7dc5031d557f9d14f511dbd476475c4",
+    "Heis27": "19e2ad541fff86ea2bd77f387031fa23f7a38e9636b0481d394aeae97c81ef6a",
+    "Q12": "5d4c7bfe47e152a9efeb3548f8f273dd2167c9302a743d727a7745ece77a18e3",
+    "Q16": "1b6f2a281fdc28452112770e497c12bd115e723b40530904eee1697b92c3e349",
+    "Q8": "5d7e93f87de484e644f2101e2638004de55c3696b8e88449e70fb330e146836b",
+    "Q8xC4": "8c23cb758b82b7ea9f708f9d69b8ac8b16f9a091daae254eab1742c954494561",
+    "S3": "83be8ddeb794859225cf4de607e1aef7e7fa10756b48a26db2f8ab2ad9c396a1",
+    "SdCyc(3,16,2)": "3ec02d98bb0e1bd25bfc2a5bc850fd324ec9b347f8ef14233b6c8e3cbc879bd3",
+    "SdCyc(5,16,2)": "c960fcea9a13ba2b9ec40da4022f5f2f64b84297b8ed819c3c019a76b8536a48",
+    "SdCyc(13,8,5)": "88b8acb9b87616c1c0a1d2f48adda33edab4421fc78b3f8a68ffaa38ec13deaf",
+    "X(SdCyc(3,8,2),C(2))": "65843a54b7888a6abc914dffe13731337d5be6e175b81a023f9c0538bfe72a19",
+    "X(C(2),D(8))": "b9780f72c458b7c0758c99bfeb0028f7819839b4a33575b69f70b5044f508ca8",
+    "X(D(8),C(2))": "f9063d8cbc06f0bff9b9b3c4c0035012f69279f83d66ebef951d44cdeae6bd52",
+    "X(D(8),D(8))": "3f08a3985afd5e4b54a546520d9e636c24d8bce392de0a9611f43e603efac193",
+    "X(Q(8),D(8))": "0a1624be207f01e7cf9f911bf262ba96cf2048b923119ba79a96976acc0ece4c",
+    "X(D(6),D(8))": "0f341f527a01d982e8388afae92446aa25fd62439495595d389505c3b6519d07",
+    "X(C(2),Q(16))": "42366be3011d5fe04cf24cfbc8e52432273d7960b351fd8484ffb7c7494fd264",
+    "X(D(8),C(6))": "10023a985b2b46c9c6afd8e67aac1a1fd6b7edf40406124ce3e984666c9eca40",
 }
 
 # sha256 of `qgring analyze <spec>` without its wall-clock timing line,

@@ -2,8 +2,9 @@
 implementations.
 
 The library builds every subgroup given by a membership test (normalizers,
-centralizers, subgroups from masks, the generators of G) with one
-coset-skipping scan, `groups.stabilizer`, tests normality with
+centralizers, subgroups from masks, the generators of G) by stating the
+test as a mask and wrapping it with one greedy generator scan,
+`groups.subgroup_from_mask`, tests normality with
 `groups.normalizes` on generators, forms [A, B] as the normal closure of
 the commutators of generators and reads the conjugacy classes off one
 build over the generators' conjugation permutations. reference_groups.py
@@ -34,7 +35,6 @@ from qgring.groups import (
     is_normal,
     is_solvable_group,
     normalizer,
-    stabilizer,
     subgroup_from_mask,
     subgroups,
 )
@@ -96,12 +96,12 @@ def test_commutator_subgroup_takes_members_or_generators():
         assert commutator_subgroup(G, H.gens, H.gens).mask == ref
 
 
-def test_stabilizer_returns_the_greedy_generators():
+def test_subgroup_from_mask_returns_the_greedy_generators():
     G = build_spec("D(200)")
     # the rotations are the elements 0..99 of D(200), generated by 1
-    rotations = stabilizer(G, lambda g: g < 100)
+    rotations = subgroup_from_mask(G, (1 << 100) - 1)
     assert _pair(rotations) == ((1 << 100) - 1, (1,))
-    assert stabilizer(G, lambda g: g == 0).gens == ()
+    assert subgroup_from_mask(G, 1).gens == ()
 
 
 def test_subgroup_from_mask_rejects_a_mask_that_is_not_closed():
@@ -143,8 +143,8 @@ def test_normality_tests_make_few_conjugations(workloads, monkeypatch):
     # the generators' permutations of the class build (3 683 G.conj calls
     # when it conjugated them), and normalizer_mask tests no coset of a
     # power of an element that passed, nor of a generator of <g> for a g
-    # that failed (720 calls when it tested every coset, 315 with the
-    # stabilizer scan)
+    # that failed (720 calls when it tested every coset, 315 with a
+    # coset-skipping scan of the normalizing elements)
     conj, calls = FiniteGroup.conj, Counter()
 
     def counting(G, x, g):

@@ -348,16 +348,16 @@ def test_from_table_coerces_entries_above_order_256(convert):
 
 
 def _scans(monkeypatch):
-    """The groups each groups.stabilizer call from here on scans, and the
-    original stabilizer."""
+    """The groups each groups.subgroup_from_mask call from here on scans,
+    and the original subgroup_from_mask."""
     scans = []
-    orig = qgring.groups.stabilizer
+    orig = qgring.groups.subgroup_from_mask
 
-    def counting(G, keeps):
+    def counting(G, mask):
         scans.append(G)
-        return orig(G, keeps)
+        return orig(G, mask)
 
-    monkeypatch.setattr(qgring.groups, "stabilizer", counting)
+    monkeypatch.setattr(qgring.groups, "subgroup_from_mask", counting)
     return scans, orig
 
 
@@ -370,7 +370,7 @@ def test_each_table_is_scanned_for_generators_once(monkeypatch):
         scans.clear()
         G = build()
         assert scans == [G]
-        assert G.generators() == orig(G, lambda g: True).gens
+        assert G.generators() == orig(G, (1 << G.order) - 1).gens
         assert scans == [G]
 
 

@@ -136,14 +136,27 @@ def test_the_pci_layer_reads_no_lattice():
     assert "cocyclic_subgroups" in _namers("abelian_sections", "derived_subgroup")
 
 
+def _definers(name):
+    """The modules that define a function called `name`."""
+    return {path.stem for path in PACKAGE.glob("*.py")
+            if _scopes(path.stem, lambda node: isinstance(node, ast.FunctionDef)
+                       and node.name == name)}
+
+
 def test_one_cyclic_section_test():
     # whether H/K is cyclic is decided by section_generator alone, which
     # the kernels of abelian sections ask too
     assert "cocyclic_subgroups" in _namers("abelian_sections", "section_generator")
-    definers = {path.stem for path in PACKAGE.glob("*.py")
-                if _scopes(path.stem, lambda node: isinstance(node, ast.FunctionDef)
-                           and node.name == "section_generator")}
-    assert definers == {"abelian_sections"}
+    assert _definers("section_generator") == {"abelian_sections"}
+
+
+def test_one_subgroup_scan():
+    # a membership test is stated as a mask and wrapped by
+    # subgroup_from_mask, with no second scan; a centralizer is the AND of
+    # the commuting masks that maximal_abelian_over reads
+    assert _definers("subgroup_from_mask") == {"groups"}
+    assert _definers("stabilizer") == set()
+    assert {"centralizer", "maximal_abelian_over"} <= _namers("groups", "_commuting_mask")
 
 
 def test_every_memo_lives_in_a_groups_cache():

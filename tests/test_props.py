@@ -7,6 +7,7 @@ from qgring.algebra import AlgElem, hat
 from qgring.catalog import bj2_group, build_named, build_spec
 from qgring.errors import NotPGroup, SoundnessError, UnknownWitness
 from qgring.groups import cyclic_extension, is_normal, quaternion, subgroup_generated
+from qgring.numutil import ord_mod, prime_factors
 from qgring.props import (
     _SUM_OF_SQUARES,
     Witness,
@@ -96,9 +97,28 @@ def test_classify_ssn_taxonomy():
     for spec, params in [
             ("MetaAmitsur(10,3)", {"p": 5, "q": 2, "k": 3, "k0": 2, "r0": 3}),
             ("MetaAmitsur(26,21)", {"p": 13, "q": 2, "k": 3, "k0": 2, "r0": 8}),
-            ("MetaAmitsur(21,4)", {"p": 7, "q": 3, "k": 2, "k0": 1, "r0": 4})]:
+            ("MetaAmitsur(21,4)", {"p": 7, "q": 3, "k": 2, "k0": 1, "r0": 4}),
+            *_nonfaithful_specs()]:
         cls = classify_ssn(build_spec(spec))
         assert (cls.tag, cls.params) == ("SolvableTypeII", params), spec
+
+
+def _nonfaithful_specs():
+    """The nonfaithful groups SdCyc(p, q^k, r0) of order <= 200 that the
+    family sweep builds, p >= 3 prime, q in (2, 3, 5), 1 <= k0 < k and r0
+    the least residue of order q^k0 mod p, each with its SSN parameters."""
+    out = []
+    for p in (p for p in range(3, 48) if prime_factors(p) == {p: 1}):
+        for q in (2, 3, 5):
+            for k in range(2, 7):
+                if p == q or p * q ** k > 200:
+                    continue
+                for k0 in range(1, k):
+                    if (p - 1) % q ** k0 == 0:
+                        r0 = next(r for r in range(2, p) if ord_mod(p, r) == q ** k0)
+                        out.append((f"SdCyc({p},{q ** k},{r0})",
+                                    {"p": p, "q": q, "k": k, "k0": k0, "r0": r0}))
+    return out
 
 
 # one group for each kind of family record classify_ssn names, and groups
