@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
 from .groups import (FiniteGroup, Subgroup, _classes, _closure, _conjugation,
-                     _rational_points, cosets, subgroup_from_mask, subgroups)
+                     _rational_points, cosets, cyclic_subgroups, subgroup_from_mask)
 
 
 class AlgElem:
@@ -56,9 +56,7 @@ class AlgElem:
 
     @staticmethod
     def one(G: FiniteGroup) -> "AlgElem":
-        nums = [0] * G.order
-        nums[0] = 1
-        return AlgElem(G, nums, 1, _normalized=True)
+        return AlgElem.basis(G, 0)
 
     @staticmethod
     def basis(G: FiniteGroup, g: int) -> "AlgElem":
@@ -193,17 +191,12 @@ class AlgElem:
     def is_nilpotent(self) -> bool:
         """True iff some power vanishes; uses repeated squaring up to the
         first power of two >= |G| (nilpotency index is at most dim Q[G])."""
-        n = self.group.order
-        x = self
-        if x.is_zero():
-            return True
-        e = 1
-        while e < n:
-            x = x * x
-            if x.is_zero():
-                return True
-            e *= 2
-        return x.is_zero()
+        x, e = self, 1
+        while not x.is_zero():
+            if e >= self.group.order:
+                return False
+            x, e = x * x, 2 * e
+        return True
 
     def centralizer_subgroup(self) -> Subgroup:
         """Cen_G(alpha) = {g : g*alpha = alpha*g}.
@@ -468,7 +461,7 @@ class SquareZeroFamily:
     For fixed e and side the u that pass are the stabilizer of F, a
     subgroup containing Y (y hat(Y) = hat(Y) = hat(Y) y, e is central):
     all shifts pass iff the generators of <Y, shifts> do, which is what
-    scan() decides first. square_zero_search walks the families of G.
+    scan() decides first. square_zero_search walks the cyclic families.
     """
 
     def __init__(self, Y: Subgroup, idempotents: list[AlgElem],
@@ -595,15 +588,22 @@ class SquareZeroFamily:
 def square_zero_search(G: FiniteGroup, idempotents: list[AlgElem],
                        budget: int, residues: bool,
                        ) -> tuple[Optional[tuple[AlgElem, AlgElem]], int]:
-    """Scan the family of each subgroup 1 < Y < G in lattice order, each
-    candidate times each central idempotent, for the first product that is
-    not integral (residues=True) or not zero (residues=False). Stops at
-    that test or once it has made `budget` tests, and returns ((alpha, e)
-    or None, tests made). Only the integrality search follows each family
-    with its pair tests (SquareZeroFamily.pair_tests): a pair stage that
-    would reach the budget ends the search there."""
+    """Scan the family of each cyclic subgroup 1 < C < G in (order, mask)
+    order, each candidate times each central idempotent, for the first
+    product that is not integral (residues=True) or not zero
+    (residues=False). Stops at that test or once it has made `budget`
+    tests, and returns ((alpha, e) or None, tests made). Only the
+    integrality search follows each family with its pair tests
+    (SquareZeroFamily.pair_tests): a pair stage that would reach the budget
+    ends the search there.
+
+    No family of another 1 < Y < G fails first. For C <= Y and central e,
+    hat(Y) e = hat(C) e S = S' hat(C) e, with S and S' integral sums of
+    coset representatives, so each test of Y's family is an integral
+    multiple of the same test on some <y> <= Y, no later in the order."""
     spent = 0
-    for Y in subgroups(G)[1:-1]:
+    for Y in sorted((C for C in cyclic_subgroups(G) if C.order < G.order),
+                    key=lambda C: (C.order, C.mask)):
         family = SquareZeroFamily(Y, idempotents, residues)
         found, spent = family.scan(spent, budget)
         if found is not None or spent >= budget:

@@ -386,10 +386,10 @@ def nilpotent_probe(G: FiniteGroup, e: AlgElem,
     """Search for a nonzero nilpotent element of Q[G]e; finding one proves
     the component contains a proper matrix part.
 
-    The candidates are the square-zero elements (1-y) g hat(Y) and
-    hat(Y) g (1-y) projected by e, scanned in a fixed order within budget
-    tests (algebra.square_zero_search). None when the scan finds no
-    nonzero projection: that proves nothing about the component."""
+    The candidates are the square-zero elements (1-y) g hat(C) and
+    hat(C) g (1-y) of the cyclic C < G, which stand for every subgroup,
+    projected by e within budget tests (algebra.square_zero_search). None
+    when none projects to nonzero: that proves nothing about the component."""
     if not e.is_central():
         raise NotCentralIdempotent("the nilpotent probe needs a central idempotent")
     found, _ = square_zero_search(G, [e], budget, residues=False)

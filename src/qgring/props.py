@@ -504,9 +504,9 @@ def nd_witness_search(G: FiniteGroup, pcis: list[AlgElem],
                       budget: int = DEFAULT_WITNESS_BUDGET,
                       ) -> tuple[Optional[tuple[AlgElem, AlgElem]], int]:
     """Search for (alpha, e): alpha an integral square-zero element of the
-    standard (1-y) g hat(Y) / hat(Y) g (1-y) families (and +/- combinations
-    of left elements sharing Y), e a central idempotent from pcis, with
-    alpha*e not integral.
+    standard (1-y) g hat(C) / hat(C) g (1-y) families of the cyclic C < G,
+    which stand for every subgroup (and +/- combinations of left elements
+    sharing C), e a central idempotent from pcis, with alpha*e not integral.
 
     The budget counts candidate (alpha, e) tests in a fixed order, the pair
     tests included, and the search stops once it has spent the budget; a

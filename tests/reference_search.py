@@ -1,16 +1,21 @@
 """Reference implementations of the square-zero candidate searches.
 
-These are the original `nd_witness_search` and `nilpotent_probe`, which
-multiply out every candidate. The library decides the same tests by coset
-invariance and counts the witness search's pair stage; the tests in
+The references walk the family of every subgroup 1 < Y < G of the whole
+lattice; the library walks only the cyclic subgroups, whose families
+decide the others (algebra.square_zero_search). The first two are the
+original `nd_witness_search` and `nilpotent_probe`, which multiply out
+every candidate. The library decides the same tests by coset invariance
+and counts the witness search's pair stage; the tests in
 test_square_zero_search.py require identical results from both.
+`reference_square_zero_search` is the library's own loop as it was over
+the lattice, the same families and pair-stage accounting.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from qgring.algebra import AlgElem, hat, one_minus
+from qgring.algebra import AlgElem, SquareZeroFamily, hat, one_minus
 from qgring.groups import FiniteGroup, subgroups
 
 
@@ -96,3 +101,19 @@ def reference_nilpotent_probe(G: FiniteGroup, e: AlgElem,
                     if spent >= budget:
                         return None
     return None
+
+
+def reference_square_zero_search(G: FiniteGroup, idempotents: list[AlgElem],
+                                 budget: int, residues: bool,
+                                 ) -> tuple[Optional[tuple[AlgElem, AlgElem]], int]:
+    spent = 0
+    for Y in subgroups(G)[1:-1]:
+        family = SquareZeroFamily(Y, idempotents, residues)
+        found, spent = family.scan(spent, budget)
+        if found is not None or spent >= budget:
+            return found, spent
+        if residues:
+            spent += family.pair_tests()
+            if spent >= budget:
+                return None, budget
+    return None, spent

@@ -131,6 +131,8 @@ def test_the_pci_layer_reads_no_lattice():
     assert _namers("shoda", "subgroups") == {"ShodaPair.describe"}
     assert "maximal_abelian_over" not in _namers("groups", "subgroups")
     assert _namers("abelian_sections", "subgroups") == set()
+    # the square-zero search walks the cyclic subgroups alone
+    assert _namers("algebra", "subgroups") == set()
     # the scan sees names inside functions
     assert "maximal_abelian_over" in _namers("groups", "_commuting_mask")
     assert "cocyclic_subgroups" in _namers("abelian_sections", "derived_subgroup")

@@ -32,6 +32,7 @@ from qgring.errors import BNotAbelian, GroupMismatch, NotMetabelian, NotNormal
 from qgring.groups import (all_maximal_abelian_over, artin_count, derived_subgroup,
                            full_subgroup, is_normal, is_normal_in, maximal_abelian_over,
                            normalizer, quotient, subgroup_generated, subgroups)
+from qgring.props import nd_verdict
 from qgring.shoda import (
     e_idem,
     epsilon,
@@ -467,16 +468,20 @@ def _refuse_the_lattice(monkeypatch):
             monkeypatch.setattr(module, "subgroups", refused)
 
 
-@pytest.mark.parametrize("source", ["catalog", "family-sweep"])
+@pytest.mark.parametrize("source", ["catalog", "family-sweep", "witness-search"])
 def test_component_count_builds_no_lattice(source, workloads, cold, monkeypatch):
     # the PCIs come from abelian sections: A, the B >= A and the kernels of
-    # the characters of each B/B'; only a pair's label reads the lattice
+    # the characters of each B/B'; only a pair's label reads the lattice.
+    # The witness search walks the cyclic subgroups alone, so nd_verdict
+    # builds no lattice either
     groups = _metabelian_groups(source, workloads)
     _refuse_the_lattice(monkeypatch)
     for G in groups:
         G._cache.clear()
         count, comps = count_matrix_components(G)
         assert len(comps) == artin_count(G)
+        G._cache.clear()
+        assert nd_verdict(G).matrix_count == count
     with pytest.raises(AssertionError, match="lattice"):
         comps[0][0].describe()  # the refusal is in force
 

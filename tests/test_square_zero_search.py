@@ -3,7 +3,10 @@
 `nd_witness_search` and `nilpotent_probe` decide each candidate by coset
 invariance and count the witness search's pair stage; the loops in
 reference_search.py multiply everything out. Both must return the same
-witness, element and spend at each budget tested.
+witness, element and spend at each budget tested. The library walks the
+families of the cyclic subgroups only, the references those of the whole
+lattice: the same witness and element everywhere, and the same spend but
+on three groups whose HasND certificate means they are never searched.
 """
 
 import os
@@ -22,10 +25,14 @@ from qgring.algebra import AlgElem, SquareZeroFamily, tilde
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import nilpotent_probe
 from qgring.errors import NotCentralIdempotent, NotMetabelian, SoundnessError
-from qgring.groups import derived_subgroup, subgroup_generated, subgroups
+from qgring.groups import cyclic_subgroups, derived_subgroup, subgroup_generated, subgroups
 from qgring.props import a5_shoda_idempotent, nd_verdict, nd_witness_search
 from qgring.shoda import metabelian_pcis
-from reference_search import reference_nd_witness_search, reference_nilpotent_probe
+from reference_search import (reference_nd_witness_search, reference_nilpotent_probe,
+                              reference_square_zero_search)
+from test_cli import ANALYZE_SHA256
+from test_pair_layer import _groups
+from test_workloads import workloads  # noqa: F401  (the fixture)
 
 # tests the reference loop makes before it finds a witness or runs out of
 # candidates
@@ -341,17 +348,24 @@ def test_family_decides_each_product(name):
                         assert zero.invariant(i, left, u) == prod.is_zero()
 
 
-def _candidate_count(G):
-    return sum(1 for Y in subgroups(G)[1:-1]
-               for _ in SquareZeroFamily(Y, [], residues=False).candidates())
+def _candidate_counts(G):
+    """The probe's candidates over the cyclic subgroups 1 < C < G, which
+    the library walks, and over the lattice's 1 < Y < G, which the
+    reference walks."""
+    def count(families):
+        return sum(1 for Y in families
+                   for _ in SquareZeroFamily(Y, [], residues=False).candidates())
+    return (count(C for C in cyclic_subgroups(G) if C.order < G.order),
+            count(subgroups(G)[1:-1]))
 
 
 @pytest.mark.parametrize("name", ["D12", "C3rC8"])
 def test_nilpotent_probe_matches_reference(name):
     G = build_named(name)
-    n = _candidate_count(G)
+    ends = _candidate_counts(G)
     for sp in metabelian_pcis(G):
-        for budget in sorted({1, 2, n - 1, n, n + 1, n + 20}):
+        for budget in sorted({1, 2, ends[1] + 20}.union(
+                *({n - 1, n, n + 1} for n in ends))):
             got = nilpotent_probe(G, sp.e, budget=budget)
             ref = reference_nilpotent_probe(G, sp.e, budget=budget)
             assert got == ref, (name, budget)
@@ -380,11 +394,64 @@ def test_nilpotent_probe_tests_no_element_for_nilpotency(monkeypatch):
     assert nilpotent_probe(Q8, quaternion, budget=2000) is None
     for name in ("D12", "C3rC8"):
         G = build_named(name)
-        n = _candidate_count(G)
+        n = _candidate_counts(G)[1]
         for sp in metabelian_pcis(G):
             if nilpotent_probe(G, sp.e, budget=n) is None:
                 for budget in (n + 1, n + 20, 2 * n):
                     assert nilpotent_probe(G, sp.e, budget=budget) is None
+
+
+def _search_groups(source, workloads):
+    """The non-abelian metabelian groups of the catalog, of a workload's
+    ops or of test_cli's analyze digests. An abelian group has only empty
+    families, and its lattice can take seconds."""
+    groups = ([build_spec(spec) for spec in sorted(ANALYZE_SHA256)]
+              if source == "analyze-digests" else _groups(source, workloads))
+    return [G for G in groups
+            if derived_subgroup(G).order > 1 and derived_subgroup(G).is_abelian()]
+
+
+# (group, budget) -> (library spent, lattice walk's spent) where the two
+# differ: each group has the HasND certificate, so nd_verdict never
+# searches it
+SPENT_APART = {
+    ("C3C3rC8", 10 ** 15): (10_950_840, 14_589_360),
+    ("D8cpD8", 10 ** 6): (75_888, 888_624),
+    ("SdVec(2,3,[[0,0,1],[1,0,0],[0,1,1]],7)", 10 ** 15): (2_083_536, 2_263_968),
+}
+
+
+@pytest.mark.parametrize("source", ["catalog", "analyze-large", "family-sweep",
+                                    "witness-search", "analyze-digests"])
+def test_cyclic_walk_matches_the_lattice_walk(source, workloads):
+    # a family of Y fails only if the family of some <y> <= Y fails first
+    # (algebra.square_zero_search), so both walks find the same witness
+    for G in _search_groups(source, workloads):
+        name = getattr(G, "spec", G.name)
+        pcis = [sp.e for sp in metabelian_pcis(G)]
+        for budget in (5 * 10 ** 4, 10 ** 6):
+            found, spent = nd_witness_search(G, pcis, budget=budget)
+            ref_found, ref_spent = reference_square_zero_search(
+                G, pcis, budget, residues=True)
+            assert _same(found, ref_found), (name, budget)
+            assert (spent, ref_spent) == SPENT_APART.get(
+                (name, budget), (ref_spent, ref_spent)), (name, budget)
+        for e in pcis:
+            ref = reference_square_zero_search(G, [e], 2000, residues=False)[0]
+            assert nilpotent_probe(G, e, budget=2000) == (
+                None if ref is None else ref[0] * e), name
+
+
+@pytest.mark.parametrize("spec, budget", sorted(SPENT_APART))
+def test_spent_differs_only_where_nd_verdict_never_searches(spec, budget):
+    G = build_spec(spec)
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    found, spent = nd_witness_search(G, pcis, budget=budget)
+    ref_found, ref_spent = reference_square_zero_search(G, pcis, budget, residues=True)
+    assert found is None and ref_found is None
+    assert (spent, ref_spent) == SPENT_APART[spec, budget]
+    report = nd_verdict(G, budget=budget)
+    assert (report.verdict, report.spent) == ("HasND", 0)
 
 
 def _bogus_search(G, pcis, budget=0):
