@@ -30,7 +30,6 @@ from .groups import (
     derived_subgroup,
     is_normal,
     maximal_abelian_over,
-    minimal_normal_subgroups_of_quotient,
     normalizer,
     quotient,
     subgroup_generated,
@@ -70,8 +69,8 @@ __all__ = [
     "component_dimension", "count_matrix_components", "describe_component",
     "nilpotent_probe", "predict_nilpotent", "predict_nonnilpotent",
     "FiniteGroup", "Subgroup", "center", "derived_subgroup", "is_normal",
-    "maximal_abelian_over", "minimal_normal_subgroups_of_quotient",
-    "normalizer", "quotient", "subgroup_generated", "subgroups",
+    "maximal_abelian_over", "normalizer", "quotient", "subgroup_generated",
+    "subgroups",
     "ord_mod", "padic_valuation",
     "NDReport", "SSNClass", "classify_ssn", "curated_witness", "is_ncn",
     "is_sn", "is_ssn", "nd_verdict", "nd_witness_search", "verify_witness",

@@ -39,7 +39,7 @@ class NotPrime(QGRingError):
 
 
 class NotNormalInH(QGRingError):
-    """epsilon(H, K) requires K normal in H."""
+    """epsilon(H, K) requires K normal in H with H/K cyclic."""
 
 
 class NotMetabelian(QGRingError):

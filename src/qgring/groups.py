@@ -930,28 +930,6 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
     return Q, proj
 
 
-def minimal_normal_subgroups_of_quotient(H, K: Subgroup) -> list[Subgroup]:
-    """Preimages of the minimal nontrivial normal subgroups of H/K.
-
-    H may be a FiniteGroup or a Subgroup containing K; K must be normal
-    in H. Results are the minimal M normal in H with K < M <= H, read off
-    the subgroup lattice of H's parent, sorted by (order, mask); building
-    that lattice raises OrderCapExceeded for a parent with more than
-    MAX_SUBGROUPS subgroups.
-    """
-    if isinstance(H, FiniteGroup):
-        H = full_subgroup(H)
-    if not (K <= H):
-        raise NotNormal("K is not contained in H")
-    if not is_normal_in(H, K):
-        raise NotNormal(f"{K!r} is not normal in {H!r}")
-    out: list[Subgroup] = []
-    for M in subgroups(H.parent):
-        if K < M <= H and not any(P <= M for P in out) and is_normal_in(H, M):
-            out.append(M)
-    return out
-
-
 def all_maximal_abelian_over(G: FiniteGroup, B: Subgroup) -> list[Subgroup]:
     if not B.is_abelian():
         raise BNotAbelian("seed subgroup is not abelian")

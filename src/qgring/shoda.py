@@ -1,10 +1,9 @@
 """Central idempotents of Q[G] from subgroup pairs.
 
-epsilon(H, K) is tilde(H) when H = K and otherwise the product of
-(tilde(K) - tilde(M)) over the minimal nontrivial normal subgroups M/K of
-H/K. For cyclic H/K = <xK> of order n these are the M_p = <x^(n/p)>K,
-and the product expands to sum over d | rad(n) of mu(d) tilde(<x^(n/d)>K),
-read off the coset exponents x^j K -> j with no lattice and no product.
+epsilon(H, K) takes K normal in H with H/K cyclic, the only sections a
+Shoda pair has. For H/K = <xK> of order n it is the sum over d | rad(n)
+of mu(d) tilde(<x^(n/d)>K), tilde(H) when H = K, read off the coset
+exponents x^j K -> j with no lattice and no product.
 Summing the G-conjugates of epsilon over a transversal of its centralizer
 gives a central element e(G, H, K); for metabelian G the pairs singled
 out by the maximal-abelian enumeration produce exactly the primitive
@@ -36,8 +35,7 @@ from typing import Callable, Iterable, Optional
 
 from .abelian_sections import (cocyclic_subgroups, section_exponents, section_generator,
                                section_powers, subgroups_over)
-from .algebra import (AlgElem, _record_kernel, component_dimension,
-                      product_at_classes, tilde)
+from .algebra import AlgElem, _record_kernel, component_dimension, product_at_classes
 from .errors import BNotAbelian, NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
     FiniteGroup,
@@ -49,7 +47,6 @@ from .groups import (
     is_normal,
     is_normal_in,
     maximal_abelian_over,
-    minimal_normal_subgroups_of_quotient,
     normalizer,
     require_subgroups,
     subgroup_from_mask,
@@ -59,20 +56,11 @@ from .numutil import prime_factors
 
 
 def epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
-    """The idempotent of Q[H] built from K normal in H: in closed form
-    when H/K is cyclic, else from the minimal normal subgroups of H/K."""
-    if not is_normal_in(H, K):
-        raise NotNormalInH("K must be normal in H")
-    if section_generator(H, K) is not None:
-        return _cyclic_epsilon(H, K, section_exponents(H, K))
-    out = None
-    tk = tilde(K)
-    for M in minimal_normal_subgroups_of_quotient(H, K):
-        factor = tk - tilde(M)
-        out = factor if out is None else out * factor
-    if out is None:
-        raise SoundnessError("H/K is nontrivial but has no minimal normal subgroup")
-    return out
+    """The idempotent of Q[H] built from K normal in H with H/K cyclic, in
+    closed form."""
+    if not is_normal_in(H, K) or section_generator(H, K) is None:
+        raise NotNormalInH("K must be normal in H with H/K cyclic")
+    return _cyclic_epsilon(H, K, section_exponents(H, K))
 
 
 def _cyclic_epsilon(H: Subgroup, K: Subgroup, exponents: list[int]) -> AlgElem:
@@ -112,7 +100,8 @@ def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
 def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
            check_transversal: bool = False) -> AlgElem:
     """e(G, H, K): sum of the G-conjugates of epsilon(H, K) over a right
-    transversal of its centralizer. Central in Q[G] by construction;
+    transversal of its centralizer, for K normal in H with H/K cyclic
+    (NotNormalInH otherwise). Central in Q[G] by construction;
     independent of the transversal (checked when requested).
 
     A strong pair's record holds epsilon and a transversal of N_G(K) =

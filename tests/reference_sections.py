@@ -3,11 +3,13 @@
 These are the original `section_quotient` (H/K built as a standalone,
 validated group from `Subgroup.induced` and `quotient`), the
 `minimal_normal_subgroups_of_quotient` that reads the normal subgroups of
-that group, `_quotient_cyclic` (one closure <h, K> per h), `_strong_shoda`
-with its maximal-abelian test (a centralizer in N_G(K)/K) and
-the crossed-product data of `describe_component` (read off N_G(K)/K and
-(N_G(K)/K)/(H/K)). The library computes every section from cosets inside
-G; the tests in test_sections.py require identical results from both.
+that group (the library has none: reference_shoda.py's epsilon, general
+in H/K, reads it), `_quotient_cyclic` (one closure <h, K> per h),
+`_strong_shoda` with its maximal-abelian test (a centralizer in N_G(K)/K)
+and the crossed-product data of `describe_component` (read off N_G(K)/K
+and (N_G(K)/K)/(H/K)). The library computes every section from cosets
+inside G; the tests in test_sections.py require identical results from
+both.
 """
 
 from __future__ import annotations

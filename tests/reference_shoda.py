@@ -1,8 +1,9 @@
 """Reference implementations of the Shoda-pair layer.
 
 These are the original `epsilon` (the product of tilde(K) - tilde(M) over
-the minimal normal subgroups M/K of H/K, read off G's subgroup lattice),
-`section_generator` (one element of H at a time), the maximal-abelian pair
+the minimal normal subgroups M/K of H/K, for any H/K, read off the
+standalone quotient of reference_sections.py), `section_generator` (one
+element of H at a time), the maximal-abelian pair
 enumeration of `metabelian_pcis` (over G's whole subgroup lattice, every
 candidate tested for a cyclic H/K), `_strong_shoda` (which
 compares the centralizer of epsilon with N_G(K) before its orthogonality
@@ -11,10 +12,11 @@ of that centralizer), the centrality test `_fixed_by_generators` (conjugation by
 each generator of G) and `AlgElem.conjugate` (one `G.conj` per element
 of the support); `reference_normalizer`, which tests every element, also
 for a normal subgroup, is reference_groups.py's. Nothing here reads or
-fills a group's memo. The library computes epsilon of a cyclic H/K in
-closed form from the coset exponents, proves Cen_G(epsilon) = N_G(K) for
-a strong pair from the orthogonality test, and decides centrality from
-class constancy; the tests in test_pair_layer.py require identical
+fills a group's memo but the quotients that reference_epsilon builds
+through reference_sections.py. The library computes epsilon of a cyclic
+H/K only, in closed form from the coset exponents, proves
+Cen_G(epsilon) = N_G(K) for a strong pair from the orthogonality test,
+and decides centrality from class constancy; the tests in test_pair_layer.py require identical
 results from both.
 """
 
@@ -28,7 +30,6 @@ from qgring.groups import (
     FiniteGroup,
     Subgroup,
     commutator_subgroup,
-    minimal_normal_subgroups_of_quotient,
     normalizes,
 )
 from qgring.numutil import prime_factors
@@ -41,14 +42,16 @@ def _is_normal_in(H: Subgroup, K: Subgroup) -> bool:
 
 
 def reference_epsilon(H: Subgroup, K: Subgroup) -> AlgElem:
-    """The idempotent of Q[H] built from K normal in H."""
+    """The idempotent of Q[H] built from K normal in H, for any H/K."""
+    from reference_sections import reference_minimal_normal_subgroups_of_quotient
+
     if not _is_normal_in(H, K):
         raise NotNormalInH("K must be normal in H")
     if H.mask == K.mask:
         return tilde(H)
     out = None
     tk = tilde(K)
-    for M in minimal_normal_subgroups_of_quotient(H, K):
+    for M in reference_minimal_normal_subgroups_of_quotient(H, K):
         factor = tk - tilde(M)
         out = factor if out is None else out * factor
     if out is None:

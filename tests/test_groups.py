@@ -38,7 +38,6 @@ from qgring.groups import (
     maximal_abelian_over,
     metacyclic,
     metacyclic_amitsur,
-    minimal_normal_subgroups_of_quotient,
     normalizer,
     order_q_matrix,
     quaternion,
@@ -682,21 +681,6 @@ def test_derived_of_quotient_is_image_of_derived():
             img = sorted({proj[g] for g in der.members})
             dq = derived_subgroup(Q)
             assert subgroup_generated(Q, tuple(img)).mask == dq.mask
-
-
-def test_minimal_normal_subgroups_of_quotient():
-    C4 = build_spec("C(4)")
-    one = subgroup_generated(C4, ())
-    mins = minimal_normal_subgroups_of_quotient(C4, one)
-    assert len(mins) == 1 and mins[0].order == 2
-    EA = build_spec("EA(2,2)")
-    assert len(minimal_normal_subgroups_of_quotient(
-        EA, subgroup_generated(EA, ()))) == 3
-    G = build_named("C3C3rC8")
-    H = derived_subgroup(G)
-    K = subgroup_generated(G, (G.element("a"),))
-    mins = minimal_normal_subgroups_of_quotient(H, K)
-    assert len(mins) == 1 and mins[0].mask == H.mask
 
 
 def test_maximal_abelian_over():

@@ -129,6 +129,10 @@ def test_the_pci_layer_reads_no_lattice():
     # groups.maximal_abelian_over); a pair's label alone names the
     # generators the lattice gives its subgroups
     assert _namers("shoda", "subgroups") == {"ShodaPair.describe"}
+    # epsilon has the one closed form of a cyclic H/K: no product over the
+    # minimal normal subgroups of H/K, which the lattice gave
+    assert _definers("minimal_normal_subgroups_of_quotient") == set()
+    assert "epsilon" not in _namers("shoda", "subgroups") | _namers("shoda", "tilde")
     assert "maximal_abelian_over" not in _namers("groups", "subgroups")
     assert _namers("abelian_sections", "subgroups") == set()
     # the square-zero search walks the cyclic subgroups alone

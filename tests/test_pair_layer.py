@@ -7,7 +7,8 @@ proves Cen_G(epsilon) = N_G(K), tests centrality by class constancy and
 returns G itself as the normalizer of a normal subgroup.
 reference_shoda.py holds the original lattice, centralizer and
 generator-conjugation code; both must give the same answers on every pair
-K normal in H. AlgElem.conjugate, one gather through a conjugation
+K normal in H, and epsilon and e_idem refuse a non-cyclic H/K, which no
+Shoda pair has. AlgElem.conjugate, one gather through a conjugation
 permutation, must equal the per-element loop it replaced. The pairs of
 metabelian_pcis, read off abelian sections with no lattice, must be those
 of the reference enumeration over the whole lattice.
@@ -28,7 +29,8 @@ import qgring.shoda
 from qgring.algebra import AlgElem
 from qgring.catalog import build_spec, catalog_names
 from qgring.components import count_matrix_components, describe_component
-from qgring.errors import BNotAbelian, GroupMismatch, NotMetabelian, NotNormal
+from qgring.errors import (BNotAbelian, GroupMismatch, NotMetabelian, NotNormal,
+                           NotNormalInH)
 from qgring.groups import (all_maximal_abelian_over, artin_count, derived_subgroup,
                            full_subgroup, is_normal, is_normal_in, maximal_abelian_over,
                            normalizer, quotient, subgroup_generated, subgroups)
@@ -90,12 +92,20 @@ def test_every_normal_pair_matches_reference(name, cold):
             x = section_generator(H, K)
             assert x == reference_section_generator(H, K)
             kinds["cyclic" if x is not None else "non-cyclic"] += 1
-            assert epsilon(H, K) == reference_epsilon(H, K)
             # decided before e_idem, as metabelian_pcis does
             strong = is_strong_shoda_pair(G, H, K)
             assert strong == reference_strong_shoda(G, H, K)
             plain = is_shoda_pair(G, H, K)
             assert plain == reference_is_shoda_pair(G, H, K)
+            if x is None:
+                # epsilon has one formula, that of a cyclic H/K
+                assert not plain
+                with pytest.raises(NotNormalInH):
+                    epsilon(H, K)
+                with pytest.raises(NotNormalInH):
+                    e_idem(G, H, K)
+                continue
+            assert epsilon(H, K) == reference_epsilon(H, K)
             kinds["plain"] += plain and not strong
             assert e_idem(G, H, K) == reference_e_idem(G, H, K)
             if strong:
@@ -235,9 +245,11 @@ def test_exponent_filter_keeps_every_pair_on_the_workloads(name, workloads, cold
         _check_pairs_match_reference(workloads._build(op.build), monkeypatch)
 
 
-# products whose G/A is not cyclic, or whose B/B' has several primes
+# products whose G/A is not cyclic, or whose B/B' has several primes; on
+# S3^3 (G/A = C2^3) subgroups_over needs the intersections of the B it
+# has found, without which a pair of the enumeration is not strong
 PRODUCTS = ["X(C(2),D(8))", "X(D(8),C(2))", "X(D(8),D(8))", "X(Q(8),D(8))",
-            "X(D(6),D(8))", "X(C(2),Q(16))", "X(D(8),C(6))"]
+            "X(D(6),D(8))", "X(C(2),Q(16))", "X(D(8),C(6))", "X(D(6),X(D(6),D(6)))"]
 
 
 @pytest.mark.parametrize("spec", PRODUCTS)
