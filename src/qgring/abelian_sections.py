@@ -9,12 +9,12 @@ This is Olivieri and del Rio's algorithm for metabelian groups (J.
 Symbolic Comput. 35 (2003)). Both work on cosets and bit masks, with no
 quotient group and no lattice of G.
 
-The module holds the one test of a cyclic section H/K,
-section_generator, which the pair layer (shoda), the component
-descriptors and the SSN classification ask too; the powers of its x and
-the coset exponents x^j K -> j are read off x's walk in the one table of
-cyclic subgroups (groups._cyclic_seeds). A kernel gets generators by the
-one closure-free rule (groups._beside).
+A cyclic section H/K is told by the one test groups.section_generator,
+which the kernels here, the pair layer (shoda), the component
+descriptors, the SSN classification and the lattice's generator rule
+ask; the powers of its x and the coset exponents x^j K -> j are read
+off x's walk in the one table of cyclic subgroups (groups._cyclic_seeds).
+A kernel gets generators by the one closure-free rule (groups._beside).
 """
 
 from __future__ import annotations
@@ -33,42 +33,10 @@ from .groups import (
     derived_subgroup,
     full_subgroup,
     require_subgroups,
+    section_generator,
     subgroup_from_mask,
 )
 from .numutil import prime_factors
-
-
-def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
-    """The first h in H whose coset hK generates H/K (K normal in H), or
-    None when H/K is not cyclic; 0 when H = K. Decided once per pair; a K
-    not inside H raises NotNormal. This is the one test of a cyclic
-    section.
-
-    hK generates H/K iff <h>K = H, that is iff C = <h> has
-    |C| = [H : K] * |C meet K|: a test on the mask of a cyclic seed of H.
-    The generators of one C pass or fail together, so the first h that
-    passes is the least generator of the first seed of H that does, and
-    seeds are numbered in the order of their least generators. Only seeds
-    of order at least [H : K] can pass, and the table lists them first."""
-    G = H.parent
-    if K.parent is not G:
-        require_subgroups(G, K)
-    key = ("section", H.mask, K.mask)
-    if key not in G._cache:
-        hm, km = H.mask, K.mask
-        if km & ~hm:
-            raise NotNormal(f"{K!r} is not contained in {H!r}")
-        n = H.order // K.order
-        x = 0 if n == 1 else None
-        seeds = _cyclic_seeds(G).by_order if n > 1 else []
-        for order, mask, walk, _ in seeds:
-            if order < n:
-                break
-            if (mask & hm == mask and order == n * (mask & km).bit_count()
-                    and (x is None or walk[0] < x)):
-                x = walk[0]
-        G._cache[key] = x
-    return G._cache[key]
 
 
 def section_powers(H: Subgroup, K: Subgroup) -> Optional[list[int]]:

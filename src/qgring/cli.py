@@ -22,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -41,6 +42,70 @@ from .props import (DEFAULT_WITNESS_BUDGET, classify_ssn, is_ncn, is_sn,
                     is_ssn, nd_verdict)
 
 SCHEMA = 1
+
+
+_quote = json.encoder.encode_basestring_ascii  # the C string encoder
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, byte for
+    byte, joined from the C string encoder's pieces: with indent set, json
+    falls back to its pure-Python encoder. indent is the newline and
+    indentation before obj's closing bracket. The exact types come first;
+    anything else is written by _other_text. Every command's --json output
+    is written by it."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is not dict and t is not list:
+        return _other_text(obj, indent)
+    if not obj:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    if t is list:
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
+            + indent + "]"
+    return "{" + inner + ("," + inner).join([
+        (_quote(k) if type(k) is str else _json_key(k)) + ": " + _json_text(v, inner)
+        for k, v in sorted(obj.items())]) + indent + "}"
+
+
+def _other_text(obj, indent: str) -> str:
+    """A value that is not exactly a str, int, list or dict, tested in
+    json's order: subclasses are written as their base."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        return _json_text(list(obj), indent)
+    if isinstance(obj, dict):
+        return _json_text(dict(obj), indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or a number, bool or None
+    written as a value and quoted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _json_text(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _idem_hash(e) -> str:
@@ -113,7 +178,7 @@ def _analyze(args) -> int:
         "prediction": pred,
     }
     if args.json:
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(_json_text(out))
     else:
         print(f"group {out['group']['spec']}  (order {G.order}, {G.name})")
         print(f"  properties: sn={flags['sn']} ssn={flags['ssn']} "
@@ -246,8 +311,7 @@ def cmd_sweep(args) -> int:
 
     rows.sort(key=lambda r: tuple(sorted(r["params"].items())))
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "family": args.family,
-                          "rows": rows}, indent=2, sort_keys=True))
+        print(_json_text({"schema": SCHEMA, "family": args.family, "rows": rows}))
     else:
         for row in rows:
             par = " ".join(f"{k}={v}" for k, v in row["params"].items())
@@ -274,12 +338,12 @@ def cmd_verify(args) -> int:
     rows = run_all(only=only, progress=progress)
     failed = [r for r in rows if not r.passed]
     if args.json:
-        print(json.dumps({"schema": SCHEMA,
+        print(_json_text({"schema": SCHEMA,
                           "rows": [{"category": r.category, "name": r.name,
                                     "passed": r.passed, "detail": r.detail}
                                    for r in rows],
                           "passed": len(rows) - len(failed),
-                          "failed": len(failed)}, indent=2, sort_keys=True))
+                          "failed": len(failed)}))
     else:
         print(f"--- {len(rows) - len(failed)}/{len(rows)} checks passed")
     return 1 if failed else 0
@@ -292,8 +356,7 @@ def cmd_catalog(args) -> int:
         entries.append({"name": name, "order": G.order,
                         "description": catalog_describe(name)})
     if args.json:
-        print(json.dumps({"schema": SCHEMA, "groups": entries}, indent=2,
-                         sort_keys=True))
+        print(_json_text({"schema": SCHEMA, "groups": entries}))
     else:
         for ent in entries:
             print(f"{ent['name']:<10} order={ent['order']:<4} {ent['description']}")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .abelian_sections import section_generator
 from .algebra import (AlgElem, carry, center_rank, component_dimension,
                       square_zero_search)
 from .catalog import build_named
@@ -34,7 +33,7 @@ from .errors import (
     UnknownFamily,
 )
 from .groups import (FiniteGroup, Subgroup, find_isomorphism,
-                     subgroup_generated)
+                     section_generator, subgroup_generated)
 from .numutil import (
     crt,
     element_of_order,
@@ -44,7 +43,8 @@ from .numutil import (
     padic_valuation,
     prime_factors,
 )
-from .shoda import ShodaPair, e_idem, epsilon, metabelian_pcis, strong_pair
+from .shoda import (ShodaPair, e_idem, epsilon, metabelian_pcis, strong_pair,
+                    sum_of_conjugates)
 
 COMMUTATIVE = "Commutative"
 MATRIX = "Matrix"
@@ -409,11 +409,12 @@ def a5_shoda_idempotent(G: FiniteGroup) -> tuple[Subgroup, Subgroup, AlgElem, Al
         b = G.element("(1,2)(3,4)")
         A4 = subgroup_generated(G, (G.element("(1,2,3)"), b))
         K = subgroup_generated(G, (b, G.element("(1,3)(2,4)")))
-        e = Fraction(1, 2) * e_idem(G, A4, K)
+        eps = epsilon(A4, K)
+        e = Fraction(1, 2) * sum_of_conjugates(eps)
         if not e.is_central_idempotent():
             raise SoundnessError(
                 "the A5 Shoda-pair element is not a central idempotent")
-        G._cache["a5_shoda"] = A4, K, epsilon(A4, K), e
+        G._cache["a5_shoda"] = A4, K, eps, e
     return G._cache["a5_shoda"]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_left
 from operator import add, eq, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -23,6 +24,7 @@ from .errors import (
     InconsistentSpec,
     NotNormal,
     OrderCapExceeded,
+    SoundnessError,
 )
 from .numutil import is_prime, ord_mod, prime_factors
 
@@ -573,6 +575,51 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
     return index, reps
 
 
+def section_generator(H: Subgroup, K: Subgroup) -> Optional[int]:
+    """The first h in H whose coset hK generates H/K (K normal in H), or
+    None when H/K is not cyclic; 0 when H = K. Decided once per pair; a K
+    not inside H raises NotNormal. This is the one test of a cyclic
+    section.
+
+    hK generates H/K iff <h>K = H, that is iff C = <h> has
+    |C| = [H : K] * |C meet K|: a test on the mask of a cyclic seed of H.
+    The generators of one C pass or fail together, so the first h that
+    passes is the least generator of the first seed of H that does, and
+    seeds are numbered in the order of their least generators. Only seeds
+    of order at least [H : K] can pass, and the table lists them first."""
+    G = H.parent
+    if K.parent is not G:
+        require_subgroups(G, K)
+    key = ("section", H.mask, K.mask)
+    if key not in G._cache:
+        hm, km = H.mask, K.mask
+        if km & ~hm:
+            raise NotNormal(f"{K!r} is not contained in {H!r}")
+        n = H.order // K.order
+        x = 0 if n == 1 else None
+        seeds = _cyclic_seeds(G).by_order if n > 1 else []
+        for order, mask, walk, _ in seeds:
+            if order < n:
+                break
+            if (mask & hm == mask and order == n * (mask & km).bit_count()
+                    and (x is None or walk[0] < x)):
+                x = walk[0]
+        G._cache[key] = x
+    return G._cache[key]
+
+
+def is_metacyclic(G: FiniteGroup) -> bool:
+    """G has a normal cyclic subgroup C with G/C cyclic: a cyclic seed
+    that is normal and passes section_generator. Decided once per group,
+    with no lattice."""
+    if "metacyclic" not in G._cache:
+        full = full_subgroup(G)
+        G._cache["metacyclic"] = G.order == 1 or any(
+            is_normal(G, C) and section_generator(full, C) is not None
+            for C in cyclic_subgroups(G))
+    return G._cache["metacyclic"]
+
+
 # ---------------------------------------------------------------------------
 # lattice operations
 
@@ -797,6 +844,132 @@ def subgroups(G: FiniteGroup) -> list[Subgroup]:
     return G._cache["subgroups"]
 
 
+def lattice_generators(G: FiniteGroup, S: Subgroup) -> tuple[int, ...]:
+    """The generators that subgroups(G) gives S, by the lattice's own rule
+    where it has a closed form, else read off the lattice. Decided once
+    per subgroup.
+
+    The rule: S's generators are the lexicographically least among the
+    shortest tuples of least generators of seeds (_cyclic_seeds) that
+    generate S. subgroups() finds the subgroups that need d seeds on level
+    d - 1, each as a join <H, c> with H from the level before, H in the
+    order found and c in seed order, and keeps H.gens + (c,) of the first
+    join that reaches it. By induction a level finds its subgroups in the
+    order of the tuples it keeps, and each kept tuple is the least: for
+    the least tuple (a_1, ..., a_d) of S, T = <a_1, ..., a_(d-1)> needs
+    d - 1 seeds (else S would need fewer than d) and its least tuple is
+    (a_1, ..., a_(d-1)) (a lesser one would give S a lesser tuple), so the
+    join of T and a_d reaches S, and any join before it would give S a
+    lesser tuple.
+
+    The tuple has a closed form when
+    - S = 1, with (), or S = <g> is cyclic, with (g,), g least;
+    - S is nilpotent, by Burnside's basis theorem (_basis_generators);
+    - G is metacyclic: every subgroup then is 2-generated, and the tuple
+      is the first pair that generates S (_pair_generators).
+    Otherwise, and whenever the lattice is already built, the lattice is
+    read."""
+    require_subgroups(G, S)
+    key = ("lattice_gens", S.mask)
+    if key not in G._cache:
+        least = _cyclic_seeds(G).least
+        if S.mask == 1 or S.mask in least:
+            gens = (least[S.mask],) if S.mask > 1 else ()
+        elif "subgroups" in G._cache:
+            gens = _lattice_entry(G, S).gens
+        else:
+            seeds = [(mask, g) for mask, g in least.items() if mask & S.mask == mask]
+            gens = _basis_generators(G, S, seeds)
+            if gens is None:
+                gens = (_pair_generators(G, S, seeds) if is_metacyclic(G)
+                        else _lattice_entry(G, S).gens)
+        G._cache[key] = gens
+    return G._cache[key]
+
+
+def _lattice_entry(G: FiniteGroup, S: Subgroup) -> Subgroup:
+    """The subgroup of subgroups(G), sorted by (order, mask), with S's mask."""
+    subs = subgroups(G)
+    return subs[bisect_left(subs, (S.order, S.mask), key=lambda T: (T.order, T.mask))]
+
+
+def _basis_generators(G: FiniteGroup, S: Subgroup,
+                      seeds: list[tuple[int, int]]) -> Optional[tuple[int, ...]]:
+    """The least shortest tuple of lattice_generators for a nilpotent S,
+    from its seeds (mask, least generator) in seed order; None when S is
+    not nilpotent.
+
+    S is nilpotent iff each Sylow subgroup S_p is normal, that is iff the
+    elements of S of p-power order, the union of its seeds of p-power
+    order, number |S|_p. Then S is the direct product of the S_p, so g_1,
+    ..., g_k generate S iff, for each p, their p-parts generate S_p, that
+    is (Burnside's basis theorem) span S_p/Phi(S_p), a space over F_p of
+    some dimension d_p; and d = max d_p. A seed's p-part is a power of its
+    generator that generates the Sylow p-subgroup of the seed. An entry
+    can be any seed whose p-parts reach, at each p, the dimensions still
+    missing: S holds an element with any given p-parts. So the least
+    tuple is greedy: each entry is the least seed after the one before
+    that leaves, at each p, no more dimensions missing than entries left.
+    Phi(S_p) is the normal closure in S_p of the x^p and [x, y], for x and
+    y among the p-parts of generators of S."""
+    table = _cyclic_seeds(G)
+    walks, seed_of = table.walks, table.seed_of
+    primes = prime_factors(S.order)
+    sylow = dict.fromkeys(primes, 1)
+    parts = []  # per seed, p -> its p-part, 1 (index 0) when p does not divide
+    for mask, g in seeds:
+        walk = walks[seed_of[g]]
+        m, at = len(walk), prime_factors(len(walk))
+        parts.append({p: walk[m // p ** at[p] - 1] if p in at else 0 for p in primes})
+        if len(at) == 1:
+            sylow[next(iter(at))] |= mask
+    if any(sylow[p].bit_count() != p ** e for p, e in primes.items()):
+        return None
+    gens = S.gens or subgroup_from_mask(G, S.mask).gens
+    span, missing = {}, {}
+    for p in primes:
+        xs = [G.power(x, m // p ** prime_factors(m).get(p, 0))
+              for x, m in zip(gens, map(G.element_order, gens))]
+        span[p] = normal_closure(G, [G.power(x, p) for x in xs] + [
+            G.commutator(x, y) for i, x in enumerate(xs) for y in xs[:i]], xs)
+        missing[p] = prime_factors(sylow[p].bit_count() // span[p].order).get(p, 0)
+    out: list[int] = []
+    start = 0
+    for left in range(max(missing.values()) - 1, -1, -1):  # entries left after this
+        for i in range(start, len(seeds)):
+            gains = {p: x for p, x in parts[i].items() if not span[p].mask >> x & 1}
+            if all(missing[p] - (p in gains) <= left for p in primes):
+                break
+        else:
+            raise SoundnessError(f"no basis entry for {S!r}")
+        out.append(seeds[i][1])
+        start = i + 1
+        for p, x in gains.items():
+            span[p] = Subgroup(G, _closure(G, (x,), span[p]))
+            missing[p] -= 1
+    return tuple(out)
+
+
+def _pair_generators(G: FiniteGroup, S: Subgroup,
+                     seeds: list[tuple[int, int]]) -> tuple[int, int]:
+    """The first pair (a, b), a < b, of least generators of S's seeds
+    (mask, least generator), in seed order, with <a, b> = S, for S not
+    cyclic in a metacyclic G. When b normalizes <a> or a normalizes <b>,
+    <a, b> is the product set <a><b>, whose order the masks give; any
+    other pair is closed."""
+    conj = G.conj
+    for i, (amask, a) in enumerate(seeds):
+        A = Subgroup(G, amask)
+        for bmask, b in seeds[i + 1:]:
+            if amask >> conj(a, b) & 1 or bmask >> conj(b, a) & 1:
+                if (amask.bit_count() * bmask.bit_count()
+                        == S.order * (amask & bmask).bit_count()):
+                    return a, b
+            elif _closure(G, (b,), A) == S.mask:
+                return a, b
+    raise SoundnessError(f"{S!r} of the metacyclic {G.name} is not 2-generated")
+
+
 def normalizes(G: FiniteGroup, by: Iterable[int], S: Subgroup) -> bool:
     """Conjugation by each element of by maps S into itself."""
     sgens = S.gens or S.members
@@ -872,6 +1045,22 @@ def center(G: FiniteGroup) -> Subgroup:
     return G._cache["center"]
 
 
+def normal_closure(G: FiniteGroup, gens: Iterable[int],
+                   by: Iterable[int]) -> Subgroup:
+    """The normal closure of <gens> in <by u gens>: generated by gens and
+    the conjugates s^x, x in by, added while some generator s has one
+    outside, each closed over the subgroup so far."""
+    gens, by = list(gens), list(dict.fromkeys(by))
+    S = Subgroup(G, _closure(G, gens))
+    for s in gens:  # gens grows while it is scanned
+        for x in by:
+            y = G.conj(s, x)
+            if not S.mask >> y & 1:
+                gens.append(y)
+                S = Subgroup(G, _closure(G, (y,), S))
+    return Subgroup(G, S.mask, tuple(gens))
+
+
 def commutator_subgroup(G: FiniteGroup, A: Iterable[int],
                         B: Iterable[int]) -> Subgroup:
     """[<A>, <B>], the normal closure in <A u B> of the commutators [a, b]
@@ -880,16 +1069,7 @@ def commutator_subgroup(G: FiniteGroup, A: Iterable[int],
     A, B = list(A), list(B)
     comms = {G.commutator(a, b) for a in A for b in B}
     comms.discard(0)
-    gens = sorted(comms)
-    S = Subgroup(G, _closure(G, gens))
-    by = list(dict.fromkeys(A + B))
-    for s in gens:  # gens grows while it is scanned
-        for x in by:
-            y = G.conj(s, x)
-            if not S.mask >> y & 1:
-                gens.append(y)
-                S = Subgroup(G, _closure(G, (y,), S))
-    return Subgroup(G, S.mask, tuple(gens))
+    return normal_closure(G, sorted(comms), A + B)
 
 
 def derived_subgroup(S: FiniteGroup | Subgroup) -> Subgroup:

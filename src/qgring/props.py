@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .abelian_sections import section_exponents, section_generator
+from .abelian_sections import section_exponents
 from .algebra import (AlgElem, carry, coeff_strings, hat, one_minus,
                       one_plus, square_zero_search, tilde)
 from .catalog import bj1_group, build_named, build_spec
@@ -40,18 +40,21 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cyclic_seeds,
+    _seed_classes,
     center,
     centralizer,
     cyclic_subgroups,
     derived_subgroup,
     find_isomorphism,
-    full_subgroup,
+    is_metacyclic,
     is_nilpotent_group,
     is_normal,
     is_solvable_group,
+    normal_closure,
     normal_subgroups,
     normalizer_mask,
     normalizes,
+    section_generator,
     subgroup_from_mask,
     subgroup_generated,
     subgroups,
@@ -65,19 +68,18 @@ from .shoda import e_idem
 
 
 def _sn_scan(G: FiniteGroup, pairs) -> bool:
-    """True iff YN is normal in M for every (N, M) in pairs, N != 1 normal
-    in M, and every subgroup Y <= M with N not contained in Y.
+    """True iff YN is normal in M for every (N, M) in pairs, M < G, N != 1
+    normal in M, and every subgroup Y <= M with N not contained in Y.
 
     No closure is made. YN is the least subgroup containing Y u N, and
     subgroups(G) is sorted by (order, mask), so YN is the first subgroup
     there, from order |Y u N| on, whose mask contains Y u N. Normality in
     G is decided once per subgroup, by normal_subgroups(G). A subgroup
     normal in G is normal in every M that contains it, so no Y normal in G
-    is joined with N and no YN normal in G is tested; for M = G that
-    leaves no test at all. For M < G, as N is normal in M, YN is normal in
-    M when Y is, so only the Y not normal in M are joined with N; normality
-    in M is decided once per M for each Y and once per (M, YN) for each
-    join: many N share one M.
+    is joined with N and no YN normal in G is tested. As N is normal in M,
+    YN is normal in M when Y is, so only the Y not normal in M are joined
+    with N; normality in M is decided once per M for each Y and once per
+    (M, YN) for each join: many N share one M.
     """
     subs = subgroups(G)
     orders = [S.order for S in subs]
@@ -85,11 +87,10 @@ def _sn_scan(G: FiniteGroup, pairs) -> bool:
     joins: dict[int, Subgroup] = {}
     scans: dict[int, tuple[list[Subgroup], dict[int, bool]]] = {}
     for N, M in pairs:
-        whole = M.mask == subs[-1].mask
         if M.mask not in scans:
             scans[M.mask] = ([Y for Y in subs if Y.mask not in normal
                               and Y.mask | M.mask == M.mask
-                              and (whole or not normalizes(G, M.gens, Y))], {})
+                              and not normalizes(G, M.gens, Y)], {})
         suspects, in_M = scans[M.mask]
         for Y in suspects:
             key = Y.mask | N.mask
@@ -104,18 +105,47 @@ def _sn_scan(G: FiniteGroup, pairs) -> bool:
             if YN.mask in normal:
                 continue
             if YN.mask not in in_M:
-                in_M[YN.mask] = not whole and normalizes(G, M.gens, YN)
+                in_M[YN.mask] = normalizes(G, M.gens, YN)
             if not in_M[YN.mask]:
                 return False
     return True
 
 
 def is_sn(G: FiniteGroup) -> bool:
-    """Exhaustive check: N normal, Y any subgroup => N <= Y or YN normal."""
+    """N normal, Y any subgroup => N <= Y or YN normal; decided with no
+    lattice, by these reductions.
+
+    - Y cyclic suffices. If N is not in Y, it is in no <y>, y in Y, so
+      each <y>N is normal, and so is YN, the join of these.
+    - N the normal closure N_g of one cyclic <g> per conjugacy class of
+      seeds suffices. A normal N is the join of the N_g, g in N, so for
+      N not in <y>, <y>N is the join of the <y>N_g with N_g not in <y>,
+      at least one of them, each normal when the N_g pass.
+    - <y> may run over one seed per conjugacy class too, as N is normal:
+      (<y>N)^t = <y^t>N, and N <= <y> iff N <= <y^t>. A normal <y> passes.
+    - <y>N is the union of the cosets y^j N, and (<y>N)^t = <y^t>N, so it
+      is normal iff, for each generator t of G, some y^-j y^t lies in N.
+    A normal seed is its own normal closure, and when every seed is
+    normal, G is Dedekind and no N is needed.
+    """
     if "sn" not in G._cache:
-        full = full_subgroup(G)
-        G._cache["sn"] = _sn_scan(
-            G, ((N, full) for N in normal_subgroups(G) if N.order > 1))
+        walks = _cyclic_seeds(G).walks
+        seeds, rep = cyclic_subgroups(G), _seed_classes(G)[0]
+        firsts = [k for k in range(len(seeds)) if rep[k] == k]
+        suspects = {k for k in firsts if not is_normal(G, seeds[k])}
+        gens, table, inverse = G.generators(), G.table, G.inverse
+        closures = {normal_closure(G, seeds[k].gens, gens).mask if k in suspects
+                    else seeds[k].mask for k in firsts} if suspects else set()
+        closures.discard((1 << G.order) - 1)  # <y>G = G is normal
+
+        def passes(N: int, k: int) -> bool:
+            """N <= <y>, or some y^-j y^t lies in N for each t, y = walks[k][0]."""
+            walk = walks[k]
+            return N & seeds[k].mask == N or all(
+                any(N >> table[inverse[x]][yt] & 1 for x in walk)
+                for yt in [G.conj(walk[0], t) for t in gens])
+
+        G._cache["sn"] = all(passes(N, k) for N in closures for k in suspects)
     return G._cache["sn"]
 
 
@@ -129,21 +159,26 @@ def is_ssn(G: FiniteGroup) -> bool:
     in N_G(N) it is normal in each of them; and H = N_G(N) is one of
     them. So G is SSN iff YN is normal in N_G(N) for every N != 1 and
     every Y <= N_G(N) with N not contained in Y: the SN scan with N_G(N)
-    in place of G. For N normal in G, N_G(N) = G and that is the SN scan
+    in place of G. For N normal in G, N_G(N) = G and that is the SN test
     of G itself, so G is SSN iff it is SN and the scan passes over the N
-    not normal in G. When every subgroup is normal, both scans are empty.
+    not normal in G. So a G that is not SN is decided with no lattice,
+    and so is a G whose cyclic subgroups are all normal: each subgroup,
+    the join of its cyclic ones, is normal, so no N is left to scan and
+    SSN is SN.
 
     N_G(N) is read off the lattice too, so the scan makes no closure: it
     is a union of right cosets Ng (ng normalizes N iff g does), so one
     test per coset gives its mask.
     """
     if "ssn" not in G._cache:
-        subs = subgroups(G)
-        by_mask = {S.mask: S for S in subs}
-        normal = {S.mask for S in normal_subgroups(G)}
-        G._cache["ssn"] = is_sn(G) and _sn_scan(
-            G, ((N, by_mask[normalizer_mask(G, N)]) for N in subs
-                if N.mask not in normal))
+        if not is_sn(G) or all(is_normal(G, C) for C in cyclic_subgroups(G)):
+            G._cache["ssn"] = is_sn(G)
+        else:
+            by_mask = {S.mask: S for S in subgroups(G)}
+            normal = {S.mask for S in normal_subgroups(G)}
+            G._cache["ssn"] = _sn_scan(
+                G, ((N, by_mask[normalizer_mask(G, N)]) for N in by_mask.values()
+                    if N.mask not in normal))
     return G._cache["ssn"]
 
 
@@ -244,10 +279,7 @@ def _ncn_family(G: FiniteGroup, p: int) -> tuple[Optional[str], Optional[dict]]:
     minimal_nonabelian = all(H.is_abelian() for H in subgroups(G)
                              if H.order < n)
     if minimal_nonabelian:
-        # metacyclic: some cyclic normal subgroup with cyclic quotient
-        full = full_subgroup(G)
-        if any(N.is_cyclic() and section_generator(full, N) is not None
-               for N in normal_subgroups(G)):
+        if is_metacyclic(G):
             total = _int_log(p, n)
             for m in range(2, total):
                 if find_isomorphism(bj1_group(p, m, total - m, cap=n), G) is not None:

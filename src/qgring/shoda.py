@@ -10,9 +10,10 @@ out by the maximal-abelian enumeration produce exactly the primitive
 central idempotents. That enumeration reads abelian sections of G, not
 its subgroup lattice: the B over a maximal abelian A >= G', and the
 kernels of the linear characters of each B/B' (abelian_sections, which
-also holds the one test of a cyclic H/K, section_generator, and the
-coset exponents). Only a pair's label (ShodaPair.describe) names the
-generators the lattice gives H and K.
+also holds the coset exponents; the one test of a cyclic H/K,
+section_generator, is in groups). Only a pair's label
+(ShodaPair.describe) names the generators the lattice gives H and K, by
+the lattice's own rule (groups.lattice_generators).
 
 The strong Shoda check of a pair keeps what it proves in one record,
 memoized per pair: N = N_G(K), which it shows to be Cen_G(epsilon), x and
@@ -27,14 +28,13 @@ of K in H (is_normal_in), N_G(K) (normalizer) and the conjugates K^t
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Callable, Iterable, Optional
 
-from .abelian_sections import (cocyclic_subgroups, section_exponents, section_generator,
-                               section_powers, subgroups_over)
+from .abelian_sections import (cocyclic_subgroups, section_exponents, section_powers,
+                               subgroups_over)
 from .algebra import AlgElem, _record_kernel, component_dimension, product_at_classes
 from .errors import BNotAbelian, NotMetabelian, NotNormalInH, SoundnessError
 from .groups import (
@@ -46,11 +46,12 @@ from .groups import (
     derived_subgroup,
     is_normal,
     is_normal_in,
+    lattice_generators,
     maximal_abelian_over,
     normalizer,
     require_subgroups,
+    section_generator,
     subgroup_from_mask,
-    subgroups,
 )
 from .numutil import prime_factors
 
@@ -101,19 +102,26 @@ def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
            check_transversal: bool = False) -> AlgElem:
     """e(G, H, K): sum of the G-conjugates of epsilon(H, K) over a right
     transversal of its centralizer, for K normal in H with H/K cyclic
-    (NotNormalInH otherwise). Central in Q[G] by construction;
-    independent of the transversal (checked when requested).
-
-    A strong pair's record holds epsilon and a transversal of N_G(K) =
-    Cen_G(epsilon); for any other pair, and to check the transversal,
-    the centralizer is found by a scan of G."""
+    (NotNormalInH otherwise), by sum_of_conjugates. A strong pair's
+    record holds epsilon and a transversal of N_G(K) = Cen_G(epsilon);
+    for any other pair, and to check the transversal, the centralizer is
+    found by a scan of G."""
     pair = strong_pair(G, H, K)
     if pair is None or check_transversal:
-        eps = epsilon(H, K)
-        index, reps = cosets(eps.centralizer_subgroup())
-    else:
-        eps, reps = pair.epsilon, pair.transversal
-    out = _conjugate_sum(eps, reps)
+        return sum_of_conjugates(epsilon(H, K), check_transversal=check_transversal)
+    return sum_of_conjugates(pair.epsilon, pair.transversal)
+
+
+def sum_of_conjugates(eps: AlgElem, transversal: Optional[list[int]] = None,
+                      check_transversal: bool = False) -> AlgElem:
+    """The sum of the G-conjugates of eps over a right transversal of its
+    centralizer: the one given, else one from a scan of G for
+    Cen_G(eps). Central in Q[G] by construction (SoundnessError
+    otherwise); independent of the transversal, which is checked on the
+    scan's when requested."""
+    if transversal is None:
+        index, transversal = cosets(eps.centralizer_subgroup())
+    out = _conjugate_sum(eps, transversal)
     if not out.is_central():
         raise SoundnessError("e(G,H,K) must be central")
     if check_transversal:
@@ -253,17 +261,15 @@ class ShodaPair:
     def describe(self) -> str:
         """The label (<H's generators>, <K's generators>). A strong pair's
         H and K come from no lattice, so their label names the generators
-        that G's subgroup lattice gives them, which do not depend on how
-        the pair was found; a documented pair keeps its own."""
+        that G's subgroup lattice gives them (lattice_generators), which do
+        not depend on how the pair was found; a documented pair keeps its
+        own."""
         G = self.H.parent
-        H, K = self.H, self.K
+        hgens, kgens = self.H.gens, self.K.gens
         if self.kind == "strong-shoda":
-            subs = subgroups(G)  # sorted by (order, mask)
-            H, K = (subs[bisect.bisect_left(subs, (S.order, S.mask),
-                                            key=lambda T: (T.order, T.mask))]
-                    for S in (H, K))
-        hn = ",".join(G.names[g] for g in H.gens) or "1"
-        kn = ",".join(G.names[g] for g in K.gens) or "1"
+            hgens, kgens = lattice_generators(G, self.H), lattice_generators(G, self.K)
+        hn = ",".join(G.names[g] for g in hgens) or "1"
+        kn = ",".join(G.names[g] for g in kgens) or "1"
         return f"(<{hn}>, <{kn}>)"
 
 

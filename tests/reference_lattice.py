@@ -17,6 +17,7 @@ groups where the original closure is too slow.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -33,6 +34,7 @@ from qgring.groups import (
     _joins_by_order,
     cyclic_subgroups,
     is_normal,
+    subgroups,
 )
 
 
@@ -101,6 +103,29 @@ def reference_is_sn(G: FiniteGroup) -> bool:
             if N <= Y:
                 continue
             if not is_normal(G, reference_join(G, Y, N)):
+                return False
+    return True
+
+
+def lattice_is_sn(G: FiniteGroup) -> bool:
+    """SN as the library scanned G's own lattice before it needed none:
+    for each normal N != 1 and each Y not normal in G with N not in Y,
+    YN is the first subgroup of the sorted lattice, from order |Y u N|
+    on, whose mask holds Y u N, and it must be normal."""
+    subs = subgroups(G)
+    orders = [S.order for S in subs]
+    normal = {S.mask for S in subs if is_normal(G, S)}
+    for N in subs:
+        if N.mask not in normal or N.order == 1:
+            continue
+        for Y in subs:
+            key = Y.mask | N.mask
+            if Y.mask in normal or key == Y.mask:
+                continue
+            i = bisect_left(orders, key.bit_count())
+            while subs[i].mask | key != subs[i].mask:
+                i += 1
+            if subs[i].mask not in normal:
                 return False
     return True
 

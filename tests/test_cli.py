@@ -5,6 +5,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgring.algebra
 import qgring.catalog
@@ -190,10 +192,59 @@ def test_a_raised_cap_holds_through_identification(capsys, spec, family,
 
 
 def test_analyze_exits_3_when_the_lattice_is_over_its_cap(capsys):
+    # EA(2,7) is a 2-group: its NCN flag still reads the lattice
     code, out, err = run_cli(capsys, "analyze", "EA(2,7)")
     assert code == 3 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "subgroups" in err
+
+
+@pytest.mark.parametrize("spec", ["D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))",
+                                  "X(EA(2,6),C(3))"])
+def test_analyze_builds_no_lattice(capsys, monkeypatch, spec):
+    # SN is decided with no lattice, SSN too when G is not SN or is
+    # Dedekind, NCN is asked of p-groups only, and a pair's label follows
+    # the lattice's rule in closed form for a nilpotent or metacyclic G
+    built = []
+    orig = qgring.groups.subgroups
+
+    def recording(G):
+        built.append(G.name)
+        return orig(G)
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    for module in (qgring.groups, qgring.algebra, qgring.shoda,
+                   qgring.components, qgring.props, qgring.cli):
+        if getattr(module, "subgroups", None) is orig:
+            monkeypatch.setattr(module, "subgroups", recording)
+    code, out, _ = run_cli(capsys, "--json", "analyze", spec)
+    assert code == 0 and json.loads(out)["pcis"]
+    assert built == []
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text())
+_JSON_TREES = st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(),
+                      inner, max_size=4)
+    | st.dictionaries(st.none() | st.text(max_size=2), inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_TREES)
+def test_json_writer_is_json_dumps(tree):
+    # every --json output goes through one writer, which must give the bytes
+    # of json.dumps(indent=2, sort_keys=True), errors included
+    try:
+        want = json.dumps(tree, indent=2, sort_keys=True)
+    except TypeError:  # keys of types that do not sort together
+        with pytest.raises(TypeError):
+            qgring.cli._json_text(tree)
+        return
+    assert qgring.cli._json_text(tree) == want
 
 
 def _usage_error(capsys, *argv):
@@ -523,11 +574,12 @@ def test_analyze_builds_the_a5_pair_once(capsys, monkeypatch):
         counting(module, "find_isomorphism")
     code, _out, _ = run_cli(capsys, "--json", "analyze", "A5")
     assert code == 0
-    # (A4, V4) is not strong: its e is built once, with one centralizer
-    # scan, for the matrix count and the curated witness together; the
-    # matrix count and the curated pass each find A5 by isomorphism, and
-    # classify_ssn by its order
-    assert calls == {"_cyclic_epsilon": 3, "centralizer_subgroup": 1,
+    # (A4, V4) is not strong: its epsilon is built once, and its e with one
+    # centralizer scan, for the matrix count and the curated witness
+    # together (3 epsilons when e_idem ran the strong test on the pair and
+    # built epsilon again); the matrix count and the curated pass each find
+    # A5 by isomorphism, and classify_ssn by its order
+    assert calls == {"_cyclic_epsilon": 1, "centralizer_subgroup": 1,
                      "find_isomorphism": 2}
 
 

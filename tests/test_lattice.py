@@ -28,13 +28,14 @@ from qgring.errors import OrderCapExceeded
 from qgring.groups import (FiniteGroup, Subgroup, _closure, _conjugated_row,
                            _cyclic_seeds, _seed_classes, artin_count,
                            cyclic_subgroups, dihedral, elementary_abelian,
-                           normal_subgroups, subgroups)
+                           is_metacyclic, is_nilpotent_group, is_normal,
+                           lattice_generators, normal_subgroups, subgroups)
 from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
 import reference_lattice
 from invariants import relabel, relabelling
-from reference_lattice import (coset_subgroups, reference_is_sn, reference_is_ssn,
-                               reference_subgroups)
+from reference_lattice import (coset_subgroups, lattice_is_sn, reference_is_sn,
+                               reference_is_ssn, reference_subgroups)
 from test_workloads import workloads  # noqa: F401  (the fixture)
 
 # the groups analyzed by the benchmark's analyze-large and witness-search
@@ -63,6 +64,23 @@ def test_lattice_and_verdicts_match_reference(name):
     assert is_ssn(G) == reference_is_ssn(G)
 
 
+# groups whose lattices are mostly 3- and 4-generated
+RULE_EXTRA = ["EA(2,4)", "EA(3,3)", "X(D(8),EA(2,3))"]
+
+
+@pytest.mark.parametrize("name", catalog_names() + CORPUS + RULE_EXTRA)
+def test_lattice_generators_are_the_lattices(name):
+    # the rule gives every subgroup the generators subgroups() gives it; on
+    # a twin of G with cold caches, no lattice is built where the rule has
+    # a closed form, for every subgroup of a nilpotent or metacyclic G
+    G = _build(name)
+    twin = FiniteGroup(G.table, G.names, name=G.name)
+    for S in subgroups(G):
+        assert lattice_generators(twin, Subgroup(twin, S.mask)) == S.gens, S
+    closed = is_nilpotent_group(G) or is_metacyclic(G)
+    assert ("subgroups" in twin._cache) is not closed
+
+
 def _same_as_coset_lattice(G):
     return ([(H.mask, H.gens) for H in subgroups(G)]
             == [(H.mask, H.gens) for H in coset_subgroups(G)])
@@ -84,6 +102,32 @@ def test_lattice_matches_the_coset_lattice(name):
 def test_lattice_matches_the_coset_lattice_on_the_workloads(workload, workloads):
     for op in workloads.build_ops(workload):
         assert _same_as_coset_lattice(workloads._build(op.build)), op.label
+
+
+@pytest.mark.parametrize("spec, seed", [("D(200)", 1), ("SdCyc(7,27,2)", 2),
+                                        ("D8cpQ8", 3)])
+def test_lattice_generators_survive_a_relabelling(spec, seed):
+    # the least tuple depends on the element numbering, which the
+    # relabelling moves; the rule still gives the lattice's generators
+    R = relabel(_build(spec), seed)
+    twin = FiniteGroup(R.table, R.names, name=R.name)
+    assert [lattice_generators(twin, Subgroup(twin, S.mask)) for S in subgroups(R)] \
+        == [S.gens for S in subgroups(R)]
+    assert "subgroups" not in twin._cache
+
+
+@pytest.mark.parametrize("name", CLASSED)
+def test_sn_matches_the_lattice_scan(name):
+    # each of these is not SN
+    assert is_sn(_build(name)) == lattice_is_sn(_build(name))
+
+
+@pytest.mark.parametrize("workload", ["analyze-large", "family-sweep",
+                                      "witness-search"])
+def test_sn_matches_the_lattice_scan_on_the_workloads(workload, workloads):
+    for op in workloads.build_ops(workload):
+        G = workloads._build(op.build)
+        assert is_sn(G) == lattice_is_sn(G), op.label
 
 
 @pytest.mark.parametrize("spec", ["A5", "D(60)", "X(D(6),D(6))"])
@@ -254,7 +298,14 @@ def test_sn_and_ssn_make_no_closure_on_a_cached_lattice(name, monkeypatch):
     G._cache.clear()
     normal_subgroups(G)
     bases = _record_closures(monkeypatch)
-    assert is_sn(G) and is_ssn(G)
+    assert is_sn(G)
+    # SN reads no lattice: its only closures are the normal closures of one
+    # non-normal seed per conjugacy class, each started once from its seed
+    seeds = cyclic_subgroups(G)
+    assert bases.count(None) == len({k for k in _seed_classes(G)[0]
+                                     if not is_normal(G, seeds[k])}) > 0
+    bases.clear()
+    assert is_ssn(G)
     assert bases == []
 
 

@@ -6,7 +6,8 @@ import is read from the source with `ast`, at any depth, so an import
 hidden inside a function counts too. Only cli's import of verify is made inside a
 function, so that `analyze` does not load the verification suite. No
 module imports `random`, and only algebra names `SquareZeroFamily`. The
-PCI layer names the subgroup lattice only to label a pair.
+PCI layer names no subgroup lattice: a pair's label reads the lattice's
+generator rule, groups.lattice_generators.
 """
 
 import ast
@@ -127,8 +128,12 @@ def _namers(module, name):
 def test_the_pci_layer_reads_no_lattice():
     # the pairs come from abelian sections (abelian_sections, over the A of
     # groups.maximal_abelian_over); a pair's label alone names the
-    # generators the lattice gives its subgroups
-    assert _namers("shoda", "subgroups") == {"ShodaPair.describe"}
+    # generators the lattice gives its subgroups, through the lattice's own
+    # rule in groups, which reads the lattice only where it has no closed
+    # form
+    assert _namers("shoda", "subgroups") == set()
+    assert _namers("shoda", "lattice_generators") == {"ShodaPair.describe"}
+    assert _namers("groups", "subgroups") >= {"_lattice_entry"}
     # epsilon has the one closed form of a cyclic H/K: no product over the
     # minimal normal subgroups of H/K, which the lattice gave
     assert _definers("minimal_normal_subgroups_of_quotient") == set()
@@ -151,9 +156,11 @@ def _definers(name):
 
 def test_one_cyclic_section_test():
     # whether H/K is cyclic is decided by section_generator alone, which
-    # the kernels of abelian sections ask too
+    # the kernels of abelian sections and the metacyclic test of the
+    # lattice's generator rule ask too; it lives in groups, below both
     assert "cocyclic_subgroups" in _namers("abelian_sections", "section_generator")
-    assert _definers("section_generator") == {"abelian_sections"}
+    assert "is_metacyclic" in _namers("groups", "section_generator")
+    assert _definers("section_generator") == {"groups"}
 
 
 def test_one_subgroup_scan():
@@ -240,4 +247,4 @@ def test_each_memo_key_belongs_to_one_module():
         key for key, mods in owners.items() if mods == {"groups"}}
     assert {"strong", "pcis"} <= {
         key for key, mods in owners.items() if mods == {"shoda"}}
-    assert owners["section"] == {"abelian_sections"}
+    assert owners["section"] == {"groups"}

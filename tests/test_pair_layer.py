@@ -32,8 +32,9 @@ from qgring.components import count_matrix_components, describe_component
 from qgring.errors import (BNotAbelian, GroupMismatch, NotMetabelian, NotNormal,
                            NotNormalInH)
 from qgring.groups import (all_maximal_abelian_over, artin_count, derived_subgroup,
-                           full_subgroup, is_normal, is_normal_in, maximal_abelian_over,
-                           normalizer, quotient, subgroup_generated, subgroups)
+                           full_subgroup, is_metacyclic, is_nilpotent_group, is_normal,
+                           is_normal_in, maximal_abelian_over, normalizer, quotient,
+                           subgroup_generated, subgroups)
 from qgring.props import nd_verdict
 from qgring.shoda import (
     e_idem,
@@ -483,19 +484,24 @@ def _refuse_the_lattice(monkeypatch):
 @pytest.mark.parametrize("source", ["catalog", "family-sweep", "witness-search"])
 def test_component_count_builds_no_lattice(source, workloads, cold, monkeypatch):
     # the PCIs come from abelian sections: A, the B >= A and the kernels of
-    # the characters of each B/B'; only a pair's label reads the lattice.
-    # The witness search walks the cyclic subgroups alone, so nd_verdict
-    # builds no lattice either
+    # the characters of each B/B'. The witness search walks the cyclic
+    # subgroups alone, so nd_verdict builds no lattice either. A pair's
+    # label names the lattice's generators by the lattice's own rule, in
+    # closed form for a nilpotent or metacyclic G
     groups = _metabelian_groups(source, workloads)
     _refuse_the_lattice(monkeypatch)
+    labelled = 0
     for G in groups:
         G._cache.clear()
         count, comps = count_matrix_components(G)
         assert len(comps) == artin_count(G)
         G._cache.clear()
         assert nd_verdict(G).matrix_count == count
+        if is_nilpotent_group(G) or is_metacyclic(G):
+            labelled += len([sp.describe() for sp, _ in comps])
+    assert labelled
     with pytest.raises(AssertionError, match="lattice"):
-        comps[0][0].describe()  # the refusal is in force
+        qgring.groups.subgroups(groups[0])  # the refusal is in force
 
 
 CENTRAL_GROUPS = ["D12", "Q16", "A4", "C3rC8", "BJ9", "relabelled D12"]
