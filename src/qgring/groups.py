@@ -329,35 +329,46 @@ def _classes(G: FiniteGroup) -> tuple[list[list[int]], list[tuple[int, ...]],
 
 
 def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]],
-                                           list[Sequence[int]]]:
+                                           list[tuple[int, int, int]]]:
     """The conjugacy classes of the seeds of _cyclic_seeds, as (rep, by,
-    moves, pulls): rep[k] is the first seed of C_k's class in seed order,
-    by[k] an element g with C_k = C_rep[k]^g, moves[j][k] the seed of C_k^t
-    for the j-th generator t, read off t's permutation in _classes, and
-    pulls[k][j] the seed q with C_q^by[k] = C_j. A class is the orbit of
-    its first seed under the moves, and each step s -> q = moves[j][s] of
-    the orbit reads pulls[q] off pulls[s] at the inverse of moves[j]."""
+    moves, steps): rep[k] is the first seed of C_k's class in seed order,
+    by[k] an element g with C_k = C_rep[k]^g, and moves[j][k] the seed of
+    C_k^t for the j-th generator t, read off t's permutation in _classes.
+    A class is the orbit of its first seed under the moves; steps lists
+    the (q, s, j) with q = moves[j][s] first reached from s, in order."""
     if "seed_classes" not in G._cache:
         walks, seed_of = _cyclic_seeds(G)[:2]
         table, gens = G.table, G.generators()
         moves = [[seed_of[perm[p[0]]] for p in walks] for perm in _classes(G)[0]]
         n = len(walks)
-        steps = [(t, move, sorted(range(n), key=move.__getitem__))
-                 for t, move in zip(gens, moves)]
-        rep, by, pulls = [-1] * n, [0] * n, [range(n)] * n
+        rep, by, steps = [-1] * n, [0] * n, []
         for r in range(n):
             if rep[r] < 0:
                 rep[r] = r
                 orbit = [r]
                 for s in orbit:
-                    for t, move, back in steps:
+                    for j, (t, move) in enumerate(zip(gens, moves)):
                         q = move[s]
                         if rep[q] < 0:
                             rep[q], by[q] = r, table[by[s]][t]
-                            pulls[q] = list(map(pulls[s].__getitem__, back))
+                            steps.append((q, s, j))
                             orbit.append(q)
-        G._cache["seed_classes"] = rep, by, moves, pulls
+        G._cache["seed_classes"] = rep, by, moves, steps
     return G._cache["seed_classes"]
+
+
+def _seed_pulls(G: FiniteGroup) -> list[Sequence[int]]:
+    """pulls[k][j], the seed q with C_q^by[k] = C_j (_seed_classes), built
+    once per group when the lattice asks: each step (q, s, j) of a class
+    walk reads pulls[q] off pulls[s] at the inverse of moves[j]."""
+    if "seed_pulls" not in G._cache:
+        rep, _, moves, steps = _seed_classes(G)
+        backs = [sorted(range(len(rep)), key=move.__getitem__) for move in moves]
+        pulls: list[Sequence[int]] = [range(len(rep))] * len(rep)
+        for q, s, j in steps:
+            pulls[q] = list(map(pulls[s].__getitem__, backs[j]))
+        G._cache["seed_pulls"] = pulls
+    return G._cache["seed_pulls"]
 
 
 def _rational_points(G: FiniteGroup) -> tuple[list[int], list[int]]:
@@ -675,7 +686,7 @@ def _conjugated_row(G: FiniteGroup, i: int, seed_joins: list[dict[int, int]],
     and for k >= i it is the image of J's members. Returns the row and its
     new joins, the (k, J^g) with k > i in order of k: every other J^g is
     in an earlier row or is C_i, so already in seen."""
-    rep, by, _, pulls = _seed_classes(G)
+    (rep, by), pulls = _seed_classes(G)[:2], _seed_pulls(G)
     masks = list(map(seed_joins[rep[i]].__getitem__, pulls[i]))  # by k
     # the last value given to a key stays: each mask keeps its least k
     least = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))

@@ -11,10 +11,9 @@ certificate is an explicit witness pair (alpha, e), re-verified exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .abelian_sections import section_exponents
 from .algebra import (AlgElem, carry, coeff_strings, hat, one_minus,
@@ -40,9 +39,11 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cyclic_seeds,
+    _lattice_entry,
     _seed_classes,
     center,
     centralizer,
+    conjugate_mask,
     cyclic_subgroups,
     derived_subgroup,
     find_isomorphism,
@@ -51,7 +52,6 @@ from .groups import (
     is_normal,
     is_solvable_group,
     normal_closure,
-    normal_subgroups,
     normalizer_mask,
     normalizes,
     section_generator,
@@ -67,48 +67,42 @@ from .shoda import e_idem
 # SN / SSN / NCN
 
 
-def _sn_scan(G: FiniteGroup, pairs) -> bool:
-    """True iff YN is normal in M for every (N, M) in pairs, M < G, N != 1
-    normal in M, and every subgroup Y <= M with N not contained in Y.
+def _join_is_normal(G: FiniteGroup, N: int, k: int, by: Sequence[int]) -> bool:
+    """N <= <y> or <y>N is normal in M, for N a subgroup's mask, <y> the
+    seed C_k of _cyclic_seeds and by the generators of an M that contains
+    y and normalizes N. No closure is made: as y normalizes N, <y>N is the
+    union of the cosets y^j N, and (<y>N)^t = <y^t>N for t in M, so it is
+    normal in M iff, for each t in by, some y^-j y^t lies in N."""
+    walk = _cyclic_seeds(G).walks[k]
+    table, inverse = G.table, G.inverse
+    return N & cyclic_subgroups(G)[k].mask == N or all(
+        any(N >> table[inverse[x]][yt] & 1 for x in walk)
+        for yt in [G.conj(walk[0], t) for t in by])
 
-    No closure is made. YN is the least subgroup containing Y u N, and
-    subgroups(G) is sorted by (order, mask), so YN is the first subgroup
-    there, from order |Y u N| on, whose mask contains Y u N. Normality in
-    G is decided once per subgroup, by normal_subgroups(G). A subgroup
-    normal in G is normal in every M that contains it, so no Y normal in G
-    is joined with N and no YN normal in G is tested. As N is normal in M,
-    YN is normal in M when Y is, so only the Y not normal in M are joined
-    with N; normality in M is decided once per M for each Y and once per
-    (M, YN) for each join: many N share one M.
-    """
-    subs = subgroups(G)
-    orders = [S.order for S in subs]
-    normal = {S.mask for S in normal_subgroups(G)}
-    joins: dict[int, Subgroup] = {}
-    scans: dict[int, tuple[list[Subgroup], dict[int, bool]]] = {}
-    for N, M in pairs:
-        if M.mask not in scans:
-            scans[M.mask] = ([Y for Y in subs if Y.mask not in normal
-                              and Y.mask | M.mask == M.mask
-                              and not normalizes(G, M.gens, Y)], {})
-        suspects, in_M = scans[M.mask]
-        for Y in suspects:
-            key = Y.mask | N.mask
-            if key == Y.mask:
-                continue
-            YN = joins.get(key)
-            if YN is None:
-                i = bisect_left(orders, key.bit_count())
-                while subs[i].mask | key != subs[i].mask:
-                    i += 1
-                YN = joins[key] = subs[i]
-            if YN.mask in normal:
-                continue
-            if YN.mask not in in_M:
-                in_M[YN.mask] = normalizes(G, M.gens, YN)
-            if not in_M[YN.mask]:
-                return False
-    return True
+
+def _is_dedekind(G: FiniteGroup) -> bool:
+    """Every subgroup of G is normal. Each subgroup is the join of its
+    cyclic ones, and a join of normal subgroups is normal, so the cyclic
+    subgroups decide it, with no lattice."""
+    return all(is_normal(G, C) for C in cyclic_subgroups(G))
+
+
+def _non_normal_classes(G: FiniteGroup) -> list[Subgroup]:
+    """One subgroup per conjugacy class of the subgroups not normal in G:
+    the first of its class in lattice order, with its lattice generators.
+    A class is the orbit of its first subgroup under conjugation by
+    G.generators() (conjugate_mask)."""
+    gens, seen, firsts = G.generators(), set(), []
+    for S in subgroups(G):
+        if S.mask not in seen and not is_normal(G, S):
+            firsts.append(S)
+            seen.add(S.mask)
+            orbit = [S]
+            for T in orbit:  # orbit grows while it is walked
+                new = {conjugate_mask(G, T, t) for t in gens} - seen
+                seen |= new
+                orbit += [Subgroup(G, mask) for mask in new]
+    return firsts
 
 
 def is_sn(G: FiniteGroup) -> bool:
@@ -123,83 +117,71 @@ def is_sn(G: FiniteGroup) -> bool:
       at least one of them, each normal when the N_g pass.
     - <y> may run over one seed per conjugacy class too, as N is normal:
       (<y>N)^t = <y^t>N, and N <= <y> iff N <= <y^t>. A normal <y> passes.
-    - <y>N is the union of the cosets y^j N, and (<y>N)^t = <y^t>N, so it
-      is normal iff, for each generator t of G, some y^-j y^t lies in N.
+    - Each (N, <y>) is _join_is_normal with M = G.
     A normal seed is its own normal closure, and when every seed is
     normal, G is Dedekind and no N is needed.
     """
     if "sn" not in G._cache:
-        walks = _cyclic_seeds(G).walks
         seeds, rep = cyclic_subgroups(G), _seed_classes(G)[0]
         firsts = [k for k in range(len(seeds)) if rep[k] == k]
         suspects = {k for k in firsts if not is_normal(G, seeds[k])}
-        gens, table, inverse = G.generators(), G.table, G.inverse
+        gens = G.generators()
         closures = {normal_closure(G, seeds[k].gens, gens).mask if k in suspects
                     else seeds[k].mask for k in firsts} if suspects else set()
         closures.discard((1 << G.order) - 1)  # <y>G = G is normal
-
-        def passes(N: int, k: int) -> bool:
-            """N <= <y>, or some y^-j y^t lies in N for each t, y = walks[k][0]."""
-            walk = walks[k]
-            return N & seeds[k].mask == N or all(
-                any(N >> table[inverse[x]][yt] & 1 for x in walk)
-                for yt in [G.conj(walk[0], t) for t in gens])
-
-        G._cache["sn"] = all(passes(N, k) for N in closures for k in suspects)
+        G._cache["sn"] = all(_join_is_normal(G, N, k, gens)
+                             for N in closures for k in suspects)
     return G._cache["sn"]
 
 
 def is_ssn(G: FiniteGroup) -> bool:
-    """Every subgroup H of G has SN, decided on G's own lattice.
+    """Every subgroup H of G has SN.
 
-    H has SN iff YN is normal in H for all N normal in H and Y <= H with N
-    not contained in Y. Fix N != 1 and Y. The subgroups H in which N is
-    normal are those with N <= H <= N_G(N), so the pair (N, Y) constrains
-    some H iff Y <= N_G(N). Each such H contains YN, so if YN is normal
-    in N_G(N) it is normal in each of them; and H = N_G(N) is one of
-    them. So G is SSN iff YN is normal in N_G(N) for every N != 1 and
-    every Y <= N_G(N) with N not contained in Y: the SN scan with N_G(N)
-    in place of G. For N normal in G, N_G(N) = G and that is the SN test
-    of G itself, so G is SSN iff it is SN and the scan passes over the N
-    not normal in G. So a G that is not SN is decided with no lattice,
-    and so is a G whose cyclic subgroups are all normal: each subgroup,
-    the join of its cyclic ones, is normal, so no N is left to scan and
-    SSN is SN.
-
-    N_G(N) is read off the lattice too, so the scan makes no closure: it
-    is a union of right cosets Ng (ng normalizes N iff g does), so one
-    test per coset gives its mask.
+    Fix N != 1 and Y. The H in which N is normal are those with N <= H <=
+    M = N_G(N), so (N, Y) constrains some H iff Y <= M; each such H holds
+    YN, so YN normal in M is normal in each, and H = M is one. So G is SSN
+    iff YN is normal in M for every N != 1 and Y <= M with N not in Y, and
+    these reductions decide that:
+    - Y cyclic suffices, as in is_sn: YN is the join of the <y>N, y in Y,
+      and N is in no <y> when it is not in Y. Each (N, <y>), y in M, is
+      _join_is_normal with M's generators.
+    - For N normal in G, M = G: that is SN. So G is SSN iff it is SN and
+      the N not normal in G pass; a Dedekind G (_is_dedekind) has none.
+    - One N per conjugacy class suffices: conjugation by g maps N_G(N) to
+      N_G(N^g), so (N, y, t) fails iff (N^g, y^g, t^g) does.
+    So only an SN G that is not Dedekind reads the lattice: the classes
+    (_non_normal_classes), and M as the lattice entry at normalizer_mask,
+    with no closure.
     """
+    def passes(N: Subgroup) -> bool:
+        M = _lattice_entry(G, Subgroup(G, normalizer_mask(G, N)))
+        return all(_join_is_normal(G, N.mask, k, M.gens)
+                   for k, C in enumerate(cyclic_subgroups(G))
+                   if C.mask & M.mask == C.mask)
+
     if "ssn" not in G._cache:
-        if not is_sn(G) or all(is_normal(G, C) for C in cyclic_subgroups(G)):
-            G._cache["ssn"] = is_sn(G)
-        else:
-            by_mask = {S.mask: S for S in subgroups(G)}
-            normal = {S.mask for S in normal_subgroups(G)}
-            G._cache["ssn"] = _sn_scan(
-                G, ((N, by_mask[normalizer_mask(G, N)]) for N in by_mask.values()
-                    if N.mask not in normal))
+        G._cache["ssn"] = is_sn(G) and (_is_dedekind(G) or all(
+            map(passes, _non_normal_classes(G))))
     return G._cache["ssn"]
 
 
 def is_ncn(G: FiniteGroup) -> bool:
-    """Every non-cyclic subgroup is normal (p-groups only)."""
+    """Every non-cyclic subgroup is normal (p-groups only). A Dedekind G
+    is NCN, as each of its subgroups is normal, and is decided with no
+    lattice; otherwise the lattice is scanned up to the first non-cyclic
+    subgroup that is not normal."""
     ok, p = G.is_p_group()
     if not ok or G.order == 1:
         raise NotPGroup(f"{G.name} is not a nontrivial p-group")
     if "ncn" not in G._cache:
-        normal = {S.mask for S in normal_subgroups(G)}
-        G._cache["ncn"] = all(H.mask in normal for H in subgroups(G)
-                              if not H.is_cyclic())
+        G._cache["ncn"] = _is_dedekind(G) or all(
+            S.is_cyclic() or is_normal(G, S) for S in subgroups(G))
     return G._cache["ncn"]
 
 
 def is_hamiltonian(G: FiniteGroup) -> bool:
-    """G is non-abelian and every subgroup is normal. Each subgroup is
-    the join of its cyclic subgroups, and a join of normal subgroups is
-    normal, so the cyclic subgroups decide it, with no lattice."""
-    return (not G.is_abelian()
-            and all(is_normal(G, C) for C in cyclic_subgroups(G)))
+    """G is non-abelian and every subgroup is normal (_is_dedekind)."""
+    return not G.is_abelian() and _is_dedekind(G)
 
 
 def _int_log(base: int, value: int) -> int:

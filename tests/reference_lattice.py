@@ -1,10 +1,11 @@
-"""Reference implementations of the subgroup lattice and of SN/SSN.
+"""Reference implementations of the subgroup lattice and of SN/SSN/NCN.
 
-These are the original `subgroups`, `is_sn` and `is_ssn` (with the
-closure and join they used): every join is closed again from its
-generators, and SSN builds a standalone group for each subgroup and runs
-SN on that group's own lattice. The library builds joins by cosets and
-decides SN/SSN on G's lattice alone; the tests in test_lattice.py require
+These are the original `subgroups`, `is_sn`, `is_ssn` and `is_ncn` (with
+the closure and join they used): every join is closed again from its
+generators, SSN builds a standalone group for each subgroup and runs SN
+on that group's own lattice, and NCN tests every non-cyclic subgroup.
+The library builds joins by cosets and decides SN, SSN and NCN on cyclic
+subgroups, one per conjugacy class; the tests in test_lattice.py require
 identical results from both. Results are cached under their own keys, so
 the two never share a lattice.
 
@@ -143,6 +144,13 @@ def reference_is_ssn(G: FiniteGroup) -> bool:
                 break
         G._cache["reference_ssn"] = verdict
     return G._cache["reference_ssn"]
+
+
+def reference_is_ncn(G: FiniteGroup) -> bool:
+    """Every non-cyclic subgroup is normal: a subgroup is cyclic when one
+    of its members generates it."""
+    return all(is_normal(G, H) for H in reference_subgroups(G)
+               if not any(reference_closure(G, (g,)) == H.mask for g in H.members))
 
 
 def coset_subgroups(G: FiniteGroup) -> list[Subgroup]:

@@ -1,18 +1,19 @@
-"""The subgroup lattice and SN/SSN against their original implementations.
+"""The subgroup lattice and SN/SSN/NCN against their original implementations.
 
 `subgroups` grows each join by cosets, skips the joins it can already
 name and scans one member per conjugacy class where its own data names
-the class; `is_sn`/`is_ssn` read joins and normalizers off G's own
-lattice. reference_lattice.py holds the original code, which closes every
-join from its generators and runs SN on a standalone group per subgroup,
-and `coset_subgroups`, the coset lattice that scans every seed and every
-subgroup. All must give the same lattice, generators included, and the
-same verdicts.
+the class; `is_sn` and `is_ssn` test each join <y>N by cosets, with no
+closure, `is_ssn` for one non-normal N per conjugacy class, and
+`is_ncn` needs no lattice for a Dedekind group.
+reference_lattice.py holds the original code, which closes every join
+from its generators, runs SN on a standalone group per subgroup and
+tests every non-cyclic subgroup for NCN, and `coset_subgroups`, the
+coset lattice that scans every seed and every subgroup. All must give
+the same lattice, generators included, and the same verdicts.
 The work saved is pinned as counts of `_closure` calls, and the work of
 the PCI enumeration's scans over the lattice as counts of subgroup
-comparisons. Normality in G is decided once per subgroup: the SN scan
-makes no further normality test, and the SSN scan computes N_G(N) only
-for the N not normal in G.
+comparisons. The SSN scan computes N_G(N) once per conjugacy class of
+the N not normal in G.
 """
 
 import hashlib
@@ -27,15 +28,17 @@ from qgring.components import count_matrix_components
 from qgring.errors import OrderCapExceeded
 from qgring.groups import (FiniteGroup, Subgroup, _closure, _conjugated_row,
                            _cyclic_seeds, _seed_classes, artin_count,
-                           cyclic_subgroups, dihedral, elementary_abelian,
-                           is_metacyclic, is_nilpotent_group, is_normal,
-                           lattice_generators, normal_subgroups, subgroups)
+                           conjugate_mask, cyclic_subgroups, dihedral,
+                           elementary_abelian, is_metacyclic,
+                           is_nilpotent_group, is_normal, lattice_generators,
+                           normal_subgroups, subgroups)
 from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
 import reference_lattice
 from invariants import relabel, relabelling
-from reference_lattice import (coset_subgroups, lattice_is_sn, reference_is_sn,
-                               reference_is_ssn, reference_subgroups)
+from reference_lattice import (coset_subgroups, lattice_is_sn, reference_is_ncn,
+                               reference_is_sn, reference_is_ssn,
+                               reference_subgroups)
 from test_workloads import workloads  # noqa: F401  (the fixture)
 
 # the groups analyzed by the benchmark's analyze-large and witness-search
@@ -66,6 +69,25 @@ def test_lattice_and_verdicts_match_reference(name):
 
 # groups whose lattices are mostly 3- and 4-generated
 RULE_EXTRA = ["EA(2,4)", "EA(3,3)", "X(D(8),EA(2,3))"]
+
+
+def _p_groups(names):
+    return [name for name in names if _build(name).is_p_group()[0]]
+
+
+@pytest.mark.parametrize("name", _p_groups(catalog_names() + CORPUS + FAMILY
+                                           + RULE_EXTRA))
+def test_ncn_matches_reference(name):
+    assert is_ncn(_build(name)) == reference_is_ncn(_build(name))
+
+
+@pytest.mark.parametrize("workload", ["analyze-large", "family-sweep",
+                                      "witness-search"])
+def test_ncn_matches_reference_on_the_workloads(workload, workloads):
+    for op in workloads.build_ops(workload):
+        G = workloads._build(op.build)
+        if G.is_p_group()[0]:
+            assert is_ncn(G) == reference_is_ncn(G), op.label
 
 
 @pytest.mark.parametrize("name", catalog_names() + CORPUS + RULE_EXTRA)
@@ -380,8 +402,9 @@ def _record_calls(monkeypatch, module, name):
 
 
 def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
-    # Q8 x EA(2,4) is Hamiltonian: every subgroup is normal, so the SN scan
-    # has no suspect Y and the SSN scan no N to compute N_G(N) for
+    # Q8 x EA(2,4) is Hamiltonian: every subgroup is normal, so SN, SSN and
+    # NCN ask the normality of its cyclic subgroups alone, and they test no
+    # join and compute no N_G(N)
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})
     G = build_spec("X(Q(8),EA(2,4))")
     bases = _record_closures(monkeypatch)
@@ -390,11 +413,15 @@ def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
     # power walks
     assert bases == []
     assert len(subs) == len(normal_subgroups(G)) == 3132
-    tests = _record_calls(monkeypatch, qgring.props, "normalizes")
-    normal = _record_calls(monkeypatch, qgring.groups, "is_normal")
+    joins = _record_calls(monkeypatch, qgring.props, "_join_is_normal")
+    # props binds is_normal at import, so its calls are recorded there
+    normal = [_record_calls(monkeypatch, module, "is_normal")
+              for module in (qgring.groups, qgring.props)]
     normalizers = _record_calls(monkeypatch, qgring.props, "normalizer_mask")
     assert is_sn(G) and is_ssn(G) and is_ncn(G) and is_hamiltonian(G)
-    assert tests == normal == normalizers == []
+    assert joins == normalizers == []
+    asked = {H.mask for calls in normal for _G, H in calls}
+    assert asked and asked <= {C.mask for C in cyclic_subgroups(G)}
     assert qgring.cli.main(["--json", "analyze", "X(Q(8),EA(2,4))"]) == 0
     # sha256 of the output before the scans read normality off the lattice
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
@@ -403,22 +430,31 @@ def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec, computed", [
     ("D(200)", 0),  # not SN, so the scan over the non-normal N never starts
-    ("BJ9", 30),
-    ("A5", 57),
+    ("BJ9", 15),    # 30 non-normal subgroups
+    ("A5", 7),      # 57 non-normal subgroups
 ])
-def test_ssn_computes_n_g_n_once_per_non_normal_subgroup(spec, computed,
-                                                         monkeypatch):
+def test_ssn_computes_n_g_n_once_per_class(spec, computed, monkeypatch):
     G = _build(spec)
     G._cache.clear()
-    subs = subgroups(G)
-    normal = _record_calls(monkeypatch, qgring.groups, "is_normal")
-    tests = _record_calls(monkeypatch, qgring.props, "normalizes")
-    is_sn(G)
-    assert tests == []  # M = G: normality in G is read, never tested again
+    lattice = {H.mask for H in subgroups(G)}
+    normals = {N.mask for N in normal_subgroups(G)}
+    # props binds is_normal at import, so its calls are recorded there
+    normal = [_record_calls(monkeypatch, module, "is_normal")
+              for module in (qgring.groups, qgring.props)]
     normalizers = _record_calls(monkeypatch, qgring.props, "normalizer_mask")
+    is_sn(G)
     is_ssn(G)
     is_hamiltonian(G)
     masks = [N.mask for _G, N in normalizers]
     assert len(masks) == len(set(masks)) == computed
-    assert not set(masks) & {N.mask for N in normal_subgroups(G)}
-    assert sorted(H.mask for _G, H in normal) == sorted(H.mask for H in subs)
+    asked = {H.mask for calls in normal for _G, H in calls}
+    if not computed:
+        # the normality of cyclic subgroups alone is asked
+        assert asked <= {C.mask for C in cyclic_subgroups(G)}
+        return
+    # one N per class: their conjugates are the non-normal subgroups, and
+    # the normality of every other subgroup is asked
+    conjugates = {conjugate_mask(G, N, g) for _G, N in normalizers
+                  for g in range(G.order)}
+    assert conjugates == lattice - normals
+    assert lattice - asked <= conjugates - set(masks)

@@ -172,6 +172,16 @@ def test_one_subgroup_scan():
     assert {"centralizer", "maximal_abelian_over"} <= _namers("groups", "_commuting_mask")
 
 
+def test_one_join_normality_test():
+    # SN and SSN decide every (N, <y>) with one closure-free coset test,
+    # SSN reads one non-normal subgroup per conjugacy class, and none of
+    # SN, SSN and NCN lists the normal subgroups
+    assert _definers("_sn_scan") == set()
+    assert _namers("props", "_join_is_normal") == {"is_sn", "is_ssn.passes"}
+    assert _namers("props", "_non_normal_classes") == {"is_ssn"}
+    assert _namers("props", "normal_subgroups") == set()
+
+
 def test_every_memo_lives_in_a_groups_cache():
     # a module-level memo outlives the group it was built for, while a
     # cold op (perfbench's ColdCacheGuard) empties only the group's _cache;

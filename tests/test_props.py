@@ -263,7 +263,7 @@ def test_nd_verdict_decides_no_group_property(spec, verdict, monkeypatch):
     def refuse(*args):
         raise AssertionError("nd_verdict ran an SN/SSN/NCN scan")
 
-    for name in ("is_sn", "is_ssn", "is_ncn", "_sn_scan"):
+    for name in ("is_sn", "is_ssn", "is_ncn", "_join_is_normal"):
         monkeypatch.setattr(props, name, refuse)
     r = nd_verdict(build_spec(spec))
     assert r.verdict == verdict
