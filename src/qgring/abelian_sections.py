@@ -116,6 +116,45 @@ def _cyclic_kernels(B: Subgroup, D: Subgroup, powers: list[int],
             if not n % k and not any(all(j % k == 0 for j in js) for js in avoided)]
 
 
+def _primary_basis(B: Subgroup, D: Subgroup
+                   ) -> tuple[list[int], dict[int, list[tuple[int, int, list[int]]]]]:
+    """A basis of B/D, for D normal in B with B/D abelian, as (listed,
+    basis): basis[p] lists the (x, order of xD, [1, x, ..., x^(order-1)])
+    of its elements of p-power order, and listed is B coset by coset, the
+    x^c D with c in mixed radix, the first basis element the lowest digit.
+    With D = 1 the orders are the invariants of an abelian B.
+
+    The basis is found prime by prime, from the cyclic subgroups C of B
+    of p-power order alone: the order of C modulo a subgroup S >= D is
+    |C| / |C meet S|. With S = D plus the basis so far, the next basis
+    element generates a C of greatest order modulo S with C meet S = C
+    meet D. One exists: the p-part of the corrected lift in the usual proof
+    that such a basis exists generates one."""
+    G = B.parent
+    table = G.table
+    dmask, bmask = D.mask, B.mask
+    listed, smask = list(D.members), dmask  # S = D times the basis so far
+    basis: dict[int, list[tuple[int, int, list[int]]]] = {}  # p -> [(x, order, powers)]
+    for p in sorted(prime_factors(B.order // D.order)):
+        # (order modulo D, C meet D, C, walk) for each C <= B of p-power
+        # order outside D, greatest order first: the next basis element
+        # generates the first whose C meets S in D only
+        cands = sorted(((o // (c & dmask).bit_count(), c & dmask, c, walk)
+                        for o, c, walk, q in _cyclic_seeds(G).by_order
+                        if q == p and c & bmask == c and c & dmask != c),
+                       key=itemgetter(0), reverse=True)
+        basis[p] = []
+        while cands:
+            top, _, _, walk = cands[0]
+            powers = [0] + walk[:top - 1]
+            listed = list(itertools.chain.from_iterable(
+                map(table[xj].__getitem__, listed) for xj in powers))
+            smask = sum(map((1).__lshift__, listed))
+            basis[p].append((walk[0], top, powers))
+            cands = [c for c in cands if c[2] & smask == c[1]]
+    return listed, basis
+
+
 def cocyclic_subgroups(B: Subgroup, D: Subgroup,
                        avoid: Sequence[Subgroup] = ()) -> list[Subgroup]:
     """The K with D <= K <= B and B/K cyclic that contain no member of
@@ -124,15 +163,9 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
     linear characters of B/D, one per cyclic subgroup of its dual. No
     lattice, quotient table or closure is built.
 
-    A basis of B/D is found prime by prime, from the cyclic subgroups C of
-    B of p-power order alone: the order of C modulo a subgroup S >= D is
-    |C| / |C meet S|. With S = D plus the basis so far, the next basis
-    element generates a C of greatest order modulo S with C meet S = C
-    meet D. One exists: the p-part of the corrected lift in the usual proof
-    that such a basis exists generates one. B is listed coset by coset
-    (x^c D, c in mixed radix, the first basis element the lowest digit),
-    so each coset's mask is read off that list, and an element's
-    coordinates off its place in it.
+    B is listed coset by coset along a basis of B/D (_primary_basis), so
+    each coset's mask is read off that list, and an element's coordinates
+    off its place in it.
 
     Per prime p, with p^E the greatest basis order, a character sends x_i
     (of order p^e_i) to w_i / p^E, w_i a multiple of p^(E - e_i). Of the
@@ -158,25 +191,7 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
         raise NotNormal(f"{D!r} does not contain the derived subgroup of {B!r}")
     if section_generator(B, D) is not None:
         return _cyclic_kernels(B, D, section_powers(B, D), avoid)
-    listed, smask = list(D.members), dmask  # S = D times the basis so far
-    basis: dict[int, list[tuple[int, int, list[int]]]] = {}  # p -> [(x, order, powers)]
-    for p in sorted(prime_factors(B.order // size)):
-        # (order modulo D, C meet D, C, walk) for each C <= B of p-power
-        # order outside D, greatest order first: the next basis element
-        # generates the first whose C meets S in D only
-        cands = sorted(((o // (c & dmask).bit_count(), c & dmask, c, walk)
-                        for o, c, walk, q in _cyclic_seeds(G).by_order
-                        if q == p and c & bmask == c and c & dmask != c),
-                       key=itemgetter(0), reverse=True)
-        basis[p] = []
-        while cands:
-            top, _, _, walk = cands[0]
-            powers = [0] + walk[:top - 1]
-            listed = list(itertools.chain.from_iterable(
-                map(table[xj].__getitem__, listed) for xj in powers))
-            smask = sum(map((1).__lshift__, listed))
-            basis[p].append((walk[0], top, powers))
-            cands = [c for c in cands if c[2] & smask == c[1]]
+    listed, basis = _primary_basis(B, D)
     coset_masks = _coset_masks(listed, size)
     # a coset's index is sum over p of its p-block u_p times the stride of
     # p's block, u_p being its coordinates in p's basis in mixed radix;

@@ -328,47 +328,30 @@ def _classes(G: FiniteGroup) -> tuple[list[list[int]], list[tuple[int, ...]],
     return G._cache["classes"]
 
 
-def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]],
-                                           list[tuple[int, int, int]]]:
+def _seed_classes(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]]]:
     """The conjugacy classes of the seeds of _cyclic_seeds, as (rep, by,
-    moves, steps): rep[k] is the first seed of C_k's class in seed order,
-    by[k] an element g with C_k = C_rep[k]^g, and moves[j][k] the seed of
-    C_k^t for the j-th generator t, read off t's permutation in _classes.
-    A class is the orbit of its first seed under the moves; steps lists
-    the (q, s, j) with q = moves[j][s] first reached from s, in order."""
+    moves): rep[k] is the first seed of C_k's class in seed order, by[k]
+    an element g with C_k = C_rep[k]^g, and moves[j][k] the seed of C_k^t
+    for the j-th generator t, read off t's permutation in _classes. A
+    class is the orbit of its first seed under the moves."""
     if "seed_classes" not in G._cache:
         walks, seed_of = _cyclic_seeds(G)[:2]
         table, gens = G.table, G.generators()
         moves = [[seed_of[perm[p[0]]] for p in walks] for perm in _classes(G)[0]]
         n = len(walks)
-        rep, by, steps = [-1] * n, [0] * n, []
+        rep, by = [-1] * n, [0] * n
         for r in range(n):
             if rep[r] < 0:
                 rep[r] = r
                 orbit = [r]
                 for s in orbit:
-                    for j, (t, move) in enumerate(zip(gens, moves)):
+                    for t, move in zip(gens, moves):
                         q = move[s]
                         if rep[q] < 0:
                             rep[q], by[q] = r, table[by[s]][t]
-                            steps.append((q, s, j))
                             orbit.append(q)
-        G._cache["seed_classes"] = rep, by, moves, steps
+        G._cache["seed_classes"] = rep, by, moves
     return G._cache["seed_classes"]
-
-
-def _seed_pulls(G: FiniteGroup) -> list[Sequence[int]]:
-    """pulls[k][j], the seed q with C_q^by[k] = C_j (_seed_classes), built
-    once per group when the lattice asks: each step (q, s, j) of a class
-    walk reads pulls[q] off pulls[s] at the inverse of moves[j]."""
-    if "seed_pulls" not in G._cache:
-        rep, _, moves, steps = _seed_classes(G)
-        backs = [sorted(range(len(rep)), key=move.__getitem__) for move in moves]
-        pulls: list[Sequence[int]] = [range(len(rep))] * len(rep)
-        for q, s, j in steps:
-            pulls[q] = list(map(pulls[s].__getitem__, backs[j]))
-        G._cache["seed_pulls"] = pulls
-    return G._cache["seed_pulls"]
 
 
 def _rational_points(G: FiniteGroup) -> tuple[list[int], list[int]]:
@@ -548,9 +531,9 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
     Returns (index, reps): reps[i] is the least element of coset i and
     index[x] is x's coset number, or -1 for x outside within. Both lists
     are built once per group and shared by every caller: never mutate them.
-    The cosets of the trivial subgroup (one per element) and of within
-    itself (one) are listed with no walk. A within of another group
-    raises GroupMismatch.
+    Every subgroup's cosets, the trivial one's and within's own included,
+    are listed by one walk over within. A within of another group raises
+    GroupMismatch.
     """
     G = S.parent
     if within is not None:
@@ -558,30 +541,21 @@ def cosets(S: Subgroup, within: Optional[Subgroup] = None,
     key = ("cosets", S.mask, None if within is None else within.mask, left)
     if key in G._cache:
         return G._cache[key]
-    table = G.table
+    table, smembers = G.table, S.members
     index = [-1] * G.order
     reps: list[int] = []
     members = range(G.order) if within is None else within.members
-    if S.mask == 1:
-        reps = list(members)
-        for i, g in enumerate(reps):
-            index[g] = i
-    elif S.order == len(members):
-        reps = [0]
-        for g in members:
-            index[g] = 0
-    else:
-        for g in members:
-            if index[g] < 0:
-                i = len(reps)
-                reps.append(g)
-                if left:
-                    row = table[g]
-                    for s in S.members:
-                        index[row[s]] = i
-                else:
-                    for s in S.members:
-                        index[table[s][g]] = i
+    for g in members:
+        if index[g] < 0:
+            i = len(reps)
+            reps.append(g)
+            if left:
+                row = table[g]
+                for s in smembers:
+                    index[row[s]] = i
+            else:
+                for s in smembers:
+                    index[table[s][g]] = i
     G._cache[key] = index, reps
     return index, reps
 
@@ -680,14 +654,18 @@ def _conjugated_row(G: FiniteGroup, i: int, seed_joins: list[dict[int, int]],
                     ) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """The join row J(i, .) of a seed C_i = C_r^g (_seed_classes), from the
     complete rows of the seeds before it: J(i, k) = J(r, q)^g for the seed
-    q with C_q^g = C_k, read off the seed permutation of C_i. Each distinct
+    q with C_q^g = C_k, that of C_k^(g^-1), read off the permutation of
+    G by g^-1 (_conjugation) at C_k's least generator. Each distinct
     J of C_r's row is conjugated once, through k, the least seed with
     J(i, k) = J^g: for k < i, J^g = J(k, i) is read off an earlier row,
     and for k >= i it is the image of J's members. Returns the row and its
     new joins, the (k, J^g) with k > i in order of k: every other J^g is
     in an earlier row or is C_i, so already in seen."""
-    (rep, by), pulls = _seed_classes(G)[:2], _seed_pulls(G)
-    masks = list(map(seed_joins[rep[i]].__getitem__, pulls[i]))  # by k
+    rep, by = _seed_classes(G)[:2]
+    seeds = _cyclic_seeds(G)
+    back, seed_of = _conjugation(G, G.inverse[by[i]]), seeds.seed_of
+    masks = list(map(seed_joins[rep[i]].__getitem__,  # J(r, q), by k
+                     [seed_of[back[x]] for x in seeds.least.values()]))
     # the last value given to a key stays: each mask keeps its least k
     least = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
     image: dict[int, int] = {}
@@ -904,15 +882,29 @@ def _lattice_entry(G: FiniteGroup, S: Subgroup) -> Subgroup:
     return subs[bisect_left(subs, (S.order, S.mask), key=lambda T: (T.order, T.mask))]
 
 
+def _sylow_masks(G: FiniteGroup, mask: int) -> Optional[dict[int, int]]:
+    """p -> the mask of the elements of p-power order of the subgroup S
+    with this mask, for each prime p dividing |S|; None when S is not
+    nilpotent. These elements are the union of S's seeds (_cyclic_seeds)
+    of p-power order, and S is nilpotent iff each Sylow subgroup is
+    normal, that is iff, for every p, they number |S|_p."""
+    primes = prime_factors(mask.bit_count())
+    sylow = dict.fromkeys(primes, 1)
+    for _, c, _, p in _cyclic_seeds(G).by_order:
+        if p and c & mask == c:
+            sylow[p] |= c
+    if any(sylow[p].bit_count() != p ** e for p, e in primes.items()):
+        return None
+    return sylow
+
+
 def _basis_generators(G: FiniteGroup, S: Subgroup,
                       seeds: list[tuple[int, int]]) -> Optional[tuple[int, ...]]:
     """The least shortest tuple of lattice_generators for a nilpotent S,
     from its seeds (mask, least generator) in seed order; None when S is
-    not nilpotent.
+    not nilpotent (_sylow_masks).
 
-    S is nilpotent iff each Sylow subgroup S_p is normal, that is iff the
-    elements of S of p-power order, the union of its seeds of p-power
-    order, number |S|_p. Then S is the direct product of the S_p, so g_1,
+    A nilpotent S is the direct product of its Sylow subgroups S_p, so g_1,
     ..., g_k generate S iff, for each p, their p-parts generate S_p, that
     is (Burnside's basis theorem) span S_p/Phi(S_p), a space over F_p of
     some dimension d_p; and d = max d_p. A seed's p-part is a power of its
@@ -923,19 +915,17 @@ def _basis_generators(G: FiniteGroup, S: Subgroup,
     that leaves, at each p, no more dimensions missing than entries left.
     Phi(S_p) is the normal closure in S_p of the x^p and [x, y], for x and
     y among the p-parts of generators of S."""
+    sylow = _sylow_masks(G, S.mask)
+    if sylow is None:
+        return None
     table = _cyclic_seeds(G)
     walks, seed_of = table.walks, table.seed_of
     primes = prime_factors(S.order)
-    sylow = dict.fromkeys(primes, 1)
     parts = []  # per seed, p -> its p-part, 1 (index 0) when p does not divide
-    for mask, g in seeds:
+    for _, g in seeds:
         walk = walks[seed_of[g]]
         m, at = len(walk), prime_factors(len(walk))
         parts.append({p: walk[m // p ** at[p] - 1] if p in at else 0 for p in primes})
-        if len(at) == 1:
-            sylow[next(iter(at))] |= mask
-    if any(sylow[p].bit_count() != p ** e for p, e in primes.items()):
-        return None
     gens = S.gens or subgroup_from_mask(G, S.mask).gens
     span, missing = {}, {}
     for p in primes:
@@ -1198,15 +1188,9 @@ def _few_generators(S: Subgroup) -> tuple[int, ...]:
 
 
 def is_nilpotent_group(G: FiniteGroup) -> bool:
-    """Lower central series reaches 1."""
+    """Every Sylow subgroup of G is normal (_sylow_masks)."""
     if "nilpotent" not in G._cache:
-        cur = full_subgroup(G)
-        while True:
-            nxt = commutator_subgroup(G, cur.gens, G.generators())
-            if nxt.mask == cur.mask:
-                G._cache["nilpotent"] = cur.order == 1
-                break
-            cur = nxt
+        G._cache["nilpotent"] = _sylow_masks(G, (1 << G.order) - 1) is not None
     return G._cache["nilpotent"]
 
 

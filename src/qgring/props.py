@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .abelian_sections import section_exponents
+from .abelian_sections import _primary_basis, section_exponents
 from .algebra import (AlgElem, carry, coeff_strings, hat, one_minus,
                       one_plus, square_zero_search, tilde)
 from .catalog import bj1_group, build_named, build_spec
@@ -184,40 +184,13 @@ def is_hamiltonian(G: FiniteGroup) -> bool:
     return not G.is_abelian() and _is_dedekind(G)
 
 
-def _int_log(base: int, value: int) -> int:
-    e, v = 0, 1
-    while v < value:
-        v *= base
-        e += 1
-    if v != value:
-        raise ValueError(f"{value} is not a power of {base}")
-    return e
-
-
 def abelian_invariants(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Prime-power invariants of an abelian subgroup, sorted.
-
-    Uses the count of elements of order dividing p^i: it equals
-    p^(sum_j min(lambda_j, i)) for type (lambda_1 >= lambda_2 >= ...).
-    """
+    """Prime-power invariants of an abelian subgroup, sorted: the orders
+    of a basis of H (_primary_basis over the trivial subgroup)."""
     if not H.is_abelian():
         raise ValueError("abelian_invariants needs an abelian subgroup")
-    out: list[int] = []
-    orders = [G.element_order(g) for g in H.members]
-    for p in prime_factors(H.order):
-        p_orders = [o for o in orders
-                    if o == 1 or set(prime_factors(o)) == {p}]
-        total = len(p_orders)
-        f = [0]  # f[i] = log_p #{elements with order dividing p^i}
-        while p ** f[-1] != total:
-            i = len(f)
-            cnt = sum(1 for o in p_orders if p ** i % o == 0)
-            f.append(_int_log(p, cnt))
-        ge = [f[i] - f[i - 1] for i in range(1, len(f))]  # #parts >= i
-        for i in range(len(ge), 0, -1):
-            exactly = ge[i - 1] - (ge[i] if i < len(ge) else 0)
-            out.extend([p ** i] * exactly)
-    return sorted(out)
+    basis = _primary_basis(H, Subgroup(G, 1))[1]
+    return sorted(order for xs in basis.values() for _, order, _ in xs)
 
 
 @dataclass
@@ -262,7 +235,7 @@ def _ncn_family(G: FiniteGroup, p: int) -> tuple[Optional[str], Optional[dict]]:
                              if H.order < n)
     if minimal_nonabelian:
         if is_metacyclic(G):
-            total = _int_log(p, n)
+            total = padic_valuation(p, n)
             for m in range(2, total):
                 if find_isomorphism(bj1_group(p, m, total - m, cap=n), G) is not None:
                     return "BJ1", {"family": "BJ1", "p": p, "m": m, "n": total - m}

@@ -1,6 +1,6 @@
 """Cheap isomorphism invariants, used by the tests as a sanity check on
 group constructions, and the subgroup, spec and relabelling operations
-only the tests use.
+and the call recorder only the tests use.
 Equal fingerprints do not make groups isomorphic (SdCyc(8,4,3) and
 SdCyc(8,4,7) share one); the library identifies groups through
 find_isomorphism only."""
@@ -100,3 +100,17 @@ def relabel(G: FiniteGroup, seed: int) -> FiniteGroup:
         for b, ab in enumerate(row):
             table[perm[a]][perm[b]] = perm[ab]
     return from_table(table)
+
+
+def record_calls(monkeypatch, owner, name):
+    """The positional arguments of every call of owner.name (a module's
+    function or a class's method) from here on."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls

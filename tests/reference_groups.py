@@ -20,6 +20,7 @@ from typing import Iterable
 
 from qgring.errors import InconsistentSpec
 from qgring.groups import FiniteGroup, Subgroup, _closure, subgroup_generated
+from qgring.numutil import prime_factors
 
 
 def _greedy_generators(G: FiniteGroup, members: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -97,6 +98,40 @@ def reference_is_nilpotent_group(G: FiniteGroup) -> bool:
         if nxt.mask == cur.mask:
             return cur.order == 1
         cur = nxt
+
+
+def _int_log(base: int, value: int) -> int:
+    e, v = 0, 1
+    while v < value:
+        v *= base
+        e += 1
+    if v != value:
+        raise ValueError(f"{value} is not a power of {base}")
+    return e
+
+
+def reference_abelian_invariants(G: FiniteGroup, H: Subgroup) -> list[int]:
+    """Prime-power invariants of an abelian subgroup, sorted.
+
+    Uses the count of elements of order dividing p^i: it equals
+    p^(sum_j min(lambda_j, i)) for type (lambda_1 >= lambda_2 >= ...).
+    """
+    out: list[int] = []
+    orders = [G.element_order(g) for g in H.members]
+    for p in prime_factors(H.order):
+        p_orders = [o for o in orders
+                    if o == 1 or set(prime_factors(o)) == {p}]
+        total = len(p_orders)
+        f = [0]  # f[i] = log_p #{elements with order dividing p^i}
+        while p ** f[-1] != total:
+            i = len(f)
+            cnt = sum(1 for o in p_orders if p ** i % o == 0)
+            f.append(_int_log(p, cnt))
+        ge = [f[i] - f[i - 1] for i in range(1, len(f))]  # #parts >= i
+        for i in range(len(ge), 0, -1):
+            exactly = ge[i - 1] - (ge[i] if i < len(ge) else 0)
+            out.extend([p ** i] * exactly)
+    return sorted(out)
 
 
 def reference_is_solvable_group(G: FiniteGroup) -> bool:

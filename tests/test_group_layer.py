@@ -12,6 +12,9 @@ holds the original code, which tests every element, forms every
 commutator and conjugates by every element; both must give the same
 subgroups, generators included, the same classes and the same verdicts.
 `conjugate_mask(G, S, t)` must be the set of the t^-1 s t, s in S.
+Nilpotency is decided by the Sylow rule of `groups._sylow_masks` and the
+invariants of an abelian subgroup by a basis found prime by prime; the
+references run the lower central series and count element orders.
 """
 
 import sys
@@ -25,10 +28,14 @@ from qgring.components import count_matrix_components
 from qgring.errors import InconsistentSpec
 from qgring.groups import (
     FiniteGroup,
+    _basis_generators,
+    _cyclic_seeds,
+    _sylow_masks,
     centralizer,
     commutator_subgroup,
     conjugate_mask,
     cyclic,
+    cyclic_subgroups,
     derived_subgroup,
     dihedral,
     is_nilpotent_group,
@@ -38,7 +45,9 @@ from qgring.groups import (
     subgroup_from_mask,
     subgroups,
 )
+from qgring.props import abelian_invariants
 from reference_groups import (
+    reference_abelian_invariants,
     reference_centralizer,
     reference_commutator_subgroup,
     reference_conjugacy_classes,
@@ -86,6 +95,54 @@ def test_group_layer_matches_reference(spec):
                 == reference_commutator_subgroup(G, H.members, range(G.order)).mask)
         for t in gens:
             assert conjugate_mask(G, H, t) == conjugate_subgroup(G, H, t).mask
+
+
+@pytest.mark.parametrize("spec", ["X(D(8),C(3))", "X(A5,C(2))",
+                                  "X(D(6),X(D(6),D(6)))"])
+def test_is_nilpotent_group_matches_reference(spec):
+    G = build_spec(spec)
+    assert is_nilpotent_group(G) == reference_is_nilpotent_group(G)
+
+
+def test_both_readers_of_the_sylow_rule_match_reference():
+    # every subgroup of the SPECS groups of order at most 72, decided as a
+    # subgroup of G (_sylow_masks, and the lattice's generator rule, which
+    # returns None for a non-nilpotent S) and as a standalone group
+    verdicts = Counter()
+    for spec in SPECS:
+        G = build_spec(spec)
+        if G.order > 72:
+            continue
+        least = _cyclic_seeds(G).least
+        for S in subgroups(G):
+            nilpotent = reference_is_nilpotent_group(S.induced()[0])
+            seeds = [(mask, g) for mask, g in least.items() if mask & S.mask == mask]
+            assert (_sylow_masks(G, S.mask) is None) == (not nilpotent), (spec, S)
+            if S.mask != 1 and S.mask not in least:  # asked for non-cyclic S only
+                assert ((_basis_generators(G, S, seeds) is None)
+                        == (not nilpotent)), (spec, S)
+            verdicts[nilpotent] += 1
+    assert verdicts == {True: 790, False: 84}
+
+
+def test_abelian_invariants_match_reference():
+    # the abelian subgroups of the SPECS groups of order at most 72, every
+    # cyclic subgroup, and the odd parts of four Hamiltonian groups
+    cases = []
+    for spec in SPECS:
+        G = build_spec(spec)
+        cases += [(G, C) for C in cyclic_subgroups(G)]
+        if G.order <= 72:
+            cases += [(G, H) for H in subgroups(G) if H.is_abelian()]
+    for spec in ("X(Q(8),C(15))", "X(X(Q(8),C(3)),C(3))", "X(Q(8),C(25))",
+                 "X(Q(8),C(27))"):
+        G = build_spec(spec)
+        cases.append((G, subgroup_from_mask(G, sum(
+            1 << g for g, m in enumerate(G.element_orders()) if m % 2))))
+    for G, H in cases:
+        assert (abelian_invariants(G, H)
+                == reference_abelian_invariants(G, H)), (G.name, H)
+    assert len(cases) == 1286
 
 
 def test_commutator_subgroup_takes_members_or_generators():

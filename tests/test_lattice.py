@@ -35,7 +35,7 @@ from qgring.groups import (FiniteGroup, Subgroup, _closure, _conjugated_row,
 from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
 import reference_lattice
-from invariants import relabel, relabelling
+from invariants import record_calls, relabel, relabelling
 from reference_lattice import (coset_subgroups, lattice_is_sn, reference_is_ncn,
                                reference_is_sn, reference_is_ssn,
                                reference_subgroups)
@@ -176,15 +176,16 @@ def test_conjugated_rows_are_the_join_rows(spec):
             assert new == sorted((k, mask) for mask, k in firsts.items())
 
 
-def test_a_cold_lattice_conjugates_by_the_generators_only(monkeypatch):
-    # the seed permutations compose the generators' moves, so no other
-    # element's permutation of G is built
+def test_a_cold_lattice_builds_one_permutation_per_conjugated_row(monkeypatch):
+    # the seeds are classed through the generators' permutations of G, and
+    # each seed C_i = C_r^g that takes a conjugated row reads that of g^-1
     G = dihedral(200)
-    conjugation, by = qgring.groups._conjugation, []
-    monkeypatch.setattr(qgring.groups, "_conjugation",
-                        lambda G, g: by.append(g) or conjugation(G, g))
+    built = record_calls(monkeypatch, qgring.groups, "_conjugation")
     assert len(subgroups(G)) == 226
-    assert by == list(G.generators())
+    rep, by = _seed_classes(G)[:2]
+    conjugators = [G.inverse[by[i]] for i in range(len(rep)) if rep[i] != i]
+    assert len(conjugators) == 98
+    assert [g for _G, g in built] == list(G.generators()) + conjugators
 
 
 # sha256 of the (mask, gens) list of every catalog name's lattice and of
@@ -254,60 +255,41 @@ def test_elementary_abelian_lattice_matches_reference(monkeypatch):
     # 374 subgroups, 31 of them cyclic: each join <H, c> is the product set
     # H u cH, so none is closed
     G = elementary_abelian(2, 5)
-    bases = _record_closures(monkeypatch)
+    closures = record_calls(monkeypatch, qgring.groups, "_closure")
     assert _same_lattice(G)
-    assert bases == []
-
-
-def _record_closures(monkeypatch):
-    """The base of every _closure call from here on (None for no base)."""
-    bases = []
-    orig = qgring.groups._closure
-
-    def recording(G, gens, base=None):
-        bases.append(base)
-        return orig(G, gens, base)
-
-    monkeypatch.setattr(qgring.groups, "_closure", recording)
-    return bases
+    assert closures == []
 
 
 def test_cold_lattice_closes_few_joins(monkeypatch):
     G = build_spec("D(200)")
     G._cache.clear()
-    bases = _record_closures(monkeypatch)
+    closures = record_calls(monkeypatch, qgring.groups, "_closure")
     subgroups(G)
     # 5 668 joins when each one not skipped by a double coset was closed;
     # now each is named or, as <a> is normal, a product set, and the
     # cyclic seeds are power walks
-    assert bases == []
+    assert closures == []
 
 
 def test_cold_lattice_names_most_cyclic_joins(monkeypatch):
     G = build_spec("D(200)")
     G._cache.clear()
-    bases = _record_closures(monkeypatch)
-    products = _record_calls(monkeypatch, qgring.groups, "_cyclic_join")
+    closures = record_calls(monkeypatch, qgring.groups, "_closure")
+    products = record_calls(monkeypatch, qgring.groups, "_cyclic_join")
     assert len(subgroups(G)) == 226
     # 618 product sets when a level-2 join was not read off the first
     # level's joins <C_s, C_q>, and 209 when every seed and every
     # 2-generated subgroup was scanned, not one per conjugacy class
     assert len(products) <= 133
-    assert bases == []
+    assert closures == []
 
 
 def test_pci_enumeration_makes_few_subgroup_comparisons(monkeypatch):
     G = build_spec("X(D(8),EA(2,3))")
     G._cache.clear()
     assert len(subgroups(G)) == 937
-    calls = []
-    orig = Subgroup.__le__  # __lt__ calls it, so it is counted too
-
-    def counting(self, other):
-        calls.append(None)
-        return orig(self, other)
-
-    monkeypatch.setattr(Subgroup, "__le__", counting)
+    # __lt__ calls __le__, so it is counted too
+    calls = record_calls(monkeypatch, Subgroup, "__le__")
     metabelian_pcis(G)
     # 941 747 when A <= B was tested again for every K, and every abelian
     # candidate over G' against all the others
@@ -319,30 +301,23 @@ def test_sn_and_ssn_make_no_closure_on_a_cached_lattice(name, monkeypatch):
     G = build_named(name)
     G._cache.clear()
     normal_subgroups(G)
-    bases = _record_closures(monkeypatch)
+    closures = record_calls(monkeypatch, qgring.groups, "_closure")
     assert is_sn(G)
     # SN reads no lattice: its only closures are the normal closures of one
     # non-normal seed per conjugacy class, each started once from its seed
     seeds = cyclic_subgroups(G)
-    assert bases.count(None) == len({k for k in _seed_classes(G)[0]
-                                     if not is_normal(G, seeds[k])}) > 0
-    bases.clear()
+    assert sum(len(args) < 3 or args[2] is None for args in closures) == len(
+        {k for k in _seed_classes(G)[0] if not is_normal(G, seeds[k])}) > 0
+    closures.clear()
     assert is_ssn(G)
-    assert bases == []
+    assert closures == []
 
 
 @pytest.mark.parametrize("spec", ["D(200)", "BJ9"])
 def test_is_ssn_builds_no_group(spec, monkeypatch):
     G = _build(spec)
     G._cache.clear()
-    built = []
-    orig = FiniteGroup.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        orig(self, *args, **kwargs)
-
-    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    built = record_calls(monkeypatch, FiniteGroup, "__init__")
     is_ssn(G)
     assert built == []
 
@@ -388,36 +363,23 @@ def test_subgroup_cap_stops_where_the_coset_lattice_stops(monkeypatch):
     assert len(stops[0]) == 151 and stops[0] == stops[1]
 
 
-def _record_calls(monkeypatch, module, name):
-    """The arguments of every call of module.name from here on."""
-    calls = []
-    orig = getattr(module, name)
-
-    def recording(*args):
-        calls.append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(module, name, recording)
-    return calls
-
-
 def test_a_dedekind_group_scans_nothing(capsys, monkeypatch):
     # Q8 x EA(2,4) is Hamiltonian: every subgroup is normal, so SN, SSN and
     # NCN ask the normality of its cyclic subgroups alone, and they test no
     # join and compute no N_G(N)
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})
     G = build_spec("X(Q(8),EA(2,4))")
-    bases = _record_closures(monkeypatch)
+    closures = record_calls(monkeypatch, qgring.groups, "_closure")
     subs = subgroups(G)
     # every join <H, c> is a product set H<c>, and the 128 cyclic seeds are
     # power walks
-    assert bases == []
+    assert closures == []
     assert len(subs) == len(normal_subgroups(G)) == 3132
-    joins = _record_calls(monkeypatch, qgring.props, "_join_is_normal")
+    joins = record_calls(monkeypatch, qgring.props, "_join_is_normal")
     # props binds is_normal at import, so its calls are recorded there
-    normal = [_record_calls(monkeypatch, module, "is_normal")
+    normal = [record_calls(monkeypatch, module, "is_normal")
               for module in (qgring.groups, qgring.props)]
-    normalizers = _record_calls(monkeypatch, qgring.props, "normalizer_mask")
+    normalizers = record_calls(monkeypatch, qgring.props, "normalizer_mask")
     assert is_sn(G) and is_ssn(G) and is_ncn(G) and is_hamiltonian(G)
     assert joins == normalizers == []
     asked = {H.mask for calls in normal for _G, H in calls}
@@ -439,9 +401,9 @@ def test_ssn_computes_n_g_n_once_per_class(spec, computed, monkeypatch):
     lattice = {H.mask for H in subgroups(G)}
     normals = {N.mask for N in normal_subgroups(G)}
     # props binds is_normal at import, so its calls are recorded there
-    normal = [_record_calls(monkeypatch, module, "is_normal")
+    normal = [record_calls(monkeypatch, module, "is_normal")
               for module in (qgring.groups, qgring.props)]
-    normalizers = _record_calls(monkeypatch, qgring.props, "normalizer_mask")
+    normalizers = record_calls(monkeypatch, qgring.props, "normalizer_mask")
     is_sn(G)
     is_ssn(G)
     is_hamiltonian(G)
