@@ -19,10 +19,9 @@ A kernel gets generators by the one closure-free rule (groups._beside).
 
 from __future__ import annotations
 
-import functools
 import itertools
-from operator import and_, itemgetter, mul
-from typing import Optional, Sequence
+from operator import itemgetter, mul
+from typing import Optional
 
 from .errors import NotNormal
 from .groups import (
@@ -95,25 +94,20 @@ def _coset_masks(listed: list[int], size: int) -> list[int]:
             for v in range(0, len(listed), size)]
 
 
-def _cyclic_kernels(B: Subgroup, D: Subgroup, powers: list[int],
-                    avoid: Sequence[Subgroup]) -> list[Subgroup]:
-    """cocyclic_subgroups(B, D, avoid) for a cyclic B/D, given the x^j,
+def _cyclic_kernels(B: Subgroup, D: Subgroup, powers: list[int]) -> list[Subgroup]:
+    """cocyclic_subgroups(B, D) for a cyclic B/D, given the x^j,
     j < [B : D], for an x with B = <x>D (section_powers): the D<x^k>,
-    k | [B : D], each the union of the cosets x^j D with k | j, that
-    contain no member of avoid, generated by D and x^k (_beside)."""
+    k | [B : D], each the union of the cosets x^j D with k | j, generated
+    by D and x^k (_beside)."""
     G = B.parent
     n, members = len(powers), D.members
     size = len(members)
     listed = powers if size == 1 else list(itertools.chain.from_iterable(
         map(G.table[xj].__getitem__, members) for xj in powers))
     coset_masks = _coset_masks(listed, size)
-    # for each member of avoid, the j of the cosets x^j D of its generators
-    avoided = [[listed.index(y) // size for y in d.gens or d.members[1:]]
-               for d in avoid]
     dgens = _few_generators(D)
     return [_beside(G, sum(coset_masks[::k]), dgens, powers[k:k + 1])
-            for k in range(1, n + 1)
-            if not n % k and not any(all(j % k == 0 for j in js) for js in avoided)]
+            for k in range(1, n + 1) if not n % k]
 
 
 def _primary_basis(B: Subgroup, D: Subgroup
@@ -155,17 +149,14 @@ def _primary_basis(B: Subgroup, D: Subgroup
     return listed, basis
 
 
-def cocyclic_subgroups(B: Subgroup, D: Subgroup,
-                       avoid: Sequence[Subgroup] = ()) -> list[Subgroup]:
-    """The K with D <= K <= B and B/K cyclic that contain no member of
-    avoid (each d in avoid with D <= d <= B), for B' <= D <= B, that is D
+def cocyclic_subgroups(B: Subgroup, D: Subgroup) -> list[Subgroup]:
+    """The K with D <= K <= B and B/K cyclic, for B' <= D <= B, that is D
     normal in B with B/D abelian (NotNormal otherwise): the kernels of the
     linear characters of B/D, one per cyclic subgroup of its dual. No
     lattice, quotient table or closure is built.
 
     B is listed coset by coset along a basis of B/D (_primary_basis), so
-    each coset's mask is read off that list, and an element's coordinates
-    off its place in it.
+    each coset's mask is read off that list.
 
     Per prime p, with p^E the greatest basis order, a character sends x_i
     (of order p^e_i) to w_i / p^E, w_i a multiple of p^(E - e_i). Of the
@@ -174,9 +165,7 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
     Its kernel is generated by D, the x_j x_i^(-w_j / p^v) (j != i) and
     x_i^(p^(E - v)). A K is one such kernel per prime, with the generators
     of each; its mask is the AND over p of the union of the cosets whose
-    p-coordinates lie in p's kernel. It contains d iff each prime's
-    character is trivial on d's generators, so a K that would is never
-    built.
+    p-coordinates lie in p's kernel.
 
     When B/D is cyclic (section_generator), generated by xD, the K are
     the D<x^k>, one per divisor k of [B : D]: this is read off the cosets
@@ -190,7 +179,7 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
     if derived_subgroup(B).mask & ~dmask:
         raise NotNormal(f"{D!r} does not contain the derived subgroup of {B!r}")
     if section_generator(B, D) is not None:
-        return _cyclic_kernels(B, D, section_powers(B, D), avoid)
+        return _cyclic_kernels(B, D, section_powers(B, D))
     listed, basis = _primary_basis(B, D)
     coset_masks = _coset_masks(listed, size)
     # a coset's index is sum over p of its p-block u_p times the stride of
@@ -208,22 +197,11 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
                 at_p[p][v // block % span] |= mask
         block *= span
 
-    def coordinates(y: int) -> dict[int, list[int]]:
-        v, coords = listed.index(y) // size, {}
-        for p, xs in basis.items():
-            coords[p] = [v // st % o for st, (_, o, _) in zip(strides[p], xs)]
-            v //= strides[p][-1] * xs[-1][1]
-        return coords
-
-    # the coordinates of each d's generators, d by d
-    avoided = [list(map(coordinates, d.gens or d.members[1:])) for d in avoid]
-    everyone = (1 << len(avoid)) - 1
-    options = []  # per prime: (the avoided d its kernel holds, its mask, gens)
+    options = []  # per prime: (its kernel's mask, gens), one per listed character
     for p, xs in basis.items():
         orders, st = [o for _, o, _ in xs], strides[p]
         top = max(orders)
-        ys_p = [[y[p] for y in ys] for ys in avoided]
-        mine = [(everyone, bmask, [x for x, _, _ in xs])]  # the trivial character
+        mine = [(bmask, [x for x, _, _ in xs])]  # the trivial character
         # a listed character: w_lead = p^v, w_j / p^v a multiple of p for
         # j < lead (its valuation exceeds v) and of p^(E - e_j - v) for all j
         for lead, (_, o, powers) in enumerate(xs):
@@ -234,10 +212,6 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
                           if j != lead else (1,) for j in range(len(xs))]
                 for steps in itertools.product(*ranges):
                     # u is in the kernel iff sum of u_j w_j / p^v = 0 mod q
-                    holds = sum(1 << t for t, us in enumerate(ys_p)
-                                if not any(sum(map(mul, u, steps)) % q for u in us))
-                    if holds and len(basis) == 1:
-                        continue  # this K holds a member of avoid
                     pairs = [(0, 0)]  # (offset, sum of u_j w_j / p^v mod q)
                     gens = []
                     for j, step in enumerate(steps):
@@ -250,17 +224,15 @@ def cocyclic_subgroups(B: Subgroup, D: Subgroup,
                         gens.append(powers[q])
                     offsets = [a + (-r % q + k) * st[lead] for k in range(0, o, q)
                                for a, r in pairs]
-                    mine.append((holds, sum(map(at_p[p].__getitem__, offsets)), gens))
+                    mine.append((sum(map(at_p[p].__getitem__, offsets)), gens))
                 q //= p
         options.append(mine)
     dgens = _few_generators(D)  # for a K's generators
     out = []
     for choice in itertools.product(*options):
-        if functools.reduce(and_, (holds for holds, _, _ in choice), everyone):
-            continue
         # K is the intersection of the kernels of its characters' p-parts
-        _, mask, gens = choice[0]
-        for _, more_mask, more in choice[1:]:
+        mask, gens = choice[0]
+        for more_mask, more in choice[1:]:
             mask &= more_mask
             gens = gens + more
         out.append(_beside(G, mask, dgens, gens))

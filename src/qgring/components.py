@@ -278,27 +278,19 @@ def amitsur_division(m: int, r: int) -> AmitsurResult:
 # classification
 
 
-def _fixed_field_degree(h: int, action_exps: list[int]) -> int:
-    """Degree over Q of the fixed field of the given Galois exponents in
-    the h-th cyclotomic field."""
-    group = {1 % h if h > 1 else 0}
-    frontier = list(group)
-    while frontier:
-        x = frontier.pop()
-        for a in action_exps:
-            y = x * a % h if h > 1 else 0
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    return euler_phi(h) // len(group)
-
-
 def _split_component(desc: ComponentDescriptor, branch: str) -> str:
     """Fill desc as M_size(F), size = n * |N/H| and F the fixed field of
-    the action: the component when the twisting is trivial, or becomes
-    trivial after a change of coset representatives."""
+    the action of N/H on Q(zeta_h): the component when the twisting is
+    trivial, or becomes trivial after a change of coset representatives
+    (Olivieri, del Rio and Simon, Comm. Algebra 32 (2004)).
+
+    [F : Q] = phi(h) / |N : H|. The strong Shoda test proved
+    {m in N : (m, x) in K} = H, so only H acts trivially on H/K = <xK>:
+    N/H acts faithfully on the cyclic H/K of order h, and its action
+    exponents form a subgroup of (Z/h)^x of order |N : H|, the Galois
+    group of Q(zeta_h)/F."""
     size = desc.matrix_size_n * desc.nh_order
-    fdeg = _fixed_field_degree(desc.cyclotomic_order_h, list(desc.action.values()))
+    fdeg = euler_phi(desc.cyclotomic_order_h) // desc.nh_order
     if desc.degree != size or desc.center_rank != fdeg:
         raise SoundnessError(
             "pair data inconsistent with the idempotent's dimension data")

@@ -28,6 +28,7 @@ from .components import (
     predict_nonnilpotent,
 )
 from .errors import (
+    BNotAbelian,
     NotCentralIdempotent,
     NotMetabelian,
     NotPGroup,
@@ -54,6 +55,7 @@ from .groups import (
     normal_closure,
     normalizer_mask,
     normalizes,
+    require_subgroups,
     section_generator,
     subgroup_from_mask,
     subgroup_generated,
@@ -185,10 +187,13 @@ def is_hamiltonian(G: FiniteGroup) -> bool:
 
 
 def abelian_invariants(G: FiniteGroup, H: Subgroup) -> list[int]:
-    """Prime-power invariants of an abelian subgroup, sorted: the orders
-    of a basis of H (_primary_basis over the trivial subgroup)."""
+    """Prime-power invariants of an abelian subgroup H of G, sorted: the
+    orders of a basis of H (_primary_basis over the trivial subgroup).
+    GroupMismatch when H is a subgroup of another group, BNotAbelian when
+    H is not abelian."""
+    require_subgroups(G, H)
     if not H.is_abelian():
-        raise ValueError("abelian_invariants needs an abelian subgroup")
+        raise BNotAbelian(f"{H!r} is not abelian")
     basis = _primary_basis(H, Subgroup(G, 1))[1]
     return sorted(order for xs in basis.values() for _, order, _ in xs)
 

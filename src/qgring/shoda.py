@@ -303,19 +303,19 @@ def _maximal_abelian_pairs(G: FiniteGroup,
     del Rio's algorithm for metabelian groups): the B are the subgroups
     over the abelian A >= G' (subgroups_over), and for each B the K are
     the kernels of the linear characters of B/B' (cocyclic_subgroups). H
-    is maximal iff no B2 > H has B2' <= K, and B2' grows with B2, so a
-    K that contains the derived subgroup of a larger B is never built.
-    Subgroups are compared by mask, and a K found for several B is one
-    object."""
+    is maximal iff no B2 > H has B2' <= K: one mask test per K, and the
+    only place maximality is decided. Subgroups are compared by mask, and
+    a K found for several B is one object."""
     over_A = subgroups_over(A)
     derived = {B.mask: derived_subgroup(B) for B in over_A}
     pairs: list[tuple[Subgroup, Subgroup]] = []
     known = {B.mask: B for B in over_A}
     for B in over_A:
         b = B.mask
-        above = {derived[c].mask: derived[c] for c in known if c != b and b | c == c}
+        above = {derived[c].mask for c in derived if c != b and b | c == c}
         pairs += ((B, known.setdefault(K.mask, K))
-                  for K in cocyclic_subgroups(B, derived[b], list(above.values())))
+                  for K in cocyclic_subgroups(B, derived[b])
+                  if not any(d & K.mask == d for d in above))
     pairs.sort(key=lambda hk: (-hk[0].order, hk[0].mask, hk[1].order, hk[1].mask))
     return pairs
 

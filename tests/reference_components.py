@@ -6,7 +6,10 @@ by fraction-free elimination in `exact_rank`), `centralizer_subgroup`
 (full products, not memoized) and the pairwise-orthogonality loop of
 `metabelian_pcis`. The library decides the same facts at the class
 representatives and skips whole cosets; the tests in test_central_layer.py
-require identical results from both.
+require identical results from both. `reference_fixed_field_degree` is the
+closure walk over the action exponents that the split components' field
+degree once came from; test_components.py checks phi(h) / |N : H| against
+it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from qgring.algebra import AlgElem
 from qgring.errors import NotCentralIdempotent, SoundnessError
 from qgring.groups import FiniteGroup, Subgroup, subgroup_from_mask
+from qgring.numutil import euler_phi
 
 
 def exact_rank(rows: list[list[int]]) -> int:
@@ -104,3 +108,19 @@ def reference_check_orthogonal(idempotents: list[AlgElem]) -> None:
         for f in idempotents[i + 1:]:
             if not (e * f).is_zero():
                 raise SoundnessError("PCIs must be pairwise orthogonal")
+
+
+def reference_fixed_field_degree(h: int, exps: list[int]) -> int:
+    """Degree over Q of the fixed field of the given Galois exponents in
+    the h-th cyclotomic field, by a closure walk over the subgroup of
+    (Z/h)^x they generate."""
+    group = {1 % h if h > 1 else 0}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for a in exps:
+            y = x * a % h if h > 1 else 0
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return euler_phi(h) // len(group)

@@ -30,9 +30,12 @@ from qgring.errors import (
     UnknownFamily,
 )
 from qgring.groups import derived_subgroup, full_subgroup, subgroup_generated
+from qgring.numutil import euler_phi
 from qgring.shoda import metabelian_pcis
 from invariants import relabel
-from reference_components import exact_rank
+from reference_components import exact_rank, reference_fixed_field_degree
+from test_pair_layer import PRODUCTS, _metabelian_groups
+from test_workloads import workloads  # noqa: F401  (the fixture)
 
 
 def test_exact_rank():
@@ -74,6 +77,25 @@ def test_describe_component_example37():
     assert d.dim_over_Q == 64 and d.center_rank == 1 and d.degree == 8
     assert classify_component(d) == MATRIX
     assert d.trace["branch"] == "trivial-twisting"
+
+
+@pytest.mark.parametrize("source", ["catalog", "analyze-large", "family-sweep",
+                                    "witness-search", "products"])
+def test_fixed_field_degree_is_read_off_the_index(source, workloads):
+    # a split component's field degree is phi(h) / |N : H|: the strong
+    # Shoda test makes N/H act faithfully on H/K, so the action exponents
+    # are a subgroup of (Z/h)^x of order |N : H|, and the closure walk
+    # that found the degree before gives the same number
+    groups = ([build_spec(spec) for spec in PRODUCTS] if source == "products"
+              else _metabelian_groups(source, workloads))
+    for G in groups:
+        for sp in metabelian_pcis(G):
+            d = describe_component(G, sp.H, sp.K, e=sp.e)
+            h, exps = d.cyclotomic_order_h, set(d.action.values())
+            assert len(exps) == d.nh_order, (G.name, sp.describe())
+            assert {a * b % h for a in exps for b in exps} == exps
+            assert (reference_fixed_field_degree(h, list(exps))
+                    == euler_phi(h) // d.nh_order), (G.name, sp.describe())
 
 
 def test_describe_component_requires_strong_pair():

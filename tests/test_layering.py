@@ -7,7 +7,8 @@ hidden inside a function counts too. Only cli's import of verify is made inside 
 function, so that `analyze` does not load the verification suite. No
 module imports `random`, and only algebra names `SquareZeroFamily`. The
 PCI layer names no subgroup lattice: a pair's label reads the lattice's
-generator rule, groups.lattice_generators.
+generator rule, groups.lattice_generators. A pair's maximality is tested
+in one place, and no module imports a name it never uses.
 """
 
 import ast
@@ -180,6 +181,46 @@ def test_one_join_normality_test():
     assert _namers("props", "_join_is_normal") == {"is_sn", "is_ssn.passes"}
     assert _namers("props", "_non_normal_classes") == {"is_ssn"}
     assert _namers("props", "normal_subgroups") == set()
+
+
+def test_one_maximality_filter():
+    # a pair's maximality is decided by _maximal_abelian_pairs alone, one
+    # mask test per kernel, and the fixed field's degree is read off
+    # |N : H| with no closure walk over the action exponents
+    tree = ast.parse((PACKAGE / "abelian_sections.py").read_text())
+    cocyclic = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    and node.name == "cocyclic_subgroups")
+    assert [a.arg for a in cocyclic.args.args] == ["B", "D"]
+    assert not cocyclic.args.kwonlyargs and not cocyclic.args.vararg
+    assert _scopes("abelian_sections", lambda node: (
+        isinstance(node, ast.Name) and node.id == "avoid"
+        or isinstance(node, ast.arg) and node.arg == "avoid")) == set()
+    assert _definers("_fixed_field_degree") == set()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import left behind by a cut is dead code; __init__ re-exports the
+    # names of its __all__
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                used |= {elt.value for elt in node.value.elts}
+        unused += [f"{path.stem}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_every_memo_lives_in_a_groups_cache():

@@ -35,7 +35,7 @@ from qgring.groups import (all_maximal_abelian_over, artin_count, derived_subgro
                            full_subgroup, is_metacyclic, is_nilpotent_group, is_normal,
                            is_normal_in, maximal_abelian_over, normalizer, quotient,
                            subgroup_generated, subgroups)
-from qgring.props import nd_verdict
+from qgring.props import abelian_invariants, nd_verdict
 from qgring.shoda import (
     e_idem,
     epsilon,
@@ -207,19 +207,23 @@ def _check_pairs_match_reference(G, monkeypatch):
     """The maximal-abelian enumeration yields the pairs of the reference
     over the whole lattice, in order, and metabelian_pcis puts to the
     strong Shoda test the first pair of each G-conjugacy class of them, in
-    order. (The tests named for an exponent filter keep their names; the
-    enumeration now needs no filter.)"""
+    order. Up to order 48 the enumeration matches the reference for
+    every maximal abelian A >= G', not only the greedy one. (The tests
+    named for an exponent filter keep their names; the enumeration has no
+    filter but its one maximality test.)"""
     if not derived_subgroup(G).is_abelian():
         with pytest.raises(NotMetabelian):
             metabelian_pcis(G)
         return
     A = maximal_abelian_over(G, derived_subgroup(G))
+    every_A = all_maximal_abelian_over(G, derived_subgroup(G))
     # the greedy A is the lattice's least-mask pick on every group tested
-    assert A.mask == min(all_maximal_abelian_over(G, derived_subgroup(G)),
-                         key=lambda S: S.mask).mask
+    assert A.mask == min(every_A, key=lambda S: S.mask).mask
+    for B in every_A if G.order <= 48 else [A]:
+        assert ([(H.mask, K.mask) for H, K in qgring.shoda._maximal_abelian_pairs(G, B)]
+                == [(H.mask, K.mask) for H, K in
+                    reference_maximal_abelian_pairs(subgroups(G), B)]), (G.name, B)
     pairs = reference_maximal_abelian_pairs(subgroups(G), A)
-    assert ([(H.mask, K.mask) for H, K in qgring.shoda._maximal_abelian_pairs(G, A)]
-            == [(H.mask, K.mask) for H, K in pairs])
     tested = []
     strong = qgring.shoda.is_strong_shoda_pair
 
@@ -577,9 +581,10 @@ def _d12_q12():
     lambda D, a, one: is_normal(D, a),
     lambda D, a, one: is_normal_in(subgroup_generated(D, [1]), one),
     lambda D, a, one: quotient(D, one),
+    lambda D, a, one: abelian_invariants(D, a),
 ], ids=["strong_pair", "is_strong_shoda_pair", "e_idem", "describe_component",
         "is_shoda_pair", "section_generator", "is_normal", "is_normal_in",
-        "quotient"])
+        "quotient", "abelian_invariants"])
 def test_a_subgroup_of_another_group_is_refused(call):
     # each memo of G is keyed by a subgroup's mask alone: Q12's <a> would
     # store a record in D12's cache that D12's own <a> then reads

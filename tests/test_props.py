@@ -5,8 +5,9 @@ import pytest
 from qgring import props
 from qgring.algebra import AlgElem, hat
 from qgring.catalog import bj2_group, build_named, build_spec
-from qgring.errors import NotPGroup, SoundnessError, UnknownWitness
-from qgring.groups import cyclic_extension, is_normal, quaternion, subgroup_generated
+from qgring.errors import BNotAbelian, NotPGroup, SoundnessError, UnknownWitness
+from qgring.groups import (cyclic_extension, full_subgroup, is_normal, quaternion,
+                           subgroup_generated)
 from qgring.numutil import ord_mod, prime_factors
 from qgring.props import (
     _SUM_OF_SQUARES,
@@ -74,6 +75,10 @@ def test_abelian_invariants():
     from qgring.groups import subgroup_from_mask
     odd = subgroup_from_mask(G, mask)
     assert abelian_invariants(G, odd) == [3, 5]
+    # a non-abelian H is refused with maximal_abelian_over's typed error,
+    # not a bare ValueError
+    with pytest.raises(BNotAbelian):
+        abelian_invariants(G, full_subgroup(G))
 
 
 def test_classify_ssn_taxonomy():
