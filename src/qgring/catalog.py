@@ -13,6 +13,7 @@ alias of that string: the group is built by parsing it, and
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Callable, Optional
 
@@ -213,7 +214,10 @@ class _Parser:
         tok = self.take()
         if not tok.isdigit():
             raise ParseError(f"expected integer, got {tok!r}")
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # past Python's limit on the digits int() reads
+            raise ParseError(f"integer of {len(tok)} digits is too long") from None
 
     def matrix(self) -> list[list[int]]:
         self.take("[")
@@ -267,9 +271,17 @@ _GRAMMAR: dict[str, tuple[tuple[Callable, ...], Callable[..., FiniteGroup]]] = {
 }
 
 
+# the deepest nesting of specs that the parser, one call deep per level,
+# accepts
+MAX_SPEC_DEPTH = 100
+
+
 def _parse(spec: str, cap: Optional[int]) -> FiniteGroup:
     """Build the group a whole spec string names."""
     toks = _tokenize(spec)
+    if max(itertools.accumulate((t == "(") - (t == ")") for t in toks),
+           default=0) > MAX_SPEC_DEPTH:
+        raise ParseError(f"spec nested more than {MAX_SPEC_DEPTH} deep")
     parser = _Parser(toks, cap)
     G = parser.spec()
     if parser.i != len(toks):

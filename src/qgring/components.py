@@ -32,7 +32,7 @@ from .errors import (
     SoundnessError,
     UnknownFamily,
 )
-from .groups import (FiniteGroup, Subgroup, find_isomorphism,
+from .groups import (FiniteGroup, Subgroup, cosets, find_isomorphism,
                      section_generator, subgroup_generated)
 from .numutil import (
     crt,
@@ -402,7 +402,8 @@ def a5_shoda_idempotent(G: FiniteGroup) -> tuple[Subgroup, Subgroup, AlgElem, Al
         A4 = subgroup_generated(G, (G.element("(1,2,3)"), b))
         K = subgroup_generated(G, (b, G.element("(1,3)(2,4)")))
         eps = epsilon(A4, K)
-        e = Fraction(1, 2) * sum_of_conjugates(eps)
+        e = Fraction(1, 2) * sum_of_conjugates(
+            eps, cosets(eps.centralizer_subgroup())[1])
         if not e.is_central_idempotent():
             raise SoundnessError(
                 "the A5 Shoda-pair element is not a central idempotent")

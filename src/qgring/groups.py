@@ -34,7 +34,9 @@ DEFAULT_ORDER_CAP = 250
 def _check_cap(order: int, cap: Optional[int]) -> None:
     cap = DEFAULT_ORDER_CAP if cap is None else cap
     if order > cap:
-        raise OrderCapExceeded(f"group order {order} exceeds cap {cap}")
+        # str() refuses an int of more than 4 300 digits
+        shown = order if order.bit_length() < 10_000 else f"of {order.bit_length()} bits"
+        raise OrderCapExceeded(f"group order {shown} exceeds cap {cap}")
 
 
 class FiniteGroup:
@@ -1350,10 +1352,12 @@ def abelian(orders: Sequence[int], letters: Sequence[str],
 
 
 def elementary_abelian(p: int, rank: int, cap: Optional[int] = None) -> FiniteGroup:
-    if not is_prime(p):
-        raise InconsistentSpec(f"{p} is not prime")
     if rank < 1 or rank > 8:
         raise InconsistentSpec("rank must be between 1 and 8")
+    # the cap before the primality test, whose cost grows with sqrt(p)
+    _check_cap(p ** rank, cap)
+    if not is_prime(p):
+        raise InconsistentSpec(f"{p} is not prime")
     letters = "abcdefgh"[:rank]
     return abelian([p] * rank, list(letters), cap=cap, name=f"EA({p},{rank})")
 
@@ -1414,6 +1418,8 @@ def metacyclic_amitsur(m: int, r: int, cap: Optional[int] = None) -> FiniteGroup
         raise InconsistentSpec("m must be positive")
     if math.gcd(m, r) != 1:
         raise InconsistentSpec(f"gcd({m},{r}) != 1")
+    # |G| = m * ord_m(r) >= m: the cap before ord_mod, whose cost grows with m
+    _check_cap(m, cap)
     s = math.gcd(r - 1, m) if m > 1 else 1
     t = m // s
     n = ord_mod(m, r)
@@ -1500,9 +1506,17 @@ def semidirect_vector(p: int, rank: int, matrix: Sequence[Sequence[int]], q: int
                       cap: Optional[int] = None) -> FiniteGroup:
     """(C_p)^rank semidirect C_q; the C_q generator c acts by x^c = M x
     on exponent vectors."""
+    if q < 1:
+        raise InconsistentSpec("q must be positive")
+    # the cap before the primality test, whose cost grows with sqrt(p), and
+    # before any power it refuses: for p >= 2, p^rank >= 2^rank is over
+    # every cap of at most rank bits
+    bound = DEFAULT_ORDER_CAP if cap is None else cap
+    if p >= 2 and rank >= bound.bit_length():
+        raise OrderCapExceeded(f"group order {p}^{rank}*{q} exceeds cap {bound}")
+    _check_cap(p ** rank * q, cap)
     if not is_prime(p):
         raise InconsistentSpec(f"{p} is not prime")
-    _check_cap(p ** rank * q, cap)
     M = [[v % p for v in row] for row in matrix]
     if len(M) != rank or any(len(row) != rank for row in M):
         raise InconsistentSpec("action matrix has wrong shape")

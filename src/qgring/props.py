@@ -48,13 +48,14 @@ from .groups import (
     cyclic_subgroups,
     derived_subgroup,
     find_isomorphism,
+    full_subgroup,
     is_metacyclic,
     is_nilpotent_group,
     is_normal,
     is_solvable_group,
+    lattice_generators,
     normal_closure,
     normalizer_mask,
-    normalizes,
     require_subgroups,
     section_generator,
     subgroup_from_mask,
@@ -169,14 +170,17 @@ def is_ssn(G: FiniteGroup) -> bool:
 
 def is_ncn(G: FiniteGroup) -> bool:
     """Every non-cyclic subgroup is normal (p-groups only). A Dedekind G
-    is NCN, as each of its subgroups is normal, and is decided with no
-    lattice; otherwise the lattice is scanned up to the first non-cyclic
-    subgroup that is not normal."""
+    is NCN, as each of its subgroups is normal. An NCN p-group is SN: take
+    N normal and Y with N not in Y. If YN is not cyclic, it is normal. If
+    YN is cyclic, its subgroups form a chain, so Y < N and YN = N is
+    normal. So a G that is not SN (is_sn, no lattice) is not NCN. Only
+    an SN G that is not Dedekind scans the lattice, up to the first
+    non-cyclic subgroup that is not normal."""
     ok, p = G.is_p_group()
     if not ok or G.order == 1:
         raise NotPGroup(f"{G.name} is not a nontrivial p-group")
     if "ncn" not in G._cache:
-        G._cache["ncn"] = _is_dedekind(G) or all(
+        G._cache["ncn"] = _is_dedekind(G) or is_sn(G) and all(
             S.is_cyclic() or is_normal(G, S) for S in subgroups(G))
     return G._cache["ncn"]
 
@@ -228,6 +232,24 @@ class SSNClass:
                 "nd": pred.nd, "detail": pred.detail}
 
 
+def _is_minimal_nonabelian(G: FiniteGroup, p: int) -> bool:
+    """Every proper subgroup of the nonabelian p-group G is abelian;
+    decided by Redei's criterion, d(G) = 2 and |G'| = p, with no lattice.
+
+    - If so, G' is central of order p, so commutators are bilinear, and
+      Phi(G) = G^p G' is central: [x^p, y] = [x, y]^p = 1. A maximal
+      subgroup <a>Phi(G) is then abelian.
+    - Conversely, with d(G) >= 3 any two elements generate a proper, so
+      abelian, subgroup, and G would be abelian. With G = <a, b>, the
+      proper <a>Phi(G) and <b>Phi(G) are abelian, so Phi(G) is central,
+      G' = <[a, b]> and [a, b]^p = [a^p, b] = 1.
+    d(G) is the length of G's lattice generators: G is nilpotent, so
+    lattice_generators reads it off Burnside's basis theorem
+    (_basis_generators)."""
+    return (len(lattice_generators(G, full_subgroup(G))) == 2
+            and derived_subgroup(G).order == p)
+
+
 def _ncn_family(G: FiniteGroup, p: int) -> tuple[Optional[str], Optional[dict]]:
     """Best-effort identification of the NCN-classification type (BJ1-BJ9)
     of a p-group (nonabelian, non-Hamiltonian): the type, or None, and its
@@ -235,10 +257,7 @@ def _ncn_family(G: FiniteGroup, p: int) -> tuple[Optional[str], Optional[dict]]:
     groups are built at G's order, which G's own build admitted."""
     n = G.order
     # BJ1: metacyclic minimal nonabelian, not Q8
-    der = derived_subgroup(G)
-    minimal_nonabelian = all(H.is_abelian() for H in subgroups(G)
-                             if H.order < n)
-    if minimal_nonabelian:
+    if _is_minimal_nonabelian(G, p):
         if is_metacyclic(G):
             total = padic_valuation(p, n)
             for m in range(2, total):
@@ -253,10 +272,20 @@ def _ncn_family(G: FiniteGroup, p: int) -> tuple[Optional[str], Optional[dict]]:
             find_isomorphism(build_spec(f"X(Q(8),C({n // 8}))", cap=n), G) is not None:
         return "BJ3", {"family": "BJ3", "n": (n // 8).bit_length() - 1}
     # BJ2: G0 central product cyclic Z; G' = Z(G0) of order p, Z(G) cyclic
-    Z = center(G)
+    der, Z = derived_subgroup(G), center(G)
     if der.order == p and Z.is_cyclic() and der <= Z:
         return "BJ2", {"family": "BJ2", "p": p, "z_order": Z.order}
     return None, None
+
+
+def _acts_reducibly(G: FiniteGroup, P: Subgroup, gen: int) -> bool:
+    """<gen> leaves invariant a subgroup of the normal P other than 1 and
+    P; decided with no lattice. The normal closure of <v> under gen is the
+    least gen-invariant subgroup that holds v. Every invariant subgroup
+    other than 1 holds such a closure, for each of its v != 1, so one is
+    proper iff some v in P - 1 has a closure other than P."""
+    return any(normal_closure(G, (v,), (gen,)).mask != P.mask
+               for v in P.members[1:])
 
 
 def classify_ssn(G: FiniteGroup) -> SSNClass:
@@ -312,14 +341,10 @@ def classify_ssn(G: FiniteGroup) -> SSNClass:
         # acts irreducibly
         if len(pfac) != 1 or any(G.element_order(g) > p for g in P.members):
             return SSNClass("NotSSN", {"reason": "P not elementary abelian"})
-        proper = [S for S in subgroups(G) if S <= P and 1 < S.order < P.order]
         for ell in prime_factors(q_order):
-            gen = G.power(y, q_order // ell)
-            for S in proper:
-                if normalizes(G, (gen,), S):
-                    return SSNClass(
-                        "NotSSN",
-                        {"reason": f"order-{ell} subgroup acts reducibly"})
+            if _acts_reducibly(G, P, G.power(y, q_order // ell)):
+                return SSNClass(
+                    "NotSSN", {"reason": f"order-{ell} subgroup acts reducibly"})
         n_rank = pfac[p]
         return SSNClass("SolvableTypeI",
                         {"p": p, "n": n_rank, "q_order": q_order},

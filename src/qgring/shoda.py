@@ -98,37 +98,27 @@ def _conjugate_sum(eps: AlgElem, transversal: Iterable[int]) -> AlgElem:
         eps.conjugate(t).nums for t in transversal)))), eps.den)
 
 
-def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup,
-           check_transversal: bool = False) -> AlgElem:
+def e_idem(G: FiniteGroup, H: Subgroup, K: Subgroup) -> AlgElem:
     """e(G, H, K): sum of the G-conjugates of epsilon(H, K) over a right
     transversal of its centralizer, for K normal in H with H/K cyclic
     (NotNormalInH otherwise), by sum_of_conjugates. A strong pair's
     record holds epsilon and a transversal of N_G(K) = Cen_G(epsilon);
-    for any other pair, and to check the transversal, the centralizer is
-    found by a scan of G."""
+    for any other pair the centralizer is found by a scan of G."""
     pair = strong_pair(G, H, K)
-    if pair is None or check_transversal:
-        return sum_of_conjugates(epsilon(H, K), check_transversal=check_transversal)
+    if pair is None:
+        eps = epsilon(H, K)
+        return sum_of_conjugates(eps, cosets(eps.centralizer_subgroup())[1])
     return sum_of_conjugates(pair.epsilon, pair.transversal)
 
 
-def sum_of_conjugates(eps: AlgElem, transversal: Optional[list[int]] = None,
-                      check_transversal: bool = False) -> AlgElem:
+def sum_of_conjugates(eps: AlgElem, transversal: list[int]) -> AlgElem:
     """The sum of the G-conjugates of eps over a right transversal of its
-    centralizer: the one given, else one from a scan of G for
-    Cen_G(eps). Central in Q[G] by construction (SoundnessError
-    otherwise); independent of the transversal, which is checked on the
-    scan's when requested."""
-    if transversal is None:
-        index, transversal = cosets(eps.centralizer_subgroup())
+    centralizer: eps^t depends only on t's coset Cen_G(eps)t, so the sum
+    does not depend on the transversal. Central in Q[G] by construction
+    (SoundnessError otherwise)."""
     out = _conjugate_sum(eps, transversal)
     if not out.is_central():
         raise SoundnessError("e(G,H,K) must be central")
-    if check_transversal:
-        # the greatest element of each coset: the last one to claim its index
-        greatest = {i: g for g, i in enumerate(index)}.values()
-        if _conjugate_sum(eps, greatest) != out:
-            raise SoundnessError("e(G,H,K) depends on the transversal")
     return out
 
 

@@ -26,6 +26,7 @@ from .components import (
 )
 from .groups import (
     all_maximal_abelian_over,
+    cosets,
     derived_subgroup,
     dihedral,
     normal_subgroups,
@@ -45,7 +46,7 @@ from .props import (
     nd_verdict,
     verify_witness,
 )
-from .shoda import e_idem, metabelian_pcis, pci_sanity
+from .shoda import metabelian_pcis, pci_sanity, sum_of_conjugates
 
 CATEGORIES = ("decompositions", "witnesses", "snssn", "amitsur", "nilpotent",
               "nonnilpotent", "properties", "sentinel")
@@ -431,9 +432,13 @@ def rows_properties() -> list[Row]:
             if not (c1 == c2 == c3):
                 bad_comm.append((name, sp.describe(), c1, c2, c3))
         if G.order <= 72:
+            # the sums over the least and the greatest element of each
+            # right coset of Cen_G(eps)
             for sp in pcis:
-                e2 = e_idem(G, sp.H, sp.K, check_transversal=True)
-                if e2 != sp.e:
+                index, least = cosets(sp.epsilon.centralizer_subgroup())
+                greatest = list({i: g for g, i in enumerate(index)}.values())
+                if any(sum_of_conjugates(sp.epsilon, t) != sp.e
+                       for t in (least, greatest)):
                     bad_transversal.append((name, sp.describe()))
     _check(rows, "properties", "PCI completeness + budgets",
            not bad_sanity, f"{len(PROPERTY_GROUPS)} groups, failures={bad_sanity[:3]}")

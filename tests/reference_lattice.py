@@ -13,6 +13,10 @@ the two never share a lattice.
 per conjugacy class: it builds every join by cosets, as the library does,
 but scans every seed and every subgroup. It is fast enough to compare on
 groups where the original closure is too slow.
+
+`reference_is_minimal_nonabelian` and `reference_acts_reducibly` are the
+scans of the library's lattice that `classify_ssn` made for BJ1's
+minimality and for type (i), each on a twin of G with its own caches.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from qgring.groups import (
     _joins_by_order,
     cyclic_subgroups,
     is_normal,
+    normalizes,
     subgroups,
 )
 
@@ -151,6 +156,28 @@ def reference_is_ncn(G: FiniteGroup) -> bool:
     of its members generates it."""
     return all(is_normal(G, H) for H in reference_subgroups(G)
                if not any(reference_closure(G, (g,)) == H.mask for g in H.members))
+
+
+def _twin(G: FiniteGroup) -> FiniteGroup:
+    """G with caches of its own, so that a scan of its lattice leaves G's
+    caches as they were."""
+    return FiniteGroup(G.table, G.names, name=G.name)
+
+
+def reference_is_minimal_nonabelian(G: FiniteGroup) -> bool:
+    """Every proper subgroup of G is abelian: the scan of the lattice that
+    props._ncn_family made before it read Redei's criterion."""
+    T = _twin(G)
+    return all(H.is_abelian() for H in subgroups(T) if H.order < T.order)
+
+
+def reference_acts_reducibly(G: FiniteGroup, P: Subgroup, gen: int) -> bool:
+    """gen normalizes a subgroup of P other than 1 and P: the scan of the
+    lattice that props.classify_ssn made for type (i) before it read
+    normal closures."""
+    T = _twin(G)
+    return any(normalizes(T, (gen,), S) for S in subgroups(T)
+               if S.mask & P.mask == S.mask and 1 < S.order < P.order)
 
 
 def coset_subgroups(G: FiniteGroup) -> list[Subgroup]:

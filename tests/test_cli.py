@@ -192,11 +192,11 @@ def test_a_raised_cap_holds_through_identification(capsys, spec, family,
 
 
 def test_analyze_exits_3_when_the_lattice_is_over_its_cap(capsys, monkeypatch):
-    # D(16) is a 2-group that is not Dedekind: its NCN flag reads the
-    # lattice, whose 19 subgroups are over a cap of 18
+    # D(8) is SN and not Dedekind: its SSN and NCN flags read the lattice,
+    # whose 10 subgroups are over a cap of 9
     monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
-    monkeypatch.setattr(qgring.groups, "MAX_SUBGROUPS", 18)
-    code, out, err = run_cli(capsys, "analyze", "D(16)")
+    monkeypatch.setattr(qgring.groups, "MAX_SUBGROUPS", 9)
+    code, out, err = run_cli(capsys, "analyze", "D(8)")
     assert code == 3 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "subgroups" in err
@@ -204,13 +204,14 @@ def test_analyze_exits_3_when_the_lattice_is_over_its_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["D(200)", "X(Q(8),C(25))", "X(Q(8),C(27))",
                                   "X(EA(2,6),C(3))", "EA(2,7)", "EA(3,5)",
-                                  "X(Q(8),EA(2,4))"])
+                                  "X(Q(8),EA(2,4))", "D(16)", "X(D(8),EA(2,4))",
+                                  "X(EA(2,3),X(C(2),D(8)))"])
 def test_analyze_builds_no_lattice(capsys, monkeypatch, spec):
-    # SN is decided with no lattice, SSN too when G is not SN or is
-    # Dedekind, NCN is asked of p-groups only and needs no lattice for a
-    # Dedekind one, and a pair's label follows the lattice's rule in
-    # closed form for a nilpotent or metacyclic G. So the Dedekind 2- and
-    # 3-groups build none, and EA(2,7), whose lattice is over
+    # SN is decided with no lattice, SSN and NCN too when G is not SN or
+    # is Dedekind, NCN is asked of p-groups only, and a pair's label
+    # follows the lattice's rule in closed form for a nilpotent or
+    # metacyclic G. So the Dedekind 2- and 3-groups and the 2-groups that
+    # are not SN build none, and EA(2,7), whose lattice is over
     # MAX_SUBGROUPS, is decided
     built = []
     orig = qgring.groups.subgroups

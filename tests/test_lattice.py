@@ -32,13 +32,15 @@ from qgring.groups import (FiniteGroup, Subgroup, _closure, _conjugated_row,
                            elementary_abelian, is_metacyclic,
                            is_nilpotent_group, is_normal, lattice_generators,
                            normal_subgroups, subgroups)
-from qgring.props import is_hamiltonian, is_ncn, is_sn, is_ssn
+from qgring.props import classify_ssn, is_hamiltonian, is_ncn, is_sn, is_ssn
 from qgring.shoda import metabelian_pcis
 import reference_lattice
 from invariants import record_calls, relabel, relabelling
-from reference_lattice import (coset_subgroups, lattice_is_sn, reference_is_ncn,
-                               reference_is_sn, reference_is_ssn,
+from reference_lattice import (coset_subgroups, lattice_is_sn,
+                               reference_acts_reducibly, reference_is_minimal_nonabelian,
+                               reference_is_ncn, reference_is_sn, reference_is_ssn,
                                reference_subgroups)
+from test_builders import SDVEC
 from test_workloads import workloads  # noqa: F401  (the fixture)
 
 # the groups analyzed by the benchmark's analyze-large and witness-search
@@ -88,6 +90,56 @@ def test_ncn_matches_reference_on_the_workloads(workload, workloads):
         G = workloads._build(op.build)
         if G.is_p_group()[0]:
             assert is_ncn(G) == reference_is_ncn(G), op.label
+
+
+# the factors of the product sweep (ROADMAP, Baseline)
+FACTORS = ["C(2)", "C(3)", "C(4)", "C(5)", "C(6)", "C(7)", "C(8)", "EA(2,2)",
+           "EA(2,3)", "EA(2,4)", "EA(3,2)", "D(6)", "D(8)", "D(10)", "D(12)",
+           "D(14)", "D(16)", "Q(8)", "Q(12)", "Q(16)", "A4", "SdCyc(3,8,2)",
+           "SdCyc(5,4,2)", "SdCyc(7,3,2)", "Heis27", "C9rC3", "D8cpD8", "BJ4",
+           "BJ5", "BJ8", "BJ9", "X(C(2),D(8))"]
+# generalized dihedral groups of C3^2 and C5^2, where C2 acts reducibly
+GENERALIZED_DIHEDRAL = ["SdVec(3,2,[[2,0],[0,2]],2)", "SdVec(5,2,[[4,0],[0,4]],2)"]
+
+
+def _props_corpus(workloads):
+    """The catalog, the corpora, the SdVec builds, the generalized dihedral
+    groups, the ordered products of two factors of order <= 64 and the
+    three workloads' groups."""
+    orders = {name: _build(name).order for name in FACTORS}
+    products = [f"X({a},{b})" for a in FACTORS for b in FACTORS
+                if orders[a] * orders[b] <= 64]
+    names = (catalog_names() + CORPUS + FAMILY + RULE_EXTRA + SDVEC
+             + GENERALIZED_DIHEDRAL + products)
+    return [_build(name) for name in names] + [
+        workloads._build(op.build) for workload in ("analyze-large", "family-sweep",
+                                                    "witness-search")
+        for op in workloads.build_ops(workload)]
+
+
+def test_minimality_matches_the_lattice_scan(workloads):
+    # Redei's criterion against the lattice scan, on every nonabelian
+    # p-group of the corpus (a superset of the NCN p-groups that
+    # _ncn_family sees); 29 of the 108 are minimal nonabelian
+    verdicts = []
+    for G in _props_corpus(workloads):
+        ok, p = G.is_p_group()
+        if ok and not G.is_abelian():
+            verdicts.append(reference_is_minimal_nonabelian(G))
+            assert qgring.props._is_minimal_nonabelian(G, p) == verdicts[-1], G.name
+    assert (len(verdicts), sum(verdicts)) == (108, 29)
+
+
+def test_type_i_matches_the_lattice_scan(workloads, monkeypatch):
+    # every type (i) test that classify_ssn makes on the corpus, against
+    # the lattice scan: 30 tests on 19 groups, 7 of them reducible
+    acts_reducibly = qgring.props._acts_reducibly
+    calls = record_calls(monkeypatch, qgring.props, "_acts_reducibly")
+    for G in _props_corpus(workloads):
+        classify_ssn(G)
+    verdicts = [reference_acts_reducibly(G, P, gen) for G, P, gen in calls]
+    assert [acts_reducibly(*call) for call in calls] == verdicts
+    assert (len(calls), len({G.name for G, _, _ in calls}), sum(verdicts)) == (30, 19, 7)
 
 
 @pytest.mark.parametrize("name", catalog_names() + CORPUS + RULE_EXTRA)

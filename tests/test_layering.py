@@ -8,7 +8,8 @@ function, so that `analyze` does not load the verification suite. No
 module imports `random`, and only algebra names `SquareZeroFamily`. The
 PCI layer names no subgroup lattice: a pair's label reads the lattice's
 generator rule, groups.lattice_generators. A pair's maximality is tested
-in one place, and no module imports a name it never uses.
+in one place, and no module imports a name it never uses. The property
+layer reads the lattice only for an SN group that is not Dedekind.
 """
 
 import ast
@@ -181,6 +182,15 @@ def test_one_join_normality_test():
     assert _namers("props", "_join_is_normal") == {"is_sn", "is_ssn.passes"}
     assert _namers("props", "_non_normal_classes") == {"is_ssn"}
     assert _namers("props", "normal_subgroups") == set()
+
+
+def test_the_property_layer_reads_the_lattice_past_sn_and_dedekind_alone():
+    # SSN's non-normal classes and the NCN scan read the lattice, each only
+    # for an SN group that is not Dedekind; classify_ssn's type (i) is
+    # decided by normal closures and _ncn_family's minimality by Redei's
+    # criterion, with no lattice
+    assert _namers("props", "subgroups") == {"_non_normal_classes", "is_ncn"}
+    assert _namers("props", "_lattice_entry") == {"is_ssn.passes"}
 
 
 def test_one_maximality_filter():

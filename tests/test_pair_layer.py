@@ -238,13 +238,12 @@ def _check_pairs_match_reference(G, monkeypatch):
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_exponent_filter_keeps_every_pair_on_the_catalog(name, cold, monkeypatch):
+def test_pairs_match_reference_on_the_catalog(name, cold, monkeypatch):
     _check_pairs_match_reference(build_spec(name), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["analyze-large", "family-sweep", "witness-search"])
-def test_exponent_filter_keeps_every_pair_on_the_workloads(name, workloads, cold,
-                                                           monkeypatch):
+def test_pairs_match_reference_on_the_workloads(name, workloads, cold, monkeypatch):
     # the groups each benchmark op builds; analyze-large holds D(200)
     for op in workloads.build_ops(name):
         _check_pairs_match_reference(workloads._build(op.build), monkeypatch)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qgring import props
+import qgring.catalog
+from qgring import groups, props
 from qgring.algebra import AlgElem, hat
 from qgring.catalog import bj2_group, build_named, build_spec
 from qgring.errors import BNotAbelian, NotPGroup, SoundnessError, UnknownWitness
@@ -178,6 +179,21 @@ def test_classify_ssn_names_each_rejection(build, reason):
     cls = classify_ssn(G)
     assert (cls.tag, cls.params) == ("NotSSN", {"reason": reason})
     assert is_ssn(G) is False
+
+
+def test_classify_ssn_decides_type_i_with_no_lattice(monkeypatch):
+    # the C2 of the generalized dihedral group of C3^2 inverts every
+    # element, so each of the four subgroups of order 3 is invariant:
+    # found by normal closures, with no lattice
+    def no_lattice(G):
+        raise AssertionError(f"classify_ssn built the lattice of {G.name}")
+
+    monkeypatch.setattr(qgring.catalog, "_BUILT", {})  # a group with cold caches
+    for module in (groups, props):
+        monkeypatch.setattr(module, "subgroups", no_lattice)
+    cls = classify_ssn(build_spec("SdVec(3,2,[[2,0],[0,2]],2)"))
+    assert (cls.tag, cls.params) == ("NotSSN",
+                                     {"reason": "order-2 subgroup acts reducibly"})
 
 
 def test_classify_ssn_names_a5_by_its_order(monkeypatch):

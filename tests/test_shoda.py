@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -7,12 +8,14 @@ from pathlib import Path
 import pytest
 
 import qgring.shoda
+import qgring.verify
 from qgring.algebra import AlgElem, tilde
 from qgring.catalog import bj1_group, build_named, build_spec, catalog_names
 from qgring.components import component_dimension
 from qgring.errors import NotMetabelian, NotNormalInH, SoundnessError
 from qgring.groups import (
     artin_count,
+    cosets,
     derived_subgroup,
     dihedral,
     normalizer,
@@ -30,6 +33,7 @@ from qgring.shoda import (
     metabelian_pcis,
     pci_sanity,
     section_generator,
+    sum_of_conjugates,
 )
 from invariants import relabel
 
@@ -71,11 +75,33 @@ def test_example38_idempotent_display():
 
 
 def test_e_idem_transversal_independence():
+    # the sums over the least and over the greatest element of each right
+    # coset of Cen_G(epsilon) are both e(G, H, K)
     G = build_named("C3C3rC8")
     der = derived_subgroup(G)
     K = subgroup_generated(G, (G.element("a"),))
-    assert e_idem(G, der, K, check_transversal=True) == \
-        AlgElem.one(G) - tilde(der)
+    eps = epsilon(der, K)
+    index, least = cosets(eps.centralizer_subgroup())
+    greatest = list({i: g for g, i in enumerate(index)}.values())
+    assert len(least) > 1 and greatest != least
+    for transversal in (least, greatest):
+        assert sum_of_conjugates(eps, transversal) == e_idem(G, der, K) == \
+            AlgElem.one(G) - tilde(der)
+
+
+def test_sum_of_conjugates_takes_its_transversal():
+    # every caller passes a transversal, and nothing checks it on the way
+    assert list(inspect.signature(sum_of_conjugates).parameters) == ["eps", "transversal"]
+    assert list(inspect.signature(e_idem).parameters) == ["G", "H", "K"]
+
+
+def test_a_transversal_mismatch_fails_its_verify_row(monkeypatch):
+    # a sum that differs from e(G, H, K) fails verify's row instead of
+    # raising mid-run
+    monkeypatch.setattr(qgring.verify, "sum_of_conjugates", lambda eps, t: None)
+    rows = {row.name: row.passed for row in qgring.verify.rows_properties()}
+    assert rows.pop("transversal independence of e(G,H,K)") is False
+    assert all(rows.values())
 
 
 def test_shoda_pair_predicates():

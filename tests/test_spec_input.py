@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgring.groups
 from qgring.catalog import build_spec
 from qgring.cli import main
-from qgring.errors import QGRingError
+from qgring.errors import OrderCapExceeded, QGRingError
 
 ARGS = st.integers(0, 8)
 
@@ -62,12 +63,34 @@ RANK8 = f"SdVec(2,8,{RANK8_ORDER3},3)"
     (("analyze", RANK8, "--cap", "768"), 3),
     # a product that needs a 27th generator letter
     (("analyze", "X(" * 26 + "C(1)" + ",C(1))" * 26), 2),
+    # an integer past the digits int() reads, and a spec past the parser's
+    # depth
+    (("analyze", "C(" + "9" * 5000 + ")"), 2),
+    (("analyze", "X(" * 1000 + "C(1)" + ",C(1))" * 1000), 2),
+    # an order of more than 4 300 digits, refused before it is computed
+    (("analyze", "SdVec(2,1000000000,[[1]],3)"), 3),
+    # over the cap, so refused before p is found composite
+    (("analyze", "EA(100000000000030,1)"), 3),
 ])
 def test_a_refused_spec_is_one_error_line(capsys, argv, code):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["MetaAmitsur(20000003,2)", "EA(100000000000031,1)",
+                                  "SdVec(100000000000031,1,[[1]],2)"])
+def test_the_order_cap_comes_before_work_that_grows_with_a_parameter(monkeypatch,
+                                                                     spec):
+    # ord_mod(m, r) takes O(m) steps and is_prime(p) O(sqrt(p))
+    def unbounded(*args):
+        raise AssertionError("ran before the order cap")
+
+    monkeypatch.setattr(qgring.groups, "ord_mod", unbounded)
+    monkeypatch.setattr(qgring.groups, "is_prime", unbounded)
+    with pytest.raises(OrderCapExceeded):
+        build_spec(spec)
 
 
 def test_the_rank_8_generator_of_sdvec_is_named_i():
