@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from .errors import (GroupMismatch, NonIntegerDimension, NotCentralIdempotent,
                      SoundnessError)
 from .groups import (FiniteGroup, Subgroup, _classes, _closure, _conjugation,
-                     _rational_points, cosets, cyclic_subgroups, subgroup_from_mask)
+                     _rational_points, cosets, cyclic_subgroups, is_normal,
+                     subgroup_from_mask)
 
 
 class AlgElem:
@@ -462,6 +463,13 @@ class SquareZeroFamily:
     subgroup containing Y (y hat(Y) = hat(Y) = hat(Y) y, e is central):
     all shifts pass iff the generators of <Y, shifts> do, which is what
     scan() decides first. square_zero_search walks the cyclic families.
+
+    The stabilizer also contains the kernel N recorded for e
+    (_record_kernel checked that N fixes e; the trivial group when none is
+    recorded): an n in N fixes e and e is central, so n hat(Y) e =
+    hat(Y) e = hat(Y) e n. So it contains the subgroup Y N = N Y, and a
+    test whose shift lies in Y N passes with no F: both of its products
+    are zero, so integral. That decision is memoized like any other.
     """
 
     def __init__(self, Y: Subgroup, idempotents: list[AlgElem],
@@ -472,6 +480,9 @@ class SquareZeroFamily:
         self.residues = residues
         self._hat = hat(Y)
         self._vectors: list[Optional[list[int]]] = [None] * len(idempotents)
+        kernels = (_facts_of(e).get("kernel") for e in idempotents)
+        self._kernels = [1 if N is None else N.mask for N in kernels]
+        self._rows = [Y.parent.table[y] for y in Y.members]
         self._memo: dict[tuple[int, bool, int], bool] = {}
 
     def candidates(self):
@@ -572,15 +583,19 @@ class SquareZeroFamily:
         key = (i, left, u)
         hit = self._memo.get(key)
         if hit is None:
-            vec = self._vectors[i]
-            if vec is None:
-                F = self._hat * self.idempotents[i]
-                vec = [v % F.den for v in F.nums] if self.residues else F.nums
-                self._vectors[i] = vec
-            table = self.group.table
-            # vec[u z] = vec[z] (left) or vec[z u] = vec[z] (right) for all z
-            shifted = table[u] if left else map(itemgetter(u), table)
-            hit = list(map(vec.__getitem__, shifted)) == vec
+            # a shift in Y N passes: y u lies in N for some y in Y
+            N = self._kernels[i]
+            hit = any(N >> row[u] & 1 for row in self._rows)
+            if not hit:
+                vec = self._vectors[i]
+                if vec is None:
+                    F = self._hat * self.idempotents[i]
+                    vec = [v % F.den for v in F.nums] if self.residues else F.nums
+                    self._vectors[i] = vec
+                table = self.group.table
+                # vec[u z] = vec[z] (left) or vec[z u] = vec[z] (right) for all z
+                shifted = table[u] if left else map(itemgetter(u), table)
+                hit = list(map(vec.__getitem__, shifted)) == vec
             self._memo[key] = hit
         return hit
 
@@ -600,10 +615,20 @@ def square_zero_search(G: FiniteGroup, idempotents: list[AlgElem],
     No family of another 1 < Y < G fails first. For C <= Y and central e,
     hat(Y) e = hat(C) e S = S' hat(C) e, with S and S' integral sums of
     coset representatives, so each test of Y's family is an integral
-    multiple of the same test on some <y> <= Y, no later in the order."""
+    multiple of the same test on some <y> <= Y, no later in the order.
+
+    A normal Y is passed over when the walk reaches it, with no family
+    built. Each shift u of its family is a conjugate of some y^-1, y in Y,
+    so u lies in Y: the family has no nonzero candidate, and so makes no
+    test and no pair test and gives no witness. spent and the order of the
+    other families are the same as if it had been walked. Normality is
+    decided there, in the loop (is_normal), not for every cyclic subgroup
+    up front: a search that stops early decides it for few of them."""
     spent = 0
     for Y in sorted((C for C in cyclic_subgroups(G) if C.order < G.order),
                     key=lambda C: (C.order, C.mask)):
+        if is_normal(G, Y):
+            continue
         family = SquareZeroFamily(Y, idempotents, residues)
         found, spent = family.scan(spent, budget)
         if found is not None or spent >= budget:

@@ -64,11 +64,14 @@ def _json_text(obj, indent: str = "\n") -> str:
     if not obj:
         return "{}" if t is dict else "[]"
     inner = indent + "  "
+    # a str item or value is quoted in place, with no call of its own
     if t is list:
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) \
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else _json_text(v, inner) for v in obj]) \
             + indent + "]"
     return "{" + inner + ("," + inner).join([
-        (_quote(k) if type(k) is str else _json_key(k)) + ": " + _json_text(v, inner)
+        (_quote(k) if type(k) is str else _json_key(k)) + ": "
+        + (_quote(v) if type(v) is str else _json_text(v, inner))
         for k, v in sorted(obj.items())]) + indent + "}"
 
 
@@ -109,7 +112,9 @@ def _json_key(key) -> str:
 
 
 def _idem_hash(e) -> str:
-    payload = f"{e.den}:{','.join(map(str, e.nums))}".encode()
+    """The first 12 hex digits of the sha256 of "den:n_1,n_2,...": the
+    list's repr, brackets and spaces taken out, is that join of the nums."""
+    payload = f"{e.den}:{repr(e.nums)[1:-1].replace(' ', '')}".encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 
 

@@ -21,11 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgring.algebra
 from qgring.algebra import AlgElem, SquareZeroFamily, tilde
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import nilpotent_probe
 from qgring.errors import NotCentralIdempotent, NotMetabelian, SoundnessError
-from qgring.groups import cyclic_subgroups, derived_subgroup, subgroup_generated, subgroups
+from qgring.groups import (cyclic_subgroups, derived_subgroup, is_normal, subgroup_generated,
+                           subgroups)
 from qgring.props import a5_shoda_idempotent, nd_verdict, nd_witness_search
 from qgring.shoda import metabelian_pcis
 from reference_search import (reference_nd_witness_search, reference_nilpotent_probe,
@@ -198,7 +200,8 @@ DECISIONS = {
 }
 
 
-def _decisions(G, budget, monkeypatch):
+def _families(G, pcis, budget, monkeypatch):
+    """The families a witness search with this budget builds, in order."""
     families = []
     init = SquareZeroFamily.__init__
 
@@ -207,14 +210,74 @@ def _decisions(G, budget, monkeypatch):
         families.append(self)
 
     monkeypatch.setattr(SquareZeroFamily, "__init__", recording_init)
-    nd_witness_search(G, [sp.e for sp in metabelian_pcis(G)], budget=budget)
+    nd_witness_search(G, pcis, budget=budget)
     monkeypatch.undo()
-    return sum(len(fam._memo) for fam in families)
+    return families
+
+
+def _decisions(G, budget, monkeypatch):
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    return sum(len(fam._memo) for fam in _families(G, pcis, budget, monkeypatch))
 
 
 @pytest.mark.parametrize("spec", sorted(DECISIONS))
 def test_witness_search_decisions_are_pinned(spec, monkeypatch):
     assert _decisions(build_spec(spec), 50_000, monkeypatch) == DECISIONS[spec]
+
+
+# spent of the witness search on the witness-search groups at each budget
+# of WALK_BUDGETS; only X(SdCyc(3,8,2),C(2)) finds a witness, at test 8
+WALK_BUDGETS = (1, 7, 100, 3_000, 50_000, 10 ** 6)
+WALK_SPENT = {
+    "SdCyc(3,8,2)": (1, 7, 100, 3_000, 45_024, 45_024),
+    "SdCyc(5,8,2)": (1, 7, 100, 3_000, 50_000, 10 ** 6),
+    "SdCyc(3,16,2)": (1, 7, 100, 3_000, 50_000, 895_104),
+    "SdCyc(5,16,2)": (1, 7, 100, 3_000, 50_000, 10 ** 6),
+    "SdCyc(13,8,5)": (1, 7, 100, 3_000, 50_000, 10 ** 6),
+    "X(SdCyc(3,8,2),C(2))": (1, 7, 8, 8, 8, 8),
+}
+# families built at the harness budget: one per non-normal cyclic Y the
+# walk reaches, 10 of the 35 it reaches in all; a normal Y's family is
+# empty, so none is built for it
+WALKED = {"SdCyc(3,8,2)": 3, "SdCyc(5,8,2)": 3, "SdCyc(3,16,2)": 1,
+          "SdCyc(5,16,2)": 1, "SdCyc(13,8,5)": 1, "X(SdCyc(3,8,2),C(2))": 1}
+
+
+def test_walk_builds_families_for_non_normal_subgroups_only(monkeypatch):
+    reached = []
+
+    def recording_is_normal(G, Y):
+        reached.append(Y)
+        return is_normal(G, Y)
+
+    walked = built = 0
+    for spec, count in WALKED.items():
+        G = build_spec(spec)
+        pcis = [sp.e for sp in metabelian_pcis(G)]
+        reached.clear()
+        monkeypatch.setattr(qgring.algebra, "is_normal", recording_is_normal)
+        families = _families(G, pcis, 50_000, monkeypatch)
+        assert len(families) == count, spec
+        assert [fam.Y for fam in families] == [Y for Y in reached if not is_normal(G, Y)]
+        for Y in reached:
+            if is_normal(G, Y):
+                family = SquareZeroFamily(Y, pcis, residues=True)
+                assert not list(family.candidates()) and family.pair_tests() == 0
+        walked += len(reached)
+        built += len(families)
+    assert (walked, built) == (35, 10)
+
+
+@pytest.mark.parametrize("spec", sorted(WALK_SPENT))
+def test_witness_search_spend_is_pinned(spec):
+    G = build_spec(spec)
+    pcis = [sp.e for sp in metabelian_pcis(G)]
+    # the product loop's witness, if any, within 100 tests
+    run = reference_nd_witness_search(G, pcis, budget=100)
+    for budget, pinned in zip(WALK_BUDGETS, WALK_SPENT[spec]):
+        found, spent = nd_witness_search(G, pcis, budget=budget)
+        assert spent == pinned, budget
+        assert _same(found, _cut(run, budget)[0]), budget
 
 
 def _shifts(Y):
@@ -290,18 +353,8 @@ def test_decisions_stay_within_the_blocks_the_budget_reaches(name, monkeypatch):
             start = end
     budgets = {1, 2, EXHAUSTION[name]}.union(
         *({end - 1, end, end + 1} for _, end, _ in blocks))
-    families = []
-    init = SquareZeroFamily.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        families.append(self)
-
     for budget in sorted(b for b in budgets if b >= 1):
-        families.clear()
-        monkeypatch.setattr(SquareZeroFamily, "__init__", recording_init)
-        nd_witness_search(G, pcis, budget=budget)
-        monkeypatch.undo()
+        families = _families(G, pcis, budget, monkeypatch)
         bound = sum(most for begin, _, most in blocks if begin < budget)
         assert sum(len(fam._memo) for fam in families) <= bound, budget
 
@@ -326,14 +379,35 @@ def test_noncentral_idempotent_is_rejected():
         nilpotent_probe(G, e, budget=10)
 
 
-@pytest.mark.parametrize("name", ["D12", "C3rC8"])
-def test_family_decides_each_product(name):
-    G = build_named(name)
+# the witness-search groups of order <= 48
+SMALL_WITNESS_SEARCH = ["SdCyc(3,8,2)", "SdCyc(5,8,2)", "SdCyc(3,16,2)",
+                        "X(SdCyc(3,8,2),C(2))"]
+
+
+def _in_y_kernel(Y, e, u):
+    """Whether u = y n for a y in Y and an n in the kernel recorded for e."""
+    N = qgring.algebra._facts_of(e).get("kernel")
+    return any(Y.parent.table[y][n] == u for y in Y.members
+               for n in (N.members if N is not None else (0,)))
+
+
+@pytest.mark.parametrize("name", ["D12", "C3rC8"] + SMALL_WITNESS_SEARCH)
+def test_family_decides_each_product(name, monkeypatch):
+    # every 1 < Y < G of the two catalog groups, and the cyclic Y the walk
+    # reaches at the harness budget on the witness-search groups, where
+    # shifts in Y N, N a recorded kernel, decide tests of non-normal Y with
+    # no F
+    G = _group(name)
     pcis = [sp.e for sp in metabelian_pcis(G)]
-    for Y in subgroups(G)[1:-1]:
+    walked = name in SMALL_WITNESS_SEARCH
+    ys = ([fam.Y for fam in _families(G, pcis, 50_000, monkeypatch)] if walked
+          else subgroups(G)[1:-1])
+    in_y_kernel = 0
+    for Y in ys:
         integral = SquareZeroFamily(Y, pcis, residues=True)
         zero = SquareZeroFamily(Y, pcis, residues=False)
         found = {(y, g, left): u for y, g, left, u in integral.candidates()}
+        in_y_kernel += sum(_in_y_kernel(Y, e, u) for e in pcis for u in set(found.values()))
         for y in Y.members[1:]:
             for g in range(G.order):
                 for left in (True, False):
@@ -346,6 +420,7 @@ def test_family_decides_each_product(name):
                         prod = alpha * e
                         assert integral.invariant(i, left, u) == prod.is_integral()
                         assert zero.invariant(i, left, u) == prod.is_zero()
+    assert in_y_kernel or not walked
 
 
 def _candidate_counts(G):
