@@ -454,7 +454,8 @@ class SquareZeroFamily:
     zero iff F's numerators are invariant under that shift by u, and
     integral iff their residues modulo F's denominator are. The answer
     depends only on (e, side, u) and is memoized; F is computed on first
-    use. Callers must pass central idempotents.
+    use. The idempotents must be central: square_zero_search checks that
+    before it builds a family.
 
     For a fixed y both shifts run over the conjugacy class of y^-1 as g
     runs over G, each u hit by |C_G(y)| of the g, and a candidate vanishes
@@ -623,7 +624,15 @@ def square_zero_search(G: FiniteGroup, idempotents: list[AlgElem],
     test and no pair test and gives no witness. spent and the order of the
     other families are the same as if it had been walked. Normality is
     decided there, in the loop (is_normal), not for every cyclic subgroup
-    up front: a search that stops early decides it for few of them."""
+    up front: a search that stops early decides it for few of them.
+
+    Raises NotCentralIdempotent for an idempotent that is not central, and
+    returns (None, 0) for an empty list before it walks any family."""
+    for e in idempotents:
+        if not e.is_central():
+            raise NotCentralIdempotent("the search needs central idempotents")
+    if not idempotents:
+        return None, 0
     spent = 0
     for Y in sorted((C for C in cyclic_subgroups(G) if C.order < G.order),
                     key=lambda C: (C.order, C.mask)):

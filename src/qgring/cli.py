@@ -22,7 +22,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from typing import Optional
@@ -51,16 +50,21 @@ def _json_text(obj, indent: str = "\n") -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, byte for
     byte, joined from the C string encoder's pieces: with indent set, json
     falls back to its pure-Python encoder. indent is the newline and
-    indentation before obj's closing bracket. The exact types come first;
-    anything else is written by _other_text. Every command's --json output
-    is written by it."""
+    indentation before obj's closing bracket. obj is built of the values the
+    commands write: dict (str or int keys), list, str, int, bool and None,
+    each of exactly that type; anything else raises TypeError. Every
+    command's --json output is written by it."""
     t = type(obj)
     if t is str:
         return _quote(obj)
     if t is int:
         return int.__repr__(obj)
     if t is not dict and t is not list:
-        return _other_text(obj, indent)
+        if obj is None:
+            return "null"
+        if t is bool:
+            return "true" if obj else "false"
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
     if not obj:
         return "{}" if t is dict else "[]"
     inner = indent + "  "
@@ -75,40 +79,11 @@ def _json_text(obj, indent: str = "\n") -> str:
         for k, v in sorted(obj.items())]) + indent + "}"
 
 
-def _other_text(obj, indent: str) -> str:
-    """A value that is not exactly a str, int, list or dict, tested in
-    json's order: subclasses are written as their base."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj in (math.inf, -math.inf):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        return _json_text(list(obj), indent)
-    if isinstance(obj, dict):
-        return _json_text(dict(obj), indent)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _json_key(key) -> str:
-    """A dict key as json writes it: a string, or a number, bool or None
-    written as a value and quoted."""
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + _json_text(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    """A dict key that is not a str: an int, quoted as json writes it."""
+    if type(key) is int:
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
 
 
 def _idem_hash(e) -> str:

@@ -26,7 +26,6 @@ from .catalog import build_named
 from .errors import (
     InconsistentFamilyParams,
     NonIntegerDimension,
-    NotCentralIdempotent,
     NotCoprime,
     NotStrongShodaPair,
     SoundnessError,
@@ -381,9 +380,8 @@ def nilpotent_probe(G: FiniteGroup, e: AlgElem,
     The candidates are the square-zero elements (1-y) g hat(C) and
     hat(C) g (1-y) of the cyclic C < G, which stand for every subgroup,
     projected by e within budget tests (algebra.square_zero_search). None
-    when none projects to nonzero: that proves nothing about the component."""
-    if not e.is_central():
-        raise NotCentralIdempotent("the nilpotent probe needs a central idempotent")
+    when none projects to nonzero: that proves nothing about the component.
+    An e that is not central raises NotCentralIdempotent there."""
     found, _ = square_zero_search(G, [e], budget, residues=False)
     return None if found is None else found[0] * e
 

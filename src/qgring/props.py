@@ -29,7 +29,6 @@ from .components import (
 )
 from .errors import (
     BNotAbelian,
-    NotCentralIdempotent,
     NotMetabelian,
     NotPGroup,
     QGRingError,
@@ -531,13 +530,8 @@ def nd_witness_search(G: FiniteGroup, pcis: list[AlgElem],
     algebra.square_zero_search: each family decides its single tests by
     coset invariance and counts its pair tests, which can never fail, and
     spent is the same as if each test had been made. Returns (pair or None,
-    spent).
+    spent); a PCI that is not central raises NotCentralIdempotent there.
     """
-    for e in pcis:
-        if not e.is_central():
-            raise NotCentralIdempotent("the witness search needs central idempotents")
-    if not pcis:
-        return None, 0
     return square_zero_search(G, pcis, budget, residues=True)
 
 

@@ -230,14 +230,14 @@ def test_analyze_builds_no_lattice(capsys, monkeypatch, spec):
     assert built == []
 
 
-_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
-                | st.text())
+# the values the commands write: exact dicts with str or int keys, lists,
+# str, int, bool and None
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text()
 _JSON_TREES = st.recursive(_JSON_LEAVES, lambda inner: (
-    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=3), inner, max_size=4)
-    | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(),
-                      inner, max_size=4)
-    | st.dictionaries(st.none() | st.text(max_size=2), inner, max_size=3)),
+    | st.dictionaries(st.integers(), inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2) | st.integers(-3, 3), inner, max_size=3)),
     max_leaves=20)
 
 
@@ -253,6 +253,20 @@ def test_json_writer_is_json_dumps(tree):
             qgring.cli._json_text(tree)
         return
     assert qgring.cli._json_text(tree) == want
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), _Text("a"), {1.5: 0}, {True: 0}, {None: 0}, [{"a": [0.0]}]],
+    ids=["float", "tuple", "str-subclass", "float-key", "bool-key", "none-key",
+         "nested-float"])
+def test_json_writer_refuses_other_values(value):
+    # no command writes any other value, so the writer takes none
+    with pytest.raises(TypeError):
+        qgring.cli._json_text(value)
 
 
 def _usage_error(capsys, *argv):

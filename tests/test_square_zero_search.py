@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgring.algebra
-from qgring.algebra import AlgElem, SquareZeroFamily, tilde
+from qgring.algebra import AlgElem, SquareZeroFamily, square_zero_search, tilde
 from qgring.catalog import build_named, build_spec, catalog_names
 from qgring.components import nilpotent_probe
 from qgring.errors import NotCentralIdempotent, NotMetabelian, SoundnessError
@@ -363,10 +363,17 @@ def test_witness_in_the_first_block_takes_at_most_two_decisions(monkeypatch):
     assert _decisions(build_spec("D(200)"), 200_000, monkeypatch) <= 2
 
 
-def test_witness_search_without_idempotents_spends_nothing():
+def test_witness_search_without_idempotents_spends_nothing(monkeypatch):
     G = build_named("A4")
     assert nd_witness_search(G, [], budget=5) == (None, 0)
     assert reference_nd_witness_search(G, [], budget=5) == (None, 0)
+
+    def no_walk(_):
+        raise AssertionError("a search with no idempotents walked a family")
+
+    monkeypatch.setattr(qgring.algebra, "cyclic_subgroups", no_walk)
+    for residues in (True, False):
+        assert square_zero_search(G, [], 5, residues=residues) == (None, 0)
 
 
 def test_noncentral_idempotent_is_rejected():
@@ -377,6 +384,9 @@ def test_noncentral_idempotent_is_rejected():
         nd_witness_search(G, [e], budget=10)
     with pytest.raises(NotCentralIdempotent):
         nilpotent_probe(G, e, budget=10)
+    for residues in (True, False):
+        with pytest.raises(NotCentralIdempotent):
+            square_zero_search(G, [AlgElem.one(G), e], 10, residues=residues)
 
 
 # the witness-search groups of order <= 48
